@@ -2,18 +2,34 @@
 
 Columns: quantity,p,r,params,residue. Lookups are exact-match on the
 first four columns; the file is human-inspectable and diff-friendly.
+Each residue is canonical modulo p**e, with e taken from the params'
+`e=` field (p**r when there is none); a row outside that range is
+refused on load. A final line without its newline is the torn tail of an
+interrupted append: it is skipped with a warning and cut off before the
+next append.
 """
 
 from __future__ import annotations
 
 import csv
 import os
+import sys
 from pathlib import Path
 
 COLUMNS = ("quantity", "p", "r", "params", "residue")
 ENV_VAR = "SUPERCONG_CACHE"
 
 CacheKey = tuple[str, int, int, str]
+
+
+def _below_power(value: int, p: int, e: int) -> bool:
+    """value < p**e, without building p**e for an absurd e."""
+    bound = 1
+    for _ in range(e):
+        bound *= p
+        if bound > value:
+            return True
+    return value < bound
 
 
 class ResidueCache:
@@ -24,27 +40,53 @@ class ResidueCache:
             self._load()
 
     def _load(self) -> None:
-        with self.path.open(newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is not None and tuple(header) != COLUMNS:
-                raise ValueError(f"{self.path} is not a residue cache (header {header})")
-            for row in reader:
-                if len(row) != len(COLUMNS):
-                    raise ValueError(f"malformed cache row {row!r} in {self.path}")
-                quantity, p, r, params, residue = row
-                self.rows[(quantity, int(p), int(r), params)] = int(residue)
+        data = self.path.read_bytes()
+        end = data.rfind(b"\n") + 1
+        if end < len(data):
+            torn = data[end:].decode(errors="replace")
+            print(f"warning: skipping torn final row {torn!r} in {self.path}", file=sys.stderr)
+        reader = csv.reader(data[:end].decode().splitlines())
+        header = next(reader, None)
+        if header is not None and tuple(header) != COLUMNS:
+            raise ValueError(f"{self.path} is not a residue cache (header {header})")
+        for line, row in enumerate(reader, start=2):
+            key, value = self._parse(row, line)
+            self.rows[key] = value
+
+    def _parse(self, row: list[str], line: int) -> tuple[CacheKey, int]:
+        where = f"cache row {row!r} at line {line} of {self.path}"
+        if len(row) != len(COLUMNS):
+            raise ValueError(f"malformed {where}")
+        quantity, p, r, params, residue = row
+        try:
+            p, r, value = int(p), int(r), int(residue)
+            fields = dict(item.partition("=")[::2] for item in params.split(";"))
+            e = int(fields["e"]) if "e" in fields else r
+        except ValueError:
+            raise ValueError(f"malformed {where}") from None
+        if p < 2 or e < 1 or value < 0 or not _below_power(value, p, e):
+            raise ValueError(f"{where}: residue {value} is not canonical mod {p}**{e}")
+        return (quantity, p, r, params), value
+
+    def _cut_torn_tail(self) -> None:
+        with self.path.open("r+b") as fh:
+            data = fh.read()
+            end = data.rfind(b"\n") + 1
+            if end < len(data):
+                fh.truncate(end)
 
     def append(self, new_rows: dict[CacheKey, int]) -> int:
         """Append unseen rows (sorted by key) and fold them in; returns count."""
         fresh = {k: v for k, v in new_rows.items() if k not in self.rows}
         if not fresh:
             return 0
-        new_file = not self.path.exists()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
+        if self.path.exists():
+            self._cut_torn_tail()
+        else:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
         with self.path.open("a", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            if new_file:
+            if fh.tell() == 0:
                 writer.writerow(COLUMNS)
             for key in sorted(fresh):
                 writer.writerow([key[0], key[1], key[2], key[3], fresh[key]])

@@ -124,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     srch.add_argument("--format", choices=("text", "json"), default="text")
     srch.add_argument("--out")
 
-    orc = sub.add_parser("oracle", help="cross-check the convolution evaluator against brute force")
+    orc = sub.add_parser("oracle", help="cross-check the derivative-ladder evaluator against brute force")
     orc.add_argument("--n", type=int, required=True)
     orc.add_argument("--m", type=int, required=True)
     orc.add_argument("--p", type=int, required=True)
@@ -267,8 +267,8 @@ def _cmd_oracle(args) -> int:
     fast = comp_sum(spec, M).value
     brute = comp_sum_bruteforce(spec, M).value
     agree = fast == brute
-    print(f"convolution: {fast}")
-    print(f"bruteforce:  {brute}")
+    print(f"ladder:     {fast}")
+    print(f"bruteforce: {brute}")
     print("agree" if agree else "DISAGREE")
     return 0 if agree else 1
 

@@ -1,30 +1,35 @@
 """Sums of reciprocal products over restricted compositions of m * p**r.
 
-The evaluator reads one coefficient out of a truncated power of the unit
-generating series f(x) = sum_{p not| l} x**l / l; binary powering keeps
-that at O(log n) truncated multiplications. Convolutions run on int64
-arrays while the accumulated dot products provably fit, and fall back to
-exact big-integer schoolbook beyond that. A memoized recursive enumerator
-doubles as an independent oracle at small scale.
+Every sum is one coefficient [x**N] f**n of the truncated unit series
+f(x) = sum_{p not| l} x**l / l. The evaluator climbs a derivative ladder:
+(f**k)' = k * f**(k-1) * f', and f' has 0/1 coefficients, so each row
+f**k costs one O(N) pass of prefix sums followed by an exact p-adic
+division by the index. One ladder per (prime, part bound, precision)
+serves every power and every target it has grown to. Two independent
+oracles check it: binary powering with one Kronecker-substitution
+big-integer multiply per step, and, at small scale, a memoized recursive
+enumerator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
-
-import numpy as np
+from operator import add, sub
 
 from .modring import PrimePowerModulus, Residue, binomial_mod
 
 __all__ = [
     "ScaleGuardError",
+    "PrecisionError",
     "CompSumSpec",
     "s_spec",
     "r_spec",
     "comp_sum",
     "comp_sum_bruteforce",
+    "comp_sum_kronecker",
     "count_solutions",
     "count_solutions_exact",
     "gamma_n",
@@ -37,6 +42,10 @@ BRUTEFORCE_TARGET_CAP = 60
 
 class ScaleGuardError(ValueError):
     """Brute-force enumeration refused: target too large."""
+
+
+class PrecisionError(ArithmeticError):
+    """An exact p-adic division failed: the working precision ran out."""
 
 
 @dataclass(frozen=True)
@@ -82,46 +91,111 @@ def r_spec(n: int, m: int, p: int, r: int = 1) -> CompSumSpec:
     return CompSumSpec(n=n, m=m, p=p, r=r)
 
 
-def _fits_int64(mod: int, length: int) -> bool:
-    # every convolution cell is a sum of <= length products of values < mod
-    return (mod - 1) ** 2 * length < 2**63
+def _eval_modulus(spec: CompSumSpec, modulus: PrimePowerModulus | None) -> PrimePowerModulus:
+    M = modulus if modulus is not None else PrimePowerModulus(spec.p, spec.r)
+    if M.p != spec.p:
+        raise ValueError(f"evaluation modulus prime {M.p} != spec prime {spec.p}")
+    return M
 
 
-def _schoolbook_mul(a: list[int], b: list[int], N: int, mod: int) -> list[int]:
-    out = [0] * (N + 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        top = min(len(b) - 1, N - i)
-        for j in range(top + 1):
-            if b[j]:
-                out[i + j] += ai * b[j]
-    return [v % mod for v in out]
+def _shifted(values: list[int], d: int, lo: int, hi: int) -> list[int]:
+    """[values[j - d] for j in lo..hi], reading 0 at negative indices."""
+    start = lo - d
+    if start >= 0:
+        return values[start : hi - d + 1]
+    return [0] * min(-start, hi - lo + 1) + values[: max(0, hi - d + 1)]
 
 
-def _power_coefficient(base: list[int], n: int, N: int, mod: int) -> int:
-    """Coefficient of x**N in (sum_l base[l] x**l)**n, all arithmetic mod mod."""
-    if _fits_int64(mod, N + 1):
-        cur = np.asarray(base, dtype=np.int64)
+class _Ladder:
+    """Rows f**0 .. f**K of one truncated unit series, kept mod p**(e + K*V).
 
-        def mul(u, v):
-            return np.convolve(u, v)[: N + 1] % mod
+    Row k's j-th coefficient comes from row k-1 divided by j, which costs
+    up to V = max v_p(j) p-adic digits, so row k is exact modulo
+    p**(e + (K-k)*V) and every row up to K is good to p**e. Rows and
+    targets grow in place while requests stay within K parts and below
+    limit = p**(V+1); anything beyond needs a new ladder.
+    """
 
-    else:
-        cur = list(base)
+    def __init__(self, p: int, bound: int | None, e: int, K: int, N: int):
+        self.p, self.bound, self.e, self.K = p, bound, e, K
+        V, self.limit = 0, p
+        while self.limit <= N:
+            V, self.limit = V + 1, self.limit * p
+        self.prec = e + K * V
+        self.mod = p**self.prec
+        self.rows = [[1]]
+        self.inverses = [0]  # per index j: inverse of j's unit part
+        self.N = 0
+        self.extend(N)
 
-        def mul(u, v):
-            return _schoolbook_mul(u, v, N, mod)
+    def serves(self, n: int, N: int) -> bool:
+        return n <= self.K and N < self.limit
 
-    acc = None
-    e = n
-    while e:
-        if e & 1:
-            acc = cur if acc is None else mul(acc, cur)
-        e >>= 1
-        if e:
-            cur = mul(cur, cur)
-    return int(acc[N])
+    def coefficient(self, n: int, N: int) -> int:
+        if not self.serves(n, N):
+            raise PrecisionError(
+                f"[x**{N}] f**{n} mod {self.p}**{self.e} needs more than the ladder's "
+                f"{self.p}**{self.prec} (built for {self.K} parts, targets below {self.limit})"
+            )
+        self.extend(N)
+        while len(self.rows) <= n:
+            self.rows.append([0] + self._row(self.rows[-1], len(self.rows), 1, self.N))
+        return self.rows[n][N] % self.p**self.e
+
+    def extend(self, N: int) -> None:
+        lo = self.N + 1
+        if N < lo:
+            return
+        p, mod = self.p, self.mod
+        # batch inversion: one pow for the product of the new units
+        units = [j for j in range(lo, N + 1) if j % p]
+        products = list(accumulate(units, lambda a, b: a * b % mod, initial=1))
+        inverse = pow(products[-1], -1, mod)
+        unit_inverses = [0] * len(units)
+        for i in range(len(units) - 1, -1, -1):
+            unit_inverses[i] = inverse * products[i] % mod
+            inverse = inverse * units[i] % mod
+        fresh = iter(unit_inverses)
+        inverses = self.inverses
+        for j in range(lo, N + 1):
+            inverses.append(next(fresh) if j % p else inverses[j // p])
+        self.rows[0] += [0] * (N + 1 - lo)
+        for k in range(1, len(self.rows)):
+            self.rows[k] += self._row(self.rows[k - 1], k, lo, N)
+        self.N = N
+
+    def _row(self, prev: list[int], k: int, lo: int, hi: int) -> list[int]:
+        """Coefficients lo..hi of f**k from prev = f**(k-1): j * c_j = k * [x**(j-1)] prev * f'."""
+        p, bound, mod = self.p, self.bound, self.mod
+        prefix = list(accumulate(prev))
+        by_class = prev[:p]  # by_class[i] = prev[i] + prev[i - p] + prev[i - 2p] + ...
+        for i in range(p, len(prev), p):
+            by_class += map(add, prev[i : i + p], by_class[i - p : i])
+        # sums[j - lo] = sum of prev[i] over j - bound < i < j with p not dividing j - i
+        sums = list(map(sub, prefix[lo - 1 : hi], _shifted(by_class, p, lo, hi)))
+        if bound is not None and hi >= bound:
+            outside = list(map(sub, prefix, by_class))
+            sums = list(map(sub, sums, _shifted(outside, bound, lo, hi)))
+        inverses = self.inverses
+        row = [k * s * c % mod for s, c in zip(sums, inverses[lo : hi + 1])]
+        for j in range(-(-lo // p) * p, hi + 1, p):
+            numerator = k * sums[j - lo] % mod
+            v, power = 1, p
+            while j % (power * p) == 0:
+                v, power = v + 1, power * p
+            if numerator % power:
+                raise PrecisionError(
+                    f"p**{v} does not divide the numerator of coefficient {j} in row {k} "
+                    f"mod p**{self.prec} (p={p})"
+                )
+            row[j - lo] = numerator // power * inverses[j] % mod
+        return row
+
+
+# A memo of ladders, so that a sweep's evaluations share them; values never depend
+# on it. It holds one prime's ladders only: a sweep visits its instances by claim,
+# then prime, and keeping every prime's ladders costs memory for no reuse.
+_ladders: dict[tuple[int, int | None, int], _Ladder] = {}
 
 
 def comp_sum(spec: CompSumSpec, modulus: PrimePowerModulus | None = None) -> Residue:
@@ -131,32 +205,61 @@ def comp_sum(spec: CompSumSpec, modulus: PrimePowerModulus | None = None) -> Res
     exponent) is supplied. Empty sums return 0, not an error: they are
     legitimate corner cases (e.g. a single part equal to m * p**r).
     """
-    M = modulus if modulus is not None else PrimePowerModulus(spec.p, spec.r)
-    if M.p != spec.p:
-        raise ValueError(f"evaluation modulus prime {M.p} != spec prime {spec.p}")
+    M = _eval_modulus(spec, modulus)
+    n, N = spec.n, spec.target
+    if N < n:
+        return M.residue(0)
+    key = (spec.p, spec.upper_bound, M.r)
+    if _ladders and next(iter(_ladders))[0] != spec.p:
+        _ladders.clear()
+    ladder = _ladders.get(key)
+    if ladder is None or not ladder.serves(n, N):
+        K, top = (n, N) if ladder is None else (max(n, ladder.K), max(N, ladder.N))
+        ladder = _ladders[key] = _Ladder(spec.p, spec.upper_bound, M.r, K, top)
+    return M.residue(ladder.coefficient(n, N))
+
+
+def comp_sum_kronecker(spec: CompSumSpec, modulus: PrimePowerModulus | None = None) -> Residue:
+    """Scale oracle for comp_sum: binary powering of the truncated unit series.
+
+    Each truncated product is one big-integer multiply of two coefficient
+    vectors packed into fixed-width slots (Kronecker substitution). The
+    slots hold any exact coefficient sum, so no word-size guard is needed.
+    """
+    M = _eval_modulus(spec, modulus)
     N = spec.target
     if N < spec.n:
         return M.residue(0)
     mod = M.modulus
-    limit = N - spec.n + 1
-    if spec.upper_bound is not None:
-        limit = min(limit, spec.upper_bound - 1)
-    base = [0] * (N + 1)
-    for l in range(1, limit + 1):
-        if l % spec.p:
-            base[l] = pow(l, -1, mod)
-    return M.residue(_power_coefficient(base, spec.n, N, mod))
+    limit = N if spec.upper_bound is None else min(N, spec.upper_bound - 1)
+    base = [pow(l, -1, mod) if l % spec.p else 0 for l in range(limit + 1)]
+    width = ((N + 1) * (mod - 1) ** 2).bit_length() // 8 + 1  # bytes per slot
+    mask = (1 << 8 * width * (N + 1)) - 1
+
+    def pack(coeffs: list[int]) -> int:
+        return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in coeffs), "little")
+
+    def mul(a: int, b: int) -> int:
+        raw = (a * b & mask).to_bytes(width * (N + 1), "little")
+        return pack([int.from_bytes(raw[i : i + width], "little") % mod for i in range(0, len(raw), width)])
+
+    cur, acc, k = pack(base), None, spec.n
+    while k:
+        if k & 1:
+            acc = cur if acc is None else mul(acc, cur)
+        k >>= 1
+        if k:
+            cur = mul(cur, cur)
+    return M.residue(acc >> 8 * width * N)
 
 
 def comp_sum_bruteforce(spec: CompSumSpec, modulus: PrimePowerModulus | None = None) -> Residue:
     """Independent oracle for comp_sum: recursive enumeration by first part.
 
     Shares suffix subtrees through a memo table, never touching the
-    convolution path. Guarded to targets <= BRUTEFORCE_TARGET_CAP.
+    ladder or the series. Guarded to targets <= BRUTEFORCE_TARGET_CAP.
     """
-    M = modulus if modulus is not None else PrimePowerModulus(spec.p, spec.r)
-    if M.p != spec.p:
-        raise ValueError(f"evaluation modulus prime {M.p} != spec prime {spec.p}")
+    M = _eval_modulus(spec, modulus)
     N = spec.target
     if N > BRUTEFORCE_TARGET_CAP:
         raise ScaleGuardError(f"brute force capped at target {BRUTEFORCE_TARGET_CAP}, got {N}")

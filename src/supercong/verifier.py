@@ -1017,11 +1017,11 @@ def _instances_for(
     return instances
 
 
-def _pool_verify(args: tuple[ClaimInstance, dict]) -> tuple[ClaimReport, dict]:
+def _pool_verify(args: tuple[ClaimInstance, dict]) -> tuple[ClaimReport, dict, int, int]:
     instance, cache_rows = args
     ctx = EvalContext(cache_rows=cache_rows)
     report = verify(instance, ctx)
-    return report, ctx.new_rows
+    return report, ctx.new_rows, ctx.comp_sum_evals, ctx.cache_hits
 
 
 def sweep(
@@ -1044,10 +1044,12 @@ def sweep(
         snapshot.update(ctx.new_rows)
         reports = []
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for report, new_rows in pool.map(
+            for report, new_rows, evals, hits in pool.map(
                 _pool_verify, [(inst, snapshot) for inst in instances]
             ):
                 reports.append(report)
+                ctx.comp_sum_evals += evals
+                ctx.cache_hits += hits
                 for key, value in new_rows.items():
                     if key not in snapshot:
                         ctx.new_rows.setdefault(key, value)

@@ -163,7 +163,7 @@ def test_criterion_09_oracle_equivalence(ctx):
             M = PrimePowerModulus(p, e)
             assert mhs(N, parts, M) == rational_to_residue(exact(N, parts), M), (parts, N, p, e)
             mhs_checked += 1
-    print(f"[criterion 09] PASS: 200 randomized convolution-vs-bruteforce specs and "
+    print(f"[criterion 09] PASS: 200 randomized ladder-vs-bruteforce specs and "
           f"{mhs_checked} nested-sum reductions against exact rationals")
 
 

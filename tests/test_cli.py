@@ -133,6 +133,33 @@ class TestVerifyCommand:
         run(capsys, ["verify", "--claims", "EQ-1.1", "--primes", "5..7"])
         assert cache.exists()
 
+    def test_parallel_jobs_count_evaluations(self, capsys):
+        argv = ["verify", "--claims", "EQ-1.1", "--primes", "11..31", "--stats"]
+        for jobs in ("1", "2"):
+            rc, _, err = run(capsys, argv + ["--jobs", jobs])
+            assert rc == 0 and "comp_sum evaluations: 7 (cache hits: 0)" in err, jobs
+
+    def test_out_of_range_cache_row_exits_two(self, capsys, tmp_path):
+        cache = tmp_path / "cache.csv"
+        cache.write_text("quantity,p,r,params,residue\ncomp_sum,11,1,kind=R;n=3;m=1;e=1,999\n")
+        rc, out, err = run(capsys, ["verify", "--claims", "EQ-1.1", "--primes", "11",
+                                    "--cache", str(cache)])
+        assert rc == 2 and out == ""
+        assert "'kind=R;n=3;m=1;e=1', '999']" in err and "line 2" in err
+
+    def test_torn_cache_tail_is_skipped_and_mended(self, capsys, tmp_path):
+        cache = tmp_path / "cache.csv"
+        argv = ["verify", "--claims", "EQ-1.1", "--cache", str(cache), "--stats", "--format", "csv"]
+        run(capsys, argv + ["--primes", "11..13"])
+        with cache.open("a") as fh:
+            fh.write("comp_sum,17,1,kind=R;n=3;m=1;e=1,")
+        rc, _, err = run(capsys, argv + ["--primes", "11..17"])
+        assert rc == 0 and "torn final row" in err
+        assert "comp_sum evaluations: 1 (cache hits: 2)" in err
+        rc, _, err = run(capsys, argv + ["--primes", "11..17"])
+        assert rc == 0 and err == "comp_sum evaluations: 0 (cache hits: 3)\n"
+        assert len(cache.read_text().splitlines()) == 4
+
     def test_parallel_jobs_match_sequential(self, capsys, tmp_path):
         base = ["verify", "--claims", "EQ-1.1,LEM-3.5", "--primes", "11..19",
                 "--format", "csv"]

@@ -1,16 +1,21 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+from supercong import compsum
 from supercong.compsum import (
     BRUTEFORCE_TARGET_CAP,
     CompSumSpec,
+    PrecisionError,
     ScaleGuardError,
     beta_n,
     comp_sum,
     comp_sum_bruteforce,
+    comp_sum_kronecker,
     count_solutions,
     count_solutions_exact,
     gamma_n,
@@ -70,17 +75,95 @@ class TestCompSum:
         with pytest.raises(ValueError):
             comp_sum(r_spec(3, 1, 5), PrimePowerModulus(7, 1))
 
-    def test_bigint_fallback_matches_bruteforce(self):
-        # modulus large enough to force the exact big-integer path
+    def test_large_modulus_matches_bruteforce(self):
         spec = r_spec(3, 1, 13)
         M = PrimePowerModulus(13, 9)
         assert comp_sum(spec, M) == comp_sum_bruteforce(spec, M)
 
-    def test_bigint_fallback_consistent_with_int64_path(self):
+    def test_large_modulus_reduces_to_small_modulus(self):
         spec = s_spec(5, 2, 11)
         small = comp_sum(spec, PrimePowerModulus(11, 2)).value
         large = comp_sum(spec, PrimePowerModulus(11, 12)).value
         assert large % 11**2 == small
+
+
+def _fresh(spec, M):
+    """comp_sum with no ladder left over from earlier requests."""
+    compsum._ladders.clear()
+    return comp_sum(spec, M)
+
+
+class TestLadder:
+    def test_randomized_against_kronecker_oracle(self):
+        rng = random.Random(20261018)
+        for trial in range(24):
+            p = rng.choice([2, 3, 5, 7, 11, 13])
+            r = rng.randint(1, 3)
+            bound = p**r if rng.random() < 0.5 else None
+            n = rng.randint(1, 10)
+            # log-uniform targets, and every fourth one near 10**4
+            top = rng.randint(5000, 10000) if trial % 4 == 0 else int(10 ** rng.uniform(1, 4))
+            if trial % 3 == 0:
+                target = top + 1 if top % p == 0 else top
+                spec = CompSumSpec(n=n, m=1, p=p, r=r, upper_bound=bound, target=target)
+            else:
+                m = max(1, top // p**r)
+                spec = CompSumSpec(n=n, m=m, p=p, r=r, upper_bound=bound)
+            M = PrimePowerModulus(p, rng.randint(1, 12))
+            assert _fresh(spec, M) == comp_sum_kronecker(spec, M), (spec, M)
+
+    def test_kronecker_oracle_against_bruteforce(self):
+        rng = random.Random(7)
+        for _ in range(30):
+            p = rng.choice([3, 5, 7])
+            spec = CompSumSpec(n=rng.randint(1, 6), m=1, p=p, r=1,
+                               upper_bound=p if rng.random() < 0.5 else None,
+                               target=rng.randint(1, BRUTEFORCE_TARGET_CAP))
+            M = PrimePowerModulus(p, rng.randint(1, 4))
+            assert comp_sum_kronecker(spec, M) == comp_sum_bruteforce(spec, M), spec
+
+    def test_request_order_does_not_matter(self):
+        M11, M13 = PrimePowerModulus(11, 2), PrimePowerModulus(13, 2)
+        # targets grow under a fixed part count, then part counts grow, then both shrink
+        requests = [(s_spec(n, m, 11, 2), M11) for n, m in [(9, 1), (3, 2), (9, 5), (5, 3), (4, 8)]]
+        requests += [(r_spec(n, m, 11, 2), M11) for n, m in [(3, 1), (8, 9), (4, 2), (8, 10)]]
+        requests += [(s_spec(n, m, 11, 2), M11) for n, m in [(10, 6), (2, 1)]]
+        requests += [(CompSumSpec(n=6, m=1, p=11, target=1500), M11)]  # crosses 11**3
+        requests += [(s_spec(7, 3, 13, 2), M13), (r_spec(5, 2, 13, 1), M13)]
+        requests += [(s_spec(n, m, 11, 2), M11) for n, m in [(6, 4), (3, 2), (10, 7)]]
+        expected = [_fresh(spec, M) for spec, M in requests]
+        compsum._ladders.clear()
+        assert [comp_sum(spec, M) for spec, M in requests] == expected
+        shuffled = list(zip(requests, expected))
+        random.Random(3).shuffle(shuffled)
+        compsum._ladders.clear()
+        assert [comp_sum(spec, M) for (spec, M), _ in shuffled] == [want for _, want in shuffled]
+
+    def test_ladders_kept_for_one_prime_only(self):
+        comp_sum(r_spec(3, 2, 11), PrimePowerModulus(11, 2))
+        comp_sum(s_spec(3, 2, 11), PrimePowerModulus(11, 2))
+        comp_sum(r_spec(3, 1, 13))
+        assert {key[0] for key in compsum._ladders} == {13}
+
+    def test_short_precision_raises(self):
+        # built for one part: mod 11**(1 + 1*2), two digits short of what row 3 needs
+        ladder = compsum._Ladder(11, None, 1, 1, 300)
+        with pytest.raises(PrecisionError):
+            ladder.coefficient(3, 300)
+        with pytest.raises(PrecisionError):
+            ladder.coefficient(1, 11**3)
+
+    def test_failed_exact_division_raises(self):
+        ladder = compsum._Ladder(11, None, 1, 3, 300)
+        ladder.coefficient(1, 300)
+        ladder.rows[1][1] += 1  # a wrong row: 11 no longer divides row 2's numerator at 11
+        with pytest.raises(PrecisionError):
+            ladder.coefficient(2, 300)
+
+    def test_importing_the_cli_does_not_import_numpy(self):
+        code = "import sys, supercong.cli; print('numpy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestBruteforce:

@@ -124,3 +124,57 @@ class TestCache:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError):
             ResidueCache(path)
+
+    def test_out_of_range_residue_refused(self, tmp_path):
+        path = tmp_path / "cache.csv"
+        path.write_text("quantity,p,r,params,residue\ncomp_sum,11,1,kind=R;n=3;m=1;e=1,999\n")
+        with pytest.raises(ValueError, match=r"999.*line 2.*not canonical mod 11\*\*1"):
+            ResidueCache(path)
+
+    def test_residue_range_follows_the_e_field(self, tmp_path):
+        path = tmp_path / "cache.csv"
+        path.write_text("quantity,p,r,params,residue\ncomp_sum,11,1,kind=R;n=3;m=1;e=2,120\n")
+        assert ResidueCache(path).rows == {("comp_sum", 11, 1, "kind=R;n=3;m=1;e=2"): 120}
+        path.write_text("quantity,p,r,params,residue\ncomp_sum,11,1,kind=R;n=3;m=1;e=2,121\n")
+        with pytest.raises(ValueError, match="not canonical"):
+            ResidueCache(path)
+
+    def test_malformed_rows_refused(self, tmp_path):
+        path = tmp_path / "cache.csv"
+        for row in ("comp_sum,11,1,kind=R;n=3;m=1;e=1,-1", "comp_sum,11,x,kind=R;e=1,3",
+                    "comp_sum,11,1,kind=R;n=3;m=1;e=0,0", "comp_sum,11,1,kind=R,3,4"):
+            path.write_text(f"quantity,p,r,params,residue\n{row}\ncomp_sum,5,1,e=1,3\n")
+            with pytest.raises(ValueError, match="line 2"):
+                ResidueCache(path)
+
+    def test_torn_final_row_skipped_then_cut(self, tmp_path, capsys):
+        path = tmp_path / "cache.csv"
+        good = ("comp_sum", 5, 1, "kind=R;n=3;m=1;e=1")
+        ResidueCache(path).append({good: 3})
+        with path.open("a") as fh:
+            fh.write("comp_sum,7,1,kind=R;n=3;m")
+        cache = ResidueCache(path)
+        err = capsys.readouterr().err
+        assert cache.rows == {good: 3}
+        assert err.count("\n") == 1 and "torn final row" in err
+        fresh = ("comp_sum", 7, 1, "kind=R;n=3;m=1;e=1")
+        assert cache.append({fresh: 4}) == 1
+        assert path.read_text() == f"{','.join(COLUMNS)}\ncomp_sum,5,1,kind=R;n=3;m=1;e=1,3\n" \
+                                   "comp_sum,7,1,kind=R;n=3;m=1;e=1,4\n"
+        assert ResidueCache(path).rows == {good: 3, fresh: 4}
+        assert capsys.readouterr().err == ""
+
+    def test_torn_header_alone(self, tmp_path, capsys):
+        path = tmp_path / "cache.csv"
+        path.write_text("quantity,p,r,par")
+        cache = ResidueCache(path)
+        assert cache.rows == {}
+        cache.append({("comp_sum", 5, 1, "kind=R;n=3;m=1;e=1"): 3})
+        assert path.read_text().splitlines()[0] == ",".join(COLUMNS)
+        assert len(ResidueCache(path).rows) == 1
+
+    def test_torn_row_inside_the_file_still_refused(self, tmp_path):
+        path = tmp_path / "cache.csv"
+        path.write_text("quantity,p,r,params,residue\ncomp_sum,7,1,kind=R\ncomp_sum,5,1,e=1,3\n")
+        with pytest.raises(ValueError, match="malformed"):
+            ResidueCache(path)

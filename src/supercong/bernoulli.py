@@ -4,10 +4,13 @@ Convention: the generating series t / (exp(t) - 1), hence B_1 = -1/2.
 The other common convention flips that sign, and every congruence in this
 package depends on the choice, so it is fixed here once and loudly.
 
-The mod-p recurrence table is the primary evaluator (O(p**2) per prime,
-memoized); the exact-rational path exists to cross-check it and to feed
-rational constants. Indexes k <= p - 3 are p-integral by von
-Staudt-Clausen, which is exactly the range the tables cover.
+The evaluator is one power sum per index: for even 2 <= k <= p - 3,
+sum_{j<p} j**k == p * B_k (mod p**2), because the other Faulhaber terms
+carry p**2 once k + 1 < p. So B_k mod p costs O(p log k) and is memoized
+per (k, p). Two oracles check it: the O(p**2) mod-p recurrence table
+(mod_p_table) and the exact-rational path (bernoulli_exact, which also
+feeds rational constants). Indexes k <= p - 3 are p-integral by von
+Staudt-Clausen, which is exactly the range served.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from math import comb
 
 from .modring import PrimePowerModulus, Residue
 
-__all__ = ["PoleError", "EXACT_CAP", "bernoulli_exact", "bernoulli_mod_p"]
+__all__ = ["PoleError", "PowerSumError", "EXACT_CAP", "bernoulli_exact", "bernoulli_mod_p"]
 
 EXACT_CAP = 120
 
@@ -27,6 +30,10 @@ _exact: list[Fraction] = [Fraction(1)]
 
 class PoleError(ArithmeticError):
     """B_k has p in its denominator ((p-1) | k), so no mod-p image exists."""
+
+
+class PowerSumError(ArithmeticError):
+    """p does not divide the power sum, so it yields no B_k residue."""
 
 
 def bernoulli_exact(k: int) -> Fraction:
@@ -50,9 +57,8 @@ def _inverse_table(p: int) -> list[int]:
     return inv
 
 
-@lru_cache(maxsize=None)
 def mod_p_table(p: int) -> tuple[int, ...]:
-    """B_0 .. B_{p-3} mod p (the guaranteed p-integral range)."""
+    """B_0 .. B_{p-3} mod p by the recurrence: the O(p**2) oracle."""
     top = max(p - 3, 0)
     inv = _inverse_table(p)
     table = [1 % p]
@@ -64,6 +70,20 @@ def mod_p_table(p: int) -> tuple[int, ...]:
             c = c * (n + 1 - j) % p * inv[j + 1] % p
         table.append(-acc * inv[n + 1] % p)
     return tuple(table)
+
+
+@lru_cache(maxsize=None)
+def power_sum_residue(k: int, p: int) -> int:
+    """B_k mod p as (sum_{j<p} j**k mod p**2) / p, valid for even 2 <= k <= p - 3.
+
+    Raises PowerSumError when p does not divide the sum (for instance at
+    k = p - 1, where the sum is -1 mod p): that sum carries no B_k.
+    """
+    q = p * p
+    total = sum(pow(j, k, q) for j in range(1, p)) % q
+    if total % p:
+        raise PowerSumError(f"p = {p} does not divide sum_(j<p) j**{k} = {total} mod p**2")
+    return total // p
 
 
 def bernoulli_mod_p(k: int, p: int) -> Residue:
@@ -84,5 +104,5 @@ def bernoulli_mod_p(k: int, p: int) -> Residue:
     if k % 2 == 1:
         return M.residue(0)
     if k <= p - 3:
-        return M.residue(mod_p_table(p)[k])
-    raise ValueError(f"even index {k} above p-3 = {p - 3} is outside the table range")
+        return M.residue(power_sum_residue(k, p))
+    raise ValueError(f"even index {k} above p-3 = {p - 3}: the power sum serves only 2 <= k <= p-3")

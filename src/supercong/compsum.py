@@ -193,8 +193,8 @@ class _Ladder:
 
 
 # A memo of ladders, so that a sweep's evaluations share them; values never depend
-# on it. It holds one prime's ladders only: a sweep visits its instances by claim,
-# then prime, and keeping every prime's ladders costs memory for no reuse.
+# on it. It holds one prime's ladders only: a sweep evaluates its instances prime
+# by prime, and keeping every prime's ladders costs memory for no reuse.
 _ladders: dict[tuple[int, int | None, int], _Ladder] = {}
 
 

@@ -1055,7 +1055,13 @@ def sweep(
                         ctx.new_rows.setdefault(key, value)
         return reports
     ctx = ctx if ctx is not None else EvalContext()
-    return [verify(inst, ctx, registry=reg) for inst in instances]
+    # Evaluate prime by prime, so that comp_sum's one-prime ladder memo serves
+    # every claim at that prime before moving on; the stable sort keeps the
+    # claim order within a prime, and reports still come back in sorted order.
+    reports: list[ClaimReport | None] = [None] * len(instances)
+    for i in sorted(range(len(instances)), key=lambda i: instances[i].p):
+        reports[i] = verify(instances[i], ctx, registry=reg)
+    return reports
 
 
 _INT_FIELDS = ("p", "r", "m", "n")

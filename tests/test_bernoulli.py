@@ -2,7 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from supercong.bernoulli import EXACT_CAP, PoleError, bernoulli_exact, bernoulli_mod_p
+from supercong import bernoulli
+from supercong.bernoulli import (
+    EXACT_CAP,
+    PoleError,
+    PowerSumError,
+    bernoulli_exact,
+    bernoulli_mod_p,
+    mod_p_table,
+    power_sum_residue,
+)
 from supercong.modring import PrimePowerModulus, is_prime, rational_to_residue
 
 # classical table under the t/(e^t - 1) convention
@@ -95,3 +104,37 @@ class TestModP:
         # 37 divides the numerator of B_32
         assert bernoulli_mod_p(32, 37).value == 0
         assert bernoulli_exact(32).numerator % 37 == 0
+
+
+class TestPowerSum:
+    def test_agrees_with_table_for_every_prime_below_500(self):
+        checked = 0
+        for p in range(5, 500):
+            if not is_prime(p):
+                continue
+            table = mod_p_table(p)
+            for k in range(2, p - 2, 2):
+                assert power_sum_residue(k, p) == table[k], (p, k)
+                checked += 1
+        assert checked == 10626
+
+    def test_agrees_with_exact_at_a_large_prime(self):
+        p = 10007
+        M = PrimePowerModulus(p, 1)
+        for k in range(2, EXACT_CAP + 1, 2):
+            assert bernoulli_mod_p(k, p) == rational_to_residue(bernoulli_exact(k), M), k
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13, 101, 499])
+    def test_pole_index_raises(self, p):
+        # at k = p-1 every unit contributes 1, so the sum is -1 mod p
+        assert sum(pow(j, p - 1, p * p) for j in range(1, p)) % p == p - 1
+        with pytest.raises(PowerSumError):
+            power_sum_residue(p - 1, p)
+
+    def test_table_left_the_hot_path(self, monkeypatch):
+        def no_table(p):
+            raise AssertionError("bernoulli_mod_p built the O(p**2) table")
+
+        monkeypatch.setattr(bernoulli, "mod_p_table", no_table)
+        M = PrimePowerModulus(4001, 1)
+        assert bernoulli_mod_p(4, 4001) == rational_to_residue(Fraction(-1, 30), M)

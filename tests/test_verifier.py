@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+from supercong import compsum
 from supercong.bernoulli import bernoulli_mod_p
 from supercong.compsum import comp_sum, s_spec
 from supercong.modring import PrimePowerModulus, rational_to_residue
@@ -121,6 +122,35 @@ class TestSweep:
         # r=1 violates the THM-1.1-ii hypothesis -> skip rows only
         reports = sweep(["THM-1.1-ii"], GridSpec(primes=(11,), rs=(1,), ms=(1,)))
         assert {r.status for r in reports} == {"skip"}
+
+    def test_prime_scale_cross_check(self):
+        # lhs from the ladder, rhs from the Bernoulli power sum: two independent
+        # layers agree at p ~ 10**4, where the O(p**2) table would take seconds
+        reports = sweep(["EQ-1.1", "THM-1.1-i"], GridSpec(primes=(4999, 9973)))
+        assert len(reports) == 8
+        assert [r.status for r in reports] == ["pass"] * 8
+
+    def test_evaluation_by_prime_shares_ladders(self, monkeypatch):
+        # three claims over the same free-part ladder at each prime: evaluated
+        # claim by claim they would rebuild it per claim, by prime once per prime
+        builds = []
+        build = compsum._Ladder.__init__
+
+        def counting(self, *args):
+            builds.append(args[:3])
+            build(self, *args)
+
+        monkeypatch.setattr(compsum, "_ladders", {})
+        monkeypatch.setattr(compsum._Ladder, "__init__", counting)
+        claims = ["CONJ-5.1-w10", "LEM-3.5", "LEM-3.7"]
+        reports = sweep(claims, GridSpec(primes=(13, 11)))
+        assert builds == [(11, None, 1), (13, None, 1)]
+        keys = [r.instance.sort_key() for r in reports]
+        assert keys == sorted(keys) and len(keys) == 24
+        by_claim = [r for cid in claims for r in sweep([cid], GridSpec(primes=(11, 13)))]
+        assert [(r.instance, r.status, r.lhs, r.rhs) for r in reports] == [
+            (r.instance, r.status, r.lhs, r.rhs) for r in by_claim
+        ]
 
     def test_parallel_matches_sequential(self):
         grid = GridSpec(primes=(11, 13))

@@ -18,7 +18,7 @@ from .compsum import CompSumSpec, comp_sum, comp_sum_bruteforce, count_solutions
 from .mhs import mhs, mhs_restricted, unordered_sum
 from .modring import PrimePowerModulus, is_prime
 from .ratrecon import HUNT_FAMILIES, hunt_constant
-from .verifier import CLAIMS, EvalContext, GridSpec, instance_from_params, sweep
+from .verifier import CLAIMS, EvalContext, GridSpec, instance_from_params, sweep, verify_instances
 
 
 def _parse_int_range(text: str) -> tuple[int, ...]:
@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--format", choices=reports_mod.FORMATS, default="md")
     ver.add_argument("--out", help="write the report here instead of stdout")
     ver.add_argument("--cache", help=f"residue cache CSV (default ${cache_mod.ENV_VAR})")
-    ver.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    ver.add_argument("--jobs", type=int, default=1, help="worker processes, one task per prime (at least 1)")
     ver.add_argument("--timings", action="store_true",
                      help="include elapsed_ms per row (breaks byte-for-byte determinism)")
     ver.add_argument("--stats", action="store_true", help="print evaluation counters to stderr")
@@ -144,17 +144,17 @@ def _cmd_verify(args) -> int:
         if cid not in CLAIMS:
             print(f"unknown claim id {cid!r}; known: {', '.join(CLAIMS)}", file=sys.stderr)
             return 2
+    if args.jobs < 1:
+        print(f"--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return 2
     cache_path = args.cache or cache_mod.default_cache_path()
     cache = cache_mod.ResidueCache(cache_path) if cache_path else None
     ctx = EvalContext(cache_rows=cache.rows if cache else None)
     if args.instance:
-        from .verifier import verify
-
-        reports = []
-        for text in args.instance:
-            for cid in claim_ids:
-                reports.append(verify(instance_from_params(cid, _parse_instance(text)), ctx))
-        reports.sort(key=lambda rep: rep.instance.sort_key())
+        instances = [
+            instance_from_params(cid, _parse_instance(text)) for text in args.instance for cid in claim_ids
+        ]
+        reports = verify_instances(instances, ctx, jobs=args.jobs)
     else:
         grid = GridSpec(
             primes=_parse_primes(args.primes) if args.primes else None,

@@ -1,10 +1,19 @@
 """Catalog of congruence claims over restricted sums, with grid sweeps.
 
-Each claim binds a stable id, the congruence actually checked (an ASCII
-formula printed in reports), hypothesis checks that turn out-of-range
-instances into skips, an evaluator producing (lhs, rhs, modulus, note),
-and a default parameter grid sized so the whole catalog sweeps in
+The catalog is one table, CLAIMS: each row is a Claim holding a stable
+id, the congruence actually checked (an ASCII formula printed in
+reports), the default parameter grid as ordered dimensions, the
+hypotheses as (fails, message) pairs drawn from a small shared
+vocabulary, an evaluator producing (lhs, rhs, modulus, note), and a
+conjecture flag. The evaluator is the only per-claim code; one grid
+builder (Claim.grid) and one hypothesis walk (Claim.violated) serve every
+row, and the default grids are sized so the whole catalog sweeps in
 seconds single-threaded.
+
+Instances are verified prime by prime (verify_instances), each prime
+against its own EvalContext, in process or as one process-pool task per
+prime; reports, counters and new cache rows do not depend on the number
+of workers.
 
 Mixed-precision rule used throughout: a right-hand side of the shape
 c * B * p**j (mod p**(j+1)) is evaluated by reducing the cofactor c * B
@@ -21,11 +30,10 @@ verification failure.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .bernoulli import PoleError, bernoulli_mod_p
 from .compsum import (
@@ -48,6 +56,7 @@ __all__ = [
     "EvalContext",
     "CLAIMS",
     "verify",
+    "verify_instances",
     "sweep",
     "instance_from_params",
     "primes_between",
@@ -56,6 +65,9 @@ __all__ = [
 
 def primes_between(lo: int, hi: int) -> tuple[int, ...]:
     return tuple(q for q in range(lo, hi + 1) if is_prime(q))
+
+
+_INT_FIELDS = ("p", "r", "m", "n")
 
 
 @dataclass(frozen=True)
@@ -72,6 +84,9 @@ class ClaimInstance:
     _MISSING = object()
 
     def get(self, key: str, default=_MISSING):
+        """A parameter by name: p, r, m or n (None when unset), or an extra."""
+        if key in _INT_FIELDS:
+            return getattr(self, key)
         for k, v in self.extra:
             if k == key:
                 return v
@@ -164,19 +179,97 @@ class EvalContext:
         return value
 
 
+# ---------------------------------------------------------------------------
+# the hypothesis vocabulary: (fails, message) pairs. fails(instance) is true
+# when the instance lies outside the claim; message, a string or a function
+# of the instance, becomes the skip note. A missing extra or a value of the
+# wrong type raises KeyError or TypeError inside fails, which verify reports
+# as a bad-parameters error quoting the exception, so each fails is written
+# as the violated comparison (p <= k rather than not p > k): the error note
+# names that comparison.
+
+def _p_above(k: int):
+    return (lambda i: i.p <= k), f"requires p > {k}"
+
+
+def _p_at_least(k: int):
+    return (lambda i: i.p < k), f"requires p >= {k}"
+
+
+def _at_least(name: str, k: int, message: str | None = None):
+    return (lambda i: i.get(name) is None or i.get(name) < k), message or f"requires {name} >= {k}"
+
+
+def _odd_at_least(k: int, name: str = "n"):
+    return (lambda i: i.n is None or i.n < k or not _odd(i.n)), f"requires odd {name} >= {k}"
+
+
+def _p_above_n(c: int = 0, message: str | None = None):
+    return (lambda i: i.p <= i.n + c), message or "requires p > n" + (f"+{c}" if c else "")
+
+
+def _within_1_and_n_minus_1(name: str, label: str):
+    return (
+        (lambda i: i.get(name) is None or not 1 <= i.get(name) <= i.n - 1),
+        f"requires 1 <= {label} <= n-1",
+    )
+
+
+def _weight_at_most_p_minus_3(weight: Callable[[ClaimInstance], int]):
+    return (lambda i: weight(i) > i.p - 3), (lambda i: f"requires weight {weight(i)} <= p-3")
+
+
+def _given(name: str):
+    """Listed first, so that a missing extra is an error before any other hypothesis skips."""
+    return (lambda i: i.get(name) is None), f"requires {name}"
+
+
+_P_NOT_DIVIDING_M = (lambda i: i.m % i.p == 0), "requires p not dividing m"
+
+
 @dataclass(frozen=True)
 class Claim:
+    """One row of the catalog.
+
+    dims is the default grid as ordered (name, values) dimensions; values
+    is an iterable, or a function of the point built from the dimensions
+    before it. --primes, --r and --m replace the p, r and m dimensions of
+    the rows that have them. hypotheses are checked in order.
+    """
+
     claim_id: str
     anchor: str
-    check: Callable[[ClaimInstance], str | None]
+    dims: tuple[tuple[str, Iterable | Callable[[dict], Iterable]], ...]
+    hypotheses: tuple[tuple[Callable[[ClaimInstance], bool], str | Callable[[ClaimInstance], str]], ...]
     evaluate: Callable[[ClaimInstance, EvalContext], tuple[int, int, int, str]]
-    grid: Callable[[GridSpec], Iterator[ClaimInstance]]
     conjecture: bool = False
-    grid_note: str = ""
+
+    def grid(self, spec: GridSpec = GridSpec()) -> list[ClaimInstance]:
+        """The instances of the default grid under the spec's overrides."""
+        override = {
+            "p": None if spec.primes is None else tuple(q for q in spec.primes if is_prime(q)),
+            "r": spec.rs,
+            "m": spec.ms,
+        }
+        points: list[dict] = [{}]
+        for name, values in self.dims:
+            fixed = override.get(name)
+            if fixed is not None:
+                values = fixed
+            points = [{**point, name: value} for point in points
+                      for value in (values(point) if callable(values) else values)]
+        return [instance_from_params(self.claim_id, point) for point in points]
+
+    def violated(self, instance: ClaimInstance) -> str | None:
+        """The note of the first hypothesis the instance fails, or None."""
+        for fails, message in self.hypotheses:
+            if fails(instance):
+                return message(instance) if callable(message) else message
+        return None
 
 
 # ---------------------------------------------------------------------------
-# shared right-hand-side helpers
+# shared right-hand-side helpers and the evaluators
 
 def _rat(c: Fraction | int, p: int, e: int = 1) -> int:
     return rational_to_residue(Fraction(c), PrimePowerModulus(p, e)).value
@@ -213,28 +306,7 @@ def _odd(x: int) -> bool:
     return x % 2 == 1
 
 
-# ---------------------------------------------------------------------------
-# claim definitions
-
 _P_SMALL = primes_between(11, 31)  # (11, 13, 17, 19, 23, 29, 31)
-
-
-def _g_primes(grid: GridSpec, default: tuple[int, ...]) -> tuple[int, ...]:
-    if grid.primes is None:
-        return default
-    return tuple(q for q in grid.primes if is_prime(q))
-
-
-def _g(grid_vals: tuple[int, ...] | None, default: tuple[int, ...]) -> tuple[int, ...]:
-    return default if grid_vals is None else grid_vals
-
-
-# --- EQ-1.1 ---------------------------------------------------------------
-
-def _eq11_check(inst: ClaimInstance) -> str | None:
-    if inst.p < 3:
-        return "requires p >= 3"
-    return None
 
 
 def _eq11_eval(inst: ClaimInstance, ctx: EvalContext):
@@ -244,48 +316,11 @@ def _eq11_eval(inst: ClaimInstance, ctx: EvalContext):
     return lhs, rhs, p, ""
 
 
-def _eq11_grid(grid: GridSpec) -> Iterator[ClaimInstance]:
-    for p in _g_primes(grid, primes_between(5, 97)):
-        yield ClaimInstance("EQ-1.1", p)
-
-
-# --- THM-1.1-i -------------------------------------------------------------
-
-def _thm1i_check(inst: ClaimInstance) -> str | None:
-    if inst.p <= 7:
-        return "requires p > 7"
-    if inst.m is None or inst.m < 1:
-        return "requires a multiplier m >= 1"
-    if inst.m % inst.p == 0:
-        return "requires p not dividing m"
-    return None
-
-
 def _thm1i_eval(inst: ClaimInstance, ctx: EvalContext):
     p, m = inst.p, inst.m
     lhs = ctx.comp_sum(r_spec(7, m, p), 1)
     rhs = _cof_rhs(-(504 * m + 210 * m**3 + 6 * m**5), [p - 7], p, 0, 1)
     return lhs, rhs, p, ""
-
-
-def _thm1i_grid(grid: GridSpec) -> Iterator[ClaimInstance]:
-    for p in _g_primes(grid, primes_between(11, 47)):
-        for m in _g(grid.ms, (1, 2, 3)):
-            yield ClaimInstance("THM-1.1-i", p, m=m)
-
-
-# --- THM-1.1-ii ------------------------------------------------------------
-
-def _thm1ii_check(inst: ClaimInstance) -> str | None:
-    if inst.p <= 7:
-        return "requires p > 7"
-    if inst.r is None or inst.r < 2:
-        return "requires r >= 2"
-    if inst.m is None or inst.m < 1:
-        return "requires a multiplier m >= 1"
-    if inst.m % inst.p == 0:
-        return "requires p not dividing m"
-    return None
 
 
 def _thm1ii_eval(inst: ClaimInstance, ctx: EvalContext):
@@ -295,49 +330,11 @@ def _thm1ii_eval(inst: ClaimInstance, ctx: EvalContext):
     return lhs, rhs, p**r, ""
 
 
-def _thm1ii_grid(grid: GridSpec) -> Iterator[ClaimInstance]:
-    for p in _g_primes(grid, (11, 13)):
-        for r in _g(grid.rs, (2, 3)):
-            for m in _g(grid.ms, (1, 2)):
-                yield ClaimInstance("THM-1.1-ii", p, r=r, m=m)
-
-
-# --- EQ-1.3 ----------------------------------------------------------------
-
-def _eq13_check(inst: ClaimInstance) -> str | None:
-    if inst.p <= 7:
-        return "requires p > 7"
-    if inst.r is None or inst.r < 2:
-        return "requires r >= 2"
-    return None
-
-
 def _eq13_eval(inst: ClaimInstance, ctx: EvalContext):
     p, r = inst.p, inst.r
     lhs = ctx.comp_sum(s_spec(7, 1, p, r + 1), r + 1)
     rhs = p * ctx.comp_sum(s_spec(7, 1, p, r), r) % p ** (r + 1)
     return lhs, rhs, p ** (r + 1), ""
-
-
-def _eq13_grid(grid: GridSpec) -> Iterator[ClaimInstance]:
-    for p in _g_primes(grid, (11,)):
-        for r in _g(grid.rs, (2,)):
-            yield ClaimInstance("EQ-1.3", p, r=r)
-
-
-# --- LEM-2.1 ---------------------------------------------------------------
-
-def _lem21_check(inst: ClaimInstance) -> str | None:
-    n, m, a = inst.n, inst.m, inst.get("a")
-    if n is None or n < 2:
-        return "requires n >= 2"
-    if inst.p <= n:
-        return "requires p > n"
-    if m is None or m < 1:
-        return "requires m >= 1"
-    if not 1 <= a <= n - 1:
-        return "requires 1 <= a <= n-1"
-    return None
 
 
 def _lem21_eval(inst: ClaimInstance, ctx: EvalContext):
@@ -346,16 +343,6 @@ def _lem21_eval(inst: ClaimInstance, ctx: EvalContext):
     rhs = _cof_rhs(Fraction((-1) ** (m - 1) * comb(n - 2, m - 1)) * gamma_n(a, n), [], p, 1, 2)
     return lhs, rhs, p**2, ""
 
-
-def _lem21_grid(grid: GridSpec) -> Iterator[ClaimInstance]:
-    for p in _g_primes(grid, (11, 13, 17)):
-        for n in range(3, 10):
-            for m in _g(grid.ms, tuple(range(1, n))):
-                for a in range(1, n):
-                    yield ClaimInstance("LEM-2.1", p, m=m, n=n, extra=(("a", a),))
-
-
-# --- COR-2.2 ---------------------------------------------------------------
 
 _N7_DIFFS = {
     (2, 1): Fraction(-5, 3),
@@ -367,14 +354,6 @@ _N7_DIFFS = {
 }
 
 
-def _cor22_check(inst: ClaimInstance) -> str | None:
-    if inst.p <= 7:
-        return "requires p > 7"
-    if (inst.m, inst.get("a")) not in _N7_DIFFS:
-        return "tabulated only for m in {2,3}, a in {1,2,3}"
-    return None
-
-
 def _cor22_eval(inst: ClaimInstance, ctx: EvalContext):
     p, m, a = inst.p, inst.m, inst.get("a")
     lhs = (count_solutions_exact(a, m, 7, p) - count_solutions_exact(7 - a, m, 7, p)) % p**2
@@ -382,56 +361,11 @@ def _cor22_eval(inst: ClaimInstance, ctx: EvalContext):
     return lhs, rhs, p**2, ""
 
 
-def _cor22_grid(grid: GridSpec) -> Iterator[ClaimInstance]:
-    for p in _g_primes(grid, (11, 13, 17)):
-        for m in _g(grid.ms, (2, 3)):
-            for a in (1, 2, 3):
-                yield ClaimInstance("COR-2.2", p, m=m, n=7, extra=(("a", a),))
-
-
-# --- LEM-2.3-i -------------------------------------------------------------
-
-def _lem23i_check(inst: ClaimInstance) -> str | None:
-    n, k = inst.n, inst.m
-    if n is None or n < 2:
-        return "requires n >= 2"
-    if inst.p <= n:
-        return "requires p > n"
-    if k is None or not 1 <= k <= n - 1:
-        return "requires 1 <= k <= n-1"
-    if inst.r is None or inst.r < 1:
-        return "requires r >= 1"
-    return None
-
-
 def _lem23i_eval(inst: ClaimInstance, ctx: EvalContext):
     p, r, n, k = inst.p, inst.r, inst.n, inst.m
     lhs = ctx.comp_sum(s_spec(n, k, p, r), r)
     rhs = (-1) ** n * ctx.comp_sum(s_spec(n, n - k, p, r), r) % p**r
     return lhs, rhs, p**r, ""
-
-
-def _lem23i_grid(grid: GridSpec) -> Iterator[ClaimInstance]:
-    for p in _g_primes(grid, (11, 13)):
-        for r in _g(grid.rs, (1, 2)):
-            for n in range(3, 9):
-                for k in _g(grid.ms, tuple(range(1, n))):
-                    yield ClaimInstance("LEM-2.3-i", p, r=r, m=k, n=n)
-
-
-# --- LEM-2.3-ii ------------------------------------------------------------
-
-def _lem23ii_check(inst: ClaimInstance) -> str | None:
-    n, m = inst.n, inst.m
-    if n is None or n < 2:
-        return "requires n >= 2"
-    if inst.p <= n:
-        return "requires p > n"
-    if m is None or not 1 <= m <= n - 1:
-        return "requires 1 <= m <= n-1"
-    if inst.r is None or inst.r < 1:
-        return "requires r >= 1"
-    return None
 
 
 def _lem23ii_eval(inst: ClaimInstance, ctx: EvalContext):
@@ -444,15 +378,6 @@ def _lem23ii_eval(inst: ClaimInstance, ctx: EvalContext):
     return lhs, rhs % p**e, p**e, ""
 
 
-def _lem23ii_grid(grid: GridSpec) -> Iterator[ClaimInstance]:
-    for p in _g_primes(grid, (11,)):
-        for r in _g(grid.rs, (1, 2)):
-            for m in _g(grid.ms, (1, 2, 3, 4, 5, 6)):
-                yield ClaimInstance("LEM-2.3-ii", p, r=r, m=m, n=7)
-
-
-# --- LEM-3.1 / LEM-3.4 (unordered sums) -------------------------------------
-
 _U_COMPS = (
     (1, 1), (2,),
     (1, 1, 1), (2, 1), (3,),
@@ -462,23 +387,6 @@ _U_COMPS = (
     (1, 1, 1, 1, 1, 1, 1), (2, 2, 2, 1), (3, 3, 1),
     (1, 1, 1, 1, 1, 1, 1, 1), (2, 2, 2, 2), (3, 3, 2),
 )
-
-
-def _u_check(inst: ClaimInstance) -> str | None:
-    alphas = inst.get("alphas")
-    b = inst.get("b", 1)
-    if b < 1:
-        return "requires b >= 1"
-    if inst.claim_id == "LEM-3.1" and b != 1:
-        return "fixed at b = 1 (the scaled family is LEM-3.4)"
-    if not alphas or any(a < 1 for a in alphas):
-        return "requires positive exponents"
-    w = sum(alphas)
-    if w > inst.p - 3:
-        return f"requires weight {w} <= p-3"
-    if inst.p <= len(alphas):
-        return "requires p > depth"
-    return None
 
 
 def _u_eval(inst: ClaimInstance, ctx: EvalContext):
@@ -498,29 +406,6 @@ def _u_eval(inst: ClaimInstance, ctx: EvalContext):
     return lhs, rhs, p**2, "even-weight branch"
 
 
-def _u_grid_for(claim_id: str, bs: tuple[int, ...]):
-    def grid_fn(grid: GridSpec) -> Iterator[ClaimInstance]:
-        for p in _g_primes(grid, _P_SMALL):
-            for b in bs:
-                for alphas in _U_COMPS:
-                    yield ClaimInstance(
-                        claim_id, p, n=len(alphas), extra=(("alphas", alphas), ("b", b))
-                    )
-
-    return grid_fn
-
-
-# --- COR-3.2 ---------------------------------------------------------------
-
-def _cor32_check(inst: ClaimInstance) -> str | None:
-    alpha, n = inst.get("alpha"), inst.n
-    if alpha < 1 or n is None or n < 1:
-        return "requires alpha >= 1 and n >= 1"
-    if n * alpha > inst.p - 3:
-        return f"requires weight {n * alpha} <= p-3"
-    return None
-
-
 def _cor32_eval(inst: ClaimInstance, ctx: EvalContext):
     p, n, alpha = inst.p, inst.n, inst.get("alpha")
     w = n * alpha
@@ -531,24 +416,6 @@ def _cor32_eval(inst: ClaimInstance, ctx: EvalContext):
     lhs = mhs(p - 1, (alpha,) * n, PrimePowerModulus(p, 2)).value
     rhs = _cof_rhs(Fraction((-1) ** (n - 1) * alpha, w + 1), [p - w - 1], p, 1, 2)
     return lhs, rhs, p**2, "even-weight branch"
-
-
-def _cor32_grid(grid: GridSpec) -> Iterator[ClaimInstance]:
-    for p in _g_primes(grid, _P_SMALL):
-        for alpha in range(1, 9):
-            for n in range(1, 9):
-                if alpha * n <= 8:
-                    yield ClaimInstance("COR-3.2", p, n=n, extra=(("alpha", alpha),))
-
-
-# --- LEM-3.3 ---------------------------------------------------------------
-
-def _lem33_check(inst: ClaimInstance) -> str | None:
-    if inst.n is None or inst.n < 2:
-        return "requires n > 1"
-    if inst.p <= inst.n + 1:
-        return "requires p > n+1"
-    return None
 
 
 def _lem33_eval(inst: ClaimInstance, ctx: EvalContext):
@@ -563,22 +430,6 @@ def _lem33_eval(inst: ClaimInstance, ctx: EvalContext):
     return lhs, rhs, p**2, note
 
 
-def _lem33_grid(grid: GridSpec) -> Iterator[ClaimInstance]:
-    for p in _g_primes(grid, _P_SMALL):
-        for n in range(2, 10):
-            yield ClaimInstance("LEM-3.3", p, n=n)
-
-
-# --- LEM-3.5 ---------------------------------------------------------------
-
-def _lem35_check(inst: ClaimInstance) -> str | None:
-    if inst.n is None or inst.n < 3 or not _odd(inst.n):
-        return "requires odd n >= 3"
-    if inst.p <= inst.n + 1:
-        return "requires p > n+1 (added hypothesis)"
-    return None
-
-
 def _lem35_eval(inst: ClaimInstance, ctx: EvalContext):
     p, n = inst.p, inst.n
     lhs = ctx.comp_sum(r_spec(n, 2, p), 1)
@@ -586,43 +437,11 @@ def _lem35_eval(inst: ClaimInstance, ctx: EvalContext):
     return lhs, rhs, p, ""
 
 
-def _lem35_grid(grid: GridSpec) -> Iterator[ClaimInstance]:
-    for p in _g_primes(grid, _P_SMALL):
-        for n in (3, 5, 7, 9):
-            yield ClaimInstance("LEM-3.5", p, n=n)
-
-
-# --- COR-3.6 ---------------------------------------------------------------
-
-def _cor36_check(inst: ClaimInstance) -> str | None:
-    if inst.n is None or inst.n < 5 or not _odd(inst.n):
-        return "requires odd n >= 5"
-    if inst.p <= inst.n:
-        return "requires p > n"
-    return None
-
-
 def _cor36_eval(inst: ClaimInstance, ctx: EvalContext):
     p, n = inst.p, inst.n
     lhs = ctx.comp_sum(s_spec(n, 2, p), 1)
     rhs = _cof_rhs(Fraction((n - 1) * factorial(n - 1), 2), [p - n], p, 0, 1)
     return lhs, rhs, p, ""
-
-
-def _cor36_grid(grid: GridSpec) -> Iterator[ClaimInstance]:
-    for p in _g_primes(grid, _P_SMALL):
-        for n in (5, 7, 9):
-            yield ClaimInstance("COR-3.6", p, n=n)
-
-
-# --- LEM-3.7 / COR-3.8 -------------------------------------------------------
-
-def _lem37_check(inst: ClaimInstance) -> str | None:
-    if inst.n is None or inst.n < 3 or not _odd(inst.n):
-        return "requires odd n >= 3"
-    if inst.p < max(inst.n, 5):
-        return "requires p >= max(n, 5)"
-    return None
 
 
 def _lem37_eval(inst: ClaimInstance, ctx: EvalContext):
@@ -638,12 +457,6 @@ def _lem37_eval(inst: ClaimInstance, ctx: EvalContext):
     return lhs, rhs, p, ""
 
 
-def _lem37_grid(grid: GridSpec) -> Iterator[ClaimInstance]:
-    for p in _g_primes(grid, _P_SMALL):
-        for n in (3, 5, 7, 9):
-            yield ClaimInstance("LEM-3.7", p, n=n)
-
-
 def _cor38_eval(inst: ClaimInstance, ctx: EvalContext):
     p, n = inst.p, inst.n
     lhs = ctx.comp_sum(s_spec(n, 3, p), 1)
@@ -655,45 +468,11 @@ def _cor38_eval(inst: ClaimInstance, ctx: EvalContext):
     return lhs, rhs, p, ""
 
 
-def _cor38_grid(grid: GridSpec) -> Iterator[ClaimInstance]:
-    for p in _g_primes(grid, _P_SMALL):
-        for n in (3, 5, 7, 9):
-            yield ClaimInstance("COR-3.8", p, n=n)
-
-
-# --- PROP-4.1 ----------------------------------------------------------------
-
-def _prop41_check(inst: ClaimInstance) -> str | None:
-    if inst.p <= 7:
-        return "requires p > 7"
-    if inst.r is None or inst.r < 1:
-        return "requires r >= 1"
-    return None
-
-
 def _prop41_eval(inst: ClaimInstance, ctx: EvalContext):
     p, r = inst.p, inst.r
     lhs = ctx.comp_sum(s_spec(7, 1, p, r + 1), r + 1)
     rhs = _cof_rhs(Fraction(-factorial(7), 10), [p - 7], p, r, r + 1)
     return lhs, rhs, p ** (r + 1), ""
-
-
-def _prop41_grid(grid: GridSpec) -> Iterator[ClaimInstance]:
-    for p in _g_primes(grid, (11, 13)):
-        for r in _g(grid.rs, (1, 2)):
-            yield ClaimInstance("PROP-4.1", p, r=r)
-
-
-# --- EQ-4.1 ------------------------------------------------------------------
-
-def _eq41_check(inst: ClaimInstance) -> str | None:
-    if inst.p <= 7:
-        return "requires p > 7"
-    if inst.r is None or inst.r < 1:
-        return "requires r >= 1"
-    if inst.m is None or inst.m < 1:
-        return "requires m >= 1"
-    return None
 
 
 def _eq41_eval(inst: ClaimInstance, ctx: EvalContext):
@@ -703,26 +482,6 @@ def _eq41_eval(inst: ClaimInstance, ctx: EvalContext):
     for a in range(1, 7):
         rhs += comb(m + 6 - a, 6) * ctx.comp_sum(s_spec(7, a, p, r), r)
     return lhs, rhs % p**r, p**r, ""
-
-
-def _eq41_grid(grid: GridSpec) -> Iterator[ClaimInstance]:
-    for p in _g_primes(grid, (11,)):
-        for r in _g(grid.rs, (1, 2)):
-            for m in _g(grid.ms, (1, 2, 3)):
-                yield ClaimInstance("EQ-4.1", p, r=r, m=m)
-
-
-# --- EQ-5.1 / EQ-5.2 ----------------------------------------------------------
-
-def _depth1_check(inst: ClaimInstance) -> str | None:
-    d, m = inst.n, inst.m
-    if d is None or d < 3 or not _odd(d):
-        return "requires odd d >= 3"
-    if inst.p <= d:
-        return "requires p > d"
-    if m not in (1, 2):
-        return "constants tabulated for m in {1,2} only"
-    return None
 
 
 def _eq51_eval(inst: ClaimInstance, ctx: EvalContext):
@@ -739,28 +498,6 @@ def _eq52_eval(inst: ClaimInstance, ctx: EvalContext):
     lhs = ctx.comp_sum(r_spec(d, m, p), 1)
     rhs = _cof_rhs(c * factorial(d - 1), [p - d], p, 0, 1)
     return lhs, rhs, p, ""
-
-
-def _depth1_grid_for(claim_id: str):
-    def grid_fn(grid: GridSpec) -> Iterator[ClaimInstance]:
-        for p in _g_primes(grid, _P_SMALL):
-            for d in (3, 5, 7, 9):
-                for m in _g(grid.ms, (1, 2)):
-                    yield ClaimInstance(claim_id, p, m=m, n=d)
-
-    return grid_fn
-
-
-# --- CONJ-5.1 (weights 8, 9, 10) -----------------------------------------------
-
-def _conj_check(inst: ClaimInstance) -> str | None:
-    if inst.p < 11:
-        return "requires p >= 11"
-    if inst.m is None or inst.m < 1:
-        return "requires m >= 1"
-    if inst.m % inst.p == 0:
-        return "requires p not dividing m"
-    return None
 
 
 def _conj8_eval(inst: ClaimInstance, ctx: EvalContext):
@@ -789,189 +526,224 @@ def _conj10_eval(inst: ClaimInstance, ctx: EvalContext):
     return lhs, rhs, p, ""
 
 
-def _conj_grid_for(claim_id: str):
-    def grid_fn(grid: GridSpec) -> Iterator[ClaimInstance]:
-        for p in _g_primes(grid, _P_SMALL):
-            for m in _g(grid.ms, (1, 2, 3, 4)):
-                yield ClaimInstance(claim_id, p, m=m)
-
-    return grid_fn
-
-
 # ---------------------------------------------------------------------------
-# the registry
+# the catalog
 
-CLAIMS: dict[str, Claim] = {}
+def _unordered_hypotheses(*b_rules):
+    """LEM-3.1 and LEM-3.4 share these; b is 1 when the instance omits it."""
+    return (
+        _given("alphas"),
+        ((lambda i: i.get("b", 1) < 1), "requires b >= 1"),
+        *b_rules,
+        ((lambda i: not i.get("alphas") or any(a < 1 for a in i.get("alphas"))),
+         "requires positive exponents"),
+        _weight_at_most_p_minus_3(lambda i: sum(i.get("alphas"))),
+    )
 
 
-def _register(claim: Claim) -> None:
-    CLAIMS[claim.claim_id] = claim
+_UNORDERED_DIMS = (("alphas", _U_COMPS), ("n", lambda pt: (len(pt["alphas"]),)))
+_ODD_DEPTH_HYPOTHESES = (
+    _odd_at_least(3, "d"),
+    _p_above_n(message="requires p > d"),
+    ((lambda i: i.m not in (1, 2)), "constants tabulated for m in {1,2} only"),
+)
+_TRIPLE_HYPOTHESES = (_odd_at_least(3), ((lambda i: i.p < max(i.n, 5)), "requires p >= max(n, 5)"))
 
 
-_register(Claim(
-    "EQ-1.1",
-    "sum_{i+j+k=p, i,j,k>0} 1/(ijk) == -2*B(p-3)  (mod p)",
-    _eq11_check, _eq11_eval, _eq11_grid,
-    grid_note="primes 5..97",
-))
-_register(Claim(
-    "THM-1.1-i",
-    "sum over l1+..+l7 = m*p of unit reciprocals == -(504m+210m^3+6m^5)*B(p-7)  (mod p)",
-    _thm1i_check, _thm1i_eval, _thm1i_grid,
-    grid_note="primes 11..47, m in {1,2,3}",
-))
-_register(Claim(
-    "THM-1.1-ii",
-    "sum over l1+..+l7 = m*p^r of unit reciprocals == -(7!/10)*m*p^(r-1)*B(p-7)  (mod p^r), r >= 2",
-    _thm1ii_check, _thm1ii_eval, _thm1ii_grid,
-    grid_note="p in {11,13}, r in {2,3}, m in {1,2}",
-))
-_register(Claim(
-    "EQ-1.3",
-    "S(7,1,p^(r+1)) == p * S(7,1,p^r)  (mod p^(r+1)), r >= 2",
-    _eq13_check, _eq13_eval, _eq13_grid,
-    grid_note="p=11, r=2",
-))
-_register(Claim(
-    "LEM-2.1",
-    "C(a,m,n,p) == (-1)^(m-1) * binom(n-2,m-1) * gamma_n(a) * p  (mod p^2)",
-    _lem21_check, _lem21_eval, _lem21_grid,
-    grid_note="p in {11,13,17}, n in 3..9, m and a in 1..n-1",
-))
-_register(Claim(
-    "COR-2.2",
-    "C(a,m,7,p) - C(7-a,m,7,p) == tabulated multiple of p  (mod p^2), m in {2,3}, a in {1,2,3}",
-    _cor22_check, _cor22_eval, _cor22_grid,
-    grid_note="p in {11,13,17}, all six differences",
-))
-_register(Claim(
-    "LEM-2.3-i",
-    "S(n,k,p^r) == (-1)^n * S(n,n-k,p^r)  (mod p^r)",
-    _lem23i_check, _lem23i_eval, _lem23i_grid,
-    grid_note="p in {11,13}, r in {1,2}, n in 3..8, k in 1..n-1",
-))
-_register(Claim(
-    "LEM-2.3-ii",
-    "S(n,m,p^(r+1)) == sum_{a=1}^{n-1} C(a,m,n,p) * S(n,a,p^r)  (mod p^(r+1))",
-    _lem23ii_check, _lem23ii_eval, _lem23ii_grid,
-    grid_note="p=11, r in {1,2}, n=7, m in 1..6",
-))
-_register(Claim(
-    "LEM-3.1",
-    "U_1(a_1..a_n), w = sum a_i: odd w: (-1)^n (n-1)! w(w+1)/(2(w+2)) B(p-w-2) p^2 (mod p^3); "
-    "even w: (-1)^(n-1) (n-1)! w/(w+1) B(p-w-1) p (mod p^2)",
-    _u_check, _u_eval, _u_grid_for("LEM-3.1", (1,)),
-    grid_note="primes 11..31, weights 2..8 at depths 1..8",
-))
-_register(Claim(
-    "COR-3.2",
-    "H({a}^n), w = n*a: odd w: (-1)^n a(w+1)/(2(w+2)) B(p-w-2) p^2 (mod p^3); "
-    "even w: (-1)^(n-1) a/(w+1) B(p-w-1) p (mod p^2)",
-    _cor32_check, _cor32_eval, _cor32_grid,
-    grid_note="primes 11..31, all (a, n) with n*a <= 8",
-))
-_register(Claim(
-    "LEM-3.3",
-    "R(n,1,p): odd n: -(n-1)! B(p-n) (mod p); even n: -n*n!/(2(n+1)) B(p-n-1) p (mod p^2)",
-    _lem33_check, _lem33_eval, _lem33_grid,
-    grid_note="primes 11..31, n in 2..9; even-branch cofactor carries the 1/2 factor",
-))
-_register(Claim(
-    "LEM-3.4",
-    "U_b(a_1..a_n), w = sum a_i: odd w: (-1)^n (n-1)! b^2 w(w+1)/(2(w+2)) B(p-w-2) p^2 (mod p^3); "
-    "even w: (-1)^(n-1) (n-1)! b w/(w+1) B(p-w-1) p (mod p^2)",
-    _u_check, _u_eval, _u_grid_for("LEM-3.4", (1, 2, 3)),
-    grid_note="primes 11..31, b in {1,2,3}, weights 2..8",
-))
-_register(Claim(
-    "LEM-3.5",
-    "R(n,2,p) == -((n+1)/2) (n-1)! B(p-n)  (mod p), odd n",
-    _lem35_check, _lem35_eval, _lem35_grid,
-    grid_note="primes 11..31, n in {3,5,7,9}; p > n+1 enforced",
-))
-_register(Claim(
-    "COR-3.6",
-    "S(n,2,p) == ((n-1)/2) (n-1)! B(p-n)  (mod p), odd n >= 5",
-    _cor36_check, _cor36_eval, _cor36_grid,
-    grid_note="primes 11..31, n in {5,7,9}",
-))
-_register(Claim(
-    "LEM-3.7",
-    "R(n,3,p) == -((n+1)(n+2)/6) (n-1)! B(p-n) - (n!/6) T(n,p)  (mod p) for odd n >= 5, "
-    "T = sum_{a+b+c=(n-3)/2} prod B(p-2i-1)/(2i+1); R(3,3,p) == -6 B(p-3)",
-    _lem37_check, _lem37_eval, _lem37_grid,
-    grid_note="primes 11..31, n in {3,5,7,9}; n=3 uses the degenerate value",
-))
-_register(Claim(
-    "COR-3.8",
-    "S(n,3,p) == -((n-1)(n-2)/6) (n-1)! B(p-n) - (n!/6) T(n,p)  (mod p) for odd n >= 5; "
-    "S(3,3,p) == 0 (empty family)",
-    _lem37_check, _cor38_eval, _cor38_grid,
-    grid_note="primes 11..31, n in {3,5,7,9}; n=3 uses the degenerate value",
-))
-_register(Claim(
-    "PROP-4.1",
-    "S(7,1,p^(r+1)) == -(7!/10) B(p-7) p^r  (mod p^(r+1))",
-    _prop41_check, _prop41_eval, _prop41_grid,
-    grid_note="p in {11,13}, r in {1,2}",
-))
-_register(Claim(
-    "EQ-4.1",
-    "sum over l1+..+l7 = m*p^r of unit reciprocals == sum_{a=1}^{6} binom(m+6-a,6) S(7,a,p^r)  (mod p^r)",
-    _eq41_check, _eq41_eval, _eq41_grid,
-    grid_note="p=11, r in {1,2}, m in {1,2,3}",
-))
-_register(Claim(
-    "EQ-5.1",
-    "S(d,m,p) == c_{d,m} (d-1)! B(p-d)  (mod p), c_{d,1} = -1, c_{d,2} = (d-1)/2",
-    _depth1_check, _eq51_eval, _depth1_grid_for("EQ-5.1"),
-    grid_note="primes 11..31, odd d in {3,5,7,9}, m in {1,2}",
-))
-_register(Claim(
-    "EQ-5.2",
-    "R(d,m,p) == c'_{d,m} (d-1)! B(p-d)  (mod p), c'_{d,1} = -1, c'_{d,2} = -(d+1)/2",
-    _depth1_check, _eq52_eval, _depth1_grid_for("EQ-5.2"),
-    grid_note="primes 11..31, odd d in {3,5,7,9}, m in {1,2}",
-))
-_register(Claim(
-    "CONJ-5.1-w8",
-    "R(8,m,p) == (112/5) m (m^2+16)(m^2-1) B(p-3) B(p-5)  (mod p)",
-    _conj_check, _conj8_eval, _conj_grid_for("CONJ-5.1-w8"),
-    conjecture=True,
-    grid_note="primes 11..31, m in {1,2,3,4}",
-))
-_register(Claim(
-    "CONJ-5.1-w9",
-    "R(9,m,p) == -(8!/18) binom(m+2,5) B(p-3)^3 - 8m(m^6+126m^4+1869m^2+3044) B(p-9)  (mod p)",
-    _conj_check, _conj9_eval, _conj_grid_for("CONJ-5.1-w9"),
-    conjecture=True,
-    grid_note="primes 11..31, m in {1,2,3,4}",
-))
-_register(Claim(
-    "CONJ-5.1-w10",
-    "R(10,m,p) == -(24/35) m (m^4+71m^2+540)(m^2-1) (50 B(p-3) B(p-7) + 21 B(p-5)^2)  (mod p)",
-    _conj_check, _conj10_eval, _conj_grid_for("CONJ-5.1-w10"),
-    conjecture=True,
-    grid_note="primes 11..31, m in {1,2,3,4}",
-))
+def _below_n(point: dict) -> range:
+    return range(1, point["n"])
+
+
+_CONJ_HYPOTHESES = (_p_at_least(11), _at_least("m", 1), _P_NOT_DIVIDING_M)
+_MULTIPLIER = (_at_least("m", 1, "requires a multiplier m >= 1"), _P_NOT_DIVIDING_M)
+
+CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
+    Claim(
+        "EQ-1.1",
+        "sum_{i+j+k=p, i,j,k>0} 1/(ijk) == -2*B(p-3)  (mod p)",
+        (("p", primes_between(5, 97)),),
+        (_p_at_least(3),),
+        _eq11_eval,
+    ),
+    Claim(
+        "THM-1.1-i",
+        "sum over l1+..+l7 = m*p of unit reciprocals == -(504m+210m^3+6m^5)*B(p-7)  (mod p)",
+        (("p", primes_between(11, 47)), ("m", (1, 2, 3))),
+        (_p_above(7), *_MULTIPLIER),
+        _thm1i_eval,
+    ),
+    Claim(
+        "THM-1.1-ii",
+        "sum over l1+..+l7 = m*p^r of unit reciprocals == -(7!/10)*m*p^(r-1)*B(p-7)  (mod p^r), r >= 2",
+        (("p", (11, 13)), ("r", (2, 3)), ("m", (1, 2))),
+        (_p_above(7), _at_least("r", 2), *_MULTIPLIER),
+        _thm1ii_eval,
+    ),
+    Claim(
+        "EQ-1.3",
+        "S(7,1,p^(r+1)) == p * S(7,1,p^r)  (mod p^(r+1)), r >= 2",
+        (("p", (11,)), ("r", (2,))),
+        (_p_above(7), _at_least("r", 2)),
+        _eq13_eval,
+    ),
+    Claim(
+        "LEM-2.1",
+        "C(a,m,n,p) == (-1)^(m-1) * binom(n-2,m-1) * gamma_n(a) * p  (mod p^2)",
+        (("p", (11, 13, 17)), ("n", range(3, 10)), ("m", _below_n), ("a", _below_n)),
+        (_given("a"), _at_least("n", 2), _p_above_n(), _at_least("m", 1), _within_1_and_n_minus_1("a", "a")),
+        _lem21_eval,
+    ),
+    Claim(
+        "COR-2.2",
+        "C(a,m,7,p) - C(7-a,m,7,p) == tabulated multiple of p  (mod p^2), m in {2,3}, a in {1,2,3}",
+        (("p", (11, 13, 17)), ("m", (2, 3)), ("n", (7,)), ("a", (1, 2, 3))),
+        (_p_above(7),
+         ((lambda i: (i.m, i.get("a")) not in _N7_DIFFS), "tabulated only for m in {2,3}, a in {1,2,3}")),
+        _cor22_eval,
+    ),
+    Claim(
+        "LEM-2.3-i",
+        "S(n,k,p^r) == (-1)^n * S(n,n-k,p^r)  (mod p^r)",
+        (("p", (11, 13)), ("r", (1, 2)), ("n", range(3, 9)), ("m", _below_n)),
+        (_at_least("n", 2), _p_above_n(), _within_1_and_n_minus_1("m", "k"), _at_least("r", 1)),
+        _lem23i_eval,
+    ),
+    Claim(
+        "LEM-2.3-ii",
+        "S(n,m,p^(r+1)) == sum_{a=1}^{n-1} C(a,m,n,p) * S(n,a,p^r)  (mod p^(r+1))",
+        (("p", (11,)), ("r", (1, 2)), ("m", range(1, 7)), ("n", (7,))),
+        (_at_least("n", 2), _p_above_n(), _within_1_and_n_minus_1("m", "m"), _at_least("r", 1)),
+        _lem23ii_eval,
+    ),
+    Claim(
+        "LEM-3.1",
+        "U_1(a_1..a_n), w = sum a_i: odd w: (-1)^n (n-1)! w(w+1)/(2(w+2)) B(p-w-2) p^2 (mod p^3); "
+        "even w: (-1)^(n-1) (n-1)! w/(w+1) B(p-w-1) p (mod p^2)",
+        (("p", _P_SMALL), ("b", (1,)), *_UNORDERED_DIMS),
+        _unordered_hypotheses(
+            ((lambda i: i.get("b", 1) != 1), "fixed at b = 1 (the scaled family is LEM-3.4)")),
+        _u_eval,
+    ),
+    Claim(
+        "COR-3.2",
+        "H({a}^n), w = n*a: odd w: (-1)^n a(w+1)/(2(w+2)) B(p-w-2) p^2 (mod p^3); "
+        "even w: (-1)^(n-1) a/(w+1) B(p-w-1) p (mod p^2)",
+        (("p", _P_SMALL), ("alpha", range(1, 9)), ("n", lambda pt: range(1, 8 // pt["alpha"] + 1))),
+        (((lambda i: i.get("alpha") < 1 or i.n is None or i.n < 1), "requires alpha >= 1 and n >= 1"),
+         _weight_at_most_p_minus_3(lambda i: i.n * i.get("alpha"))),
+        _cor32_eval,
+    ),
+    Claim(
+        "LEM-3.3",
+        "R(n,1,p): odd n: -(n-1)! B(p-n) (mod p); even n: -n*n!/(2(n+1)) B(p-n-1) p (mod p^2)",
+        (("p", _P_SMALL), ("n", range(2, 10))),
+        (_at_least("n", 2, "requires n > 1"), _p_above_n(1)),
+        _lem33_eval,
+    ),
+    Claim(
+        "LEM-3.4",
+        "U_b(a_1..a_n), w = sum a_i: odd w: (-1)^n (n-1)! b^2 w(w+1)/(2(w+2)) B(p-w-2) p^2 (mod p^3); "
+        "even w: (-1)^(n-1) (n-1)! b w/(w+1) B(p-w-1) p (mod p^2)",
+        (("p", _P_SMALL), ("b", (1, 2, 3)), *_UNORDERED_DIMS),
+        _unordered_hypotheses(),
+        _u_eval,
+    ),
+    Claim(
+        "LEM-3.5",
+        "R(n,2,p) == -((n+1)/2) (n-1)! B(p-n)  (mod p), odd n",
+        (("p", _P_SMALL), ("n", (3, 5, 7, 9))),
+        (_odd_at_least(3), _p_above_n(1, "requires p > n+1 (added hypothesis)")),
+        _lem35_eval,
+    ),
+    Claim(
+        "COR-3.6",
+        "S(n,2,p) == ((n-1)/2) (n-1)! B(p-n)  (mod p), odd n >= 5",
+        (("p", _P_SMALL), ("n", (5, 7, 9))),
+        (_odd_at_least(5), _p_above_n()),
+        _cor36_eval,
+    ),
+    Claim(
+        "LEM-3.7",
+        "R(n,3,p) == -((n+1)(n+2)/6) (n-1)! B(p-n) - (n!/6) T(n,p)  (mod p) for odd n >= 5, "
+        "T = sum_{a+b+c=(n-3)/2} prod B(p-2i-1)/(2i+1); R(3,3,p) == -6 B(p-3)",
+        (("p", _P_SMALL), ("n", (3, 5, 7, 9))),
+        _TRIPLE_HYPOTHESES,
+        _lem37_eval,
+    ),
+    Claim(
+        "COR-3.8",
+        "S(n,3,p) == -((n-1)(n-2)/6) (n-1)! B(p-n) - (n!/6) T(n,p)  (mod p) for odd n >= 5; "
+        "S(3,3,p) == 0 (empty family)",
+        (("p", _P_SMALL), ("n", (3, 5, 7, 9))),
+        _TRIPLE_HYPOTHESES,
+        _cor38_eval,
+    ),
+    Claim(
+        "PROP-4.1",
+        "S(7,1,p^(r+1)) == -(7!/10) B(p-7) p^r  (mod p^(r+1))",
+        (("p", (11, 13)), ("r", (1, 2))),
+        (_p_above(7), _at_least("r", 1)),
+        _prop41_eval,
+    ),
+    Claim(
+        "EQ-4.1",
+        "sum over l1+..+l7 = m*p^r of unit reciprocals == sum_{a=1}^{6} binom(m+6-a,6) S(7,a,p^r)  (mod p^r)",
+        (("p", (11,)), ("r", (1, 2)), ("m", (1, 2, 3))),
+        (_p_above(7), _at_least("r", 1), _at_least("m", 1)),
+        _eq41_eval,
+    ),
+    Claim(
+        "EQ-5.1",
+        "S(d,m,p) == c_{d,m} (d-1)! B(p-d)  (mod p), c_{d,1} = -1, c_{d,2} = (d-1)/2",
+        (("p", _P_SMALL), ("n", (3, 5, 7, 9)), ("m", (1, 2))),
+        _ODD_DEPTH_HYPOTHESES,
+        _eq51_eval,
+    ),
+    Claim(
+        "EQ-5.2",
+        "R(d,m,p) == c'_{d,m} (d-1)! B(p-d)  (mod p), c'_{d,1} = -1, c'_{d,2} = -(d+1)/2",
+        (("p", _P_SMALL), ("n", (3, 5, 7, 9)), ("m", (1, 2))),
+        _ODD_DEPTH_HYPOTHESES,
+        _eq52_eval,
+    ),
+    Claim(
+        "CONJ-5.1-w8",
+        "R(8,m,p) == (112/5) m (m^2+16)(m^2-1) B(p-3) B(p-5)  (mod p)",
+        (("p", _P_SMALL), ("m", (1, 2, 3, 4))),
+        _CONJ_HYPOTHESES,
+        _conj8_eval,
+        conjecture=True,
+    ),
+    Claim(
+        "CONJ-5.1-w9",
+        "R(9,m,p) == -(8!/18) binom(m+2,5) B(p-3)^3 - 8m(m^6+126m^4+1869m^2+3044) B(p-9)  (mod p)",
+        (("p", _P_SMALL), ("m", (1, 2, 3, 4))),
+        _CONJ_HYPOTHESES,
+        _conj9_eval,
+        conjecture=True,
+    ),
+    Claim(
+        "CONJ-5.1-w10",
+        "R(10,m,p) == -(24/35) m (m^4+71m^2+540)(m^2-1) (50 B(p-3) B(p-7) + 21 B(p-5)^2)  (mod p)",
+        (("p", _P_SMALL), ("m", (1, 2, 3, 4))),
+        _CONJ_HYPOTHESES,
+        _conj10_eval,
+        conjecture=True,
+    ),
+)}
 
 
 # ---------------------------------------------------------------------------
 # evaluation driver
 
-def verify(
-    instance: ClaimInstance,
-    ctx: EvalContext | None = None,
-    registry: Mapping[str, Claim] | None = None,
-) -> ClaimReport:
+def verify(instance: ClaimInstance, ctx: EvalContext | None = None) -> ClaimReport:
     """Evaluate one claim instance into a ClaimReport.
 
     Hypothesis violations yield a skip, never a failure; arithmetic
     domain errors (non-units, Bernoulli poles, scale guards, malformed
     parameters) yield an error report.
     """
-    reg = registry if registry is not None else CLAIMS
-    claim = reg.get(instance.claim_id)
+    claim = CLAIMS.get(instance.claim_id)
     if claim is None:
         raise KeyError(f"unknown claim id {instance.claim_id!r}")
     ctx = ctx if ctx is not None else EvalContext()
@@ -984,7 +756,7 @@ def verify(
     if not is_prime(instance.p):
         return done(ClaimReport(instance, "skip", note=f"{instance.p} is not prime", anchor=claim.anchor))
     try:
-        reason = claim.check(instance)
+        reason = claim.violated(instance)
     except (KeyError, TypeError) as exc:
         return done(ClaimReport(instance, "error", note=f"bad parameters: {exc}", anchor=claim.anchor))
     if reason is not None:
@@ -1002,73 +774,78 @@ def verify(
     return done(ClaimReport(instance, status, lhs=lhs, rhs=rhs, modulus=modulus, note=note, anchor=claim.anchor))
 
 
-def _instances_for(
-    claim_ids: Iterable[str],
-    grid: GridSpec,
-    registry: Mapping[str, Claim],
-) -> list[ClaimInstance]:
-    instances: list[ClaimInstance] = []
-    for cid in claim_ids:
-        claim = registry.get(cid)
-        if claim is None:
-            raise KeyError(f"unknown claim id {cid!r}")
-        instances.extend(claim.grid(grid))
-    instances.sort(key=lambda i: i.sort_key())
-    return instances
+def _by_prime(rows: Mapping[tuple, int]) -> dict[int, dict[tuple, int]]:
+    """Cache or memo rows split by the prime in their key."""
+    out: dict[int, dict[tuple, int]] = {}
+    for key, value in rows.items():
+        out.setdefault(key[1], {})[key] = value
+    return out
 
 
-def _pool_verify(args: tuple[ClaimInstance, dict]) -> tuple[ClaimReport, dict, int, int]:
-    instance, cache_rows = args
-    ctx = EvalContext(cache_rows=cache_rows)
-    report = verify(instance, ctx)
-    return report, ctx.new_rows, ctx.comp_sum_evals, ctx.cache_hits
+def _verify_prime(task: tuple[list[ClaimInstance], dict, dict]) -> tuple[list[ClaimReport], EvalContext]:
+    """Verify one prime's instances against a context holding only that
+    prime's cache and memo rows; module-level so that a pool can run it."""
+    instances, cache_rows, memo = task
+    ctx = EvalContext(cache_rows)
+    ctx._memo.update(memo)
+    return [verify(inst, ctx) for inst in instances], ctx
+
+
+def verify_instances(
+    instances: Iterable[ClaimInstance],
+    ctx: EvalContext | None = None,
+    jobs: int = 1,
+) -> list[ClaimReport]:
+    """Verify instances prime by prime, in process or over a pool of `jobs`
+    processes with one task per prime.
+
+    A prime's instances share one context, so compsum's one-prime ladder
+    memo serves every claim at that prime. The counters, new rows and
+    memo of each prime's context are merged into ctx in ascending prime
+    order, and reports come back in lexicographic (claim_id, p, r, m, n,
+    extra) order, so neither depends on the number of workers.
+    """
+    ctx = ctx if ctx is not None else EvalContext()
+    groups: dict[int, list[ClaimInstance]] = {}
+    for inst in sorted(instances, key=ClaimInstance.sort_key):
+        groups.setdefault(inst.p, []).append(inst)
+    cache, memo = _by_prime(ctx._cache), _by_prime(ctx._memo)
+    tasks = [(group, cache.get(p, {}), memo.get(p, {})) for p, group in sorted(groups.items())]
+    if jobs > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            results = list(pool.map(_verify_prime, tasks))
+    else:
+        results = map(_verify_prime, tasks)
+    reports: list[ClaimReport] = []
+    for group_reports, shard in results:
+        reports.extend(group_reports)
+        ctx.comp_sum_evals += shard.comp_sum_evals
+        ctx.cache_hits += shard.cache_hits
+        ctx.new_rows.update(shard.new_rows)
+        ctx._memo.update(shard._memo)
+    reports.sort(key=lambda rep: rep.instance.sort_key())
+    return reports
 
 
 def sweep(
     claim_ids: Iterable[str],
     grid: GridSpec = GridSpec(),
     ctx: EvalContext | None = None,
-    registry: Mapping[str, Claim] | None = None,
     jobs: int = 1,
 ) -> list[ClaimReport]:
-    """Evaluate the claims over their (possibly overridden) grids.
-
-    Reports come back in lexicographic (claim_id, p, r, m, n, extra)
-    order regardless of evaluation order or worker count.
-    """
-    reg = registry if registry is not None else CLAIMS
-    instances = _instances_for(claim_ids, grid, reg)
-    if jobs > 1 and registry is None and len(instances) > 1:
-        ctx = ctx if ctx is not None else EvalContext()
-        snapshot = dict(ctx._cache)
-        snapshot.update(ctx.new_rows)
-        reports = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for report, new_rows, evals, hits in pool.map(
-                _pool_verify, [(inst, snapshot) for inst in instances]
-            ):
-                reports.append(report)
-                ctx.comp_sum_evals += evals
-                ctx.cache_hits += hits
-                for key, value in new_rows.items():
-                    if key not in snapshot:
-                        ctx.new_rows.setdefault(key, value)
-        return reports
-    ctx = ctx if ctx is not None else EvalContext()
-    # Evaluate prime by prime, so that comp_sum's one-prime ladder memo serves
-    # every claim at that prime before moving on; the stable sort keeps the
-    # claim order within a prime, and reports still come back in sorted order.
-    reports: list[ClaimReport | None] = [None] * len(instances)
-    for i in sorted(range(len(instances)), key=lambda i: instances[i].p):
-        reports[i] = verify(instances[i], ctx, registry=reg)
-    return reports
-
-
-_INT_FIELDS = ("p", "r", "m", "n")
+    """Verify the claims over their (possibly overridden) grids."""
+    instances: list[ClaimInstance] = []
+    for cid in claim_ids:
+        if cid not in CLAIMS:
+            raise KeyError(f"unknown claim id {cid!r}")
+        instances.extend(CLAIMS[cid].grid(grid))
+    return verify_instances(instances, ctx, jobs)
 
 
 def instance_from_params(claim_id: str, params: Mapping[str, object]) -> ClaimInstance:
-    """Build an instance from a flat parameter mapping (CLI --instance)."""
+    """Build an instance from a flat parameter mapping (grid points, CLI --instance)."""
     if "p" not in params:
         raise ValueError("instance needs at least p=<prime>")
     core = {k: params[k] for k in _INT_FIELDS if k in params}

@@ -1,9 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
 from supercong.cli import _parse_instance, _parse_int_range, _parse_primes, main
-from supercong.verifier import CLAIMS, Claim, ClaimInstance
+from supercong.verifier import CLAIMS, Claim
 
 
 def run(capsys, argv):
@@ -45,11 +46,7 @@ class TestVerifyCommand:
 
     def test_injected_false_claim_exit_one(self, capsys, monkeypatch):
         claim = Claim(
-            "TEST-FALSE",
-            "0 == 1 (mod p)",
-            lambda inst: None,
-            lambda inst, ctx: (0, 1, inst.p, ""),
-            lambda grid: iter([ClaimInstance("TEST-FALSE", 5)]),
+            "TEST-FALSE", "0 == 1 (mod p)", (("p", (5,)),), (), lambda inst, ctx: (0, 1, inst.p, "")
         )
         monkeypatch.setitem(CLAIMS, "TEST-FALSE", claim)
         rc, out, _ = run(capsys, ["verify", "--claims", "TEST-FALSE", "--format", "csv"])
@@ -60,13 +57,7 @@ class TestVerifyCommand:
         def broken(inst, ctx):
             raise ValueError("boom")
 
-        claim = Claim(
-            "TEST-ERR",
-            "n/a",
-            lambda inst: None,
-            broken,
-            lambda grid: iter([ClaimInstance("TEST-ERR", 5)]),
-        )
+        claim = Claim("TEST-ERR", "n/a", (("p", (5,)),), (), broken)
         monkeypatch.setitem(CLAIMS, "TEST-ERR", claim)
         assert run(capsys, ["verify", "--claims", "TEST-ERR"])[0] == 2
 
@@ -167,6 +158,95 @@ class TestVerifyCommand:
         run(capsys, base + ["--out", str(a)])
         run(capsys, base + ["--out", str(b), "--jobs", "2"])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_parallel_jobs_shard_by_prime(self, capsys):
+        # one task per prime: the counters and the report equal --jobs 1's
+        argv = ["verify", "--claims", "LEM-2.3-i,EQ-4.1", "--primes", "11..13", "--stats",
+                "--format", "json"]
+        seq, par = run(capsys, argv + ["--jobs", "1"]), run(capsys, argv + ["--jobs", "2"])
+        assert seq[2] == "comp_sum evaluations: 120 (cache hits: 0)\n"
+        assert par == seq
+
+    def test_instance_mode_honours_jobs(self, capsys):
+        argv = ["verify", "--claims", "EQ-1.1,LEM-3.3", "--instance", "p=13,n=4",
+                "--instance", "p=11,n=3", "--instance", "p=9,n=3", "--stats", "--format", "csv"]
+        seq, par = run(capsys, argv + ["--jobs", "1"]), run(capsys, argv + ["--jobs", "2"])
+        assert seq[0] == 0 and seq[1].count(",pass,") == 4 and seq[1].count(",skip,") == 2
+        assert par == seq
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_usage_error(self, capsys, jobs):
+        rc, out, err = run(capsys, ["verify", "--claims", "EQ-1.1", "--primes", "11", "--jobs", jobs])
+        assert rc == 2 and out == ""
+        assert "--jobs" in err and jobs in err
+
+
+class TestCatalogPin:
+    """`verify --claims ALL` at the default grids, pinned by digest.
+
+    The digests were recorded from the hand-written claim functions that the
+    catalog table replaced; any change to a row's grid, hypotheses, anchor or
+    evaluator shows here.
+    """
+
+    DIGESTS = {
+        "json": "f55ae9971509ddb59b0e1ee200ef4eb998ce0fe024f0b37201a6c6f1fb0723ff",
+        "csv": "782ecce414c9137ceda91a36e1c930af0245a0c376acb190504a7c44f5dbfac1",
+        "md": "a36f7a5f0918563e5b079a2a28845a335eb8555236938e230af07d2a2828f0e7",
+    }
+    CACHE_DIGEST = "5681c765e60069121aae680d7a477669308baa2933a4afb7aad655e93c3d3d77"
+    STATUS_COUNTS = {
+        "EQ-1.1": {"pass": 23},
+        "THM-1.1-i": {"pass": 33},
+        "THM-1.1-ii": {"pass": 8},
+        "EQ-1.3": {"pass": 1},
+        "LEM-2.1": {"pass": 609},
+        "COR-2.2": {"pass": 18},
+        "LEM-2.3-i": {"pass": 108},
+        "LEM-2.3-ii": {"pass": 12},
+        "LEM-3.1": {"pass": 154},
+        "COR-3.2": {"pass": 140},
+        "LEM-3.3": {"pass": 56},
+        "LEM-3.4": {"pass": 462},
+        "LEM-3.5": {"pass": 28},
+        "COR-3.6": {"pass": 21},
+        "LEM-3.7": {"pass": 28},
+        "COR-3.8": {"pass": 28},
+        "PROP-4.1": {"pass": 4},
+        "EQ-4.1": {"pass": 6},
+        "EQ-5.1": {"pass": 56},
+        "EQ-5.2": {"pass": 56},
+        "CONJ-5.1-w8": {"pass": 28},
+        "CONJ-5.1-w9": {"pass": 28},
+        "CONJ-5.1-w10": {"pass": 7, "finding": 21},
+    }
+
+    def test_default_catalog_bytes_and_cache(self, capsys, tmp_path):
+        cache = tmp_path / "cache.csv"
+        for fmt, digest in self.DIGESTS.items():
+            out = tmp_path / f"all.{fmt}"
+            argv = ["verify", "--claims", "ALL", "--format", fmt, "--out", str(out),
+                    "--cache", str(cache)]
+            assert run(capsys, argv)[0] == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, fmt
+        assert hashlib.sha256(cache.read_bytes()).hexdigest() == self.CACHE_DIGEST
+        counts: dict = {}
+        for row in json.loads((tmp_path / "all.json").read_text())["reports"]:
+            by_status = counts.setdefault(row["claim_id"], {})
+            by_status[row["status"]] = by_status.get(row["status"], 0) + 1
+        assert counts == self.STATUS_COUNTS
+        assert sum(sum(c.values()) for c in counts.values()) == 1935
+        assert sum(c.get("pass", 0) for c in counts.values()) == 1914
+
+    def test_overridden_catalog_bytes(self, capsys, tmp_path):
+        # acceptance criterion 11's run: --primes/--r/--m replace only the
+        # dimensions a row names
+        out = tmp_path / "run.json"
+        argv = ["verify", "--claims", "ALL", "--primes", "11..13", "--r", "1..2", "--m", "1",
+                "--format", "json", "--out", str(out)]
+        assert run(capsys, argv)[0] == 0
+        digest = "d412d51a93025521d3c96f06c09a7af3c534d71bb919457a6fd0108da1ce14ab"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestComputeCommand:

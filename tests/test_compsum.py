@@ -165,6 +165,13 @@ class TestLadder:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
 
+    def test_importing_the_cli_does_not_import_the_process_pool(self):
+        # the pool is imported only when --jobs asks for more than one process
+        code = ("import sys, supercong.cli; "
+                "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
 
 class TestBruteforce:
     def test_spec_examples(self):

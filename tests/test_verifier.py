@@ -27,7 +27,6 @@ class TestRegistry:
         for cid, claim in CLAIMS.items():
             assert claim.claim_id == cid
             assert claim.anchor
-            assert claim.grid_note
             instances = list(claim.grid(GridSpec()))
             assert instances, cid
             assert all(inst.claim_id == cid for inst in instances)
@@ -99,11 +98,136 @@ class TestVerify:
         assert report.elapsed_ms >= 0
 
 
+# One instance per hypothesis, failing exactly that hypothesis, with the exact
+# note it reports; then malformed instances, which are errors, never skips.
+# The default catalog has no skips, so the golden reports do not cover these.
+HYPOTHESIS_NOTES = [
+    ("EQ-1.1", {"p": 9}, "skip", "9 is not prime"),
+    ("EQ-1.1", {"p": 2}, "skip", "requires p >= 3"),
+    ("THM-1.1-i", {"p": 7, "m": 1}, "skip", "requires p > 7"),
+    ("THM-1.1-i", {"p": 11}, "skip", "requires a multiplier m >= 1"),
+    ("THM-1.1-i", {"p": 11, "m": 0}, "skip", "requires a multiplier m >= 1"),
+    ("THM-1.1-i", {"p": 11, "m": 11}, "skip", "requires p not dividing m"),
+    ("THM-1.1-ii", {"p": 7, "r": 2, "m": 1}, "skip", "requires p > 7"),
+    ("THM-1.1-ii", {"p": 11, "r": 1, "m": 1}, "skip", "requires r >= 2"),
+    ("THM-1.1-ii", {"p": 11, "r": 2, "m": 0}, "skip", "requires a multiplier m >= 1"),
+    ("THM-1.1-ii", {"p": 11, "r": 2, "m": 22}, "skip", "requires p not dividing m"),
+    ("EQ-1.3", {"p": 7, "r": 2}, "skip", "requires p > 7"),
+    ("EQ-1.3", {"p": 11}, "skip", "requires r >= 2"),
+    ("LEM-2.1", {"p": 11, "n": 1, "m": 1, "a": 1}, "skip", "requires n >= 2"),
+    ("LEM-2.1", {"p": 7, "n": 7, "m": 1, "a": 1}, "skip", "requires p > n"),
+    ("LEM-2.1", {"p": 11, "n": 3, "m": 0, "a": 1}, "skip", "requires m >= 1"),
+    ("LEM-2.1", {"p": 11, "n": 3, "m": 1, "a": 3}, "skip", "requires 1 <= a <= n-1"),
+    ("COR-2.2", {"p": 7, "m": 2, "n": 7, "a": 1}, "skip", "requires p > 7"),
+    ("COR-2.2", {"p": 11, "m": 1, "n": 7, "a": 1}, "skip", "tabulated only for m in {2,3}, a in {1,2,3}"),
+    ("LEM-2.3-i", {"p": 11, "r": 1, "n": 1, "m": 1}, "skip", "requires n >= 2"),
+    ("LEM-2.3-i", {"p": 5, "r": 1, "n": 5, "m": 1}, "skip", "requires p > n"),
+    ("LEM-2.3-i", {"p": 11, "r": 1, "n": 3, "m": 3}, "skip", "requires 1 <= k <= n-1"),
+    ("LEM-2.3-i", {"p": 11, "r": 0, "n": 3, "m": 1}, "skip", "requires r >= 1"),
+    ("LEM-2.3-ii", {"p": 11, "r": 1, "n": 1, "m": 1}, "skip", "requires n >= 2"),
+    ("LEM-2.3-ii", {"p": 5, "r": 1, "n": 7, "m": 1}, "skip", "requires p > n"),
+    ("LEM-2.3-ii", {"p": 11, "r": 1, "n": 7, "m": 7}, "skip", "requires 1 <= m <= n-1"),
+    ("LEM-2.3-ii", {"p": 11, "n": 7, "m": 1}, "skip", "requires r >= 1"),
+    ("LEM-3.1", {"p": 11, "alphas": (1, 1), "b": 0}, "skip", "requires b >= 1"),
+    ("LEM-3.1", {"p": 11, "alphas": (1, 1), "b": 2}, "skip", "fixed at b = 1 (the scaled family is LEM-3.4)"),
+    ("LEM-3.1", {"p": 11, "alphas": (0, 1), "b": 1}, "skip", "requires positive exponents"),
+    ("LEM-3.1", {"p": 11, "alphas": (), "b": 1}, "skip", "requires positive exponents"),
+    ("LEM-3.1", {"p": 11, "alphas": (1,) * 9, "b": 1}, "skip", "requires weight 9 <= p-3"),
+    ("LEM-3.1", {"p": 11, "alphas": (1, 1)}, "pass", "even-weight branch"),  # b defaults to 1
+    ("LEM-3.4", {"p": 11, "alphas": (1, 1), "b": 0}, "skip", "requires b >= 1"),
+    ("LEM-3.4", {"p": 11, "alphas": (1, -1), "b": 2}, "skip", "requires positive exponents"),
+    ("LEM-3.4", {"p": 13, "alphas": (3, 3, 5), "b": 3}, "skip", "requires weight 11 <= p-3"),
+    ("COR-3.2", {"p": 11, "n": 1, "alpha": 0}, "skip", "requires alpha >= 1 and n >= 1"),
+    ("COR-3.2", {"p": 11, "n": 0, "alpha": 1}, "skip", "requires alpha >= 1 and n >= 1"),
+    ("COR-3.2", {"p": 11, "alpha": 1}, "skip", "requires alpha >= 1 and n >= 1"),
+    ("COR-3.2", {"p": 11, "n": 3, "alpha": 3}, "skip", "requires weight 9 <= p-3"),
+    ("LEM-3.3", {"p": 11, "n": 1}, "skip", "requires n > 1"),
+    ("LEM-3.3", {"p": 11}, "skip", "requires n > 1"),
+    ("LEM-3.3", {"p": 11, "n": 10}, "skip", "requires p > n+1"),
+    ("LEM-3.5", {"p": 11, "n": 4}, "skip", "requires odd n >= 3"),
+    ("LEM-3.5", {"p": 11, "n": 1}, "skip", "requires odd n >= 3"),
+    ("LEM-3.5", {"p": 11, "n": 11}, "skip", "requires p > n+1 (added hypothesis)"),
+    ("COR-3.6", {"p": 11, "n": 3}, "skip", "requires odd n >= 5"),
+    ("COR-3.6", {"p": 11, "n": 11}, "skip", "requires p > n"),
+    ("LEM-3.7", {"p": 11, "n": 2}, "skip", "requires odd n >= 3"),
+    ("LEM-3.7", {"p": 11, "n": 13}, "skip", "requires p >= max(n, 5)"),
+    ("LEM-3.7", {"p": 3, "n": 3}, "skip", "requires p >= max(n, 5)"),
+    ("COR-3.8", {"p": 11}, "skip", "requires odd n >= 3"),
+    ("COR-3.8", {"p": 11, "n": 13}, "skip", "requires p >= max(n, 5)"),
+    ("PROP-4.1", {"p": 7, "r": 1}, "skip", "requires p > 7"),
+    ("PROP-4.1", {"p": 11, "r": 0}, "skip", "requires r >= 1"),
+    ("EQ-4.1", {"p": 7, "r": 1, "m": 1}, "skip", "requires p > 7"),
+    ("EQ-4.1", {"p": 11, "r": 0, "m": 1}, "skip", "requires r >= 1"),
+    ("EQ-4.1", {"p": 11, "r": 1}, "skip", "requires m >= 1"),
+    ("EQ-5.1", {"p": 11, "n": 4, "m": 1}, "skip", "requires odd d >= 3"),
+    ("EQ-5.1", {"p": 11, "n": 11, "m": 1}, "skip", "requires p > d"),
+    ("EQ-5.1", {"p": 11, "n": 3, "m": 3}, "skip", "constants tabulated for m in {1,2} only"),
+    ("EQ-5.2", {"p": 11, "m": 1}, "skip", "requires odd d >= 3"),
+    ("EQ-5.2", {"p": 7, "n": 7, "m": 2}, "skip", "requires p > d"),
+    ("EQ-5.2", {"p": 11, "n": 3}, "skip", "constants tabulated for m in {1,2} only"),
+    *[
+        (cid, params, "skip", note)
+        for cid in ("CONJ-5.1-w8", "CONJ-5.1-w9", "CONJ-5.1-w10")
+        for params, note in (
+            ({"p": 7, "m": 1}, "requires p >= 11"),
+            ({"p": 11}, "requires m >= 1"),
+            ({"p": 11, "m": 0}, "requires m >= 1"),
+            ({"p": 11, "m": 11}, "requires p not dividing m"),
+        )
+    ],
+    ("LEM-2.1", {"p": 11, "n": 3, "m": 1}, "error",
+     "bad parameters: \"instance ClaimInstance(claim_id='LEM-2.1', p=11, r=None, m=1, n=3, "
+     "extra=()) has no extra parameter 'a'\""),
+    ("LEM-2.1", {"p": 11, "n": 1, "m": 1}, "error",  # missing, even where n also fails
+     "bad parameters: \"instance ClaimInstance(claim_id='LEM-2.1', p=11, r=None, m=1, n=1, "
+     "extra=()) has no extra parameter 'a'\""),
+    ("COR-2.2", {"p": 11, "m": 2, "n": 7}, "error",
+     "bad parameters: \"instance ClaimInstance(claim_id='COR-2.2', p=11, r=None, m=2, n=7, "
+     "extra=()) has no extra parameter 'a'\""),
+    ("COR-3.2", {"p": 11, "n": 3}, "error",
+     "bad parameters: \"instance ClaimInstance(claim_id='COR-3.2', p=11, r=None, m=None, n=3, "
+     "extra=()) has no extra parameter 'alpha'\""),
+    ("LEM-3.1", {"p": 11, "b": 1}, "error",
+     "bad parameters: \"instance ClaimInstance(claim_id='LEM-3.1', p=11, r=None, m=None, n=None, "
+     "extra=(('b', 1),)) has no extra parameter 'alphas'\""),
+    ("LEM-3.1", {"p": 11, "b": 0}, "error",  # missing, even where b also fails
+     "bad parameters: \"instance ClaimInstance(claim_id='LEM-3.1', p=11, r=None, m=None, n=None, "
+     "extra=(('b', 0),)) has no extra parameter 'alphas'\""),
+    ("THM-1.1-i", {"p": 11, "m": (1, 2)}, "error",
+     "bad parameters: '<' not supported between instances of 'tuple' and 'int'"),
+    ("EQ-1.3", {"p": 11, "r": (2,)}, "error",
+     "bad parameters: '<' not supported between instances of 'tuple' and 'int'"),
+    ("LEM-2.1", {"p": 11, "n": 3, "m": 1, "a": (1, 2)}, "error",
+     "bad parameters: '<=' not supported between instances of 'int' and 'tuple'"),
+    ("LEM-3.1", {"p": 11, "alphas": 2, "b": 1}, "error", "bad parameters: 'int' object is not iterable"),
+]
+
+
+class TestHypothesisNotes:
+    @pytest.mark.parametrize(
+        "claim_id,params,status,note", HYPOTHESIS_NOTES,
+        ids=[f"{c}:{','.join(f'{k}={v}' for k, v in p.items())}".replace(" ", "")
+             for c, p, _, _ in HYPOTHESIS_NOTES],
+    )
+    def test_note(self, claim_id, params, status, note):
+        report = verify(instance_from_params(claim_id, params))
+        assert (report.status, report.note) == (status, note)
+        if status != "pass":
+            assert report.lhs is report.rhs is report.modulus is None
+
+    def test_every_claim_is_covered(self):
+        assert {c for c, _, status, _ in HYPOTHESIS_NOTES if status == "skip"} == set(CLAIMS)
+
+
 class TestSweep:
     def test_eq11_full_range(self):
         reports = sweep(["EQ-1.1"], GridSpec(primes=primes_between(5, 97)))
         assert len(reports) == 23
         assert all(r.status == "pass" for r in reports)
+
+    def test_prime_override_drops_non_primes(self):
+        reports = sweep(["EQ-1.1", "LEM-3.5"], GridSpec(primes=(9, 10, 11)))
+        assert {r.instance.p for r in reports} == {11} and len(reports) == 5
 
     def test_empty_grid(self):
         assert sweep(["EQ-1.1"], GridSpec(primes=())) == []
@@ -160,17 +284,12 @@ class TestSweep:
             (r.instance, r.status, r.lhs, r.rhs) for r in par
         ]
 
-    def test_custom_registry_with_false_claim(self):
+    def test_custom_registry_with_false_claim(self, monkeypatch):
         false_claim = Claim(
-            "TEST-FALSE",
-            "0 == 1 (mod p)",
-            lambda inst: None,
-            lambda inst, ctx: (0, 1, inst.p, ""),
-            lambda grid: iter([ClaimInstance("TEST-FALSE", 5)]),
+            "TEST-FALSE", "0 == 1 (mod p)", (("p", (5,)),), (), lambda inst, ctx: (0, 1, inst.p, "")
         )
-        registry = dict(CLAIMS)
-        registry["TEST-FALSE"] = false_claim
-        reports = sweep(["TEST-FALSE"], registry=registry)
+        monkeypatch.setitem(CLAIMS, "TEST-FALSE", false_claim)
+        reports = sweep(["TEST-FALSE"])
         assert len(reports) == 1 and reports[0].status == "fail"
         assert "congruence fails" in reports[0].note
 

@@ -1,17 +1,23 @@
 """Multiple harmonic sums and distinct-index unordered sums mod p**r.
 
 The nested sums are evaluated directly as residues through a single
-O(N * depth) sweep; exact rationals overflow fast at weight >= 7, so they
-appear only in tests as oracles. The empty composition acts as the unit
-value 1, a convention used internally by the recursions.
+O(N * depth) chain sweep; exact rationals overflow fast at weight >= 7, so
+they appear only in tests as oracles. The empty composition acts as the
+unit value 1, a convention used internally by the recursions.
+
+Unordered sums are power sums + collision recursion: the inverse power
+sums P_k = sum l**(-k) over the units 0 < l < b*p, built in one
+O(b*p*w) pass per (b, p, r, w), are combined with integer coefficients
+only (the quasi-shuffle relation), so no precision is lost at any r. The
+chain sweep over the rearrangements of the exponents and the nested-loop
+brute force are its oracles.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations, product
-from math import factorial
+from functools import lru_cache
+from itertools import product
 from typing import Sequence
 
 from .modring import NonUnitError, PrimePowerModulus, Residue
@@ -95,15 +101,38 @@ def mhs_restricted(N: int, s: Composition | Sequence[int], M: PrimePowerModulus)
     return M.residue(_sweep(N, _parts(s), M, restricted=True))
 
 
+@lru_cache(maxsize=None)
+def _inverse_power_sums(b: int, p: int, r: int, w: int) -> tuple[int, ...]:
+    """(P_0, ..., P_w) with P_k = sum of l**(-k) over units 0 < l < b*p, mod p**r.
+
+    One pass: one inverse per index, then successive multiplies.
+    """
+    mod = p**r
+    sums = [0] * (w + 1)
+    for l in range(1, b * p):
+        if l % p == 0:
+            continue
+        inv = pow(l, -1, mod)
+        x = 1
+        for k in range(w + 1):
+            sums[k] += x
+            x = x * inv % mod
+    return tuple(s % mod for s in sums)
+
+
 def unordered_sum(b: int, alphas: Composition | Sequence[int], M: PrimePowerModulus) -> Residue:
     """U_b(a_1, ..., a_n): sum over pairwise-distinct unit indexes
     0 < l_i < b*p of prod l_i**(-a_i), mod p**r.
 
-    Each unordered set of n distinct indexes contributes once per
-    assignment of exponents to indexes, so the value equals the sum of
-    descending-chain sums over the distinct rearrangements of the
-    exponents, weighted by the product of multiplicity factorials. The
-    result is invariant under permutations of the exponents.
+    Power sums + collision recursion: letting l_1 range freely gives
+    P_{a_1} * U(a_2, ..., a_n), which overcounts the terms where l_1
+    equals one of the distinct l_2, ..., l_n (at most one of them), and
+    such a collision merges two exponents:
+    U(a_1, ..., a_n) = P_{a_1} U(a_2, ..., a_n) - sum_{i>=2} U(a_2, ..., a_i + a_1, ..., a_n),
+    with U() = 1. The value is invariant under permutations of the
+    exponents, so the recursion is memoized on sorted tuples. The chain
+    sweep (the multiplicity-weighted sum of mhs_restricted over the
+    rearrangements) and unordered_sum_bruteforce are its oracles.
     """
     parts = _parts(alphas)
     n = len(parts)
@@ -114,13 +143,19 @@ def unordered_sum(b: int, alphas: Composition | Sequence[int], M: PrimePowerModu
     if M.p <= n:
         raise ValueError(f"need p > depth (got p={M.p}, depth={n})")
     mod = M.modulus
-    weight = 1
-    for c in Counter(parts).values():
-        weight *= factorial(c)
-    acc = 0
-    for chain in sorted(set(permutations(parts))):
-        acc = (acc + _sweep(b * M.p - 1, chain, M, restricted=True)) % mod
-    return M.residue(acc * (weight % mod) % mod)
+    power = _inverse_power_sums(b, M.p, M.r, sum(parts))
+    memo: dict[tuple[int, ...], int] = {(): 1 % mod}
+
+    def u(key: tuple[int, ...]) -> int:
+        if key not in memo:
+            first, rest = key[0], key[1:]
+            acc = power[first] * u(rest)
+            for i in range(len(rest)):
+                acc -= u(tuple(sorted(rest[:i] + (rest[i] + first,) + rest[i + 1:])))
+            memo[key] = acc % mod
+        return memo[key]
+
+    return M.residue(u(tuple(sorted(parts))))
 
 
 def unordered_sum_bruteforce(

@@ -533,6 +533,8 @@ def _unordered_hypotheses(*b_rules):
     """LEM-3.1 and LEM-3.4 share these; b is 1 when the instance omits it."""
     return (
         _given("alphas"),
+        ((lambda i: i.n is not None and i.n != len(i.get("alphas"))),
+         "requires n = number of exponents"),
         ((lambda i: i.get("b", 1) < 1), "requires b >= 1"),
         *b_rules,
         ((lambda i: not i.get("alphas") or any(a < 1 for a in i.get("alphas"))),

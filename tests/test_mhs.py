@@ -1,7 +1,9 @@
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,8 @@ from supercong.mhs import (
 )
 from supercong.modring import NonUnitError, PrimePowerModulus, rational_to_residue
 
+mhs_module = sys.modules["supercong.mhs"]  # the package's `mhs` attribute is the function
+
 
 def mhs_exact(N: int, parts: tuple[int, ...]) -> Fraction:
     """Independent oracle: exact rationals via the defining recurrence."""
@@ -23,6 +27,41 @@ def mhs_exact(N: int, parts: tuple[int, ...]) -> Fraction:
     if N < len(parts):
         return Fraction(0)
     return mhs_exact(N - 1, parts) + Fraction(1, N ** parts[0]) * mhs_exact(N - 1, parts[1:])
+
+
+def unordered_by_rearrangements(b: int, parts: tuple[int, ...], M: PrimePowerModulus) -> int:
+    """Independent oracle at production sizes: every unordered set of distinct
+    indexes is one descending chain per assignment of the exponents, so U_b is
+    the sum of restricted chain sums over the distinct rearrangements, times
+    the product of the multiplicity factorials."""
+    weight = prod(factorial(c) for c in Counter(parts).values())
+    chains = sum(mhs_restricted(b * M.p - 1, chain, M).value for chain in set(permutations(parts)))
+    return weight * chains % M.modulus
+
+
+def _rearrangements(parts: tuple[int, ...]) -> int:
+    return factorial(len(parts)) // prod(factorial(c) for c in Counter(parts).values())
+
+
+def _oracle_cases(seed: int, count: int) -> list[tuple[int, tuple[int, ...], PrimePowerModulus]]:
+    """Seeded multisets of depth <= 8 and weight <= 16 with b <= 4 and r <= 4.
+    Every third case has p = n + 1 and every third a prime near 1,000; the
+    oracle's cost (rearrangements * b*p * depth) is capped to keep it quick."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        kind = len(cases) % 3
+        n = rng.choice((1, 2, 4, 6)) if kind == 0 else rng.randint(1, 8)
+        parts = [1] * n
+        for _ in range(rng.randint(0, 16 - n)):
+            parts[rng.randrange(n)] += 1
+        parts = tuple(parts)
+        p = (n + 1, rng.choice((997, 1009)), rng.choice((5, 7, 11, 13, 17, 19, 23, 29, 31, 37)))[kind]
+        b = rng.randint(1, 4)
+        if p <= n or _rearrangements(parts) * b * p * n > 300_000:
+            continue
+        cases.append((b, parts, PrimePowerModulus(p, rng.randint(1, 4))))
+    return cases
 
 
 class TestComposition:
@@ -148,6 +187,46 @@ class TestUnorderedSum:
             assert unordered_sum(b, alphas, M) == unordered_sum_bruteforce(b, alphas, M), (
                 p, b, alphas, M,
             )
+
+    def test_matches_rearrangement_oracle_at_production_sizes(self):
+        cases = _oracle_cases(seed=11, count=36) + [
+            (1, (1,) * 8, PrimePowerModulus(11, 4)),
+            (4, (2,) * 8, PrimePowerModulus(1009, 4)),
+            (4, (1,) * 7 + (9,), PrimePowerModulus(997, 3)),
+            (3, (1, 2, 3, 4, 6), PrimePowerModulus(7, 4)),
+        ]
+        assert {M.p for _, parts, M in cases if M.p == len(parts) + 1} >= {3, 5, 7}
+        assert max(len(parts) for _, parts, _ in cases) == 8
+        for b, parts, M in cases:
+            assert unordered_sum(b, parts, M).value == unordered_by_rearrangements(b, parts, M), (b, parts, M)
+
+    def test_one_power_sum_table_per_key(self, monkeypatch):
+        inverses = []
+
+        def counting_pow(base, exp, mod=None):
+            if exp == -1:
+                inverses.append(base)
+            return pow(base, exp, mod)
+
+        monkeypatch.setattr(mhs_module, "pow", counting_pow, raising=False)
+        mhs_module._inverse_power_sums.cache_clear()
+        calls = [
+            (1, (1, 2), 11, 2), (1, (2, 1), 11, 2), (1, (3,), 11, 2), (1, (1, 1, 1), 11, 2),
+            (2, (1, 2), 11, 2), (1, (1, 2), 11, 3), (1, (1, 2), 13, 2), (1, (1, 3), 11, 2),
+        ]
+        for b, parts, p, r in calls:
+            unordered_sum(b, parts, PrimePowerModulus(p, r))
+        keys = {(b, p, r, sum(parts)) for b, parts, p, r in calls}
+        assert mhs_module._inverse_power_sums.cache_info().misses == len(keys) == 5
+        assert len(inverses) == sum(b * (p - 1) for b, p, _, _ in keys)
+
+    def test_tables_are_kept_apart_by_precision(self):
+        mhs_module._inverse_power_sums.cache_clear()
+        for r in (1, 2, 3, 4):
+            M = PrimePowerModulus(13, r)
+            for b, parts in ((1, (1, 2)), (2, (3,)), (3, (1, 1, 1))):
+                expected = unordered_by_rearrangements(b, parts, M)
+                assert unordered_sum(b, parts, M).value == expected, (b, parts, M)
 
     def test_depth_eight_runs(self):
         # all-ones depth 8 exercises the multiplicity weight 8!

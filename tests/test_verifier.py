@@ -128,12 +128,15 @@ HYPOTHESIS_NOTES = [
     ("LEM-2.3-ii", {"p": 5, "r": 1, "n": 7, "m": 1}, "skip", "requires p > n"),
     ("LEM-2.3-ii", {"p": 11, "r": 1, "n": 7, "m": 7}, "skip", "requires 1 <= m <= n-1"),
     ("LEM-2.3-ii", {"p": 11, "n": 7, "m": 1}, "skip", "requires r >= 1"),
+    ("LEM-3.1", {"p": 11, "alphas": (1, 1), "b": 1, "n": 3}, "skip", "requires n = number of exponents"),
+    ("LEM-3.1", {"p": 11, "alphas": (1, 1), "b": 1, "n": 2}, "pass", "even-weight branch"),
     ("LEM-3.1", {"p": 11, "alphas": (1, 1), "b": 0}, "skip", "requires b >= 1"),
     ("LEM-3.1", {"p": 11, "alphas": (1, 1), "b": 2}, "skip", "fixed at b = 1 (the scaled family is LEM-3.4)"),
     ("LEM-3.1", {"p": 11, "alphas": (0, 1), "b": 1}, "skip", "requires positive exponents"),
     ("LEM-3.1", {"p": 11, "alphas": (), "b": 1}, "skip", "requires positive exponents"),
     ("LEM-3.1", {"p": 11, "alphas": (1,) * 9, "b": 1}, "skip", "requires weight 9 <= p-3"),
     ("LEM-3.1", {"p": 11, "alphas": (1, 1)}, "pass", "even-weight branch"),  # b defaults to 1
+    ("LEM-3.4", {"p": 11, "alphas": (1, 1), "b": 1, "n": 5}, "skip", "requires n = number of exponents"),
     ("LEM-3.4", {"p": 11, "alphas": (1, 1), "b": 0}, "skip", "requires b >= 1"),
     ("LEM-3.4", {"p": 11, "alphas": (1, -1), "b": 2}, "skip", "requires positive exponents"),
     ("LEM-3.4", {"p": 13, "alphas": (3, 3, 5), "b": 3}, "skip", "requires weight 11 <= p-3"),

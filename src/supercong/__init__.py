@@ -7,27 +7,16 @@ from .compsum import (
     CompSumSpec,
     PrecisionError,
     ScaleGuardError,
-    beta_n,
     comp_sum,
     comp_sum_bruteforce,
     comp_sum_kronecker,
-    count_solutions,
     count_solutions_exact,
     gamma_n,
     r_spec,
     s_spec,
 )
 from .mhs import Composition, mhs, mhs_restricted, unordered_sum, unordered_sum_bruteforce
-from .modring import (
-    NonUnitError,
-    PrimePowerModulus,
-    Residue,
-    binomial_mod,
-    inv,
-    is_prime,
-    is_unit,
-    rational_to_residue,
-)
+from .modring import NonUnitError, PrimePowerModulus, is_prime, rational_to_residue
 from .ratrecon import (
     DuplicatePrimeError,
     InsufficientDataError,
@@ -62,11 +51,9 @@ __all__ = [
     "CompSumSpec",
     "PrecisionError",
     "ScaleGuardError",
-    "beta_n",
     "comp_sum",
     "comp_sum_bruteforce",
     "comp_sum_kronecker",
-    "count_solutions",
     "count_solutions_exact",
     "gamma_n",
     "r_spec",
@@ -78,11 +65,7 @@ __all__ = [
     "unordered_sum_bruteforce",
     "NonUnitError",
     "PrimePowerModulus",
-    "Residue",
-    "binomial_mod",
-    "inv",
     "is_prime",
-    "is_unit",
     "rational_to_residue",
     "DuplicatePrimeError",
     "InsufficientDataError",

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .modring import PrimePowerModulus, Residue
+from .modring import PrimePowerModulus, rational_to_residue
 
 __all__ = ["PoleError", "PowerSumError", "EXACT_CAP", "bernoulli_exact", "bernoulli_mod_p"]
 
@@ -86,8 +86,9 @@ def power_sum_residue(k: int, p: int) -> int:
     return total // p
 
 
-def bernoulli_mod_p(k: int, p: int) -> Residue:
-    """B_k mod p, defined for k = 0, odd k >= 1, and even k <= p - 3.
+def bernoulli_mod_p(k: int, p: int) -> int:
+    """B_k mod p as a canonical int in [0, p), defined for k = 0, odd
+    k >= 1, and even k <= p - 3.
 
     Raises PoleError when (p-1) | k for k > 0: those B_k have p in the
     denominator and carry no residue.
@@ -98,11 +99,11 @@ def bernoulli_mod_p(k: int, p: int) -> Residue:
     if k > 0 and k % (p - 1) == 0:
         raise PoleError(f"(p-1) | {k}, so B_{k} has no image mod {p}")
     if k == 0:
-        return M.residue(1)
+        return 1
     if k == 1:
-        return M.residue(Fraction(-1, 2))
+        return rational_to_residue(Fraction(-1, 2), M)
     if k % 2 == 1:
-        return M.residue(0)
+        return 0
     if k <= p - 3:
-        return M.residue(power_sum_residue(k, p))
+        return power_sum_residue(k, p)
     raise ValueError(f"even index {k} above p-3 = {p - 3}: the power sum serves only 2 <= k <= p-3")

@@ -14,7 +14,7 @@ import sys
 from . import cache as cache_mod
 from . import reports as reports_mod
 from .bernoulli import bernoulli_exact, bernoulli_mod_p
-from .compsum import CompSumSpec, comp_sum, comp_sum_bruteforce, count_solutions, r_spec, s_spec
+from .compsum import CompSumSpec, comp_sum, comp_sum_bruteforce, count_solutions_exact, r_spec, s_spec
 from .mhs import mhs, mhs_restricted, unordered_sum
 from .modring import PrimePowerModulus, is_prime
 from .ratrecon import HUNT_FAMILIES, hunt_constant
@@ -183,27 +183,27 @@ def _cmd_verify(args) -> int:
 def _cmd_compute(args) -> int:
     if args.quantity == "bernoulli":
         if args.mod_p is not None:
-            print(bernoulli_mod_p(args.k, args.mod_p).value)
+            print(bernoulli_mod_p(args.k, args.mod_p))
         else:
             print(bernoulli_exact(args.k))
         return 0
     if args.quantity == "mhs":
         M = PrimePowerModulus(args.p, args.r)
         fn = mhs_restricted if args.restricted else mhs
-        print(fn(args.N, _parse_comp(args.s), M).value)
+        print(fn(args.N, _parse_comp(args.s), M))
         return 0
     if args.quantity in ("s", "r"):
         spec = (s_spec if args.quantity == "s" else r_spec)(args.n, args.m, args.p, args.r_exp)
         e = args.mod_exp if args.mod_exp is not None else args.r_exp
-        print(comp_sum(spec, PrimePowerModulus(args.p, e)).value)
+        print(comp_sum(spec, PrimePowerModulus(args.p, e)))
         return 0
     if args.quantity == "count":
         M = PrimePowerModulus(args.p, args.mod_exp)
-        print(count_solutions(args.a, args.m, args.n, args.p, M).value)
+        print(count_solutions_exact(args.a, args.m, args.n, args.p) % M.modulus)
         return 0
     if args.quantity == "u":
         M = PrimePowerModulus(args.p, args.r)
-        print(unordered_sum(args.b, _parse_comp(args.alphas), M).value)
+        print(unordered_sum(args.b, _parse_comp(args.alphas), M))
         return 0
     raise AssertionError(args.quantity)
 
@@ -264,8 +264,8 @@ def _cmd_oracle(args) -> int:
     )
     e = args.mod_exp if args.mod_exp is not None else args.r_exp
     M = PrimePowerModulus(args.p, e)
-    fast = comp_sum(spec, M).value
-    brute = comp_sum_bruteforce(spec, M).value
+    fast = comp_sum(spec, M)
+    brute = comp_sum_bruteforce(spec, M)
     agree = fast == brute
     print(f"ladder:     {fast}")
     print(f"bruteforce: {brute}")

@@ -8,7 +8,7 @@ division by the index. One ladder per (prime, part bound, precision)
 serves every power and every target it has grown to. Two independent
 oracles check it: binary powering with one Kronecker-substitution
 big-integer multiply per step, and, at small scale, a memoized recursive
-enumerator.
+enumerator. All three return a plain int, canonical in [0, p**e).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from itertools import accumulate
 from math import comb
 from operator import add, sub
 
-from .modring import PrimePowerModulus, Residue, binomial_mod
+from .modring import PrimePowerModulus
 
 __all__ = [
     "ScaleGuardError",
@@ -30,10 +30,8 @@ __all__ = [
     "comp_sum",
     "comp_sum_bruteforce",
     "comp_sum_kronecker",
-    "count_solutions",
     "count_solutions_exact",
     "gamma_n",
-    "beta_n",
     "BRUTEFORCE_TARGET_CAP",
 ]
 
@@ -198,8 +196,9 @@ class _Ladder:
 _ladders: dict[tuple[int, int | None, int], _Ladder] = {}
 
 
-def comp_sum(spec: CompSumSpec, modulus: PrimePowerModulus | None = None) -> Residue:
-    """Sum of 1/(l_1 * ... * l_n) over the admissible compositions, as a residue.
+def comp_sum(spec: CompSumSpec, modulus: PrimePowerModulus | None = None) -> int:
+    """Sum of 1/(l_1 * ... * l_n) over the admissible compositions, as a
+    canonical int in [0, p**e).
 
     Evaluated mod p**spec.r unless an explicit modulus (same prime, any
     exponent) is supplied. Empty sums return 0, not an error: they are
@@ -208,7 +207,7 @@ def comp_sum(spec: CompSumSpec, modulus: PrimePowerModulus | None = None) -> Res
     M = _eval_modulus(spec, modulus)
     n, N = spec.n, spec.target
     if N < n:
-        return M.residue(0)
+        return 0
     key = (spec.p, spec.upper_bound, M.r)
     if _ladders and next(iter(_ladders))[0] != spec.p:
         _ladders.clear()
@@ -216,10 +215,10 @@ def comp_sum(spec: CompSumSpec, modulus: PrimePowerModulus | None = None) -> Res
     if ladder is None or not ladder.serves(n, N):
         K, top = (n, N) if ladder is None else (max(n, ladder.K), max(N, ladder.N))
         ladder = _ladders[key] = _Ladder(spec.p, spec.upper_bound, M.r, K, top)
-    return M.residue(ladder.coefficient(n, N))
+    return ladder.coefficient(n, N)
 
 
-def comp_sum_kronecker(spec: CompSumSpec, modulus: PrimePowerModulus | None = None) -> Residue:
+def comp_sum_kronecker(spec: CompSumSpec, modulus: PrimePowerModulus | None = None) -> int:
     """Scale oracle for comp_sum: binary powering of the truncated unit series.
 
     Each truncated product is one big-integer multiply of two coefficient
@@ -229,7 +228,7 @@ def comp_sum_kronecker(spec: CompSumSpec, modulus: PrimePowerModulus | None = No
     M = _eval_modulus(spec, modulus)
     N = spec.target
     if N < spec.n:
-        return M.residue(0)
+        return 0
     mod = M.modulus
     limit = N if spec.upper_bound is None else min(N, spec.upper_bound - 1)
     base = [pow(l, -1, mod) if l % spec.p else 0 for l in range(limit + 1)]
@@ -250,10 +249,10 @@ def comp_sum_kronecker(spec: CompSumSpec, modulus: PrimePowerModulus | None = No
         k >>= 1
         if k:
             cur = mul(cur, cur)
-    return M.residue(acc >> 8 * width * N)
+    return acc >> 8 * width * N
 
 
-def comp_sum_bruteforce(spec: CompSumSpec, modulus: PrimePowerModulus | None = None) -> Residue:
+def comp_sum_bruteforce(spec: CompSumSpec, modulus: PrimePowerModulus | None = None) -> int:
     """Independent oracle for comp_sum: recursive enumeration by first part.
 
     Shares suffix subtrees through a memo table, never touching the
@@ -280,7 +279,7 @@ def comp_sum_bruteforce(spec: CompSumSpec, modulus: PrimePowerModulus | None = N
             memo[key] = acc % mod
         return memo[key]
 
-    return M.residue(walk(spec.n, N))
+    return walk(spec.n, N)
 
 
 def count_solutions_exact(a: int, m: int, n: int, p: int) -> int:
@@ -300,20 +299,8 @@ def count_solutions_exact(a: int, m: int, n: int, p: int) -> int:
     return total
 
 
-def count_solutions(a: int, m: int, n: int, p: int, modulus: PrimePowerModulus) -> Residue:
-    """count_solutions_exact reduced into the given modulus."""
-    return modulus.residue(count_solutions_exact(a, m, n, p))
-
-
 def gamma_n(a: int, n: int) -> Fraction:
     """(-1)**(a-1) / (a * C(n-1, a)), for 1 <= a <= n-1."""
     if not 1 <= a <= n - 1:
         raise ValueError(f"a must be in 1..{n - 1}, got {a}")
     return Fraction((-1) ** (a - 1), a * comb(n - 1, a))
-
-
-def beta_n(a: int, b: int, n: int, M: PrimePowerModulus) -> Residue:
-    """C(b*p - a + n - 1, n - 1) mod p**r."""
-    if b < 1:
-        raise ValueError(f"b must be >= 1, got {b}")
-    return binomial_mod(b * M.p - a + n - 1, n - 1, M)

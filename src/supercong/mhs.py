@@ -1,8 +1,9 @@
 """Multiple harmonic sums and distinct-index unordered sums mod p**r.
 
-The nested sums are evaluated directly as residues through a single
-O(N * depth) chain sweep; exact rationals overflow fast at weight >= 7, so
-they appear only in tests as oracles. The empty composition acts as the
+Every evaluator returns a plain int, canonical in [0, p**r). The nested
+sums are evaluated directly as residues through a single O(N * depth)
+chain sweep; exact rationals overflow fast at weight >= 7, so they appear
+only in tests as oracles. The empty composition acts as the
 unit value 1, a convention used internally by the recursions.
 
 Unordered sums are power sums + collision recursion: the inverse power
@@ -20,7 +21,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Sequence
 
-from .modring import NonUnitError, PrimePowerModulus, Residue
+from .modring import NonUnitError, PrimePowerModulus
 
 __all__ = [
     "Composition",
@@ -83,7 +84,7 @@ def _sweep(N: int, parts: tuple[int, ...], M: PrimePowerModulus, restricted: boo
     return dp[0]
 
 
-def mhs(N: int, s: Composition | Sequence[int], M: PrimePowerModulus) -> Residue:
+def mhs(N: int, s: Composition | Sequence[int], M: PrimePowerModulus) -> int:
     """H_N(s): sum over N >= k_1 > ... > k_d > 0 of prod k_i**(-s_i), mod p**r.
 
     The sum is unrestricted, so every index up to N must be a unit;
@@ -91,14 +92,14 @@ def mhs(N: int, s: Composition | Sequence[int], M: PrimePowerModulus) -> Residue
     """
     if N < 0:
         raise ValueError(f"negative range bound {N}")
-    return M.residue(_sweep(N, _parts(s), M, restricted=False))
+    return _sweep(N, _parts(s), M, restricted=False)
 
 
-def mhs_restricted(N: int, s: Composition | Sequence[int], M: PrimePowerModulus) -> Residue:
+def mhs_restricted(N: int, s: Composition | Sequence[int], M: PrimePowerModulus) -> int:
     """Same nested sum with every index restricted to non-multiples of p."""
     if N < 0:
         raise ValueError(f"negative range bound {N}")
-    return M.residue(_sweep(N, _parts(s), M, restricted=True))
+    return _sweep(N, _parts(s), M, restricted=True)
 
 
 @lru_cache(maxsize=None)
@@ -120,7 +121,7 @@ def _inverse_power_sums(b: int, p: int, r: int, w: int) -> tuple[int, ...]:
     return tuple(s % mod for s in sums)
 
 
-def unordered_sum(b: int, alphas: Composition | Sequence[int], M: PrimePowerModulus) -> Residue:
+def unordered_sum(b: int, alphas: Composition | Sequence[int], M: PrimePowerModulus) -> int:
     """U_b(a_1, ..., a_n): sum over pairwise-distinct unit indexes
     0 < l_i < b*p of prod l_i**(-a_i), mod p**r.
 
@@ -139,7 +140,7 @@ def unordered_sum(b: int, alphas: Composition | Sequence[int], M: PrimePowerModu
     if b < 1:
         raise ValueError(f"b must be >= 1, got {b}")
     if n == 0:
-        return M.residue(1 % M.modulus)
+        return 1
     if M.p <= n:
         raise ValueError(f"need p > depth (got p={M.p}, depth={n})")
     mod = M.modulus
@@ -155,19 +156,19 @@ def unordered_sum(b: int, alphas: Composition | Sequence[int], M: PrimePowerModu
             memo[key] = acc % mod
         return memo[key]
 
-    return M.residue(u(tuple(sorted(parts))))
+    return u(tuple(sorted(parts)))
 
 
 def unordered_sum_bruteforce(
     b: int, alphas: Composition | Sequence[int], M: PrimePowerModulus
-) -> Residue:
+) -> int:
     """Direct nested-loop evaluation of the same sum, for depth <= 3."""
     parts = _parts(alphas)
     n = len(parts)
     if n > 3:
         raise ValueError("brute-force unordered sums handle at most 3 indexes")
     if n == 0:
-        return M.residue(1 % M.modulus)
+        return 1
     mod = M.modulus
     units = [l for l in range(1, b * M.p) if l % M.p]
     pows = [{l: pow(l, -e, mod) for l in units} for e in parts]
@@ -179,4 +180,4 @@ def unordered_sum_bruteforce(
         for i, l in enumerate(tup):
             term = term * pows[i][l] % mod
         acc = (acc + term) % mod
-    return M.residue(acc)
+    return acc

@@ -1,27 +1,17 @@
 """Exact arithmetic modulo prime powers p**r.
 
-Residues are kept as canonical integers in [0, p**r); signed
-representatives are produced only at report-formatting time. Every value
-is immutable and every operation is a pure function, so the whole module
-is safe to use from any number of concurrent tasks.
+Residues are plain ints, canonical in [0, p**r); PrimePowerModulus names
+the ring Z / p**r and validates it (p prime, r >= 1). Every value is
+immutable and every operation is a pure function, so the whole module is
+safe to use from any number of concurrent tasks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
 
-__all__ = [
-    "NonUnitError",
-    "PrimePowerModulus",
-    "Residue",
-    "is_prime",
-    "is_unit",
-    "inv",
-    "rational_to_residue",
-    "binomial_mod",
-]
+__all__ = ["NonUnitError", "PrimePowerModulus", "is_prime", "rational_to_residue"]
 
 
 class NonUnitError(ArithmeticError):
@@ -74,95 +64,20 @@ class PrimePowerModulus:
             raise ValueError(f"{self.p} is not prime")
         object.__setattr__(self, "modulus", self.p**self.r)
 
-    def residue(self, value: int | Fraction) -> Residue:
-        if isinstance(value, Fraction):
-            return rational_to_residue(value, self)
-        return Residue(value % self.modulus, self)
-
     def __repr__(self) -> str:
         return f"PrimePowerModulus({self.p}**{self.r})"
 
 
-@dataclass(frozen=True)
-class Residue:
-    """Canonical representative of a value mod p**r."""
-
-    value: int
-    mod: PrimePowerModulus
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.value < self.mod.modulus:
-            raise ValueError(f"residue {self.value} outside [0, {self.mod.modulus})")
-
-    def _lift(self, other: Residue | int) -> int:
-        if isinstance(other, Residue):
-            if other.mod != self.mod:
-                raise ValueError(f"modulus mismatch: {self.mod} vs {other.mod}")
-            return other.value
-        return other % self.mod.modulus
-
-    def __add__(self, other: Residue | int) -> Residue:
-        return Residue((self.value + self._lift(other)) % self.mod.modulus, self.mod)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: Residue | int) -> Residue:
-        return Residue((self.value - self._lift(other)) % self.mod.modulus, self.mod)
-
-    def __rsub__(self, other: Residue | int) -> Residue:
-        return Residue((self._lift(other) - self.value) % self.mod.modulus, self.mod)
-
-    def __mul__(self, other: Residue | int) -> Residue:
-        return Residue(self.value * self._lift(other) % self.mod.modulus, self.mod)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> Residue:
-        return Residue(-self.value % self.mod.modulus, self.mod)
-
-    def inverse(self) -> Residue:
-        return inv(self)
-
-    def signed(self) -> int:
-        """Symmetric representative, for display only."""
-        if 2 * self.value > self.mod.modulus:
-            return self.value - self.mod.modulus
-        return self.value
-
-    def __int__(self) -> int:
-        return self.value
-
-
-def is_unit(l: int, M: PrimePowerModulus) -> bool:
-    """True iff p does not divide l, i.e. l is invertible mod p**r."""
-    return l % M.p != 0
-
-
-def inv(x: Residue) -> Residue:
-    """Multiplicative inverse mod p**r; raises NonUnitError when p | x."""
-    if x.value % x.mod.p == 0:
-        raise NonUnitError(f"{x.value} is not a unit mod {x.mod.p}**{x.mod.r}")
-    return Residue(pow(x.value, -1, x.mod.modulus), x.mod)
-
-
-def rational_to_residue(q: Fraction | int, M: PrimePowerModulus) -> Residue:
-    """Image of an exact rational in Z / p**r.
+def rational_to_residue(q: Fraction | int, M: PrimePowerModulus) -> int:
+    """Image of an exact rational in Z / p**r, canonical in [0, p**r).
 
     The reduced denominator must be coprime to p; this map is a ring
-    homomorphism on the p-integral rationals.
+    homomorphism on the p-integral rationals. Only ints and Fractions are
+    exact, so anything else (a float, a string) raises TypeError.
     """
+    if not isinstance(q, (int, Fraction)):
+        raise TypeError(f"expected an int or a Fraction, got {type(q).__name__}")
     q = Fraction(q)
     if q.denominator % M.p == 0:
         raise NonUnitError(f"denominator of {q} is divisible by {M.p}")
-    return Residue(q.numerator * pow(q.denominator, -1, M.modulus) % M.modulus, M)
-
-
-def binomial_mod(n: int, k: int, M: PrimePowerModulus) -> Residue:
-    """C(n, k) reduced mod p**r.
-
-    Computed from the exact integer, so p-divisible intermediate factors
-    need no special handling at the argument sizes this package uses.
-    """
-    if k < 0 or k > n:
-        raise ValueError(f"binomial index k={k} outside 0..{n}")
-    return Residue(comb(n, k) % M.modulus, M)
+    return q.numerator * pow(q.denominator, -1, M.modulus) % M.modulus

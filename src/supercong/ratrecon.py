@@ -16,7 +16,7 @@ from math import factorial, gcd, isqrt
 
 from .bernoulli import PoleError, bernoulli_mod_p
 from .compsum import r_spec, s_spec, comp_sum
-from .modring import PrimePowerModulus, Residue, is_prime
+from .modring import PrimePowerModulus, is_prime
 
 __all__ = [
     "DuplicatePrimeError",
@@ -121,18 +121,18 @@ def _normalized_observation(family: str, d: int, m: int, p: int) -> tuple[int | 
     if p <= d:
         return None, f"p={p} <= d={d}"
     try:
-        b = bernoulli_mod_p(p - d, p).value
+        b = bernoulli_mod_p(p - d, p)
     except PoleError:
         return None, f"B(p-{d}) has a pole mod {p}"
     if b == 0:
         return None, f"B(p-{d}) == 0 mod {p}"
     if family == "qd":
-        v = comp_sum(s_spec(d, 1, p, 2), PrimePowerModulus(p, 2)).value
+        v = comp_sum(s_spec(d, 1, p, 2), PrimePowerModulus(p, 2))
         if v % p:
             return None, f"sum at p**2 not divisible by p={p}"
         return (v // p) * pow(b, -1, p) % p, ""
     spec = s_spec(d, m, p) if family == "c" else r_spec(d, m, p)
-    v = comp_sum(spec, PrimePowerModulus(p, 1)).value
+    v = comp_sum(spec, PrimePowerModulus(p, 1))
     norm = factorial(d - 1) * b % p
     return v * pow(norm, -1, p) % p, ""
 

@@ -33,14 +33,15 @@ FIELDS = (
 FORMATS = ("json", "csv", "md")
 
 
+def _param(key: str, value) -> str:
+    """key=value, with a tuple value joined by '+' (alphas=1+1+2)."""
+    if isinstance(value, tuple):
+        return f"{key}={'+'.join(map(str, value))}"
+    return f"{key}={value}"
+
+
 def _extra_str(instance: ClaimInstance) -> str:
-    parts = []
-    for key, value in instance.extra:
-        if isinstance(value, tuple):
-            parts.append(f"{key}={'+'.join(str(v) for v in value)}")
-        else:
-            parts.append(f"{key}={value}")
-    return ";".join(parts)
+    return ";".join(_param(key, value) for key, value in instance.extra)
 
 
 def instance_param_string(instance: ClaimInstance) -> str:
@@ -50,15 +51,8 @@ def instance_param_string(instance: ClaimInstance) -> str:
         value = getattr(instance, name)
         if value is not None:
             items.append((name, value))
-    for key, value in instance.extra:
-        items.append((key, value))
-    rendered = []
-    for key, value in items:
-        if isinstance(value, tuple):
-            rendered.append(f"{key}={'+'.join(str(v) for v in value)}")
-        else:
-            rendered.append(f"{key}={value}")
-    return ",".join(rendered)
+    items += instance.extra
+    return ",".join(_param(key, value) for key, value in items)
 
 
 def replay_command(report: ClaimReport) -> str:

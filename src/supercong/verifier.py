@@ -172,7 +172,7 @@ class EvalContext:
             self.cache_hits += 1
             value = self._cache[key]
         else:
-            value = comp_sum(spec, PrimePowerModulus(spec.p, mod_exp)).value
+            value = comp_sum(spec, PrimePowerModulus(spec.p, mod_exp))
             self.comp_sum_evals += 1
             self.new_rows[key] = value
         self._memo[key] = value
@@ -272,18 +272,14 @@ class Claim:
 # shared right-hand-side helpers and the evaluators
 
 def _rat(c: Fraction | int, p: int, e: int = 1) -> int:
-    return rational_to_residue(Fraction(c), PrimePowerModulus(p, e)).value
-
-
-def _bern(p: int, k: int) -> int:
-    return bernoulli_mod_p(k, p).value
+    return rational_to_residue(c, PrimePowerModulus(p, e))
 
 
 def _cof_rhs(c: Fraction | int, bern_indices: Iterable[int], p: int, j: int, e: int) -> int:
     """(c * prod B(idx)) reduced mod p, lifted, times p**j, reduced mod p**e."""
     cof = _rat(c, p)
     for k in bern_indices:
-        cof = cof * _bern(p, k) % p
+        cof = cof * bernoulli_mod_p(k, p) % p
     return cof * p**j % p**e
 
 
@@ -296,8 +292,8 @@ def _triple_bernoulli(p: int, n: int) -> int:
             c = half - a - b
             if c < 1:
                 continue
-            term = _bern(p, p - 2 * a - 1) * _bern(p, p - 2 * b - 1) % p
-            term = term * _bern(p, p - 2 * c - 1) % p
+            term = bernoulli_mod_p(p - 2 * a - 1, p) * bernoulli_mod_p(p - 2 * b - 1, p) % p
+            term = term * bernoulli_mod_p(p - 2 * c - 1, p) % p
             acc = (acc + term * _rat(Fraction(1, (2 * a + 1) * (2 * b + 1) * (2 * c + 1)), p)) % p
     return acc * _rat(Fraction(factorial(n), 6), p) % p
 
@@ -396,11 +392,11 @@ def _u_eval(inst: ClaimInstance, ctx: EvalContext):
     n = len(alphas)
     w = sum(alphas)
     if _odd(w):
-        lhs = unordered_sum(b, alphas, PrimePowerModulus(p, 3)).value
+        lhs = unordered_sum(b, alphas, PrimePowerModulus(p, 3))
         c = Fraction((-1) ** n * factorial(n - 1) * b * b * w * (w + 1), 2 * (w + 2))
         rhs = _cof_rhs(c, [p - w - 2], p, 2, 3)
         return lhs, rhs, p**3, "odd-weight branch"
-    lhs = unordered_sum(b, alphas, PrimePowerModulus(p, 2)).value
+    lhs = unordered_sum(b, alphas, PrimePowerModulus(p, 2))
     c = Fraction((-1) ** (n - 1) * factorial(n - 1) * b * w, w + 1)
     rhs = _cof_rhs(c, [p - w - 1], p, 1, 2)
     return lhs, rhs, p**2, "even-weight branch"
@@ -410,10 +406,10 @@ def _cor32_eval(inst: ClaimInstance, ctx: EvalContext):
     p, n, alpha = inst.p, inst.n, inst.get("alpha")
     w = n * alpha
     if _odd(w):
-        lhs = mhs(p - 1, (alpha,) * n, PrimePowerModulus(p, 3)).value
+        lhs = mhs(p - 1, (alpha,) * n, PrimePowerModulus(p, 3))
         rhs = _cof_rhs(Fraction((-1) ** n * alpha * (w + 1), 2 * (w + 2)), [p - w - 2], p, 2, 3)
         return lhs, rhs, p**3, "odd-weight branch"
-    lhs = mhs(p - 1, (alpha,) * n, PrimePowerModulus(p, 2)).value
+    lhs = mhs(p - 1, (alpha,) * n, PrimePowerModulus(p, 2))
     rhs = _cof_rhs(Fraction((-1) ** (n - 1) * alpha, w + 1), [p - w - 1], p, 1, 2)
     return lhs, rhs, p**2, "even-weight branch"
 

@@ -63,8 +63,8 @@ class TestExact:
 
 class TestModP:
     def test_spec_examples(self):
-        assert bernoulli_mod_p(0, 11).value == 1
-        assert bernoulli_mod_p(4, 11).value == 4
+        assert bernoulli_mod_p(0, 11) == 1
+        assert bernoulli_mod_p(4, 11) == 4
         with pytest.raises(PoleError):
             bernoulli_mod_p(10, 11)
 
@@ -72,8 +72,8 @@ class TestModP:
         assert bernoulli_mod_p(1, 11) == rational_to_residue(Fraction(-1, 2), PrimePowerModulus(11, 1))
 
     def test_odd_zero(self):
-        assert bernoulli_mod_p(9, 13).value == 0
-        assert bernoulli_mod_p(11, 13).value == 0  # p-2 falls under the odd rule
+        assert bernoulli_mod_p(9, 13) == 0
+        assert bernoulli_mod_p(11, 13) == 0  # p-2 falls under the odd rule
 
     def test_consistency_with_exact_all_p_to_100(self):
         for p in range(3, 101):
@@ -102,7 +102,7 @@ class TestModP:
 
     def test_known_irregular_pair(self):
         # 37 divides the numerator of B_32
-        assert bernoulli_mod_p(32, 37).value == 0
+        assert bernoulli_mod_p(32, 37) == 0
         assert bernoulli_exact(32).numerator % 37 == 0
 
 

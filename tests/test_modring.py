@@ -1,19 +1,19 @@
 from fractions import Fraction
-from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
-from supercong.modring import (
-    NonUnitError,
-    PrimePowerModulus,
-    Residue,
-    binomial_mod,
-    inv,
-    is_prime,
-    is_unit,
-    rational_to_residue,
+from supercong.bernoulli import bernoulli_mod_p
+from supercong.compsum import (
+    CompSumSpec,
+    comp_sum,
+    comp_sum_bruteforce,
+    comp_sum_kronecker,
+    r_spec,
+    s_spec,
 )
+from supercong.mhs import mhs, mhs_restricted, unordered_sum, unordered_sum_bruteforce
+from supercong.modring import NonUnitError, PrimePowerModulus, is_prime, rational_to_residue
 
 
 def _trial_division(n: int) -> bool:
@@ -62,54 +62,19 @@ class TestModulus:
         assert PrimePowerModulus(5, 2) != PrimePowerModulus(5, 3)
 
 
-class TestResidue:
-    def test_range_check(self):
-        M = PrimePowerModulus(5, 2)
-        with pytest.raises(ValueError):
-            Residue(25, M)
-        with pytest.raises(ValueError):
-            Residue(-1, M)
-
-    def test_arithmetic(self):
-        M = PrimePowerModulus(5, 2)
-        a, b = M.residue(17), M.residue(13)
-        assert (a + b).value == 5
-        assert (a - b).value == 4
-        assert (a * b).value == 17 * 13 % 25
-        assert (-a).value == 8
-        assert (a + 10).value == 2
-
-    def test_modulus_mismatch(self):
-        a = PrimePowerModulus(5, 2).residue(3)
-        b = PrimePowerModulus(5, 3).residue(3)
-        with pytest.raises(ValueError):
-            a + b
-
-    def test_signed_display(self):
-        M = PrimePowerModulus(7, 1)
-        assert M.residue(5).signed() == -2
-        assert M.residue(3).signed() == 3
-        assert M.residue(0).signed() == 0
-
-
-class TestIsUnit:
-    def test_spec_examples(self):
-        assert is_unit(7, PrimePowerModulus(7, 1)) is False
-        assert is_unit(8, PrimePowerModulus(7, 2)) is True
-        assert is_unit(49, PrimePowerModulus(7, 2)) is False
-
-
 class TestInverse:
+    """Inverses mod p**r are the images of the rationals 1/u."""
+
     def test_identity(self):
         for M in (PrimePowerModulus(2, 1), PrimePowerModulus(11, 3)):
-            assert inv(M.residue(1)).value == 1
+            assert rational_to_residue(Fraction(1, 1), M) == 1
 
     def test_spec_example(self):
-        assert inv(PrimePowerModulus(5, 2).residue(3)).value == 17
+        assert rational_to_residue(Fraction(1, 3), PrimePowerModulus(5, 2)) == 17
 
     def test_non_unit_rejected(self):
         with pytest.raises(NonUnitError):
-            inv(PrimePowerModulus(5, 2).residue(5))
+            rational_to_residue(Fraction(1, 5), PrimePowerModulus(5, 2))
 
     @pytest.mark.parametrize("p,r", [(2, 3), (3, 4), (5, 4), (7, 3), (11, 3), (97, 2)])
     def test_exhaustive_small_moduli(self, p, r):
@@ -117,17 +82,17 @@ class TestInverse:
         M = PrimePowerModulus(p, r)
         for u in range(1, M.modulus):
             if u % p:
-                assert inv(M.residue(u)).value * u % M.modulus == 1
+                assert rational_to_residue(Fraction(1, u), M) * u % M.modulus == 1
 
 
 class TestRationalToResidue:
     def test_spec_examples(self):
-        assert rational_to_residue(Fraction(-2), PrimePowerModulus(7, 1)).value == 5
-        assert rational_to_residue(Fraction(1, 3), PrimePowerModulus(11, 1)).value == 4
-        assert rational_to_residue(Fraction(-1, 30), PrimePowerModulus(11, 1)).value == 4
+        assert rational_to_residue(Fraction(-2), PrimePowerModulus(7, 1)) == 5
+        assert rational_to_residue(Fraction(1, 3), PrimePowerModulus(11, 1)) == 4
+        assert rational_to_residue(Fraction(-1, 30), PrimePowerModulus(11, 1)) == 4
 
     def test_accepts_plain_ints(self):
-        assert rational_to_residue(-2, PrimePowerModulus(7, 1)).value == 5
+        assert rational_to_residue(-2, PrimePowerModulus(7, 1)) == 5
 
     def test_pole_rejected(self):
         with pytest.raises(NonUnitError):
@@ -135,7 +100,7 @@ class TestRationalToResidue:
 
     def test_unreduced_fraction_with_removable_p(self):
         # 5/10 reduces to 1/2, whose denominator is a unit mod 5
-        assert rational_to_residue(Fraction(5, 10), PrimePowerModulus(5, 2)).value == 13
+        assert rational_to_residue(Fraction(5, 10), PrimePowerModulus(5, 2)) == 13
 
     @given(
         n1=st.integers(-50, 50),
@@ -151,34 +116,49 @@ class TestRationalToResidue:
         if (q1 + q2).denominator % 7 == 0 or (q1 * q2).denominator % 7 == 0:
             return
         f = lambda q: rational_to_residue(q, M)
-        assert f(q1 + q2) == f(q1) + f(q2)
-        assert f(q1 * q2) == f(q1) * f(q2)
+        assert f(q1 + q2) == (f(q1) + f(q2)) % M.modulus
+        assert f(q1 * q2) == f(q1) * f(q2) % M.modulus
+
+    @pytest.mark.parametrize("q", [0.1, 0.5, "1/3"])
+    def test_inexact_types_rejected(self, q):
+        # 0.1 is the binary fraction 3602879701896397 / 2**55, not 1/10
+        with pytest.raises(TypeError):
+            rational_to_residue(q, PrimePowerModulus(5, 1))
 
 
-class TestBinomial:
-    def test_spec_examples(self):
-        assert binomial_mod(6, 0, PrimePowerModulus(13, 1)).value == 1
-        assert binomial_mod(10, 3, PrimePowerModulus(7, 2)).value == 22
-        assert binomial_mod(16, 6, PrimePowerModulus(11, 2)).value == 22
+# Each evaluator returns a canonical int in [0, p**e). The composition sums
+# run on a bounded, a free and an explicit-target spec, each at an exponent
+# other than the spec's own.
+_SPECS = {
+    "bounded": (s_spec(3, 2, 5), PrimePowerModulus(5, 2)),
+    "free": (r_spec(3, 1, 5, 2), PrimePowerModulus(5, 3)),
+    "target": (CompSumSpec(n=2, m=1, p=7, target=12), PrimePowerModulus(7, 2)),
+}
+_CANONICAL_CASES = [
+    pytest.param(fn, args, args[1].modulus, id=f"{fn.__name__}-{label}")
+    for fn in (comp_sum, comp_sum_kronecker, comp_sum_bruteforce)
+    for label, args in _SPECS.items()
+] + [
+    pytest.param(fn, args, modulus, id=f"{fn.__name__}-{label}")
+    for fn, label, args, modulus in [
+        (mhs, "depth2", (10, (1, 2), PrimePowerModulus(11, 2)), 11**2),
+        (mhs, "empty", (5, (), PrimePowerModulus(7, 1)), 7),
+        (mhs_restricted, "past-p", (24, (1, 1), PrimePowerModulus(5, 3)), 5**3),
+        (unordered_sum, "depth3", (2, (1, 1, 2), PrimePowerModulus(11, 3)), 11**3),
+        (unordered_sum, "empty", (1, (), PrimePowerModulus(7, 2)), 7**2),
+        (unordered_sum_bruteforce, "depth2", (2, (1, 2), PrimePowerModulus(7, 2)), 7**2),
+        (bernoulli_mod_p, "k0", (0, 11), 11),
+        (bernoulli_mod_p, "k1", (1, 13), 13),
+        (bernoulli_mod_p, "k4", (4, 11), 11),
+        (bernoulli_mod_p, "odd", (9, 13), 13),
+        (rational_to_residue, "fraction", (Fraction(-1, 30), PrimePowerModulus(11, 2)), 11**2),
+        (rational_to_residue, "int", (-2, PrimePowerModulus(7, 1)), 7),
+    ]
+]
 
-    def test_domain_errors(self):
-        M = PrimePowerModulus(7, 1)
-        with pytest.raises(ValueError):
-            binomial_mod(5, -1, M)
-        with pytest.raises(ValueError):
-            binomial_mod(5, 6, M)
 
-    def test_agrees_with_exact_binomial_to_200(self):
-        M = PrimePowerModulus(7, 2)
-        for n in range(201):
-            for k in range(n + 1):
-                assert binomial_mod(n, k, M).value == comb(n, k) % 49
-
-    @given(n=st.integers(1, 120), k=st.integers(0, 120))
-    def test_pascal_identity(self, n, k):
-        M = PrimePowerModulus(11, 2)
-        if not 1 <= k <= n - 1:
-            return
-        lhs = binomial_mod(n, k, M)
-        rhs = binomial_mod(n - 1, k - 1, M) + binomial_mod(n - 1, k, M)
-        assert lhs == rhs
+@pytest.mark.parametrize("fn,args,modulus", _CANONICAL_CASES)
+def test_evaluators_return_canonical_ints(fn, args, modulus):
+    v = fn(*args)
+    assert type(v) is int
+    assert 0 <= v < modulus

@@ -309,7 +309,7 @@ class TestEvalContext:
     def test_cache_rows_short_circuit(self):
         spec = s_spec(7, 1, 11, 2)
         key = EvalContext.cache_key(spec, 2)
-        true_value = comp_sum(spec, PrimePowerModulus(11, 2)).value
+        true_value = comp_sum(spec, PrimePowerModulus(11, 2))
         ctx = EvalContext(cache_rows={key: true_value})
         assert ctx.comp_sum(spec, 2) == true_value
         assert ctx.comp_sum_evals == 0 and ctx.cache_hits == 1
@@ -338,12 +338,12 @@ class TestCrossChecks:
         # bounded sums at p^2 reproduce the depth-3 and depth-5 constants
         # (-2 and -5!/6) that also govern the base congruence family
         for p in (11, 13, 17):
-            b3 = bernoulli_mod_p(p - 3, p).value
-            v3 = comp_sum(s_spec(3, 1, p, 2), PrimePowerModulus(p, 2)).value
-            assert v3 == rational_to_residue(Fraction(-2), PrimePowerModulus(p, 1)).value * b3 % p * p % p**2
-            b5 = bernoulli_mod_p(p - 5, p).value
-            v5 = comp_sum(s_spec(5, 1, p, 2), PrimePowerModulus(p, 2)).value
-            expected = rational_to_residue(Fraction(-factorial(5), 6), PrimePowerModulus(p, 1)).value
+            b3 = bernoulli_mod_p(p - 3, p)
+            v3 = comp_sum(s_spec(3, 1, p, 2), PrimePowerModulus(p, 2))
+            assert v3 == rational_to_residue(Fraction(-2), PrimePowerModulus(p, 1)) * b3 % p * p % p**2
+            b5 = bernoulli_mod_p(p - 5, p)
+            v5 = comp_sum(s_spec(5, 1, p, 2), PrimePowerModulus(p, 2))
+            expected = rational_to_residue(Fraction(-factorial(5), 6), PrimePowerModulus(p, 1))
             assert v5 == expected * b5 % p * p % p**2
 
     def test_triple_term_empty_for_n7(self):
@@ -353,9 +353,9 @@ class TestCrossChecks:
     def test_s7_m3_feeds_the_seven_factorial_tenth_constant(self):
         # S(7,3,p) == -5 * 6! * B(p-7), the degenerate triple-free case
         for p in (11, 13):
-            lhs = comp_sum(s_spec(7, 3, p), PrimePowerModulus(p, 1)).value
-            rhs = rational_to_residue(-5 * factorial(6), PrimePowerModulus(p, 1)).value
-            rhs = rhs * bernoulli_mod_p(p - 7, p).value % p
+            lhs = comp_sum(s_spec(7, 3, p), PrimePowerModulus(p, 1))
+            rhs = rational_to_residue(-5 * factorial(6), PrimePowerModulus(p, 1))
+            rhs = rhs * bernoulli_mod_p(p - 7, p) % p
             assert lhs == rhs
 
     def test_triple_term_nonzero_for_n9(self):

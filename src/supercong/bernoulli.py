@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .modring import PrimePowerModulus, rational_to_residue
+from .modring import prime_power, rational_to_residue
 
 __all__ = ["PoleError", "PowerSumError", "EXACT_CAP", "bernoulli_exact", "bernoulli_mod_p"]
 
@@ -93,7 +93,7 @@ def bernoulli_mod_p(k: int, p: int) -> int:
     Raises PoleError when (p-1) | k for k > 0: those B_k have p in the
     denominator and carry no residue.
     """
-    M = PrimePowerModulus(p, 1)
+    M = prime_power(p, 1)
     if k < 0:
         raise ValueError(f"negative Bernoulli index {k}")
     if k > 0 and k % (p - 1) == 0:

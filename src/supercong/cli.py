@@ -147,6 +147,13 @@ def _cmd_verify(args) -> int:
     if args.jobs < 1:
         print(f"--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
         return 2
+    grid_flags = (("--primes", args.primes, _parse_primes), ("--r", args.rs, _parse_int_range),
+                  ("--m", args.ms, _parse_int_range))
+    selected = [None if text is None else parse(text) for _, text, parse in grid_flags]
+    for (flag, text, _), values in zip(grid_flags, selected):
+        if values == ():
+            print(f"{flag} {text!r} selects no value", file=sys.stderr)
+            return 2
     cache_path = args.cache or cache_mod.default_cache_path()
     cache = cache_mod.ResidueCache(cache_path) if cache_path else None
     ctx = EvalContext(cache_rows=cache.rows if cache else None)
@@ -156,12 +163,7 @@ def _cmd_verify(args) -> int:
         ]
         reports = verify_instances(instances, ctx, jobs=args.jobs)
     else:
-        grid = GridSpec(
-            primes=_parse_primes(args.primes) if args.primes else None,
-            rs=_parse_int_range(args.rs) if args.rs else None,
-            ms=_parse_int_range(args.ms) if args.ms else None,
-        )
-        reports = sweep(claim_ids, grid, ctx=ctx, jobs=args.jobs)
+        reports = sweep(claim_ids, GridSpec(*selected), ctx=ctx, jobs=args.jobs)
     if cache is not None:
         cache.append(ctx.new_rows)
     text = reports_mod.emit_report(reports, args.format, path=args.out, timings=args.timings)

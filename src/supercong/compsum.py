@@ -4,22 +4,28 @@ Every sum is one coefficient [x**N] f**n of the truncated unit series
 f(x) = sum_{p not| l} x**l / l. The evaluator climbs a derivative ladder:
 (f**k)' = k * f**(k-1) * f', and f' has 0/1 coefficients, so each row
 f**k costs one O(N) pass of prefix sums followed by an exact p-adic
-division by the index. One ladder per (prime, part bound, precision)
-serves every power and every target it has grown to. Two independent
-oracles check it: binary powering with one Kronecker-substitution
-big-integer multiply per step, and, at small scale, a memoized recursive
-enumerator. All three return a plain int, canonical in [0, p**e).
+division by the index. Evaluation is planned: a caller declares the sums
+it will ask for (Plan) and passes the plan to comp_sum. Each (prime,
+part bound, precision) key of the plan gets one ladder, built once at
+its largest part count and target. The ladder's rows are streamed, two
+alive at a time, and only the planned coefficients are kept. A request
+outside the plan, or made without one, is a plan of its own. Two
+independent oracles check the ladder: binary powering with one
+Kronecker-substitution big-integer multiply per step, and, at small
+scale, a memoized recursive enumerator. All three return a plain
+int, canonical in [0, p**e).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain, islice, repeat
 from math import comb
 from operator import add, sub
+from typing import Iterable, Iterator
 
-from .modring import PrimePowerModulus
+from .modring import PrimePowerModulus, prime_power
 
 __all__ = [
     "ScaleGuardError",
@@ -28,6 +34,7 @@ __all__ = [
     "s_spec",
     "r_spec",
     "comp_sum",
+    "Plan",
     "comp_sum_bruteforce",
     "comp_sum_kronecker",
     "count_solutions_exact",
@@ -90,63 +97,37 @@ def r_spec(n: int, m: int, p: int, r: int = 1) -> CompSumSpec:
 
 
 def _eval_modulus(spec: CompSumSpec, modulus: PrimePowerModulus | None) -> PrimePowerModulus:
-    M = modulus if modulus is not None else PrimePowerModulus(spec.p, spec.r)
+    M = modulus if modulus is not None else prime_power(spec.p, spec.r)
     if M.p != spec.p:
         raise ValueError(f"evaluation modulus prime {M.p} != spec prime {spec.p}")
     return M
 
 
-def _shifted(values: list[int], d: int, lo: int, hi: int) -> list[int]:
-    """[values[j - d] for j in lo..hi], reading 0 at negative indices."""
-    start = lo - d
-    if start >= 0:
-        return values[start : hi - d + 1]
-    return [0] * min(-start, hi - lo + 1) + values[: max(0, hi - d + 1)]
+def _shifted(values: Iterable[int], d: int, N: int) -> Iterator[int]:
+    """values[j - d] for j in 1..N, reading 0 at negative indices."""
+    pad = min(d - 1, N)
+    return chain(repeat(0, pad), islice(values, N - pad))
 
 
 class _Ladder:
-    """Rows f**0 .. f**K of one truncated unit series, kept mod p**(e + K*V).
+    """Rows f**1 .. f**K of one truncated unit series to x**N, kept mod p**(e + K*V).
 
     Row k's j-th coefficient comes from row k-1 divided by j, which costs
     up to V = max v_p(j) p-adic digits, so row k is exact modulo
-    p**(e + (K-k)*V) and every row up to K is good to p**e. Rows and
-    targets grow in place while requests stay within K parts and below
-    limit = p**(V+1); anything beyond needs a new ladder.
+    p**(e + (K-k)*V) and every row up to K is good to p**e. The rows are
+    climbed once and streamed: only the row being built and the one below
+    it are alive, so memory is O(N), not O(K*N).
     """
 
     def __init__(self, p: int, bound: int | None, e: int, K: int, N: int):
-        self.p, self.bound, self.e, self.K = p, bound, e, K
-        V, self.limit = 0, p
-        while self.limit <= N:
-            V, self.limit = V + 1, self.limit * p
+        self.p, self.bound, self.e, self.K, self.N = p, bound, e, K, N
+        V, limit = 0, p
+        while limit <= N:
+            V, limit = V + 1, limit * p
         self.prec = e + K * V
-        self.mod = p**self.prec
-        self.rows = [[1]]
-        self.inverses = [0]  # per index j: inverse of j's unit part
-        self.N = 0
-        self.extend(N)
-
-    def serves(self, n: int, N: int) -> bool:
-        return n <= self.K and N < self.limit
-
-    def coefficient(self, n: int, N: int) -> int:
-        if not self.serves(n, N):
-            raise PrecisionError(
-                f"[x**{N}] f**{n} mod {self.p}**{self.e} needs more than the ladder's "
-                f"{self.p}**{self.prec} (built for {self.K} parts, targets below {self.limit})"
-            )
-        self.extend(N)
-        while len(self.rows) <= n:
-            self.rows.append([0] + self._row(self.rows[-1], len(self.rows), 1, self.N))
-        return self.rows[n][N] % self.p**self.e
-
-    def extend(self, N: int) -> None:
-        lo = self.N + 1
-        if N < lo:
-            return
-        p, mod = self.p, self.mod
-        # batch inversion: one pow for the product of the new units
-        units = [j for j in range(lo, N + 1) if j % p]
+        self.mod = mod = p**self.prec
+        # inverses[j] inverts j's unit part; one pow for the product of all units
+        units = [j for j in range(1, N + 1) if j % p]
         products = list(accumulate(units, lambda a, b: a * b % mod, initial=1))
         inverse = pow(products[-1], -1, mod)
         unit_inverses = [0] * len(units)
@@ -154,30 +135,50 @@ class _Ladder:
             unit_inverses[i] = inverse * products[i] % mod
             inverse = inverse * units[i] % mod
         fresh = iter(unit_inverses)
-        inverses = self.inverses
-        for j in range(lo, N + 1):
+        self.inverses = inverses = [0]
+        for j in range(1, N + 1):
             inverses.append(next(fresh) if j % p else inverses[j // p])
-        self.rows[0] += [0] * (N + 1 - lo)
-        for k in range(1, len(self.rows)):
-            self.rows[k] += self._row(self.rows[k - 1], k, lo, N)
-        self.N = N
 
-    def _row(self, prev: list[int], k: int, lo: int, hi: int) -> list[int]:
-        """Coefficients lo..hi of f**k from prev = f**(k-1): j * c_j = k * [x**(j-1)] prev * f'."""
-        p, bound, mod = self.p, self.bound, self.mod
+    def fill(self, wanted: dict[tuple[int, int], int | None]) -> None:
+        """Set wanted[(n, t)] to [x**t] f**n mod p**e for every requested (n, t)."""
+        targets: dict[int, list[int]] = {}
+        for n, t in wanted:
+            if n > self.K or t > self.N:
+                raise PrecisionError(
+                    f"[x**{t}] f**{n} mod {self.p}**{self.e} is beyond the ladder's "
+                    f"{self.p}**{self.prec} (built for {self.K} parts, targets up to {self.N})"
+                )
+            targets.setdefault(n, []).append(t)
+        out = self.p**self.e
+        for k, row in self.rows():
+            for t in targets.get(k, ()):
+                wanted[(k, t)] = row[t] % out
+
+    def rows(self) -> Iterator[tuple[int, list[int]]]:
+        """(k, f**k) for k = 1..K, each row built from the one before and then dropped."""
+        row = [1] + [0] * self.N
+        for k in range(1, self.K + 1):
+            row = self._row(row, k)
+            yield k, row
+
+    def _row(self, prev: list[int], k: int) -> list[int]:
+        """f**k from prev = f**(k-1): j * c_j = k * [x**(j-1)] prev * f'."""
+        p, bound, mod, N = self.p, self.bound, self.mod, self.N
         prefix = list(accumulate(prev))
         by_class = prev[:p]  # by_class[i] = prev[i] + prev[i - p] + prev[i - 2p] + ...
         for i in range(p, len(prev), p):
             by_class += map(add, prev[i : i + p], by_class[i - p : i])
-        # sums[j - lo] = sum of prev[i] over j - bound < i < j with p not dividing j - i
-        sums = list(map(sub, prefix[lo - 1 : hi], _shifted(by_class, p, lo, hi)))
-        if bound is not None and hi >= bound:
-            outside = list(map(sub, prefix, by_class))
-            sums = list(map(sub, sums, _shifted(outside, bound, lo, hi)))
+        # sums[j] = sum of prev[i] over j - bound < i < j with p not dividing j - i
+        sums = map(sub, prefix, _shifted(by_class, p, N))
+        if bound is not None and N >= bound:
+            # minus the parts l >= bound: prev[i] over i <= j - bound off j's class
+            sums = map(sub, sums, _shifted(map(sub, prefix, by_class), bound, N))
+        sums = [0, *sums]
+        del prefix, by_class
         inverses = self.inverses
-        row = [k * s * c % mod for s, c in zip(sums, inverses[lo : hi + 1])]
-        for j in range(-(-lo // p) * p, hi + 1, p):
-            numerator = k * sums[j - lo] % mod
+        row = [k * s * c % mod for s, c in zip(sums, inverses)]
+        for j in range(p, N + 1, p):
+            numerator = k * sums[j] % mod
             v, power = 1, p
             while j % (power * p) == 0:
                 v, power = v + 1, power * p
@@ -186,36 +187,52 @@ class _Ladder:
                     f"p**{v} does not divide the numerator of coefficient {j} in row {k} "
                     f"mod p**{self.prec} (p={p})"
                 )
-            row[j - lo] = numerator // power * inverses[j] % mod
+            row[j] = numerator // power * inverses[j] % mod
         return row
 
 
-# A memo of ladders, so that a sweep's evaluations share them; values never depend
-# on it. It holds one prime's ladders only: a sweep evaluates its instances prime
-# by prime, and keeping every prime's ladders costs memory for no reuse.
-_ladders: dict[tuple[int, int | None, int], _Ladder] = {}
+class Plan:
+    """The composition sums a caller will ask for, grouped by ladder key.
+
+    Each (prime, part bound, precision) key gets one ladder, sized to the
+    largest part count and target requested of it. The first comp_sum
+    call that reaches a key climbs its ladder and fills in every requested
+    coefficient of that key. Values never depend on the plan; only the
+    number of ladders built does.
+    """
+
+    def __init__(self, requests: Iterable[tuple[CompSumSpec, PrimePowerModulus | None]] = ()):
+        self.ladders_built = 0
+        # per key, the requested (n, N) coefficients, None until the key's ladder is climbed
+        self.wanted: dict[tuple[int, int | None, int], dict[tuple[int, int], int | None]] = {}
+        for spec, modulus in requests:
+            M = _eval_modulus(spec, modulus)
+            if spec.target >= spec.n:
+                self.wanted.setdefault((spec.p, spec.upper_bound, M.r), {})[(spec.n, spec.target)] = None
 
 
-def comp_sum(spec: CompSumSpec, modulus: PrimePowerModulus | None = None) -> int:
+def comp_sum(spec: CompSumSpec, modulus: PrimePowerModulus | None = None, plan: Plan | None = None) -> int:
     """Sum of 1/(l_1 * ... * l_n) over the admissible compositions, as a
     canonical int in [0, p**e).
 
     Evaluated mod p**spec.r unless an explicit modulus (same prime, any
     exponent) is supplied. Empty sums return 0, not an error: they are
-    legitimate corner cases (e.g. a single part equal to m * p**r).
+    legitimate corner cases (e.g. a single part equal to m * p**r). A
+    request outside the plan, or made without one, is a plan of its own.
     """
     M = _eval_modulus(spec, modulus)
     n, N = spec.n, spec.target
     if N < n:
         return 0
-    key = (spec.p, spec.upper_bound, M.r)
-    if _ladders and next(iter(_ladders))[0] != spec.p:
-        _ladders.clear()
-    ladder = _ladders.get(key)
-    if ladder is None or not ladder.serves(n, N):
-        K, top = (n, N) if ladder is None else (max(n, ladder.K), max(N, ladder.N))
-        ladder = _ladders[key] = _Ladder(spec.p, spec.upper_bound, M.r, K, top)
-    return ladder.coefficient(n, N)
+    wanted = plan.wanted.get((spec.p, spec.upper_bound, M.r), {}) if plan is not None else {}
+    if (n, N) not in wanted:
+        wanted = {(n, N): None}
+    if wanted[(n, N)] is None:
+        if plan is not None:
+            plan.ladders_built += 1
+        K, top = max(k for k, _ in wanted), max(t for _, t in wanted)
+        _Ladder(spec.p, spec.upper_bound, M.r, K, top).fill(wanted)
+    return wanted[(n, N)]
 
 
 def comp_sum_kronecker(spec: CompSumSpec, modulus: PrimePowerModulus | None = None) -> int:

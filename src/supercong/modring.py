@@ -1,17 +1,19 @@
 """Exact arithmetic modulo prime powers p**r.
 
 Residues are plain ints, canonical in [0, p**r); PrimePowerModulus names
-the ring Z / p**r and validates it (p prime, r >= 1). Every value is
-immutable and every operation is a pure function, so the whole module is
-safe to use from any number of concurrent tasks.
+the ring Z / p**r and validates it (p prime, r >= 1), and prime_power
+builds it once per (p, r) for callers that need it per evaluation. Every
+value is immutable and every operation is a pure function, so the whole
+module is safe to use from any number of concurrent tasks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
-__all__ = ["NonUnitError", "PrimePowerModulus", "is_prime", "rational_to_residue"]
+__all__ = ["NonUnitError", "PrimePowerModulus", "prime_power", "is_prime", "rational_to_residue"]
 
 
 class NonUnitError(ArithmeticError):
@@ -66,6 +68,12 @@ class PrimePowerModulus:
 
     def __repr__(self) -> str:
         return f"PrimePowerModulus({self.p}**{self.r})"
+
+
+@lru_cache(maxsize=None, typed=True)
+def prime_power(p: int, r: int) -> PrimePowerModulus:
+    """PrimePowerModulus(p, r), validated once per (p, r); a bad pair raises every time."""
+    return PrimePowerModulus(p, r)
 
 
 def rational_to_residue(q: Fraction | int, M: PrimePowerModulus) -> int:

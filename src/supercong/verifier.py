@@ -4,16 +4,20 @@ The catalog is one table, CLAIMS: each row is a Claim holding a stable
 id, the congruence actually checked (an ASCII formula printed in
 reports), the default parameter grid as ordered dimensions, the
 hypotheses as (fails, message) pairs drawn from a small shared
-vocabulary, an evaluator producing (lhs, rhs, modulus, note), and a
-conjecture flag. The evaluator is the only per-claim code; one grid
-builder (Claim.grid) and one hypothesis walk (Claim.violated) serve every
-row, and the default grids are sized so the whole catalog sweeps in
-seconds single-threaded.
+vocabulary, the composition sums the claim needs as data (terms), an
+evaluator producing (lhs, rhs, modulus, note) from the instance and those
+sums' values, and a conjecture flag. The terms and the evaluator are the
+only per-claim code; one grid builder (Claim.grid) and one hypothesis
+walk (Claim.violated) serve every row, and the default grids are sized so
+the whole catalog sweeps in seconds single-threaded.
 
 Instances are verified prime by prime (verify_instances), each prime
 against its own EvalContext, in process or as one process-pool task per
 prime; reports, counters and new cache rows do not depend on the number
-of workers.
+of workers. A prime is planned before it is evaluated: the terms of every
+instance that passes its hypotheses, less those already memoized or
+cached, go to compsum as one plan, so that each ladder is built once, at
+the largest part count and target asked of it.
 
 Mixed-precision rule used throughout: a right-hand side of the shape
 c * B * p**j (mod p**(j+1)) is evaluated by reducing the cofactor c * B
@@ -41,12 +45,13 @@ from .compsum import (
     ScaleGuardError,
     count_solutions_exact,
     comp_sum,
+    Plan,
     gamma_n,
     r_spec,
     s_spec,
 )
 from .mhs import mhs, unordered_sum
-from .modring import NonUnitError, PrimePowerModulus, is_prime, rational_to_residue
+from .modring import NonUnitError, is_prime, prime_power, rational_to_residue
 
 __all__ = [
     "ClaimInstance",
@@ -145,16 +150,22 @@ class GridSpec:
     ms: tuple[int, ...] | None = None
 
 
+Term = tuple[CompSumSpec, int]  # a composition sum and the exponent e of its modulus p**e
+
+
 class EvalContext:
     """Shared evaluation state: comp_sum memo, optional persistent cache rows,
-    and an evaluation counter (cache hits never touch the evaluator)."""
+    and counters of evaluations, cache hits and ladder builds (cache hits
+    never touch the evaluator)."""
 
     def __init__(self, cache_rows: Mapping[tuple, int] | None = None):
         self.comp_sum_evals = 0
         self.cache_hits = 0
+        self.ladder_builds = 0
         self._memo: dict[tuple, int] = {}
         self._cache = cache_rows or {}
         self.new_rows: dict[tuple, int] = {}
+        self._plan = Plan()
 
     @staticmethod
     def cache_key(spec: CompSumSpec, mod_exp: int) -> tuple[str, int, int, str]:
@@ -164,6 +175,13 @@ class EvalContext:
             params += f";target={spec.target}"
         return ("comp_sum", spec.p, spec.r, params)
 
+    def plan(self, terms: Iterable[Term]) -> None:
+        """Replace the context's plan by the terms it holds no value for."""
+        self._plan = Plan(
+            (spec, prime_power(spec.p, e)) for spec, e in terms
+            if (key := self.cache_key(spec, e)) not in self._memo and key not in self._cache
+        )
+
     def comp_sum(self, spec: CompSumSpec, mod_exp: int) -> int:
         key = self.cache_key(spec, mod_exp)
         if key in self._memo:
@@ -172,7 +190,9 @@ class EvalContext:
             self.cache_hits += 1
             value = self._cache[key]
         else:
-            value = comp_sum(spec, PrimePowerModulus(spec.p, mod_exp))
+            built = self._plan.ladders_built
+            value = comp_sum(spec, prime_power(spec.p, mod_exp), plan=self._plan)
+            self.ladder_builds += self._plan.ladders_built - built
             self.comp_sum_evals += 1
             self.new_rows[key] = value
         self._memo[key] = value
@@ -234,14 +254,17 @@ class Claim:
     dims is the default grid as ordered (name, values) dimensions; values
     is an iterable, or a function of the point built from the dimensions
     before it. --primes, --r and --m replace the p, r and m dimensions of
-    the rows that have them. hypotheses are checked in order.
+    the rows that have them. hypotheses are checked in order. terms gives
+    the composition sums an instance needs, and evaluate receives their
+    values in the same order.
     """
 
     claim_id: str
     anchor: str
     dims: tuple[tuple[str, Iterable | Callable[[dict], Iterable]], ...]
     hypotheses: tuple[tuple[Callable[[ClaimInstance], bool], str | Callable[[ClaimInstance], str]], ...]
-    evaluate: Callable[[ClaimInstance, EvalContext], tuple[int, int, int, str]]
+    evaluate: Callable[[ClaimInstance, tuple[int, ...]], tuple[int, int, int, str]]
+    terms: Callable[[ClaimInstance], Iterable[Term]] = lambda inst: ()
     conjecture: bool = False
 
     def grid(self, spec: GridSpec = GridSpec()) -> list[ClaimInstance]:
@@ -269,10 +292,10 @@ class Claim:
 
 
 # ---------------------------------------------------------------------------
-# shared right-hand-side helpers and the evaluators
+# shared right-hand-side helpers, and each claim's terms and evaluator
 
 def _rat(c: Fraction | int, p: int, e: int = 1) -> int:
-    return rational_to_residue(c, PrimePowerModulus(p, e))
+    return rational_to_residue(c, prime_power(p, e))
 
 
 def _cof_rhs(c: Fraction | int, bern_indices: Iterable[int], p: int, j: int, e: int) -> int:
@@ -304,36 +327,51 @@ def _odd(x: int) -> bool:
 
 _P_SMALL = primes_between(11, 31)  # (11, 13, 17, 19, 23, 29, 31)
 
+# Each claim's terms come right before its evaluator, which reads their
+# values by position: values[i] is the i-th term's sum mod p**e.
 
-def _eq11_eval(inst: ClaimInstance, ctx: EvalContext):
+
+def _eq11_terms(inst: ClaimInstance):
+    return ((r_spec(3, 1, inst.p), 1),)
+
+
+def _eq11_eval(inst: ClaimInstance, values: tuple[int, ...]):
     p = inst.p
-    lhs = ctx.comp_sum(r_spec(3, 1, p), 1)
     rhs = _cof_rhs(-2, [p - 3], p, 0, 1)
-    return lhs, rhs, p, ""
+    return values[0], rhs, p, ""
 
 
-def _thm1i_eval(inst: ClaimInstance, ctx: EvalContext):
+def _thm1i_terms(inst: ClaimInstance):
+    return ((r_spec(7, inst.m, inst.p), 1),)
+
+
+def _thm1i_eval(inst: ClaimInstance, values: tuple[int, ...]):
     p, m = inst.p, inst.m
-    lhs = ctx.comp_sum(r_spec(7, m, p), 1)
     rhs = _cof_rhs(-(504 * m + 210 * m**3 + 6 * m**5), [p - 7], p, 0, 1)
-    return lhs, rhs, p, ""
+    return values[0], rhs, p, ""
 
 
-def _thm1ii_eval(inst: ClaimInstance, ctx: EvalContext):
+def _thm1ii_terms(inst: ClaimInstance):
+    return ((r_spec(7, inst.m, inst.p, inst.r), inst.r),)
+
+
+def _thm1ii_eval(inst: ClaimInstance, values: tuple[int, ...]):
     p, r, m = inst.p, inst.r, inst.m
-    lhs = ctx.comp_sum(r_spec(7, m, p, r), r)
     rhs = _cof_rhs(Fraction(-factorial(7), 10) * m, [p - 7], p, r - 1, r)
-    return lhs, rhs, p**r, ""
+    return values[0], rhs, p**r, ""
 
 
-def _eq13_eval(inst: ClaimInstance, ctx: EvalContext):
+def _eq13_terms(inst: ClaimInstance):
     p, r = inst.p, inst.r
-    lhs = ctx.comp_sum(s_spec(7, 1, p, r + 1), r + 1)
-    rhs = p * ctx.comp_sum(s_spec(7, 1, p, r), r) % p ** (r + 1)
-    return lhs, rhs, p ** (r + 1), ""
+    return ((s_spec(7, 1, p, r + 1), r + 1), (s_spec(7, 1, p, r), r))
 
 
-def _lem21_eval(inst: ClaimInstance, ctx: EvalContext):
+def _eq13_eval(inst: ClaimInstance, values: tuple[int, ...]):
+    p, r = inst.p, inst.r
+    return values[0], p * values[1] % p ** (r + 1), p ** (r + 1), ""
+
+
+def _lem21_eval(inst: ClaimInstance, values: tuple[int, ...]):
     p, n, m, a = inst.p, inst.n, inst.m, inst.get("a")
     lhs = count_solutions_exact(a, m, n, p) % p**2
     rhs = _cof_rhs(Fraction((-1) ** (m - 1) * comb(n - 2, m - 1)) * gamma_n(a, n), [], p, 1, 2)
@@ -350,28 +388,33 @@ _N7_DIFFS = {
 }
 
 
-def _cor22_eval(inst: ClaimInstance, ctx: EvalContext):
+def _cor22_eval(inst: ClaimInstance, values: tuple[int, ...]):
     p, m, a = inst.p, inst.m, inst.get("a")
     lhs = (count_solutions_exact(a, m, 7, p) - count_solutions_exact(7 - a, m, 7, p)) % p**2
     rhs = _cof_rhs(_N7_DIFFS[(m, a)], [], p, 1, 2)
     return lhs, rhs, p**2, ""
 
 
-def _lem23i_eval(inst: ClaimInstance, ctx: EvalContext):
+def _lem23i_terms(inst: ClaimInstance):
     p, r, n, k = inst.p, inst.r, inst.n, inst.m
-    lhs = ctx.comp_sum(s_spec(n, k, p, r), r)
-    rhs = (-1) ** n * ctx.comp_sum(s_spec(n, n - k, p, r), r) % p**r
-    return lhs, rhs, p**r, ""
+    return ((s_spec(n, k, p, r), r), (s_spec(n, n - k, p, r), r))
 
 
-def _lem23ii_eval(inst: ClaimInstance, ctx: EvalContext):
+def _lem23i_eval(inst: ClaimInstance, values: tuple[int, ...]):
+    p, r, n = inst.p, inst.r, inst.n
+    return values[0], (-1) ** n * values[1] % p**r, p**r, ""
+
+
+def _lem23ii_terms(inst: ClaimInstance):
+    p, r, n, m = inst.p, inst.r, inst.n, inst.m
+    return ((s_spec(n, m, p, r + 1), r + 1), *((s_spec(n, a, p, r), r + 1) for a in range(1, n)))
+
+
+def _lem23ii_eval(inst: ClaimInstance, values: tuple[int, ...]):
     p, r, n, m = inst.p, inst.r, inst.n, inst.m
     e = r + 1
-    lhs = ctx.comp_sum(s_spec(n, m, p, r + 1), e)
-    rhs = 0
-    for a in range(1, n):
-        rhs += count_solutions_exact(a, m, n, p) * ctx.comp_sum(s_spec(n, a, p, r), e)
-    return lhs, rhs % p**e, p**e, ""
+    rhs = sum(count_solutions_exact(a, m, n, p) * values[a] for a in range(1, n))
+    return values[0], rhs % p**e, p**e, ""
 
 
 _U_COMPS = (
@@ -385,141 +428,169 @@ _U_COMPS = (
 )
 
 
-def _u_eval(inst: ClaimInstance, ctx: EvalContext):
+def _u_eval(inst: ClaimInstance, values: tuple[int, ...]):
     p = inst.p
     alphas = inst.get("alphas")
     b = inst.get("b", 1)
     n = len(alphas)
     w = sum(alphas)
     if _odd(w):
-        lhs = unordered_sum(b, alphas, PrimePowerModulus(p, 3))
+        lhs = unordered_sum(b, alphas, prime_power(p, 3))
         c = Fraction((-1) ** n * factorial(n - 1) * b * b * w * (w + 1), 2 * (w + 2))
         rhs = _cof_rhs(c, [p - w - 2], p, 2, 3)
         return lhs, rhs, p**3, "odd-weight branch"
-    lhs = unordered_sum(b, alphas, PrimePowerModulus(p, 2))
+    lhs = unordered_sum(b, alphas, prime_power(p, 2))
     c = Fraction((-1) ** (n - 1) * factorial(n - 1) * b * w, w + 1)
     rhs = _cof_rhs(c, [p - w - 1], p, 1, 2)
     return lhs, rhs, p**2, "even-weight branch"
 
 
-def _cor32_eval(inst: ClaimInstance, ctx: EvalContext):
+def _cor32_eval(inst: ClaimInstance, values: tuple[int, ...]):
     p, n, alpha = inst.p, inst.n, inst.get("alpha")
     w = n * alpha
     if _odd(w):
-        lhs = mhs(p - 1, (alpha,) * n, PrimePowerModulus(p, 3))
+        lhs = mhs(p - 1, (alpha,) * n, prime_power(p, 3))
         rhs = _cof_rhs(Fraction((-1) ** n * alpha * (w + 1), 2 * (w + 2)), [p - w - 2], p, 2, 3)
         return lhs, rhs, p**3, "odd-weight branch"
-    lhs = mhs(p - 1, (alpha,) * n, PrimePowerModulus(p, 2))
+    lhs = mhs(p - 1, (alpha,) * n, prime_power(p, 2))
     rhs = _cof_rhs(Fraction((-1) ** (n - 1) * alpha, w + 1), [p - w - 1], p, 1, 2)
     return lhs, rhs, p**2, "even-weight branch"
 
 
-def _lem33_eval(inst: ClaimInstance, ctx: EvalContext):
+def _lem33_terms(inst: ClaimInstance):
+    return ((r_spec(inst.n, 1, inst.p), 1 if _odd(inst.n) else 2),)
+
+
+def _lem33_eval(inst: ClaimInstance, values: tuple[int, ...]):
     p, n = inst.p, inst.n
     if _odd(n):
-        lhs = ctx.comp_sum(r_spec(n, 1, p), 1)
         rhs = _cof_rhs(-factorial(n - 1), [p - n], p, 0, 1)
-        return lhs, rhs, p, ""
-    lhs = ctx.comp_sum(r_spec(n, 1, p), 2)
+        return values[0], rhs, p, ""
     rhs = _cof_rhs(Fraction(-n * factorial(n), 2 * (n + 1)), [p - n - 1], p, 1, 2)
     note = "even branch; cofactor -n*n!/(2(n+1)), the factor 2 confirmed against exact rationals"
-    return lhs, rhs, p**2, note
+    return values[0], rhs, p**2, note
 
 
-def _lem35_eval(inst: ClaimInstance, ctx: EvalContext):
+def _lem35_terms(inst: ClaimInstance):
+    return ((r_spec(inst.n, 2, inst.p), 1),)
+
+
+def _lem35_eval(inst: ClaimInstance, values: tuple[int, ...]):
     p, n = inst.p, inst.n
-    lhs = ctx.comp_sum(r_spec(n, 2, p), 1)
     rhs = _cof_rhs(Fraction(-(n + 1) * factorial(n - 1), 2), [p - n], p, 0, 1)
-    return lhs, rhs, p, ""
+    return values[0], rhs, p, ""
 
 
-def _cor36_eval(inst: ClaimInstance, ctx: EvalContext):
+def _cor36_terms(inst: ClaimInstance):
+    return ((s_spec(inst.n, 2, inst.p), 1),)
+
+
+def _cor36_eval(inst: ClaimInstance, values: tuple[int, ...]):
     p, n = inst.p, inst.n
-    lhs = ctx.comp_sum(s_spec(n, 2, p), 1)
     rhs = _cof_rhs(Fraction((n - 1) * factorial(n - 1), 2), [p - n], p, 0, 1)
-    return lhs, rhs, p, ""
+    return values[0], rhs, p, ""
 
 
-def _lem37_eval(inst: ClaimInstance, ctx: EvalContext):
+def _lem37_terms(inst: ClaimInstance):
+    return ((r_spec(inst.n, 3, inst.p), 1),)
+
+
+def _lem37_eval(inst: ClaimInstance, values: tuple[int, ...]):
     p, n = inst.p, inst.n
-    lhs = ctx.comp_sum(r_spec(n, 3, p), 1)
     if n == 3:
         # three bounded parts cannot reach 3p, so the decomposition
         # R = S + C(n+1,2) S(1) + n S(2) collapses to -6 B(p-3)
         rhs = _cof_rhs(-6, [p - 3], p, 0, 1)
-        return lhs, rhs, p, "degenerate n=3 value; general cofactor does not apply"
+        return values[0], rhs, p, "degenerate n=3 value; general cofactor does not apply"
     main = _cof_rhs(Fraction(-(n + 1) * (n + 2) * factorial(n - 1), 6), [p - n], p, 0, 1)
     rhs = (main - _triple_bernoulli(p, n)) % p
-    return lhs, rhs, p, ""
+    return values[0], rhs, p, ""
 
 
-def _cor38_eval(inst: ClaimInstance, ctx: EvalContext):
+def _cor38_terms(inst: ClaimInstance):
+    return ((s_spec(inst.n, 3, inst.p), 1),)
+
+
+def _cor38_eval(inst: ClaimInstance, values: tuple[int, ...]):
     p, n = inst.p, inst.n
-    lhs = ctx.comp_sum(s_spec(n, 3, p), 1)
     if n == 3:
         # the bounded family is empty: three parts below p cannot sum to 3p
-        return lhs, 0, p, "degenerate n=3 value; the bounded sum is empty"
+        return values[0], 0, p, "degenerate n=3 value; the bounded sum is empty"
     main = _cof_rhs(Fraction(-(n - 1) * (n - 2) * factorial(n - 1), 6), [p - n], p, 0, 1)
     rhs = (main - _triple_bernoulli(p, n)) % p
-    return lhs, rhs, p, ""
+    return values[0], rhs, p, ""
 
 
-def _prop41_eval(inst: ClaimInstance, ctx: EvalContext):
+def _prop41_terms(inst: ClaimInstance):
     p, r = inst.p, inst.r
-    lhs = ctx.comp_sum(s_spec(7, 1, p, r + 1), r + 1)
+    return ((s_spec(7, 1, p, r + 1), r + 1),)
+
+
+def _prop41_eval(inst: ClaimInstance, values: tuple[int, ...]):
+    p, r = inst.p, inst.r
     rhs = _cof_rhs(Fraction(-factorial(7), 10), [p - 7], p, r, r + 1)
-    return lhs, rhs, p ** (r + 1), ""
+    return values[0], rhs, p ** (r + 1), ""
 
 
-def _eq41_eval(inst: ClaimInstance, ctx: EvalContext):
+def _eq41_terms(inst: ClaimInstance):
     p, r, m = inst.p, inst.r, inst.m
-    lhs = ctx.comp_sum(r_spec(7, m, p, r), r)
-    rhs = 0
-    for a in range(1, 7):
-        rhs += comb(m + 6 - a, 6) * ctx.comp_sum(s_spec(7, a, p, r), r)
-    return lhs, rhs % p**r, p**r, ""
+    return ((r_spec(7, m, p, r), r), *((s_spec(7, a, p, r), r) for a in range(1, 7)))
 
 
-def _eq51_eval(inst: ClaimInstance, ctx: EvalContext):
+def _eq41_eval(inst: ClaimInstance, values: tuple[int, ...]):
+    p, r, m = inst.p, inst.r, inst.m
+    rhs = sum(comb(m + 6 - a, 6) * values[a] for a in range(1, 7))
+    return values[0], rhs % p**r, p**r, ""
+
+
+def _eq51_terms(inst: ClaimInstance):
+    return ((s_spec(inst.n, inst.m, inst.p), 1),)
+
+
+def _eq51_eval(inst: ClaimInstance, values: tuple[int, ...]):
     p, d, m = inst.p, inst.n, inst.m
     c = Fraction(-1) if m == 1 else Fraction(d - 1, 2)
-    lhs = ctx.comp_sum(s_spec(d, m, p), 1)
     rhs = _cof_rhs(c * factorial(d - 1), [p - d], p, 0, 1)
-    return lhs, rhs, p, ""
+    return values[0], rhs, p, ""
 
 
-def _eq52_eval(inst: ClaimInstance, ctx: EvalContext):
+def _eq52_terms(inst: ClaimInstance):
+    return ((r_spec(inst.n, inst.m, inst.p), 1),)
+
+
+def _eq52_eval(inst: ClaimInstance, values: tuple[int, ...]):
     p, d, m = inst.p, inst.n, inst.m
     c = Fraction(-1) if m == 1 else Fraction(-(d + 1), 2)
-    lhs = ctx.comp_sum(r_spec(d, m, p), 1)
     rhs = _cof_rhs(c * factorial(d - 1), [p - d], p, 0, 1)
-    return lhs, rhs, p, ""
+    return values[0], rhs, p, ""
 
 
-def _conj8_eval(inst: ClaimInstance, ctx: EvalContext):
+def _conj_terms(weight: int):
+    """R(weight, m, p) mod p, the one sum of CONJ-5.1-w<weight>."""
+    return lambda inst: ((r_spec(weight, inst.m, inst.p), 1),)
+
+
+def _conj8_eval(inst: ClaimInstance, values: tuple[int, ...]):
     p, m = inst.p, inst.m
-    lhs = ctx.comp_sum(r_spec(8, m, p), 1)
     c = Fraction(112, 5) * m * (m * m + 16) * (m * m - 1)
     rhs = _cof_rhs(c, [p - 3, p - 5], p, 0, 1)
-    return lhs, rhs, p, ""
+    return values[0], rhs, p, ""
 
 
-def _conj9_eval(inst: ClaimInstance, ctx: EvalContext):
+def _conj9_eval(inst: ClaimInstance, values: tuple[int, ...]):
     p, m = inst.p, inst.m
-    lhs = ctx.comp_sum(r_spec(9, m, p), 1)
     rhs = (
         _cof_rhs(Fraction(-factorial(8), 18) * comb(m + 2, 5), [p - 3, p - 3, p - 3], p, 0, 1)
         + _cof_rhs(-8 * m * (m**6 + 126 * m**4 + 1869 * m**2 + 3044), [p - 9], p, 0, 1)
     ) % p
-    return lhs, rhs, p, ""
+    return values[0], rhs, p, ""
 
 
-def _conj10_eval(inst: ClaimInstance, ctx: EvalContext):
+def _conj10_eval(inst: ClaimInstance, values: tuple[int, ...]):
     p, m = inst.p, inst.m
-    lhs = ctx.comp_sum(r_spec(10, m, p), 1)
     c = Fraction(-24, 35) * m * (m**4 + 71 * m**2 + 540) * (m * m - 1)
     rhs = (_cof_rhs(c * 50, [p - 3, p - 7], p, 0, 1) + _cof_rhs(c * 21, [p - 5, p - 5], p, 0, 1)) % p
-    return lhs, rhs, p, ""
+    return values[0], rhs, p, ""
 
 
 # ---------------------------------------------------------------------------
@@ -562,6 +633,7 @@ CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
         (("p", primes_between(5, 97)),),
         (_p_at_least(3),),
         _eq11_eval,
+        _eq11_terms,
     ),
     Claim(
         "THM-1.1-i",
@@ -569,6 +641,7 @@ CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
         (("p", primes_between(11, 47)), ("m", (1, 2, 3))),
         (_p_above(7), *_MULTIPLIER),
         _thm1i_eval,
+        _thm1i_terms,
     ),
     Claim(
         "THM-1.1-ii",
@@ -576,6 +649,7 @@ CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
         (("p", (11, 13)), ("r", (2, 3)), ("m", (1, 2))),
         (_p_above(7), _at_least("r", 2), *_MULTIPLIER),
         _thm1ii_eval,
+        _thm1ii_terms,
     ),
     Claim(
         "EQ-1.3",
@@ -583,6 +657,7 @@ CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
         (("p", (11,)), ("r", (2,))),
         (_p_above(7), _at_least("r", 2)),
         _eq13_eval,
+        _eq13_terms,
     ),
     Claim(
         "LEM-2.1",
@@ -605,6 +680,7 @@ CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
         (("p", (11, 13)), ("r", (1, 2)), ("n", range(3, 9)), ("m", _below_n)),
         (_at_least("n", 2), _p_above_n(), _within_1_and_n_minus_1("m", "k"), _at_least("r", 1)),
         _lem23i_eval,
+        _lem23i_terms,
     ),
     Claim(
         "LEM-2.3-ii",
@@ -612,6 +688,7 @@ CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
         (("p", (11,)), ("r", (1, 2)), ("m", range(1, 7)), ("n", (7,))),
         (_at_least("n", 2), _p_above_n(), _within_1_and_n_minus_1("m", "m"), _at_least("r", 1)),
         _lem23ii_eval,
+        _lem23ii_terms,
     ),
     Claim(
         "LEM-3.1",
@@ -637,6 +714,7 @@ CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
         (("p", _P_SMALL), ("n", range(2, 10))),
         (_at_least("n", 2, "requires n > 1"), _p_above_n(1)),
         _lem33_eval,
+        _lem33_terms,
     ),
     Claim(
         "LEM-3.4",
@@ -652,6 +730,7 @@ CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
         (("p", _P_SMALL), ("n", (3, 5, 7, 9))),
         (_odd_at_least(3), _p_above_n(1, "requires p > n+1 (added hypothesis)")),
         _lem35_eval,
+        _lem35_terms,
     ),
     Claim(
         "COR-3.6",
@@ -659,6 +738,7 @@ CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
         (("p", _P_SMALL), ("n", (5, 7, 9))),
         (_odd_at_least(5), _p_above_n()),
         _cor36_eval,
+        _cor36_terms,
     ),
     Claim(
         "LEM-3.7",
@@ -667,6 +747,7 @@ CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
         (("p", _P_SMALL), ("n", (3, 5, 7, 9))),
         _TRIPLE_HYPOTHESES,
         _lem37_eval,
+        _lem37_terms,
     ),
     Claim(
         "COR-3.8",
@@ -675,6 +756,7 @@ CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
         (("p", _P_SMALL), ("n", (3, 5, 7, 9))),
         _TRIPLE_HYPOTHESES,
         _cor38_eval,
+        _cor38_terms,
     ),
     Claim(
         "PROP-4.1",
@@ -682,6 +764,7 @@ CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
         (("p", (11, 13)), ("r", (1, 2))),
         (_p_above(7), _at_least("r", 1)),
         _prop41_eval,
+        _prop41_terms,
     ),
     Claim(
         "EQ-4.1",
@@ -689,6 +772,7 @@ CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
         (("p", (11,)), ("r", (1, 2)), ("m", (1, 2, 3))),
         (_p_above(7), _at_least("r", 1), _at_least("m", 1)),
         _eq41_eval,
+        _eq41_terms,
     ),
     Claim(
         "EQ-5.1",
@@ -696,6 +780,7 @@ CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
         (("p", _P_SMALL), ("n", (3, 5, 7, 9)), ("m", (1, 2))),
         _ODD_DEPTH_HYPOTHESES,
         _eq51_eval,
+        _eq51_terms,
     ),
     Claim(
         "EQ-5.2",
@@ -703,6 +788,7 @@ CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
         (("p", _P_SMALL), ("n", (3, 5, 7, 9)), ("m", (1, 2))),
         _ODD_DEPTH_HYPOTHESES,
         _eq52_eval,
+        _eq52_terms,
     ),
     Claim(
         "CONJ-5.1-w8",
@@ -710,6 +796,7 @@ CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
         (("p", _P_SMALL), ("m", (1, 2, 3, 4))),
         _CONJ_HYPOTHESES,
         _conj8_eval,
+        _conj_terms(8),
         conjecture=True,
     ),
     Claim(
@@ -718,6 +805,7 @@ CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
         (("p", _P_SMALL), ("m", (1, 2, 3, 4))),
         _CONJ_HYPOTHESES,
         _conj9_eval,
+        _conj_terms(9),
         conjecture=True,
     ),
     Claim(
@@ -726,6 +814,7 @@ CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
         (("p", _P_SMALL), ("m", (1, 2, 3, 4))),
         _CONJ_HYPOTHESES,
         _conj10_eval,
+        _conj_terms(10),
         conjecture=True,
     ),
 )}
@@ -734,6 +823,63 @@ CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
 # ---------------------------------------------------------------------------
 # evaluation driver
 
+_EVAL_ERRORS = (NonUnitError, PoleError, ScaleGuardError, ValueError, KeyError, TypeError)
+
+
+def _prepare(instance: ClaimInstance) -> tuple[Claim, ClaimReport | tuple[Term, ...]]:
+    """The instance's claim, and either its final report (a skip or an
+    error) or the composition-sum terms its evaluation needs."""
+    claim = CLAIMS.get(instance.claim_id)
+    if claim is None:
+        raise KeyError(f"unknown claim id {instance.claim_id!r}")
+    if not is_prime(instance.p):
+        return claim, ClaimReport(instance, "skip", note=f"{instance.p} is not prime", anchor=claim.anchor)
+    try:
+        reason = claim.violated(instance)
+    except (KeyError, TypeError) as exc:
+        return claim, ClaimReport(instance, "error", note=f"bad parameters: {exc}", anchor=claim.anchor)
+    if reason is not None:
+        return claim, ClaimReport(instance, "skip", note=reason, anchor=claim.anchor)
+    try:
+        return claim, tuple(claim.terms(instance))
+    except _EVAL_ERRORS as exc:
+        return claim, ClaimReport(instance, "error", note=f"{type(exc).__name__}: {exc}", anchor=claim.anchor)
+
+
+def _evaluate(claim: Claim, instance: ClaimInstance, terms: tuple[Term, ...], ctx: EvalContext) -> ClaimReport:
+    try:
+        values = tuple(ctx.comp_sum(spec, e) for spec, e in terms)
+        lhs, rhs, modulus, note = claim.evaluate(instance, values)
+    except _EVAL_ERRORS as exc:
+        return ClaimReport(instance, "error", note=f"{type(exc).__name__}: {exc}", anchor=claim.anchor)
+    if lhs == rhs:
+        status = "pass"
+    else:
+        status = "finding" if claim.conjecture else "fail"
+        tag = "conjecture mismatch" if claim.conjecture else "congruence fails"
+        note = f"{tag}: lhs {lhs} != rhs {rhs} (mod {modulus})" + (f"; {note}" if note else "")
+    return ClaimReport(instance, status, lhs=lhs, rhs=rhs, modulus=modulus, note=note, anchor=claim.anchor)
+
+
+def _verify_planned(instances: Iterable[ClaimInstance], ctx: EvalContext) -> list[ClaimReport]:
+    """Check every instance's hypotheses and collect its terms, hand all the
+    terms to ctx as one plan, then evaluate the instances in order."""
+    prepared = []
+    for instance in instances:
+        start = time.perf_counter()
+        claim, outcome = _prepare(instance)
+        prepared.append((claim, instance, outcome, time.perf_counter() - start))
+    ctx.plan(term for _, _, outcome, _ in prepared if not isinstance(outcome, ClaimReport) for term in outcome)
+    reports = []
+    for claim, instance, outcome, seconds in prepared:
+        start = time.perf_counter()
+        if not isinstance(outcome, ClaimReport):
+            outcome = _evaluate(claim, instance, outcome, ctx)
+        outcome.elapsed_ms = (seconds + time.perf_counter() - start) * 1000.0
+        reports.append(outcome)
+    return reports
+
+
 def verify(instance: ClaimInstance, ctx: EvalContext | None = None) -> ClaimReport:
     """Evaluate one claim instance into a ClaimReport.
 
@@ -741,35 +887,7 @@ def verify(instance: ClaimInstance, ctx: EvalContext | None = None) -> ClaimRepo
     domain errors (non-units, Bernoulli poles, scale guards, malformed
     parameters) yield an error report.
     """
-    claim = CLAIMS.get(instance.claim_id)
-    if claim is None:
-        raise KeyError(f"unknown claim id {instance.claim_id!r}")
-    ctx = ctx if ctx is not None else EvalContext()
-    start = time.perf_counter()
-
-    def done(report: ClaimReport) -> ClaimReport:
-        report.elapsed_ms = (time.perf_counter() - start) * 1000.0
-        return report
-
-    if not is_prime(instance.p):
-        return done(ClaimReport(instance, "skip", note=f"{instance.p} is not prime", anchor=claim.anchor))
-    try:
-        reason = claim.violated(instance)
-    except (KeyError, TypeError) as exc:
-        return done(ClaimReport(instance, "error", note=f"bad parameters: {exc}", anchor=claim.anchor))
-    if reason is not None:
-        return done(ClaimReport(instance, "skip", note=reason, anchor=claim.anchor))
-    try:
-        lhs, rhs, modulus, note = claim.evaluate(instance, ctx)
-    except (NonUnitError, PoleError, ScaleGuardError, ValueError, KeyError, TypeError) as exc:
-        return done(ClaimReport(instance, "error", note=f"{type(exc).__name__}: {exc}", anchor=claim.anchor))
-    if lhs == rhs:
-        status = "pass"
-    else:
-        status = "finding" if claim.conjecture else "fail"
-        tag = "conjecture mismatch" if claim.conjecture else "congruence fails"
-        note = f"{tag}: lhs {lhs} != rhs {rhs} (mod {modulus})" + (f"; {note}" if note else "")
-    return done(ClaimReport(instance, status, lhs=lhs, rhs=rhs, modulus=modulus, note=note, anchor=claim.anchor))
+    return _verify_planned([instance], ctx if ctx is not None else EvalContext())[0]
 
 
 def _by_prime(rows: Mapping[tuple, int]) -> dict[int, dict[tuple, int]]:
@@ -786,7 +904,7 @@ def _verify_prime(task: tuple[list[ClaimInstance], dict, dict]) -> tuple[list[Cl
     instances, cache_rows, memo = task
     ctx = EvalContext(cache_rows)
     ctx._memo.update(memo)
-    return [verify(inst, ctx) for inst in instances], ctx
+    return _verify_planned(instances, ctx), ctx
 
 
 def verify_instances(
@@ -797,11 +915,12 @@ def verify_instances(
     """Verify instances prime by prime, in process or over a pool of `jobs`
     processes with one task per prime.
 
-    A prime's instances share one context, so compsum's one-prime ladder
-    memo serves every claim at that prime. The counters, new rows and
-    memo of each prime's context are merged into ctx in ascending prime
-    order, and reports come back in lexicographic (claim_id, p, r, m, n,
-    extra) order, so neither depends on the number of workers.
+    A prime's instances share one context and one compsum plan, so each
+    ladder at that prime is built once and serves every claim. The
+    counters, new rows and memo of each prime's context are merged into
+    ctx in ascending prime order, and reports come back in lexicographic
+    (claim_id, p, r, m, n, extra) order, so neither depends on the number
+    of workers.
     """
     ctx = ctx if ctx is not None else EvalContext()
     groups: dict[int, list[ClaimInstance]] = {}
@@ -821,6 +940,7 @@ def verify_instances(
         reports.extend(group_reports)
         ctx.comp_sum_evals += shard.comp_sum_evals
         ctx.cache_hits += shard.cache_hits
+        ctx.ladder_builds += shard.ladder_builds
         ctx.new_rows.update(shard.new_rows)
         ctx._memo.update(shard._memo)
     reports.sort(key=lambda rep: rep.instance.sort_key())

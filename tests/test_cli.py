@@ -61,6 +61,17 @@ class TestVerifyCommand:
         monkeypatch.setitem(CLAIMS, "TEST-ERR", claim)
         assert run(capsys, ["verify", "--claims", "TEST-ERR"])[0] == 2
 
+    @pytest.mark.parametrize("flag, text", [("--primes", "11..5"), ("--primes", "4"),
+                                            ("--r", "3..2"), ("--m", "5..1")])
+    def test_grid_flag_selecting_nothing_exits_two_before_the_cache(self, capsys, tmp_path, flag, text):
+        # an empty grid would print an empty report and "pass" having checked nothing
+        cache = tmp_path / "cache.csv"
+        cache.write_text("not,a,cache\n")  # reading it would fail with another message
+        rc, out, err = run(capsys, ["verify", "--claims", "EQ-1.1,THM-1.1-ii", flag, text,
+                                    "--cache", str(cache)])
+        assert (rc, out) == (2, "")
+        assert err == f"{flag} {text!r} selects no value\n"
+
     def test_conjecture_finding_does_not_fail_exit(self, capsys):
         rc, out, _ = run(
             capsys,

@@ -1,3 +1,4 @@
+import gc
 import random
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from supercong.compsum import (
     s_spec,
 )
 from supercong.modring import PrimePowerModulus, rational_to_residue
+from supercong.verifier import EvalContext
 
 
 class TestSpecValidation:
@@ -86,8 +88,7 @@ class TestCompSum:
 
 
 def _fresh(spec, M):
-    """comp_sum with no ladder left over from earlier requests."""
-    compsum._ladders.clear()
+    """comp_sum on a ladder of its own, sized to this one request."""
     return comp_sum(spec, M)
 
 
@@ -130,33 +131,74 @@ class TestLadder:
         requests += [(s_spec(7, 3, 13, 2), M13), (r_spec(5, 2, 13, 1), M13)]
         requests += [(s_spec(n, m, 11, 2), M11) for n, m in [(6, 4), (3, 2), (10, 7)]]
         expected = [_fresh(spec, M) for spec, M in requests]
-        compsum._ladders.clear()
-        assert [comp_sum(spec, M) for spec, M in requests] == expected
+        plan = compsum.Plan(requests)
+        assert [comp_sum(spec, M, plan) for spec, M in requests] == expected
         shuffled = list(zip(requests, expected))
         random.Random(3).shuffle(shuffled)
-        compsum._ladders.clear()
-        assert [comp_sum(spec, M) for (spec, M), _ in shuffled] == [want for _, want in shuffled]
+        plan = compsum.Plan(spec_M for spec_M, _ in shuffled)
+        assert [comp_sum(spec, M, plan) for (spec, M), _ in shuffled] == [want for _, want in shuffled]
 
     def test_ladders_kept_for_one_prime_only(self):
-        comp_sum(r_spec(3, 2, 11), PrimePowerModulus(11, 2))
-        comp_sum(s_spec(3, 2, 11), PrimePowerModulus(11, 2))
-        comp_sum(r_spec(3, 1, 13))
-        assert {key[0] for key in compsum._ladders} == {13}
+        # a sweep's context replaces its plan, and the values it holds, prime by prime
+        ctx = EvalContext()
+        ctx.plan([(r_spec(3, 2, 11), 2), (s_spec(3, 2, 11), 2)])
+        ctx.comp_sum(r_spec(3, 2, 11), 2)
+        ctx.comp_sum(s_spec(3, 2, 11), 2)
+        ctx.plan([(r_spec(3, 1, 13), 1)])
+        ctx.comp_sum(r_spec(3, 1, 13), 1)
+        assert {key[0] for key in ctx._plan.wanted} == {13}
+        assert ctx.ladder_builds == 3
 
     def test_short_precision_raises(self):
         # built for one part: mod 11**(1 + 1*2), two digits short of what row 3 needs
         ladder = compsum._Ladder(11, None, 1, 1, 300)
         with pytest.raises(PrecisionError):
-            ladder.coefficient(3, 300)
+            ladder.fill({(3, 300): None})
         with pytest.raises(PrecisionError):
-            ladder.coefficient(1, 11**3)
+            ladder.fill({(1, 11**3): None})
 
     def test_failed_exact_division_raises(self):
         ladder = compsum._Ladder(11, None, 1, 3, 300)
-        ladder.coefficient(1, 300)
-        ladder.rows[1][1] += 1  # a wrong row: 11 no longer divides row 2's numerator at 11
+        rows = ladder.rows()
+        _, row = next(rows)
+        row[1] += 1  # a wrong row: 11 no longer divides row 2's numerator at 11
         with pytest.raises(PrecisionError):
-            ladder.coefficient(2, 300)
+            next(rows)
+
+    def test_climb_holds_at_most_two_rows(self):
+        # rows are streamed: at each step only the new row and the one it came
+        # from may be alive, not every row below it
+        N = 11**4
+        ladder = compsum._Ladder(11, None, 1, 9, N)
+
+        def alive_rows():
+            return sum(1 for obj in gc.get_objects()
+                       if type(obj) is list and len(obj) == N + 1 and obj is not ladder.inverses)
+
+        counts = [alive_rows() for _, row in ladder.rows()]
+        assert len(counts) == 9 and max(counts) <= 2, counts
+
+    def test_plan_builds_one_ladder_per_key(self, monkeypatch):
+        builds = []
+        build = compsum._Ladder.__init__
+
+        def counting(self, *args):
+            builds.append(args)
+            build(self, *args)
+
+        monkeypatch.setattr(compsum._Ladder, "__init__", counting)
+        M2, M3 = PrimePowerModulus(11, 2), PrimePowerModulus(11, 3)
+        requests = [(s_spec(3, 1, 11, 2), M2), (s_spec(9, 5, 11, 2), M2), (r_spec(4, 2, 11), M2),
+                    (s_spec(5, 1, 11, 2), M3), (s_spec(3, 1, 11, 2), M2)]
+        expected = [_fresh(spec, M) for spec, M in requests]
+        assert len(builds) == 5  # unplanned: one ladder per request
+        del builds[:]
+        plan = compsum.Plan(requests)
+        assert [comp_sum(spec, M, plan) for spec, M in requests] == expected
+        assert plan.ladders_built == 3
+        # one ladder per (p, bound, e), each at its largest part count and target
+        assert sorted(builds, key=repr) == sorted(
+            [(11, 121, 2, 9, 605), (11, None, 2, 4, 22), (11, 121, 3, 5, 121)], key=repr)
 
     def test_importing_the_cli_does_not_import_numpy(self):
         code = "import sys, supercong.cli; print('numpy' in sys.modules)"

@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 
-from supercong import compsum
+from supercong import compsum, modring, verifier
 from supercong.bernoulli import bernoulli_mod_p
 from supercong.compsum import comp_sum, s_spec
 from supercong.modring import PrimePowerModulus, rational_to_residue
@@ -267,7 +267,6 @@ class TestSweep:
             builds.append(args[:3])
             build(self, *args)
 
-        monkeypatch.setattr(compsum, "_ladders", {})
         monkeypatch.setattr(compsum._Ladder, "__init__", counting)
         claims = ["CONJ-5.1-w10", "LEM-3.5", "LEM-3.7"]
         reports = sweep(claims, GridSpec(primes=(13, 11)))
@@ -295,6 +294,78 @@ class TestSweep:
         reports = sweep(["TEST-FALSE"])
         assert len(reports) == 1 and reports[0].status == "fail"
         assert "congruence fails" in reports[0].note
+
+
+def _ladder_keys(rows):
+    """The (p, part bound, e) ladder key of every comp_sum cache row."""
+    keys = set()
+    for _, p, r, params in rows:
+        fields = dict(field.split("=") for field in params.split(";"))
+        keys.add((p, p**r if fields["kind"] == "S" else None, int(fields["e"])))
+    return keys
+
+
+class TestPlan:
+    """A sweep plans each prime before evaluating it, so that each ladder is built once."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        built = []
+        build = compsum._Ladder.__init__
+
+        def counting(self, *args):
+            built.append(args[:3])
+            build(self, *args)
+
+        monkeypatch.setattr(compsum._Ladder, "__init__", counting)
+        return built
+
+    def test_catalog_builds_one_ladder_per_key(self, builds):
+        ctx = EvalContext()
+        sweep(list(CLAIMS), ctx=ctx)
+        assert len(builds) == len(set(builds)) == ctx.ladder_builds == 45
+        assert set(builds) == _ladder_keys(ctx.new_rows)
+        ctx = EvalContext(cache_rows=ctx.new_rows)
+        sweep(list(CLAIMS), ctx=ctx)  # a filled cache: nothing left to plan
+        assert (len(builds), ctx.ladder_builds, ctx.comp_sum_evals, ctx.cache_hits) == (45, 0, 0, 407)
+
+    def test_catalog_ladders_at_two_jobs(self):
+        ctx = EvalContext()
+        sweep(list(CLAIMS), ctx=ctx, jobs=2)
+        assert (ctx.ladder_builds, ctx.comp_sum_evals) == (45, 407)
+
+    def test_memoized_terms_are_not_planned(self, builds):
+        ctx = EvalContext()
+        sweep(["PROP-4.1"], GridSpec(primes=(11,), rs=(1, 2)), ctx=ctx)
+        del builds[:]
+        sweep(["EQ-1.3", "PROP-4.1"], GridSpec(primes=(11,), rs=(2, 3)), ctx=ctx)
+        # EQ-1.3 at r = 2 reads PROP-4.1's sums at r = 1, 2 from the memo; EQ-1.3
+        # at r = 3 and PROP-4.1 at r = 3 share the only new ladder, S mod 11**4
+        assert builds == [(11, 11**4, 4)]
+
+    def test_warm_catalog_builds_each_modulus_once(self, monkeypatch):
+        cold = EvalContext()
+        sweep(list(CLAIMS), ctx=cold)
+        counts = {"moduli": 0, "is_prime": 0}
+        post_init, is_prime = modring.PrimePowerModulus.__post_init__, modring.is_prime
+
+        def counted_post_init(self):
+            counts["moduli"] += 1
+            post_init(self)
+
+        def counted_is_prime(n):
+            counts["is_prime"] += 1
+            return is_prime(n)
+
+        monkeypatch.setattr(modring.PrimePowerModulus, "__post_init__", counted_post_init)
+        for module in (modring, verifier):
+            monkeypatch.setattr(module, "is_prime", counted_is_prime)
+        modring.prime_power.cache_clear()
+        reports = sweep(list(CLAIMS), ctx=EvalContext(cache_rows=cold.new_rows))
+        # one modulus per distinct (p, e), each checking its prime once, and
+        # one primality check per instance
+        assert len(reports) == 1935
+        assert counts == {"moduli": 37, "is_prime": 1935 + 37}
 
 
 class TestEvalContext:

@@ -77,7 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--cache", help=f"residue cache CSV (default ${cache_mod.ENV_VAR})")
     ver.add_argument("--jobs", type=int, default=1, help="worker processes, one task per prime (at least 1)")
     ver.add_argument("--timings", action="store_true",
-                     help="include elapsed_ms per row (breaks byte-for-byte determinism)")
+                     help="include elapsed_ms per row (breaks byte-for-byte determinism); a prime's "
+                          "ladders are planned together, so a ladder's climb is charged to the first "
+                          "row that reaches its key, not spread over the rows that use it")
     ver.add_argument("--stats", action="store_true", help="print evaluation counters to stderr")
 
     comp = sub.add_parser("compute", help="compute a single quantity")

@@ -46,13 +46,7 @@ def _extra_str(instance: ClaimInstance) -> str:
 
 def instance_param_string(instance: ClaimInstance) -> str:
     """CLI-ready parameter string: p=..,r=..,m=..,n=..,<extras sorted>."""
-    items = [("p", instance.p)]
-    for name in ("r", "m", "n"):
-        value = getattr(instance, name)
-        if value is not None:
-            items.append((name, value))
-    items += instance.extra
-    return ",".join(_param(key, value) for key, value in items)
+    return ",".join(_param(key, value) for key, value in instance.params().items())
 
 
 def replay_command(report: ClaimReport) -> str:

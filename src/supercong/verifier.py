@@ -4,20 +4,22 @@ The catalog is one table, CLAIMS: each row is a Claim holding a stable
 id, the congruence actually checked (an ASCII formula printed in
 reports), the default parameter grid as ordered dimensions, the
 hypotheses as (fails, message) pairs drawn from a small shared
-vocabulary, the composition sums the claim needs as data (terms), an
-evaluator producing (lhs, rhs, modulus, note) from the instance and those
-sums' values, and a conjecture flag. The terms and the evaluator are the
-only per-claim code; one grid builder (Claim.grid) and one hypothesis
-walk (Claim.violated) serve every row, and the default grids are sized so
-the whole catalog sweeps in seconds single-threaded.
+vocabulary, one evaluate function, and a conjecture flag. evaluate is the
+only per-claim code: a claim that needs composition sums is a generator
+that yields their (spec, e) terms once, receives their values and returns
+(lhs, rhs, modulus, note); a claim without them returns that tuple
+directly. One grid builder (Claim.grid) and one hypothesis walk
+(Claim.violated) serve every row, and the default grids are sized so the
+whole catalog sweeps in seconds single-threaded.
 
 Instances are verified prime by prime (verify_instances), each prime
 against its own EvalContext, in process or as one process-pool task per
 prime; reports, counters and new cache rows do not depend on the number
-of workers. A prime is planned before it is evaluated: the terms of every
-instance that passes its hypotheses, less those already memoized or
-cached, go to compsum as one plan, so that each ladder is built once, at
-the largest part count and target asked of it.
+of workers. A prime is planned before it is evaluated: every instance
+that passes its hypotheses is started up to the terms it yields, those
+terms, less the ones already memoized or cached, go to compsum as one
+plan, so that each ladder is built once, at the largest part count and
+target asked of it, and only then is each instance sent its values.
 
 Mixed-precision rule used throughout: a right-hand side of the shape
 c * B * p**j (mod p**(j+1)) is evaluated by reducing the cofactor c * B
@@ -34,15 +36,15 @@ verification failure.
 from __future__ import annotations
 
 import time
+from collections.abc import Generator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .bernoulli import PoleError, bernoulli_mod_p
 from .compsum import (
     CompSumSpec,
-    ScaleGuardError,
     count_solutions_exact,
     comp_sum,
     Plan,
@@ -100,6 +102,7 @@ class ClaimInstance:
         raise KeyError(f"instance {self} has no extra parameter {key!r}")
 
     def params(self) -> dict:
+        """The set parameters by name, in replay order: p, r, m, n, then the extras."""
         out: dict = {"p": self.p}
         for name in ("r", "m", "n"):
             v = getattr(self, name)
@@ -109,14 +112,21 @@ class ClaimInstance:
         return out
 
     def sort_key(self):
+        """(claim_id, p, r, m, n, extra), unset fields as 0; total over int
+        and tuple values, an int before a tuple, so a malformed instance
+        sorts among well-formed ones."""
         return (
             self.claim_id,
-            self.p,
-            self.r if self.r is not None else 0,
-            self.m if self.m is not None else 0,
-            self.n if self.n is not None else 0,
-            self.extra,
+            _ordered(self.p),
+            _ordered(self.r if self.r is not None else 0),
+            _ordered(self.m if self.m is not None else 0),
+            _ordered(self.n if self.n is not None else 0),
+            tuple((key, _ordered(value)) for key, value in self.extra),
         )
+
+
+def _ordered(value) -> tuple[bool, int | tuple[int, ...]]:
+    return isinstance(value, tuple), value
 
 
 @dataclass
@@ -151,6 +161,8 @@ class GridSpec:
 
 
 Term = tuple[CompSumSpec, int]  # a composition sum and the exponent e of its modulus p**e
+Sides = tuple[int, int, int, str]  # lhs, rhs, modulus, note
+Evaluation = Generator[Sequence[Term], tuple[int, ...], Sides]
 
 
 class EvalContext:
@@ -254,17 +266,17 @@ class Claim:
     dims is the default grid as ordered (name, values) dimensions; values
     is an iterable, or a function of the point built from the dimensions
     before it. --primes, --r and --m replace the p, r and m dimensions of
-    the rows that have them. hypotheses are checked in order. terms gives
-    the composition sums an instance needs, and evaluate receives their
-    values in the same order.
+    the rows that have them. hypotheses are checked in order. evaluate(inst)
+    returns (lhs, rhs, modulus, note); a claim that needs composition sums
+    writes it as a generator that yields a list of (spec, e) terms once
+    and receives their values, each mod p**e, in the same order.
     """
 
     claim_id: str
     anchor: str
     dims: tuple[tuple[str, Iterable | Callable[[dict], Iterable]], ...]
     hypotheses: tuple[tuple[Callable[[ClaimInstance], bool], str | Callable[[ClaimInstance], str]], ...]
-    evaluate: Callable[[ClaimInstance, tuple[int, ...]], tuple[int, int, int, str]]
-    terms: Callable[[ClaimInstance], Iterable[Term]] = lambda inst: ()
+    evaluate: Callable[[ClaimInstance], Sides | Evaluation]
     conjecture: bool = False
 
     def grid(self, spec: GridSpec = GridSpec()) -> list[ClaimInstance]:
@@ -292,7 +304,7 @@ class Claim:
 
 
 # ---------------------------------------------------------------------------
-# shared right-hand-side helpers, and each claim's terms and evaluator
+# shared right-hand-side helpers, and each claim's evaluator
 
 def _rat(c: Fraction | int, p: int, e: int = 1) -> int:
     return rational_to_residue(c, prime_power(p, e))
@@ -327,51 +339,34 @@ def _odd(x: int) -> bool:
 
 _P_SMALL = primes_between(11, 31)  # (11, 13, 17, 19, 23, 29, 31)
 
-# Each claim's terms come right before its evaluator, which reads their
-# values by position: values[i] is the i-th term's sum mod p**e.
 
-
-def _eq11_terms(inst: ClaimInstance):
-    return ((r_spec(3, 1, inst.p), 1),)
-
-
-def _eq11_eval(inst: ClaimInstance, values: tuple[int, ...]):
+def _eq11_eval(inst: ClaimInstance):
     p = inst.p
-    rhs = _cof_rhs(-2, [p - 3], p, 0, 1)
-    return values[0], rhs, p, ""
+    [lhs] = yield [(r_spec(3, 1, p), 1)]
+    return lhs, _cof_rhs(-2, [p - 3], p, 0, 1), p, ""
 
 
-def _thm1i_terms(inst: ClaimInstance):
-    return ((r_spec(7, inst.m, inst.p), 1),)
-
-
-def _thm1i_eval(inst: ClaimInstance, values: tuple[int, ...]):
+def _thm1i_eval(inst: ClaimInstance):
     p, m = inst.p, inst.m
+    [lhs] = yield [(r_spec(7, m, p), 1)]
     rhs = _cof_rhs(-(504 * m + 210 * m**3 + 6 * m**5), [p - 7], p, 0, 1)
-    return values[0], rhs, p, ""
+    return lhs, rhs, p, ""
 
 
-def _thm1ii_terms(inst: ClaimInstance):
-    return ((r_spec(7, inst.m, inst.p, inst.r), inst.r),)
-
-
-def _thm1ii_eval(inst: ClaimInstance, values: tuple[int, ...]):
+def _thm1ii_eval(inst: ClaimInstance):
     p, r, m = inst.p, inst.r, inst.m
+    [lhs] = yield [(r_spec(7, m, p, r), r)]
     rhs = _cof_rhs(Fraction(-factorial(7), 10) * m, [p - 7], p, r - 1, r)
-    return values[0], rhs, p**r, ""
+    return lhs, rhs, p**r, ""
 
 
-def _eq13_terms(inst: ClaimInstance):
+def _eq13_eval(inst: ClaimInstance):
     p, r = inst.p, inst.r
-    return ((s_spec(7, 1, p, r + 1), r + 1), (s_spec(7, 1, p, r), r))
+    upper, lower = yield [(s_spec(7, 1, p, r + 1), r + 1), (s_spec(7, 1, p, r), r)]
+    return upper, p * lower % p ** (r + 1), p ** (r + 1), ""
 
 
-def _eq13_eval(inst: ClaimInstance, values: tuple[int, ...]):
-    p, r = inst.p, inst.r
-    return values[0], p * values[1] % p ** (r + 1), p ** (r + 1), ""
-
-
-def _lem21_eval(inst: ClaimInstance, values: tuple[int, ...]):
+def _lem21_eval(inst: ClaimInstance):
     p, n, m, a = inst.p, inst.n, inst.m, inst.get("a")
     lhs = count_solutions_exact(a, m, n, p) % p**2
     rhs = _cof_rhs(Fraction((-1) ** (m - 1) * comb(n - 2, m - 1)) * gamma_n(a, n), [], p, 1, 2)
@@ -388,33 +383,25 @@ _N7_DIFFS = {
 }
 
 
-def _cor22_eval(inst: ClaimInstance, values: tuple[int, ...]):
+def _cor22_eval(inst: ClaimInstance):
     p, m, a = inst.p, inst.m, inst.get("a")
     lhs = (count_solutions_exact(a, m, 7, p) - count_solutions_exact(7 - a, m, 7, p)) % p**2
     rhs = _cof_rhs(_N7_DIFFS[(m, a)], [], p, 1, 2)
     return lhs, rhs, p**2, ""
 
 
-def _lem23i_terms(inst: ClaimInstance):
+def _lem23i_eval(inst: ClaimInstance):
     p, r, n, k = inst.p, inst.r, inst.n, inst.m
-    return ((s_spec(n, k, p, r), r), (s_spec(n, n - k, p, r), r))
+    s_k, s_n_minus_k = yield [(s_spec(n, k, p, r), r), (s_spec(n, n - k, p, r), r)]
+    return s_k, (-1) ** n * s_n_minus_k % p**r, p**r, ""
 
 
-def _lem23i_eval(inst: ClaimInstance, values: tuple[int, ...]):
-    p, r, n = inst.p, inst.r, inst.n
-    return values[0], (-1) ** n * values[1] % p**r, p**r, ""
-
-
-def _lem23ii_terms(inst: ClaimInstance):
-    p, r, n, m = inst.p, inst.r, inst.n, inst.m
-    return ((s_spec(n, m, p, r + 1), r + 1), *((s_spec(n, a, p, r), r + 1) for a in range(1, n)))
-
-
-def _lem23ii_eval(inst: ClaimInstance, values: tuple[int, ...]):
+def _lem23ii_eval(inst: ClaimInstance):
     p, r, n, m = inst.p, inst.r, inst.n, inst.m
     e = r + 1
-    rhs = sum(count_solutions_exact(a, m, n, p) * values[a] for a in range(1, n))
-    return values[0], rhs % p**e, p**e, ""
+    upper, *lower = yield [(s_spec(n, m, p, e), e), *((s_spec(n, a, p, r), e) for a in range(1, n))]
+    rhs = sum(count_solutions_exact(a, m, n, p) * s for a, s in enumerate(lower, start=1))
+    return upper, rhs % p**e, p**e, ""
 
 
 _U_COMPS = (
@@ -428,7 +415,7 @@ _U_COMPS = (
 )
 
 
-def _u_eval(inst: ClaimInstance, values: tuple[int, ...]):
+def _u_eval(inst: ClaimInstance):
     p = inst.p
     alphas = inst.get("alphas")
     b = inst.get("b", 1)
@@ -445,7 +432,7 @@ def _u_eval(inst: ClaimInstance, values: tuple[int, ...]):
     return lhs, rhs, p**2, "even-weight branch"
 
 
-def _cor32_eval(inst: ClaimInstance, values: tuple[int, ...]):
+def _cor32_eval(inst: ClaimInstance):
     p, n, alpha = inst.p, inst.n, inst.get("alpha")
     w = n * alpha
     if _odd(w):
@@ -457,140 +444,108 @@ def _cor32_eval(inst: ClaimInstance, values: tuple[int, ...]):
     return lhs, rhs, p**2, "even-weight branch"
 
 
-def _lem33_terms(inst: ClaimInstance):
-    return ((r_spec(inst.n, 1, inst.p), 1 if _odd(inst.n) else 2),)
-
-
-def _lem33_eval(inst: ClaimInstance, values: tuple[int, ...]):
+def _lem33_eval(inst: ClaimInstance):
     p, n = inst.p, inst.n
+    [lhs] = yield [(r_spec(n, 1, p), 1 if _odd(n) else 2)]
     if _odd(n):
-        rhs = _cof_rhs(-factorial(n - 1), [p - n], p, 0, 1)
-        return values[0], rhs, p, ""
+        return lhs, _cof_rhs(-factorial(n - 1), [p - n], p, 0, 1), p, ""
     rhs = _cof_rhs(Fraction(-n * factorial(n), 2 * (n + 1)), [p - n - 1], p, 1, 2)
     note = "even branch; cofactor -n*n!/(2(n+1)), the factor 2 confirmed against exact rationals"
-    return values[0], rhs, p**2, note
+    return lhs, rhs, p**2, note
 
 
-def _lem35_terms(inst: ClaimInstance):
-    return ((r_spec(inst.n, 2, inst.p), 1),)
-
-
-def _lem35_eval(inst: ClaimInstance, values: tuple[int, ...]):
+def _lem35_eval(inst: ClaimInstance):
     p, n = inst.p, inst.n
+    [lhs] = yield [(r_spec(n, 2, p), 1)]
     rhs = _cof_rhs(Fraction(-(n + 1) * factorial(n - 1), 2), [p - n], p, 0, 1)
-    return values[0], rhs, p, ""
+    return lhs, rhs, p, ""
 
 
-def _cor36_terms(inst: ClaimInstance):
-    return ((s_spec(inst.n, 2, inst.p), 1),)
-
-
-def _cor36_eval(inst: ClaimInstance, values: tuple[int, ...]):
+def _cor36_eval(inst: ClaimInstance):
     p, n = inst.p, inst.n
+    [lhs] = yield [(s_spec(n, 2, p), 1)]
     rhs = _cof_rhs(Fraction((n - 1) * factorial(n - 1), 2), [p - n], p, 0, 1)
-    return values[0], rhs, p, ""
+    return lhs, rhs, p, ""
 
 
-def _lem37_terms(inst: ClaimInstance):
-    return ((r_spec(inst.n, 3, inst.p), 1),)
-
-
-def _lem37_eval(inst: ClaimInstance, values: tuple[int, ...]):
+def _lem37_eval(inst: ClaimInstance):
     p, n = inst.p, inst.n
+    [lhs] = yield [(r_spec(n, 3, p), 1)]
     if n == 3:
         # three bounded parts cannot reach 3p, so the decomposition
         # R = S + C(n+1,2) S(1) + n S(2) collapses to -6 B(p-3)
         rhs = _cof_rhs(-6, [p - 3], p, 0, 1)
-        return values[0], rhs, p, "degenerate n=3 value; general cofactor does not apply"
+        return lhs, rhs, p, "degenerate n=3 value; general cofactor does not apply"
     main = _cof_rhs(Fraction(-(n + 1) * (n + 2) * factorial(n - 1), 6), [p - n], p, 0, 1)
     rhs = (main - _triple_bernoulli(p, n)) % p
-    return values[0], rhs, p, ""
+    return lhs, rhs, p, ""
 
 
-def _cor38_terms(inst: ClaimInstance):
-    return ((s_spec(inst.n, 3, inst.p), 1),)
-
-
-def _cor38_eval(inst: ClaimInstance, values: tuple[int, ...]):
+def _cor38_eval(inst: ClaimInstance):
     p, n = inst.p, inst.n
+    [lhs] = yield [(s_spec(n, 3, p), 1)]
     if n == 3:
         # the bounded family is empty: three parts below p cannot sum to 3p
-        return values[0], 0, p, "degenerate n=3 value; the bounded sum is empty"
+        return lhs, 0, p, "degenerate n=3 value; the bounded sum is empty"
     main = _cof_rhs(Fraction(-(n - 1) * (n - 2) * factorial(n - 1), 6), [p - n], p, 0, 1)
     rhs = (main - _triple_bernoulli(p, n)) % p
-    return values[0], rhs, p, ""
+    return lhs, rhs, p, ""
 
 
-def _prop41_terms(inst: ClaimInstance):
+def _prop41_eval(inst: ClaimInstance):
     p, r = inst.p, inst.r
-    return ((s_spec(7, 1, p, r + 1), r + 1),)
-
-
-def _prop41_eval(inst: ClaimInstance, values: tuple[int, ...]):
-    p, r = inst.p, inst.r
+    [lhs] = yield [(s_spec(7, 1, p, r + 1), r + 1)]
     rhs = _cof_rhs(Fraction(-factorial(7), 10), [p - 7], p, r, r + 1)
-    return values[0], rhs, p ** (r + 1), ""
+    return lhs, rhs, p ** (r + 1), ""
 
 
-def _eq41_terms(inst: ClaimInstance):
+def _eq41_eval(inst: ClaimInstance):
     p, r, m = inst.p, inst.r, inst.m
-    return ((r_spec(7, m, p, r), r), *((s_spec(7, a, p, r), r) for a in range(1, 7)))
+    free, *bounded = yield [(r_spec(7, m, p, r), r), *((s_spec(7, a, p, r), r) for a in range(1, 7))]
+    rhs = sum(comb(m + 6 - a, 6) * s for a, s in enumerate(bounded, start=1))
+    return free, rhs % p**r, p**r, ""
 
 
-def _eq41_eval(inst: ClaimInstance, values: tuple[int, ...]):
-    p, r, m = inst.p, inst.r, inst.m
-    rhs = sum(comb(m + 6 - a, 6) * values[a] for a in range(1, 7))
-    return values[0], rhs % p**r, p**r, ""
-
-
-def _eq51_terms(inst: ClaimInstance):
-    return ((s_spec(inst.n, inst.m, inst.p), 1),)
-
-
-def _eq51_eval(inst: ClaimInstance, values: tuple[int, ...]):
+def _eq51_eval(inst: ClaimInstance):
     p, d, m = inst.p, inst.n, inst.m
+    [lhs] = yield [(s_spec(d, m, p), 1)]
     c = Fraction(-1) if m == 1 else Fraction(d - 1, 2)
     rhs = _cof_rhs(c * factorial(d - 1), [p - d], p, 0, 1)
-    return values[0], rhs, p, ""
+    return lhs, rhs, p, ""
 
 
-def _eq52_terms(inst: ClaimInstance):
-    return ((r_spec(inst.n, inst.m, inst.p), 1),)
-
-
-def _eq52_eval(inst: ClaimInstance, values: tuple[int, ...]):
+def _eq52_eval(inst: ClaimInstance):
     p, d, m = inst.p, inst.n, inst.m
+    [lhs] = yield [(r_spec(d, m, p), 1)]
     c = Fraction(-1) if m == 1 else Fraction(-(d + 1), 2)
     rhs = _cof_rhs(c * factorial(d - 1), [p - d], p, 0, 1)
-    return values[0], rhs, p, ""
+    return lhs, rhs, p, ""
 
 
-def _conj_terms(weight: int):
-    """R(weight, m, p) mod p, the one sum of CONJ-5.1-w<weight>."""
-    return lambda inst: ((r_spec(weight, inst.m, inst.p), 1),)
-
-
-def _conj8_eval(inst: ClaimInstance, values: tuple[int, ...]):
+def _conj8_eval(inst: ClaimInstance):
     p, m = inst.p, inst.m
+    [lhs] = yield [(r_spec(8, m, p), 1)]
     c = Fraction(112, 5) * m * (m * m + 16) * (m * m - 1)
     rhs = _cof_rhs(c, [p - 3, p - 5], p, 0, 1)
-    return values[0], rhs, p, ""
+    return lhs, rhs, p, ""
 
 
-def _conj9_eval(inst: ClaimInstance, values: tuple[int, ...]):
+def _conj9_eval(inst: ClaimInstance):
     p, m = inst.p, inst.m
+    [lhs] = yield [(r_spec(9, m, p), 1)]
     rhs = (
         _cof_rhs(Fraction(-factorial(8), 18) * comb(m + 2, 5), [p - 3, p - 3, p - 3], p, 0, 1)
         + _cof_rhs(-8 * m * (m**6 + 126 * m**4 + 1869 * m**2 + 3044), [p - 9], p, 0, 1)
     ) % p
-    return values[0], rhs, p, ""
+    return lhs, rhs, p, ""
 
 
-def _conj10_eval(inst: ClaimInstance, values: tuple[int, ...]):
+def _conj10_eval(inst: ClaimInstance):
     p, m = inst.p, inst.m
+    [lhs] = yield [(r_spec(10, m, p), 1)]
     c = Fraction(-24, 35) * m * (m**4 + 71 * m**2 + 540) * (m * m - 1)
     rhs = (_cof_rhs(c * 50, [p - 3, p - 7], p, 0, 1) + _cof_rhs(c * 21, [p - 5, p - 5], p, 0, 1)) % p
-    return values[0], rhs, p, ""
+    return lhs, rhs, p, ""
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +588,6 @@ CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
         (("p", primes_between(5, 97)),),
         (_p_at_least(3),),
         _eq11_eval,
-        _eq11_terms,
     ),
     Claim(
         "THM-1.1-i",
@@ -641,7 +595,6 @@ CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
         (("p", primes_between(11, 47)), ("m", (1, 2, 3))),
         (_p_above(7), *_MULTIPLIER),
         _thm1i_eval,
-        _thm1i_terms,
     ),
     Claim(
         "THM-1.1-ii",
@@ -649,7 +602,6 @@ CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
         (("p", (11, 13)), ("r", (2, 3)), ("m", (1, 2))),
         (_p_above(7), _at_least("r", 2), *_MULTIPLIER),
         _thm1ii_eval,
-        _thm1ii_terms,
     ),
     Claim(
         "EQ-1.3",
@@ -657,7 +609,6 @@ CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
         (("p", (11,)), ("r", (2,))),
         (_p_above(7), _at_least("r", 2)),
         _eq13_eval,
-        _eq13_terms,
     ),
     Claim(
         "LEM-2.1",
@@ -680,7 +631,6 @@ CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
         (("p", (11, 13)), ("r", (1, 2)), ("n", range(3, 9)), ("m", _below_n)),
         (_at_least("n", 2), _p_above_n(), _within_1_and_n_minus_1("m", "k"), _at_least("r", 1)),
         _lem23i_eval,
-        _lem23i_terms,
     ),
     Claim(
         "LEM-2.3-ii",
@@ -688,7 +638,6 @@ CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
         (("p", (11,)), ("r", (1, 2)), ("m", range(1, 7)), ("n", (7,))),
         (_at_least("n", 2), _p_above_n(), _within_1_and_n_minus_1("m", "m"), _at_least("r", 1)),
         _lem23ii_eval,
-        _lem23ii_terms,
     ),
     Claim(
         "LEM-3.1",
@@ -714,7 +663,6 @@ CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
         (("p", _P_SMALL), ("n", range(2, 10))),
         (_at_least("n", 2, "requires n > 1"), _p_above_n(1)),
         _lem33_eval,
-        _lem33_terms,
     ),
     Claim(
         "LEM-3.4",
@@ -730,7 +678,6 @@ CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
         (("p", _P_SMALL), ("n", (3, 5, 7, 9))),
         (_odd_at_least(3), _p_above_n(1, "requires p > n+1 (added hypothesis)")),
         _lem35_eval,
-        _lem35_terms,
     ),
     Claim(
         "COR-3.6",
@@ -738,7 +685,6 @@ CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
         (("p", _P_SMALL), ("n", (5, 7, 9))),
         (_odd_at_least(5), _p_above_n()),
         _cor36_eval,
-        _cor36_terms,
     ),
     Claim(
         "LEM-3.7",
@@ -747,7 +693,6 @@ CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
         (("p", _P_SMALL), ("n", (3, 5, 7, 9))),
         _TRIPLE_HYPOTHESES,
         _lem37_eval,
-        _lem37_terms,
     ),
     Claim(
         "COR-3.8",
@@ -756,7 +701,6 @@ CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
         (("p", _P_SMALL), ("n", (3, 5, 7, 9))),
         _TRIPLE_HYPOTHESES,
         _cor38_eval,
-        _cor38_terms,
     ),
     Claim(
         "PROP-4.1",
@@ -764,7 +708,6 @@ CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
         (("p", (11, 13)), ("r", (1, 2))),
         (_p_above(7), _at_least("r", 1)),
         _prop41_eval,
-        _prop41_terms,
     ),
     Claim(
         "EQ-4.1",
@@ -772,7 +715,6 @@ CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
         (("p", (11,)), ("r", (1, 2)), ("m", (1, 2, 3))),
         (_p_above(7), _at_least("r", 1), _at_least("m", 1)),
         _eq41_eval,
-        _eq41_terms,
     ),
     Claim(
         "EQ-5.1",
@@ -780,7 +722,6 @@ CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
         (("p", _P_SMALL), ("n", (3, 5, 7, 9)), ("m", (1, 2))),
         _ODD_DEPTH_HYPOTHESES,
         _eq51_eval,
-        _eq51_terms,
     ),
     Claim(
         "EQ-5.2",
@@ -788,7 +729,6 @@ CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
         (("p", _P_SMALL), ("n", (3, 5, 7, 9)), ("m", (1, 2))),
         _ODD_DEPTH_HYPOTHESES,
         _eq52_eval,
-        _eq52_terms,
     ),
     Claim(
         "CONJ-5.1-w8",
@@ -796,7 +736,6 @@ CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
         (("p", _P_SMALL), ("m", (1, 2, 3, 4))),
         _CONJ_HYPOTHESES,
         _conj8_eval,
-        _conj_terms(8),
         conjecture=True,
     ),
     Claim(
@@ -805,7 +744,6 @@ CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
         (("p", _P_SMALL), ("m", (1, 2, 3, 4))),
         _CONJ_HYPOTHESES,
         _conj9_eval,
-        _conj_terms(9),
         conjecture=True,
     ),
     Claim(
@@ -814,7 +752,6 @@ CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
         (("p", _P_SMALL), ("m", (1, 2, 3, 4))),
         _CONJ_HYPOTHESES,
         _conj10_eval,
-        _conj_terms(10),
         conjecture=True,
     ),
 )}
@@ -823,35 +760,46 @@ CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
 # ---------------------------------------------------------------------------
 # evaluation driver
 
-_EVAL_ERRORS = (NonUnitError, PoleError, ScaleGuardError, ValueError, KeyError, TypeError)
+_EVAL_ERRORS = (NonUnitError, PoleError, ValueError, KeyError, TypeError)
 
 
-def _prepare(instance: ClaimInstance) -> tuple[Claim, ClaimReport | tuple[Term, ...]]:
-    """The instance's claim, and either its final report (a skip or an
-    error) or the composition-sum terms its evaluation needs."""
+def _prepare(instance: ClaimInstance) -> tuple[Claim, ClaimReport | tuple[Evaluation, tuple[Term, ...]]]:
+    """The instance's claim, and either its final report (a skip, an error,
+    or the whole outcome of a claim without composition sums) or its
+    evaluation paused at the terms it yielded, with those terms."""
     claim = CLAIMS.get(instance.claim_id)
     if claim is None:
         raise KeyError(f"unknown claim id {instance.claim_id!r}")
-    if not is_prime(instance.p):
-        return claim, ClaimReport(instance, "skip", note=f"{instance.p} is not prime", anchor=claim.anchor)
     try:
-        reason = claim.violated(instance)
-    except (KeyError, TypeError) as exc:
+        reason = claim.violated(instance) if is_prime(instance.p) else f"{instance.p} is not prime"
+    except (KeyError, TypeError, ValueError) as exc:
         return claim, ClaimReport(instance, "error", note=f"bad parameters: {exc}", anchor=claim.anchor)
     if reason is not None:
         return claim, ClaimReport(instance, "skip", note=reason, anchor=claim.anchor)
     try:
-        return claim, tuple(claim.terms(instance))
+        run = claim.evaluate(instance)
+        if isinstance(run, Generator):
+            return claim, (run, tuple(next(run)))
     except _EVAL_ERRORS as exc:
-        return claim, ClaimReport(instance, "error", note=f"{type(exc).__name__}: {exc}", anchor=claim.anchor)
+        return claim, _error(claim, instance, exc)
+    return claim, _report(claim, instance, run)
 
 
-def _evaluate(claim: Claim, instance: ClaimInstance, terms: tuple[Term, ...], ctx: EvalContext) -> ClaimReport:
+def _evaluate(claim: Claim, instance: ClaimInstance, run: Evaluation, terms: tuple[Term, ...],
+              ctx: EvalContext) -> ClaimReport:
+    """Send the paused evaluation its terms' values and report what it returns."""
     try:
-        values = tuple(ctx.comp_sum(spec, e) for spec, e in terms)
-        lhs, rhs, modulus, note = claim.evaluate(instance, values)
+        run.send(tuple(ctx.comp_sum(spec, e) for spec, e in terms))
+    except StopIteration as stop:
+        return _report(claim, instance, stop.value)
     except _EVAL_ERRORS as exc:
-        return ClaimReport(instance, "error", note=f"{type(exc).__name__}: {exc}", anchor=claim.anchor)
+        return _error(claim, instance, exc)
+    run.close()
+    raise RuntimeError(f"{claim.claim_id} yielded a second time; a claim yields its terms once")
+
+
+def _report(claim: Claim, instance: ClaimInstance, sides: Sides) -> ClaimReport:
+    lhs, rhs, modulus, note = sides
     if lhs == rhs:
         status = "pass"
     else:
@@ -861,20 +809,24 @@ def _evaluate(claim: Claim, instance: ClaimInstance, terms: tuple[Term, ...], ct
     return ClaimReport(instance, status, lhs=lhs, rhs=rhs, modulus=modulus, note=note, anchor=claim.anchor)
 
 
+def _error(claim: Claim, instance: ClaimInstance, exc: Exception) -> ClaimReport:
+    return ClaimReport(instance, "error", note=f"{type(exc).__name__}: {exc}", anchor=claim.anchor)
+
+
 def _verify_planned(instances: Iterable[ClaimInstance], ctx: EvalContext) -> list[ClaimReport]:
-    """Check every instance's hypotheses and collect its terms, hand all the
-    terms to ctx as one plan, then evaluate the instances in order."""
+    """Check every instance's hypotheses and start its evaluation, hand all
+    the terms yielded to ctx as one plan, then finish the instances in order."""
     prepared = []
     for instance in instances:
         start = time.perf_counter()
         claim, outcome = _prepare(instance)
         prepared.append((claim, instance, outcome, time.perf_counter() - start))
-    ctx.plan(term for _, _, outcome, _ in prepared if not isinstance(outcome, ClaimReport) for term in outcome)
+    ctx.plan(term for _, _, outcome, _ in prepared if not isinstance(outcome, ClaimReport) for term in outcome[1])
     reports = []
     for claim, instance, outcome, seconds in prepared:
         start = time.perf_counter()
         if not isinstance(outcome, ClaimReport):
-            outcome = _evaluate(claim, instance, outcome, ctx)
+            outcome = _evaluate(claim, instance, *outcome, ctx)
         outcome.elapsed_ms = (seconds + time.perf_counter() - start) * 1000.0
         reports.append(outcome)
     return reports
@@ -884,8 +836,8 @@ def verify(instance: ClaimInstance, ctx: EvalContext | None = None) -> ClaimRepo
     """Evaluate one claim instance into a ClaimReport.
 
     Hypothesis violations yield a skip, never a failure; arithmetic
-    domain errors (non-units, Bernoulli poles, scale guards, malformed
-    parameters) yield an error report.
+    domain errors (non-units, Bernoulli poles, malformed parameters) yield
+    an error report.
     """
     return _verify_planned([instance], ctx if ctx is not None else EvalContext())[0]
 
@@ -918,16 +870,16 @@ def verify_instances(
     A prime's instances share one context and one compsum plan, so each
     ladder at that prime is built once and serves every claim. The
     counters, new rows and memo of each prime's context are merged into
-    ctx in ascending prime order, and reports come back in lexicographic
-    (claim_id, p, r, m, n, extra) order, so neither depends on the number
-    of workers.
+    ctx in ascending prime order, and reports come back in
+    ClaimInstance.sort_key order, so neither depends on the number of
+    workers.
     """
     ctx = ctx if ctx is not None else EvalContext()
     groups: dict[int, list[ClaimInstance]] = {}
-    for inst in sorted(instances, key=ClaimInstance.sort_key):
+    for inst in instances:
         groups.setdefault(inst.p, []).append(inst)
     cache, memo = _by_prime(ctx._cache), _by_prime(ctx._memo)
-    tasks = [(group, cache.get(p, {}), memo.get(p, {})) for p, group in sorted(groups.items())]
+    tasks = [(groups[p], cache.get(p, {}), memo.get(p, {})) for p in sorted(groups, key=_ordered)]
     if jobs > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
 

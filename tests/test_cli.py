@@ -4,7 +4,8 @@ import json
 import pytest
 
 from supercong.cli import _parse_instance, _parse_int_range, _parse_primes, main
-from supercong.verifier import CLAIMS, Claim
+from supercong.reports import replay_command
+from supercong.verifier import CLAIMS, Claim, ClaimReport, instance_from_params
 
 
 def run(capsys, argv):
@@ -46,7 +47,7 @@ class TestVerifyCommand:
 
     def test_injected_false_claim_exit_one(self, capsys, monkeypatch):
         claim = Claim(
-            "TEST-FALSE", "0 == 1 (mod p)", (("p", (5,)),), (), lambda inst, ctx: (0, 1, inst.p, "")
+            "TEST-FALSE", "0 == 1 (mod p)", (("p", (5,)),), (), lambda inst: (0, 1, inst.p, "")
         )
         monkeypatch.setitem(CLAIMS, "TEST-FALSE", claim)
         rc, out, _ = run(capsys, ["verify", "--claims", "TEST-FALSE", "--format", "csv"])
@@ -54,7 +55,7 @@ class TestVerifyCommand:
         assert ",fail," in out
 
     def test_injected_error_claim_exit_two(self, capsys, monkeypatch):
-        def broken(inst, ctx):
+        def broken(inst):
             raise ValueError("boom")
 
         claim = Claim("TEST-ERR", "n/a", (("p", (5,)),), (), broken)
@@ -101,6 +102,31 @@ class TestVerifyCommand:
         rc2, out2, _ = run(capsys, rows[0]["replay"].split()[1:])
         assert rc2 == 0
         assert json.loads(out2)["reports"] == rows
+
+    def test_every_catalog_row_replays_to_its_instance(self):
+        count = 0
+        for claim in CLAIMS.values():
+            for inst in claim.grid():
+                argv = replay_command(ClaimReport(inst, "pass")).split()
+                assert argv[argv.index("--claims") + 1] == inst.claim_id
+                params = _parse_instance(argv[argv.index("--instance") + 1])
+                assert instance_from_params(inst.claim_id, params) == inst
+                count += 1
+        assert count == 1935
+
+    @pytest.mark.parametrize("instances, statuses", [
+        (["p=11,r=2,m=1+2", "p=11,r=2,m=1"], ["pass", "error"]),  # an int and a tuple m in one batch
+        (["p=11+13,r=2,m=1"], ["error"]),  # a tuple p
+    ])
+    def test_malformed_instance_is_an_error_row(self, capsys, instances, statuses):
+        argv = ["verify", "--claims", "THM-1.1-ii", "--format", "json"]
+        for text in instances:
+            argv += ["--instance", text]
+        rc, out, _ = run(capsys, argv)
+        rows = json.loads(out)["reports"]
+        assert rc == 2
+        assert [row["status"] for row in rows] == statuses
+        assert all(row["note"].startswith("bad parameters: ") for row in rows if row["status"] == "error")
 
     def test_deterministic_output_files(self, capsys, tmp_path):
         argv = ["verify", "--claims", "EQ-1.1,LEM-3.3,LEM-3.4", "--primes", "11..13",

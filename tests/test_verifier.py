@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -5,7 +6,7 @@ import pytest
 
 from supercong import compsum, modring, verifier
 from supercong.bernoulli import bernoulli_mod_p
-from supercong.compsum import comp_sum, s_spec
+from supercong.compsum import comp_sum, r_spec, s_spec
 from supercong.modring import PrimePowerModulus, rational_to_residue
 from supercong.verifier import (
     CLAIMS,
@@ -17,7 +18,9 @@ from supercong.verifier import (
     primes_between,
     sweep,
     verify,
+    verify_instances,
     _triple_bernoulli,
+    _U_COMPS,
 )
 
 
@@ -286,14 +289,72 @@ class TestSweep:
             (r.instance, r.status, r.lhs, r.rhs) for r in par
         ]
 
+    def test_claim_that_yields_twice_raises(self, monkeypatch):
+        def twice(inst):
+            [first] = yield [(r_spec(3, 1, inst.p), 1)]
+            [second] = yield [(r_spec(3, 2, inst.p), 1)]
+            return first, second, inst.p, ""
+
+        monkeypatch.setitem(CLAIMS, "TEST-TWICE", Claim("TEST-TWICE", "n/a", (("p", (5,)),), (), twice))
+        with pytest.raises(RuntimeError, match="TEST-TWICE yielded a second time"):
+            sweep(["TEST-TWICE"])
+
     def test_custom_registry_with_false_claim(self, monkeypatch):
         false_claim = Claim(
-            "TEST-FALSE", "0 == 1 (mod p)", (("p", (5,)),), (), lambda inst, ctx: (0, 1, inst.p, "")
+            "TEST-FALSE", "0 == 1 (mod p)", (("p", (5,)),), (), lambda inst: (0, 1, inst.p, "")
         )
         monkeypatch.setitem(CLAIMS, "TEST-FALSE", false_claim)
         reports = sweep(["TEST-FALSE"])
         assert len(reports) == 1 and reports[0].status == "fail"
         assert "congruence fails" in reports[0].note
+
+
+def _random_instance(rng: random.Random) -> tuple[ClaimInstance, bool]:
+    """A random instance of a random claim, and whether it was made malformed:
+    a tuple where an int belongs (p included), an int for alphas, or a missing
+    extra. Values stay small (p <= 31, r <= 3, m <= 4, n <= 9, and
+    p**(r+1) <= 13**4), so that no instance runs long."""
+    p = rng.choice((5, 7, 9, 11, 13, 17, 19, 23, 29, 31))
+    params = {"p": p, "r": rng.randint(1, 3 if p <= 13 else 2), "m": rng.randint(1, 4), "n": rng.randint(2, 9),
+              "a": rng.randint(1, 8), "b": rng.randint(1, 3), "alphas": rng.choice(_U_COMPS),
+              "alpha": rng.randint(1, 4)}
+    malformed = rng.random() < 0.5
+    if malformed:
+        key = rng.choice(("p", "r", "m", "n", "a", "b", "alpha", "alphas", "missing"))
+        if key == "alphas":
+            params[key] = rng.randint(1, 3)
+        elif key == "missing":
+            del params[rng.choice(("a", "b", "alphas", "alpha"))]
+        else:
+            params[key] = (params[key], rng.randint(1, 3))
+    return instance_from_params(rng.choice(sorted(CLAIMS)), params), malformed
+
+
+class TestMixedBatch:
+    def test_batch_never_raises_and_matches_single_runs(self):
+        rng = random.Random(20210121)
+        drawn = [_random_instance(rng) for _ in range(240)]
+        instances = [inst for inst, _ in drawn]
+        reports = verify_instances(instances)
+        assert [r.instance for r in reports] == sorted(instances, key=ClaimInstance.sort_key)
+        outcome = {inst: verify(inst) for inst in instances}
+        for report in reports:
+            alone = outcome[report.instance]
+            assert (report.status, report.note, report.lhs, report.rhs, report.modulus) == (
+                alone.status, alone.note, alone.lhs, alone.rhs, alone.modulus)
+        statuses = {r.status for r in reports}
+        assert statuses <= {"pass", "skip", "error", "finding"} and {"pass", "error"} <= statuses
+        for inst, malformed in drawn:
+            if isinstance(inst.p, tuple):
+                assert outcome[inst].status == "error" and outcome[inst].note.startswith("bad parameters: ")
+            if not malformed:
+                assert outcome[inst].status != "error"
+
+    def test_sort_key_puts_an_int_before_a_tuple(self):
+        one, pair = ClaimInstance("EQ-1.1", 11, m=1), ClaimInstance("EQ-1.1", 11, m=(1, 2))
+        assert sorted([pair, one], key=ClaimInstance.sort_key) == [one, pair]
+        b2, b_pair = (ClaimInstance("LEM-3.4", 11, extra=(("b", b),)) for b in (2, (1, 2)))
+        assert sorted([b_pair, b2], key=ClaimInstance.sort_key) == [b2, b_pair]
 
 
 def _ladder_keys(rows):

@@ -15,7 +15,7 @@ from .compsum import (
     r_spec,
     s_spec,
 )
-from .mhs import Composition, mhs, mhs_restricted, unordered_sum, unordered_sum_bruteforce
+from .mhs import mhs, mhs_restricted, unordered_sum, unordered_sum_bruteforce
 from .modring import NonUnitError, PrimePowerModulus, is_prime, rational_to_residue
 from .ratrecon import (
     DuplicatePrimeError,
@@ -58,7 +58,6 @@ __all__ = [
     "gamma_n",
     "r_spec",
     "s_spec",
-    "Composition",
     "mhs",
     "mhs_restricted",
     "unordered_sum",

@@ -34,11 +34,11 @@ def _parse_primes(text: str) -> tuple[int, ...]:
     return tuple(q for q in _parse_int_range(text) if is_prime(q))
 
 
-_TUPLE_KEYS = {"alphas", "s"}
+_TUPLE_KEYS = {"alphas"}
 
 
 def _parse_instance(text: str) -> dict:
-    """'p=11,r=2,alphas=1+1+2' -> {'p': 11, 'r': 2, 'alphas': (1, 1, 2)}."""
+    """'p=11,r=2,alphas=1+1+2' -> {'p': 11, 'r': 2, 'alphas': (1, 1, 2)}; a name given twice is an error."""
     params: dict = {}
     for pair in text.split(","):
         if not pair:
@@ -47,6 +47,8 @@ def _parse_instance(text: str) -> dict:
         if not value:
             raise ValueError(f"malformed instance parameter {pair!r}")
         key = key.strip()
+        if key in params:
+            raise ValueError(f"instance parameter {key!r} given twice in {text!r}")
         if key in _TUPLE_KEYS or "+" in value:
             params[key] = tuple(int(v) for v in value.split("+"))
         else:
@@ -120,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     srch = sub.add_parser("search", help="reconstruct a rational constant from modular data")
     srch.add_argument("--family", choices=sorted(HUNT_FAMILIES), required=True)
     srch.add_argument("--d", type=int, required=True)
-    srch.add_argument("--m", type=int, default=1)
+    srch.add_argument("--m", type=int, default=1, help="multiplier of the c and cprime families; qd takes only 1")
     srch.add_argument("--primes", required=True)
     srch.add_argument("--report", action="store_true", help="include per-prime observations")
     srch.add_argument("--format", choices=("text", "json"), default="text")
@@ -156,13 +158,12 @@ def _cmd_verify(args) -> int:
         if values == ():
             print(f"{flag} {text!r} selects no value", file=sys.stderr)
             return 2
+    points = [_parse_instance(text) for text in args.instance]
     cache_path = args.cache or cache_mod.default_cache_path()
     cache = cache_mod.ResidueCache(cache_path) if cache_path else None
     ctx = EvalContext(cache_rows=cache.rows if cache else None)
-    if args.instance:
-        instances = [
-            instance_from_params(cid, _parse_instance(text)) for text in args.instance for cid in claim_ids
-        ]
+    if points:
+        instances = [instance_from_params(cid, point) for point in points for cid in claim_ids]
         reports = verify_instances(instances, ctx, jobs=args.jobs)
     else:
         reports = sweep(claim_ids, GridSpec(*selected), ctx=ctx, jobs=args.jobs)

@@ -192,7 +192,8 @@ class _Ladder:
 
 
 class Plan:
-    """The composition sums a caller will ask for, grouped by ladder key.
+    """The composition sums a caller will ask for, as (spec, e) pairs, each
+    to be evaluated mod p**e, grouped by ladder key.
 
     Each (prime, part bound, precision) key gets one ladder, sized to the
     largest part count and target requested of it. The first comp_sum
@@ -201,14 +202,13 @@ class Plan:
     number of ladders built does.
     """
 
-    def __init__(self, requests: Iterable[tuple[CompSumSpec, PrimePowerModulus | None]] = ()):
+    def __init__(self, requests: Iterable[tuple[CompSumSpec, int]] = ()):
         self.ladders_built = 0
         # per key, the requested (n, N) coefficients, None until the key's ladder is climbed
         self.wanted: dict[tuple[int, int | None, int], dict[tuple[int, int], int | None]] = {}
-        for spec, modulus in requests:
-            M = _eval_modulus(spec, modulus)
+        for spec, e in requests:
             if spec.target >= spec.n:
-                self.wanted.setdefault((spec.p, spec.upper_bound, M.r), {})[(spec.n, spec.target)] = None
+                self.wanted.setdefault((spec.p, spec.upper_bound, e), {})[(spec.n, spec.target)] = None
 
 
 def comp_sum(spec: CompSumSpec, modulus: PrimePowerModulus | None = None, plan: Plan | None = None) -> int:

@@ -3,8 +3,9 @@
 Every evaluator returns a plain int, canonical in [0, p**r). The nested
 sums are evaluated directly as residues through a single O(N * depth)
 chain sweep; exact rationals overflow fast at weight >= 7, so they appear
-only in tests as oracles. The empty composition acts as the
-unit value 1, a convention used internally by the recursions.
+only in tests as oracles. Exponents are plain tuples of positive ints;
+the empty tuple acts as the unit value 1, a convention used internally
+by the recursions.
 
 Unordered sums are power sums + collision recursion: the inverse power
 sums P_k = sum l**(-k) over the units 0 < l < b*p, built in one
@@ -16,7 +17,6 @@ brute force are its oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import Sequence
@@ -24,7 +24,6 @@ from typing import Sequence
 from .modring import NonUnitError, PrimePowerModulus
 
 __all__ = [
-    "Composition",
     "mhs",
     "mhs_restricted",
     "unordered_sum",
@@ -32,37 +31,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Composition:
-    """Ordered tuple of positive integer exponents (s_1, ..., s_d)."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "parts", tuple(self.parts))
-        if not self.parts:
-            raise ValueError("composition needs at least one part")
-        if any(s < 1 for s in self.parts):
-            raise ValueError(f"composition parts must be >= 1: {self.parts}")
-
-    @property
-    def depth(self) -> int:
-        return len(self.parts)
-
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
-
-
-def _parts(s: Composition | Sequence[int]) -> tuple[int, ...]:
-    if isinstance(s, Composition):
-        return s.parts
+def _parts(s: Sequence[int]) -> tuple[int, ...]:
     parts = tuple(s)
-    return Composition(parts).parts if parts else ()
+    if any(e < 1 for e in parts):
+        raise ValueError(f"composition parts must be >= 1: {parts}")
+    return parts
 
 
-def _sweep(N: int, parts: tuple[int, ...], M: PrimePowerModulus, restricted: bool) -> int:
-    """Shared dynamic program: dp[j] accumulates the depth-(d-j) suffix sums."""
+def _sweep(N: int, parts: tuple[int, ...], M: PrimePowerModulus) -> int:
+    """The nested sum over indices prime to p: dp[j] accumulates the depth-(d-j) suffix sums."""
     mod = M.modulus
     p = M.p
     d = len(parts)
@@ -71,9 +48,7 @@ def _sweep(N: int, parts: tuple[int, ...], M: PrimePowerModulus, restricted: boo
     dp = [0] * d + [1]
     for k in range(1, N + 1):
         if k % p == 0:
-            if restricted:
-                continue
-            raise NonUnitError(f"index {k} is divisible by {p}; use the restricted sum")
+            continue
         invk = pow(k, -1, mod)
         pw: dict[int, int] = {}
         for j in range(d):
@@ -84,22 +59,26 @@ def _sweep(N: int, parts: tuple[int, ...], M: PrimePowerModulus, restricted: boo
     return dp[0]
 
 
-def mhs(N: int, s: Composition | Sequence[int], M: PrimePowerModulus) -> int:
+def mhs(N: int, s: Sequence[int], M: PrimePowerModulus) -> int:
     """H_N(s): sum over N >= k_1 > ... > k_d > 0 of prod k_i**(-s_i), mod p**r.
 
-    The sum is unrestricted, so every index up to N must be a unit;
-    NonUnitError is raised otherwise (use mhs_restricted when N >= p).
+    s is a tuple of positive exponents; the empty tuple gives 1. The sum
+    is unrestricted, so every index up to N must be a unit: for N >= p and
+    a non-empty s, NonUnitError is raised (use mhs_restricted).
     """
     if N < 0:
         raise ValueError(f"negative range bound {N}")
-    return _sweep(N, _parts(s), M, restricted=False)
+    parts = _parts(s)
+    if parts and N >= M.p:
+        raise NonUnitError(f"index {M.p} is divisible by {M.p}; use the restricted sum")
+    return _sweep(N, parts, M)
 
 
-def mhs_restricted(N: int, s: Composition | Sequence[int], M: PrimePowerModulus) -> int:
+def mhs_restricted(N: int, s: Sequence[int], M: PrimePowerModulus) -> int:
     """Same nested sum with every index restricted to non-multiples of p."""
     if N < 0:
         raise ValueError(f"negative range bound {N}")
-    return _sweep(N, _parts(s), M, restricted=True)
+    return _sweep(N, _parts(s), M)
 
 
 @lru_cache(maxsize=None)
@@ -121,7 +100,7 @@ def _inverse_power_sums(b: int, p: int, r: int, w: int) -> tuple[int, ...]:
     return tuple(s % mod for s in sums)
 
 
-def unordered_sum(b: int, alphas: Composition | Sequence[int], M: PrimePowerModulus) -> int:
+def unordered_sum(b: int, alphas: Sequence[int], M: PrimePowerModulus) -> int:
     """U_b(a_1, ..., a_n): sum over pairwise-distinct unit indexes
     0 < l_i < b*p of prod l_i**(-a_i), mod p**r.
 
@@ -159,9 +138,7 @@ def unordered_sum(b: int, alphas: Composition | Sequence[int], M: PrimePowerModu
     return u(tuple(sorted(parts)))
 
 
-def unordered_sum_bruteforce(
-    b: int, alphas: Composition | Sequence[int], M: PrimePowerModulus
-) -> int:
+def unordered_sum_bruteforce(b: int, alphas: Sequence[int], M: PrimePowerModulus) -> int:
     """Direct nested-loop evaluation of the same sum, for depth <= 3."""
     parts = _parts(alphas)
     n = len(parts)

@@ -146,10 +146,12 @@ def hunt_constant(family: str, d: int, m: int, primes: list[int]) -> Reconstruct
     largest prime is held out: a candidate must reconstruct identically
     without it and reduce to its observation, which rejects the spurious
     boundary fractions a bare Euclidean pass can produce from
-    constant-free data.
+    constant-free data. The qd family has no multiplier: m must be 1.
     """
     if family not in HUNT_FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose one of {sorted(HUNT_FAMILIES)}")
+    if family == "qd" and m != 1:
+        raise ValueError(f"the qd family is the bounded sum at p**2 with m = 1; got m={m}")
     observations: list[ResidueObservation] = []
     skipped: list[tuple[int, str]] = []
     for p in sorted(set(primes)):

@@ -23,10 +23,11 @@ target asked of it, and only then is each instance sent its values.
 
 Mixed-precision rule used throughout: a right-hand side of the shape
 c * B * p**j (mod p**(j+1)) is evaluated by reducing the cofactor c * B
-mod p, lifting the canonical representative, and multiplying by p**j.
-A term carrying an explicit p**j factor needs its cofactor only to the
-complementary precision; that is the one reading under which every
-checked congruence is well-posed.
+mod p, lifting the canonical representative, and multiplying by p**j;
+the product is canonical mod p**(j+1) as it stands, so j alone fixes
+its modulus. A term carrying an explicit p**j factor needs its cofactor
+only to the complementary precision; that is the one reading under
+which every checked congruence is well-posed.
 
 Conjectural claims are flagged: a mismatch there is a *finding* (the
 interesting scientific output), reported distinctly and not counted as a
@@ -39,6 +40,7 @@ import time
 from collections.abc import Generator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb, factorial
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -189,10 +191,8 @@ class EvalContext:
 
     def plan(self, terms: Iterable[Term]) -> None:
         """Replace the context's plan by the terms it holds no value for."""
-        self._plan = Plan(
-            (spec, prime_power(spec.p, e)) for spec, e in terms
-            if (key := self.cache_key(spec, e)) not in self._memo and key not in self._cache
-        )
+        self._plan = Plan(term for term in terms
+                          if (key := self.cache_key(*term)) not in self._memo and key not in self._cache)
 
     def comp_sum(self, spec: CompSumSpec, mod_exp: int) -> int:
         key = self.cache_key(spec, mod_exp)
@@ -265,8 +265,10 @@ class Claim:
 
     dims is the default grid as ordered (name, values) dimensions; values
     is an iterable, or a function of the point built from the dimensions
-    before it. --primes, --r and --m replace the p, r and m dimensions of
-    the rows that have them. hypotheses are checked in order. evaluate(inst)
+    before it. The dimensions name every parameter the claim takes: an
+    instance carrying any other name is a bad-parameters error. --primes,
+    --r and --m replace the p, r and m dimensions of the rows that have
+    them. hypotheses are checked in order. evaluate(inst)
     returns (lhs, rhs, modulus, note); a claim that needs composition sums
     writes it as a generator that yields a list of (spec, e) terms once
     and receives their values, each mod p**e, in the same order.
@@ -295,6 +297,11 @@ class Claim:
                       for value in (values(point) if callable(values) else values)]
         return [instance_from_params(self.claim_id, point) for point in points]
 
+    @cached_property
+    def names(self) -> frozenset[str]:
+        """The parameter names the claim takes: those of its dimensions."""
+        return frozenset(name for name, _ in self.dims)
+
     def violated(self, instance: ClaimInstance) -> str | None:
         """The note of the first hypothesis the instance fails, or None."""
         for fails, message in self.hypotheses:
@@ -306,16 +313,16 @@ class Claim:
 # ---------------------------------------------------------------------------
 # shared right-hand-side helpers, and each claim's evaluator
 
-def _rat(c: Fraction | int, p: int, e: int = 1) -> int:
-    return rational_to_residue(c, prime_power(p, e))
+def _rat(c: Fraction | int, p: int) -> int:
+    return rational_to_residue(c, prime_power(p, 1))
 
 
-def _cof_rhs(c: Fraction | int, bern_indices: Iterable[int], p: int, j: int, e: int) -> int:
-    """(c * prod B(idx)) reduced mod p, lifted, times p**j, reduced mod p**e."""
+def _cof_rhs(c: Fraction | int, bern_indices: Iterable[int], p: int, j: int) -> int:
+    """(c * prod B(idx)) reduced mod p, lifted, times p**j: canonical mod p**(j+1)."""
     cof = _rat(c, p)
     for k in bern_indices:
         cof = cof * bernoulli_mod_p(k, p) % p
-    return cof * p**j % p**e
+    return cof * p**j
 
 
 def _triple_bernoulli(p: int, n: int) -> int:
@@ -343,20 +350,20 @@ _P_SMALL = primes_between(11, 31)  # (11, 13, 17, 19, 23, 29, 31)
 def _eq11_eval(inst: ClaimInstance):
     p = inst.p
     [lhs] = yield [(r_spec(3, 1, p), 1)]
-    return lhs, _cof_rhs(-2, [p - 3], p, 0, 1), p, ""
+    return lhs, _cof_rhs(-2, [p - 3], p, 0), p, ""
 
 
 def _thm1i_eval(inst: ClaimInstance):
     p, m = inst.p, inst.m
     [lhs] = yield [(r_spec(7, m, p), 1)]
-    rhs = _cof_rhs(-(504 * m + 210 * m**3 + 6 * m**5), [p - 7], p, 0, 1)
+    rhs = _cof_rhs(-(504 * m + 210 * m**3 + 6 * m**5), [p - 7], p, 0)
     return lhs, rhs, p, ""
 
 
 def _thm1ii_eval(inst: ClaimInstance):
     p, r, m = inst.p, inst.r, inst.m
     [lhs] = yield [(r_spec(7, m, p, r), r)]
-    rhs = _cof_rhs(Fraction(-factorial(7), 10) * m, [p - 7], p, r - 1, r)
+    rhs = _cof_rhs(Fraction(-factorial(7), 10) * m, [p - 7], p, r - 1)
     return lhs, rhs, p**r, ""
 
 
@@ -369,7 +376,7 @@ def _eq13_eval(inst: ClaimInstance):
 def _lem21_eval(inst: ClaimInstance):
     p, n, m, a = inst.p, inst.n, inst.m, inst.get("a")
     lhs = count_solutions_exact(a, m, n, p) % p**2
-    rhs = _cof_rhs(Fraction((-1) ** (m - 1) * comb(n - 2, m - 1)) * gamma_n(a, n), [], p, 1, 2)
+    rhs = _cof_rhs(Fraction((-1) ** (m - 1) * comb(n - 2, m - 1)) * gamma_n(a, n), [], p, 1)
     return lhs, rhs, p**2, ""
 
 
@@ -386,7 +393,7 @@ _N7_DIFFS = {
 def _cor22_eval(inst: ClaimInstance):
     p, m, a = inst.p, inst.m, inst.get("a")
     lhs = (count_solutions_exact(a, m, 7, p) - count_solutions_exact(7 - a, m, 7, p)) % p**2
-    rhs = _cof_rhs(_N7_DIFFS[(m, a)], [], p, 1, 2)
+    rhs = _cof_rhs(_N7_DIFFS[(m, a)], [], p, 1)
     return lhs, rhs, p**2, ""
 
 
@@ -424,11 +431,11 @@ def _u_eval(inst: ClaimInstance):
     if _odd(w):
         lhs = unordered_sum(b, alphas, prime_power(p, 3))
         c = Fraction((-1) ** n * factorial(n - 1) * b * b * w * (w + 1), 2 * (w + 2))
-        rhs = _cof_rhs(c, [p - w - 2], p, 2, 3)
+        rhs = _cof_rhs(c, [p - w - 2], p, 2)
         return lhs, rhs, p**3, "odd-weight branch"
     lhs = unordered_sum(b, alphas, prime_power(p, 2))
     c = Fraction((-1) ** (n - 1) * factorial(n - 1) * b * w, w + 1)
-    rhs = _cof_rhs(c, [p - w - 1], p, 1, 2)
+    rhs = _cof_rhs(c, [p - w - 1], p, 1)
     return lhs, rhs, p**2, "even-weight branch"
 
 
@@ -437,10 +444,10 @@ def _cor32_eval(inst: ClaimInstance):
     w = n * alpha
     if _odd(w):
         lhs = mhs(p - 1, (alpha,) * n, prime_power(p, 3))
-        rhs = _cof_rhs(Fraction((-1) ** n * alpha * (w + 1), 2 * (w + 2)), [p - w - 2], p, 2, 3)
+        rhs = _cof_rhs(Fraction((-1) ** n * alpha * (w + 1), 2 * (w + 2)), [p - w - 2], p, 2)
         return lhs, rhs, p**3, "odd-weight branch"
     lhs = mhs(p - 1, (alpha,) * n, prime_power(p, 2))
-    rhs = _cof_rhs(Fraction((-1) ** (n - 1) * alpha, w + 1), [p - w - 1], p, 1, 2)
+    rhs = _cof_rhs(Fraction((-1) ** (n - 1) * alpha, w + 1), [p - w - 1], p, 1)
     return lhs, rhs, p**2, "even-weight branch"
 
 
@@ -448,8 +455,8 @@ def _lem33_eval(inst: ClaimInstance):
     p, n = inst.p, inst.n
     [lhs] = yield [(r_spec(n, 1, p), 1 if _odd(n) else 2)]
     if _odd(n):
-        return lhs, _cof_rhs(-factorial(n - 1), [p - n], p, 0, 1), p, ""
-    rhs = _cof_rhs(Fraction(-n * factorial(n), 2 * (n + 1)), [p - n - 1], p, 1, 2)
+        return lhs, _cof_rhs(-factorial(n - 1), [p - n], p, 0), p, ""
+    rhs = _cof_rhs(Fraction(-n * factorial(n), 2 * (n + 1)), [p - n - 1], p, 1)
     note = "even branch; cofactor -n*n!/(2(n+1)), the factor 2 confirmed against exact rationals"
     return lhs, rhs, p**2, note
 
@@ -457,14 +464,14 @@ def _lem33_eval(inst: ClaimInstance):
 def _lem35_eval(inst: ClaimInstance):
     p, n = inst.p, inst.n
     [lhs] = yield [(r_spec(n, 2, p), 1)]
-    rhs = _cof_rhs(Fraction(-(n + 1) * factorial(n - 1), 2), [p - n], p, 0, 1)
+    rhs = _cof_rhs(Fraction(-(n + 1) * factorial(n - 1), 2), [p - n], p, 0)
     return lhs, rhs, p, ""
 
 
 def _cor36_eval(inst: ClaimInstance):
     p, n = inst.p, inst.n
     [lhs] = yield [(s_spec(n, 2, p), 1)]
-    rhs = _cof_rhs(Fraction((n - 1) * factorial(n - 1), 2), [p - n], p, 0, 1)
+    rhs = _cof_rhs(Fraction((n - 1) * factorial(n - 1), 2), [p - n], p, 0)
     return lhs, rhs, p, ""
 
 
@@ -474,9 +481,9 @@ def _lem37_eval(inst: ClaimInstance):
     if n == 3:
         # three bounded parts cannot reach 3p, so the decomposition
         # R = S + C(n+1,2) S(1) + n S(2) collapses to -6 B(p-3)
-        rhs = _cof_rhs(-6, [p - 3], p, 0, 1)
+        rhs = _cof_rhs(-6, [p - 3], p, 0)
         return lhs, rhs, p, "degenerate n=3 value; general cofactor does not apply"
-    main = _cof_rhs(Fraction(-(n + 1) * (n + 2) * factorial(n - 1), 6), [p - n], p, 0, 1)
+    main = _cof_rhs(Fraction(-(n + 1) * (n + 2) * factorial(n - 1), 6), [p - n], p, 0)
     rhs = (main - _triple_bernoulli(p, n)) % p
     return lhs, rhs, p, ""
 
@@ -487,7 +494,7 @@ def _cor38_eval(inst: ClaimInstance):
     if n == 3:
         # the bounded family is empty: three parts below p cannot sum to 3p
         return lhs, 0, p, "degenerate n=3 value; the bounded sum is empty"
-    main = _cof_rhs(Fraction(-(n - 1) * (n - 2) * factorial(n - 1), 6), [p - n], p, 0, 1)
+    main = _cof_rhs(Fraction(-(n - 1) * (n - 2) * factorial(n - 1), 6), [p - n], p, 0)
     rhs = (main - _triple_bernoulli(p, n)) % p
     return lhs, rhs, p, ""
 
@@ -495,7 +502,7 @@ def _cor38_eval(inst: ClaimInstance):
 def _prop41_eval(inst: ClaimInstance):
     p, r = inst.p, inst.r
     [lhs] = yield [(s_spec(7, 1, p, r + 1), r + 1)]
-    rhs = _cof_rhs(Fraction(-factorial(7), 10), [p - 7], p, r, r + 1)
+    rhs = _cof_rhs(Fraction(-factorial(7), 10), [p - 7], p, r)
     return lhs, rhs, p ** (r + 1), ""
 
 
@@ -510,7 +517,7 @@ def _eq51_eval(inst: ClaimInstance):
     p, d, m = inst.p, inst.n, inst.m
     [lhs] = yield [(s_spec(d, m, p), 1)]
     c = Fraction(-1) if m == 1 else Fraction(d - 1, 2)
-    rhs = _cof_rhs(c * factorial(d - 1), [p - d], p, 0, 1)
+    rhs = _cof_rhs(c * factorial(d - 1), [p - d], p, 0)
     return lhs, rhs, p, ""
 
 
@@ -518,7 +525,7 @@ def _eq52_eval(inst: ClaimInstance):
     p, d, m = inst.p, inst.n, inst.m
     [lhs] = yield [(r_spec(d, m, p), 1)]
     c = Fraction(-1) if m == 1 else Fraction(-(d + 1), 2)
-    rhs = _cof_rhs(c * factorial(d - 1), [p - d], p, 0, 1)
+    rhs = _cof_rhs(c * factorial(d - 1), [p - d], p, 0)
     return lhs, rhs, p, ""
 
 
@@ -526,7 +533,7 @@ def _conj8_eval(inst: ClaimInstance):
     p, m = inst.p, inst.m
     [lhs] = yield [(r_spec(8, m, p), 1)]
     c = Fraction(112, 5) * m * (m * m + 16) * (m * m - 1)
-    rhs = _cof_rhs(c, [p - 3, p - 5], p, 0, 1)
+    rhs = _cof_rhs(c, [p - 3, p - 5], p, 0)
     return lhs, rhs, p, ""
 
 
@@ -534,8 +541,8 @@ def _conj9_eval(inst: ClaimInstance):
     p, m = inst.p, inst.m
     [lhs] = yield [(r_spec(9, m, p), 1)]
     rhs = (
-        _cof_rhs(Fraction(-factorial(8), 18) * comb(m + 2, 5), [p - 3, p - 3, p - 3], p, 0, 1)
-        + _cof_rhs(-8 * m * (m**6 + 126 * m**4 + 1869 * m**2 + 3044), [p - 9], p, 0, 1)
+        _cof_rhs(Fraction(-factorial(8), 18) * comb(m + 2, 5), [p - 3, p - 3, p - 3], p, 0)
+        + _cof_rhs(-8 * m * (m**6 + 126 * m**4 + 1869 * m**2 + 3044), [p - 9], p, 0)
     ) % p
     return lhs, rhs, p, ""
 
@@ -544,7 +551,7 @@ def _conj10_eval(inst: ClaimInstance):
     p, m = inst.p, inst.m
     [lhs] = yield [(r_spec(10, m, p), 1)]
     c = Fraction(-24, 35) * m * (m**4 + 71 * m**2 + 540) * (m * m - 1)
-    rhs = (_cof_rhs(c * 50, [p - 3, p - 7], p, 0, 1) + _cof_rhs(c * 21, [p - 5, p - 5], p, 0, 1)) % p
+    rhs = (_cof_rhs(c * 50, [p - 3, p - 7], p, 0) + _cof_rhs(c * 21, [p - 5, p - 5], p, 0)) % p
     return lhs, rhs, p, ""
 
 
@@ -771,6 +778,9 @@ def _prepare(instance: ClaimInstance) -> tuple[Claim, ClaimReport | tuple[Evalua
     if claim is None:
         raise KeyError(f"unknown claim id {instance.claim_id!r}")
     try:
+        unknown = [name for name in instance.params() if name not in claim.names]
+        if unknown:
+            raise ValueError(f"{claim.claim_id} does not take {', '.join(unknown)}")
         reason = claim.violated(instance) if is_prime(instance.p) else f"{instance.p} is not prime"
     except (KeyError, TypeError, ValueError) as exc:
         return claim, ClaimReport(instance, "error", note=f"bad parameters: {exc}", anchor=claim.anchor)

@@ -29,6 +29,10 @@ class TestParsing:
         assert _parse_instance("p=11,alphas=1+1+2") == {"p": 11, "alphas": (1, 1, 2)}
         with pytest.raises(ValueError):
             _parse_instance("p=")
+        # a repeated name used to overwrite the first value without a word
+        for text in ("p=11,p=13", "p=11,alphas=1,alphas=1+2", "p=11, p=11"):
+            with pytest.raises(ValueError, match="given twice"):
+                _parse_instance(text)
 
 
 class TestVerifyCommand:
@@ -117,6 +121,7 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("instances, statuses", [
         (["p=11,r=2,m=1+2", "p=11,r=2,m=1"], ["pass", "error"]),  # an int and a tuple m in one batch
         (["p=11+13,r=2,m=1"], ["error"]),  # a tuple p
+        (["p=11,r=2,m=1,n=1+2,zzz=3"], ["error"]),  # names the claim does not take
     ])
     def test_malformed_instance_is_an_error_row(self, capsys, instances, statuses):
         argv = ["verify", "--claims", "THM-1.1-ii", "--format", "json"]
@@ -127,6 +132,14 @@ class TestVerifyCommand:
         assert rc == 2
         assert [row["status"] for row in rows] == statuses
         assert all(row["note"].startswith("bad parameters: ") for row in rows if row["status"] == "error")
+
+    def test_instance_name_given_twice_exits_two_before_the_cache(self, capsys, tmp_path):
+        cache = tmp_path / "cache.csv"
+        cache.write_text("not,a,cache\n")  # reading it would fail with another message
+        rc, out, err = run(capsys, ["verify", "--claims", "EQ-1.1", "--instance", "p=11",
+                                    "--instance", "p=11,p=13", "--cache", str(cache)])
+        assert (rc, out) == (2, "")
+        assert err == "error: ValueError: instance parameter 'p' given twice in 'p=11,p=13'\n"
 
     def test_deterministic_output_files(self, capsys, tmp_path):
         argv = ["verify", "--claims", "EQ-1.1,LEM-3.3,LEM-3.4", "--primes", "11..13",
@@ -205,7 +218,7 @@ class TestVerifyCommand:
         assert par == seq
 
     def test_instance_mode_honours_jobs(self, capsys):
-        argv = ["verify", "--claims", "EQ-1.1,LEM-3.3", "--instance", "p=13,n=4",
+        argv = ["verify", "--claims", "LEM-3.3,LEM-3.5", "--instance", "p=13,n=5",
                 "--instance", "p=11,n=3", "--instance", "p=9,n=3", "--stats", "--format", "csv"]
         seq, par = run(capsys, argv + ["--jobs", "1"]), run(capsys, argv + ["--jobs", "2"])
         assert seq[0] == 0 and seq[1].count(",pass,") == 4 and seq[1].count(",skip,") == 2
@@ -335,6 +348,12 @@ class TestSearchCommand:
         doc = json.loads(out)
         assert doc["status"] == "not-found-up-to-bound"
         assert doc["bound"] > 0 and len(doc["observations"]) > 0
+
+    def test_qd_with_a_multiplier_exits_two(self, capsys):
+        # qd never reads m; the report used to print m=2 over m=1's values
+        rc, out, err = run(capsys, ["search", "--family", "qd", "--d", "3", "--m", "2", "--primes", "7..31"])
+        assert (rc, out) == (2, "")
+        assert "ValueError" in err and "m=2" in err
 
     def test_c_family(self, capsys):
         rc, out, _ = run(

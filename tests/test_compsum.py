@@ -131,11 +131,11 @@ class TestLadder:
         requests += [(s_spec(7, 3, 13, 2), M13), (r_spec(5, 2, 13, 1), M13)]
         requests += [(s_spec(n, m, 11, 2), M11) for n, m in [(6, 4), (3, 2), (10, 7)]]
         expected = [_fresh(spec, M) for spec, M in requests]
-        plan = compsum.Plan(requests)
+        plan = compsum.Plan((spec, M.r) for spec, M in requests)
         assert [comp_sum(spec, M, plan) for spec, M in requests] == expected
         shuffled = list(zip(requests, expected))
         random.Random(3).shuffle(shuffled)
-        plan = compsum.Plan(spec_M for spec_M, _ in shuffled)
+        plan = compsum.Plan((spec, M.r) for (spec, M), _ in shuffled)
         assert [comp_sum(spec, M, plan) for (spec, M), _ in shuffled] == [want for _, want in shuffled]
 
     def test_ladders_kept_for_one_prime_only(self):
@@ -193,7 +193,7 @@ class TestLadder:
         expected = [_fresh(spec, M) for spec, M in requests]
         assert len(builds) == 5  # unplanned: one ladder per request
         del builds[:]
-        plan = compsum.Plan(requests)
+        plan = compsum.Plan((spec, M.r) for spec, M in requests)
         assert [comp_sum(spec, M, plan) for spec, M in requests] == expected
         assert plan.ladders_built == 3
         # one ladder per (p, bound, e), each at its largest part count and target

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from supercong.mhs import (
-    Composition,
     mhs,
     mhs_restricted,
     unordered_sum,
@@ -64,16 +63,12 @@ def _oracle_cases(seed: int, count: int) -> list[tuple[int, tuple[int, ...], Pri
     return cases
 
 
-class TestComposition:
-    def test_properties(self):
-        c = Composition((2, 1, 3))
-        assert c.depth == 3 and c.weight == 6
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Composition(())
-        with pytest.raises(ValueError):
-            Composition((1, 0))
+@pytest.mark.parametrize("fn", [mhs, mhs_restricted, unordered_sum, unordered_sum_bruteforce],
+                         ids=lambda fn: fn.__name__)
+def test_non_positive_part_rejected(fn):
+    for parts in [(1, 0), (0,), (2, -1, 1)]:
+        with pytest.raises(ValueError, match=r"^composition parts must be >= 1: "):
+            fn(1, parts, PrimePowerModulus(7, 2))
 
 
 class TestMhs:
@@ -81,7 +76,8 @@ class TestMhs:
         assert mhs(0, (1, 2), PrimePowerModulus(7, 1)) == 0
 
     def test_empty_composition_is_unit(self):
-        assert mhs(5, (), PrimePowerModulus(7, 1)) == 1
+        for N in (0, 5, 7, 8, 50):  # at N >= p too: the empty tuple has no index to divide
+            assert mhs(N, (), PrimePowerModulus(7, 1)) == 1
 
     def test_depth_one_spec_example(self):
         M = PrimePowerModulus(101, 1)
@@ -94,13 +90,11 @@ class TestMhs:
         assert exact == (mhs_exact(6, (1,)) ** 2 - mhs_exact(6, (2,))) / 2
         assert mhs(6, (1, 1), M) == rational_to_residue(exact, M)
 
-    def test_accepts_composition_objects(self):
-        M = PrimePowerModulus(11, 1)
-        assert mhs(5, Composition((2, 1)), M) == mhs(5, (2, 1), M)
-
     def test_non_unit_index_raises(self):
-        with pytest.raises(NonUnitError):
-            mhs(7, (1,), PrimePowerModulus(7, 1))
+        # the first multiple of p is named, however far N reaches past it
+        for N, parts in [(7, (1,)), (8, (1,)), (40, (2, 1))]:
+            with pytest.raises(NonUnitError, match=r"^index 7 is divisible by 7; use the restricted sum$"):
+                mhs(N, parts, PrimePowerModulus(7, 2))
 
     def test_matches_exact_oracle(self):
         M = PrimePowerModulus(13, 2)

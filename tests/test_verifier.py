@@ -310,24 +310,30 @@ class TestSweep:
 
 
 def _random_instance(rng: random.Random) -> tuple[ClaimInstance, bool]:
-    """A random instance of a random claim, and whether it was made malformed:
-    a tuple where an int belongs (p included), an int for alphas, or a missing
-    extra. Values stay small (p <= 31, r <= 3, m <= 4, n <= 9, and
+    """A random instance of a random claim, carrying the claim's parameters,
+    and whether it was made malformed: a tuple where an int belongs (p
+    included), an int for alphas, a missing parameter, or an unknown name.
+    Values stay small (p <= 31, r <= 3, m <= 4, n <= 9, and
     p**(r+1) <= 13**4), so that no instance runs long."""
+    claim = CLAIMS[rng.choice(sorted(CLAIMS))]
     p = rng.choice((5, 7, 9, 11, 13, 17, 19, 23, 29, 31))
-    params = {"p": p, "r": rng.randint(1, 3 if p <= 13 else 2), "m": rng.randint(1, 4), "n": rng.randint(2, 9),
-              "a": rng.randint(1, 8), "b": rng.randint(1, 3), "alphas": rng.choice(_U_COMPS),
-              "alpha": rng.randint(1, 4)}
+    draws = {"p": p, "r": rng.randint(1, 3 if p <= 13 else 2), "m": rng.randint(1, 4), "n": rng.randint(2, 9),
+             "a": rng.randint(1, 8), "b": rng.randint(1, 3), "alphas": rng.choice(_U_COMPS),
+             "alpha": rng.randint(1, 4)}
+    params = {name: draws[name] for name, _ in claim.dims}
     malformed = rng.random() < 0.5
     if malformed:
-        key = rng.choice(("p", "r", "m", "n", "a", "b", "alpha", "alphas", "missing"))
+        others = [name for name in params if name != "p"]
+        key = rng.choice([*params, "unknown"] + (["missing"] if others else []))
         if key == "alphas":
             params[key] = rng.randint(1, 3)
         elif key == "missing":
-            del params[rng.choice(("a", "b", "alphas", "alpha"))]
+            del params[rng.choice(others)]
+        elif key == "unknown":
+            params["zzz"] = rng.randint(1, 3)
         else:
             params[key] = (params[key], rng.randint(1, 3))
-    return instance_from_params(rng.choice(sorted(CLAIMS)), params), malformed
+    return instance_from_params(claim.claim_id, params), malformed
 
 
 class TestMixedBatch:
@@ -347,6 +353,9 @@ class TestMixedBatch:
         for inst, malformed in drawn:
             if isinstance(inst.p, tuple):
                 assert outcome[inst].status == "error" and outcome[inst].note.startswith("bad parameters: ")
+            if inst.get("zzz", None) is not None:
+                assert (outcome[inst].status, outcome[inst].note) == (
+                    "error", f"bad parameters: {inst.claim_id} does not take zzz")
             if not malformed:
                 assert outcome[inst].status != "error"
 

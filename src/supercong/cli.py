@@ -44,9 +44,9 @@ def _parse_instance(text: str) -> dict:
         if not pair:
             continue
         key, _, value = pair.partition("=")
-        if not value:
-            raise ValueError(f"malformed instance parameter {pair!r}")
         key = key.strip()
+        if not key or not value:
+            raise ValueError(f"malformed instance parameter {pair!r}")
         if key in params:
             raise ValueError(f"instance parameter {key!r} given twice in {text!r}")
         if key in _TUPLE_KEYS or "+" in value:
@@ -77,11 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--format", choices=reports_mod.FORMATS, default="md")
     ver.add_argument("--out", help="write the report here instead of stdout")
     ver.add_argument("--cache", help=f"residue cache CSV (default ${cache_mod.ENV_VAR})")
-    ver.add_argument("--jobs", type=int, default=1, help="worker processes, one task per prime (at least 1)")
-    ver.add_argument("--timings", action="store_true",
-                     help="include elapsed_ms per row (breaks byte-for-byte determinism); a prime's "
-                          "ladders are planned together, so a ladder's climb is charged to the first "
-                          "row that reaches its key, not spread over the rows that use it")
+    ver.add_argument("--jobs", type=int, default=1,
+                     help="worker processes, one task per prime (at least 1; capped at the primes and CPUs)")
     ver.add_argument("--stats", action="store_true", help="print evaluation counters to stderr")
 
     comp = sub.add_parser("compute", help="compute a single quantity")
@@ -144,6 +141,9 @@ def _cmd_verify(args) -> int:
     claim_ids = list(CLAIMS) if args.claims.strip().upper() == "ALL" else [
         c.strip() for c in args.claims.split(",") if c.strip()
     ]
+    if not claim_ids:
+        print(f"--claims {args.claims!r} selects no value", file=sys.stderr)
+        return 2
     for cid in claim_ids:
         if cid not in CLAIMS:
             print(f"unknown claim id {cid!r}; known: {', '.join(CLAIMS)}", file=sys.stderr)
@@ -169,7 +169,7 @@ def _cmd_verify(args) -> int:
         reports = sweep(claim_ids, GridSpec(*selected), ctx=ctx, jobs=args.jobs)
     if cache is not None:
         cache.append(ctx.new_rows)
-    text = reports_mod.emit_report(reports, args.format, path=args.out, timings=args.timings)
+    text = reports_mod.emit_report(reports, args.format, path=args.out)
     if args.out is None:
         sys.stdout.write(text)
     if args.stats:

@@ -1,8 +1,7 @@
 """Report serialization: json / csv / md, byte-stable for identical inputs.
 
-Row fields appear in a fixed order; no timestamps or volatile values are
-emitted unless timings are explicitly requested, so two identical runs
-produce identical bytes.
+Row fields appear in a fixed order and no timestamps or volatile values
+are emitted, so two identical runs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -57,9 +56,9 @@ def replay_command(report: ClaimReport) -> str:
     )
 
 
-def report_row(report: ClaimReport, timings: bool = False) -> dict:
+def report_row(report: ClaimReport) -> dict:
     inst = report.instance
-    row = {
+    return {
         "claim_id": inst.claim_id,
         "p": inst.p,
         "r": inst.r,
@@ -74,30 +73,24 @@ def report_row(report: ClaimReport, timings: bool = False) -> dict:
         "quote_anchor": report.anchor,
         "replay": replay_command(report),
     }
-    if timings:
-        row["elapsed_ms"] = round(report.elapsed_ms, 3)
-    return row
 
 
-def render_json(reports: Iterable[ClaimReport], timings: bool = False) -> str:
-    doc = {"report_fields": list(FIELDS), "reports": [report_row(r, timings) for r in reports]}
-    if timings:
-        doc["report_fields"].append("elapsed_ms")
+def render_json(reports: Iterable[ClaimReport]) -> str:
+    doc = {"report_fields": list(FIELDS), "reports": [report_row(r) for r in reports]}
     return json.dumps(doc, indent=2) + "\n"
 
 
-def render_csv(reports: Iterable[ClaimReport], timings: bool = False) -> str:
+def render_csv(reports: Iterable[ClaimReport]) -> str:
     out = io.StringIO()
-    fields = FIELDS + (("elapsed_ms",) if timings else ())
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(fields)
+    writer.writerow(FIELDS)
     for report in reports:
-        row = report_row(report, timings)
-        writer.writerow(["" if row[f] is None else row[f] for f in fields])
+        row = report_row(report)
+        writer.writerow(["" if row[f] is None else row[f] for f in FIELDS])
     return out.getvalue()
 
 
-def render_md(reports: Iterable[ClaimReport], timings: bool = False) -> str:
+def render_md(reports: Iterable[ClaimReport]) -> str:
     reports = list(reports)
     lines = ["# Congruence verification report", ""]
     if not reports:
@@ -105,8 +98,6 @@ def render_md(reports: Iterable[ClaimReport], timings: bool = False) -> str:
         lines.append("")
         return "\n".join(lines)
     cols = ("p", "r", "m", "n", "extra", "lhs", "rhs", "modulus", "status", "note")
-    if timings:
-        cols = cols + ("elapsed_ms",)
     by_claim: dict[str, list[ClaimReport]] = {}
     for report in reports:
         by_claim.setdefault(report.instance.claim_id, []).append(report)
@@ -119,7 +110,7 @@ def render_md(reports: Iterable[ClaimReport], timings: bool = False) -> str:
         lines.append("| " + " | ".join(cols) + " |")
         lines.append("|" + "|".join(" --- " for _ in cols) + "|")
         for report in group:
-            row = report_row(report, timings)
+            row = report_row(report)
             cells = ["" if row[c] is None else str(row[c]) for c in cols]
             lines.append("| " + " | ".join(cells) + " |")
         lines.append("")
@@ -129,15 +120,15 @@ def render_md(reports: Iterable[ClaimReport], timings: bool = False) -> str:
 _RENDERERS = {"json": render_json, "csv": render_csv, "md": render_md}
 
 
-def render(reports: Iterable[ClaimReport], fmt: str, timings: bool = False) -> str:
+def render(reports: Iterable[ClaimReport], fmt: str) -> str:
     if fmt not in _RENDERERS:
         raise ValueError(f"unknown format {fmt!r}; choose one of {FORMATS}")
-    return _RENDERERS[fmt](reports, timings)
+    return _RENDERERS[fmt](reports)
 
 
-def emit_report(reports: Iterable[ClaimReport], fmt: str, path=None, timings: bool = False) -> str:
+def emit_report(reports: Iterable[ClaimReport], fmt: str, path=None) -> str:
     """Render and optionally write to a file; returns the rendered text."""
-    text = render(reports, fmt, timings)
+    text = render(reports, fmt)
     if path is not None:
         with open(path, "w", newline="") as fh:
             fh.write(text)

@@ -36,7 +36,7 @@ verification failure.
 
 from __future__ import annotations
 
-import time
+import os
 from collections.abc import Generator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -146,7 +146,6 @@ class ClaimReport:
     modulus: int | None = None
     note: str = ""
     anchor: str = ""
-    elapsed_ms: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -826,20 +825,10 @@ def _error(claim: Claim, instance: ClaimInstance, exc: Exception) -> ClaimReport
 def _verify_planned(instances: Iterable[ClaimInstance], ctx: EvalContext) -> list[ClaimReport]:
     """Check every instance's hypotheses and start its evaluation, hand all
     the terms yielded to ctx as one plan, then finish the instances in order."""
-    prepared = []
-    for instance in instances:
-        start = time.perf_counter()
-        claim, outcome = _prepare(instance)
-        prepared.append((claim, instance, outcome, time.perf_counter() - start))
-    ctx.plan(term for _, _, outcome, _ in prepared if not isinstance(outcome, ClaimReport) for term in outcome[1])
-    reports = []
-    for claim, instance, outcome, seconds in prepared:
-        start = time.perf_counter()
-        if not isinstance(outcome, ClaimReport):
-            outcome = _evaluate(claim, instance, *outcome, ctx)
-        outcome.elapsed_ms = (seconds + time.perf_counter() - start) * 1000.0
-        reports.append(outcome)
-    return reports
+    prepared = [(instance, *_prepare(instance)) for instance in instances]
+    ctx.plan(term for _, _, outcome in prepared if not isinstance(outcome, ClaimReport) for term in outcome[1])
+    return [outcome if isinstance(outcome, ClaimReport) else _evaluate(claim, instance, *outcome, ctx)
+            for instance, claim, outcome in prepared]
 
 
 def verify(instance: ClaimInstance, ctx: EvalContext | None = None) -> ClaimReport:
@@ -874,8 +863,8 @@ def verify_instances(
     ctx: EvalContext | None = None,
     jobs: int = 1,
 ) -> list[ClaimReport]:
-    """Verify instances prime by prime, in process or over a pool of `jobs`
-    processes with one task per prime.
+    """Verify instances prime by prime, in process or over a pool of
+    min(jobs, primes, CPUs) processes with one task per prime.
 
     A prime's instances share one context and one compsum plan, so each
     ladder at that prime is built once and serves every claim. The
@@ -890,10 +879,11 @@ def verify_instances(
         groups.setdefault(inst.p, []).append(inst)
     cache, memo = _by_prime(ctx._cache), _by_prime(ctx._memo)
     tasks = [(groups[p], cache.get(p, {}), memo.get(p, {})) for p in sorted(groups, key=_ordered)]
-    if jobs > 1 and len(tasks) > 1:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_verify_prime, tasks))
     else:
         results = map(_verify_prime, tasks)

@@ -32,10 +32,6 @@ class TestRows:
         assert row["quote_anchor"]
         assert row["replay"].startswith("supercong verify --claims EQ-1.1")
 
-    def test_timings_opt_in(self, passing_reports):
-        assert "elapsed_ms" not in report_row(passing_reports[0])
-        assert "elapsed_ms" in report_row(passing_reports[0], timings=True)
-
     def test_extra_and_tuple_rendering(self):
         report = verify(
             ClaimInstance("LEM-3.4", 11, n=2, extra=(("alphas", (1, 1)), ("b", 2)))

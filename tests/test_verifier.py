@@ -1,3 +1,5 @@
+import concurrent.futures
+import os
 import random
 from fractions import Fraction
 from math import factorial
@@ -95,10 +97,6 @@ class TestVerify:
         assert report.status == "finding"
         assert "conjecture mismatch" in report.note
         assert report.lhs is not None and report.rhs is not None
-
-    def test_elapsed_recorded(self):
-        report = verify(ClaimInstance("EQ-1.1", 5))
-        assert report.elapsed_ms >= 0
 
 
 # One instance per hypothesis, failing exactly that hypothesis, with the exact
@@ -288,6 +286,37 @@ class TestSweep:
         assert [(r.instance, r.status, r.lhs, r.rhs) for r in seq] == [
             (r.instance, r.status, r.lhs, r.rhs) for r in par
         ]
+
+    def test_workers_capped_at_cpu_count(self, monkeypatch):
+        # a huge --jobs over many primes must not ask for that many processes;
+        # the stand-in pool records its size and maps in process, so none start
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        claims, grid = ["EQ-1.1", "LEM-3.5"], GridSpec(primes=(11, 13, 17))
+        seq_ctx, par_ctx = EvalContext(), EvalContext()
+        seq = sweep(claims, grid, ctx=seq_ctx, jobs=1)
+        assert sizes == []
+        par = sweep(claims, grid, ctx=par_ctx, jobs=10**6)
+        assert sizes == [2]
+        assert par == seq
+        assert (par_ctx.comp_sum_evals, par_ctx.new_rows) == (seq_ctx.comp_sum_evals, seq_ctx.new_rows)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one worker, so no pool
+        assert sweep(claims, grid, jobs=10**6) == seq and sizes == [2]
 
     def test_claim_that_yields_twice_raises(self, monkeypatch):
         def twice(inst):

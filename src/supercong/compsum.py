@@ -1,19 +1,36 @@
 """Sums of reciprocal products over restricted compositions of m * p**r.
 
 Every sum is one coefficient [x**N] f**n of the truncated unit series
-f(x) = sum_{p not| l} x**l / l. The evaluator climbs a derivative ladder:
-(f**k)' = k * f**(k-1) * f', and f' has 0/1 coefficients, so each row
-f**k costs one O(N) pass of prefix sums followed by an exact p-adic
-division by the index. Evaluation is planned: a caller declares the sums
-it will ask for (Plan) and passes the plan to comp_sum. Each (prime,
-part bound, precision) key of the plan gets one ladder, built once at
-its largest part count and target. The ladder's rows are streamed, two
-alive at a time, and only the planned coefficients are kept. A request
-outside the plan, or made without one, is a plan of its own. Two
-independent oracles check the ladder: binary powering with one
-Kronecker-substitution big-integer multiply per step, and, at small
-scale, a memoized recursive enumerator. All three return a plain
-int, canonical in [0, p**e).
+f(x) = sum_{p not| l} x**l / l, or of its bounded variant f_b (parts below
+p**R). Before anything is climbed, a deep request is reduced by the digit
+expansion. Writing each part as l = a + p*b with 0 < a < p,
+1/l = sum_{j<e} (-p*b)**j / a**(j+1) (mod p**e), and summing over b with
+the Eulerian sums sum_b b**j y**b = E_j(y) / (1 - y)**(j+1) gives
+f == P(x) / (1 - x**p)**e (mod p**e) with deg P < p*e. So for
+N >= L = n*p*e, [x**N] f**n is an exact integer combination of the
+coefficients [x**t] f**n with t == N (mod p) and t < L (reduce), and for
+the bounded family with R >= e, f_b == (1 - x**p**R) * f (mod p**e) turns
+[x**N] f_b**n into n + 1 shifted unbounded coefficients, each reduced the
+same way. Every other request (N < L, and the bounded family with R < e)
+is read at its own target. A request can also ask for its own target
+explicitly (CompSumSpec.full_target), which is how the verifier
+cross-checks the identities that the reduction would make hold by
+algebra alone.
+
+The coefficients themselves come from one evaluator, a derivative
+ladder: (f**k)' = k * f**(k-1) * f', and f' has 0/1 coefficients, so
+each row f**k costs one O(N) pass of prefix sums followed by an exact
+p-adic division by the index. Evaluation is planned: a caller declares
+the sums it will ask for (Plan) and passes the plan to comp_sum. Each
+(prime, part bound, precision) key of the plan gets one ladder, built
+once at its largest part count and target; a reduced request plans its
+coefficients under the unbounded key (p, None, e), below n*p*e. The
+ladder's rows are streamed, two alive at a time, and only the planned
+coefficients are kept. A request outside the plan, or made without one,
+is a plan of its own. Two independent oracles check the evaluator:
+binary powering with one Kronecker-substitution big-integer multiply per
+step, and, at small scale, a memoized recursive enumerator. All three
+return a plain int, canonical in [0, p**e).
 """
 
 from __future__ import annotations
@@ -22,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat
 from math import comb
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Iterable, Iterator
 
 from .modring import PrimePowerModulus, prime_power
@@ -34,6 +51,7 @@ __all__ = [
     "s_spec",
     "r_spec",
     "comp_sum",
+    "is_reduced",
     "Plan",
     "comp_sum_bruteforce",
     "comp_sum_kronecker",
@@ -61,7 +79,9 @@ class CompSumSpec:
     bounded family, nonempty only for m <= n - 1); with upper_bound = None
     parts are free (the family appearing at target m*p and in the lifted
     congruences). An explicit target decoupled from m * p**r is accepted
-    for oracle-style evaluations at arbitrary sums.
+    for oracle-style evaluations at arbitrary sums. full_target reads the
+    coefficient at the target itself, never by reduction: the same value,
+    by a second route.
     """
 
     n: int
@@ -70,6 +90,7 @@ class CompSumSpec:
     r: int = 1
     upper_bound: int | None = None
     target: int | None = None
+    full_target: bool = False
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -86,14 +107,14 @@ class CompSumSpec:
             raise ValueError(f"target must be >= 1, got {self.target}")
 
 
-def s_spec(n: int, m: int, p: int, r: int = 1) -> CompSumSpec:
+def s_spec(n: int, m: int, p: int, r: int = 1, full_target: bool = False) -> CompSumSpec:
     """Spec with every part strictly below p**r."""
-    return CompSumSpec(n=n, m=m, p=p, r=r, upper_bound=p**r)
+    return CompSumSpec(n=n, m=m, p=p, r=r, upper_bound=p**r, full_target=full_target)
 
 
-def r_spec(n: int, m: int, p: int, r: int = 1) -> CompSumSpec:
+def r_spec(n: int, m: int, p: int, r: int = 1, full_target: bool = False) -> CompSumSpec:
     """Spec with unbounded parts."""
-    return CompSumSpec(n=n, m=m, p=p, r=r)
+    return CompSumSpec(n=n, m=m, p=p, r=r, full_target=full_target)
 
 
 def _eval_modulus(spec: CompSumSpec, modulus: PrimePowerModulus | None) -> PrimePowerModulus:
@@ -110,21 +131,37 @@ def _shifted(values: Iterable[int], d: int, N: int) -> Iterator[int]:
 
 
 class _Ladder:
-    """Rows f**1 .. f**K of one truncated unit series to x**N, kept mod p**(e + K*V).
+    """Rows f**1 .. f**K of one truncated unit series to x**N, each to the precision it needs.
 
-    Row k's j-th coefficient comes from row k-1 divided by j, which costs
-    up to V = max v_p(j) p-adic digits, so row k is exact modulo
-    p**(e + (K-k)*V) and every row up to K is good to p**e. The rows are
-    climbed once and streamed: only the row being built and the one below
-    it are alive, so memory is O(N), not O(K*N).
+    Row k's coefficient at j is k * s_j / j, where s_j sums coefficients of
+    row k-1 below j. The division costs v_p(j) p-adic digits, at most V =
+    max v_p(j). Work modulo p**(e + min((K-1)*V, D)), where D = v_p(N!),
+    and keep row k modulo p**(e + min((K-k)*V, D)); then every row up to
+    K is good to p**e. Proof: row 1 is exact, since its numerator at p | j
+    is exactly 0. An error that enters a row (by reducing a numerator or a
+    row modulo that row's precision) travels to later rows only through
+    divisions at strictly increasing indices j, one per row, and loses
+    v_p(j) digits at each. So an error entering row k loses at most
+    (K-k)*V digits by row K, and at most sum_{j<=N} v_p(j) = D along any
+    chain of distinct indices. Each numerator is reduced at the previous
+    row's precision, and its exact divisibility by p**v_p(j) is checked
+    there: by the same count its error is divisible by p**(e + v_p(j)),
+    so the check passes whenever the rows below are right, and a failure
+    raises PrecisionError. The rows are climbed once and streamed: only
+    the row being built and the one below it are alive, so memory is
+    O(N), not O(K*N).
     """
 
     def __init__(self, p: int, bound: int | None, e: int, K: int, N: int):
         self.p, self.bound, self.e, self.K, self.N = p, bound, e, K, N
-        V, limit = 0, p
+        V, limit, D, power = 0, p, 0, p
         while limit <= N:
             V, limit = V + 1, limit * p
-        self.prec = e + K * V
+        while power <= N:
+            D, power = D + N // power, power * p
+        # precs[k]: the digits row k is kept to; row 0, the constant 1, at row 1's
+        self.precs = [e + min((K - max(k, 1)) * V, D) for k in range(K + 1)]
+        self.prec = self.precs[1]
         self.mod = mod = p**self.prec
         # inverses[j] inverts j's unit part; one pow for the product of all units
         units = [j for j in range(1, N + 1) if j % p]
@@ -163,7 +200,9 @@ class _Ladder:
 
     def _row(self, prev: list[int], k: int) -> list[int]:
         """f**k from prev = f**(k-1): j * c_j = k * [x**(j-1)] prev * f'."""
-        p, bound, mod, N = self.p, self.bound, self.mod, self.N
+        p, bound, N = self.p, self.bound, self.N
+        prec = self.precs[k - 1]
+        below, mod = p**prec, p**self.precs[k]
         prefix = list(accumulate(prev))
         by_class = prev[:p]  # by_class[i] = prev[i] + prev[i - p] + prev[i - 2p] + ...
         for i in range(p, len(prev), p):
@@ -178,17 +217,76 @@ class _Ladder:
         inverses = self.inverses
         row = [k * s * c % mod for s, c in zip(sums, inverses)]
         for j in range(p, N + 1, p):
-            numerator = k * sums[j] % mod
+            numerator = k * sums[j] % below
             v, power = 1, p
             while j % (power * p) == 0:
                 v, power = v + 1, power * p
             if numerator % power:
                 raise PrecisionError(
                     f"p**{v} does not divide the numerator of coefficient {j} in row {k} "
-                    f"mod p**{self.prec} (p={p})"
+                    f"mod p**{prec} (p={p})"
                 )
             row[j] = numerator // power * inverses[j] % mod
         return row
+
+
+def is_reduced(spec: CompSumSpec, e: int) -> bool:
+    """True when comp_sum reads spec mod p**e as a combination of unbounded
+    coefficients below n*p*e instead of at its own target."""
+    if spec.full_target or spec.upper_bound is not None and spec.r < e:
+        return False
+    return spec.target >= spec.n * spec.p * e
+
+
+def _coefficients(spec: CompSumSpec, e: int) -> tuple[tuple[int, int | None, int], range]:
+    """The ladder key and the targets t of the coefficients [x**t] f**n that
+    comp_sum combines into spec's value mod p**e."""
+    n, N, p = spec.n, spec.target, spec.p
+    if not is_reduced(spec, e):
+        return (p, spec.upper_bound, e), range(N, N + 1)
+    return (p, None, e), range(n + (N - n) % p, n * p * e, p)
+
+
+def _digit_weights(n: int, p: int, e: int, N: int) -> dict[int, int]:
+    """w_t with [x**N] f**n == sum_t w_t * [x**t] f**n (mod p**e), over t == N
+    (mod p), n <= t < L = n*p*e <= N.
+
+    f**n == P(x)**n / (1 - x**p)**(n*e) with deg P**n < L, and
+    P**n = f**n * (1 - x**p)**(n*e), so with q = (N - t)/p the weights are
+    w_t = sum_{c >= 0, t + c*p < L} (-1)**c C(n*e, c) C(n*e - 1 + q - c, n*e - 1),
+    exact integers, here reduced mod p**e. The condition t + c*p < L is
+    q - c >= lo = ceil((N - L + 1) / p), the same for every t, so the
+    weights read at most n*e binomials C(n*e - 1 + j, n*e - 1), lo <= j.
+    """
+    d, L, mod = n * e, n * p * e, p**e
+    targets = range(n + (N - n) % p, L, p)
+    lo = -((L - 1 - N) // p)
+    binomials = [comb(d - 1 + j, d - 1) % mod for j in range(lo, (N - n) // p + 1)]
+    signed = [(-1) ** c * comb(d, c) for c in range(d)]
+    weights = {}
+    for t in targets:
+        q = (N - t) // p
+        weights[t] = sum(map(mul, signed, reversed(binomials[: q - lo + 1]))) % mod
+    return weights
+
+
+def _weights(spec: CompSumSpec, e: int) -> dict[int, int]:
+    """w_t with spec's value == sum_t w_t * [x**t] f**n (mod p**e), over the
+    targets of _coefficients(spec, e); f is the series of spec's ladder key."""
+    n, N, p = spec.n, spec.target, spec.p
+    if not is_reduced(spec, e):
+        return {N: 1}
+    # bounded, R >= e: f_b == (1 - x**p**R) * f, so f_b**n == sum_k (-1)**k C(n, k) x**(k*p**R) f**n
+    shifts = range(n + 1) if spec.upper_bound is not None else range(1)
+    out: dict[int, int] = {}
+    for k in shifts:
+        shifted, sign = N - k * p**spec.r, (-1) ** k * comb(n, k)
+        if shifted < n:
+            break
+        terms = {shifted: 1} if shifted < n * p * e else _digit_weights(n, p, e, shifted)
+        for t, w in terms.items():
+            out[t] = out.get(t, 0) + sign * w
+    return out
 
 
 class Plan:
@@ -196,19 +294,21 @@ class Plan:
     to be evaluated mod p**e, grouped by ladder key.
 
     Each (prime, part bound, precision) key gets one ladder, sized to the
-    largest part count and target requested of it. The first comp_sum
-    call that reaches a key climbs its ladder and fills in every requested
-    coefficient of that key. Values never depend on the plan; only the
-    number of ladders built does.
+    largest part count and target requested of it; a reduced request asks
+    the unbounded key (p, None, e) for its coefficients below n*p*e. The
+    first comp_sum call that reaches a key climbs its ladder and fills in
+    every requested coefficient of that key. Values never depend on the
+    plan; only the number of ladders built does.
     """
 
     def __init__(self, requests: Iterable[tuple[CompSumSpec, int]] = ()):
         self.ladders_built = 0
-        # per key, the requested (n, N) coefficients, None until the key's ladder is climbed
+        # per key, the requested (n, t) coefficients, None until the key's ladder is climbed
         self.wanted: dict[tuple[int, int | None, int], dict[tuple[int, int], int | None]] = {}
         for spec, e in requests:
             if spec.target >= spec.n:
-                self.wanted.setdefault((spec.p, spec.upper_bound, e), {})[(spec.n, spec.target)] = None
+                key, targets = _coefficients(spec, e)
+                self.wanted.setdefault(key, {}).update(((spec.n, t), None) for t in targets)
 
 
 def comp_sum(spec: CompSumSpec, modulus: PrimePowerModulus | None = None, plan: Plan | None = None) -> int:
@@ -221,18 +321,19 @@ def comp_sum(spec: CompSumSpec, modulus: PrimePowerModulus | None = None, plan: 
     request outside the plan, or made without one, is a plan of its own.
     """
     M = _eval_modulus(spec, modulus)
-    n, N = spec.n, spec.target
-    if N < n:
+    n = spec.n
+    if spec.target < n:
         return 0
-    wanted = plan.wanted.get((spec.p, spec.upper_bound, M.r), {}) if plan is not None else {}
-    if (n, N) not in wanted:
-        wanted = {(n, N): None}
-    if wanted[(n, N)] is None:
+    key, targets = _coefficients(spec, M.r)
+    wanted = plan.wanted.get(key, {}) if plan is not None else {}
+    if any((n, t) not in wanted for t in targets):
+        wanted = {(n, t): None for t in targets}
+    if any(wanted[(n, t)] is None for t in targets):
         if plan is not None:
             plan.ladders_built += 1
         K, top = max(k for k, _ in wanted), max(t for _, t in wanted)
-        _Ladder(spec.p, spec.upper_bound, M.r, K, top).fill(wanted)
-    return wanted[(n, N)]
+        _Ladder(spec.p, key[1], M.r, K, top).fill(wanted)
+    return sum(w * wanted[(n, t)] for t, w in _weights(spec, M.r).items()) % M.modulus
 
 
 def comp_sum_kronecker(spec: CompSumSpec, modulus: PrimePowerModulus | None = None) -> int:

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Generator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import comb, factorial
@@ -49,6 +49,7 @@ from .compsum import (
     CompSumSpec,
     count_solutions_exact,
     comp_sum,
+    is_reduced,
     Plan,
     gamma_n,
     r_spec,
@@ -169,7 +170,14 @@ Evaluation = Generator[Sequence[Term], tuple[int, ...], Sides]
 class EvalContext:
     """Shared evaluation state: comp_sum memo, optional persistent cache rows,
     and counters of evaluations, cache hits and ladder builds (cache hits
-    never touch the evaluator)."""
+    never touch the evaluator).
+
+    The memo keeps values apart by route: its key is the cache key plus
+    whether the value was reduced (compsum.is_reduced). So a sum that a
+    claim cross-checks at its full target (CompSumSpec.full_target) is
+    never served a reduced value. Within one plan, every term of a sum
+    that some term cross-checks is evaluated at the full target, once.
+    The cache holds one value per cache key, whatever its route."""
 
     def __init__(self, cache_rows: Mapping[tuple, int] | None = None):
         self.comp_sum_evals = 0
@@ -179,6 +187,7 @@ class EvalContext:
         self._cache = cache_rows or {}
         self.new_rows: dict[tuple, int] = {}
         self._plan = Plan()
+        self._full_target: set[tuple] = set()
 
     @staticmethod
     def cache_key(spec: CompSumSpec, mod_exp: int) -> tuple[str, int, int, str]:
@@ -188,15 +197,25 @@ class EvalContext:
             params += f";target={spec.target}"
         return ("comp_sum", spec.p, spec.r, params)
 
+    def _routed(self, spec: CompSumSpec, mod_exp: int) -> tuple[CompSumSpec, tuple, tuple]:
+        """The spec as it is evaluated, its cache key and its memo key."""
+        key = self.cache_key(spec, mod_exp)
+        if key in self._full_target:
+            spec = replace(spec, full_target=True)
+        return spec, key, (*key, is_reduced(spec, mod_exp))
+
     def plan(self, terms: Iterable[Term]) -> None:
         """Replace the context's plan by the terms it holds no value for."""
-        self._plan = Plan(term for term in terms
-                          if (key := self.cache_key(*term)) not in self._memo and key not in self._cache)
+        terms = list(terms)
+        self._full_target = {self.cache_key(spec, e) for spec, e in terms if spec.full_target}
+        routed = ((self._routed(spec, e), e) for spec, e in terms)
+        self._plan = Plan((spec, e) for (spec, key, memo_key), e in routed
+                          if memo_key not in self._memo and key not in self._cache)
 
     def comp_sum(self, spec: CompSumSpec, mod_exp: int) -> int:
-        key = self.cache_key(spec, mod_exp)
-        if key in self._memo:
-            return self._memo[key]
+        spec, key, memo_key = self._routed(spec, mod_exp)
+        if memo_key in self._memo:
+            return self._memo[memo_key]
         if key in self._cache:
             self.cache_hits += 1
             value = self._cache[key]
@@ -206,7 +225,7 @@ class EvalContext:
             self.ladder_builds += self._plan.ladders_built - built
             self.comp_sum_evals += 1
             self.new_rows[key] = value
-        self._memo[key] = value
+        self._memo[memo_key] = value
         return value
 
 
@@ -366,9 +385,15 @@ def _thm1ii_eval(inst: ClaimInstance):
     return lhs, rhs, p**r, ""
 
 
+# EQ-1.3, EQ-4.1 and LEM-2.3-ii hold by algebra alone for the reduced
+# route (f_b == (1 - x**p**R) * f mod p**e is how it reads the bounded
+# family), so each takes one side at its full target: EQ-1.3 its lower
+# sum, EQ-4.1 its free sum, and LEM-2.3-ii its lower sums, whose parts
+# stay below p**r < p**e and are never reduced.
+
 def _eq13_eval(inst: ClaimInstance):
     p, r = inst.p, inst.r
-    upper, lower = yield [(s_spec(7, 1, p, r + 1), r + 1), (s_spec(7, 1, p, r), r)]
+    upper, lower = yield [(s_spec(7, 1, p, r + 1), r + 1), (s_spec(7, 1, p, r, full_target=True), r)]
     return upper, p * lower % p ** (r + 1), p ** (r + 1), ""
 
 
@@ -507,7 +532,8 @@ def _prop41_eval(inst: ClaimInstance):
 
 def _eq41_eval(inst: ClaimInstance):
     p, r, m = inst.p, inst.r, inst.m
-    free, *bounded = yield [(r_spec(7, m, p, r), r), *((s_spec(7, a, p, r), r) for a in range(1, 7))]
+    free, *bounded = yield [(r_spec(7, m, p, r, full_target=True), r),
+                            *((s_spec(7, a, p, r), r) for a in range(1, 7))]
     rhs = sum(comb(m + 6 - a, 6) * s for a, s in enumerate(bounded, start=1))
     return free, rhs % p**r, p**r, ""
 

@@ -2,6 +2,7 @@ import gc
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -109,7 +110,9 @@ class TestLadder:
                 m = max(1, top // p**r)
                 spec = CompSumSpec(n=n, m=m, p=p, r=r, upper_bound=bound)
             M = PrimePowerModulus(p, rng.randint(1, 12))
-            assert _fresh(spec, M) == comp_sum_kronecker(spec, M), (spec, M)
+            want = comp_sum_kronecker(spec, M)
+            # and the ladder itself at the full target, which a deep request no longer reaches
+            assert _fresh(spec, M) == _fresh(replace(spec, full_target=True), M) == want, (spec, M)
 
     def test_kronecker_oracle_against_bruteforce(self):
         rng = random.Random(7)
@@ -150,7 +153,7 @@ class TestLadder:
         assert ctx.ladder_builds == 3
 
     def test_short_precision_raises(self):
-        # built for one part: mod 11**(1 + 1*2), two digits short of what row 3 needs
+        # built for one part to target 300: rows 3 and 11**3 are beyond it
         ladder = compsum._Ladder(11, None, 1, 1, 300)
         with pytest.raises(PrecisionError):
             ladder.fill({(3, 300): None})
@@ -195,10 +198,11 @@ class TestLadder:
         del builds[:]
         plan = compsum.Plan((spec, M.r) for spec, M in requests)
         assert [comp_sum(spec, M, plan) for spec, M in requests] == expected
-        assert plan.ladders_built == 3
-        # one ladder per (p, bound, e), each at its largest part count and target
-        assert sorted(builds, key=repr) == sorted(
-            [(11, 121, 2, 9, 605), (11, None, 2, 4, 22), (11, 121, 3, 5, 121)], key=repr)
+        assert plan.ladders_built == 2
+        # one ladder per (p, bound, e), each at its largest part count and target. The
+        # first two requests are reduced: they read f**n below n*11*2 on the unbounded
+        # ladder mod 11**2, up to 187 for n = 9. The fourth keeps its bound, 121 < 11**3
+        assert sorted(builds, key=repr) == sorted([(11, None, 2, 9, 187), (11, 121, 3, 5, 121)], key=repr)
 
     def test_importing_the_cli_does_not_import_numpy(self):
         code = "import sys, supercong.cli; print('numpy' in sys.modules)"
@@ -211,6 +215,54 @@ class TestLadder:
                 "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+
+class TestReducedRoute:
+    """Deep requests are reduced by the digit expansion to coefficients below n*p*e."""
+
+    def test_agrees_with_the_full_target_ladder(self):
+        rng = random.Random(20261019)
+        reduced = 0
+        for _ in range(120):
+            p = rng.choice([2, 3, 5, 7, 11, 13])
+            r = rng.randint(1, 4 if p <= 3 else 3)
+            e = max(1, rng.choice([r - 1, r, r + 1]))
+            n = rng.randint(1, 8)
+            spec = (s_spec if rng.random() < 0.5 else r_spec)(n, rng.randint(1, n + 1), p, r)
+            if spec.target > 6000:
+                continue
+            M = PrimePowerModulus(p, e)
+            assert comp_sum(spec, M) == comp_sum(replace(spec, full_target=True), M), (spec, e)
+            reduced += compsum.is_reduced(spec, e)
+        assert reduced >= 40
+
+    def test_agrees_with_bruteforce_where_it_reduces(self):
+        # p = 3, n = 3, e = 2: targets from L = 3*3*2 = 18 reduce, the bounded
+        # family (parts below 9 = 3**2, R = e) through its shifted copies of f
+        M = PrimePowerModulus(3, 2)
+        for N in range(27, 55):
+            for bound, r in ((None, 1), (9, 2)):
+                spec = CompSumSpec(n=3, m=1, p=3, r=r, upper_bound=bound, target=N)
+                assert compsum.is_reduced(spec, 2)
+                assert comp_sum(spec, M) == comp_sum_bruteforce(spec, M), spec
+
+    def test_routes(self):
+        # the ladder at the full target for N < n*p*e, for parts below p**R with R < e
+        # and on request; everything else is reduced
+        assert not compsum.is_reduced(r_spec(7, 1, 11, 1), 1)  # 11 < 77
+        assert compsum.is_reduced(r_spec(7, 2, 11, 2), 2)  # 242 >= 154
+        assert not compsum.is_reduced(r_spec(7, 2, 11, 2, full_target=True), 2)
+        assert compsum.is_reduced(s_spec(7, 1, 11, 3), 3)
+        assert not compsum.is_reduced(s_spec(7, 1, 11, 2), 3)  # R = 2 < e = 3
+
+    @pytest.mark.parametrize("r", [6, 8])
+    def test_deep_closed_forms(self, r):
+        # THM-1.1-ii and PROP-4.1 have closed right-hand sides with a Bernoulli
+        # residue, so at depths far beyond the full-target ladder they are real checks
+        from supercong.verifier import GridSpec, sweep
+
+        reports = sweep(["THM-1.1-ii", "PROP-4.1"], GridSpec(rs=(r,)))
+        assert len(reports) == 6 and all(rep.status == "pass" for rep in reports), reports
 
 
 class TestBruteforce:

@@ -395,13 +395,18 @@ class TestMixedBatch:
         assert sorted([b_pair, b2], key=ClaimInstance.sort_key) == [b2, b_pair]
 
 
-def _ladder_keys(rows):
-    """The (p, part bound, e) ladder key of every comp_sum cache row."""
-    keys = set()
-    for _, p, r, params in rows:
-        fields = dict(field.split("=") for field in params.split(";"))
-        keys.add((p, p**r if fields["kind"] == "S" else None, int(fields["e"])))
-    return keys
+@pytest.fixture
+def evaluated(monkeypatch):
+    """The (spec, e) of every evaluation a context hands to compsum."""
+    calls = []
+    evaluate = verifier.comp_sum
+
+    def recording(spec, modulus, plan=None):
+        calls.append((spec, modulus.r))
+        return evaluate(spec, modulus, plan=plan)
+
+    monkeypatch.setattr(verifier, "comp_sum", recording)
+    return calls
 
 
 class TestPlan:
@@ -419,28 +424,31 @@ class TestPlan:
         monkeypatch.setattr(compsum._Ladder, "__init__", counting)
         return built
 
-    def test_catalog_builds_one_ladder_per_key(self, builds):
+    def test_catalog_builds_one_ladder_per_key(self, builds, evaluated):
         ctx = EvalContext()
         sweep(list(CLAIMS), ctx=ctx)
-        assert len(builds) == len(set(builds)) == ctx.ladder_builds == 45
-        assert set(builds) == _ladder_keys(ctx.new_rows)
+        assert len(builds) == len(set(builds)) == ctx.ladder_builds == 43
+        # the (p, part bound, e) ladder key of every evaluation, as routed
+        assert set(builds) == {compsum._coefficients(spec, e)[0] for spec, e in evaluated}
         ctx = EvalContext(cache_rows=ctx.new_rows)
         sweep(list(CLAIMS), ctx=ctx)  # a filled cache: nothing left to plan
-        assert (len(builds), ctx.ladder_builds, ctx.comp_sum_evals, ctx.cache_hits) == (45, 0, 0, 407)
+        assert (len(builds), ctx.ladder_builds, ctx.comp_sum_evals, ctx.cache_hits) == (43, 0, 0, 407)
 
     def test_catalog_ladders_at_two_jobs(self):
         ctx = EvalContext()
         sweep(list(CLAIMS), ctx=ctx, jobs=2)
-        assert (ctx.ladder_builds, ctx.comp_sum_evals) == (45, 407)
+        assert (ctx.ladder_builds, ctx.comp_sum_evals) == (43, 407)
 
     def test_memoized_terms_are_not_planned(self, builds):
         ctx = EvalContext()
         sweep(["PROP-4.1"], GridSpec(primes=(11,), rs=(1, 2)), ctx=ctx)
         del builds[:]
         sweep(["EQ-1.3", "PROP-4.1"], GridSpec(primes=(11,), rs=(2, 3)), ctx=ctx)
-        # EQ-1.3 at r = 2 reads PROP-4.1's sums at r = 1, 2 from the memo; EQ-1.3
-        # at r = 3 and PROP-4.1 at r = 3 share the only new ladder, S mod 11**4
-        assert builds == [(11, 11**4, 4)]
+        # EQ-1.3 at r = 2 reads PROP-4.1's sums at r = 1, 2 from the memo. EQ-1.3
+        # at r = 3 cross-checks S(7,1,11**3) at its full target, where PROP-4.1
+        # at r = 2 had reduced it, so that is one new ladder; its upper sum and
+        # PROP-4.1 at r = 3 share the other, the unbounded one mod 11**4
+        assert builds == [(11, 11**3, 3), (11, None, 4)]
 
     def test_warm_catalog_builds_each_modulus_once(self, monkeypatch):
         cold = EvalContext()
@@ -490,6 +498,32 @@ class TestEvalContext:
         spec = s_spec(3, 1, 5, 1)
         value = ctx.comp_sum(spec, 1)
         assert ctx.new_rows == {EvalContext.cache_key(spec, 1): value}
+
+    def test_a_reduced_value_does_not_stand_in_for_a_full_target_one(self, evaluated):
+        ctx = EvalContext()
+        plain, full = r_spec(7, 2, 11, 2), r_spec(7, 2, 11, 2, full_target=True)
+        assert ctx.comp_sum(plain, 2) == ctx.comp_sum(full, 2)
+        assert evaluated == [(plain, 2), (full, 2)] and ctx.comp_sum_evals == 2
+        assert ctx.comp_sum(plain, 2) == ctx.comp_sum(full, 2) and ctx.comp_sum_evals == 2  # both memoized
+        # one cache row per cache key, whatever the route
+        assert list(ctx.new_rows) == [EvalContext.cache_key(plain, 2)]
+
+    def test_a_plan_evaluates_a_cross_checked_sum_once(self, evaluated):
+        # within a plan, every term of a sum that some term cross-checks takes the full target
+        ctx = EvalContext()
+        terms = [(r_spec(7, 2, 11, 2), 2), (r_spec(7, 2, 11, 2, full_target=True), 2)]
+        ctx.plan(terms)
+        assert len({ctx.comp_sum(*term) for term in terms}) == 1
+        assert evaluated == [(terms[1][0], 2)] and ctx.comp_sum_evals == 1
+
+    def test_cached_values_serve_both_routes(self, evaluated):
+        spec = r_spec(7, 2, 11, 2)
+        key = EvalContext.cache_key(spec, 2)
+        ctx = EvalContext(cache_rows={key: comp_sum(spec, PrimePowerModulus(11, 2))})
+        ctx.plan([(spec, 2), (r_spec(7, 2, 11, 2, full_target=True), 2)])
+        ctx.comp_sum(spec, 2)
+        ctx.comp_sum(r_spec(7, 2, 11, 2, full_target=True), 2)
+        assert evaluated == [] and ctx.cache_hits == 1
 
     def test_shared_context_across_claims(self):
         # PROP-4.1 at r in {1,2} computes the bounded sums at p^2 and p^3,

@@ -17,15 +17,6 @@ from .compsum import (
 )
 from .mhs import mhs, mhs_restricted, unordered_sum, unordered_sum_bruteforce
 from .modring import NonUnitError, PrimePowerModulus, is_prime, rational_to_residue
-from .ratrecon import (
-    DuplicatePrimeError,
-    InsufficientDataError,
-    ReconstructionResult,
-    ResidueObservation,
-    crt_combine,
-    hunt_constant,
-    reconstruct,
-)
 from .verifier import (
     CLAIMS,
     Claim,
@@ -40,6 +31,26 @@ from .verifier import (
 )
 
 __version__ = "0.1.0"
+
+# The constant hunt is imported on first use: `verify` never needs it.
+_RATRECON = (
+    "DuplicatePrimeError",
+    "InsufficientDataError",
+    "ReconstructionResult",
+    "ResidueObservation",
+    "crt_combine",
+    "hunt_constant",
+    "reconstruct",
+)
+
+
+def __getattr__(name: str):
+    if name in _RATRECON:
+        from . import ratrecon
+
+        return getattr(ratrecon, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "EXACT_CAP",

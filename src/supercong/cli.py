@@ -17,8 +17,11 @@ from .bernoulli import bernoulli_exact, bernoulli_mod_p
 from .compsum import CompSumSpec, comp_sum, comp_sum_bruteforce, count_solutions_exact, r_spec, s_spec
 from .mhs import mhs, mhs_restricted, unordered_sum
 from .modring import PrimePowerModulus, is_prime
-from .ratrecon import HUNT_FAMILIES, hunt_constant
 from .verifier import CLAIMS, EvalContext, GridSpec, instance_from_params, sweep, verify_instances
+
+
+# ratrecon.HUNT_FAMILIES, sorted; ratrecon itself is imported only by `search`.
+SEARCH_FAMILIES = ("c", "cprime", "qd")
 
 
 def _parse_int_range(text: str) -> tuple[int, ...]:
@@ -117,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     c_u.add_argument("--r", type=int, default=1)
 
     srch = sub.add_parser("search", help="reconstruct a rational constant from modular data")
-    srch.add_argument("--family", choices=sorted(HUNT_FAMILIES), required=True)
+    srch.add_argument("--family", choices=SEARCH_FAMILIES, required=True)
     srch.add_argument("--d", type=int, required=True)
     srch.add_argument("--m", type=int, default=1, help="multiplier of the c and cprime families; qd takes only 1")
     srch.add_argument("--primes", required=True)
@@ -214,6 +217,8 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from .ratrecon import hunt_constant
+
     result = hunt_constant(args.family, args.d, args.m, list(_parse_primes(args.primes)))
     if args.format == "json":
         import json

@@ -8,11 +8,11 @@ the empty tuple acts as the unit value 1, a convention used internally
 by the recursions.
 
 Unordered sums are power sums + collision recursion: the inverse power
-sums P_k = sum l**(-k) over the units 0 < l < b*p, built in one
-O(b*p*w) pass per (b, p, r, w), are combined with integer coefficients
-only (the quasi-shuffle relation), so no precision is lost at any r. The
-chain sweep over the rearrangements of the exponents and the nested-loop
-brute force are its oracles.
+sums P_k = sum l**(-k) over the units 0 < l < b*p, one O(b*p) pass of
+inverses per (b, p, r) and one multiply per index and weight, are
+combined with integer coefficients only (the quasi-shuffle relation), so
+no precision is lost at any r. The chain sweep over the rearrangements
+of the exponents and the nested-loop brute force are its oracles.
 """
 
 from __future__ import annotations
@@ -81,23 +81,41 @@ def mhs_restricted(N: int, s: Sequence[int], M: PrimePowerModulus) -> int:
     return _sweep(N, _parts(s), M)
 
 
-@lru_cache(maxsize=None)
-def _inverse_power_sums(b: int, p: int, r: int, w: int) -> tuple[int, ...]:
-    """(P_0, ..., P_w) with P_k = sum of l**(-k) over units 0 < l < b*p, mod p**r.
+class _UnorderedTable:
+    """Unordered sums at one (b, p, r), kept for the whole process: the
+    inverse power sums P_k = sum of l**(-k) over units 0 < l < b*p, mod
+    p**r, and the collision memo of U values on sorted exponent tuples.
 
-    One pass: one inverse per index, then successive multiplies.
-    """
-    mod = p**r
-    sums = [0] * (w + 1)
-    for l in range(1, b * p):
-        if l % p == 0:
-            continue
-        inv = pow(l, -1, mod)
-        x = 1
-        for k in range(w + 1):
-            sums[k] += x
-            x = x * inv % mod
-    return tuple(s % mod for s in sums)
+    One inverse per unit index is taken once; the power sums grow by one
+    multiply per index and weight when a larger weight is asked."""
+
+    def __init__(self, b: int, p: int, r: int):
+        self.mod = mod = p**r
+        self.inverses = [pow(l, -1, mod) for l in range(1, b * p) if l % p]
+        self.powers = [1] * len(self.inverses)  # l**(-k) at the last k in sums
+        self.sums = [len(self.inverses) % mod]
+        self.memo: dict[tuple[int, ...], int] = {(): 1 % mod}
+
+    def power_sum(self, k: int) -> int:
+        sums, mod = self.sums, self.mod
+        while len(sums) <= k:
+            self.powers = [x * inv % mod for x, inv in zip(self.powers, self.inverses)]
+            sums.append(sum(self.powers) % mod)
+        return sums[k]
+
+    def u(self, key: tuple[int, ...]) -> int:
+        """U at a sorted exponent tuple, by the collision recursion."""
+        memo = self.memo
+        if key not in memo:
+            first, rest = key[0], key[1:]
+            acc = self.power_sum(first) * self.u(rest)
+            for i in range(len(rest)):
+                acc -= self.u(tuple(sorted(rest[:i] + (rest[i] + first,) + rest[i + 1:])))
+            memo[key] = acc % self.mod
+        return memo[key]
+
+
+_inverse_power_sums = lru_cache(maxsize=None)(_UnorderedTable)  # one table per (b, p, r)
 
 
 def unordered_sum(b: int, alphas: Sequence[int], M: PrimePowerModulus) -> int:
@@ -110,9 +128,10 @@ def unordered_sum(b: int, alphas: Sequence[int], M: PrimePowerModulus) -> int:
     such a collision merges two exponents:
     U(a_1, ..., a_n) = P_{a_1} U(a_2, ..., a_n) - sum_{i>=2} U(a_2, ..., a_i + a_1, ..., a_n),
     with U() = 1. The value is invariant under permutations of the
-    exponents, so the recursion is memoized on sorted tuples. The chain
-    sweep (the multiplicity-weighted sum of mhs_restricted over the
-    rearrangements) and unordered_sum_bruteforce are its oracles.
+    exponents, so the recursion is memoized on sorted tuples, in one
+    table per (b, p, r) shared by every call. The chain sweep (the
+    multiplicity-weighted sum of mhs_restricted over the rearrangements)
+    and unordered_sum_bruteforce are its oracles.
     """
     parts = _parts(alphas)
     n = len(parts)
@@ -122,20 +141,7 @@ def unordered_sum(b: int, alphas: Sequence[int], M: PrimePowerModulus) -> int:
         return 1
     if M.p <= n:
         raise ValueError(f"need p > depth (got p={M.p}, depth={n})")
-    mod = M.modulus
-    power = _inverse_power_sums(b, M.p, M.r, sum(parts))
-    memo: dict[tuple[int, ...], int] = {(): 1 % mod}
-
-    def u(key: tuple[int, ...]) -> int:
-        if key not in memo:
-            first, rest = key[0], key[1:]
-            acc = power[first] * u(rest)
-            for i in range(len(rest)):
-                acc -= u(tuple(sorted(rest[:i] + (rest[i] + first,) + rest[i + 1:])))
-            memo[key] = acc % mod
-        return memo[key]
-
-    return u(tuple(sorted(parts)))
+    return _inverse_power_sums(b, M.p, M.r).u(tuple(sorted(parts)))
 
 
 def unordered_sum_bruteforce(b: int, alphas: Sequence[int], M: PrimePowerModulus) -> int:

@@ -85,7 +85,7 @@ def rational_to_residue(q: Fraction | int, M: PrimePowerModulus) -> int:
     """
     if not isinstance(q, (int, Fraction)):
         raise TypeError(f"expected an int or a Fraction, got {type(q).__name__}")
-    q = Fraction(q)
-    if q.denominator % M.p == 0:
+    numerator, denominator = q.numerator, q.denominator  # a Fraction is kept reduced
+    if denominator % M.p == 0:
         raise NonUnitError(f"denominator of {q} is divisible by {M.p}")
-    return q.numerator * pow(q.denominator, -1, M.modulus) % M.modulus
+    return numerator * pow(denominator, -1, M.modulus) % M.modulus

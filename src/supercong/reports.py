@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Iterable
 
 from .verifier import ClaimInstance, ClaimReport
@@ -75,9 +76,32 @@ def report_row(report: ClaimReport) -> dict:
     }
 
 
+# json.dumps(doc, indent=2) walks the document in Python (CPython's C
+# encoder serves only indent=None), so render_json writes the same bytes
+# itself: a fixed head, and one fixed template per row whose str, int and
+# None values the C string encoder and int.__repr__ render as json does.
+_JSON_HEAD = '{\n  "report_fields": [\n' + ",\n".join(
+    f"    {encode_basestring_ascii(f)}" for f in FIELDS) + "\n  ],\n"
+_JSON_ROW = "    {\n" + ",\n".join(
+    f"      {encode_basestring_ascii(f)}: %s" for f in FIELDS) + "\n    }"
+_JSON_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, type(None): lambda _: "null"}
+
+
+def _json_row(row: dict) -> str:
+    """One row at its depth in the document; a value of any other type
+    (a bool, a tuple p on an error row) goes through json.dumps."""
+    try:
+        return _JSON_ROW % tuple([_JSON_SCALARS[type(v)](v) for v in row.values()])
+    except KeyError:
+        return "    " + json.dumps(row, indent=2).replace("\n", "\n    ")
+
+
 def render_json(reports: Iterable[ClaimReport]) -> str:
-    doc = {"report_fields": list(FIELDS), "reports": [report_row(r) for r in reports]}
-    return json.dumps(doc, indent=2) + "\n"
+    """json.dumps({"report_fields": [...], "reports": [...]}, indent=2) + newline, byte for byte."""
+    rows = [_json_row(report_row(r)) for r in reports]
+    if not rows:
+        return _JSON_HEAD + '  "reports": []\n}\n'
+    return _JSON_HEAD + '  "reports": [\n' + ",\n".join(rows) + "\n  ]\n}\n"
 
 
 def render_csv(reports: Iterable[ClaimReport]) -> str:

@@ -188,6 +188,7 @@ class EvalContext:
         self.new_rows: dict[tuple, int] = {}
         self._plan = Plan()
         self._full_target: set[tuple] = set()
+        self._routes: dict[Term, tuple[CompSumSpec, tuple, tuple]] = {}
 
     @staticmethod
     def cache_key(spec: CompSumSpec, mod_exp: int) -> tuple[str, int, int, str]:
@@ -205,15 +206,17 @@ class EvalContext:
         return spec, key, (*key, is_reduced(spec, mod_exp))
 
     def plan(self, terms: Iterable[Term]) -> None:
-        """Replace the context's plan by the terms it holds no value for."""
+        """Replace the context's plan by the terms it holds no value for,
+        and keep each term's route for comp_sum."""
         terms = list(terms)
         self._full_target = {self.cache_key(spec, e) for spec, e in terms if spec.full_target}
-        routed = ((self._routed(spec, e), e) for spec, e in terms)
-        self._plan = Plan((spec, e) for (spec, key, memo_key), e in routed
+        self._routes = {term: self._routed(*term) for term in dict.fromkeys(terms)}
+        self._plan = Plan((spec, e) for (_, e), (spec, key, memo_key) in self._routes.items()
                           if memo_key not in self._memo and key not in self._cache)
 
     def comp_sum(self, spec: CompSumSpec, mod_exp: int) -> int:
-        spec, key, memo_key = self._routed(spec, mod_exp)
+        route = self._routes.get((spec, mod_exp))
+        spec, key, memo_key = route if route is not None else self._routed(spec, mod_exp)
         if memo_key in self._memo:
             return self._memo[memo_key]
         if key in self._cache:

@@ -1,9 +1,12 @@
 import hashlib
 import json
+import subprocess
+import sys
 
 import pytest
 
-from supercong.cli import _parse_instance, _parse_int_range, _parse_primes, main
+from supercong.cli import SEARCH_FAMILIES, _parse_instance, _parse_int_range, _parse_primes, main
+from supercong.ratrecon import HUNT_FAMILIES
 from supercong.reports import replay_command
 from supercong.verifier import CLAIMS, Claim, ClaimReport, instance_from_params
 
@@ -363,6 +366,16 @@ class TestSearchCommand:
             ["search", "--family", "c", "--d", "7", "--m", "2", "--primes", "11..31"],
         )
         assert rc == 0 and "candidate: 3" in out
+
+    def test_family_choices_are_the_hunt_families(self):
+        assert SEARCH_FAMILIES == tuple(sorted(HUNT_FAMILIES))
+
+    def test_importing_the_cli_does_not_import_the_hunt(self):
+        # ratrecon is imported by `search` and by the package's lazy names only
+        code = ("import sys, supercong, supercong.cli; print('supercong.ratrecon' in sys.modules); "
+                "print(supercong.hunt_constant.__module__, supercong.ReconstructionResult.__module__)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["False", "supercong.ratrecon", "supercong.ratrecon"]
 
 
 class TestOracleCommand:

@@ -210,9 +210,25 @@ class TestUnorderedSum:
         ]
         for b, parts, p, r in calls:
             unordered_sum(b, parts, PrimePowerModulus(p, r))
-        keys = {(b, p, r, sum(parts)) for b, parts, p, r in calls}
-        assert mhs_module._inverse_power_sums.cache_info().misses == len(keys) == 5
-        assert len(inverses) == sum(b * (p - 1) for b, p, _, _ in keys)
+        keys = {(b, p, r) for b, parts, p, r in calls}
+        assert mhs_module._inverse_power_sums.cache_info().misses == len(keys) == 4
+        # one inverse per unit index and key; (1, 11, 2) grew from weight 3 to 4 without another
+        assert len(inverses) == sum(b * (p - 1) for b, p, _ in keys)
+        assert len(mhs_module._inverse_power_sums(1, 11, 2).sums) == 5
+
+    def test_values_do_not_depend_on_call_order(self):
+        rng = random.Random(3)
+        calls = []
+        for _ in range(40):
+            parts = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 4)))
+            calls.append((rng.randint(1, 3), parts, rng.choice((5, 7, 11)), rng.randint(1, 3)))
+        expected = {call: unordered_by_rearrangements(call[0], call[1], PrimePowerModulus(*call[2:]))
+                    for call in calls}
+        for _ in range(2):
+            mhs_module._inverse_power_sums.cache_clear()
+            rng.shuffle(calls)
+            for b, parts, p, r in calls:
+                assert unordered_sum(b, parts, PrimePowerModulus(p, r)) == expected[b, parts, p, r]
 
     def test_tables_are_kept_apart_by_precision(self):
         mhs_module._inverse_power_sums.cache_clear()

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -12,7 +13,7 @@ from supercong.reports import (
     replay_command,
     report_row,
 )
-from supercong.verifier import ClaimInstance, GridSpec, sweep, verify
+from supercong.verifier import ClaimInstance, ClaimReport, GridSpec, sweep, verify
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +86,44 @@ class TestRenderers:
         out = tmp_path / "rep.json"
         text = emit_report(passing_reports, "json", path=out)
         assert out.read_text() == text
+
+
+def json_oracle(reports) -> str:
+    """The json report as json.dumps writes it: the bytes render_json must match."""
+    doc = {"report_fields": list(FIELDS), "reports": [report_row(r) for r in reports]}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+class TestJsonBytes:
+    def test_empty(self):
+        assert render_json([]) == json_oracle([])
+
+    def test_none_sides(self):
+        report = verify(ClaimInstance("THM-1.1-i", 7, m=1))
+        assert report.lhs is None and report.rhs is None
+        assert render_json([report]) == json_oracle([report])
+
+    def test_escaped_note(self):
+        note = 'caf\u00e9 \u2264 \U0001d53d "quoted" back\\slash \x00\x1f\x7f\n\t\r end'
+        report = ClaimReport(ClaimInstance("EQ-1.1", 11), "pass", 3, 3, 11, note=note, anchor='a "b" \u00b5')
+        text = render_json([report])
+        assert text == json_oracle([report])
+        assert text.isascii() and json.loads(text)["reports"][0]["note"] == note
+
+    def test_tuple_p_falls_back(self):
+        report = verify(ClaimInstance("EQ-1.1", (11, 13)))
+        assert report.status == "error"
+        reports = [report, verify(ClaimInstance("EQ-1.1", 11))]
+        assert render_json(reports) == json_oracle(reports)
+
+    def test_seeded_catalog_mix(self):
+        reports = sweep(["EQ-1.1", "THM-1.1-i", "LEM-3.4", "CONJ-5.1-w10"], GridSpec(primes=(7, 11, 13)))
+        reports += [verify(ClaimInstance("EQ-1.1", (11, 13))), verify(ClaimInstance("LEM-3.3", 5, n=-1))]
+        assert {r.status for r in reports} >= {"pass", "skip", "error", "finding"}
+        rng = random.Random(12)
+        for size in (1, 2, 7, len(reports)):
+            mix = rng.sample(reports, size)
+            assert render_json(mix) == json_oracle(mix)
 
 
 class TestCache:

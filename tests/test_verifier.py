@@ -516,6 +516,24 @@ class TestEvalContext:
         assert len({ctx.comp_sum(*term) for term in terms}) == 1
         assert evaluated == [(terms[1][0], 2)] and ctx.comp_sum_evals == 1
 
+    def test_a_planned_term_is_routed_once(self, monkeypatch):
+        routed = []
+        route = EvalContext._routed
+
+        def counting(self, spec, e):
+            routed.append((spec, e))
+            return route(self, spec, e)
+
+        monkeypatch.setattr(EvalContext, "_routed", counting)
+        ctx = EvalContext()
+        terms = [(r_spec(7, 2, 11, 2), 2), (r_spec(7, 2, 11, 2, full_target=True), 2), (r_spec(7, 2, 11, 2), 2)]
+        ctx.plan(terms)
+        for term in terms:
+            ctx.comp_sum(*term)
+        assert routed == terms[:2]
+        ctx.comp_sum(s_spec(3, 1, 11), 1)  # outside the plan: routed on the spot
+        assert routed[2:] == [(s_spec(3, 1, 11), 1)]
+
     def test_cached_values_serve_both_routes(self, evaluated):
         spec = r_spec(7, 2, 11, 2)
         key = EvalContext.cache_key(spec, 2)

@@ -20,17 +20,20 @@ algebra alone.
 The coefficients themselves come from one evaluator, a derivative
 ladder: (f**k)' = k * f**(k-1) * f', and f' has 0/1 coefficients, so
 each row f**k costs one O(N) pass of prefix sums followed by an exact
-p-adic division by the index. Evaluation is planned: a caller declares
-the sums it will ask for (Plan) and passes the plan to comp_sum. Each
-(prime, part bound, precision) key of the plan gets one ladder, built
-once at its largest part count and target; a reduced request plans its
-coefficients under the unbounded key (p, None, e), below n*p*e. The
-ladder's rows are streamed, two alive at a time, and only the planned
-coefficients are kept. A request outside the plan, or made without one,
-is a plan of its own. Two independent oracles check the evaluator:
-binary powering with one Kronecker-substitution big-integer multiply per
-step, and, at small scale, a memoized recursive enumerator. All three
-return a plain int, canonical in [0, p**e).
+p-adic division by the index. The ladder meets in the middle: for part
+counts up to K it climbs only rows 1..ceil(K/2), and reads [x**t] f**n
+as one dot product of rows n//2 and n - n//2 up to index t. Evaluation
+is planned: a caller declares the sums it will ask for (Plan) and passes
+the plan to comp_sum. Each (prime, part bound, precision) key of the
+plan gets one ladder, built once for its largest part count and target;
+a reduced request plans its coefficients under the unbounded key
+(p, None, e), below n*p*e. The rows are streamed, two alive at a time,
+and only the planned coefficients are kept. A request outside the plan,
+or made without one, is a plan of its own. Two independent oracles
+check the evaluator: binary powering with one Kronecker-substitution
+big-integer multiply per step, and, at small scale, a memoized
+recursive enumerator. All three return a plain int, canonical in
+[0, p**e).
 """
 
 from __future__ import annotations
@@ -131,7 +134,9 @@ def _shifted(values: Iterable[int], d: int, N: int) -> Iterator[int]:
 
 
 class _Ladder:
-    """Rows f**1 .. f**K of one truncated unit series to x**N, each to the precision it needs.
+    """Rows f**1 .. f**K of one truncated unit series to x**N, each to the
+    precision it needs, read as products f**n = f**(n//2) * f**(n - n//2)
+    for every n <= 2*K.
 
     Row k's coefficient at j is k * s_j / j, where s_j sums coefficients of
     row k-1 below j. The division costs v_p(j) p-adic digits, at most V =
@@ -147,9 +152,18 @@ class _Ladder:
     row's precision, and its exact divisibility by p**v_p(j) is checked
     there: by the same count its error is divisible by p**(e + v_p(j)),
     so the check passes whenever the rows below are right, and a failure
-    raises PrecisionError. The rows are climbed once and streamed: only
-    the row being built and the one below it are alive, so memory is
-    O(N), not O(K*N).
+    raises PrecisionError.
+
+    A caller asking for part counts up to K' builds the ladder with
+    K = ceil(K'/2), so the rule above runs over half as many rows and
+    every row is kept to fewer digits. The read [x**t] f**n = sum_{i<=t}
+    [x**i] f**(n//2) * [x**(t-i)] f**(n - n//2) needs no extra digits:
+    it only multiplies and adds, and two factors each right mod p**e give
+    a product right mod p**e; nothing is divided after the climb. Row 0
+    is the constant 1. The rows are climbed once and streamed: the two
+    halves of n differ by at most one, so every part count is read as
+    soon as its upper half is climbed, from that row and the one below
+    it. Only those two rows are alive, and memory is O(N), not O(K*N).
     """
 
     def __init__(self, p: int, bound: int | None, e: int, K: int, N: int):
@@ -177,19 +191,27 @@ class _Ladder:
             inverses.append(next(fresh) if j % p else inverses[j // p])
 
     def fill(self, wanted: dict[tuple[int, int], int | None]) -> None:
-        """Set wanted[(n, t)] to [x**t] f**n mod p**e for every requested (n, t)."""
+        """Set wanted[(n, t)] to [x**t] f**n mod p**e for every requested (n, t),
+        n <= 2*K, as the dot product of rows n//2 and n - n//2 up to index t."""
         targets: dict[int, list[int]] = {}
         for n, t in wanted:
-            if n > self.K or t > self.N:
+            if n > 2 * self.K or t > self.N:
                 raise PrecisionError(
                     f"[x**{t}] f**{n} mod {self.p}**{self.e} is beyond the ladder's "
-                    f"{self.p}**{self.prec} (built for {self.K} parts, targets up to {self.N})"
+                    f"{self.p}**{self.prec} (climbed to row {self.K}, targets up to {self.N})"
                 )
             targets.setdefault(n, []).append(t)
-        out = self.p**self.e
+        below = [1]  # row 0, the constant 1
         for k, row in self.rows():
-            for t in targets.get(k, ()):
-                wanted[(k, t)] = row[t] % out
+            # the part counts whose upper half is row k: 2k - 1 = (k - 1) + k and 2k = k + k
+            for n, low in ((2 * k - 1, below), (2 * k, row)):
+                for t in targets.get(n, ()):
+                    wanted[(n, t)] = self._product(low, row, t)
+            below = row
+
+    def _product(self, low: list[int], high: list[int], t: int) -> int:
+        """[x**t] low * high mod p**e: one dot product, with no division."""
+        return sum(map(mul, low[: t + 1], high[t::-1])) % self.p**self.e
 
     def rows(self) -> Iterator[tuple[int, list[int]]]:
         """(k, f**k) for k = 1..K, each row built from the one before and then dropped."""
@@ -332,7 +354,7 @@ def comp_sum(spec: CompSumSpec, modulus: PrimePowerModulus | None = None, plan: 
         if plan is not None:
             plan.ladders_built += 1
         K, top = max(k for k, _ in wanted), max(t for _, t in wanted)
-        _Ladder(spec.p, key[1], M.r, K, top).fill(wanted)
+        _Ladder(spec.p, key[1], M.r, (K + 1) // 2, top).fill(wanted)
     return sum(w * wanted[(n, t)] for t, w in _weights(spec, M.r).items()) % M.modulus
 
 

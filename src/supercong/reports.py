@@ -12,7 +12,7 @@ import json
 from json.encoder import encode_basestring_ascii
 from typing import Iterable
 
-from .verifier import ClaimInstance, ClaimReport
+from .verifier import ClaimReport
 
 FIELDS = (
     "claim_id",
@@ -40,39 +40,29 @@ def _param(key: str, value) -> str:
     return f"{key}={value}"
 
 
-def _extra_str(instance: ClaimInstance) -> str:
-    return ";".join(_param(key, value) for key, value in instance.extra)
-
-
-def instance_param_string(instance: ClaimInstance) -> str:
-    """CLI-ready parameter string: p=..,r=..,m=..,n=..,<extras sorted>."""
-    return ",".join(_param(key, value) for key, value in instance.params().items())
-
-
 def replay_command(report: ClaimReport) -> str:
-    inst = report.instance
-    return (
-        f"supercong verify --claims {inst.claim_id} "
-        f"--instance {instance_param_string(inst)} --format json"
-    )
+    return report_row(report)["replay"]
 
 
 def report_row(report: ClaimReport) -> dict:
     inst = report.instance
+    # each parameter formatted once, in replay order: p, r, m, n, then the extras,
+    # which are the last len(inst.extra) entries and also fill the extra field
+    params = [_param(key, value) for key, value in inst.params().items()]
     return {
         "claim_id": inst.claim_id,
         "p": inst.p,
         "r": inst.r,
         "m": inst.m,
         "n": inst.n,
-        "extra": _extra_str(inst),
+        "extra": ";".join(params[len(params) - len(inst.extra):]),
         "lhs": report.lhs,
         "rhs": report.rhs,
         "modulus": report.modulus,
         "status": report.status,
         "note": report.note,
         "quote_anchor": report.anchor,
-        "replay": replay_command(report),
+        "replay": f"supercong verify --claims {inst.claim_id} --instance {','.join(params)} --format json",
     }
 
 

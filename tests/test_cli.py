@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from supercong import compsum
 from supercong.cli import SEARCH_FAMILIES, _parse_instance, _parse_int_range, _parse_primes, main
 from supercong.ratrecon import HUNT_FAMILIES
 from supercong.reports import replay_command
@@ -205,6 +206,26 @@ class TestVerifyCommand:
         rc, _, err = run(capsys, argv + ["--primes", "11..17"])
         assert rc == 0 and err == "comp_sum evaluations: 0 (cache hits: 3)\n"
         assert len(cache.read_text().splitlines()) == 4
+
+    def test_a_failed_exact_division_is_refused(self, capsys, tmp_path, monkeypatch):
+        # a wrong inverse at one unit class breaks the climb's exact divisions:
+        # the run stops with PrecisionError, prints no report and writes no row
+        cache = tmp_path / "cache.csv"
+        run(capsys, ["verify", "--claims", "EQ-1.1", "--primes", "11", "--cache", str(cache)])
+        before = cache.read_bytes()
+        assert b"comp_sum,11," in before
+        build = compsum._Ladder.__init__
+
+        def doubled_at_one_mod_p(self, *args):
+            build(self, *args)
+            for j in range(1, self.N + 1, self.p):
+                self.inverses[j] = 2 * self.inverses[j] % self.mod
+
+        monkeypatch.setattr(compsum._Ladder, "__init__", doubled_at_one_mod_p)
+        rc, out, err = run(capsys, ["verify", "--claims", "EQ-1.1", "--format", "json", "--cache", str(cache)])
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: PrecisionError")
+        assert cache.read_bytes() == before
 
     def test_parallel_jobs_match_sequential(self, capsys, tmp_path):
         base = ["verify", "--claims", "EQ-1.1,LEM-3.5", "--primes", "11..19",

@@ -22,7 +22,7 @@ from supercong.compsum import (
     r_spec,
     s_spec,
 )
-from supercong.modring import PrimePowerModulus, rational_to_residue
+from supercong.modring import PrimePowerModulus, is_prime, rational_to_residue
 from supercong.verifier import EvalContext
 
 
@@ -199,10 +199,61 @@ class TestLadder:
         plan = compsum.Plan((spec, M.r) for spec, M in requests)
         assert [comp_sum(spec, M, plan) for spec, M in requests] == expected
         assert plan.ladders_built == 2
-        # one ladder per (p, bound, e), each at its largest part count and target. The
-        # first two requests are reduced: they read f**n below n*11*2 on the unbounded
-        # ladder mod 11**2, up to 187 for n = 9. The fourth keeps its bound, 121 < 11**3
-        assert sorted(builds, key=repr) == sorted([(11, None, 2, 9, 187), (11, 121, 3, 5, 121)], key=repr)
+        # one ladder per (p, bound, e), each climbed to half its largest part count and
+        # sized to its largest target. The first two requests are reduced: they read f**n
+        # below n*11*2 on the unbounded ladder mod 11**2, up to 187 for n = 9, from rows
+        # up to ceil(9/2) = 5. The fourth keeps its bound, 121 < 11**3, and reads 5 parts
+        # as rows 2 and 3
+        assert sorted(builds, key=repr) == sorted([(11, None, 2, 5, 187), (11, 121, 3, 3, 121)], key=repr)
+
+    def test_split_read_agrees_with_kronecker_at_production_sizes(self):
+        # p in 401..900 as in the prime scale-up; per e one plan, so each of its two
+        # ladders reads odd and even part counts, from equal and unequal halves
+        rng = random.Random(20261021)
+        primes = [q for q in range(401, 901) if is_prime(q)]
+        for e in (1, 2, 3):
+            p = rng.choice(primes)
+            M = PrimePowerModulus(p, e)
+            # every bounded request has N = m*p >= its bound p
+            requests = [family(n, rng.randint(1, 3), p) for n in (1, 2, 3, 7, 8, 10) for family in (s_spec, r_spec)]
+            plan = compsum.Plan((spec, e) for spec in requests)
+            got = [comp_sum(spec, M, plan) for spec in requests]
+            assert plan.ladders_built == 2
+            assert got == [comp_sum_kronecker(spec, M) for spec in requests], (p, e)
+            assert any(got)
+
+    def test_split_read_below_the_part_count_is_zero(self):
+        # t < n: no n units sum to t, and the halves' rows vanish below their part counts
+        p, N = 409, 40
+        ladder = compsum._Ladder(p, None, 2, 5, N)
+        wanted = {(n, t): None for n in (2, 7, 10) for t in (1, n - 1, n, N)}
+        ladder.fill(wanted)
+        for (n, t), value in wanted.items():
+            assert value == comp_sum_kronecker(CompSumSpec(n=n, m=1, p=p, target=t), PrimePowerModulus(p, 2))
+            assert (value == 0) == (t < n), (n, t)
+
+    def test_fill_keeps_two_rows_per_part_count(self):
+        # the halves n//2 and n - n//2 differ by at most one, so fill reads every
+        # part count from the new row and the one below it: those two are all that
+        # is alive, fewer than two rows per distinct part count plus the two climbed
+        N = 11**4
+        ladder = compsum._Ladder(11, None, 1, 5, N)
+        climb, counts = ladder.rows, []
+
+        def alive_rows():
+            return sum(1 for obj in gc.get_objects()
+                       if type(obj) is list and len(obj) == N + 1 and obj is not ladder.inverses)
+
+        def counted():
+            for k, row in climb():
+                counts.append(alive_rows())
+                yield k, row
+
+        ladder.rows = counted
+        wanted = {(n, t): None for n in (1, 3, 4, 7, 9, 10) for t in (N - 1, N)}
+        ladder.fill(wanted)
+        assert None not in wanted.values()
+        assert len(counts) == 5 and max(counts) <= 2, counts
 
     def test_importing_the_cli_does_not_import_numpy(self):
         code = "import sys, supercong.cli; print('numpy' in sys.modules)"

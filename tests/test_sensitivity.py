@@ -3,39 +3,76 @@
 Each mutation is applied by monkeypatch to the engine in this process (no
 source copies), and the default catalog is swept with and without it. A
 claim notices a mutation when one of its pass rows no longer passes. A
-claim that reads the mutated layer and does not notice is blind to it: its
-pass rows show only that the evaluator agrees with itself.
+claim is blind to it when a composition sum it reads changed value and it
+does not notice: its pass rows show only that the evaluator agrees with
+itself.
 """
 
 import inspect
 
 import pytest
 
-from supercong import compsum
-from supercong.verifier import CLAIMS, sweep
+from supercong import compsum, verifier
+from supercong.verifier import CLAIMS, ClaimReport, EvalContext, GridSpec, sweep
 
 
-def _statuses():
-    return {(rep.instance.claim_id, rep.instance.sort_key()): rep.status for rep in sweep(list(CLAIMS))}
+def _sweep():
+    """Each row's status, and the value of each composition sum by cache key."""
+    ctx = EvalContext()
+    reports = sweep(list(CLAIMS), ctx=ctx)
+    return {(rep.instance.claim_id, rep.instance.sort_key()): rep.status for rep in reports}, ctx.new_rows
 
 
 @pytest.fixture(scope="module")
 def baseline():
-    return _statuses()
-
-
-def _noticed(baseline, mutated):
-    return {claim_id for (claim_id, key), status in baseline.items()
-            if status == "pass" and mutated[(claim_id, key)] != "pass"}
+    return _sweep()
 
 
 # the claims that read composition sums
 _COMPOSITION_CLAIMS = {claim_id for claim_id, claim in CLAIMS.items() if inspect.isgeneratorfunction(claim.evaluate)}
 
 
-def test_every_composition_claim_has_a_pass_row(baseline):
-    passing = {claim_id for (claim_id, _), status in baseline.items() if status == "pass"}
+@pytest.fixture(scope="module")
+def reads():
+    """Each composition claim's cache keys over its default grid."""
+    out: dict[str, set] = {}
+    for claim_id in _COMPOSITION_CLAIMS:
+        for instance in CLAIMS[claim_id].grid(GridSpec()):
+            _, outcome = verifier._prepare(instance)
+            if not isinstance(outcome, ClaimReport):
+                run, terms = outcome
+                run.close()
+                out.setdefault(claim_id, set()).update(EvalContext.cache_key(spec, e) for spec, e in terms)
+    return out
+
+
+def _noticed(baseline, mutated):
+    statuses, _ = mutated
+    return {claim_id for (claim_id, key), status in baseline[0].items()
+            if status == "pass" and statuses[(claim_id, key)] != "pass"}
+
+
+def _blind(baseline, mutated, reads):
+    """The claims that read a changed value and do not notice."""
+    values, changed_values = baseline[1], mutated[1]
+    changed = {key for key, value in values.items() if changed_values[key] != value}
+    assert changed and changed_values.keys() == values.keys()
+    return {claim_id for claim_id, keys in reads.items() if keys & changed} - _noticed(baseline, mutated)
+
+
+# The first four equate sums that all come from the same ladder, so a
+# consistent ladder error can pass them. CONJ-5.1-w10 passes only where both
+# sides vanish mod p (m = 1, and p = 23 at m = 4), which an error can leave
+# at 0; its other rows are findings already. This set may only shrink.
+# Today the inverse mutation leaves CONJ-5.1-w10, LEM-2.3-i and LEM-2.3-ii
+# blind, and the split-read mutation EQ-1.3, EQ-4.1 and LEM-2.3-ii.
+_BLIND_AT_MOST = {"EQ-1.3", "EQ-4.1", "LEM-2.3-i", "LEM-2.3-ii", "CONJ-5.1-w10"}
+
+
+def test_every_composition_claim_has_a_pass_row(baseline, reads):
+    passing = {claim_id for (claim_id, _), status in baseline[0].items() if status == "pass"}
     assert len(_COMPOSITION_CLAIMS) == 18 and _COMPOSITION_CLAIMS <= passing
+    assert reads.keys() == _COMPOSITION_CLAIMS
 
 
 def test_a_wrong_reduction_weight_is_noticed(baseline, monkeypatch):
@@ -48,14 +85,14 @@ def test_a_wrong_reduction_weight_is_noticed(baseline, monkeypatch):
         return out
 
     monkeypatch.setattr(compsum, "_digit_weights", first_doubled)
-    noticed = _noticed(baseline, _statuses())
+    noticed = _noticed(baseline, _sweep())
     # EQ-1.3, EQ-4.1 and LEM-2.3-ii would hold by algebra alone if both of
     # their sides were reduced: each keeps one side at its full target
     assert {"EQ-1.3", "EQ-4.1", "LEM-2.3-ii", "THM-1.1-ii", "PROP-4.1"} <= noticed
     assert noticed <= _COMPOSITION_CLAIMS
 
 
-def test_a_wrong_ladder_inverse_at_multiples_of_p(baseline, monkeypatch):
+def test_a_wrong_ladder_inverse_at_multiples_of_p(baseline, reads, monkeypatch):
     build = compsum._Ladder.__init__
 
     def doubled_at_multiples_of_p(self, *args):
@@ -64,9 +101,17 @@ def test_a_wrong_ladder_inverse_at_multiples_of_p(baseline, monkeypatch):
             self.inverses[j] = 2 * self.inverses[j] % self.mod
 
     monkeypatch.setattr(compsum._Ladder, "__init__", doubled_at_multiples_of_p)
-    blind = _COMPOSITION_CLAIMS - _noticed(baseline, _statuses())
-    # The first four equate sums that all come from the same ladder, so a
-    # consistent ladder error passes them. CONJ-5.1-w10 passes only where both
-    # sides vanish mod p (m = 1, and p = 23 at m = 4), which the error leaves
-    # at 0; its other rows are findings already. This set may only shrink.
-    assert blind == {"EQ-1.3", "EQ-4.1", "LEM-2.3-i", "LEM-2.3-ii", "CONJ-5.1-w10"}
+    assert _blind(baseline, _sweep(), reads) <= _BLIND_AT_MOST
+
+
+def test_a_wrong_split_read(baseline, reads, monkeypatch):
+    product = compsum._Ladder._product
+
+    def lower_half_doubled_at_one_mod_p(self, low, high, t):
+        low = [2 * c if i % self.p == 1 else c for i, c in enumerate(low)]
+        return product(self, low, high, t)
+
+    monkeypatch.setattr(compsum._Ladder, "_product", lower_half_doubled_at_one_mod_p)
+    mutated = _sweep()
+    assert _blind(baseline, mutated, reads) <= _BLIND_AT_MOST
+    assert _COMPOSITION_CLAIMS - _noticed(baseline, mutated) <= _BLIND_AT_MOST

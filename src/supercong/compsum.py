@@ -15,7 +15,9 @@ same way. Every other request (N < L, and the bounded family with R < e)
 is read at its own target. A request can also ask for its own target
 explicitly (CompSumSpec.full_target), which is how the verifier
 cross-checks the identities that the reduction would make hold by
-algebra alone.
+algebra alone. The plan decides each request's route: a sum that one
+request of a plan reads at its full target is read there by every
+request of that plan.
 
 The coefficients themselves come from one evaluator, a derivative
 ladder: (f**k)' = k * f**(k-1) * f', and f' has 0/1 coefficients, so
@@ -24,9 +26,10 @@ p-adic division by the index. The ladder meets in the middle: for part
 counts up to K it climbs only rows 1..ceil(K/2), and reads [x**t] f**n
 as one dot product of rows n//2 and n - n//2 up to index t. Evaluation
 is planned: a caller declares the sums it will ask for (Plan) and passes
-the plan to comp_sum. Each (prime, part bound, precision) key of the
-plan gets one ladder, built once for its largest part count and target;
-a reduced request plans its coefficients under the unbounded key
+the plan to comp_sum, which looks up the request's reading and combines
+the coefficients. Each (prime, part bound, precision) key of the plan
+gets one ladder, built once for its largest part count and target; a
+reduced request plans its coefficients under the unbounded key
 (p, None, e), below n*p*e. The rows are streamed, two alive at a time,
 and only the planned coefficients are kept. A request outside the plan,
 or made without one, is a plan of its own. Two independent oracles
@@ -38,7 +41,7 @@ recursive enumerator. All three return a plain int, canonical in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat
 from math import comb
@@ -260,15 +263,6 @@ def is_reduced(spec: CompSumSpec, e: int) -> bool:
     return spec.target >= spec.n * spec.p * e
 
 
-def _coefficients(spec: CompSumSpec, e: int) -> tuple[tuple[int, int | None, int], range]:
-    """The ladder key and the targets t of the coefficients [x**t] f**n that
-    comp_sum combines into spec's value mod p**e."""
-    n, N, p = spec.n, spec.target, spec.p
-    if not is_reduced(spec, e):
-        return (p, spec.upper_bound, e), range(N, N + 1)
-    return (p, None, e), range(n + (N - n) % p, n * p * e, p)
-
-
 def _digit_weights(n: int, p: int, e: int, N: int) -> dict[int, int]:
     """w_t with [x**N] f**n == sum_t w_t * [x**t] f**n (mod p**e), over t == N
     (mod p), n <= t < L = n*p*e <= N.
@@ -292,12 +286,13 @@ def _digit_weights(n: int, p: int, e: int, N: int) -> dict[int, int]:
     return weights
 
 
-def _weights(spec: CompSumSpec, e: int) -> dict[int, int]:
-    """w_t with spec's value == sum_t w_t * [x**t] f**n (mod p**e), over the
-    targets of _coefficients(spec, e); f is the series of spec's ladder key."""
+def _reading(spec: CompSumSpec, e: int) -> tuple[tuple[int, int | None, int], dict[int, int]]:
+    """The ladder key (p, part bound, e) and the weights w_t with spec's value
+    == sum_t w_t * [x**t] f**n (mod p**e), f the series of that key: the
+    target itself, or the reduced coefficients below n*p*e."""
     n, N, p = spec.n, spec.target, spec.p
     if not is_reduced(spec, e):
-        return {N: 1}
+        return (p, spec.upper_bound, e), {N: 1}
     # bounded, R >= e: f_b == (1 - x**p**R) * f, so f_b**n == sum_k (-1)**k C(n, k) x**(k*p**R) f**n
     shifts = range(n + 1) if spec.upper_bound is not None else range(1)
     out: dict[int, int] = {}
@@ -308,29 +303,35 @@ def _weights(spec: CompSumSpec, e: int) -> dict[int, int]:
         terms = {shifted: 1} if shifted < n * p * e else _digit_weights(n, p, e, shifted)
         for t, w in terms.items():
             out[t] = out.get(t, 0) + sign * w
-    return out
+    return (p, None, e), out
 
 
 class Plan:
     """The composition sums a caller will ask for, as (spec, e) pairs, each
-    to be evaluated mod p**e, grouped by ladder key.
+    to be evaluated mod p**e, and how each is read.
 
-    Each (prime, part bound, precision) key gets one ladder, sized to the
-    largest part count and target requested of it; a reduced request asks
-    the unbounded key (p, None, e) for its coefficients below n*p*e. The
-    first comp_sum call that reaches a key climbs its ladder and fills in
-    every requested coefficient of that key. Values never depend on the
-    plan; only the number of ladders built does.
+    A sum that one request reads at its full target (CompSumSpec.full_target)
+    is read there by every request of the plan, so the plan holds one value
+    per sum. readings[(spec, e)] is the request's ladder key and weights
+    (_reading). Each (prime, part bound, precision) key gets one ladder,
+    sized to the largest part count and target requested of it; a reduced
+    request asks the unbounded key (p, None, e) for its coefficients below
+    n*p*e. The first comp_sum call that reaches a key climbs its ladder and
+    fills in every requested coefficient of that key.
     """
 
     def __init__(self, requests: Iterable[tuple[CompSumSpec, int]] = ()):
         self.ladders_built = 0
+        requests = dict.fromkeys(requests)
+        full = {(replace(spec, full_target=False), e) for spec, e in requests if spec.full_target}
+        self.readings: dict[tuple[CompSumSpec, int], tuple[tuple[int, int | None, int], dict[int, int]]] = {}
         # per key, the requested (n, t) coefficients, None until the key's ladder is climbed
         self.wanted: dict[tuple[int, int | None, int], dict[tuple[int, int], int | None]] = {}
         for spec, e in requests:
             if spec.target >= spec.n:
-                key, targets = _coefficients(spec, e)
-                self.wanted.setdefault(key, {}).update(((spec.n, t), None) for t in targets)
+                read = replace(spec, full_target=True) if (spec, e) in full else spec
+                key, weights = self.readings[(spec, e)] = _reading(read, e)
+                self.wanted.setdefault(key, {}).update(((spec.n, t), None) for t in weights)
 
 
 def comp_sum(spec: CompSumSpec, modulus: PrimePowerModulus | None = None, plan: Plan | None = None) -> int:
@@ -338,24 +339,24 @@ def comp_sum(spec: CompSumSpec, modulus: PrimePowerModulus | None = None, plan: 
     canonical int in [0, p**e).
 
     Evaluated mod p**spec.r unless an explicit modulus (same prime, any
-    exponent) is supplied. Empty sums return 0, not an error: they are
-    legitimate corner cases (e.g. a single part equal to m * p**r). A
-    request outside the plan, or made without one, is a plan of its own.
+    exponent) is supplied, and read as the plan reads it. Empty sums return
+    0, not an error: they are legitimate corner cases (e.g. a single part
+    equal to m * p**r). A request outside the plan, or made without one, is
+    a plan of its own.
     """
     M = _eval_modulus(spec, modulus)
     n = spec.n
     if spec.target < n:
         return 0
-    key, targets = _coefficients(spec, M.r)
-    wanted = plan.wanted.get(key, {}) if plan is not None else {}
-    if any((n, t) not in wanted for t in targets):
-        wanted = {(n, t): None for t in targets}
-    if any(wanted[(n, t)] is None for t in targets):
-        if plan is not None:
-            plan.ladders_built += 1
+    if plan is None or (spec, M.r) not in plan.readings:
+        plan = Plan([(spec, M.r)])
+    key, weights = plan.readings[(spec, M.r)]
+    wanted = plan.wanted[key]
+    if any(wanted[(n, t)] is None for t in weights):
+        plan.ladders_built += 1
         K, top = max(k for k, _ in wanted), max(t for _, t in wanted)
         _Ladder(spec.p, key[1], M.r, (K + 1) // 2, top).fill(wanted)
-    return sum(w * wanted[(n, t)] for t, w in _weights(spec, M.r).items()) % M.modulus
+    return sum(w * wanted[(n, t)] for t, w in weights.items()) % M.modulus
 
 
 def comp_sum_kronecker(spec: CompSumSpec, modulus: PrimePowerModulus | None = None) -> int:

@@ -17,9 +17,10 @@ against its own EvalContext, in process or as one process-pool task per
 prime; reports, counters and new cache rows do not depend on the number
 of workers. A prime is planned before it is evaluated: every instance
 that passes its hypotheses is started up to the terms it yields, those
-terms, less the ones already memoized or cached, go to compsum as one
-plan, so that each ladder is built once, at the largest part count and
-target asked of it, and only then is each instance sent its values.
+terms, less the ones already cached, go to compsum as one plan, so that
+each ladder is built once, at the largest part count and target asked
+of it, and only then is each instance sent its values. compsum decides
+how each term is read; the context knows only cache keys and values.
 
 Mixed-precision rule used throughout: a right-hand side of the shape
 c * B * p**j (mod p**(j+1)) is evaluated by reducing the cofactor c * B
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Generator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb, factorial
@@ -49,7 +50,6 @@ from .compsum import (
     CompSumSpec,
     count_solutions_exact,
     comp_sum,
-    is_reduced,
     Plan,
     gamma_n,
     r_spec,
@@ -148,10 +148,6 @@ class ClaimReport:
     note: str = ""
     anchor: str = ""
 
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -168,27 +164,23 @@ Evaluation = Generator[Sequence[Term], tuple[int, ...], Sides]
 
 
 class EvalContext:
-    """Shared evaluation state: comp_sum memo, optional persistent cache rows,
-    and counters of evaluations, cache hits and ladder builds (cache hits
-    never touch the evaluator).
+    """One plan's comp_sum values by cache key, optional persistent cache
+    rows, and counters of evaluations, cache hits and ladder builds (cache
+    hits never touch the evaluator).
 
-    The memo keeps values apart by route: its key is the cache key plus
-    whether the value was reduced (compsum.is_reduced). So a sum that a
-    claim cross-checks at its full target (CompSumSpec.full_target) is
-    never served a reduced value. Within one plan, every term of a sum
-    that some term cross-checks is evaluated at the full target, once.
-    The cache holds one value per cache key, whatever its route."""
+    Values live for one plan: plan() forgets the previous plan's, and a
+    term outside the current plan is a plan of its own. compsum.Plan
+    decides each term's route, one per cache key within a plan, so a value
+    read by one route never stands in for another. The cache holds one
+    value per cache key, whatever its route."""
 
     def __init__(self, cache_rows: Mapping[tuple, int] | None = None):
         self.comp_sum_evals = 0
         self.cache_hits = 0
         self.ladder_builds = 0
-        self._memo: dict[tuple, int] = {}
         self._cache = cache_rows or {}
         self.new_rows: dict[tuple, int] = {}
-        self._plan = Plan()
-        self._full_target: set[tuple] = set()
-        self._routes: dict[Term, tuple[CompSumSpec, tuple, tuple]] = {}
+        self.plan(())
 
     @staticmethod
     def cache_key(spec: CompSumSpec, mod_exp: int) -> tuple[str, int, int, str]:
@@ -198,27 +190,20 @@ class EvalContext:
             params += f";target={spec.target}"
         return ("comp_sum", spec.p, spec.r, params)
 
-    def _routed(self, spec: CompSumSpec, mod_exp: int) -> tuple[CompSumSpec, tuple, tuple]:
-        """The spec as it is evaluated, its cache key and its memo key."""
-        key = self.cache_key(spec, mod_exp)
-        if key in self._full_target:
-            spec = replace(spec, full_target=True)
-        return spec, key, (*key, is_reduced(spec, mod_exp))
-
     def plan(self, terms: Iterable[Term]) -> None:
-        """Replace the context's plan by the terms it holds no value for,
-        and keep each term's route for comp_sum."""
-        terms = list(terms)
-        self._full_target = {self.cache_key(spec, e) for spec, e in terms if spec.full_target}
-        self._routes = {term: self._routed(*term) for term in dict.fromkeys(terms)}
-        self._plan = Plan((spec, e) for (_, e), (spec, key, memo_key) in self._routes.items()
-                          if memo_key not in self._memo and key not in self._cache)
+        """Forget the previous plan's values, keep each term's cache key, and
+        hand compsum the terms whose key the cache does not hold."""
+        self._keys = {term: self.cache_key(*term) for term in terms}
+        self._values: dict[tuple, int] = {}
+        self._plan = Plan(term for term, key in self._keys.items() if key not in self._cache)
 
     def comp_sum(self, spec: CompSumSpec, mod_exp: int) -> int:
-        route = self._routes.get((spec, mod_exp))
-        spec, key, memo_key = route if route is not None else self._routed(spec, mod_exp)
-        if memo_key in self._memo:
-            return self._memo[memo_key]
+        term = (spec, mod_exp)
+        if term not in self._keys:
+            self.plan([term])
+        key = self._keys[term]
+        if key in self._values:
+            return self._values[key]
         if key in self._cache:
             self.cache_hits += 1
             value = self._cache[key]
@@ -228,7 +213,7 @@ class EvalContext:
             self.ladder_builds += self._plan.ladders_built - built
             self.comp_sum_evals += 1
             self.new_rows[key] = value
-        self._memo[memo_key] = value
+        self._values[key] = value
         return value
 
 
@@ -870,20 +855,11 @@ def verify(instance: ClaimInstance, ctx: EvalContext | None = None) -> ClaimRepo
     return _verify_planned([instance], ctx if ctx is not None else EvalContext())[0]
 
 
-def _by_prime(rows: Mapping[tuple, int]) -> dict[int, dict[tuple, int]]:
-    """Cache or memo rows split by the prime in their key."""
-    out: dict[int, dict[tuple, int]] = {}
-    for key, value in rows.items():
-        out.setdefault(key[1], {})[key] = value
-    return out
-
-
-def _verify_prime(task: tuple[list[ClaimInstance], dict, dict]) -> tuple[list[ClaimReport], EvalContext]:
+def _verify_prime(task: tuple[list[ClaimInstance], dict]) -> tuple[list[ClaimReport], EvalContext]:
     """Verify one prime's instances against a context holding only that
-    prime's cache and memo rows; module-level so that a pool can run it."""
-    instances, cache_rows, memo = task
+    prime's cache rows; module-level so that a pool can run it."""
+    instances, cache_rows = task
     ctx = EvalContext(cache_rows)
-    ctx._memo.update(memo)
     return _verify_planned(instances, ctx), ctx
 
 
@@ -897,8 +873,8 @@ def verify_instances(
 
     A prime's instances share one context and one compsum plan, so each
     ladder at that prime is built once and serves every claim. The
-    counters, new rows and memo of each prime's context are merged into
-    ctx in ascending prime order, and reports come back in
+    counters and new rows of each prime's context are merged into ctx in
+    ascending prime order, and reports come back in
     ClaimInstance.sort_key order, so neither depends on the number of
     workers.
     """
@@ -906,8 +882,10 @@ def verify_instances(
     groups: dict[int, list[ClaimInstance]] = {}
     for inst in instances:
         groups.setdefault(inst.p, []).append(inst)
-    cache, memo = _by_prime(ctx._cache), _by_prime(ctx._memo)
-    tasks = [(groups[p], cache.get(p, {}), memo.get(p, {})) for p in sorted(groups, key=_ordered)]
+    cache: dict[int, dict[tuple, int]] = {}
+    for key, value in ctx._cache.items():
+        cache.setdefault(key[1], {})[key] = value
+    tasks = [(groups[p], cache.get(p, {})) for p in sorted(groups, key=_ordered)]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -923,7 +901,6 @@ def verify_instances(
         ctx.cache_hits += shard.cache_hits
         ctx.ladder_builds += shard.ladder_builds
         ctx.new_rows.update(shard.new_rows)
-        ctx._memo.update(shard._memo)
     reports.sort(key=lambda rep: rep.instance.sort_key())
     return reports
 

@@ -306,6 +306,34 @@ class TestReducedRoute:
         assert compsum.is_reduced(s_spec(7, 1, 11, 3), 3)
         assert not compsum.is_reduced(s_spec(7, 1, 11, 2), 3)  # R = 2 < e = 3
 
+    def test_a_plan_reads_a_cross_checked_sum_at_its_full_target(self, builds):
+        # one request at the full target takes every request of that sum there
+        plain, full = r_spec(7, 2, 11, 2), r_spec(7, 2, 11, 2, full_target=True)
+        M = PrimePowerModulus(11, 2)
+        plan = compsum.Plan([(plain, 2), (full, 2)])
+        assert plan.readings[(plain, 2)] == plan.readings[(full, 2)] == ((11, None, 2), {242: 1})
+        assert comp_sum(plain, M, plan) == comp_sum_kronecker(plain, M)
+        assert [(args[:3], args[4]) for args in builds] == [((11, None, 2), 242)]
+        assert comp_sum(full, M, plan) == comp_sum(plain, M, plan) and plan.ladders_built == 1
+
+    def test_without_the_full_request_a_plan_reduces(self, builds):
+        plain = r_spec(7, 2, 11, 2)
+        M = PrimePowerModulus(11, 2)
+        plan = compsum.Plan([(plain, 2)])
+        assert max(plan.readings[(plain, 2)][1]) < 7 * 11 * 2
+        assert comp_sum(plain, M, plan) == comp_sum_kronecker(plain, M)
+        assert len(builds) == 1 and builds[0][:3] == (11, None, 2) and builds[0][4] < 7 * 11 * 2
+
+    def test_a_request_outside_the_plan_is_a_plan_of_its_own(self, builds):
+        full = r_spec(7, 2, 11, 2, full_target=True)
+        plan = compsum.Plan([(full, 2)])
+        wanted = {key: dict(coefficients) for key, coefficients in plan.wanted.items()}
+        # the plain sum is not in the plan: it is reduced, and the plan's ladder is not climbed
+        plain = r_spec(7, 2, 11, 2)
+        assert comp_sum(plain, PrimePowerModulus(11, 2), plan) == comp_sum_kronecker(plain, PrimePowerModulus(11, 2))
+        assert len(builds) == 1 and builds[0][4] < 7 * 11 * 2
+        assert plan.wanted == wanted and plan.ladders_built == 0
+
     @pytest.mark.parametrize("r", [6, 8])
     def test_deep_closed_forms(self, r):
         # THM-1.1-ii and PROP-4.1 have closed right-hand sides with a Bernoulli

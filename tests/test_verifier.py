@@ -412,24 +412,13 @@ def evaluated(monkeypatch):
 class TestPlan:
     """A sweep plans each prime before evaluating it, so that each ladder is built once."""
 
-    @pytest.fixture
-    def builds(self, monkeypatch):
-        built = []
-        build = compsum._Ladder.__init__
-
-        def counting(self, *args):
-            built.append(args[:3])
-            build(self, *args)
-
-        monkeypatch.setattr(compsum._Ladder, "__init__", counting)
-        return built
-
     def test_catalog_builds_one_ladder_per_key(self, builds, evaluated):
         ctx = EvalContext()
         sweep(list(CLAIMS), ctx=ctx)
-        assert len(builds) == len(set(builds)) == ctx.ladder_builds == 43
+        keys = [args[:3] for args in builds]
+        assert len(keys) == len(set(keys)) == ctx.ladder_builds == 43
         # the (p, part bound, e) ladder key of every evaluation, as routed
-        assert set(builds) == {compsum._coefficients(spec, e)[0] for spec, e in evaluated}
+        assert set(keys) == {compsum._reading(spec, e)[0] for spec, e in evaluated}
         ctx = EvalContext(cache_rows=ctx.new_rows)
         sweep(list(CLAIMS), ctx=ctx)  # a filled cache: nothing left to plan
         assert (len(builds), ctx.ladder_builds, ctx.comp_sum_evals, ctx.cache_hits) == (43, 0, 0, 407)
@@ -440,15 +429,18 @@ class TestPlan:
         assert (ctx.ladder_builds, ctx.comp_sum_evals) == (43, 407)
 
     def test_memoized_terms_are_not_planned(self, builds):
-        ctx = EvalContext()
-        sweep(["PROP-4.1"], GridSpec(primes=(11,), rs=(1, 2)), ctx=ctx)
+        first = EvalContext()
+        sweep(["PROP-4.1"], GridSpec(primes=(11,), rs=(1, 2)), ctx=first)
         del builds[:]
+        ctx = EvalContext(cache_rows=first.new_rows)
         sweep(["EQ-1.3", "PROP-4.1"], GridSpec(primes=(11,), rs=(2, 3)), ctx=ctx)
-        # EQ-1.3 at r = 2 reads PROP-4.1's sums at r = 1, 2 from the memo. EQ-1.3
-        # at r = 3 cross-checks S(7,1,11**3) at its full target, where PROP-4.1
-        # at r = 2 had reduced it, so that is one new ladder; its upper sum and
-        # PROP-4.1 at r = 3 share the other, the unbounded one mod 11**4
-        assert builds == [(11, 11**3, 3), (11, None, 4)]
+        # EQ-1.3 at r = 2 reads PROP-4.1's sums at r = 1, 2 from the cache, and so
+        # does EQ-1.3's lower sum at r = 3: the cache holds one value per cache key,
+        # whatever its route. EQ-1.3's upper sum and PROP-4.1 at r = 3 share the
+        # one new ladder and one evaluation: S(7,1,11**4), reduced below 7*11*4 on
+        # the unbounded ladder mod 11**4
+        assert [args[:3] for args in builds] == [(11, None, 4)] and builds[0][4] < 7 * 11 * 4
+        assert (ctx.comp_sum_evals, ctx.cache_hits) == (1, 2)
 
     def test_warm_catalog_builds_each_modulus_once(self, monkeypatch):
         cold = EvalContext()
@@ -504,35 +496,37 @@ class TestEvalContext:
         plain, full = r_spec(7, 2, 11, 2), r_spec(7, 2, 11, 2, full_target=True)
         assert ctx.comp_sum(plain, 2) == ctx.comp_sum(full, 2)
         assert evaluated == [(plain, 2), (full, 2)] and ctx.comp_sum_evals == 2
-        assert ctx.comp_sum(plain, 2) == ctx.comp_sum(full, 2) and ctx.comp_sum_evals == 2  # both memoized
         # one cache row per cache key, whatever the route
         assert list(ctx.new_rows) == [EvalContext.cache_key(plain, 2)]
 
-    def test_a_plan_evaluates_a_cross_checked_sum_once(self, evaluated):
+    def test_a_plan_evaluates_a_cross_checked_sum_once(self, evaluated, builds):
         # within a plan, every term of a sum that some term cross-checks takes the full target
         ctx = EvalContext()
         terms = [(r_spec(7, 2, 11, 2), 2), (r_spec(7, 2, 11, 2, full_target=True), 2)]
         ctx.plan(terms)
         assert len({ctx.comp_sum(*term) for term in terms}) == 1
-        assert evaluated == [(terms[1][0], 2)] and ctx.comp_sum_evals == 1
+        assert len(evaluated) == 1 and ctx.comp_sum_evals == 1
+        # the one ladder reaches the full target 2 * 11**2
+        assert [(args[:3], args[4]) for args in builds] == [((11, None, 2), 242)]
 
     def test_a_planned_term_is_routed_once(self, monkeypatch):
-        routed = []
-        route = EvalContext._routed
+        read = []
+        reading = compsum._reading
 
-        def counting(self, spec, e):
-            routed.append((spec, e))
-            return route(self, spec, e)
+        def counting(spec, e):
+            read.append((spec, e))
+            return reading(spec, e)
 
-        monkeypatch.setattr(EvalContext, "_routed", counting)
+        monkeypatch.setattr(compsum, "_reading", counting)
         ctx = EvalContext()
         terms = [(r_spec(7, 2, 11, 2), 2), (r_spec(7, 2, 11, 2, full_target=True), 2), (r_spec(7, 2, 11, 2), 2)]
         ctx.plan(terms)
         for term in terms:
             ctx.comp_sum(*term)
-        assert routed == terms[:2]
-        ctx.comp_sum(s_spec(3, 1, 11), 1)  # outside the plan: routed on the spot
-        assert routed[2:] == [(s_spec(3, 1, 11), 1)]
+        # once per distinct request, the plain one read at the full target
+        assert read == [(terms[1][0], 2)] * 2
+        ctx.comp_sum(s_spec(3, 1, 11), 1)  # outside the plan: read on the spot
+        assert read[2:] == [(s_spec(3, 1, 11), 1)]
 
     def test_cached_values_serve_both_routes(self, evaluated):
         spec = r_spec(7, 2, 11, 2)
@@ -546,11 +540,11 @@ class TestEvalContext:
     def test_shared_context_across_claims(self):
         # PROP-4.1 at r in {1,2} computes the bounded sums at p^2 and p^3,
         # which is exactly what EQ-1.3 at r=2 compares
-        ctx = EvalContext()
-        sweep(["PROP-4.1"], GridSpec(primes=(11,), rs=(1, 2)), ctx=ctx)
-        evals = ctx.comp_sum_evals
+        first = EvalContext()
+        sweep(["PROP-4.1"], GridSpec(primes=(11,), rs=(1, 2)), ctx=first)
+        ctx = EvalContext(cache_rows=first.new_rows)
         sweep(["EQ-1.3"], GridSpec(primes=(11,), rs=(2,)), ctx=ctx)
-        assert ctx.comp_sum_evals == evals  # both sums already memoized
+        assert (ctx.comp_sum_evals, ctx.cache_hits, ctx.ladder_builds) == (0, 2, 0)  # both sums cached
 
 
 class TestCrossChecks:

@@ -6,11 +6,13 @@ package depends on the choice, so it is fixed here once and loudly.
 
 The evaluator is one power sum per index: for even 2 <= k <= p - 3,
 sum_{j<p} j**k == p * B_k (mod p**2), because the other Faulhaber terms
-carry p**2 once k + 1 < p. So B_k mod p costs O(p log k) and is memoized
-per (k, p). Two oracles check it: the O(p**2) mod-p recurrence table
-(mod_p_table) and the exact-rational path (bernoulli_exact, which also
-feeds rational constants). Indexes k <= p - 3 are p-integral by von
-Staudt-Clausen, which is exactly the range served.
+carry p**2 once k + 1 < p. Pairing j with p - j halves the sum, since
+(p - j)**k == j**k - k*p*j**(k-1) (mod p**2) for even k. So B_k mod p
+costs (p - 1)/2 modular powers and is memoized per (k, p). Two oracles
+check it: the O(p**2) mod-p recurrence table (mod_p_table) and the
+exact-rational path (bernoulli_exact, which also feeds rational
+constants). Indexes k <= p - 3 are p-integral by von Staudt-Clausen,
+which is exactly the range served.
 """
 
 from __future__ import annotations
@@ -76,11 +78,16 @@ def mod_p_table(p: int) -> tuple[int, ...]:
 def power_sum_residue(k: int, p: int) -> int:
     """B_k mod p as (sum_{j<p} j**k mod p**2) / p, valid for even 2 <= k <= p - 3.
 
-    Raises PowerSumError when p does not divide the sum (for instance at
-    k = p - 1, where the sum is -1 mod p): that sum carries no B_k.
+    The sum pairs j with p - j: for even k, (p - j)**k == j**k - k*p*j**(k-1)
+    (mod p**2), so the pair is j**(k-1) * (2*j - k*p) and the sum takes
+    (p - 1)/2 modular powers. The pairing needs k even, so an odd k raises
+    ValueError. Raises PowerSumError when p does not divide the sum (for
+    instance at k = p - 1, where the sum is -1 mod p): that sum carries no B_k.
     """
+    if k % 2:
+        raise ValueError(f"the paired power sum needs an even index, got {k}")
     q = p * p
-    total = sum(pow(j, k, q) for j in range(1, p)) % q
+    total = sum(pow(j, k - 1, q) * (2 * j - k * p) for j in range(1, (p + 1) // 2)) % q
     if total % p:
         raise PowerSumError(f"p = {p} does not divide sum_(j<p) j**{k} = {total} mod p**2")
     return total // p

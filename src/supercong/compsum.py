@@ -22,7 +22,8 @@ request of that plan.
 The coefficients themselves come from one evaluator, a derivative
 ladder: (f**k)' = k * f**(k-1) * f', and f' has 0/1 coefficients, so
 each row f**k costs one O(N) pass of prefix sums followed by an exact
-p-adic division by the index. The ladder meets in the middle: for part
+p-adic division by the index; row 1 is f itself, read off the table of
+inverses without a climb. The ladder meets in the middle: for part
 counts up to K it climbs only rows 1..ceil(K/2), and reads [x**t] f**n
 as one dot product of rows n//2 and n - n//2 up to index t. Evaluation
 is planned: a caller declares the sums it will ask for (Plan) and passes
@@ -41,12 +42,11 @@ recursive enumerator. All three return a plain int, canonical in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat
 from math import comb
 from operator import add, mul, sub
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .modring import PrimePowerModulus, prime_power
 
@@ -77,8 +77,17 @@ class PrecisionError(ArithmeticError):
     """An exact p-adic division failed: the working precision ran out."""
 
 
-@dataclass(frozen=True)
-class CompSumSpec:
+class _SpecFields(NamedTuple):
+    n: int
+    m: int
+    p: int
+    r: int
+    upper_bound: int | None
+    target: int
+    full_target: bool
+
+
+class CompSumSpec(_SpecFields):
     """One composition sum: n unit parts summing to target = m * p**r.
 
     With upper_bound = p**r each part stays strictly below p**r (the
@@ -87,30 +96,26 @@ class CompSumSpec:
     congruences). An explicit target decoupled from m * p**r is accepted
     for oracle-style evaluations at arbitrary sums. full_target reads the
     coefficient at the target itself, never by reduction: the same value,
-    by a second route.
+    by a second route. An immutable named tuple, validated on construction.
     """
 
-    n: int
-    m: int
-    p: int
-    r: int = 1
-    upper_bound: int | None = None
-    target: int | None = None
-    full_target: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __new__(cls, n: int, m: int, p: int, r: int = 1, upper_bound: int | None = None,
+                target: int | None = None, full_target: bool = False) -> CompSumSpec:
+        if n < 1:
             raise ValueError("need at least one part")
-        if self.m < 1:
-            raise ValueError(f"multiplier must be >= 1, got {self.m}")
-        if self.r < 1:
-            raise ValueError(f"exponent must be >= 1, got {self.r}")
-        if self.upper_bound is not None and self.upper_bound != self.p**self.r:
+        if m < 1:
+            raise ValueError(f"multiplier must be >= 1, got {m}")
+        if r < 1:
+            raise ValueError(f"exponent must be >= 1, got {r}")
+        if upper_bound is not None and upper_bound != p**r:
             raise ValueError("the only supported part bound is p**r")
-        if self.target is None:
-            object.__setattr__(self, "target", self.m * self.p**self.r)
-        elif self.target < 1:
-            raise ValueError(f"target must be >= 1, got {self.target}")
+        if target is None:
+            target = m * p**r
+        elif target < 1:
+            raise ValueError(f"target must be >= 1, got {target}")
+        return super().__new__(cls, n, m, p, r, upper_bound, target, full_target)
 
 
 def s_spec(n: int, m: int, p: int, r: int = 1, full_target: bool = False) -> CompSumSpec:
@@ -145,17 +150,18 @@ class _Ladder:
     row k-1 below j. The division costs v_p(j) p-adic digits, at most V =
     max v_p(j). Work modulo p**(e + min((K-1)*V, D)), where D = v_p(N!),
     and keep row k modulo p**(e + min((K-k)*V, D)); then every row up to
-    K is good to p**e. Proof: row 1 is exact, since its numerator at p | j
-    is exactly 0. An error that enters a row (by reducing a numerator or a
-    row modulo that row's precision) travels to later rows only through
-    divisions at strictly increasing indices j, one per row, and loses
-    v_p(j) digits at each. So an error entering row k loses at most
-    (K-k)*V digits by row K, and at most sum_{j<=N} v_p(j) = D along any
-    chain of distinct indices. Each numerator is reduced at the previous
-    row's precision, and its exact divisibility by p**v_p(j) is checked
-    there: by the same count its error is divisible by p**(e + v_p(j)),
-    so the check passes whenever the rows below are right, and a failure
-    raises PrecisionError.
+    K is good to p**e. Proof: row 1 is f, exact to its precision: it is
+    the inverse table with 0 at p | j and at j >= bound, not climbed
+    (climbing it would divide an exact 0 or 1 by j). An error that enters
+    a row (by reducing a numerator or a row modulo that row's precision)
+    travels to later rows only through divisions at strictly increasing
+    indices j, one per row, and loses v_p(j) digits at each. So an error
+    entering row k loses at most (K-k)*V digits by row K, and at most
+    sum_{j<=N} v_p(j) = D along any chain of distinct indices. Each
+    numerator is reduced at the previous row's precision, and its exact
+    divisibility by p**v_p(j) is checked there: by the same count its
+    error is divisible by p**(e + v_p(j)), so the check passes whenever
+    the rows below are right, and a failure raises PrecisionError.
 
     A caller asking for part counts up to K' builds the ladder with
     K = ceil(K'/2), so the rule above runs over half as many rows and
@@ -217,9 +223,17 @@ class _Ladder:
         return sum(map(mul, low[: t + 1], high[t::-1])) % self.p**self.e
 
     def rows(self) -> Iterator[tuple[int, list[int]]]:
-        """(k, f**k) for k = 1..K, each row built from the one before and then dropped."""
-        row = [1] + [0] * self.N
-        for k in range(1, self.K + 1):
+        """(k, f**k) for k = 1..K, each row built from the one before and then dropped.
+
+        Row 1 is f itself, not climbed: a copy of the inverse table with 0 at
+        the multiples of p and, in the bounded family, from the bound on."""
+        p, bound, N = self.p, self.bound, self.N
+        row = self.inverses.copy()
+        row[::p] = repeat(0, N // p + 1)
+        if bound is not None and bound <= N:
+            row[bound:] = repeat(0, N + 1 - bound)
+        yield 1, row
+        for k in range(2, self.K + 1):
             row = self._row(row, k)
             yield k, row
 
@@ -323,13 +337,13 @@ class Plan:
     def __init__(self, requests: Iterable[tuple[CompSumSpec, int]] = ()):
         self.ladders_built = 0
         requests = dict.fromkeys(requests)
-        full = {(replace(spec, full_target=False), e) for spec, e in requests if spec.full_target}
+        full = {(spec._replace(full_target=False), e) for spec, e in requests if spec.full_target}
         self.readings: dict[tuple[CompSumSpec, int], tuple[tuple[int, int | None, int], dict[int, int]]] = {}
         # per key, the requested (n, t) coefficients, None until the key's ladder is climbed
         self.wanted: dict[tuple[int, int | None, int], dict[tuple[int, int], int | None]] = {}
         for spec, e in requests:
             if spec.target >= spec.n:
-                read = replace(spec, full_target=True) if (spec, e) in full else spec
+                read = spec._replace(full_target=True) if (spec, e) in full else spec
                 key, weights = self.readings[(spec, e)] = _reading(read, e)
                 self.wanted.setdefault(key, {}).update(((spec.n, t), None) for t in weights)
 

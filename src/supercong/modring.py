@@ -9,7 +9,6 @@ module is safe to use from any number of concurrent tasks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -51,20 +50,40 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class PrimePowerModulus:
-    """A prime p and exponent r >= 1 defining the ring Z / p**r."""
+    """A prime p and exponent r >= 1 defining the ring Z / p**r.
 
-    p: int
-    r: int
-    modulus: int = field(init=False, compare=False, repr=False)
+    Immutable, equal and hashed by (p, r), and never equal to a plain
+    (p, r) tuple; modulus = p**r is stored once."""
 
-    def __post_init__(self) -> None:
-        if self.r < 1:
-            raise ValueError(f"exponent must be >= 1, got {self.r}")
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        object.__setattr__(self, "modulus", self.p**self.r)
+    __slots__ = ("p", "r", "modulus")
+
+    def __init__(self, p: int, r: int):
+        if r < 1:
+            raise ValueError(f"exponent must be >= 1, got {r}")
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        set_field = object.__setattr__
+        set_field(self, "p", p)
+        set_field(self, "r", r)
+        set_field(self, "modulus", p**r)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.r) == (other.p, other.r)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.r))
+
+    def __reduce__(self):
+        return PrimePowerModulus, (self.p, self.r)
 
     def __repr__(self) -> str:
         return f"PrimePowerModulus({self.p}**{self.r})"

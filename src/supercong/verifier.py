@@ -39,11 +39,9 @@ from __future__ import annotations
 
 import os
 from collections.abc import Generator
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import comb, factorial
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .bernoulli import PoleError, bernoulli_mod_p
 from .compsum import (
@@ -80,8 +78,7 @@ def primes_between(lo: int, hi: int) -> tuple[int, ...]:
 _INT_FIELDS = ("p", "r", "m", "n")
 
 
-@dataclass(frozen=True)
-class ClaimInstance:
+class ClaimInstance(NamedTuple):
     """One claim at one parameter point; unused dimensions stay None."""
 
     claim_id: str
@@ -132,8 +129,7 @@ def _ordered(value) -> tuple[bool, int | tuple[int, ...]]:
     return isinstance(value, tuple), value
 
 
-@dataclass
-class ClaimReport:
+class ClaimReport(NamedTuple):
     """Outcome of checking one claim instance.
 
     status is one of pass / fail / skip / error / finding, where finding
@@ -149,8 +145,7 @@ class ClaimReport:
     anchor: str = ""
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(NamedTuple):
     """User overrides for the swept dimensions; None keeps claim defaults."""
 
     primes: tuple[int, ...] | None = None
@@ -265,8 +260,7 @@ def _given(name: str):
 _P_NOT_DIVIDING_M = (lambda i: i.m % i.p == 0), "requires p not dividing m"
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     """One row of the catalog.
 
     dims is the default grid as ordered (name, values) dimensions; values
@@ -303,7 +297,7 @@ class Claim:
                       for value in (values(point) if callable(values) else values)]
         return [instance_from_params(self.claim_id, point) for point in points]
 
-    @cached_property
+    @property
     def names(self) -> frozenset[str]:
         """The parameter names the claim takes: those of its dimensions."""
         return frozenset(name for name, _ in self.dims)
@@ -791,7 +785,8 @@ def _prepare(instance: ClaimInstance) -> tuple[Claim, ClaimReport | tuple[Evalua
     if claim is None:
         raise KeyError(f"unknown claim id {instance.claim_id!r}")
     try:
-        unknown = [name for name in instance.params() if name not in claim.names]
+        names = claim.names
+        unknown = [name for name in instance.params() if name not in names]
         if unknown:
             raise ValueError(f"{claim.claim_id} does not take {', '.join(unknown)}")
         reason = claim.violated(instance) if is_prime(instance.p) else f"{instance.p} is not prime"

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -130,6 +131,30 @@ class TestPowerSum:
         assert sum(pow(j, p - 1, p * p) for j in range(1, p)) % p == p - 1
         with pytest.raises(PowerSumError):
             power_sum_residue(p - 1, p)
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13] + random.Random(20261018).sample(
+        [q for q in range(401, 2001) if is_prime(q)], 2))
+    def test_paired_sum_is_the_plain_sum(self, p):
+        # pairing j with p - j halves the powers; the sum mod p**2 is unchanged
+        # for every even k <= p - 1, and at k = p - 1 it is refused, quoting it.
+        # The plain sums climb j**k by j**2, with no modular pow
+        q = p * p
+        squares = [j * j % q for j in range(1, p)]
+        powers = [1] * (p - 1)
+        for k in range(2, p, 2):
+            powers = [a * b % q for a, b in zip(powers, squares)]
+            plain = sum(powers) % q
+            if k <= p - 3:
+                assert plain % p == 0 and power_sum_residue(k, p) == plain // p, (p, k)
+            else:
+                with pytest.raises(PowerSumError, match=f" = {plain} mod p"):
+                    power_sum_residue(k, p)
+
+    @pytest.mark.parametrize("k", [1, 3, 9, 11])
+    def test_odd_index_refused(self, k):
+        # (p - j)**k == j**k - k*p*j**(k-1) needs k even
+        with pytest.raises(ValueError, match="even index"):
+            power_sum_residue(k, 13)
 
     def test_table_left_the_hot_path(self, monkeypatch):
         def no_table(p):

@@ -398,6 +398,13 @@ class TestSearchCommand:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert out.stdout.split() == ["False", "supercong.ratrecon", "supercong.ratrecon"]
 
+    def test_importing_the_cli_does_not_import_dataclasses(self):
+        # the value types on the verify path are named tuples and slotted classes;
+        # dataclasses would also pull in inspect, ast, dis and tokenize
+        code = "import sys, supercong.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
 
 class TestOracleCommand:
     def test_agreement(self, capsys):

@@ -2,7 +2,6 @@ import gc
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -112,7 +111,7 @@ class TestLadder:
             M = PrimePowerModulus(p, rng.randint(1, 12))
             want = comp_sum_kronecker(spec, M)
             # and the ladder itself at the full target, which a deep request no longer reaches
-            assert _fresh(spec, M) == _fresh(replace(spec, full_target=True), M) == want, (spec, M)
+            assert _fresh(spec, M) == _fresh(spec._replace(full_target=True), M) == want, (spec, M)
 
     def test_kronecker_oracle_against_bruteforce(self):
         rng = random.Random(7)
@@ -167,6 +166,31 @@ class TestLadder:
         row[1] += 1  # a wrong row: 11 no longer divides row 2's numerator at 11
         with pytest.raises(PrecisionError):
             next(rows)
+
+    @pytest.mark.parametrize("p, bound, N", [
+        (11, None, 300),  # unbounded, N not a multiple of p
+        (11, 121, 300),  # bounded, bound below N
+        (11, 121, 100),  # bounded, bound above N
+        (7, 49, 49),  # bounded, bound at N, a multiple of p
+        (5, None, 5),  # N = p: one multiple of p
+    ])
+    def test_first_row_is_the_series_itself(self, p, bound, N):
+        # row 1 is f, not climbed: 1/j mod the ladder's modulus at the units
+        # below the bound, 0 at the multiples of p and from the bound on
+        for e, K in ((1, 1), (2, 3), (3, 5)):
+            ladder = compsum._Ladder(p, bound, e, K, N)
+            k, row = next(ladder.rows())
+            want = [pow(j, -1, ladder.mod) if j % p and (bound is None or j < bound) else 0
+                    for j in range(N + 1)]
+            assert k == 1 and row == want, (p, bound, N, e, K)
+
+    def test_editing_the_first_row_leaves_the_inverses(self):
+        ladder = compsum._Ladder(11, 121, 2, 3, 300)
+        inverses = list(ladder.inverses)
+        _, row = next(ladder.rows())
+        row[1] += 1
+        row[11] = row[200] = 5
+        assert ladder.inverses == inverses and row is not ladder.inverses
 
     def test_climb_holds_at_most_two_rows(self):
         # rows are streamed: at each step only the new row and the one it came
@@ -283,7 +307,7 @@ class TestReducedRoute:
             if spec.target > 6000:
                 continue
             M = PrimePowerModulus(p, e)
-            assert comp_sum(spec, M) == comp_sum(replace(spec, full_target=True), M), (spec, e)
+            assert comp_sum(spec, M) == comp_sum(spec._replace(full_target=True), M), (spec, e)
             reduced += compsum.is_reduced(spec, e)
         assert reduced >= 40
 

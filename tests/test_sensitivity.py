@@ -3,8 +3,9 @@
 Each mutation is applied by monkeypatch to the engine in this process (no
 source copies), and the default catalog is swept with and without it. A
 claim notices a mutation when one of its pass rows no longer passes. A
-claim is blind to it when a composition sum it reads changed value and it
-does not notice: its pass rows show only that the evaluator agrees with
+claim is blind to it when it reads the mutated layer (a composition sum
+that changed value, or a Bernoulli residue taken by the power sum) and
+does not notice: its pass rows show only that the layer agrees with
 itself.
 """
 
@@ -12,7 +13,7 @@ import inspect
 
 import pytest
 
-from supercong import compsum, verifier
+from supercong import bernoulli, compsum, verifier
 from supercong.verifier import CLAIMS, ClaimReport, EvalContext, GridSpec, sweep
 
 
@@ -115,3 +116,36 @@ def test_a_wrong_split_read(baseline, reads, monkeypatch):
     mutated = _sweep()
     assert _blind(baseline, mutated, reads) <= _BLIND_AT_MOST
     assert _COMPOSITION_CLAIMS - _noticed(baseline, mutated) <= _BLIND_AT_MOST
+
+
+@pytest.fixture(scope="module")
+def power_sum_readers():
+    """The claims whose default grid reads a B_k residue through the power sum."""
+    residue, readers = bernoulli.power_sum_residue, set()
+    for claim_id in CLAIMS:
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bernoulli, "power_sum_residue", lambda k, p: calls.append(k) or residue(k, p))
+            sweep([claim_id])
+        if calls:
+            readers.add(claim_id)
+    return readers
+
+
+def test_a_flipped_pair_correction_in_the_power_sum(baseline, power_sum_readers, monkeypatch):
+    # power_sum_residue sums j**(k-1) * (2*j - k*p) over j < p/2. With the sign
+    # of the correction k*p*j**(k-1) flipped, the sum grows by
+    # 2*k*p*sum_{j<p/2} j**(k-1), so B_k mod p by 2*k*sum_{j<p/2} j**(k-1)
+    residue = bernoulli.power_sum_residue
+
+    def flipped(k, p):
+        return (residue(k, p) + 2 * k * sum(pow(j, k - 1, p) for j in range(1, (p + 1) // 2))) % p
+
+    assert flipped(4, 13) == sum(pow(j, 3, 169) * (2 * j + 4 * 13) for j in range(1, 7)) % 169 // 13
+    monkeypatch.setattr(bernoulli, "power_sum_residue", flipped)
+    noticed = _noticed(baseline, _sweep())
+    assert {"EQ-1.1", "THM-1.1-i", "THM-1.1-ii", "PROP-4.1", "LEM-3.3",
+            "CONJ-5.1-w8", "CONJ-5.1-w9", "CONJ-5.1-w10"} <= power_sum_readers
+    # CONJ-5.1-w10 passes only where both sides vanish mod p, and a B_k
+    # multiple that vanishes still vanishes under the mutation. This set may only shrink
+    assert power_sum_readers - noticed <= {"CONJ-5.1-w10"}

@@ -7,8 +7,11 @@ package depends on the choice, so it is fixed here once and loudly.
 The evaluator is one power sum per index: for even 2 <= k <= p - 3,
 sum_{j<p} j**k == p * B_k (mod p**2), because the other Faulhaber terms
 carry p**2 once k + 1 < p. Pairing j with p - j halves the sum, since
-(p - j)**k == j**k - k*p*j**(k-1) (mod p**2) for even k. So B_k mod p
-costs (p - 1)/2 modular powers and is memoized per (k, p). Two oracles
+(p - j)**k == j**k - k*p*j**(k-1) (mod p**2) for even k. The (p - 1)/2
+powers j**(k-1) are multiplicative in j, so a sieve of smallest prime
+factors fills them with a modular power at each prime below p/2 and one
+product at each composite. B_k mod p is memoized per (k, p); the sieve is
+rebuilt per call and not kept. Two oracles
 check it: the O(p**2) mod-p recurrence table (mod_p_table) and the
 exact-rational path (bernoulli_exact, which also feeds rational
 constants). Indexes k <= p - 3 are p-integral by von Staudt-Clausen,
@@ -19,9 +22,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, isqrt
+from operator import mul
 
-from .modring import prime_power, rational_to_residue
+from .modring import inverses_mod_p, prime_power, rational_to_residue
 
 __all__ = ["PoleError", "PowerSumError", "EXACT_CAP", "bernoulli_exact", "bernoulli_mod_p"]
 
@@ -49,20 +53,10 @@ def bernoulli_exact(k: int) -> Fraction:
     return _exact[k]
 
 
-def _inverse_table(p: int) -> list[int]:
-    # inv[i] = i**-1 mod p for 1 <= i < p
-    inv = [0] * p
-    if p > 1:
-        inv[1] = 1
-    for i in range(2, p):
-        inv[i] = (p - p // i) * inv[p % i] % p
-    return inv
-
-
 def mod_p_table(p: int) -> tuple[int, ...]:
     """B_0 .. B_{p-3} mod p by the recurrence: the O(p**2) oracle."""
     top = max(p - 3, 0)
-    inv = _inverse_table(p)
+    inv = inverses_mod_p(p)
     table = [1 % p]
     for n in range(1, top + 1):
         acc = 0
@@ -79,15 +73,27 @@ def power_sum_residue(k: int, p: int) -> int:
     """B_k mod p as (sum_{j<p} j**k mod p**2) / p, valid for even 2 <= k <= p - 3.
 
     The sum pairs j with p - j: for even k, (p - j)**k == j**k - k*p*j**(k-1)
-    (mod p**2), so the pair is j**(k-1) * (2*j - k*p) and the sum takes
-    (p - 1)/2 modular powers. The pairing needs k even, so an odd k raises
-    ValueError. Raises PowerSumError when p does not divide the sum (for
-    instance at k = p - 1, where the sum is -1 mod p): that sum carries no B_k.
+    (mod p**2), so the pair is j**(k-1) * (2*j - k*p) and the sum runs over
+    1 <= j < (p + 1)/2 (none at p = 2). The powers j**(k-1) are filled
+    multiplicatively from a smallest-prime-factor sieve built here: a modular
+    power at each prime, one product at each composite. The pairing needs k
+    even, so an odd k raises ValueError. Raises PowerSumError when p does not
+    divide the sum (for instance at k = p - 1, where the sum is -1 mod p):
+    that sum carries no B_k.
     """
     if k % 2:
         raise ValueError(f"the paired power sum needs an even index, got {k}")
-    q = p * p
-    total = sum(pow(j, k - 1, q) * (2 * j - k * p) for j in range(1, (p + 1) // 2)) % q
+    q, half = p * p, (p - 1) // 2
+    # factor[j]: the smallest prime factor of a composite j, 0 at 0, 1 and the primes;
+    # the smaller factors are written last
+    factor = [0] * (half + 1)
+    for i in range(isqrt(half), 1, -1):
+        factor[i * i :: i] = [i] * ((half - i * i) // i + 1)
+    powers = [0, 1][: half + 1]  # powers[j] = j**(k-1) mod p**2
+    for j in range(2, half + 1):
+        a = factor[j]
+        powers.append(powers[a] * powers[j // a] % q if a else pow(j, k - 1, q))
+    total = sum(map(mul, powers, range(-k * p, 2 * half + 1 - k * p, 2))) % q
     if total % p:
         raise PowerSumError(f"p = {p} does not divide sum_(j<p) j**{k} = {total} mod p**2")
     return total // p

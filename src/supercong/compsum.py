@@ -23,11 +23,14 @@ The coefficients themselves come from one evaluator, a derivative
 ladder: (f**k)' = k * f**(k-1) * f', and f' has 0/1 coefficients, so
 each row f**k costs one O(N) pass of prefix sums followed by an exact
 p-adic division by the index; row 1 is f itself, read off the table of
-inverses without a climb. The ladder meets in the middle: for part
-counts up to K it climbs only rows 1..ceil(K/2), and reads [x**t] f**n
-as one dot product of rows n//2 and n - n//2 up to index t. Evaluation
-is planned: a caller declares the sums it will ask for (Plan) and passes
-the plan to comp_sum, which looks up the request's reading and combines
+inverses without a climb. Mod p (e = 1) nothing is divided by p: at
+p | j, 1/(j - i) == -1/i for every unit i, so the coefficient at j is a
+window of one weighted prefix sum of the row below, and every row stays
+mod p. The ladder meets in the middle: for part counts up to K it
+climbs only rows 1..ceil(K/2), and reads [x**t] f**n as one dot product
+of rows n//2 and n - n//2 up to index t. Evaluation is planned: a
+caller declares the sums it will ask for (Plan) and passes the plan to
+comp_sum, which looks up the request's reading and combines
 the coefficients. Each (prime, part bound, precision) key of the plan
 gets one ladder, built once for its largest part count and target; a
 reduced request plans its coefficients under the unbounded key
@@ -48,7 +51,7 @@ from math import comb
 from operator import add, mul, sub
 from typing import Iterable, Iterator, NamedTuple
 
-from .modring import PrimePowerModulus, prime_power
+from .modring import PrimePowerModulus, inverses_mod_p, prime_power
 
 __all__ = [
     "ScaleGuardError",
@@ -163,6 +166,17 @@ class _Ladder:
     error is divisible by p**(e + v_p(j)), so the check passes whenever
     the rows below are right, and a failure raises PrecisionError.
 
+    At e = 1 the rule above is not needed, because nothing is divided by
+    p. For p | j and every unit i, j - i == -i (mod p), so [x**j] f**k ==
+    -sum [x**i] f**(k-1) / i over the units i with j - bound < i < j: a
+    window of the weighted prefix sum of row k-1 against the inverses,
+    exact mod p. So every row is kept mod p (precs all 1), and the inverse
+    table is one period [0, 1/1, ..., 1/(p-1)] mod p repeated up to N,
+    with 0 at the multiples of p. The check that p divides k * s_j at
+    p | j stays, and its failure still raises PrecisionError. A ladder
+    with e >= 2 keeps the digit route: an e-term expansion of 1/(j - i)
+    in its place measured slower on the depth runs.
+
     A caller asking for part counts up to K' builds the ladder with
     K = ceil(K'/2), so the rule above runs over half as many rows and
     every row is kept to fewer digits. The read [x**t] f**n = sum_{i<=t}
@@ -177,6 +191,11 @@ class _Ladder:
 
     def __init__(self, p: int, bound: int | None, e: int, K: int, N: int):
         self.p, self.bound, self.e, self.K, self.N = p, bound, e, K, N
+        if e == 1:
+            # nothing is divided by p (_row), so every row is exact mod p
+            self.precs, self.prec, self.mod = [1] * (K + 1), 1, p
+            self.inverses = (inverses_mod_p(p) * (N // p + 1))[: N + 1]
+            return
         V, limit, D, power = 0, p, 0, p
         while limit <= N:
             V, limit = V + 1, limit * p
@@ -238,7 +257,8 @@ class _Ladder:
             yield k, row
 
     def _row(self, prev: list[int], k: int) -> list[int]:
-        """f**k from prev = f**(k-1): j * c_j = k * [x**(j-1)] prev * f'."""
+        """f**k from prev = f**(k-1): j * c_j = k * [x**(j-1)] prev * f'; at e = 1
+        the coefficients at p | j are windows of a weighted prefix sum instead."""
         p, bound, N = self.p, self.bound, self.N
         prec = self.precs[k - 1]
         below, mod = p**prec, p**self.precs[k]
@@ -255,6 +275,18 @@ class _Ladder:
         del prefix, by_class
         inverses = self.inverses
         row = [k * s * c % mod for s, c in zip(sums, inverses)]
+        if self.e == 1:
+            # mod p, 1/(j - i) == -1/i at p | j: [x**j] f**k == -sum prev[i] / i over the
+            # units i in j - bound < i < j, a window of one weighted prefix sum
+            weighted = [0, *accumulate(map(mul, prev, inverses))]
+            for j in range(p, N + 1, p):
+                if k * sums[j] % p:
+                    raise PrecisionError(
+                        f"p does not divide the numerator of coefficient {j} in row {k} mod p (p={p})"
+                    )
+                low = weighted[j - bound + 1] if bound is not None and j >= bound else 0
+                row[j] = (low - weighted[j]) % p
+            return row
         for j in range(p, N + 1, p):
             numerator = k * sums[j] % below
             v, power = 1, p

@@ -2,7 +2,8 @@
 
 Residues are plain ints, canonical in [0, p**r); PrimePowerModulus names
 the ring Z / p**r and validates it (p prime, r >= 1), and prime_power
-builds it once per (p, r) for callers that need it per evaluation. Every
+builds it once per (p, r) for callers that need it per evaluation, and
+inverses_mod_p tabulates 1/i mod p for every unit i below p. Every
 value is immutable and every operation is a pure function, so the whole
 module is safe to use from any number of concurrent tasks.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-__all__ = ["NonUnitError", "PrimePowerModulus", "prime_power", "is_prime", "rational_to_residue"]
+__all__ = ["NonUnitError", "PrimePowerModulus", "prime_power", "is_prime", "rational_to_residue", "inverses_mod_p"]
 
 
 class NonUnitError(ArithmeticError):
@@ -108,3 +109,13 @@ def rational_to_residue(q: Fraction | int, M: PrimePowerModulus) -> int:
     if denominator % M.p == 0:
         raise NonUnitError(f"denominator of {q} is divisible by {M.p}")
     return numerator * pow(denominator, -1, M.modulus) % M.modulus
+
+
+def inverses_mod_p(p: int) -> list[int]:
+    """[0, 1/1, ..., 1/(p-1)] mod p, by 1/i == -(p//i) / (p % i) below p/2
+    and 1/(p-i) == -1/i above it."""
+    inv = [0, 1][:p]
+    for i in range(2, (p + 1) // 2):
+        inv.append(-(p // i) * inv[p % i] % p)
+    inv += [p - c for c in inv[(p - 1) // 2 : 0 : -1]]
+    return inv

@@ -150,6 +150,28 @@ class TestPowerSum:
                 with pytest.raises(PowerSumError, match=f" = {plain} mod p"):
                     power_sum_residue(k, p)
 
+    @pytest.mark.parametrize("p, ks", [(3, (2, 4, 6)), (10007, (2, 4, 10000, 10004))])
+    def test_sieve_ends_against_the_plain_sum(self, p, ks):
+        # the powers j**(k-1), j < p/2, come from a sieve of smallest prime factors:
+        # at p = 3 it holds j = 1 alone and every sum is refused; at p = 10007 it
+        # runs to j = 5003, a prime, past the composite 5002 = 2 * 41 * 61
+        q = p * p
+        for k in ks:
+            plain = sum(pow(j, k, q) for j in range(1, p)) % q
+            if p == 3:
+                with pytest.raises(PowerSumError, match=f" = {plain} mod p"):
+                    power_sum_residue(k, p)
+            else:
+                assert plain % p == 0 and power_sum_residue(k, p) == plain // p, (p, k)
+
+    def test_no_term_at_two(self):
+        # j < (p + 1)/2 leaves no j at p = 2, so the paired sum is 0. The pairing
+        # needs an odd p (j = 1 is its own partner), and bernoulli_mod_p never asks
+        # p = 2: p - 1 = 1 divides every index
+        assert [power_sum_residue(k, 2) for k in (2, 4, 6)] == [0, 0, 0]
+        with pytest.raises(PoleError):
+            bernoulli_mod_p(2, 2)
+
     @pytest.mark.parametrize("k", [1, 3, 9, 11])
     def test_odd_index_refused(self, k):
         # (p - j)**k == j**k - k*p*j**(k-1) needs k even

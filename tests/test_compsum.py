@@ -112,6 +112,22 @@ class TestLadder:
             want = comp_sum_kronecker(spec, M)
             # and the ladder itself at the full target, which a deep request no longer reaches
             assert _fresh(spec, M) == _fresh(spec._replace(full_target=True), M) == want, (spec, M)
+        # e = 1 ladders stay mod p and read p | j from a window of a weighted prefix
+        # sum: bounds below N, N below p and at a multiple of p, p in {2, 3} over
+        # many periods, up to 10 parts
+        cases = [(5, 1, 37, 4), (3, 2, 40, 6), (7, 1, 50, 10), (2, 3, 301, 7),  # bound < N
+                 (13, None, 10, 3), (11, 1, 9, 2), (13, 2, 12, 5),  # N < p
+                 (7, None, 49, 5), (13, 1, 39, 9), (11, 2, 242, 8),  # p | N
+                 (2, None, 301, 10), (3, None, 400, 9), (2, 2, 256, 10), (3, 3, 300, 8)]
+        for _ in range(16):
+            p = rng.choice([2, 3, 5, 7, 11, 13])
+            cases.append((p, rng.choice([None, 1, 2, 3]), rng.randint(1, 60 * p), rng.randint(1, 10)))
+        for p, r, N, n in cases:
+            spec = CompSumSpec(n=n, m=1, p=p, r=r or 1, upper_bound=r and p**r, target=N)
+            M = PrimePowerModulus(p, 1)
+            assert compsum._Ladder(p, spec.upper_bound, 1, (n + 1) // 2, N).mod == p
+            want = comp_sum_kronecker(spec, M)
+            assert _fresh(spec, M) == _fresh(spec._replace(full_target=True), M) == want, (spec, M)
 
     def test_kronecker_oracle_against_bruteforce(self):
         rng = random.Random(7)

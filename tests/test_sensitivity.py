@@ -66,7 +66,8 @@ def _blind(baseline, mutated, reads):
 # sides vanish mod p (m = 1, and p = 23 at m = 4), which an error can leave
 # at 0; its other rows are findings already. This set may only shrink.
 # Today the inverse mutation leaves CONJ-5.1-w10, LEM-2.3-i and LEM-2.3-ii
-# blind, and the split-read mutation EQ-1.3, EQ-4.1 and LEM-2.3-ii.
+# blind, the split-read mutation EQ-1.3, EQ-4.1 and LEM-2.3-ii, and the
+# window mutation CONJ-5.1-w10 and LEM-2.3-i.
 _BLIND_AT_MOST = {"EQ-1.3", "EQ-4.1", "LEM-2.3-i", "LEM-2.3-ii", "CONJ-5.1-w10"}
 
 
@@ -94,6 +95,8 @@ def test_a_wrong_reduction_weight_is_noticed(baseline, monkeypatch):
 
 
 def test_a_wrong_ladder_inverse_at_multiples_of_p(baseline, reads, monkeypatch):
+    # an e = 1 ladder divides by no multiple of p and holds 0 there, so this
+    # mutation reaches only the ladders with e >= 2
     build = compsum._Ladder.__init__
 
     def doubled_at_multiples_of_p(self, *args):
@@ -103,6 +106,24 @@ def test_a_wrong_ladder_inverse_at_multiples_of_p(baseline, reads, monkeypatch):
 
     monkeypatch.setattr(compsum._Ladder, "__init__", doubled_at_multiples_of_p)
     assert _blind(baseline, _sweep(), reads) <= _BLIND_AT_MOST
+
+
+def test_a_flipped_window_sum_at_multiples_of_p(baseline, reads, monkeypatch):
+    # an e = 1 row reads its coefficients at p | j as minus a window of the
+    # weighted prefix sum; here that sign is flipped. In the default catalog
+    # only the sums of eight or more parts change value
+    climb = compsum._Ladder._row
+
+    def flipped(self, prev, k):
+        row = climb(self, prev, k)
+        if self.e == 1:
+            row[self.p :: self.p] = [-c % self.p for c in row[self.p :: self.p]]
+        return row
+
+    monkeypatch.setattr(compsum._Ladder, "_row", flipped)
+    mutated = _sweep()
+    assert {"LEM-3.7", "COR-3.8", "CONJ-5.1-w8", "CONJ-5.1-w9"} <= _noticed(baseline, mutated)
+    assert _blind(baseline, mutated, reads) <= _BLIND_AT_MOST
 
 
 def test_a_wrong_split_read(baseline, reads, monkeypatch):

@@ -11,30 +11,38 @@ N >= L = n*p*e, [x**N] f**n is an exact integer combination of the
 coefficients [x**t] f**n with t == N (mod p) and t < L (reduce), and for
 the bounded family with R >= e, f_b == (1 - x**p**R) * f (mod p**e) turns
 [x**N] f_b**n into n + 1 shifted unbounded coefficients, each reduced the
-same way. Every other request (N < L, and the bounded family with R < e)
-is read at its own target. A request can also ask for its own target
-explicitly (CompSumSpec.full_target), which is how the verifier
-cross-checks the identities that the reduction would make hold by
-algebra alone. The plan decides each request's route: a sum that one
-request of a plan reads at its full target is read there by every
-request of that plan.
+same way. At e >= 2 every other request (N < L, and the bounded family
+with R < e) is read at its own target. Mod p (e = 1) the expansion has one term:
+1/(a + b*p) == 1/a, so f == g / (1 - x**p) with g = sum_{0<a<p} x**a / a
+of degree p - 1, and f_b == (1 - x**p**R) * g / (1 - x**p). So every
+e = 1 request, of either family and at any r, is an exact integer
+combination of the coefficients [x**t] g**n with n <= t <= n*(p-1), all
+read off one period key per prime (_period_weights). A request can also
+ask for its own target explicitly (CompSumSpec.full_target), which is
+how the verifier cross-checks the identities that these readings would
+make hold by algebra alone; at e = 1 its full target climbs f itself. The
+plan decides each request's route: a sum that one request of a plan
+reads at its full target is read there by every request of that plan.
 
 The coefficients themselves come from one evaluator, a derivative
 ladder: (f**k)' = k * f**(k-1) * f', and f' has 0/1 coefficients, so
 each row f**k costs one O(N) pass of prefix sums followed by an exact
 p-adic division by the index; row 1 is f itself, read off the table of
-inverses without a climb. Mod p (e = 1) nothing is divided by p: at
-p | j, 1/(j - i) == -1/i for every unit i, so the coefficient at j is a
-window of one weighted prefix sum of the row below, and every row stays
-mod p. The ladder meets in the middle: for part counts up to K it
-climbs only rows 1..ceil(K/2), and reads [x**t] f**n as one dot product
-of rows n//2 and n - n//2 up to index t. Evaluation is planned: a
-caller declares the sums it will ask for (Plan) and passes the plan to
-comp_sum, which looks up the request's reading and combines
+inverses without a climb. The period key climbs g mod p the same way
+but divides by no multiple of p: at p | j its coefficient is one dot
+product of the row below with the inverse period, and every row stays
+mod p. g is anti-palindromic, x**p * g(1/x) == -g (mod p), so row k is
+climbed only to its centre of symmetry, floor(k*p/2), and mirrored past
+it where a read needs it. The ladder meets in the middle: for part
+counts up to K it climbs only rows 1..ceil(K/2), and reads [x**t] f**n
+as one dot product of rows n//2 and n - n//2 up to index t. Evaluation
+is planned: a caller declares the sums it will ask for (Plan) and passes
+the plan to comp_sum, which looks up the request's reading and combines
 the coefficients. Each (prime, part bound, precision) key of the plan
 gets one ladder, built once for its largest part count and target; a
 reduced request plans its coefficients under the unbounded key
-(p, None, e), below n*p*e. The rows are streamed, two alive at a time,
+(p, None, e), below n*p*e, and an e = 1 request under the period key
+(p, _PERIOD, 1). The rows are streamed, two alive at a time,
 and only the planned coefficients are kept. A request outside the plan,
 or made without one, is a plan of its own. Two independent oracles
 check the evaluator: binary powering with one Kronecker-substitution
@@ -46,7 +54,7 @@ recursive enumerator. All three return a plain int, canonical in
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, cycle, islice, repeat
 from math import comb
 from operator import add, mul, sub
 from typing import Iterable, Iterator, NamedTuple
@@ -144,6 +152,12 @@ def _shifted(values: Iterable[int], d: int, N: int) -> Iterator[int]:
     return chain(repeat(0, pad), islice(values, N - pad))
 
 
+# The part bound of the period key, which climbs g = sum_{0<a<p} x**a / a mod p
+# (_Ladder) and reads every e = 1 sum not asked at its full target
+# (_period_weights). A real part bound p**r is at least 2.
+_PERIOD = 0
+
+
 class _Ladder:
     """Rows f**1 .. f**K of one truncated unit series to x**N, each to the
     precision it needs, read as products f**n = f**(n//2) * f**(n - n//2)
@@ -166,16 +180,21 @@ class _Ladder:
     error is divisible by p**(e + v_p(j)), so the check passes whenever
     the rows below are right, and a failure raises PrecisionError.
 
-    At e = 1 the rule above is not needed, because nothing is divided by
-    p. For p | j and every unit i, j - i == -i (mod p), so [x**j] f**k ==
-    -sum [x**i] f**(k-1) / i over the units i with j - bound < i < j: a
-    window of the weighted prefix sum of row k-1 against the inverses,
-    exact mod p. So every row is kept mod p (precs all 1), and the inverse
-    table is one period [0, 1/1, ..., 1/(p-1)] mod p repeated up to N,
-    with 0 at the multiples of p. The check that p divides k * s_j at
-    p | j stays, and its failure still raises PrecisionError. A ladder
-    with e >= 2 keeps the digit route: an e-term expansion of 1/(j - i)
-    in its place measured slower on the depth runs.
+    The period key (bound _PERIOD, e = 1) climbs g = sum_{0<a<p} x**a / a
+    mod p in place of f, a polynomial of degree p - 1, and divides by no
+    multiple of p, so every row is kept mod p. Row 1 is g itself, the
+    inverse period [0, 1/1, ..., 1/(p-1)] mod p. Since g' == sum_{0<a<p}
+    x**(a-1) (mod p), row k at p not| j is k * w_j / j, with w_j the sum
+    of row k-1 over the window j - p < i < j (one prefix sum, no part
+    bound). At p | j it is the product's own coefficient, sum_{0<a<p}
+    [x**(j-a)] g**(k-1) / a: one dot product of p - 1 terms against the
+    inverse period. p must still divide k * w_j there, and a failure
+    raises PrecisionError. g is anti-palindromic, x**p * g(1/x) == -g
+    (mod p), so [x**(k*p - t)] g**k == (-1)**k [x**t] g**k: row k is
+    climbed only to index floor(k*p/2), and extended past it by that
+    mirror only where a read needs it: the next row's climb, to one index
+    below its own middle, and the split read below, which reads [x**t]
+    g**n at the nearer of t and n*p - t.
 
     A caller asking for part counts up to K' builds the ladder with
     K = ceil(K'/2), so the rule above runs over half as many rows and
@@ -191,10 +210,10 @@ class _Ladder:
 
     def __init__(self, p: int, bound: int | None, e: int, K: int, N: int):
         self.p, self.bound, self.e, self.K, self.N = p, bound, e, K, N
-        if e == 1:
-            # nothing is divided by p (_row), so every row is exact mod p
-            self.precs, self.prec, self.mod = [1] * (K + 1), 1, p
-            self.inverses = (inverses_mod_p(p) * (N // p + 1))[: N + 1]
+        if bound == _PERIOD:
+            # nothing is divided by p (_half_row), so every row of g is exact mod p
+            self.prec, self.mod = 1, p
+            self.inverses = inverses_mod_p(p)
             return
         V, limit, D, power = 0, p, 0, p
         while limit <= N:
@@ -220,34 +239,50 @@ class _Ladder:
 
     def fill(self, wanted: dict[tuple[int, int], int | None]) -> None:
         """Set wanted[(n, t)] to [x**t] f**n mod p**e for every requested (n, t),
-        n <= 2*K, as the dot product of rows n//2 and n - n//2 up to index t."""
-        targets: dict[int, list[int]] = {}
+        n <= 2*K, as the dot product of rows n//2 and n - n//2 up to index t;
+        on the period key up to u = min(t, n*p - t), times (-1)**n if u < t."""
+        p, period = self.p, self.bound == _PERIOD
+        reads: dict[int, list[tuple[int, int]]] = {}  # n: the (t, u) read at u
         for n, t in wanted:
             if n > 2 * self.K or t > self.N:
                 raise PrecisionError(
-                    f"[x**{t}] f**{n} mod {self.p}**{self.e} is beyond the ladder's "
-                    f"{self.p}**{self.prec} (climbed to row {self.K}, targets up to {self.N})"
+                    f"[x**{t}] f**{n} mod {p}**{self.e} is beyond the ladder's "
+                    f"{p}**{self.prec} (climbed to row {self.K}, targets up to {self.N})"
                 )
-            targets.setdefault(n, []).append(t)
+            reads.setdefault(n, []).append((t, min(t, n * p - t) if period else t))
         below = [1]  # row 0, the constant 1
         for k, row in self.rows():
             # the part counts whose upper half is row k: 2k - 1 = (k - 1) + k and 2k = k + k
-            for n, low in ((2 * k - 1, below), (2 * k, row)):
-                for t in targets.get(n, ()):
-                    wanted[(n, t)] = self._product(low, row, t)
+            for n in (2 * k - 1, 2 * k):
+                if n in reads:
+                    if period:
+                        top = max(u for _, u in reads[n])
+                        row = self._mirrored(row, k, top)
+                        if n < 2 * k:
+                            below = self._mirrored(below, k - 1, min(top, (k - 1) * p))
+                    for t, u in reads[n]:
+                        value = self._product(below if n < 2 * k else row, row, u)
+                        wanted[(n, t)] = -value % p if u < t and n % 2 else value
             below = row
 
     def _product(self, low: list[int], high: list[int], t: int) -> int:
         """[x**t] low * high mod p**e: one dot product, with no division."""
-        return sum(map(mul, low[: t + 1], high[t::-1])) % self.p**self.e
+        return sum(map(mul, low, high[t::-1])) % self.p**self.e
 
     def rows(self) -> Iterator[tuple[int, list[int]]]:
         """(k, f**k) for k = 1..K, each row built from the one before and then dropped.
 
         Row 1 is f itself, not climbed: a copy of the inverse table with 0 at
-        the multiples of p and, in the bounded family, from the bound on."""
+        the multiples of p and, in the bounded family, from the bound on. On
+        the period key, (k, g**k) up to index floor(k*p/2), row 1 all of g."""
         p, bound, N = self.p, self.bound, self.N
         row = self.inverses.copy()
+        if bound == _PERIOD:
+            yield 1, row
+            for k in range(2, self.K + 1):
+                row = self._half_row(self._mirrored(row, k - 1, k * p // 2 - 1), k)
+                yield k, row
+            return
         row[::p] = repeat(0, N // p + 1)
         if bound is not None and bound <= N:
             row[bound:] = repeat(0, N + 1 - bound)
@@ -256,9 +291,38 @@ class _Ladder:
             row = self._row(row, k)
             yield k, row
 
+    def _mirrored(self, row: list[int], k: int, top: int) -> list[int]:
+        """Row k of the period key to index top <= k*p, extended past its end by
+        [x**(k*p - t)] g**k == (-1)**k [x**t] g**k (mod p); row itself if it reaches top."""
+        have = len(row) - 1
+        if top <= have:
+            return row
+        kp = k * self.p
+        mirror = row[kp - top : kp - have][::-1]
+        return row + (mirror if k % 2 == 0 else [-c % self.p for c in mirror])
+
+    def _half_row(self, prev: list[int], k: int) -> list[int]:
+        """g**k mod p to index floor(k*p/2), from prev = g**(k-1) to at least one
+        index below that: j * c_j = k * [x**(j-1)] prev * g', and at p | j the
+        product's own coefficient, a dot product against the inverse period."""
+        p, inverses = self.p, self.inverses
+        half = k * p // 2
+        # prefix[i] = k * (prev[0] + ... + prev[i-1]), so the window j - p < i < j
+        # of k * prev is prefix[j] - prefix[j - p + 1] (0 below index 0)
+        prefix = list(accumulate(map(mul, prev[:half], repeat(k)), initial=0))
+        lagged = chain(repeat(0, p - 1), prefix)
+        row = [(a - b) * c % p for a, b, c in zip(prefix, lagged, cycle(inverses))]
+        backward = inverses[:0:-1]  # 1/(p-1), ..., 1/1
+        for j in range(p, half + 1, p):
+            if (prefix[j] - prefix[j - p + 1]) % p:
+                raise PrecisionError(
+                    f"p does not divide the numerator of coefficient {j} in row {k} mod p (p={p})"
+                )
+            row[j] = sum(map(mul, prev[j - p + 1 : j], backward)) % p
+        return row
+
     def _row(self, prev: list[int], k: int) -> list[int]:
-        """f**k from prev = f**(k-1): j * c_j = k * [x**(j-1)] prev * f'; at e = 1
-        the coefficients at p | j are windows of a weighted prefix sum instead."""
+        """f**k from prev = f**(k-1): j * c_j = k * [x**(j-1)] prev * f'."""
         p, bound, N = self.p, self.bound, self.N
         prec = self.precs[k - 1]
         below, mod = p**prec, p**self.precs[k]
@@ -275,18 +339,6 @@ class _Ladder:
         del prefix, by_class
         inverses = self.inverses
         row = [k * s * c % mod for s, c in zip(sums, inverses)]
-        if self.e == 1:
-            # mod p, 1/(j - i) == -1/i at p | j: [x**j] f**k == -sum prev[i] / i over the
-            # units i in j - bound < i < j, a window of one weighted prefix sum
-            weighted = [0, *accumulate(map(mul, prev, inverses))]
-            for j in range(p, N + 1, p):
-                if k * sums[j] % p:
-                    raise PrecisionError(
-                        f"p does not divide the numerator of coefficient {j} in row {k} mod p (p={p})"
-                    )
-                low = weighted[j - bound + 1] if bound is not None and j >= bound else 0
-                row[j] = (low - weighted[j]) % p
-            return row
         for j in range(p, N + 1, p):
             numerator = k * sums[j] % below
             v, power = 1, p
@@ -303,7 +355,9 @@ class _Ladder:
 
 def is_reduced(spec: CompSumSpec, e: int) -> bool:
     """True when comp_sum reads spec mod p**e as a combination of unbounded
-    coefficients below n*p*e instead of at its own target."""
+    coefficients below n*p*e instead of at its own target. This is the
+    route for e >= 2: at e = 1 every request not at its full target is read
+    on the period key instead (_reading), whatever this says."""
     if spec.full_target or spec.upper_bound is not None and spec.r < e:
         return False
     return spec.target >= spec.n * spec.p * e
@@ -318,12 +372,16 @@ def _digit_weights(n: int, p: int, e: int, N: int) -> dict[int, int]:
     w_t = sum_{c >= 0, t + c*p < L} (-1)**c C(n*e, c) C(n*e - 1 + q - c, n*e - 1),
     exact integers, here reduced mod p**e. The condition t + c*p < L is
     q - c >= lo = ceil((N - L + 1) / p), the same for every t, so the
-    weights read at most n*e binomials C(n*e - 1 + j, n*e - 1), lo <= j.
+    weights read at most n*e binomials C(n*e - 1 + j, n*e - 1), lo <= j:
+    the first one exact, each next one by the exact ratio (n*e + j)/(j + 1).
     """
     d, L, mod = n * e, n * p * e, p**e
     targets = range(n + (N - n) % p, L, p)
     lo = -((L - 1 - N) // p)
-    binomials = [comb(d - 1 + j, d - 1) % mod for j in range(lo, (N - n) // p + 1)]
+    binomials, binomial = [], comb(d - 1 + lo, d - 1)
+    for j in range(lo, (N - n) // p + 1):
+        binomials.append(binomial % mod)
+        binomial = binomial * (d + j) // (j + 1)
     signed = [(-1) ** c * comb(d, c) for c in range(d)]
     weights = {}
     for t in targets:
@@ -332,23 +390,45 @@ def _digit_weights(n: int, p: int, e: int, N: int) -> dict[int, int]:
     return weights
 
 
+def _period_weights(n: int, p: int, N: int) -> dict[int, int]:
+    """w_t with [x**N] f**n == sum_t w_t * [x**t] g**n (mod p), over t == N
+    (mod p), n <= t <= min(N, n*(p-1)), g = sum_{0<a<p} x**a / a the series
+    of the period key.
+
+    Mod p, 1/(a + b*p) == 1/a, so f == g / (1 - x**p) and [x**N] f**n =
+    sum_q C(n - 1 + q, q) [x**(N - q*p)] g**n: exact weights. g**n vanishes
+    outside n..n*(p-1), so only those targets are read.
+    """
+    return {t: comb(n - 1 + (N - t) // p, n - 1) for t in range(n + (N - n) % p, min(N, n * (p - 1)) + 1, p)}
+
+
 def _reading(spec: CompSumSpec, e: int) -> tuple[tuple[int, int | None, int], dict[int, int]]:
     """The ladder key (p, part bound, e) and the weights w_t with spec's value
     == sum_t w_t * [x**t] f**n (mod p**e), f the series of that key: the
-    target itself, or the reduced coefficients below n*p*e."""
+    target itself, or the reduced coefficients below n*p*e. At e = 1 every
+    request not asked at its full target is read on the period key, as
+    coefficients of g**n, with its weights reduced mod p and the vanishing
+    ones dropped."""
     n, N, p = spec.n, spec.target, spec.p
-    if not is_reduced(spec, e):
+    period = e == 1 and not spec.full_target
+    if not period and not is_reduced(spec, e):
         return (p, spec.upper_bound, e), {N: 1}
-    # bounded, R >= e: f_b == (1 - x**p**R) * f, so f_b**n == sum_k (-1)**k C(n, k) x**(k*p**R) f**n
+    # bounded: f_b == (1 - x**p**R) * f (mod p**e for R >= e, and mod p for any R),
+    # so f_b**n == sum_k (-1)**k C(n, k) x**(k*p**R) f**n
     shifts = range(n + 1) if spec.upper_bound is not None else range(1)
     out: dict[int, int] = {}
     for k in shifts:
         shifted, sign = N - k * p**spec.r, (-1) ** k * comb(n, k)
         if shifted < n:
             break
-        terms = {shifted: 1} if shifted < n * p * e else _digit_weights(n, p, e, shifted)
+        if period:
+            terms = _period_weights(n, p, shifted)
+        else:
+            terms = {shifted: 1} if shifted < n * p * e else _digit_weights(n, p, e, shifted)
         for t, w in terms.items():
             out[t] = out.get(t, 0) + sign * w
+    if period:
+        return (p, _PERIOD, 1), {t: w % p for t, w in out.items() if w % p}
     return (p, None, e), out
 
 
@@ -362,8 +442,10 @@ class Plan:
     (_reading). Each (prime, part bound, precision) key gets one ladder,
     sized to the largest part count and target requested of it; a reduced
     request asks the unbounded key (p, None, e) for its coefficients below
-    n*p*e. The first comp_sum call that reaches a key climbs its ladder and
-    fills in every requested coefficient of that key.
+    n*p*e, and an e = 1 request not at its full target asks the period key
+    (p, _PERIOD, 1) for coefficients of g**n. The first comp_sum call that
+    reaches a key climbs its ladder and fills in every requested coefficient
+    of that key.
     """
 
     def __init__(self, requests: Iterable[tuple[CompSumSpec, int]] = ()):

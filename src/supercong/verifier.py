@@ -371,7 +371,12 @@ def _thm1ii_eval(inst: ClaimInstance):
 # route (f_b == (1 - x**p**R) * f mod p**e is how it reads the bounded
 # family), so each takes one side at its full target: EQ-1.3 its lower
 # sum, EQ-4.1 its free sum, and LEM-2.3-ii its lower sums, whose parts
-# stay below p**r < p**e and are never reduced.
+# stay below p**r < p**e and are never reduced. At e = 1 every other sum
+# is read on the period key, whose mirror [x**(n*p - t)] g**n ==
+# (-1)**n [x**t] g**n makes LEM-2.3-i at r = 1 hold by algebra alone: it
+# takes the side with the larger index at its full target, so that each
+# sum S(n, j, p) has one route. Full targets at e = 1 climb f by the digit
+# route, so every cross-routed row compares two different climbs.
 
 def _eq13_eval(inst: ClaimInstance):
     p, r = inst.p, inst.r
@@ -405,7 +410,8 @@ def _cor22_eval(inst: ClaimInstance):
 
 def _lem23i_eval(inst: ClaimInstance):
     p, r, n, k = inst.p, inst.r, inst.n, inst.m
-    s_k, s_n_minus_k = yield [(s_spec(n, k, p, r), r), (s_spec(n, n - k, p, r), r)]
+    s_k, s_n_minus_k = yield [(s_spec(n, k, p, r, full_target=r == 1 and 2 * k >= n), r),
+                              (s_spec(n, n - k, p, r, full_target=r == 1 and 2 * k <= n), r)]
     return s_k, (-1) ** n * s_n_minus_k % p**r, p**r, ""
 
 

@@ -112,9 +112,9 @@ class TestLadder:
             want = comp_sum_kronecker(spec, M)
             # and the ladder itself at the full target, which a deep request no longer reaches
             assert _fresh(spec, M) == _fresh(spec._replace(full_target=True), M) == want, (spec, M)
-        # e = 1 ladders stay mod p and read p | j from a window of a weighted prefix
-        # sum: bounds below N, N below p and at a multiple of p, p in {2, 3} over
-        # many periods, up to 10 parts
+        # e = 1 requests read g**n off the period key, mod p, and their full targets
+        # climb f by the digit route: bounds below N, N below p and at a multiple
+        # of p, p in {2, 3} over many periods, up to 10 parts
         cases = [(5, 1, 37, 4), (3, 2, 40, 6), (7, 1, 50, 10), (2, 3, 301, 7),  # bound < N
                  (13, None, 10, 3), (11, 1, 9, 2), (13, 2, 12, 5),  # N < p
                  (7, None, 49, 5), (13, 1, 39, 9), (11, 2, 242, 8),  # p | N
@@ -125,7 +125,8 @@ class TestLadder:
         for p, r, N, n in cases:
             spec = CompSumSpec(n=n, m=1, p=p, r=r or 1, upper_bound=r and p**r, target=N)
             M = PrimePowerModulus(p, 1)
-            assert compsum._Ladder(p, spec.upper_bound, 1, (n + 1) // 2, N).mod == p
+            key, _ = compsum._reading(spec, 1)
+            assert key == (p, compsum._PERIOD, 1) and compsum._Ladder(*key, (n + 1) // 2, N).mod == p
             want = comp_sum_kronecker(spec, M)
             assert _fresh(spec, M) == _fresh(spec._replace(full_target=True), M) == want, (spec, M)
 
@@ -247,8 +248,9 @@ class TestLadder:
         assert sorted(builds, key=repr) == sorted([(11, None, 2, 5, 187), (11, 121, 3, 3, 121)], key=repr)
 
     def test_split_read_agrees_with_kronecker_at_production_sizes(self):
-        # p in 401..900 as in the prime scale-up; per e one plan, so each of its two
-        # ladders reads odd and even part counts, from equal and unequal halves
+        # p in 401..900 as in the prime scale-up; per e one plan, so each of its
+        # ladders reads odd and even part counts, from equal and unequal halves. At
+        # e = 1 both families read the one period key, at e >= 2 a ladder each
         rng = random.Random(20261021)
         primes = [q for q in range(401, 901) if is_prime(q)]
         for e in (1, 2, 3):
@@ -258,9 +260,47 @@ class TestLadder:
             requests = [family(n, rng.randint(1, 3), p) for n in (1, 2, 3, 7, 8, 10) for family in (s_spec, r_spec)]
             plan = compsum.Plan((spec, e) for spec in requests)
             got = [comp_sum(spec, M, plan) for spec in requests]
-            assert plan.ladders_built == 2
+            assert plan.ladders_built == (1 if e == 1 else 2)
             assert got == [comp_sum_kronecker(spec, M) for spec in requests], (p, e)
             assert any(got)
+
+    def test_period_key_against_kronecker(self):
+        # every e = 1 sum not read at its full target comes off one half-climbed
+        # period ladder per prime: both families, targets on and off multiples of p,
+        # parts below p**2 at e = 1, and more parts than p at p in {2, 3}
+        rng = random.Random(20261019)
+        cases = {887: [family(n, m, 887) for family in (s_spec, r_spec) for n, m in [(3, 1), (7, 3), (8, 2), (10, 4)]]
+                 + [CompSumSpec(n=n, m=1, p=887, upper_bound=bound, target=t)
+                    for n, bound, t in [(7, None, 2 * 887 + 5), (6, 887, 887 - 3), (9, 887, 3 * 887 + 1), (4, None, 5)]]}
+        for p in (5, 7, 11):
+            cases[p] = [s_spec(n, m, p, 2) for n, m in [(3, 1), (5, 2), (8, 5), (8, 7)]]
+            cases[p] += [CompSumSpec(n=rng.randint(2, 8), m=1, p=p, r=2, upper_bound=p * p,
+                                     target=rng.randint(p, 8 * p * p)) for _ in range(6)]
+        for p in (2, 3):
+            cases[p] = [CompSumSpec(n=n, m=1, p=p, r=r, upper_bound=bound and p**r, target=t)
+                        for n, r, bound, t in [(p, 1, None, 40), (p + 1, 1, 1, p * (p + 1)), (7, 2, 1, 40),
+                                               (10, 1, None, 3 * p + 1), (9, 3, 1, 27), (10, 2, None, 20)]]
+        for p, requests in cases.items():
+            M = PrimePowerModulus(p, 1)
+            plan = compsum.Plan((spec, 1) for spec in requests)
+            assert {key for key, _ in plan.readings.values()} == {(p, compsum._PERIOD, 1)}
+            got = [comp_sum(spec, M, plan) for spec in requests]
+            assert plan.ladders_built == 1
+            assert got == [comp_sum_kronecker(spec, M) for spec in requests], p
+            assert any(got)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 13])
+    def test_mirror_extends_each_half_row_to_the_whole_power_of_g(self, p):
+        # x**p * g(1/x) == -g (mod p), so [x**(k*p - t)] g**k == (-1)**k [x**t] g**k:
+        # row k is climbed to floor(k*p/2), and mirrored to k*p it is all of g**k
+        g = [pow(a, -1, p) if a else 0 for a in range(p)]
+        ladder = compsum._Ladder(p, compsum._PERIOD, 1, 6, 6 * p)
+        power = [1]
+        for k, row in ladder.rows():
+            power = [sum(power[i] * g[j - i] for i in range(len(power)) if 0 <= j - i < p) % p
+                     for j in range(len(power) + p - 1)]
+            assert len(row) == (p if k == 1 else k * p // 2 + 1)
+            assert ladder._mirrored(row, k, k * p) == power + [0] * (k * p + 1 - len(power)), k
 
     def test_split_read_below_the_part_count_is_zero(self):
         # t < n: no n units sum to t, and the halves' rows vanish below their part counts
@@ -336,6 +376,22 @@ class TestReducedRoute:
                 spec = CompSumSpec(n=3, m=1, p=3, r=r, upper_bound=bound, target=N)
                 assert compsum.is_reduced(spec, 2)
                 assert comp_sum(spec, M) == comp_sum_bruteforce(spec, M), spec
+
+    def test_digit_weights_are_the_binomial_sums(self):
+        # w_t = sum_c (-1)**c C(d, c) C(d - 1 + q - c, d - 1) over q - c >= lo, d = n*e,
+        # q = (N - t)/p: the stepped binomials give exactly these, down to lo = 1
+        rng = random.Random(41)
+        for trial in range(30):
+            p, n, e = rng.choice([2, 3, 13, 887]), rng.randint(1, 8), rng.randint(2, 12 if trial else 41)
+            d, L = n * e, n * p * e
+            N = rng.choice([L, L + 1, L + p - 1, rng.randint(L, 40 * L)])
+            lo = -((L - 1 - N) // p)
+            want = {}
+            for t in range(n + (N - n) % p, L, p):
+                q = (N - t) // p
+                want[t] = sum((-1) ** c * comb(d, c) * comb(d - 1 + q - c, d - 1)
+                              for c in range(d) if q - c >= lo) % p**e
+            assert compsum._digit_weights(n, p, e, N) == want, (n, p, e, N)
 
     def test_routes(self):
         # the ladder at the full target for N < n*p*e, for parts below p**R with R < e

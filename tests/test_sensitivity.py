@@ -61,14 +61,15 @@ def _blind(baseline, mutated, reads):
     return {claim_id for claim_id, keys in reads.items() if keys & changed} - _noticed(baseline, mutated)
 
 
-# The first four equate sums that all come from the same ladder, so a
+# The first three equate sums that all come from the same ladder, so a
 # consistent ladder error can pass them. CONJ-5.1-w10 passes only where both
 # sides vanish mod p (m = 1, and p = 23 at m = 4), which an error can leave
 # at 0; its other rows are findings already. This set may only shrink.
-# Today the inverse mutation leaves CONJ-5.1-w10, LEM-2.3-i and LEM-2.3-ii
-# blind, the split-read mutation EQ-1.3, EQ-4.1 and LEM-2.3-ii, and the
-# window mutation CONJ-5.1-w10 and LEM-2.3-i.
-_BLIND_AT_MOST = {"EQ-1.3", "EQ-4.1", "LEM-2.3-i", "LEM-2.3-ii", "CONJ-5.1-w10"}
+# Today the inverse mutation leaves LEM-2.3-ii blind, the split-read
+# mutation EQ-1.3, EQ-4.1 and LEM-2.3-ii, and the dot-product mutation
+# CONJ-5.1-w10; the mirror mutation is refused. LEM-2.3-i left this set when
+# its r = 1 rows came to compare the period key with the digit route.
+_BLIND_AT_MOST = {"EQ-1.3", "EQ-4.1", "LEM-2.3-ii", "CONJ-5.1-w10"}
 
 
 def test_every_composition_claim_has_a_pass_row(baseline, reads):
@@ -95,35 +96,63 @@ def test_a_wrong_reduction_weight_is_noticed(baseline, monkeypatch):
 
 
 def test_a_wrong_ladder_inverse_at_multiples_of_p(baseline, reads, monkeypatch):
-    # an e = 1 ladder divides by no multiple of p and holds 0 there, so this
-    # mutation reaches only the ladders with e >= 2
+    # the period key's table is the inverse period, with no multiple of p but 0,
+    # so this mutation reaches only the digit route: the ladders with e >= 2 and
+    # the full targets at e = 1, one side of LEM-2.3-i at r = 1 among them
     build = compsum._Ladder.__init__
 
     def doubled_at_multiples_of_p(self, *args):
         build(self, *args)
-        for j in range(self.p, self.N + 1, self.p):
+        for j in range(self.p, len(self.inverses), self.p):
             self.inverses[j] = 2 * self.inverses[j] % self.mod
 
     monkeypatch.setattr(compsum._Ladder, "__init__", doubled_at_multiples_of_p)
-    assert _blind(baseline, _sweep(), reads) <= _BLIND_AT_MOST
+    mutated = _sweep()
+    assert "LEM-2.3-i" in _noticed(baseline, mutated)
+    assert _blind(baseline, mutated, reads) <= _BLIND_AT_MOST
 
 
-def test_a_flipped_window_sum_at_multiples_of_p(baseline, reads, monkeypatch):
-    # an e = 1 row reads its coefficients at p | j as minus a window of the
-    # weighted prefix sum; here that sign is flipped. In the default catalog
-    # only the sums of eight or more parts change value
-    climb = compsum._Ladder._row
+def test_a_flipped_dot_product_at_multiples_of_p(baseline, reads, monkeypatch):
+    # a half row of the period key reads its coefficients at p | j as one dot
+    # product against the inverse period; here its sign is flipped. Under this
+    # flip a sum of up to seven parts keeps its coefficients at the multiples
+    # of p (seen for p = 11, 13, 17), which are all that EQ-1.1 and THM-1.1-i
+    # read, so those two cannot notice
+    climb = compsum._Ladder._half_row
 
     def flipped(self, prev, k):
         row = climb(self, prev, k)
-        if self.e == 1:
-            row[self.p :: self.p] = [-c % self.p for c in row[self.p :: self.p]]
+        row[self.p :: self.p] = [-c % self.p for c in row[self.p :: self.p]]
         return row
 
-    monkeypatch.setattr(compsum._Ladder, "_row", flipped)
+    monkeypatch.setattr(compsum._Ladder, "_half_row", flipped)
     mutated = _sweep()
-    assert {"LEM-3.7", "COR-3.8", "CONJ-5.1-w8", "CONJ-5.1-w9"} <= _noticed(baseline, mutated)
+    assert {"LEM-2.3-i", "LEM-3.7", "COR-3.8", "CONJ-5.1-w8", "CONJ-5.1-w9"} <= _noticed(baseline, mutated)
     assert _blind(baseline, mutated, reads) <= _BLIND_AT_MOST
+
+
+def test_a_flipped_mirror_at_odd_rows_is_refused(monkeypatch):
+    # past its middle an odd row of the period key is minus its mirror image;
+    # here that sign is flipped. The next row's climb reads the mirrored part
+    # in its window at p | j, so the check that p divides it fails: the sweep
+    # stops with PrecisionError before any report, and nothing is blind
+    mirrored = compsum._Ladder._mirrored
+
+    def flipped(self, row, k, top):
+        out = mirrored(self, row, k, top)
+        if k % 2:
+            out = out[: len(row)] + [-c % self.p for c in out[len(row) :]]
+        return out
+
+    monkeypatch.setattr(compsum._Ladder, "_mirrored", flipped)
+    with pytest.raises(compsum.PrecisionError, match="in row 4 mod p"):
+        _sweep()
+    # the same flip in a row read but never climbed from changes the value read
+    spec = compsum.r_spec(5, 2, 11)
+    monkeypatch.undo()
+    clean = compsum.comp_sum(spec)
+    monkeypatch.setattr(compsum._Ladder, "_mirrored", flipped)
+    assert compsum.comp_sum(spec) != clean
 
 
 def test_a_wrong_split_read(baseline, reads, monkeypatch):

@@ -265,13 +265,14 @@ class TestSweep:
         build = compsum._Ladder.__init__
 
         def counting(self, *args):
-            builds.append(args[:3])
+            builds.append(args)
             build(self, *args)
 
         monkeypatch.setattr(compsum._Ladder, "__init__", counting)
         claims = ["CONJ-5.1-w10", "LEM-3.5", "LEM-3.7"]
         reports = sweep(claims, GridSpec(primes=(13, 11)))
-        assert builds == [(11, None, 1), (13, None, 1)]
+        # every sum is read mod p off the period key: rows up to ceil(10/2), targets up to 4p
+        assert builds == [(11, compsum._PERIOD, 1, 5, 44), (13, compsum._PERIOD, 1, 5, 52)]
         keys = [r.instance.sort_key() for r in reports]
         assert keys == sorted(keys) and len(keys) == 24
         by_claim = [r for cid in claims for r in sweep([cid], GridSpec(primes=(11, 13)))]
@@ -395,6 +396,26 @@ class TestMixedBatch:
         assert sorted([b_pair, b2], key=ClaimInstance.sort_key) == [b2, b_pair]
 
 
+# The (p, part bound, e, K, N) of every ladder the default catalog builds, in
+# order. At e = 1 a prime's sums share one period key (part bound
+# compsum._PERIOD), and a full target climbs f by the digit route: EQ-4.1's
+# free sum (11, None, 1) and LEM-2.3-i's larger-index side (11, 11, 1) and
+# (13, 13, 1), all at r = 1.
+_PERIOD = compsum._PERIOD
+_CATALOG_LADDERS = [
+    (5, _PERIOD, 1, 2, 5), (7, _PERIOD, 1, 2, 7),
+    (11, _PERIOD, 1, 5, 44), (11, None, 1, 4, 33), (11, None, 2, 4, 363), (11, None, 3, 4, 220),
+    (11, 121, 2, 4, 121), (11, 11, 1, 4, 77), (11, 11, 2, 4, 66), (11, 121, 3, 4, 726),
+    (13, _PERIOD, 1, 5, 52), (13, None, 2, 4, 195), (13, None, 3, 4, 260), (13, 13, 1, 4, 91),
+    (13, 169, 2, 4, 169),
+    (17, _PERIOD, 1, 5, 68), (17, None, 2, 4, 17), (19, _PERIOD, 1, 5, 76), (19, None, 2, 4, 19),
+    (23, _PERIOD, 1, 5, 92), (23, None, 2, 4, 23), (29, _PERIOD, 1, 5, 116), (29, None, 2, 4, 29),
+    (31, _PERIOD, 1, 5, 124), (31, None, 2, 4, 31),
+    (37, _PERIOD, 1, 4, 111), (41, _PERIOD, 1, 4, 123), (43, _PERIOD, 1, 4, 129), (47, _PERIOD, 1, 4, 141),
+    *((p, _PERIOD, 1, 2, p) for p in (53, 59, 61, 67, 71, 73, 79, 83, 89, 97)),
+]
+
+
 @pytest.fixture
 def evaluated(monkeypatch):
     """The (spec, e) of every evaluation a context hands to compsum."""
@@ -412,21 +433,31 @@ def evaluated(monkeypatch):
 class TestPlan:
     """A sweep plans each prime before evaluating it, so that each ladder is built once."""
 
-    def test_catalog_builds_one_ladder_per_key(self, builds, evaluated):
+    def test_catalog_builds_one_ladder_per_key(self, builds, monkeypatch):
+        routed = set()
+        evaluate = verifier.comp_sum
+
+        def recording(spec, modulus, plan=None):
+            routed.add(plan.readings[(spec, modulus.r)][0])
+            return evaluate(spec, modulus, plan=plan)
+
+        monkeypatch.setattr(verifier, "comp_sum", recording)
         ctx = EvalContext()
         sweep(list(CLAIMS), ctx=ctx)
+        assert builds == _CATALOG_LADDERS and ctx.ladder_builds == 39
         keys = [args[:3] for args in builds]
-        assert len(keys) == len(set(keys)) == ctx.ladder_builds == 43
-        # the (p, part bound, e) ladder key of every evaluation, as routed
-        assert set(keys) == {compsum._reading(spec, e)[0] for spec, e in evaluated}
+        assert len(keys) == len(set(keys))
+        # the (p, part bound, e) ladder key of every evaluation, as its plan routes it:
+        # THM-1.1-i's R(7,m,11) at e = 1 is EQ-4.1's free sum, read at its full target
+        assert set(keys) == routed
         ctx = EvalContext(cache_rows=ctx.new_rows)
         sweep(list(CLAIMS), ctx=ctx)  # a filled cache: nothing left to plan
-        assert (len(builds), ctx.ladder_builds, ctx.comp_sum_evals, ctx.cache_hits) == (43, 0, 0, 407)
+        assert (len(builds), ctx.ladder_builds, ctx.comp_sum_evals, ctx.cache_hits) == (39, 0, 0, 407)
 
     def test_catalog_ladders_at_two_jobs(self):
         ctx = EvalContext()
         sweep(list(CLAIMS), ctx=ctx, jobs=2)
-        assert (ctx.ladder_builds, ctx.comp_sum_evals) == (43, 407)
+        assert (ctx.ladder_builds, ctx.comp_sum_evals) == (39, 407)
 
     def test_memoized_terms_are_not_planned(self, builds):
         first = EvalContext()
@@ -439,7 +470,7 @@ class TestPlan:
         # whatever its route. EQ-1.3's upper sum and PROP-4.1 at r = 3 share the
         # one new ladder and one evaluation: S(7,1,11**4), reduced below 7*11*4 on
         # the unbounded ladder mod 11**4
-        assert [args[:3] for args in builds] == [(11, None, 4)] and builds[0][4] < 7 * 11 * 4
+        assert builds == [(11, None, 4, 4, 297)] and 297 < 7 * 11 * 4
         assert (ctx.comp_sum_evals, ctx.cache_hits) == (1, 2)
 
     def test_warm_catalog_builds_each_modulus_once(self, monkeypatch):
@@ -507,7 +538,7 @@ class TestEvalContext:
         assert len({ctx.comp_sum(*term) for term in terms}) == 1
         assert len(evaluated) == 1 and ctx.comp_sum_evals == 1
         # the one ladder reaches the full target 2 * 11**2
-        assert [(args[:3], args[4]) for args in builds] == [((11, None, 2), 242)]
+        assert builds == [(11, None, 2, 4, 242)]
 
     def test_a_planned_term_is_routed_once(self, monkeypatch):
         read = []

@@ -20,18 +20,17 @@ which is exactly the range served.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt
 from operator import mul
 
-from .modring import inverses_mod_p, prime_power, rational_to_residue
+from .modring import inverses_mod_p, prime_power
 
 __all__ = ["PoleError", "PowerSumError", "EXACT_CAP", "bernoulli_exact", "bernoulli_mod_p"]
 
 EXACT_CAP = 120
 
-_exact: list[Fraction] = [Fraction(1)]
+_exact: list[Fraction] = []  # B_0, B_1, ... as far as asked; fractions is imported on first use
 
 
 class PoleError(ArithmeticError):
@@ -46,6 +45,10 @@ def bernoulli_exact(k: int) -> Fraction:
     """B_k for 0 <= k <= EXACT_CAP, via sum_{j<=n} C(n+1, j) B_j = 0."""
     if not 0 <= k <= EXACT_CAP:
         raise ValueError(f"exact Bernoulli index must be in 0..{EXACT_CAP}, got {k}")
+    from fractions import Fraction
+
+    if not _exact:
+        _exact.append(Fraction(1))
     while len(_exact) <= k:
         n = len(_exact)
         acc = sum(comb(n + 1, j) * _exact[j] for j in range(n))
@@ -106,7 +109,7 @@ def bernoulli_mod_p(k: int, p: int) -> int:
     Raises PoleError when (p-1) | k for k > 0: those B_k have p in the
     denominator and carry no residue.
     """
-    M = prime_power(p, 1)
+    prime_power(p, 1)  # p must be prime
     if k < 0:
         raise ValueError(f"negative Bernoulli index {k}")
     if k > 0 and k % (p - 1) == 0:
@@ -114,7 +117,7 @@ def bernoulli_mod_p(k: int, p: int) -> int:
     if k == 0:
         return 1
     if k == 1:
-        return rational_to_residue(Fraction(-1, 2), M)
+        return (p - 1) // 2  # -1/2 mod p; p = 2 raised PoleError above
     if k % 2 == 1:
         return 0
     if k <= p - 3:

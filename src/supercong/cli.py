@@ -24,17 +24,25 @@ from .verifier import CLAIMS, EvalContext, GridSpec, instance_from_params, sweep
 SEARCH_FAMILIES = ("c", "cprime", "qd")
 
 
-def _parse_int_range(text: str) -> tuple[int, ...]:
-    """'a..b' inclusive, or a comma list of integers."""
+def _int(token: str, flag: str, text: str) -> int:
+    """int(token), or a ValueError that names the flag and its text."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"{flag} {text!r}: {token!r} is not an integer") from None
+
+
+def _parse_int_range(text: str, flag: str = "range") -> tuple[int, ...]:
+    """'a..b' inclusive, or a comma list of integers; an error names the flag."""
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(tok) for tok in text.split(",") if tok)
+        return tuple(range(_int(lo, flag, text), _int(hi, flag, text) + 1))
+    return tuple(_int(tok, flag, text) for tok in text.split(",") if tok)
 
 
-def _parse_primes(text: str) -> tuple[int, ...]:
-    return tuple(q for q in _parse_int_range(text) if is_prime(q))
+def _parse_primes(text: str, flag: str = "--primes") -> tuple[int, ...]:
+    return tuple(q for q in _parse_int_range(text, flag) if is_prime(q))
 
 
 _TUPLE_KEYS = {"alphas"}
@@ -53,9 +61,9 @@ def _parse_instance(text: str) -> dict:
         if key in params:
             raise ValueError(f"instance parameter {key!r} given twice in {text!r}")
         if key in _TUPLE_KEYS or "+" in value:
-            params[key] = tuple(int(v) for v in value.split("+"))
+            params[key] = tuple(_int(v, "--instance", text) for v in value.split("+"))
         else:
-            params[key] = int(value)
+            params[key] = _int(value, "--instance", text)
     return params
 
 
@@ -156,7 +164,7 @@ def _cmd_verify(args) -> int:
         return 2
     grid_flags = (("--primes", args.primes, _parse_primes), ("--r", args.rs, _parse_int_range),
                   ("--m", args.ms, _parse_int_range))
-    selected = [None if text is None else parse(text) for _, text, parse in grid_flags]
+    selected = [None if text is None else parse(text, flag) for flag, text, parse in grid_flags]
     for (flag, text, _), values in zip(grid_flags, selected):
         if values == ():
             print(f"{flag} {text!r} selects no value", file=sys.stderr)

@@ -53,7 +53,6 @@ recursive enumerator. All three return a plain int, canonical in
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate, chain, cycle, islice, repeat
 from math import comb
 from operator import add, mul, sub
@@ -572,4 +571,6 @@ def gamma_n(a: int, n: int) -> Fraction:
     """(-1)**(a-1) / (a * C(n-1, a)), for 1 <= a <= n-1."""
     if not 1 <= a <= n - 1:
         raise ValueError(f"a must be in 1..{n - 1}, got {a}")
+    from fractions import Fraction
+
     return Fraction((-1) ** (a - 1), a * comb(n - 1, a))

@@ -9,10 +9,12 @@ by the recursions.
 
 Unordered sums are power sums + collision recursion: the inverse power
 sums P_k = sum l**(-k) over the units 0 < l < b*p, one O(b*p) pass of
-inverses per (b, p, r) and one multiply per index and weight, are
-combined with integer coefficients only (the quasi-shuffle relation), so
-no precision is lost at any r. The chain sweep over the rearrangements
-of the exponents and the nested-loop brute force are its oracles.
+inverses per (b, p) at the highest precision asked and one multiply per
+index and weight, are combined with integer coefficients only (the
+quasi-shuffle relation), so no precision is lost at any r, and a value
+mod p**r reduces to the value mod any lower power. The chain sweep over
+the rearrangements of the exponents and the nested-loop brute force are
+its oracles.
 """
 
 from __future__ import annotations
@@ -82,19 +84,29 @@ def mhs_restricted(N: int, s: Sequence[int], M: PrimePowerModulus) -> int:
 
 
 class _UnorderedTable:
-    """Unordered sums at one (b, p, r), kept for the whole process: the
-    inverse power sums P_k = sum of l**(-k) over units 0 < l < b*p, mod
-    p**r, and the collision memo of U values on sorted exponent tuples.
+    """Unordered sums at one (b, p), kept for the whole process at the
+    highest precision p**r asked of it: the inverse power sums P_k = sum of
+    l**(-k) over units 0 < l < b*p, mod p**r, and the collision memo of U
+    values on sorted exponent tuples. Every value is an integer
+    combination of power sums, so it serves any lower precision reduced.
 
-    One inverse per unit index is taken once; the power sums grow by one
-    multiply per index and weight when a larger weight is asked."""
+    One inverse per unit index is taken once per precision; the power sums
+    grow by one multiply per index and weight when a larger weight is
+    asked. A request above the table's precision rebuilds it there."""
 
-    def __init__(self, b: int, p: int, r: int):
-        self.mod = mod = p**r
-        self.inverses = [pow(l, -1, mod) for l in range(1, b * p) if l % p]
-        self.powers = [1] * len(self.inverses)  # l**(-k) at the last k in sums
-        self.sums = [len(self.inverses) % mod]
-        self.memo: dict[tuple[int, ...], int] = {(): 1 % mod}
+    def __init__(self, b: int, p: int):
+        self.b, self.p, self.r = b, p, 0
+
+    def at(self, r: int) -> _UnorderedTable:
+        """The table, rebuilt at p**r if its precision is below that."""
+        if r > self.r:
+            self.r = r
+            self.mod = mod = self.p**r
+            self.inverses = [pow(l, -1, mod) for l in range(1, self.b * self.p) if l % self.p]
+            self.powers = [1] * len(self.inverses)  # l**(-k) at the last k in sums
+            self.sums = [len(self.inverses) % mod]
+            self.memo: dict[tuple[int, ...], int] = {(): 1 % mod}
+        return self
 
     def power_sum(self, k: int) -> int:
         sums, mod = self.sums, self.mod
@@ -115,7 +127,7 @@ class _UnorderedTable:
         return memo[key]
 
 
-_inverse_power_sums = lru_cache(maxsize=None)(_UnorderedTable)  # one table per (b, p, r)
+_inverse_power_sums = lru_cache(maxsize=None)(_UnorderedTable)  # one table per (b, p)
 
 
 def unordered_sum(b: int, alphas: Sequence[int], M: PrimePowerModulus) -> int:
@@ -129,9 +141,9 @@ def unordered_sum(b: int, alphas: Sequence[int], M: PrimePowerModulus) -> int:
     U(a_1, ..., a_n) = P_{a_1} U(a_2, ..., a_n) - sum_{i>=2} U(a_2, ..., a_i + a_1, ..., a_n),
     with U() = 1. The value is invariant under permutations of the
     exponents, so the recursion is memoized on sorted tuples, in one
-    table per (b, p, r) shared by every call. The chain sweep (the
-    multiplicity-weighted sum of mhs_restricted over the rearrangements)
-    and unordered_sum_bruteforce are its oracles.
+    table per (b, p) at the highest precision asked, shared by every
+    call. The chain sweep (the multiplicity-weighted sum of mhs_restricted
+    over the rearrangements) and unordered_sum_bruteforce are its oracles.
     """
     parts = _parts(alphas)
     n = len(parts)
@@ -141,7 +153,7 @@ def unordered_sum(b: int, alphas: Sequence[int], M: PrimePowerModulus) -> int:
         return 1
     if M.p <= n:
         raise ValueError(f"need p > depth (got p={M.p}, depth={n})")
-    return _inverse_power_sums(b, M.p, M.r).u(tuple(sorted(parts)))
+    return _inverse_power_sums(b, M.p).at(M.r).u(tuple(sorted(parts))) % M.modulus
 
 
 def unordered_sum_bruteforce(b: int, alphas: Sequence[int], M: PrimePowerModulus) -> int:

@@ -10,7 +10,6 @@ module is safe to use from any number of concurrent tasks.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 __all__ = ["NonUnitError", "PrimePowerModulus", "prime_power", "is_prime", "rational_to_residue", "inverses_mod_p"]
@@ -103,8 +102,11 @@ def rational_to_residue(q: Fraction | int, M: PrimePowerModulus) -> int:
     homomorphism on the p-integral rationals. Only ints and Fractions are
     exact, so anything else (a float, a string) raises TypeError.
     """
-    if not isinstance(q, (int, Fraction)):
-        raise TypeError(f"expected an int or a Fraction, got {type(q).__name__}")
+    if not isinstance(q, int):
+        from fractions import Fraction
+
+        if not isinstance(q, Fraction):
+            raise TypeError(f"expected an int or a Fraction, got {type(q).__name__}")
     numerator, denominator = q.numerator, q.denominator  # a Fraction is kept reduced
     if denominator % M.p == 0:
         raise NonUnitError(f"denominator of {q} is divisible by {M.p}")

@@ -41,54 +41,52 @@ def _param(key: str, value) -> str:
 
 
 def replay_command(report: ClaimReport) -> str:
-    return report_row(report)["replay"]
+    return row_values(report)[-1]
 
 
-def report_row(report: ClaimReport) -> dict:
+def row_values(report: ClaimReport) -> tuple:
+    """The report's row, its values in FIELDS order; all three renderers read it."""
     inst = report.instance
     # each parameter formatted once, in replay order: p, r, m, n, then the extras,
     # which are the last len(inst.extra) entries and also fill the extra field
     params = [_param(key, value) for key, value in inst.params().items()]
-    return {
-        "claim_id": inst.claim_id,
-        "p": inst.p,
-        "r": inst.r,
-        "m": inst.m,
-        "n": inst.n,
-        "extra": ";".join(params[len(params) - len(inst.extra):]),
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "modulus": report.modulus,
-        "status": report.status,
-        "note": report.note,
-        "quote_anchor": report.anchor,
-        "replay": f"supercong verify --claims {inst.claim_id} --instance {','.join(params)} --format json",
-    }
+    return (
+        inst.claim_id, inst.p, inst.r, inst.m, inst.n,
+        ";".join(params[len(params) - len(inst.extra):]),
+        report.lhs, report.rhs, report.modulus, report.status, report.note, report.anchor,
+        f"supercong verify --claims {inst.claim_id} --instance {','.join(params)} --format json",
+    )
 
 
 # json.dumps(doc, indent=2) walks the document in Python (CPython's C
 # encoder serves only indent=None), so render_json writes the same bytes
-# itself: a fixed head, and one fixed template per row whose str, int and
-# None values the C string encoder and int.__repr__ render as json does.
+# itself: a fixed head, and one fixed template per row filled with each
+# value's JSON text. A row of ints, strs and Nones takes those texts from
+# one dict per render, so a repeated value (a claim id, an anchor, a
+# status, a note, a small int) is encoded once; a row holding any other
+# type (a bool, a tuple p on an error row) goes through json.dumps.
 _JSON_HEAD = '{\n  "report_fields": [\n' + ",\n".join(
     f"    {encode_basestring_ascii(f)}" for f in FIELDS) + "\n  ],\n"
 _JSON_ROW = "    {\n" + ",\n".join(
     f"      {encode_basestring_ascii(f)}: %s" for f in FIELDS) + "\n    }"
-_JSON_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, type(None): lambda _: "null"}
+_JSON_PLAIN = frozenset((int, str, type(None)))
 
 
-def _json_row(row: dict) -> str:
-    """One row at its depth in the document; a value of any other type
-    (a bool, a tuple p on an error row) goes through json.dumps."""
-    try:
-        return _JSON_ROW % tuple([_JSON_SCALARS[type(v)](v) for v in row.values()])
-    except KeyError:
-        return "    " + json.dumps(row, indent=2).replace("\n", "\n    ")
+class _JsonTexts(dict):
+    """The JSON text of each int, str and None value met, computed on first use."""
+
+    def __missing__(self, value):
+        text = self[value] = (encode_basestring_ascii(value) if type(value) is str
+                              else "null" if value is None else int.__repr__(value))
+        return text
 
 
 def render_json(reports: Iterable[ClaimReport]) -> str:
     """json.dumps({"report_fields": [...], "reports": [...]}, indent=2) + newline, byte for byte."""
-    rows = [_json_row(report_row(r)) for r in reports]
+    texts = _JsonTexts().__getitem__
+    rows = [_JSON_ROW % tuple(map(texts, row)) if _JSON_PLAIN.issuperset(map(type, row))
+            else "    " + json.dumps(dict(zip(FIELDS, row)), indent=2).replace("\n", "\n    ")
+            for row in map(row_values, reports)]
     if not rows:
         return _JSON_HEAD + '  "reports": []\n}\n'
     return _JSON_HEAD + '  "reports": [\n' + ",\n".join(rows) + "\n  ]\n}\n"
@@ -98,9 +96,7 @@ def render_csv(reports: Iterable[ClaimReport]) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(FIELDS)
-    for report in reports:
-        row = report_row(report)
-        writer.writerow(["" if row[f] is None else row[f] for f in FIELDS])
+    writer.writerows(["" if v is None else v for v in row] for row in map(row_values, reports))
     return out.getvalue()
 
 
@@ -111,7 +107,7 @@ def render_md(reports: Iterable[ClaimReport]) -> str:
         lines.append("(no instances)")
         lines.append("")
         return "\n".join(lines)
-    cols = ("p", "r", "m", "n", "extra", "lhs", "rhs", "modulus", "status", "note")
+    cols = FIELDS[1:11]  # p .. note
     by_claim: dict[str, list[ClaimReport]] = {}
     for report in reports:
         by_claim.setdefault(report.instance.claim_id, []).append(report)
@@ -123,9 +119,8 @@ def render_md(reports: Iterable[ClaimReport]) -> str:
         lines.append("")
         lines.append("| " + " | ".join(cols) + " |")
         lines.append("|" + "|".join(" --- " for _ in cols) + "|")
-        for report in group:
-            row = report_row(report)
-            cells = ["" if row[c] is None else str(row[c]) for c in cols]
+        for row in map(row_values, group):
+            cells = ["" if v is None else str(v) for v in row[1:11]]
             lines.append("| " + " | ".join(cells) + " |")
         lines.append("")
     return "\n".join(lines)

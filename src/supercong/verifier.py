@@ -21,6 +21,9 @@ terms, less the ones already cached, go to compsum as one plan, so that
 each ladder is built once, at the largest part count and target asked
 of it, and only then is each instance sent its values. compsum decides
 how each term is read; the context knows only cache keys and values.
+Within a prime, each claim's parameter names are read once and the prime
+is tested once; nothing of that is kept from one call to the next.
+Reports come back in ClaimInstance.sort_key order.
 
 Mixed-precision rule used throughout: a right-hand side of the shape
 c * B * p**j (mod p**(j+1)) is evaluated by reducing the cofactor c * B
@@ -39,8 +42,8 @@ from __future__ import annotations
 
 import os
 from collections.abc import Generator
-from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
+from operator import attrgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .bernoulli import PoleError, bernoulli_mod_p
@@ -49,12 +52,11 @@ from .compsum import (
     count_solutions_exact,
     comp_sum,
     Plan,
-    gamma_n,
     r_spec,
     s_spec,
 )
 from .mhs import mhs, unordered_sum
-from .modring import NonUnitError, is_prime, prime_power, rational_to_residue
+from .modring import NonUnitError, is_prime, prime_power
 
 __all__ = [
     "ClaimInstance",
@@ -111,22 +113,18 @@ class ClaimInstance(NamedTuple):
         out.update(self.extra)
         return out
 
-    def sort_key(self):
-        """(claim_id, p, r, m, n, extra), unset fields as 0; total over int
-        and tuple values, an int before a tuple, so a malformed instance
-        sorts among well-formed ones."""
-        return (
-            self.claim_id,
-            _ordered(self.p),
-            _ordered(self.r if self.r is not None else 0),
-            _ordered(self.m if self.m is not None else 0),
-            _ordered(self.n if self.n is not None else 0),
-            tuple((key, _ordered(value)) for key, value in self.extra),
-        )
-
-
-def _ordered(value) -> tuple[bool, int | tuple[int, ...]]:
-    return isinstance(value, tuple), value
+    def sort_key(self) -> tuple:
+        """claim_id, then p, r, m, n and each extra's name and value, unset
+        fields as 0, each value preceded by whether it is a tuple: total
+        over int and tuple values, an int before a tuple, so a malformed
+        instance sorts among well-formed ones."""
+        claim_id, p, r, m, n, extra = self
+        r, m, n = 0 if r is None else r, 0 if m is None else m, 0 if n is None else n
+        key = (claim_id, isinstance(p, tuple), p, isinstance(r, tuple), r,
+               isinstance(m, tuple), m, isinstance(n, tuple), n)
+        for name, value in extra:
+            key += (name, isinstance(value, tuple), value)
+        return key
 
 
 class ClaimReport(NamedTuple):
@@ -219,7 +217,12 @@ class EvalContext:
 # wrong type raises KeyError or TypeError inside fails, which verify reports
 # as a bad-parameters error quoting the exception, so each fails is written
 # as the violated comparison (p <= k rather than not p > k): the error note
-# names that comparison.
+# names that comparison. Each fails reads a parameter once: p, r, m and n as
+# fields, an extra through ClaimInstance.get.
+
+def _reader(name: str) -> Callable[[ClaimInstance], object]:
+    return attrgetter(name) if name in _INT_FIELDS else (lambda i: i.get(name))
+
 
 def _p_above(k: int):
     return (lambda i: i.p <= k), f"requires p > {k}"
@@ -230,7 +233,8 @@ def _p_at_least(k: int):
 
 
 def _at_least(name: str, k: int, message: str | None = None):
-    return (lambda i: i.get(name) is None or i.get(name) < k), message or f"requires {name} >= {k}"
+    read = _reader(name)
+    return (lambda i: (v := read(i)) is None or v < k), message or f"requires {name} >= {k}"
 
 
 def _odd_at_least(k: int, name: str = "n"):
@@ -242,10 +246,8 @@ def _p_above_n(c: int = 0, message: str | None = None):
 
 
 def _within_1_and_n_minus_1(name: str, label: str):
-    return (
-        (lambda i: i.get(name) is None or not 1 <= i.get(name) <= i.n - 1),
-        f"requires 1 <= {label} <= n-1",
-    )
+    read = _reader(name)
+    return (lambda i: (v := read(i)) is None or not 1 <= v <= i.n - 1), f"requires 1 <= {label} <= n-1"
 
 
 def _weight_at_most_p_minus_3(weight: Callable[[ClaimInstance], int]):
@@ -295,12 +297,9 @@ class Claim(NamedTuple):
                 values = fixed
             points = [{**point, name: value} for point in points
                       for value in (values(point) if callable(values) else values)]
-        return [instance_from_params(self.claim_id, point) for point in points]
-
-    @property
-    def names(self) -> frozenset[str]:
-        """The parameter names the claim takes: those of its dimensions."""
-        return frozenset(name for name, _ in self.dims)
+        extras = sorted(name for name, _ in self.dims if name not in _INT_FIELDS)
+        return [ClaimInstance(self.claim_id, point["p"], point.get("r"), point.get("m"), point.get("n"),
+                              tuple([(name, point[name]) for name in extras])) for point in points]
 
     def violated(self, instance: ClaimInstance) -> str | None:
         """The note of the first hypothesis the instance fails, or None."""
@@ -313,13 +312,18 @@ class Claim(NamedTuple):
 # ---------------------------------------------------------------------------
 # shared right-hand-side helpers, and each claim's evaluator
 
-def _rat(c: Fraction | int, p: int) -> int:
-    return rational_to_residue(c, prime_power(p, 1))
+def _rat(num: int, den: int, p: int) -> int:
+    """num/den mod p; NonUnitError when p divides the reduced denominator."""
+    g = gcd(num, den)
+    num, den = (num // g, den // g) if den > 0 else (-num // g, -den // g)
+    if den % p == 0:
+        raise NonUnitError(f"denominator of {num}/{den} is divisible by {p}")
+    return num * pow(den, -1, p) % p
 
 
-def _cof_rhs(c: Fraction | int, bern_indices: Iterable[int], p: int, j: int) -> int:
-    """(c * prod B(idx)) reduced mod p, lifted, times p**j: canonical mod p**(j+1)."""
-    cof = _rat(c, p)
+def _cof_rhs(num: int, den: int, bern_indices: Iterable[int], p: int, j: int) -> int:
+    """(num/den * prod B(idx)) reduced mod p, lifted, times p**j: canonical mod p**(j+1)."""
+    cof = _rat(num, den, p)
     for k in bern_indices:
         cof = cof * bernoulli_mod_p(k, p) % p
     return cof * p**j
@@ -336,8 +340,8 @@ def _triple_bernoulli(p: int, n: int) -> int:
                 continue
             term = bernoulli_mod_p(p - 2 * a - 1, p) * bernoulli_mod_p(p - 2 * b - 1, p) % p
             term = term * bernoulli_mod_p(p - 2 * c - 1, p) % p
-            acc = (acc + term * _rat(Fraction(1, (2 * a + 1) * (2 * b + 1) * (2 * c + 1)), p)) % p
-    return acc * _rat(Fraction(factorial(n), 6), p) % p
+            acc = (acc + term * _rat(1, (2 * a + 1) * (2 * b + 1) * (2 * c + 1), p)) % p
+    return acc * _rat(factorial(n), 6, p) % p
 
 
 def _odd(x: int) -> bool:
@@ -350,20 +354,20 @@ _P_SMALL = primes_between(11, 31)  # (11, 13, 17, 19, 23, 29, 31)
 def _eq11_eval(inst: ClaimInstance):
     p = inst.p
     [lhs] = yield [(r_spec(3, 1, p), 1)]
-    return lhs, _cof_rhs(-2, [p - 3], p, 0), p, ""
+    return lhs, _cof_rhs(-2, 1, [p - 3], p, 0), p, ""
 
 
 def _thm1i_eval(inst: ClaimInstance):
     p, m = inst.p, inst.m
     [lhs] = yield [(r_spec(7, m, p), 1)]
-    rhs = _cof_rhs(-(504 * m + 210 * m**3 + 6 * m**5), [p - 7], p, 0)
+    rhs = _cof_rhs(-(504 * m + 210 * m**3 + 6 * m**5), 1, [p - 7], p, 0)
     return lhs, rhs, p, ""
 
 
 def _thm1ii_eval(inst: ClaimInstance):
     p, r, m = inst.p, inst.r, inst.m
     [lhs] = yield [(r_spec(7, m, p, r), r)]
-    rhs = _cof_rhs(Fraction(-factorial(7), 10) * m, [p - 7], p, r - 1)
+    rhs = _cof_rhs(-factorial(7) * m, 10, [p - 7], p, r - 1)
     return lhs, rhs, p**r, ""
 
 
@@ -387,24 +391,25 @@ def _eq13_eval(inst: ClaimInstance):
 def _lem21_eval(inst: ClaimInstance):
     p, n, m, a = inst.p, inst.n, inst.m, inst.get("a")
     lhs = count_solutions_exact(a, m, n, p) % p**2
-    rhs = _cof_rhs(Fraction((-1) ** (m - 1) * comb(n - 2, m - 1)) * gamma_n(a, n), [], p, 1)
+    # (-1)**(m-1) C(n-2, m-1) times gamma_n(a) = (-1)**(a-1) / (a C(n-1, a))
+    rhs = _cof_rhs((-1) ** (m + a) * comb(n - 2, m - 1), a * comb(n - 1, a), [], p, 1)
     return lhs, rhs, p**2, ""
 
 
-_N7_DIFFS = {
-    (2, 1): Fraction(-5, 3),
-    (2, 2): Fraction(1, 3),
-    (2, 3): Fraction(-1, 6),
-    (3, 1): Fraction(10, 3),
-    (3, 2): Fraction(-2, 3),
-    (3, 3): Fraction(1, 3),
+_N7_DIFFS = {  # (m, a): the multiple of p, as numerator and denominator
+    (2, 1): (-5, 3),
+    (2, 2): (1, 3),
+    (2, 3): (-1, 6),
+    (3, 1): (10, 3),
+    (3, 2): (-2, 3),
+    (3, 3): (1, 3),
 }
 
 
 def _cor22_eval(inst: ClaimInstance):
     p, m, a = inst.p, inst.m, inst.get("a")
     lhs = (count_solutions_exact(a, m, 7, p) - count_solutions_exact(7 - a, m, 7, p)) % p**2
-    rhs = _cof_rhs(_N7_DIFFS[(m, a)], [], p, 1)
+    rhs = _cof_rhs(*_N7_DIFFS[(m, a)], [], p, 1)
     return lhs, rhs, p**2, ""
 
 
@@ -442,12 +447,10 @@ def _u_eval(inst: ClaimInstance):
     w = sum(alphas)
     if _odd(w):
         lhs = unordered_sum(b, alphas, prime_power(p, 3))
-        c = Fraction((-1) ** n * factorial(n - 1) * b * b * w * (w + 1), 2 * (w + 2))
-        rhs = _cof_rhs(c, [p - w - 2], p, 2)
+        rhs = _cof_rhs((-1) ** n * factorial(n - 1) * b * b * w * (w + 1), 2 * (w + 2), [p - w - 2], p, 2)
         return lhs, rhs, p**3, "odd-weight branch"
     lhs = unordered_sum(b, alphas, prime_power(p, 2))
-    c = Fraction((-1) ** (n - 1) * factorial(n - 1) * b * w, w + 1)
-    rhs = _cof_rhs(c, [p - w - 1], p, 1)
+    rhs = _cof_rhs((-1) ** (n - 1) * factorial(n - 1) * b * w, w + 1, [p - w - 1], p, 1)
     return lhs, rhs, p**2, "even-weight branch"
 
 
@@ -456,10 +459,10 @@ def _cor32_eval(inst: ClaimInstance):
     w = n * alpha
     if _odd(w):
         lhs = mhs(p - 1, (alpha,) * n, prime_power(p, 3))
-        rhs = _cof_rhs(Fraction((-1) ** n * alpha * (w + 1), 2 * (w + 2)), [p - w - 2], p, 2)
+        rhs = _cof_rhs((-1) ** n * alpha * (w + 1), 2 * (w + 2), [p - w - 2], p, 2)
         return lhs, rhs, p**3, "odd-weight branch"
     lhs = mhs(p - 1, (alpha,) * n, prime_power(p, 2))
-    rhs = _cof_rhs(Fraction((-1) ** (n - 1) * alpha, w + 1), [p - w - 1], p, 1)
+    rhs = _cof_rhs((-1) ** (n - 1) * alpha, w + 1, [p - w - 1], p, 1)
     return lhs, rhs, p**2, "even-weight branch"
 
 
@@ -467,8 +470,8 @@ def _lem33_eval(inst: ClaimInstance):
     p, n = inst.p, inst.n
     [lhs] = yield [(r_spec(n, 1, p), 1 if _odd(n) else 2)]
     if _odd(n):
-        return lhs, _cof_rhs(-factorial(n - 1), [p - n], p, 0), p, ""
-    rhs = _cof_rhs(Fraction(-n * factorial(n), 2 * (n + 1)), [p - n - 1], p, 1)
+        return lhs, _cof_rhs(-factorial(n - 1), 1, [p - n], p, 0), p, ""
+    rhs = _cof_rhs(-n * factorial(n), 2 * (n + 1), [p - n - 1], p, 1)
     note = "even branch; cofactor -n*n!/(2(n+1)), the factor 2 confirmed against exact rationals"
     return lhs, rhs, p**2, note
 
@@ -476,14 +479,14 @@ def _lem33_eval(inst: ClaimInstance):
 def _lem35_eval(inst: ClaimInstance):
     p, n = inst.p, inst.n
     [lhs] = yield [(r_spec(n, 2, p), 1)]
-    rhs = _cof_rhs(Fraction(-(n + 1) * factorial(n - 1), 2), [p - n], p, 0)
+    rhs = _cof_rhs(-(n + 1) * factorial(n - 1), 2, [p - n], p, 0)
     return lhs, rhs, p, ""
 
 
 def _cor36_eval(inst: ClaimInstance):
     p, n = inst.p, inst.n
     [lhs] = yield [(s_spec(n, 2, p), 1)]
-    rhs = _cof_rhs(Fraction((n - 1) * factorial(n - 1), 2), [p - n], p, 0)
+    rhs = _cof_rhs((n - 1) * factorial(n - 1), 2, [p - n], p, 0)
     return lhs, rhs, p, ""
 
 
@@ -493,9 +496,9 @@ def _lem37_eval(inst: ClaimInstance):
     if n == 3:
         # three bounded parts cannot reach 3p, so the decomposition
         # R = S + C(n+1,2) S(1) + n S(2) collapses to -6 B(p-3)
-        rhs = _cof_rhs(-6, [p - 3], p, 0)
+        rhs = _cof_rhs(-6, 1, [p - 3], p, 0)
         return lhs, rhs, p, "degenerate n=3 value; general cofactor does not apply"
-    main = _cof_rhs(Fraction(-(n + 1) * (n + 2) * factorial(n - 1), 6), [p - n], p, 0)
+    main = _cof_rhs(-(n + 1) * (n + 2) * factorial(n - 1), 6, [p - n], p, 0)
     rhs = (main - _triple_bernoulli(p, n)) % p
     return lhs, rhs, p, ""
 
@@ -506,7 +509,7 @@ def _cor38_eval(inst: ClaimInstance):
     if n == 3:
         # the bounded family is empty: three parts below p cannot sum to 3p
         return lhs, 0, p, "degenerate n=3 value; the bounded sum is empty"
-    main = _cof_rhs(Fraction(-(n - 1) * (n - 2) * factorial(n - 1), 6), [p - n], p, 0)
+    main = _cof_rhs(-(n - 1) * (n - 2) * factorial(n - 1), 6, [p - n], p, 0)
     rhs = (main - _triple_bernoulli(p, n)) % p
     return lhs, rhs, p, ""
 
@@ -514,7 +517,7 @@ def _cor38_eval(inst: ClaimInstance):
 def _prop41_eval(inst: ClaimInstance):
     p, r = inst.p, inst.r
     [lhs] = yield [(s_spec(7, 1, p, r + 1), r + 1)]
-    rhs = _cof_rhs(Fraction(-factorial(7), 10), [p - 7], p, r)
+    rhs = _cof_rhs(-factorial(7), 10, [p - 7], p, r)
     return lhs, rhs, p ** (r + 1), ""
 
 
@@ -529,24 +532,23 @@ def _eq41_eval(inst: ClaimInstance):
 def _eq51_eval(inst: ClaimInstance):
     p, d, m = inst.p, inst.n, inst.m
     [lhs] = yield [(s_spec(d, m, p), 1)]
-    c = Fraction(-1) if m == 1 else Fraction(d - 1, 2)
-    rhs = _cof_rhs(c * factorial(d - 1), [p - d], p, 0)
+    num, den = (-1, 1) if m == 1 else (d - 1, 2)
+    rhs = _cof_rhs(num * factorial(d - 1), den, [p - d], p, 0)
     return lhs, rhs, p, ""
 
 
 def _eq52_eval(inst: ClaimInstance):
     p, d, m = inst.p, inst.n, inst.m
     [lhs] = yield [(r_spec(d, m, p), 1)]
-    c = Fraction(-1) if m == 1 else Fraction(-(d + 1), 2)
-    rhs = _cof_rhs(c * factorial(d - 1), [p - d], p, 0)
+    num, den = (-1, 1) if m == 1 else (-(d + 1), 2)
+    rhs = _cof_rhs(num * factorial(d - 1), den, [p - d], p, 0)
     return lhs, rhs, p, ""
 
 
 def _conj8_eval(inst: ClaimInstance):
     p, m = inst.p, inst.m
     [lhs] = yield [(r_spec(8, m, p), 1)]
-    c = Fraction(112, 5) * m * (m * m + 16) * (m * m - 1)
-    rhs = _cof_rhs(c, [p - 3, p - 5], p, 0)
+    rhs = _cof_rhs(112 * m * (m * m + 16) * (m * m - 1), 5, [p - 3, p - 5], p, 0)
     return lhs, rhs, p, ""
 
 
@@ -554,8 +556,8 @@ def _conj9_eval(inst: ClaimInstance):
     p, m = inst.p, inst.m
     [lhs] = yield [(r_spec(9, m, p), 1)]
     rhs = (
-        _cof_rhs(Fraction(-factorial(8), 18) * comb(m + 2, 5), [p - 3, p - 3, p - 3], p, 0)
-        + _cof_rhs(-8 * m * (m**6 + 126 * m**4 + 1869 * m**2 + 3044), [p - 9], p, 0)
+        _cof_rhs(-factorial(8) * comb(m + 2, 5), 18, [p - 3, p - 3, p - 3], p, 0)
+        + _cof_rhs(-8 * m * (m**6 + 126 * m**4 + 1869 * m**2 + 3044), 1, [p - 9], p, 0)
     ) % p
     return lhs, rhs, p, ""
 
@@ -563,8 +565,8 @@ def _conj9_eval(inst: ClaimInstance):
 def _conj10_eval(inst: ClaimInstance):
     p, m = inst.p, inst.m
     [lhs] = yield [(r_spec(10, m, p), 1)]
-    c = Fraction(-24, 35) * m * (m**4 + 71 * m**2 + 540) * (m * m - 1)
-    rhs = (_cof_rhs(c * 50, [p - 3, p - 7], p, 0) + _cof_rhs(c * 21, [p - 5, p - 5], p, 0)) % p
+    num = -24 * m * (m**4 + 71 * m**2 + 540) * (m * m - 1)
+    rhs = (_cof_rhs(num * 50, 35, [p - 3, p - 7], p, 0) + _cof_rhs(num * 21, 35, [p - 5, p - 5], p, 0)) % p
     return lhs, rhs, p, ""
 
 
@@ -579,7 +581,7 @@ def _unordered_hypotheses(*b_rules):
          "requires n = number of exponents"),
         ((lambda i: i.get("b", 1) < 1), "requires b >= 1"),
         *b_rules,
-        ((lambda i: not i.get("alphas") or any(a < 1 for a in i.get("alphas"))),
+        ((lambda i: not (alphas := i.get("alphas")) or any(a < 1 for a in alphas)),
          "requires positive exponents"),
         _weight_at_most_p_minus_3(lambda i: sum(i.get("alphas"))),
     )
@@ -783,19 +785,32 @@ CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
 _EVAL_ERRORS = (NonUnitError, PoleError, ValueError, KeyError, TypeError)
 
 
-def _prepare(instance: ClaimInstance) -> tuple[Claim, ClaimReport | tuple[Evaluation, tuple[Term, ...]]]:
+def _prepare(instance: ClaimInstance, claims: dict, primes: dict[int, bool]
+             ) -> tuple[Claim, ClaimReport | tuple[Evaluation, tuple[Term, ...]]]:
     """The instance's claim, and either its final report (a skip, an error,
     or the whole outcome of a claim without composition sums) or its
-    evaluation paused at the terms it yielded, with those terms."""
-    claim = CLAIMS.get(instance.claim_id)
-    if claim is None:
-        raise KeyError(f"unknown claim id {instance.claim_id!r}")
+    evaluation paused at the terms it yielded, with those terms.
+
+    claims and primes are the caller's memos: each claim with the names of
+    its dimensions and the indexes of the fields r, m, n it does not take,
+    and whether each p is prime."""
+    claim_id, p = instance.claim_id, instance.p
+    if claim_id not in claims:
+        claim = CLAIMS.get(claim_id)
+        if claim is None:
+            raise KeyError(f"unknown claim id {claim_id!r}")
+        names = frozenset(name for name, _ in claim.dims)
+        claims[claim_id] = claim, names, [i for i, name in enumerate(_INT_FIELDS, 1) if name not in names]
+    claim, names, untaken = claims[claim_id]
     try:
-        names = claim.names
-        unknown = [name for name in instance.params() if name not in names]
-        if unknown:
-            raise ValueError(f"{claim.claim_id} does not take {', '.join(unknown)}")
-        reason = claim.violated(instance) if is_prime(instance.p) else f"{instance.p} is not prime"
+        if any(instance[i] is not None for i in untaken) or not names.issuperset(k for k, _ in instance.extra):
+            unknown = [name for name in instance.params() if name not in names]
+            raise ValueError(f"{claim_id} does not take {', '.join(unknown)}")
+        try:
+            prime = primes[p]
+        except (KeyError, TypeError):  # a new p, or one that is_prime rejects as malformed
+            prime = primes[p] = is_prime(p)
+        reason = claim.violated(instance) if prime else f"{p} is not prime"
     except (KeyError, TypeError, ValueError) as exc:
         return claim, ClaimReport(instance, "error", note=f"bad parameters: {exc}", anchor=claim.anchor)
     if reason is not None:
@@ -840,7 +855,9 @@ def _error(claim: Claim, instance: ClaimInstance, exc: Exception) -> ClaimReport
 def _verify_planned(instances: Iterable[ClaimInstance], ctx: EvalContext) -> list[ClaimReport]:
     """Check every instance's hypotheses and start its evaluation, hand all
     the terms yielded to ctx as one plan, then finish the instances in order."""
-    prepared = [(instance, *_prepare(instance)) for instance in instances]
+    claims: dict = {}
+    primes: dict[int, bool] = {}
+    prepared = [(instance, *_prepare(instance, claims, primes)) for instance in instances]
     ctx.plan(term for _, _, outcome in prepared if not isinstance(outcome, ClaimReport) for term in outcome[1])
     return [outcome if isinstance(outcome, ClaimReport) else _evaluate(claim, instance, *outcome, ctx)
             for instance, claim, outcome in prepared]
@@ -873,7 +890,8 @@ def verify_instances(
     min(jobs, primes, CPUs) processes with one task per prime.
 
     A prime's instances share one context and one compsum plan, so each
-    ladder at that prime is built once and serves every claim. The
+    ladder at that prime is built once and serves every claim, and one
+    primality test and one read of each claim's names serve them all. The
     counters and new rows of each prime's context are merged into ctx in
     ascending prime order, and reports come back in
     ClaimInstance.sort_key order, so neither depends on the number of
@@ -886,7 +904,7 @@ def verify_instances(
     cache: dict[int, dict[tuple, int]] = {}
     for key, value in ctx._cache.items():
         cache.setdefault(key[1], {})[key] = value
-    tasks = [(groups[p], cache.get(p, {})) for p in sorted(groups, key=_ordered)]
+    tasks = [(groups[p], cache.get(p, {})) for p in sorted(groups, key=lambda p: (isinstance(p, tuple), p))]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -82,6 +82,18 @@ class TestVerifyCommand:
         assert (rc, out) == (2, "")
         assert err == f"{flag} {text!r} selects no value\n"
 
+    @pytest.mark.parametrize("flag, text, token", [
+        ("--primes", "11..a", "a"), ("--r", "x", "x"), ("--m", "1..b", "b"),
+        ("--instance", "p=eleven", "eleven"), ("--instance", "p=11,alphas=1+x", "x"),
+    ])
+    def test_a_non_integer_names_its_flag_and_exits_two_before_the_cache(self, capsys, tmp_path, flag, text, token):
+        # these used to print int()'s own message, naming neither the flag nor its text
+        cache = tmp_path / "cache.csv"
+        cache.write_text("not,a,cache\n")  # reading it would fail with another message
+        rc, out, err = run(capsys, ["verify", "--claims", "EQ-1.1", flag, text, "--cache", str(cache)])
+        assert (rc, out) == (2, "")
+        assert err == f"error: ValueError: {flag} {text!r}: {token!r} is not an integer\n"
+
     def test_conjecture_finding_does_not_fail_exit(self, capsys):
         rc, out, _ = run(
             capsys,
@@ -404,6 +416,15 @@ class TestSearchCommand:
         code = "import sys, supercong.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+    def test_the_catalog_does_not_import_fractions(self):
+        # every right-hand side is assembled from an integer numerator and
+        # denominator; fractions serves only bernoulli_exact, gamma_n and ratrecon
+        code = ("import sys, supercong.cli; before = 'fractions' in sys.modules; "
+                "from supercong.verifier import CLAIMS, sweep; sweep(list(CLAIMS)); "
+                "print(before, 'fractions' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["False", "False"]
 
 
 class TestOracleCommand:

@@ -202,19 +202,26 @@ class TestUnorderedSum:
                 inverses.append(base)
             return pow(base, exp, mod)
 
+        calls = [
+            (1, (1, 2), 11, 3), (1, (2, 1), 11, 2), (1, (3,), 11, 2), (1, (1, 1, 1), 11, 2),
+            (2, (1, 2), 11, 2), (1, (1, 2), 11, 1), (1, (1, 2), 13, 2), (1, (1, 3), 11, 2),
+        ]
+        expected = [unordered_by_rearrangements(b, parts, PrimePowerModulus(p, r)) for b, parts, p, r in calls]
         monkeypatch.setattr(mhs_module, "pow", counting_pow, raising=False)
         mhs_module._inverse_power_sums.cache_clear()
-        calls = [
-            (1, (1, 2), 11, 2), (1, (2, 1), 11, 2), (1, (3,), 11, 2), (1, (1, 1, 1), 11, 2),
-            (2, (1, 2), 11, 2), (1, (1, 2), 11, 3), (1, (1, 2), 13, 2), (1, (1, 3), 11, 2),
-        ]
-        for b, parts, p, r in calls:
-            unordered_sum(b, parts, PrimePowerModulus(p, r))
-        keys = {(b, p, r) for b, parts, p, r in calls}
-        assert mhs_module._inverse_power_sums.cache_info().misses == len(keys) == 4
-        # one inverse per unit index and key; (1, 11, 2) grew from weight 3 to 4 without another
-        assert len(inverses) == sum(b * (p - 1) for b, p, _ in keys)
-        assert len(mhs_module._inverse_power_sums(1, 11, 2).sums) == 5
+        assert [unordered_sum(b, parts, PrimePowerModulus(p, r)) for b, parts, p, r in calls] == expected
+        keys = {(b, p) for b, parts, p, r in calls}
+        assert mhs_module._inverse_power_sums.cache_info().misses == len(keys) == 3
+        # one inverse per unit index and key: (1, 11) was built at 11**3 and serves
+        # r = 1, 2 reduced; it grew from weight 3 to 4 without another inverse
+        assert len(inverses) == sum(b * (p - 1) for b, p in keys)
+        assert len(mhs_module._inverse_power_sums(1, 11).sums) == 5
+        # a request above a table's precision rebuilds that table once, in place
+        del inverses[:]
+        unordered_sum(1, (1, 2), PrimePowerModulus(13, 3))
+        unordered_sum(1, (2, 2), PrimePowerModulus(13, 2))
+        assert len(inverses) == 12 and mhs_module._inverse_power_sums.cache_info().misses == 3
+        assert mhs_module._inverse_power_sums(1, 13).r == 3
 
     def test_values_do_not_depend_on_call_order(self):
         rng = random.Random(3)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import random
 
@@ -11,9 +13,13 @@ from supercong.reports import (
     render_json,
     render_md,
     replay_command,
-    report_row,
+    row_values,
 )
-from supercong.verifier import ClaimInstance, ClaimReport, GridSpec, sweep, verify
+from supercong.verifier import CLAIMS, ClaimInstance, ClaimReport, GridSpec, sweep, verify
+
+
+def row(report) -> dict:
+    return dict(zip(FIELDS, row_values(report)))
 
 
 @pytest.fixture(scope="module")
@@ -23,29 +29,29 @@ def passing_reports():
 
 class TestRows:
     def test_schema_fields(self, passing_reports):
-        row = report_row(passing_reports[0])
-        assert tuple(row) == FIELDS
-        assert row["claim_id"] == "EQ-1.1"
-        assert row["p"] == 5
-        assert row["lhs"] == row["rhs"] == 3
-        assert row["modulus"] == 5
-        assert row["status"] == "pass"
-        assert row["quote_anchor"]
-        assert row["replay"].startswith("supercong verify --claims EQ-1.1")
+        values = row_values(passing_reports[0])
+        assert len(values) == len(FIELDS)
+        fields = row(passing_reports[0])
+        assert fields["claim_id"] == "EQ-1.1"
+        assert fields["p"] == 5
+        assert fields["lhs"] == fields["rhs"] == 3
+        assert fields["modulus"] == 5
+        assert fields["status"] == "pass"
+        assert fields["quote_anchor"]
+        assert fields["replay"].startswith("supercong verify --claims EQ-1.1")
 
     def test_extra_and_tuple_rendering(self):
         report = verify(
             ClaimInstance("LEM-3.4", 11, n=2, extra=(("alphas", (1, 1)), ("b", 2)))
         )
-        row = report_row(report)
-        assert row["extra"] == "alphas=1+1;b=2"
+        assert row(report)["extra"] == "alphas=1+1;b=2"
         assert "--instance p=11,n=2,alphas=1+1,b=2" in replay_command(report)
 
     def test_skip_row_has_empty_values(self):
         report = verify(ClaimInstance("THM-1.1-i", 7, m=1))
-        row = report_row(report)
-        assert row["lhs"] is None and row["rhs"] is None and row["modulus"] is None
-        assert row["status"] == "skip"
+        fields = row(report)
+        assert fields["lhs"] is None and fields["rhs"] is None and fields["modulus"] is None
+        assert fields["status"] == "skip"
 
 
 class TestRenderers:
@@ -88,10 +94,88 @@ class TestRenderers:
         assert out.read_text() == text
 
 
+def report_row(report: ClaimReport) -> dict:
+    """One row as a dict of its fields, each written out by name: the oracle of row_values."""
+    inst = report.instance
+    params = [f"{key}={'+'.join(map(str, value))}" if isinstance(value, tuple) else f"{key}={value}"
+              for key, value in inst.params().items()]
+    return {
+        "claim_id": inst.claim_id,
+        "p": inst.p,
+        "r": inst.r,
+        "m": inst.m,
+        "n": inst.n,
+        "extra": ";".join(params[len(params) - len(inst.extra):]),
+        "lhs": report.lhs,
+        "rhs": report.rhs,
+        "modulus": report.modulus,
+        "status": report.status,
+        "note": report.note,
+        "quote_anchor": report.anchor,
+        "replay": f"supercong verify --claims {inst.claim_id} --instance {','.join(params)} --format json",
+    }
+
+
 def json_oracle(reports) -> str:
     """The json report as json.dumps writes it: the bytes render_json must match."""
     doc = {"report_fields": list(FIELDS), "reports": [report_row(r) for r in reports]}
     return json.dumps(doc, indent=2) + "\n"
+
+
+def csv_oracle(reports) -> str:
+    """The csv report written from report_row's dicts, one field at a time."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(FIELDS)
+    for report in reports:
+        fields = report_row(report)
+        writer.writerow(["" if fields[f] is None else fields[f] for f in FIELDS])
+    return out.getvalue()
+
+
+def md_oracle(reports) -> str:
+    """The md report written from report_row's dicts, one field at a time."""
+    reports = list(reports)
+    lines = ["# Congruence verification report", ""]
+    if not reports:
+        return "\n".join(lines + ["(no instances)", ""])
+    cols = ("p", "r", "m", "n", "extra", "lhs", "rhs", "modulus", "status", "note")
+    by_claim: dict[str, list[ClaimReport]] = {}
+    for report in reports:
+        by_claim.setdefault(report.instance.claim_id, []).append(report)
+    for claim_id in sorted(by_claim):
+        group = by_claim[claim_id]
+        lines += [f"## {claim_id}", "", f"`{group[0].anchor}`", "",
+                  "| " + " | ".join(cols) + " |", "|" + "|".join(" --- " for _ in cols) + "|"]
+        for report in group:
+            fields = report_row(report)
+            lines.append("| " + " | ".join("" if fields[c] is None else str(fields[c]) for c in cols) + " |")
+        lines.append("")
+    return "\n".join(lines)
+
+
+@pytest.fixture(scope="module")
+def catalog_reports():
+    return sweep(list(CLAIMS))
+
+
+class TestOracles:
+    """Every renderer against its oracle over the whole default catalog
+    (TestJsonBytes.test_seeded_catalog_mix takes the seeded mix)."""
+
+    def test_catalog_json(self, catalog_reports):
+        assert len(catalog_reports) == 1935
+        assert render_json(catalog_reports) == json_oracle(catalog_reports)
+
+    def test_catalog_csv(self, catalog_reports):
+        assert render_csv(catalog_reports) == csv_oracle(catalog_reports)
+
+    def test_catalog_md(self, catalog_reports):
+        assert render_md(catalog_reports) == md_oracle(catalog_reports)
+
+    def test_empty(self):
+        for render, oracle in ((render_json, json_oracle), (render_csv, csv_oracle), (render_md, md_oracle)):
+            assert render([]) == oracle([])
 
 
 class TestJsonBytes:
@@ -118,12 +202,15 @@ class TestJsonBytes:
 
     def test_seeded_catalog_mix(self):
         reports = sweep(["EQ-1.1", "THM-1.1-i", "LEM-3.4", "CONJ-5.1-w10"], GridSpec(primes=(7, 11, 13)))
-        reports += [verify(ClaimInstance("EQ-1.1", (11, 13))), verify(ClaimInstance("LEM-3.3", 5, n=-1))]
+        reports += [verify(ClaimInstance("EQ-1.1", (11, 13))), verify(ClaimInstance("LEM-3.3", 5, n=-1)),
+                    ClaimReport(ClaimInstance("EQ-1.1", 11), "pass", 3, 3, 11, note="caf\u00e9 \u2264 \U0001d53d")]
         assert {r.status for r in reports} >= {"pass", "skip", "error", "finding"}
         rng = random.Random(12)
         for size in (1, 2, 7, len(reports)):
             mix = rng.sample(reports, size)
             assert render_json(mix) == json_oracle(mix)
+            assert render_csv(mix) == csv_oracle(mix)
+            assert render_md(mix) == md_oracle(mix)
 
 
 class TestCache:

@@ -10,11 +10,14 @@ itself.
 """
 
 import inspect
+import sys
 
 import pytest
 
 from supercong import bernoulli, compsum, verifier
 from supercong.verifier import CLAIMS, ClaimReport, EvalContext, GridSpec, sweep
+
+mhs_module = sys.modules["supercong.mhs"]  # the package's `mhs` attribute is the function
 
 
 def _sweep():
@@ -39,7 +42,7 @@ def reads():
     out: dict[str, set] = {}
     for claim_id in _COMPOSITION_CLAIMS:
         for instance in CLAIMS[claim_id].grid(GridSpec()):
-            _, outcome = verifier._prepare(instance)
+            _, outcome = verifier._prepare(instance, {}, {})
             if not isinstance(outcome, ClaimReport):
                 run, terms = outcome
                 run.close()
@@ -168,18 +171,23 @@ def test_a_wrong_split_read(baseline, reads, monkeypatch):
     assert _COMPOSITION_CLAIMS - _noticed(baseline, mutated) <= _BLIND_AT_MOST
 
 
-@pytest.fixture(scope="module")
-def power_sum_readers():
-    """The claims whose default grid reads a B_k residue through the power sum."""
-    residue, readers = bernoulli.power_sum_residue, set()
+def _callers(owner, name: str) -> set[str]:
+    """The claims whose default grid calls owner.name."""
+    real, callers = getattr(owner, name), set()
     for claim_id in CLAIMS:
         calls = []
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(bernoulli, "power_sum_residue", lambda k, p: calls.append(k) or residue(k, p))
+            patch.setattr(owner, name, lambda *args: calls.append(args) or real(*args))
             sweep([claim_id])
         if calls:
-            readers.add(claim_id)
-    return readers
+            callers.add(claim_id)
+    return callers
+
+
+@pytest.fixture(scope="module")
+def power_sum_readers():
+    """The claims whose default grid reads a B_k residue through the power sum."""
+    return _callers(bernoulli, "power_sum_residue")
 
 
 def test_a_flipped_pair_correction_in_the_power_sum(baseline, power_sum_readers, monkeypatch):
@@ -199,3 +207,57 @@ def test_a_flipped_pair_correction_in_the_power_sum(baseline, power_sum_readers,
     # CONJ-5.1-w10 passes only where both sides vanish mod p, and a B_k
     # multiple that vanishes still vanishes under the mutation. This set may only shrink
     assert power_sum_readers - noticed <= {"CONJ-5.1-w10"}
+
+
+# The harmonic sweeps: the unordered sums' collision recursion (LEM-3.1,
+# LEM-3.4) and the nested chain sweep (COR-3.2). Their tables live for the
+# whole process, so each mutation runs between two clears: it reads no clean
+# value and leaves none of its own. Today neither mutation leaves a claim
+# blind. Each set may only shrink.
+_UNORDERED_BLIND_AT_MOST: set[str] = set()
+_CHAIN_BLIND_AT_MOST: set[str] = set()
+
+
+@pytest.fixture
+def fresh_tables():
+    mhs_module._inverse_power_sums.cache_clear()
+    yield
+    mhs_module._inverse_power_sums.cache_clear()
+
+
+def test_a_flipped_collision_term_in_the_unordered_sum(baseline, fresh_tables, monkeypatch):
+    # U(a_1, ..., a_n) = P_{a_1} U(a_2, ..., a_n) - sum_i U(a_2, ..., a_i + a_1, ..., a_n),
+    # here with the collision terms added rather than subtracted
+    def added(self, key):
+        memo = self.memo
+        if key not in memo:
+            first, rest = key[0], key[1:]
+            acc = self.power_sum(first) * self.u(rest)
+            for i in range(len(rest)):
+                acc += self.u(tuple(sorted(rest[:i] + (rest[i] + first,) + rest[i + 1:])))
+            memo[key] = acc % self.mod
+        return memo[key]
+
+    readers = _callers(verifier, "unordered_sum")
+    assert readers == {"LEM-3.1", "LEM-3.4"}
+    mhs_module._inverse_power_sums.cache_clear()
+    monkeypatch.setattr(mhs_module._UnorderedTable, "u", added)
+    assert readers - _noticed(baseline, _sweep()) <= _UNORDERED_BLIND_AT_MOST
+
+
+def test_a_chain_sweep_that_skips_the_wrong_class(baseline, fresh_tables, monkeypatch):
+    # mhs._sweep with its restriction moved from the multiples of p to k == 1 (mod p)
+    def skips_one_mod_p(N, parts, M):
+        dp = [0] * len(parts) + [1]
+        for k in range(1, N + 1):
+            if k % M.p == 1:
+                continue
+            inverse = pow(k, -1, M.modulus)
+            for j in range(len(parts)):
+                dp[j] = (dp[j] + pow(inverse, parts[j], M.modulus) * dp[j + 1]) % M.modulus
+        return dp[0] % M.modulus
+
+    readers = _callers(mhs_module, "_sweep")
+    assert readers == {"COR-3.2"}
+    monkeypatch.setattr(mhs_module, "_sweep", skips_one_mod_p)
+    assert readers - _noticed(baseline, _sweep()) <= _CHAIN_BLIND_AT_MOST

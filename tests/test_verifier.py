@@ -9,7 +9,7 @@ import pytest
 from supercong import compsum, modring, verifier
 from supercong.bernoulli import bernoulli_mod_p
 from supercong.compsum import comp_sum, r_spec, s_spec
-from supercong.modring import PrimePowerModulus, rational_to_residue
+from supercong.modring import NonUnitError, PrimePowerModulus, rational_to_residue
 from supercong.verifier import (
     CLAIMS,
     Claim,
@@ -389,6 +389,21 @@ class TestMixedBatch:
             if not malformed:
                 assert outcome[inst].status != "error"
 
+    def test_the_flat_sort_key_orders_as_the_nested_one(self):
+        def ordered(value):
+            return isinstance(value, tuple), value
+
+        def nested_key(inst):
+            """The key before it was flattened: each value paired with whether it is a tuple."""
+            return (inst.claim_id, ordered(inst.p), *(ordered(0 if v is None else v) for v in inst[2:5]),
+                    tuple((key, ordered(value)) for key, value in inst.extra))
+
+        rng = random.Random(1818)
+        instances = [_random_instance(rng)[0] for _ in range(400)]
+        instances += [inst for claim in CLAIMS.values() for inst in claim.grid()]
+        rng.shuffle(instances)
+        assert sorted(instances, key=ClaimInstance.sort_key) == sorted(instances, key=nested_key)
+
     def test_sort_key_puts_an_int_before_a_tuple(self):
         one, pair = ClaimInstance("EQ-1.1", 11, m=1), ClaimInstance("EQ-1.1", 11, m=(1, 2))
         assert sorted([pair, one], key=ClaimInstance.sort_key) == [one, pair]
@@ -493,9 +508,9 @@ class TestPlan:
         modring.prime_power.cache_clear()
         reports = sweep(list(CLAIMS), ctx=EvalContext(cache_rows=cold.new_rows))
         # one modulus per distinct (p, e), each checking its prime once, and
-        # one primality check per instance
-        assert len(reports) == 1935
-        assert counts == {"moduli": 37, "is_prime": 1935 + 37}
+        # one primality check per distinct prime of the sweep
+        assert len(reports) == 1935 and len({rep.instance.p for rep in reports}) == 23
+        assert counts == {"moduli": 37, "is_prime": 23 + 37}
 
 
 class TestEvalContext:
@@ -607,6 +622,24 @@ class TestCrossChecks:
 
     def test_triple_term_nonzero_for_n9(self):
         assert any(_triple_bernoulli(p, 9) != 0 for p in (11, 13, 17))
+
+
+class TestRationalCofactors:
+    def test_a_numerator_and_denominator_read_as_their_fraction(self):
+        # residues and NonUnitError notes as the Fraction route gives them, on
+        # unreduced pairs and negative denominators too
+        rng = random.Random(418)
+        for _ in range(3000):
+            p = rng.choice((5, 7, 11, 13))
+            num, den = rng.randint(-300, 300), rng.choice((-1, 1)) * rng.randint(1, 300)
+            try:
+                expected = rational_to_residue(Fraction(num, den), PrimePowerModulus(p, 1))
+            except NonUnitError as exc:
+                with pytest.raises(NonUnitError) as raised:
+                    verifier._rat(num, den, p)
+                assert str(raised.value) == str(exc)
+            else:
+                assert verifier._rat(num, den, p) == expected
 
 
 class TestInstanceFromParams:

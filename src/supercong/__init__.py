@@ -3,19 +3,16 @@ congruence verification harness and modular constant recovery."""
 
 from .bernoulli import EXACT_CAP, PoleError, PowerSumError, bernoulli_exact, bernoulli_mod_p
 from .compsum import (
-    BRUTEFORCE_TARGET_CAP,
     CompSumSpec,
     PrecisionError,
     ScaleGuardError,
     comp_sum,
-    comp_sum_bruteforce,
     comp_sum_kronecker,
     count_solutions_exact,
-    gamma_n,
     r_spec,
     s_spec,
 )
-from .mhs import mhs, mhs_restricted, unordered_sum, unordered_sum_bruteforce
+from .mhs import mhs, mhs_restricted, unordered_sum
 from .modring import NonUnitError, PrimePowerModulus, is_prime, rational_to_residue
 from .verifier import (
     CLAIMS,
@@ -58,21 +55,17 @@ __all__ = [
     "PowerSumError",
     "bernoulli_exact",
     "bernoulli_mod_p",
-    "BRUTEFORCE_TARGET_CAP",
     "CompSumSpec",
     "PrecisionError",
     "ScaleGuardError",
     "comp_sum",
-    "comp_sum_bruteforce",
     "comp_sum_kronecker",
     "count_solutions_exact",
-    "gamma_n",
     "r_spec",
     "s_spec",
     "mhs",
     "mhs_restricted",
     "unordered_sum",
-    "unordered_sum_bruteforce",
     "NonUnitError",
     "PrimePowerModulus",
     "is_prime",

@@ -11,11 +11,11 @@ carry p**2 once k + 1 < p. Pairing j with p - j halves the sum, since
 powers j**(k-1) are multiplicative in j, so a sieve of smallest prime
 factors fills them with a modular power at each prime below p/2 and one
 product at each composite. B_k mod p is memoized per (k, p); the sieve is
-rebuilt per call and not kept. Two oracles
-check it: the O(p**2) mod-p recurrence table (mod_p_table) and the
-exact-rational path (bernoulli_exact, which also feeds rational
-constants). Indexes k <= p - 3 are p-integral by von Staudt-Clausen,
-which is exactly the range served.
+rebuilt per call and not kept. The exact-rational path (bernoulli_exact,
+which also feeds rational constants and `compute bernoulli`) checks it;
+the tests also hold the O(p**2) mod-p recurrence table as a second
+oracle. Indexes k <= p - 3 are p-integral by von Staudt-Clausen, which
+is exactly the range served.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from functools import lru_cache
 from math import comb, isqrt
 from operator import mul
 
-from .modring import inverses_mod_p, prime_power
+from .modring import prime_power
 
 __all__ = ["PoleError", "PowerSumError", "EXACT_CAP", "bernoulli_exact", "bernoulli_mod_p"]
 
@@ -54,21 +54,6 @@ def bernoulli_exact(k: int) -> Fraction:
         acc = sum(comb(n + 1, j) * _exact[j] for j in range(n))
         _exact.append(Fraction(-acc, n + 1))
     return _exact[k]
-
-
-def mod_p_table(p: int) -> tuple[int, ...]:
-    """B_0 .. B_{p-3} mod p by the recurrence: the O(p**2) oracle."""
-    top = max(p - 3, 0)
-    inv = inverses_mod_p(p)
-    table = [1 % p]
-    for n in range(1, top + 1):
-        acc = 0
-        c = 1  # C(n+1, j), updated in place
-        for j in range(n):
-            acc = (acc + c * table[j]) % p
-            c = c * (n + 1 - j) % p * inv[j + 1] % p
-        table.append(-acc * inv[n + 1] % p)
-    return tuple(table)
 
 
 @lru_cache(maxsize=None)

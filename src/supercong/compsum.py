@@ -44,11 +44,10 @@ reduced request plans its coefficients under the unbounded key
 (p, None, e), below n*p*e, and an e = 1 request under the period key
 (p, _PERIOD, 1). The rows are streamed, two alive at a time,
 and only the planned coefficients are kept. A request outside the plan,
-or made without one, is a plan of its own. Two independent oracles
-check the evaluator: binary powering with one Kronecker-substitution
-big-integer multiply per step, and, at small scale, a memoized
-recursive enumerator. All three return a plain int, canonical in
-[0, p**e).
+or made without one, is a plan of its own. One independent oracle
+checks the evaluator, here because `supercong oracle` runs it: binary
+powering with one Kronecker-substitution big-integer multiply per step
+(comp_sum_kronecker). Both return a plain int, canonical in [0, p**e).
 """
 
 from __future__ import annotations
@@ -60,27 +59,16 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .modring import PrimePowerModulus, inverses_mod_p, prime_power
 
-__all__ = [
-    "ScaleGuardError",
-    "PrecisionError",
-    "CompSumSpec",
-    "s_spec",
-    "r_spec",
-    "comp_sum",
-    "is_reduced",
-    "Plan",
-    "comp_sum_bruteforce",
-    "comp_sum_kronecker",
-    "count_solutions_exact",
-    "gamma_n",
-    "BRUTEFORCE_TARGET_CAP",
-]
+__all__ = ["ScaleGuardError", "PrecisionError", "CompSumSpec", "s_spec", "r_spec", "comp_sum", "is_reduced", "Plan",
+           "comp_sum_kronecker", "count_solutions_exact"]
 
-BRUTEFORCE_TARGET_CAP = 60
+# comp_sum_kronecker refuses a packed operand wider than this many bits:
+# R(7,3,11**4) mod 11**4 packs 2.1 Mbit and takes seconds, R(7,3,11**5) 27 Mbit and minutes
+_KRONECKER_BITS = 1 << 22
 
 
 class ScaleGuardError(ValueError):
-    """Brute-force enumeration refused: target too large."""
+    """Kronecker oracle refused: its packed operand is wider than _KRONECKER_BITS."""
 
 
 class PrecisionError(ArithmeticError):
@@ -487,21 +475,27 @@ def comp_sum(spec: CompSumSpec, modulus: PrimePowerModulus | None = None, plan: 
 
 
 def comp_sum_kronecker(spec: CompSumSpec, modulus: PrimePowerModulus | None = None) -> int:
-    """Scale oracle for comp_sum: binary powering of the truncated unit series.
+    """The oracle `supercong oracle` runs against comp_sum: binary powering
+    of the truncated unit series, sharing no code with the ladder.
 
     Each truncated product is one big-integer multiply of two coefficient
     vectors packed into fixed-width slots (Kronecker substitution). The
     slots hold any exact coefficient sum, so no word-size guard is needed.
+    A packed operand wider than _KRONECKER_BITS raises ScaleGuardError
+    before anything is multiplied.
     """
     M = _eval_modulus(spec, modulus)
     N = spec.target
     if N < spec.n:
         return 0
     mod = M.modulus
+    width = ((N + 1) * (mod - 1) ** 2).bit_length() // 8 + 1  # bytes per slot
+    bits = 8 * width * (N + 1)
+    if bits > _KRONECKER_BITS:
+        raise ScaleGuardError(f"Kronecker operand of {bits} bits at target {N} exceeds {_KRONECKER_BITS}")
+    mask = (1 << bits) - 1
     limit = N if spec.upper_bound is None else min(N, spec.upper_bound - 1)
     base = [pow(l, -1, mod) if l % spec.p else 0 for l in range(limit + 1)]
-    width = ((N + 1) * (mod - 1) ** 2).bit_length() // 8 + 1  # bytes per slot
-    mask = (1 << 8 * width * (N + 1)) - 1
 
     def pack(coeffs: list[int]) -> int:
         return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in coeffs), "little")
@@ -520,36 +514,6 @@ def comp_sum_kronecker(spec: CompSumSpec, modulus: PrimePowerModulus | None = No
     return acc >> 8 * width * N
 
 
-def comp_sum_bruteforce(spec: CompSumSpec, modulus: PrimePowerModulus | None = None) -> int:
-    """Independent oracle for comp_sum: recursive enumeration by first part.
-
-    Shares suffix subtrees through a memo table, never touching the
-    ladder or the series. Guarded to targets <= BRUTEFORCE_TARGET_CAP.
-    """
-    M = _eval_modulus(spec, modulus)
-    N = spec.target
-    if N > BRUTEFORCE_TARGET_CAP:
-        raise ScaleGuardError(f"brute force capped at target {BRUTEFORCE_TARGET_CAP}, got {N}")
-    mod = M.modulus
-    p = spec.p
-    limit = N if spec.upper_bound is None else min(N, spec.upper_bound - 1)
-    memo: dict[tuple[int, int], int] = {}
-
-    def walk(parts_left: int, remaining: int) -> int:
-        if parts_left == 0:
-            return 1 if remaining == 0 else 0
-        key = (parts_left, remaining)
-        if key not in memo:
-            acc = 0
-            for l in range(1, min(limit, remaining - parts_left + 1) + 1):
-                if l % p:
-                    acc += pow(l, -1, mod) * walk(parts_left - 1, remaining - l)
-            memo[key] = acc % mod
-        return memo[key]
-
-    return walk(spec.n, N)
-
-
 def count_solutions_exact(a: int, m: int, n: int, p: int) -> int:
     """Number of integer solutions of x_1 + ... + x_n = m*p - a, 0 <= x_i < p.
 
@@ -565,12 +529,3 @@ def count_solutions_exact(a: int, m: int, n: int, p: int) -> int:
     for i in range(min(n, target // p) + 1):
         total += (-1) ** i * comb(n, i) * comb(n + target - i * p - 1, n - 1)
     return total
-
-
-def gamma_n(a: int, n: int) -> Fraction:
-    """(-1)**(a-1) / (a * C(n-1, a)), for 1 <= a <= n-1."""
-    if not 1 <= a <= n - 1:
-        raise ValueError(f"a must be in 1..{n - 1}, got {a}")
-    from fractions import Fraction
-
-    return Fraction((-1) ** (a - 1), a * comb(n - 1, a))

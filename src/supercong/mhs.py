@@ -13,24 +13,18 @@ inverses per (b, p) at the highest precision asked and one multiply per
 index and weight, are combined with integer coefficients only (the
 quasi-shuffle relation), so no precision is lost at any r, and a value
 mod p**r reduces to the value mod any lower power. The chain sweep over
-the rearrangements of the exponents and the nested-loop brute force are
-its oracles.
+the rearrangements of the exponents is its oracle, with a nested-loop
+brute force kept in the tests.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 from typing import Sequence
 
 from .modring import NonUnitError, PrimePowerModulus
 
-__all__ = [
-    "mhs",
-    "mhs_restricted",
-    "unordered_sum",
-    "unordered_sum_bruteforce",
-]
+__all__ = ["mhs", "mhs_restricted", "unordered_sum"]
 
 
 def _parts(s: Sequence[int]) -> tuple[int, ...]:
@@ -143,7 +137,7 @@ def unordered_sum(b: int, alphas: Sequence[int], M: PrimePowerModulus) -> int:
     exponents, so the recursion is memoized on sorted tuples, in one
     table per (b, p) at the highest precision asked, shared by every
     call. The chain sweep (the multiplicity-weighted sum of mhs_restricted
-    over the rearrangements) and unordered_sum_bruteforce are its oracles.
+    over the rearrangements) is its oracle.
     """
     parts = _parts(alphas)
     n = len(parts)
@@ -154,25 +148,3 @@ def unordered_sum(b: int, alphas: Sequence[int], M: PrimePowerModulus) -> int:
     if M.p <= n:
         raise ValueError(f"need p > depth (got p={M.p}, depth={n})")
     return _inverse_power_sums(b, M.p).at(M.r).u(tuple(sorted(parts))) % M.modulus
-
-
-def unordered_sum_bruteforce(b: int, alphas: Sequence[int], M: PrimePowerModulus) -> int:
-    """Direct nested-loop evaluation of the same sum, for depth <= 3."""
-    parts = _parts(alphas)
-    n = len(parts)
-    if n > 3:
-        raise ValueError("brute-force unordered sums handle at most 3 indexes")
-    if n == 0:
-        return 1
-    mod = M.modulus
-    units = [l for l in range(1, b * M.p) if l % M.p]
-    pows = [{l: pow(l, -e, mod) for l in units} for e in parts]
-    acc = 0
-    for tup in product(units, repeat=n):
-        if len(set(tup)) != n:
-            continue
-        term = 1
-        for i, l in enumerate(tup):
-            term = term * pows[i][l] % mod
-        acc = (acc + term) % mod
-    return acc

@@ -78,6 +78,7 @@ def primes_between(lo: int, hi: int) -> tuple[int, ...]:
 
 
 _INT_FIELDS = ("p", "r", "m", "n")
+_FIELD_NAMES = frozenset(_INT_FIELDS)
 
 
 class ClaimInstance(NamedTuple):
@@ -445,11 +446,13 @@ def _u_eval(inst: ClaimInstance):
     b = inst.get("b", 1)
     n = len(alphas)
     w = sum(alphas)
+    # both branches read one table per (b, p), built once at p**3: U is an integer
+    # combination of power sums, so its value mod p**3 reduces to the one mod p**2
+    lhs = unordered_sum(b, alphas, prime_power(p, 3))
     if _odd(w):
-        lhs = unordered_sum(b, alphas, prime_power(p, 3))
         rhs = _cof_rhs((-1) ** n * factorial(n - 1) * b * b * w * (w + 1), 2 * (w + 2), [p - w - 2], p, 2)
         return lhs, rhs, p**3, "odd-weight branch"
-    lhs = unordered_sum(b, alphas, prime_power(p, 2))
+    lhs %= p * p
     rhs = _cof_rhs((-1) ** (n - 1) * factorial(n - 1) * b * w, w + 1, [p - w - 1], p, 1)
     return lhs, rhs, p**2, "even-weight branch"
 
@@ -803,9 +806,14 @@ def _prepare(instance: ClaimInstance, claims: dict, primes: dict[int, bool]
         claims[claim_id] = claim, names, [i for i, name in enumerate(_INT_FIELDS, 1) if name not in names]
     claim, names, untaken = claims[claim_id]
     try:
-        if any(instance[i] is not None for i in untaken) or not names.issuperset(k for k, _ in instance.extra):
+        given = [k for k, _ in instance.extra]
+        if any(instance[i] is not None for i in untaken) or not names.issuperset(given):
             unknown = [name for name in instance.params() if name not in names]
             raise ValueError(f"{claim_id} does not take {', '.join(unknown)}")
+        if len(set(given)) < len(given) or not _FIELD_NAMES.isdisjoint(given):
+            # params() would let the second value overwrite the first in the report
+            k = next(k for k in given if k in _FIELD_NAMES or given.count(k) > 1)
+            raise ValueError(f"extra parameter {k!r} " + ("names a field" if k in _FIELD_NAMES else "is given twice"))
         try:
             prime = primes[p]
         except (KeyError, TypeError):  # a new p, or one that is_prime rejects as malformed

@@ -13,7 +13,7 @@ from functools import lru_cache
 import pytest
 
 from supercong.cli import main
-from supercong.compsum import comp_sum, comp_sum_bruteforce, r_spec, s_spec
+from supercong.compsum import comp_sum, r_spec, s_spec
 from supercong.mhs import mhs
 from supercong.modring import PrimePowerModulus, rational_to_residue
 from supercong.ratrecon import hunt_constant
@@ -24,6 +24,8 @@ from supercong.verifier import (
     sweep,
     _triple_bernoulli,
 )
+
+from oracles import comp_sum_bruteforce
 
 P_11_31 = primes_between(11, 31)
 

@@ -2,10 +2,11 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
-from supercong import compsum
+from supercong import cli, compsum
 from supercong.cli import SEARCH_FAMILIES, _parse_instance, _parse_int_range, _parse_primes, main
 from supercong.ratrecon import HUNT_FAMILIES
 from supercong.reports import replay_command
@@ -419,7 +420,7 @@ class TestSearchCommand:
 
     def test_the_catalog_does_not_import_fractions(self):
         # every right-hand side is assembled from an integer numerator and
-        # denominator; fractions serves only bernoulli_exact, gamma_n and ratrecon
+        # denominator; fractions serves only bernoulli_exact and ratrecon
         code = ("import sys, supercong.cli; before = 'fractions' in sys.modules; "
                 "from supercong.verifier import CLAIMS, sweep; sweep(list(CLAIMS)); "
                 "print(before, 'fractions' in sys.modules)")
@@ -427,10 +428,39 @@ class TestSearchCommand:
         assert out.stdout.split() == ["False", "False"]
 
 
+def _oracle(capsys, *argv):
+    """The exit code and the ladder and Kronecker values of one `oracle` run."""
+    rc, out, err = run(capsys, ["oracle", *argv])
+    lines = out.splitlines()
+    verdict = "agree" if rc == 0 else "DISAGREE"
+    assert [line.split(":")[0] for line in lines[:2]] == ["ladder", "kronecker"] and lines[2:] == [verdict], out
+    return rc, int(lines[0].split()[1]), int(lines[1].split()[1])
+
+
 class TestOracleCommand:
     def test_agreement(self, capsys):
-        rc, out, _ = run(capsys, ["oracle", "--n", "3", "--m", "1", "--p", "5"])
-        assert rc == 0 and "agree" in out
+        # target 61 is past the test brute force's cap of 60
+        for argv in (["--n", "3", "--m", "1", "--p", "5"], ["--n", "7", "--m", "1", "--p", "61"]):
+            rc, ladder, kronecker = _oracle(capsys, *argv)
+            assert rc == 0 and ladder == kronecker, argv
+        assert ladder == compsum.comp_sum(compsum.r_spec(7, 1, 61))
+
+    @pytest.mark.parametrize("argv", [
+        # the period key at e = 1, and the reduced route at e = 3, of both families
+        ["--p", "1009"], ["--p", "1009", "--bounded"],
+        ["--p", "11", "--r", "3"], ["--p", "11", "--r", "3", "--bounded"],
+        # R(7,3,11**4) mod 11**4: a 2.1 Mbit Kronecker operand, about 2 s
+        ["--p", "11", "--r", "4"],
+    ], ids=lambda argv: "-".join(arg.lstrip("-") for arg in argv))
+    def test_agreement_at_production_sizes(self, capsys, argv):
+        rc, ladder, kronecker = _oracle(capsys, "--n", "7", "--m", "3", *argv)
+        assert rc == 0 and ladder == kronecker
+
+    def test_disagreement_exits_1(self, capsys, monkeypatch):
+        right = cli.comp_sum
+        monkeypatch.setattr(cli, "comp_sum", lambda spec, M: (right(spec, M) + 1) % M.modulus)
+        rc, ladder, kronecker = _oracle(capsys, "--n", "7", "--m", "1", "--p", "61")
+        assert rc == 1 and ladder == (kronecker + 1) % 61
 
     def test_bounded_and_target(self, capsys):
         rc, out, _ = run(capsys, ["oracle", "--n", "7", "--m", "2", "--p", "5", "--bounded"])
@@ -438,6 +468,9 @@ class TestOracleCommand:
         rc, out, _ = run(capsys, ["oracle", "--n", "2", "--m", "1", "--p", "3", "--target", "4"])
         assert rc == 0
 
-    def test_scale_guard_is_cli_error(self, capsys):
-        rc, _, err = run(capsys, ["oracle", "--n", "7", "--m", "1", "--p", "61"])
-        assert rc == 2 and "ScaleGuardError" in err
+    def test_scale_guard_is_cli_error(self, capsys, builds):
+        # R(7,3,11**5) mod 11**5 would pack 27 Mbit: refused before any ladder is climbed
+        start = time.perf_counter()
+        rc, out, err = run(capsys, ["oracle", "--n", "7", "--m", "3", "--p", "11", "--r", "5"])
+        assert rc == 2 and "ScaleGuardError" in err and out == ""
+        assert builds == [] and time.perf_counter() - start < 1

@@ -9,20 +9,19 @@ import pytest
 
 from supercong import compsum
 from supercong.compsum import (
-    BRUTEFORCE_TARGET_CAP,
     CompSumSpec,
     PrecisionError,
     ScaleGuardError,
     comp_sum,
-    comp_sum_bruteforce,
     comp_sum_kronecker,
     count_solutions_exact,
-    gamma_n,
     r_spec,
     s_spec,
 )
 from supercong.modring import PrimePowerModulus, is_prime, rational_to_residue
 from supercong.verifier import EvalContext
+
+from oracles import BRUTEFORCE_TARGET_CAP, comp_sum_bruteforce, gamma_n
 
 
 class TestSpecValidation:
@@ -440,6 +439,22 @@ class TestReducedRoute:
         assert len(reports) == 6 and all(rep.status == "pass" for rep in reports), reports
 
 
+class TestKroneckerGuard:
+    def test_a_wide_operand_is_refused(self):
+        # R(7,3,11**5) mod 11**5: 483,154 slots of 7 bytes
+        with pytest.raises(ScaleGuardError, match="27056624 bits at target 483153"):
+            comp_sum_kronecker(r_spec(7, 3, 11, 5), PrimePowerModulus(11, 5))
+
+    def test_the_bound_is_on_the_packed_operand(self, monkeypatch):
+        # target 5 mod 5: 6 slots of (6 * 4**2).bit_length() // 8 + 1 = 1 byte, 48 bits
+        spec, M = r_spec(3, 1, 5), PrimePowerModulus(5, 1)
+        monkeypatch.setattr(compsum, "_KRONECKER_BITS", 48)
+        assert comp_sum_kronecker(spec, M) == comp_sum(spec, M) == 3
+        monkeypatch.setattr(compsum, "_KRONECKER_BITS", 47)
+        with pytest.raises(ScaleGuardError, match="48 bits"):
+            comp_sum_kronecker(spec, M)
+
+
 class TestBruteforce:
     def test_spec_examples(self):
         assert comp_sum_bruteforce(CompSumSpec(n=2, m=1, p=3, target=4)) == 1
@@ -447,7 +462,7 @@ class TestBruteforce:
         assert comp_sum_bruteforce(r_spec(3, 1, 5)) == 3
 
     def test_scale_guard(self):
-        with pytest.raises(ScaleGuardError):
+        with pytest.raises(ValueError, match="capped at target 60, got 61"):
             comp_sum_bruteforce(r_spec(7, 1, 61))
         assert BRUTEFORCE_TARGET_CAP == 60
 

@@ -7,13 +7,14 @@ from supercong.bernoulli import bernoulli_mod_p
 from supercong.compsum import (
     CompSumSpec,
     comp_sum,
-    comp_sum_bruteforce,
     comp_sum_kronecker,
     r_spec,
     s_spec,
 )
-from supercong.mhs import mhs, mhs_restricted, unordered_sum, unordered_sum_bruteforce
+from supercong.mhs import mhs, mhs_restricted, unordered_sum
 from supercong.modring import NonUnitError, PrimePowerModulus, is_prime, rational_to_residue
+
+from oracles import comp_sum_bruteforce, unordered_sum_bruteforce
 
 
 def _trial_division(n: int) -> bool:

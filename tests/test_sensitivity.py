@@ -1,7 +1,9 @@
 """Sensitivity of the catalog: break one layer, and see which claims notice.
 
 Each mutation is applied by monkeypatch to the engine in this process (no
-source copies), and the default catalog is swept with and without it. A
+source files are copied; a mutation of one expression inside a function
+recompiles that function from its own source, see _mutant), and the
+default catalog is swept with and without it. A
 claim notices a mutation when one of its pass rows no longer passes. A
 claim is blind to it when it reads the mutated layer (a composition sum
 that changed value, or a Bernoulli residue taken by the power sum) and
@@ -9,6 +11,7 @@ does not notice: its pass rows show only that the layer agrees with
 itself.
 """
 
+import __future__
 import inspect
 import sys
 
@@ -96,6 +99,47 @@ def test_a_wrong_reduction_weight_is_noticed(baseline, monkeypatch):
     # their sides were reduced: each keeps one side at its full target
     assert {"EQ-1.3", "EQ-4.1", "LEM-2.3-ii", "THM-1.1-ii", "PROP-4.1"} <= noticed
     assert noticed <= _COMPOSITION_CLAIMS
+
+
+def _mutant(module, name: str, old: str, new: str):
+    """module.name recompiled from its own source with the one occurrence of
+    old replaced by new, its globals a copy of the module's."""
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(old) == 1, (name, old)
+    code = compile(source.replace(old, new), module.__file__, "exec",
+                   flags=__future__.annotations.compiler_flag, dont_inherit=True)
+    namespace = dict(vars(module))
+    exec(code, namespace)
+    return namespace[name]
+
+
+# The reduction's binomials and the bounded family's shifted copies: today
+# every claim that reads a changed value notices. Each set may only shrink.
+_DIGIT_WEIGHT_BLIND_AT_MOST: set[str] = set()
+_SHIFT_BLIND_AT_MOST: set[str] = set()
+
+
+def test_an_off_by_one_digit_weight_binomial(baseline, reads, monkeypatch):
+    # _digit_weights steps C(n*e - 1 + j, n*e - 1) to j + 1 by the exact ratio
+    # (n*e + j)/(j + 1); here the numerator is one too large
+    step, off_by_one = "binomial * (d + j) // (j + 1)", "binomial * (d + j + 1) // (j + 1)"
+    monkeypatch.setattr(compsum, "_digit_weights", _mutant(compsum, "_digit_weights", step, off_by_one))
+    mutated = _sweep()
+    assert {"EQ-1.3", "EQ-4.1", "LEM-2.3-ii", "THM-1.1-ii", "PROP-4.1"} <= _noticed(baseline, mutated)
+    assert _blind(baseline, mutated, reads) <= _DIGIT_WEIGHT_BLIND_AT_MOST
+
+
+@pytest.mark.parametrize("old,new", [
+    ("(-1) ** k * comb(n, k)", "comb(n, k)"),  # every shifted copy added
+    ("N - k * p**spec.r", "N - k * p**(spec.r + 1)"),  # shifted by p**(R+1)
+], ids=["sign", "shift"])
+def test_a_wrong_bounded_shift(baseline, reads, monkeypatch, old, new):
+    # _reading reads the bounded family through f_b == (1 - x**p**R) * f, that is
+    # f_b**n == sum_k (-1)**k C(n, k) x**(k*p**R) f**n
+    monkeypatch.setattr(compsum, "_reading", _mutant(compsum, "_reading", old, new))
+    mutated = _sweep()
+    assert {"EQ-4.1", "LEM-2.3-i", "LEM-2.3-ii", "COR-3.8"} <= _noticed(baseline, mutated)
+    assert _blind(baseline, mutated, reads) <= _SHIFT_BLIND_AT_MOST
 
 
 def test_a_wrong_ladder_inverse_at_multiples_of_p(baseline, reads, monkeypatch):
@@ -188,6 +232,21 @@ def _callers(owner, name: str) -> set[str]:
 def power_sum_readers():
     """The claims whose default grid reads a B_k residue through the power sum."""
     return _callers(bernoulli, "power_sum_residue")
+
+
+# CONJ-5.1-w10 is blind to a wrong Bernoulli index for the reason it is blind
+# to a wrong residue (below). This set may only shrink.
+_BERNOULLI_INDEX_BLIND_AT_MOST = {"CONJ-5.1-w10"}
+
+
+def test_a_bernoulli_index_off_by_two(baseline, monkeypatch):
+    # every right-hand side reads B_k as B_(k-2), k >= 2
+    readers = _callers(verifier, "bernoulli_mod_p")
+    residue = verifier.bernoulli_mod_p
+    monkeypatch.setattr(verifier, "bernoulli_mod_p", lambda k, p: residue(k - 2 if k >= 2 else k, p))
+    noticed = _noticed(baseline, _sweep())
+    assert {"EQ-1.1", "THM-1.1-i", "THM-1.1-ii", "PROP-4.1", "LEM-3.1", "LEM-3.4", "COR-3.2"} <= readers
+    assert readers - noticed <= _BERNOULLI_INDEX_BLIND_AT_MOST
 
 
 def test_a_flipped_pair_correction_in_the_power_sum(baseline, power_sum_readers, monkeypatch):

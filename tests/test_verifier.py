@@ -1,6 +1,7 @@
 import concurrent.futures
 import os
 import random
+import sys
 from fractions import Fraction
 from math import factorial
 
@@ -24,6 +25,8 @@ from supercong.verifier import (
     _triple_bernoulli,
     _U_COMPS,
 )
+
+mhs_module = sys.modules["supercong.mhs"]  # the package's `mhs` attribute is the function
 
 
 class TestRegistry:
@@ -53,6 +56,20 @@ class TestVerify:
         report = verify(ClaimInstance("THM-1.1-i", 11, m=1))
         assert report.status == "pass"
         assert report.lhs == report.rhs == 2
+
+    @pytest.mark.parametrize("instance,name,why", [
+        # checked at r = 3, params() would replay it at r = 2 with m = 1 as its extra
+        (ClaimInstance("THM-1.1-ii", 11, r=3, m=1, extra=(("r", 2),)), "r", "names a field"),
+        # checked at a = 1, params() would report a = 2
+        (ClaimInstance("LEM-2.1", 11, n=5, m=2, extra=(("a", 1), ("a", 2))), "a", "is given twice"),
+    ], ids=["extra-field", "extra-twice"])
+    def test_a_parameter_given_twice_is_an_error(self, instance, name, why):
+        # only the Python API builds these: the CLI refuses a repeated name, and
+        # it and the grids send p, r, m and n to the fields
+        report = verify(instance)
+        assert (report.status, report.note) == ("error", f"bad parameters: extra parameter {name!r} {why}")
+        single = instance._replace(extra=instance.extra[:1] if name == "a" else ())
+        assert verify(single).status == "pass"
 
     def test_thm11i_hypothesis_gate(self):
         report = verify(ClaimInstance("THM-1.1-i", 7, m=1))
@@ -447,6 +464,24 @@ def evaluated(monkeypatch):
 
 class TestPlan:
     """A sweep plans each prime before evaluating it, so that each ladder is built once."""
+
+    def test_each_unordered_table_is_built_once(self, monkeypatch):
+        # LEM-3.1 and LEM-3.4 read both weight branches off one table per (b, p),
+        # built at p**3; an even weight is reduced mod p**2
+        built = []
+        at = mhs_module._UnorderedTable.at
+
+        def counting(self, r):
+            if r > self.r:
+                built.append((self.b, self.p, r))
+            return at(self, r)
+
+        mhs_module._inverse_power_sums.cache_clear()
+        monkeypatch.setattr(mhs_module._UnorderedTable, "at", counting)
+        reports = sweep(["LEM-3.1", "LEM-3.4"])
+        assert {rep.status for rep in reports} == {"pass"}
+        assert len(built) == len({(b, p) for b, p, _ in built}) == 21
+        assert {r for *_, r in built} == {3}
 
     def test_catalog_builds_one_ladder_per_key(self, builds, monkeypatch):
         routed = set()

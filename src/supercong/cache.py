@@ -6,12 +6,15 @@ Each residue is canonical modulo p**e, with e taken from the params'
 `e=` field (p**r when there is none); a row outside that range is
 refused on load. A final line without its newline is the torn tail of an
 interrupted append: it is skipped with a warning and cut off before the
-next append.
+next append. An append holds an exclusive flock on the file, so appends
+from several processes never interleave.
 """
 
 from __future__ import annotations
 
 import csv
+import fcntl
+import io
 import os
 import sys
 from pathlib import Path
@@ -68,28 +71,28 @@ class ResidueCache:
             raise ValueError(f"{where}: residue {value} is not canonical mod {p}**{e}")
         return (quantity, p, r, params), value
 
-    def _cut_torn_tail(self) -> None:
-        with self.path.open("r+b") as fh:
+    def append(self, new_rows: dict[CacheKey, int]) -> int:
+        """Append unseen rows (sorted by key) and fold them in; returns count.
+
+        The torn tail is cut and the rows written, in one write with the
+        header when the file is empty, under an exclusive lock on the file,
+        so that appenders in other processes cannot tear each other's rows."""
+        fresh = {k: v for k, v in new_rows.items() if k not in self.rows}
+        if not fresh:
+            return 0
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerows([*key, fresh[key]] for key in sorted(fresh))
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        with self.path.open("a+b") as fh:
+            fcntl.flock(fh, fcntl.LOCK_EX)  # released when the file closes
+            fh.seek(0)
             data = fh.read()
             end = data.rfind(b"\n") + 1
             if end < len(data):
                 fh.truncate(end)
-
-    def append(self, new_rows: dict[CacheKey, int]) -> int:
-        """Append unseen rows (sorted by key) and fold them in; returns count."""
-        fresh = {k: v for k, v in new_rows.items() if k not in self.rows}
-        if not fresh:
-            return 0
-        if self.path.exists():
-            self._cut_torn_tail()
-        else:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            if fh.tell() == 0:
-                writer.writerow(COLUMNS)
-            for key in sorted(fresh):
-                writer.writerow([key[0], key[1], key[2], key[3], fresh[key]])
+            header = b"" if end else ",".join(COLUMNS).encode() + b"\n"
+            fh.write(header + out.getvalue().encode())
         self.rows.update(fresh)
         return len(fresh)
 

@@ -180,9 +180,8 @@ def _cmd_verify(args) -> int:
         reports = sweep(claim_ids, GridSpec(*selected), ctx=ctx, jobs=args.jobs)
     if cache is not None:
         cache.append(ctx.new_rows)
-    text = reports_mod.emit_report(reports, args.format, path=args.out)
-    if args.out is None:
-        sys.stdout.write(text)
+    reports_mod.emit_report(reports, args.format, path=args.out,
+                            out=sys.stdout if args.out is None else None)
     if args.stats:
         print(
             f"comp_sum evaluations: {ctx.comp_sum_evals} (cache hits: {ctx.cache_hits})",

@@ -12,14 +12,15 @@ sums P_k = sum l**(-k) over the units 0 < l < b*p, one O(b*p) pass of
 inverses per (b, p) at the highest precision asked and one multiply per
 index and weight, are combined with integer coefficients only (the
 quasi-shuffle relation), so no precision is lost at any r, and a value
-mod p**r reduces to the value mod any lower power. The chain sweep over
-the rearrangements of the exponents is its oracle, with a nested-loop
-brute force kept in the tests.
+mod p**r reduces to the value mod any lower power. Only the last prime's
+tables are held: a call at another prime drops them, so a sweep, which
+verifies one prime at a time, holds one prime's tables however many
+primes it covers. The chain sweep over the rearrangements of the
+exponents is its oracle, with a nested-loop brute force kept in the tests.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence
 
 from .modring import NonUnitError, PrimePowerModulus
@@ -78,11 +79,12 @@ def mhs_restricted(N: int, s: Sequence[int], M: PrimePowerModulus) -> int:
 
 
 class _UnorderedTable:
-    """Unordered sums at one (b, p), kept for the whole process at the
-    highest precision p**r asked of it: the inverse power sums P_k = sum of
-    l**(-k) over units 0 < l < b*p, mod p**r, and the collision memo of U
-    values on sorted exponent tuples. Every value is an integer
-    combination of power sums, so it serves any lower precision reduced.
+    """Unordered sums at one (b, p), kept while p is the prime being
+    verified, at the highest precision p**r asked of it: the inverse power
+    sums P_k = sum of l**(-k) over units 0 < l < b*p, mod p**r, and the
+    collision memo of U values on sorted exponent tuples. Every value is an
+    integer combination of power sums, so it serves any lower precision
+    reduced.
 
     One inverse per unit index is taken once per precision; the power sums
     grow by one multiply per index and weight when a larger weight is
@@ -121,7 +123,29 @@ class _UnorderedTable:
         return memo[key]
 
 
-_inverse_power_sums = lru_cache(maxsize=None)(_UnorderedTable)  # one table per (b, p)
+class _PrimeTables(dict):
+    """The _UnorderedTable of each b at the last prime asked. A request at
+    another prime drops them all: sweeps verify one prime at a time, so a
+    table is never needed again once its prime is done."""
+
+    p = None
+
+    def __call__(self, b: int, p: int) -> _UnorderedTable:
+        if p != self.p:
+            self.cache_clear()
+            self.p = p
+        return self[b]
+
+    def __missing__(self, b: int) -> _UnorderedTable:
+        table = self[b] = _UnorderedTable(b, self.p)
+        return table
+
+    def cache_clear(self) -> None:
+        self.clear()
+        self.p = None
+
+
+_inverse_power_sums = _PrimeTables()
 
 
 def unordered_sum(b: int, alphas: Sequence[int], M: PrimePowerModulus) -> int:
@@ -136,8 +160,9 @@ def unordered_sum(b: int, alphas: Sequence[int], M: PrimePowerModulus) -> int:
     with U() = 1. The value is invariant under permutations of the
     exponents, so the recursion is memoized on sorted tuples, in one
     table per (b, p) at the highest precision asked, shared by every
-    call. The chain sweep (the multiplicity-weighted sum of mhs_restricted
-    over the rearrangements) is its oracle.
+    call at that prime until a call at another prime drops it. The chain
+    sweep (the multiplicity-weighted sum of mhs_restricted over the
+    rearrangements) is its oracle.
     """
     parts = _parts(alphas)
     n = len(parts)

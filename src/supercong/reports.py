@@ -2,6 +2,11 @@
 
 Row fields appear in a fixed order and no timestamps or volatile values
 are emitted, so two identical runs produce identical bytes.
+
+Every format is made as a sequence of pieces of at most _PIECE_ROWS rows.
+emit_report writes each piece to its file or stream as it is made, so a
+report of any length is written holding one piece of its text; render
+joins the pieces.
 """
 
 from __future__ import annotations
@@ -9,8 +14,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+from itertools import islice
 from json.encoder import encode_basestring_ascii
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .verifier import ClaimReport
 
@@ -40,16 +46,28 @@ def _param(key: str, value) -> str:
     return f"{key}={value}"
 
 
+class _ParamTexts(dict):
+    """key=value texts met in one render, by (key, value). Only int values
+    are looked up here: a bool or a tuple can equal a value that prints
+    differently (True == 1, (True, 2) == (1, 2)), so it is formatted anew."""
+
+    def __missing__(self, item):
+        text = self[item] = _param(*item)
+        return text
+
+
 def replay_command(report: ClaimReport) -> str:
     return row_values(report)[-1]
 
 
-def row_values(report: ClaimReport) -> tuple:
-    """The report's row, its values in FIELDS order; all three renderers read it."""
+def row_values(report: ClaimReport, texts: _ParamTexts | None = None) -> tuple:
+    """The report's row, its values in FIELDS order; all three renderers
+    read it, each passing one _ParamTexts for the whole render."""
     inst = report.instance
+    texts = _ParamTexts() if texts is None else texts
     # each parameter formatted once, in replay order: p, r, m, n, then the extras,
     # which are the last len(inst.extra) entries and also fill the extra field
-    params = [_param(key, value) for key, value in inst.params().items()]
+    params = [texts[item] if type(item[1]) is int else _param(*item) for item in inst.params().items()]
     return (
         inst.claim_id, inst.p, inst.r, inst.m, inst.n,
         ";".join(params[len(params) - len(inst.extra):]),
@@ -58,12 +76,27 @@ def row_values(report: ClaimReport) -> tuple:
     )
 
 
+# Every format is made as a sequence of pieces, each holding at most this
+# many rows (about 120 KB of json), so that writing a report never holds
+# more than one piece of its text.
+_PIECE_ROWS = 256
+
+
+def _row_chunks(reports: Iterable[ClaimReport]) -> Iterator[Iterator[tuple]]:
+    """The reports' rows in runs of at most _PIECE_ROWS, each row made as it is read."""
+    texts = _ParamTexts()
+    reports = iter(reports)
+    while chunk := list(islice(reports, _PIECE_ROWS)):
+        yield (row_values(report, texts) for report in chunk)
+
+
 # json.dumps(doc, indent=2) walks the document in Python (CPython's C
-# encoder serves only indent=None), so render_json writes the same bytes
-# itself: a fixed head, and one fixed template per row filled with each
-# value's JSON text. A row of ints, strs and Nones takes those texts from
-# one dict per render, so a repeated value (a claim id, an anchor, a
-# status, a note, a small int) is encoded once; a row holding any other
+# encoder serves only indent=None), so the json pieces hold the same bytes
+# written directly: a fixed head, and one fixed template per row filled
+# with each value's JSON text. A row of ints, strs and Nones takes those
+# texts from one dict per piece, so a repeated value (a claim id, an
+# anchor, a status, a note, a small int) is encoded once a piece; the
+# replay, new in every row, is encoded directly. A row holding any other
 # type (a bool, a tuple p on an error row) goes through json.dumps.
 _JSON_HEAD = '{\n  "report_fields": [\n' + ",\n".join(
     f"    {encode_basestring_ascii(f)}" for f in FIELDS) + "\n  ],\n"
@@ -81,64 +114,102 @@ class _JsonTexts(dict):
         return text
 
 
-def render_json(reports: Iterable[ClaimReport]) -> str:
-    """json.dumps({"report_fields": [...], "reports": [...]}, indent=2) + newline, byte for byte."""
+def _json_rows(rows: Iterable[tuple], separator: str) -> str:
+    """The rows' JSON texts joined, with separator in front."""
     texts = _JsonTexts().__getitem__
-    rows = [_JSON_ROW % tuple(map(texts, row)) if _JSON_PLAIN.issuperset(map(type, row))
+    encode = encode_basestring_ascii
+    rows = [_JSON_ROW % (*map(texts, row[:-1]), encode(row[-1])) if _JSON_PLAIN.issuperset(map(type, row))
             else "    " + json.dumps(dict(zip(FIELDS, row)), indent=2).replace("\n", "\n    ")
-            for row in map(row_values, reports)]
-    if not rows:
-        return _JSON_HEAD + '  "reports": []\n}\n'
-    return _JSON_HEAD + '  "reports": [\n' + ",\n".join(rows) + "\n  ]\n}\n"
+            for row in rows]
+    rows[0] = separator + rows[0]
+    return ",\n".join(rows)
 
 
-def render_csv(reports: Iterable[ClaimReport]) -> str:
+def _json_pieces(reports: Iterable[ClaimReport]) -> Iterator[str]:
+    """json.dumps({"report_fields": [...], "reports": [...]}, indent=2) + newline, byte for byte."""
+    opening = _JSON_HEAD + '  "reports": [\n'
+    separator = opening
+    for chunk in _row_chunks(reports):
+        yield _json_rows(chunk, separator)
+        separator = ",\n"
+    yield _JSON_HEAD + '  "reports": []\n}\n' if separator is opening else "\n  ]\n}\n"
+
+
+def _csv_text(rows: Iterable) -> str:
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(FIELDS)
-    writer.writerows(["" if v is None else v for v in row] for row in map(row_values, reports))
+    csv.writer(out, lineterminator="\n").writerows(rows)
     return out.getvalue()
 
 
-def render_md(reports: Iterable[ClaimReport]) -> str:
-    reports = list(reports)
-    lines = ["# Congruence verification report", ""]
-    if not reports:
-        lines.append("(no instances)")
-        lines.append("")
-        return "\n".join(lines)
-    cols = FIELDS[1:11]  # p .. note
-    by_claim: dict[str, list[ClaimReport]] = {}
-    for report in reports:
-        by_claim.setdefault(report.instance.claim_id, []).append(report)
-    for claim_id in sorted(by_claim):
-        group = by_claim[claim_id]
-        lines.append(f"## {claim_id}")
-        lines.append("")
-        lines.append(f"`{group[0].anchor}`")
-        lines.append("")
-        lines.append("| " + " | ".join(cols) + " |")
-        lines.append("|" + "|".join(" --- " for _ in cols) + "|")
-        for row in map(row_values, group):
-            cells = ["" if v is None else str(v) for v in row[1:11]]
-            lines.append("| " + " | ".join(cells) + " |")
-        lines.append("")
-    return "\n".join(lines)
+def _csv_pieces(reports: Iterable[ClaimReport]) -> Iterator[str]:
+    yield _csv_text([FIELDS])
+    for chunk in _row_chunks(reports):
+        yield _csv_text(["" if v is None else v for v in row] for row in chunk)
 
 
-_RENDERERS = {"json": render_json, "csv": render_csv, "md": render_md}
+_MD_COLUMNS = FIELDS[1:11]  # p .. note
+_MD_TABLE_HEAD = ("| " + " | ".join(_MD_COLUMNS) + " |\n"
+                  + "|" + "|".join(" --- " for _ in _MD_COLUMNS) + "|\n")
+
+
+def _md_pieces(reports: Iterable[ClaimReport]) -> Iterator[str]:
+    """One table per claim, claims in id order, each claim's rows in the
+    order given. A sweep's reports already sort by claim id, which makes
+    the stable sort here one linear pass."""
+    yield "# Congruence verification report\n\n"
+    claim_id = None
+    for chunk in _row_chunks(sorted(reports, key=lambda report: report.instance.claim_id)):
+        lines = []
+        for row in chunk:
+            if row[0] != claim_id:
+                if claim_id is not None:
+                    lines.append("\n")  # a blank line closes the previous claim's table
+                claim_id = row[0]
+                lines.append(f"## {claim_id}\n\n`{row[11]}`\n\n{_MD_TABLE_HEAD}")
+            lines.append("| " + " | ".join(["" if v is None else str(v) for v in row[1:11]]) + " |\n")
+        yield "".join(lines)
+    if claim_id is None:
+        yield "(no instances)\n"
+
+
+_PIECES = {"json": _json_pieces, "csv": _csv_pieces, "md": _md_pieces}
+
+
+def _pieces(reports: Iterable[ClaimReport], fmt: str) -> Iterator[str]:
+    """The report's text in fmt, as pieces of at most _PIECE_ROWS rows each."""
+    if fmt not in _PIECES:
+        raise ValueError(f"unknown format {fmt!r}; choose one of {FORMATS}")
+    return _PIECES[fmt](reports)
 
 
 def render(reports: Iterable[ClaimReport], fmt: str) -> str:
-    if fmt not in _RENDERERS:
-        raise ValueError(f"unknown format {fmt!r}; choose one of {FORMATS}")
-    return _RENDERERS[fmt](reports)
+    return "".join(_pieces(reports, fmt))
 
 
-def emit_report(reports: Iterable[ClaimReport], fmt: str, path=None) -> str:
-    """Render and optionally write to a file; returns the rendered text."""
-    text = render(reports, fmt)
+def render_json(reports: Iterable[ClaimReport]) -> str:
+    return render(reports, "json")
+
+
+def render_csv(reports: Iterable[ClaimReport]) -> str:
+    return render(reports, "csv")
+
+
+def render_md(reports: Iterable[ClaimReport]) -> str:
+    return render(reports, "md")
+
+
+def emit_report(reports: Iterable[ClaimReport], fmt: str, path=None, out=None) -> str:
+    """Write the report piece by piece to the file at path, or else to the
+    text stream out, and return ""; given neither, return its text.
+
+    writelines makes one write per piece and drops each piece before it
+    asks for the next, so one piece of the text is held at a time."""
+    report = _pieces(reports, fmt)
     if path is not None:
         with open(path, "w", newline="") as fh:
-            fh.write(text)
-    return text
+            fh.writelines(report)
+    elif out is not None:
+        out.writelines(report)
+    else:
+        return "".join(report)
+    return ""

@@ -201,24 +201,36 @@ class TestUnorderedSum:
 
         calls = [
             (1, (1, 2), 11, 3), (1, (2, 1), 11, 2), (1, (3,), 11, 2), (1, (1, 1, 1), 11, 2),
-            (2, (1, 2), 11, 2), (1, (1, 2), 11, 1), (1, (1, 2), 13, 2), (1, (1, 3), 11, 2),
+            (2, (1, 2), 11, 2), (1, (1, 2), 11, 1), (1, (1, 3), 11, 2),
         ]
         expected = [unordered_by_rearrangements(b, parts, PrimePowerModulus(p, r)) for b, parts, p, r in calls]
         monkeypatch.setattr(mhs_module, "pow", counting_pow, raising=False)
         mhs_module._inverse_power_sums.cache_clear()
         assert [unordered_sum(b, parts, PrimePowerModulus(p, r)) for b, parts, p, r in calls] == expected
-        keys = {(b, p) for b, parts, p, r in calls}
-        assert mhs_module._inverse_power_sums.cache_info().misses == len(keys) == 3
-        # one inverse per unit index and key: (1, 11) was built at 11**3 and serves
-        # r = 1, 2 reduced; it grew from weight 3 to 4 without another inverse
-        assert len(inverses) == sum(b * (p - 1) for b, p in keys)
+        # one table per b at the prime asked, and one inverse per unit index and table:
+        # (1, 11) was built at 11**3 and serves r = 1, 2 reduced; it grew from weight 3
+        # to 4 without another inverse
+        assert sorted(mhs_module._inverse_power_sums) == [1, 2]
+        assert len(inverses) == 1 * 10 + 2 * 10
         assert len(mhs_module._inverse_power_sums(1, 11).sums) == 5
         # a request above a table's precision rebuilds that table once, in place
         del inverses[:]
-        unordered_sum(1, (1, 2), PrimePowerModulus(13, 3))
-        unordered_sum(1, (2, 2), PrimePowerModulus(13, 2))
-        assert len(inverses) == 12 and mhs_module._inverse_power_sums.cache_info().misses == 3
-        assert mhs_module._inverse_power_sums(1, 13).r == 3
+        unordered_sum(1, (1, 2), PrimePowerModulus(11, 4))
+        unordered_sum(1, (2, 2), PrimePowerModulus(11, 2))
+        assert len(inverses) == 10 and sorted(mhs_module._inverse_power_sums) == [1, 2]
+        assert mhs_module._inverse_power_sums(1, 11).r == 4
+
+    def test_a_request_at_another_prime_drops_the_tables(self):
+        mhs_module._inverse_power_sums.cache_clear()
+        for b in (1, 2):
+            unordered_sum(b, (1, 2), PrimePowerModulus(11, 2))
+        table = mhs_module._inverse_power_sums(1, 11)
+        M = PrimePowerModulus(13, 2)
+        assert unordered_sum(1, (1, 2), M) == unordered_by_rearrangements(1, (1, 2), M)
+        assert mhs_module._inverse_power_sums.p == 13
+        assert [(b, t.p) for b, t in mhs_module._inverse_power_sums.items()] == [(1, 13)]
+        # a return to 11 builds its table afresh
+        assert mhs_module._inverse_power_sums(1, 11) is not table
 
     def test_values_do_not_depend_on_call_order(self):
         rng = random.Random(3)

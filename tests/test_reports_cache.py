@@ -1,14 +1,23 @@
 import csv
 import io
 import json
+import math
+import os
 import random
+import subprocess
+import sys
+import time
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from supercong.cache import COLUMNS, ResidueCache
+from supercong import reports as reports_mod
 from supercong.reports import (
     FIELDS,
     emit_report,
+    render,
     render_csv,
     render_json,
     render_md,
@@ -46,6 +55,16 @@ class TestRows:
         )
         assert row(report)["extra"] == "alphas=1+1;b=2"
         assert "--instance p=11,n=2,alphas=1+1,b=2" in replay_command(report)
+
+    def test_equal_params_print_as_given(self):
+        # True == 1 and (True, 2) == (1, 2), but in one render each prints as given, in either order
+        given = [(("b", True), "b=True"), (("b", 1), "b=1"),
+                 (("alphas", (True, 2)), "alphas=True+2"), (("alphas", (1, 2)), "alphas=1+2")]
+        for order in (given, given[::-1]):
+            reports = [ClaimReport(ClaimInstance("LEM-3.4", 11, n=2, extra=(param,)), "error") for param, _ in order]
+            lines = render(reports, "csv").splitlines()[1:]
+            assert [line.split(",")[5] for line in lines] == [text for _, text in order]
+            assert render(reports, "json") == json_oracle(reports)
 
     def test_skip_row_has_empty_values(self):
         report = verify(ClaimInstance("THM-1.1-i", 7, m=1))
@@ -90,8 +109,8 @@ class TestRenderers:
 
     def test_emit_writes_file(self, tmp_path, passing_reports):
         out = tmp_path / "rep.json"
-        text = emit_report(passing_reports, "json", path=out)
-        assert out.read_text() == text
+        assert emit_report(passing_reports, "json", path=out) == ""
+        assert out.read_text() == render(passing_reports, "json")
 
 
 def report_row(report: ClaimReport) -> dict:
@@ -176,6 +195,71 @@ class TestOracles:
     def test_empty(self):
         for render, oracle in ((render_json, json_oracle), (render_csv, csv_oracle), (render_md, md_oracle)):
             assert render([]) == oracle([])
+
+
+class _Sink(io.TextIOBase):
+    """A text stream that counts its writes and their characters, keeping none."""
+
+    def __init__(self):
+        self.writes = self.size = 0
+
+    def write(self, text):
+        self.writes += 1
+        self.size += len(text)
+        return len(text)
+
+
+ORACLES = {"json": json_oracle, "csv": csv_oracle, "md": md_oracle}
+# the rows a piece holds, read off its text
+ROWS_IN = {
+    "json": lambda piece: piece.count('\n      "claim_id": '),
+    "csv": lambda piece: piece.count("\n"),
+    # each claim's table opens with two lines of its own: the column names and the rule
+    "md": lambda piece: sum(line.startswith("| ") - 2 * line.startswith("## ") for line in piece.splitlines()),
+}
+
+
+class TestStreaming:
+    """Every format is made, and written, in pieces of at most _PIECE_ROWS rows."""
+
+    @pytest.fixture(scope="class")
+    def mixes(self, catalog_reports):
+        mix = sweep(["EQ-1.1", "THM-1.1-i", "LEM-3.4", "CONJ-5.1-w10"], GridSpec(primes=(7, 11, 13)))
+        mix += [verify(ClaimInstance("EQ-1.1", (11, 13))), verify(ClaimInstance("LEM-3.3", 5, n=-1)),
+                ClaimReport(ClaimInstance("EQ-1.1", 11), "pass", 3, 3, 11, note="caf\u00e9 \u2264 \U0001d53d")]
+        assert {r.status for r in mix} >= {"pass", "skip", "error", "finding"}
+        return [catalog_reports, [], mix, random.Random(21).sample(mix, len(mix))]
+
+    @pytest.mark.parametrize("fmt", sorted(ORACLES))
+    def test_pieces_join_to_the_oracle(self, mixes, fmt):
+        limit = reports_mod._PIECE_ROWS
+        for reports in mixes:
+            pieces = list(reports_mod._pieces(reports, fmt))
+            assert "".join(pieces) == ORACLES[fmt](reports) == render(reports, fmt)
+            assert len(pieces) <= math.ceil(len(reports) / limit) + 2
+            assert max(map(ROWS_IN[fmt], pieces)) <= limit
+            assert sum(map(ROWS_IN[fmt], pieces)) == len(reports) + (fmt == "csv")
+
+    @pytest.mark.parametrize("fmt", sorted(ORACLES))
+    def test_emit_writes_piece_by_piece(self, catalog_reports, fmt):
+        sink = _Sink()
+        assert emit_report(catalog_reports, fmt, out=sink) == ""
+        assert sink.size == len(render(catalog_reports, fmt))
+        assert sink.writes <= math.ceil(len(catalog_reports) / reports_mod._PIECE_ROWS) + 2
+
+    def test_emit_holds_a_piece_not_the_report(self, catalog_reports):
+        size = len(render(catalog_reports, "json"))
+        sink = _Sink()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            emit_report(catalog_reports, "json", out=sink)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert sink.size == size
+        assert peak < size / 2
 
 
 class TestJsonBytes:
@@ -294,6 +378,39 @@ class TestCache:
         cache.append({("comp_sum", 5, 1, "kind=R;n=3;m=1;e=1"): 3})
         assert path.read_text().splitlines()[0] == ",".join(COLUMNS)
         assert len(ResidueCache(path).rows) == 1
+
+    def test_concurrent_appends_do_not_tear(self, tmp_path, capsys):
+        # two processes append 5,000 disjoint rows each, both released at once
+        script = (
+            "import pathlib, sys, time\n"
+            "from supercong.cache import ResidueCache\n"
+            "path, work, p = sys.argv[1], pathlib.Path(sys.argv[2]), int(sys.argv[3])\n"
+            "rows = {('comp_sum', p, 1, f'kind=R;n={n};m=1;e=1'): n % p for n in range(5000)}\n"
+            "cache = ResidueCache(path)\n"
+            "(work / f'ready{p}').touch()\n"
+            "deadline = time.monotonic() + 60\n"
+            "while not (work / 'go').exists() and time.monotonic() < deadline:\n"
+            "    time.sleep(0.001)\n"
+            "cache.append(rows)\n"
+        )
+        path = tmp_path / "cache.csv"
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        procs = [subprocess.Popen([sys.executable, "-c", script, str(path), str(tmp_path), str(p)], env=env)
+                 for p in (5, 7)]
+        try:
+            deadline = time.monotonic() + 60
+            while not all((tmp_path / f"ready{p}").exists() for p in (5, 7)) and time.monotonic() < deadline:
+                time.sleep(0.001)
+            (tmp_path / "go").touch()
+            codes = [proc.wait(timeout=60) for proc in procs]
+        finally:
+            for proc in procs:
+                proc.kill()
+        assert codes == [0, 0]
+        rows = ResidueCache(path).rows
+        assert capsys.readouterr().err == ""
+        assert path.read_text().count("quantity") == 1
+        assert len(rows) == 10_000 and {key[1] for key in rows} == {5, 7}
 
     def test_torn_row_inside_the_file_still_refused(self, tmp_path):
         path = tmp_path / "cache.csv"

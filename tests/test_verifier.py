@@ -483,6 +483,25 @@ class TestPlan:
         assert len(built) == len({(b, p) for b, p, _ in built}) == 21
         assert {r for *_, r in built} == {3}
 
+    def test_a_sweep_holds_only_its_last_primes_tables(self):
+        mhs_module._inverse_power_sums.cache_clear()
+        reports = sweep(["LEM-3.4"], GridSpec(primes=(11, 13, 17)))
+        assert {rep.status for rep in reports} == {"pass"}
+        held = mhs_module._inverse_power_sums
+        assert held.p == 17 and held
+        assert {table.p for table in held.values()} == {17}
+        assert sorted(held) == sorted({inst.get("b", 1) for inst in CLAIMS["LEM-3.4"].grid(GridSpec(primes=(17,)))})
+
+    def test_interleaved_primes_match_a_fresh_run(self):
+        instances = [inst for p in (11, 13, 11) for inst in CLAIMS["LEM-3.4"].grid(GridSpec(primes=(p,)))]
+        fresh = []
+        for inst in instances:
+            mhs_module._inverse_power_sums.cache_clear()
+            fresh.append(verify(inst))
+        mhs_module._inverse_power_sums.cache_clear()
+        assert [verify(inst) for inst in instances] == fresh
+        assert {rep.status for rep in fresh} == {"pass"}
+
     def test_catalog_builds_one_ladder_per_key(self, builds, monkeypatch):
         routed = set()
         evaluate = verifier.comp_sum

@@ -32,12 +32,20 @@ def _int(token: str, flag: str, text: str) -> int:
         raise ValueError(f"{flag} {text!r}: {token!r} is not an integer") from None
 
 
+# The widest a..b range accepted: a wider one is refused from its bounds,
+# before it is built, since its tuple alone could exhaust memory.
+_MAX_RANGE = 10**6
+
+
 def _parse_int_range(text: str, flag: str = "range") -> tuple[int, ...]:
     """'a..b' inclusive, or a comma list of integers; an error names the flag."""
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return tuple(range(_int(lo, flag, text), _int(hi, flag, text) + 1))
+        lo, hi = _int(lo, flag, text), _int(hi, flag, text)
+        if hi - lo >= _MAX_RANGE:
+            raise ValueError(f"{flag} {text!r} spans {hi - lo + 1} integers, more than {_MAX_RANGE}")
+        return tuple(range(lo, hi + 1))
     return tuple(_int(tok, flag, text) for tok in text.split(",") if tok)
 
 

@@ -3,10 +3,12 @@
 Row fields appear in a fixed order and no timestamps or volatile values
 are emitted, so two identical runs produce identical bytes.
 
-Every format is made as a sequence of pieces of at most _PIECE_ROWS rows.
-emit_report writes each piece to its file or stream as it is made, so a
-report of any length is written holding one piece of its text; render
-joins the pieces.
+The API is FIELDS, FORMATS, row_values(report) (one row, its values in
+FIELDS order), render(reports, fmt) (a whole report as text) and
+emit_report. Every format is made as a sequence of pieces of at most
+_PIECE_ROWS rows. emit_report writes each piece to its file or stream as
+it is made, so a report of any length is written holding one piece of its
+text; render joins the pieces.
 """
 
 from __future__ import annotations
@@ -46,28 +48,12 @@ def _param(key: str, value) -> str:
     return f"{key}={value}"
 
 
-class _ParamTexts(dict):
-    """key=value texts met in one render, by (key, value). Only int values
-    are looked up here: a bool or a tuple can equal a value that prints
-    differently (True == 1, (True, 2) == (1, 2)), so it is formatted anew."""
-
-    def __missing__(self, item):
-        text = self[item] = _param(*item)
-        return text
-
-
-def replay_command(report: ClaimReport) -> str:
-    return row_values(report)[-1]
-
-
-def row_values(report: ClaimReport, texts: _ParamTexts | None = None) -> tuple:
-    """The report's row, its values in FIELDS order; all three renderers
-    read it, each passing one _ParamTexts for the whole render."""
+def row_values(report: ClaimReport) -> tuple:
+    """The report's row, its values in FIELDS order; all three renderers read it."""
     inst = report.instance
-    texts = _ParamTexts() if texts is None else texts
     # each parameter formatted once, in replay order: p, r, m, n, then the extras,
     # which are the last len(inst.extra) entries and also fill the extra field
-    params = [texts[item] if type(item[1]) is int else _param(*item) for item in inst.params().items()]
+    params = [_param(*item) for item in inst.params().items()]
     return (
         inst.claim_id, inst.p, inst.r, inst.m, inst.n,
         ";".join(params[len(params) - len(inst.extra):]),
@@ -84,10 +70,9 @@ _PIECE_ROWS = 256
 
 def _row_chunks(reports: Iterable[ClaimReport]) -> Iterator[Iterator[tuple]]:
     """The reports' rows in runs of at most _PIECE_ROWS, each row made as it is read."""
-    texts = _ParamTexts()
     reports = iter(reports)
     while chunk := list(islice(reports, _PIECE_ROWS)):
-        yield (row_values(report, texts) for report in chunk)
+        yield map(row_values, chunk)
 
 
 # json.dumps(doc, indent=2) walks the document in Python (CPython's C
@@ -183,19 +168,8 @@ def _pieces(reports: Iterable[ClaimReport], fmt: str) -> Iterator[str]:
 
 
 def render(reports: Iterable[ClaimReport], fmt: str) -> str:
+    """The whole report in fmt, one of FORMATS."""
     return "".join(_pieces(reports, fmt))
-
-
-def render_json(reports: Iterable[ClaimReport]) -> str:
-    return render(reports, "json")
-
-
-def render_csv(reports: Iterable[ClaimReport]) -> str:
-    return render(reports, "csv")
-
-
-def render_md(reports: Iterable[ClaimReport]) -> str:
-    return render(reports, "md")
 
 
 def emit_report(reports: Iterable[ClaimReport], fmt: str, path=None, out=None) -> str:

@@ -14,8 +14,10 @@ whole catalog sweeps in seconds single-threaded.
 
 Instances are verified prime by prime (verify_instances), each prime
 against its own EvalContext, in process or as one process-pool task per
-prime; reports, counters and new cache rows do not depend on the number
-of workers. A prime is planned before it is evaluated: every instance
+prime. A task returns plain data: each instance's outcome, the context's
+counters and its new cache rows; the calling process builds each
+ClaimReport from its own instance, so reports, counters and new cache
+rows do not depend on the number of workers. A prime is planned before it is evaluated: every instance
 that passes its hypotheses is started up to the terms it yields, those
 terms, less the ones already cached, go to compsum as one plan, so that
 each ladder is built once, at the largest part count and target asked
@@ -155,6 +157,7 @@ class GridSpec(NamedTuple):
 Term = tuple[CompSumSpec, int]  # a composition sum and the exponent e of its modulus p**e
 Sides = tuple[int, int, int, str]  # lhs, rhs, modulus, note
 Evaluation = Generator[Sequence[Term], tuple[int, ...], Sides]
+Outcome = tuple[str, int | None, int | None, int | None, str, str]  # a ClaimReport's fields after its instance
 
 
 class EvalContext:
@@ -789,10 +792,10 @@ _EVAL_ERRORS = (NonUnitError, PoleError, ValueError, KeyError, TypeError)
 
 
 def _prepare(instance: ClaimInstance, claims: dict, primes: dict[int, bool]
-             ) -> tuple[Claim, ClaimReport | tuple[Evaluation, tuple[Term, ...]]]:
-    """The instance's claim, and either its final report (a skip, an error,
-    or the whole outcome of a claim without composition sums) or its
-    evaluation paused at the terms it yielded, with those terms.
+             ) -> tuple[Claim, Outcome | Evaluation, tuple[Term, ...]]:
+    """The instance's claim, and either its final outcome (a skip, an error,
+    or the whole outcome of a claim without composition sums) and no terms,
+    or its evaluation paused at the terms it yielded, and those terms.
 
     claims and primes are the caller's memos: each claim with the names of
     its dimensions and the indexes of the fields r, m, n it does not take,
@@ -820,32 +823,31 @@ def _prepare(instance: ClaimInstance, claims: dict, primes: dict[int, bool]
             prime = primes[p] = is_prime(p)
         reason = claim.violated(instance) if prime else f"{p} is not prime"
     except (KeyError, TypeError, ValueError) as exc:
-        return claim, ClaimReport(instance, "error", note=f"bad parameters: {exc}", anchor=claim.anchor)
+        return claim, ("error", None, None, None, f"bad parameters: {exc}", claim.anchor), ()
     if reason is not None:
-        return claim, ClaimReport(instance, "skip", note=reason, anchor=claim.anchor)
+        return claim, ("skip", None, None, None, reason, claim.anchor), ()
     try:
         run = claim.evaluate(instance)
         if isinstance(run, Generator):
-            return claim, (run, tuple(next(run)))
+            return claim, run, tuple(next(run))
     except _EVAL_ERRORS as exc:
-        return claim, _error(claim, instance, exc)
-    return claim, _report(claim, instance, run)
+        return claim, _error(claim, exc), ()
+    return claim, _outcome(claim, run), ()
 
 
-def _evaluate(claim: Claim, instance: ClaimInstance, run: Evaluation, terms: tuple[Term, ...],
-              ctx: EvalContext) -> ClaimReport:
-    """Send the paused evaluation its terms' values and report what it returns."""
+def _evaluate(claim: Claim, run: Evaluation, terms: tuple[Term, ...], ctx: EvalContext) -> Outcome:
+    """Send the paused evaluation its terms' values and judge what it returns."""
     try:
         run.send(tuple(ctx.comp_sum(spec, e) for spec, e in terms))
     except StopIteration as stop:
-        return _report(claim, instance, stop.value)
+        return _outcome(claim, stop.value)
     except _EVAL_ERRORS as exc:
-        return _error(claim, instance, exc)
+        return _error(claim, exc)
     run.close()
     raise RuntimeError(f"{claim.claim_id} yielded a second time; a claim yields its terms once")
 
 
-def _report(claim: Claim, instance: ClaimInstance, sides: Sides) -> ClaimReport:
+def _outcome(claim: Claim, sides: Sides) -> Outcome:
     lhs, rhs, modulus, note = sides
     if lhs == rhs:
         status = "pass"
@@ -853,22 +855,22 @@ def _report(claim: Claim, instance: ClaimInstance, sides: Sides) -> ClaimReport:
         status = "finding" if claim.conjecture else "fail"
         tag = "conjecture mismatch" if claim.conjecture else "congruence fails"
         note = f"{tag}: lhs {lhs} != rhs {rhs} (mod {modulus})" + (f"; {note}" if note else "")
-    return ClaimReport(instance, status, lhs=lhs, rhs=rhs, modulus=modulus, note=note, anchor=claim.anchor)
+    return status, lhs, rhs, modulus, note, claim.anchor
 
 
-def _error(claim: Claim, instance: ClaimInstance, exc: Exception) -> ClaimReport:
-    return ClaimReport(instance, "error", note=f"{type(exc).__name__}: {exc}", anchor=claim.anchor)
+def _error(claim: Claim, exc: Exception) -> Outcome:
+    return "error", None, None, None, f"{type(exc).__name__}: {exc}", claim.anchor
 
 
-def _verify_planned(instances: Iterable[ClaimInstance], ctx: EvalContext) -> list[ClaimReport]:
+def _verify_planned(instances: Iterable[ClaimInstance], ctx: EvalContext) -> list[Outcome]:
     """Check every instance's hypotheses and start its evaluation, hand all
     the terms yielded to ctx as one plan, then finish the instances in order."""
     claims: dict = {}
     primes: dict[int, bool] = {}
-    prepared = [(instance, *_prepare(instance, claims, primes)) for instance in instances]
-    ctx.plan(term for _, _, outcome in prepared if not isinstance(outcome, ClaimReport) for term in outcome[1])
-    return [outcome if isinstance(outcome, ClaimReport) else _evaluate(claim, instance, *outcome, ctx)
-            for instance, claim, outcome in prepared]
+    prepared = [_prepare(instance, claims, primes) for instance in instances]
+    ctx.plan(term for _, _, terms in prepared for term in terms)
+    return [_evaluate(claim, run, terms, ctx) if isinstance(run, Generator) else run
+            for claim, run, terms in prepared]
 
 
 def verify(instance: ClaimInstance, ctx: EvalContext | None = None) -> ClaimReport:
@@ -878,15 +880,18 @@ def verify(instance: ClaimInstance, ctx: EvalContext | None = None) -> ClaimRepo
     domain errors (non-units, Bernoulli poles, malformed parameters) yield
     an error report.
     """
-    return _verify_planned([instance], ctx if ctx is not None else EvalContext())[0]
+    return ClaimReport(instance, *_verify_planned([instance], ctx if ctx is not None else EvalContext())[0])
 
 
-def _verify_prime(task: tuple[list[ClaimInstance], dict]) -> tuple[list[ClaimReport], EvalContext]:
+def _verify_prime(task: tuple[list[ClaimInstance], dict]) -> tuple[list[Outcome], tuple[int, int, int], dict]:
     """Verify one prime's instances against a context holding only that
-    prime's cache rows; module-level so that a pool can run it."""
+    prime's cache rows; module-level so that a pool can run it. Returns
+    plain data: each instance's outcome in order, the context's counters
+    (evaluations, cache hits, ladder builds) and its new cache rows."""
     instances, cache_rows = task
     ctx = EvalContext(cache_rows)
-    return _verify_planned(instances, ctx), ctx
+    outcomes = _verify_planned(instances, ctx)
+    return outcomes, (ctx.comp_sum_evals, ctx.cache_hits, ctx.ladder_builds), ctx.new_rows
 
 
 def verify_instances(
@@ -899,10 +904,11 @@ def verify_instances(
 
     A prime's instances share one context and one compsum plan, so each
     ladder at that prime is built once and serves every claim, and one
-    primality test and one read of each claim's names serve them all. The
-    counters and new rows of each prime's context are merged into ctx in
-    ascending prime order, and reports come back in
-    ClaimInstance.sort_key order, so neither depends on the number of
+    primality test and one read of each claim's names serve them all. A
+    task returns its outcomes, counters and new cache rows; this process
+    merges the counters and rows into ctx in ascending prime order and
+    builds each report from its own instance, so reports come back in
+    ClaimInstance.sort_key order and nothing depends on the number of
     workers.
     """
     ctx = ctx if ctx is not None else EvalContext()
@@ -914,20 +920,25 @@ def verify_instances(
         cache.setdefault(key[1], {})[key] = value
     tasks = [(groups[p], cache.get(p, {})) for p in sorted(groups, key=lambda p: (isinstance(p, tuple), p))]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    if workers <= 1:
+        return _collect(tasks, map(_verify_prime, tasks), ctx)
+    from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_verify_prime, tasks))
-    else:
-        results = map(_verify_prime, tasks)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return _collect(tasks, pool.map(_verify_prime, tasks), ctx)
+
+
+def _collect(tasks: list[tuple[list[ClaimInstance], dict]], results: Iterable, ctx: EvalContext) -> list[ClaimReport]:
+    """Each task's reports, built from its own instances as its result
+    arrives, so no result is held once read; the counters and new rows go
+    to ctx in task order."""
     reports: list[ClaimReport] = []
-    for group_reports, shard in results:
-        reports.extend(group_reports)
-        ctx.comp_sum_evals += shard.comp_sum_evals
-        ctx.cache_hits += shard.cache_hits
-        ctx.ladder_builds += shard.ladder_builds
-        ctx.new_rows.update(shard.new_rows)
+    for (group, _), (outcomes, (evals, hits, builds), new_rows) in zip(tasks, results):
+        reports.extend(ClaimReport(inst, *outcome) for inst, outcome in zip(group, outcomes))
+        ctx.comp_sum_evals += evals
+        ctx.cache_hits += hits
+        ctx.ladder_builds += builds
+        ctx.new_rows.update(new_rows)
     reports.sort(key=lambda rep: rep.instance.sort_key())
     return reports
 

@@ -3,13 +3,14 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
 from supercong import cli, compsum
 from supercong.cli import SEARCH_FAMILIES, _parse_instance, _parse_int_range, _parse_primes, main
 from supercong.ratrecon import HUNT_FAMILIES
-from supercong.reports import replay_command
+from supercong.reports import row_values
 from supercong.verifier import CLAIMS, Claim, ClaimReport, instance_from_params
 
 
@@ -95,6 +96,33 @@ class TestVerifyCommand:
         assert (rc, out) == (2, "")
         assert err == f"error: ValueError: {flag} {text!r}: {token!r} is not an integer\n"
 
+    @pytest.mark.parametrize("argv, flag, text, width", [
+        (["verify", "--claims", "EQ-1.1", "--primes"], "--primes", "5..1000000000000", 999999999996),
+        (["verify", "--claims", "THM-1.1-ii", "--r"], "--r", "1..1000001", 1000001),
+        (["verify", "--claims", "THM-1.1-i", "--m"], "--m", "0..1000000", 1000001),
+        (["search", "--family", "qd", "--d", "9", "--primes"], "--primes", "11..100000000", 99999990),
+    ])
+    def test_a_too_wide_range_exits_two_before_it_is_built(self, capsys, tmp_path, argv, flag, text, width):
+        # a 10**12-wide tuple used to be built, and died of MemoryError
+        cache = tmp_path / "cache.csv"
+        cache.write_text("not,a,cache\n")  # reading it would fail with another message
+        tracemalloc.start()
+        try:
+            rc, out, err = run(capsys, [*argv, text, *(["--cache", str(cache)] if argv[0] == "verify" else [])])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (rc, out) == (2, "")
+        assert err == f"error: ValueError: {flag} {text!r} spans {width} integers, more than 1000000\n"
+        assert peak < 2**20
+
+    def test_range_width_bound_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_RANGE", 10)
+        assert _parse_int_range("1..10", "--r") == tuple(range(1, 11))
+        assert _parse_int_range(",".join(map(str, range(20))), "--r") == tuple(range(20))  # lists are not ranges
+        with pytest.raises(ValueError, match=r"--r '1\.\.11' spans 11 integers, more than 10"):
+            _parse_int_range("1..11", "--r")
+
     def test_conjecture_finding_does_not_fail_exit(self, capsys):
         rc, out, _ = run(
             capsys,
@@ -129,7 +157,7 @@ class TestVerifyCommand:
         count = 0
         for claim in CLAIMS.values():
             for inst in claim.grid():
-                argv = replay_command(ClaimReport(inst, "pass")).split()
+                argv = row_values(ClaimReport(inst, "pass"))[-1].split()
                 assert argv[argv.index("--claims") + 1] == inst.claim_id
                 params = _parse_instance(argv[argv.index("--instance") + 1])
                 assert instance_from_params(inst.claim_id, params) == inst

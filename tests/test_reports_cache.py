@@ -16,12 +16,9 @@ from supercong.cache import COLUMNS, ResidueCache
 from supercong import reports as reports_mod
 from supercong.reports import (
     FIELDS,
+    FORMATS,
     emit_report,
     render,
-    render_csv,
-    render_json,
-    render_md,
-    replay_command,
     row_values,
 )
 from supercong.verifier import CLAIMS, ClaimInstance, ClaimReport, GridSpec, sweep, verify
@@ -54,7 +51,7 @@ class TestRows:
             ClaimInstance("LEM-3.4", 11, n=2, extra=(("alphas", (1, 1)), ("b", 2)))
         )
         assert row(report)["extra"] == "alphas=1+1;b=2"
-        assert "--instance p=11,n=2,alphas=1+1,b=2" in replay_command(report)
+        assert "--instance p=11,n=2,alphas=1+1,b=2" in row_values(report)[-1]
 
     def test_equal_params_print_as_given(self):
         # True == 1 and (True, 2) == (1, 2), but in one render each prints as given, in either order
@@ -75,33 +72,33 @@ class TestRows:
 
 class TestRenderers:
     def test_json_shape(self, passing_reports):
-        doc = json.loads(render_json(passing_reports))
+        doc = json.loads(render(passing_reports, "json"))
         assert doc["report_fields"] == list(FIELDS)
         assert len(doc["reports"]) == 3
 
     def test_csv_header_and_rows(self, passing_reports):
-        lines = render_csv(passing_reports).splitlines()
+        lines = render(passing_reports, "csv").splitlines()
         assert lines[0] == ",".join(FIELDS)
         assert len(lines) == 4
 
     def test_csv_empty_is_header_only(self):
-        assert render_csv([]).splitlines() == [",".join(FIELDS)]
+        assert render([], "csv").splitlines() == [",".join(FIELDS)]
 
     def test_json_empty_is_valid(self):
-        assert json.loads(render_json([]))["reports"] == []
+        assert json.loads(render([], "json"))["reports"] == []
 
     def test_md_one_table_per_claim(self):
         reports = sweep(["EQ-1.1", "LEM-3.3"], GridSpec(primes=(11, 13)))
-        text = render_md(reports)
+        text = render(reports, "md")
         headings = [line for line in text.splitlines() if line.startswith("## ")]
         assert headings == ["## EQ-1.1", "## LEM-3.3"]
 
     def test_md_empty(self):
-        assert "(no instances)" in render_md([])
+        assert "(no instances)" in render([], "md")
 
     def test_renders_are_deterministic(self, passing_reports):
-        for renderer in (render_json, render_csv, render_md):
-            assert renderer(passing_reports) == renderer(passing_reports)
+        for fmt in FORMATS:
+            assert render(passing_reports, fmt) == render(passing_reports, fmt)
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
@@ -136,7 +133,7 @@ def report_row(report: ClaimReport) -> dict:
 
 
 def json_oracle(reports) -> str:
-    """The json report as json.dumps writes it: the bytes render_json must match."""
+    """The json report as json.dumps writes it: the bytes render(reports, "json") must match."""
     doc = {"report_fields": list(FIELDS), "reports": [report_row(r) for r in reports]}
     return json.dumps(doc, indent=2) + "\n"
 
@@ -184,17 +181,17 @@ class TestOracles:
 
     def test_catalog_json(self, catalog_reports):
         assert len(catalog_reports) == 1935
-        assert render_json(catalog_reports) == json_oracle(catalog_reports)
+        assert render(catalog_reports, "json") == json_oracle(catalog_reports)
 
     def test_catalog_csv(self, catalog_reports):
-        assert render_csv(catalog_reports) == csv_oracle(catalog_reports)
+        assert render(catalog_reports, "csv") == csv_oracle(catalog_reports)
 
     def test_catalog_md(self, catalog_reports):
-        assert render_md(catalog_reports) == md_oracle(catalog_reports)
+        assert render(catalog_reports, "md") == md_oracle(catalog_reports)
 
     def test_empty(self):
-        for render, oracle in ((render_json, json_oracle), (render_csv, csv_oracle), (render_md, md_oracle)):
-            assert render([]) == oracle([])
+        for fmt, oracle in (("json", json_oracle), ("csv", csv_oracle), ("md", md_oracle)):
+            assert render([], fmt) == oracle([])
 
 
 class _Sink(io.TextIOBase):
@@ -264,17 +261,17 @@ class TestStreaming:
 
 class TestJsonBytes:
     def test_empty(self):
-        assert render_json([]) == json_oracle([])
+        assert render([], "json") == json_oracle([])
 
     def test_none_sides(self):
         report = verify(ClaimInstance("THM-1.1-i", 7, m=1))
         assert report.lhs is None and report.rhs is None
-        assert render_json([report]) == json_oracle([report])
+        assert render([report], "json") == json_oracle([report])
 
     def test_escaped_note(self):
         note = 'caf\u00e9 \u2264 \U0001d53d "quoted" back\\slash \x00\x1f\x7f\n\t\r end'
         report = ClaimReport(ClaimInstance("EQ-1.1", 11), "pass", 3, 3, 11, note=note, anchor='a "b" \u00b5')
-        text = render_json([report])
+        text = render([report], "json")
         assert text == json_oracle([report])
         assert text.isascii() and json.loads(text)["reports"][0]["note"] == note
 
@@ -282,7 +279,7 @@ class TestJsonBytes:
         report = verify(ClaimInstance("EQ-1.1", (11, 13)))
         assert report.status == "error"
         reports = [report, verify(ClaimInstance("EQ-1.1", 11))]
-        assert render_json(reports) == json_oracle(reports)
+        assert render(reports, "json") == json_oracle(reports)
 
     def test_seeded_catalog_mix(self):
         reports = sweep(["EQ-1.1", "THM-1.1-i", "LEM-3.4", "CONJ-5.1-w10"], GridSpec(primes=(7, 11, 13)))
@@ -292,9 +289,9 @@ class TestJsonBytes:
         rng = random.Random(12)
         for size in (1, 2, 7, len(reports)):
             mix = rng.sample(reports, size)
-            assert render_json(mix) == json_oracle(mix)
-            assert render_csv(mix) == csv_oracle(mix)
-            assert render_md(mix) == md_oracle(mix)
+            assert render(mix, "json") == json_oracle(mix)
+            assert render(mix, "csv") == csv_oracle(mix)
+            assert render(mix, "md") == md_oracle(mix)
 
 
 class TestCache:

@@ -15,6 +15,7 @@ from supercong.verifier import (
     CLAIMS,
     Claim,
     ClaimInstance,
+    ClaimReport,
     EvalContext,
     GridSpec,
     instance_from_params,
@@ -335,6 +336,48 @@ class TestSweep:
         assert (par_ctx.comp_sum_evals, par_ctx.new_rows) == (seq_ctx.comp_sum_evals, seq_ctx.new_rows)
         monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one worker, so no pool
         assert sweep(claims, grid, jobs=10**6) == seq and sizes == [2]
+
+    @staticmethod
+    def _mixed_batch() -> list[ClaimInstance]:
+        """Duplicates, primes interleaved 13, 11, 13, an error row with a tuple p, an unknown extra."""
+        return [ClaimInstance("EQ-1.1", 13), ClaimInstance("LEM-3.5", 11, n=5), ClaimInstance("EQ-1.1", 13),
+                ClaimInstance("EQ-1.1", (11, 13)), ClaimInstance("EQ-1.1", 11, extra=(("zzz", 1),)),
+                ClaimInstance("LEM-3.5", 13, n=7), ClaimInstance("EQ-1.1", 11)]
+
+    def test_parent_builds_every_report_from_its_own_instance(self, monkeypatch):
+        # the pool returns plain outcomes, so at two workers each report holds the
+        # caller's instance object itself, not a copy unpickled from a worker
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cached = EvalContext()
+        verify(ClaimInstance("EQ-1.1", 11), cached)
+        runs = {}
+        for jobs in (1, 2):
+            instances, ctx = self._mixed_batch(), EvalContext(cache_rows=cached.new_rows)
+            reports = verify_instances(instances, ctx, jobs=jobs)
+            assert sorted(id(r.instance) for r in reports) == sorted(map(id, instances))
+            counters = (ctx.comp_sum_evals, ctx.cache_hits, ctx.ladder_builds)
+            runs[jobs] = reports, counters, list(ctx.new_rows.items())
+        assert runs[2] == runs[1]
+        reports, counters, new_rows = runs[1]
+        assert [r.status for r in reports] == ["pass", "error", "pass", "pass", "error", "pass", "pass"]
+        assert counters[:2] == (3, 1) and len(new_rows) == 3  # R(3,1,13) once; R(3,1,11) from the cache
+
+    def test_a_prime_task_returns_only_plain_data(self):
+        cached = EvalContext()
+        verify(ClaimInstance("EQ-1.1", 11), cached)
+        batch = [inst for inst in self._mixed_batch() if inst.p == 11]
+        result = verifier._verify_prime((batch, cached.new_rows))
+
+        def plain(value) -> bool:
+            if type(value) in (tuple, list):
+                return all(map(plain, value))
+            return type(value) in (int, str, type(None))
+
+        outcomes, counters, new_rows = result
+        assert type(result) is tuple and type(outcomes) is list and type(new_rows) is dict
+        assert len(outcomes) == len(batch) and all(type(o) is tuple and len(o) == 6 for o in outcomes)
+        assert plain(outcomes) and plain(counters) and plain(list(new_rows.items()))
+        assert [ClaimReport(inst, *o) for inst, o in zip(batch, outcomes)] == [verify(inst) for inst in batch]
 
     def test_claim_that_yields_twice_raises(self, monkeypatch):
         def twice(inst):

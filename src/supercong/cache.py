@@ -57,18 +57,17 @@ class ResidueCache:
             self.rows[key] = value
 
     def _parse(self, row: list[str], line: int) -> tuple[CacheKey, int]:
-        where = f"cache row {row!r} at line {line} of {self.path}"
-        if len(row) != len(COLUMNS):
-            raise ValueError(f"malformed {where}")
-        quantity, p, r, params, residue = row
+        """The row's key and residue; the error text is built only for a bad row."""
         try:
+            quantity, p, r, params, residue = row  # a row of the wrong length is malformed too
             p, r, value = int(p), int(r), int(residue)
             fields = dict(item.partition("=")[::2] for item in params.split(";"))
             e = int(fields["e"]) if "e" in fields else r
         except ValueError:
-            raise ValueError(f"malformed {where}") from None
+            raise ValueError(f"malformed cache row {row!r} at line {line} of {self.path}") from None
         if p < 2 or e < 1 or value < 0 or not _below_power(value, p, e):
-            raise ValueError(f"{where}: residue {value} is not canonical mod {p}**{e}")
+            raise ValueError(f"cache row {row!r} at line {line} of {self.path}: "
+                             f"residue {value} is not canonical mod {p}**{e}")
         return (quantity, p, r, params), value
 
     def append(self, new_rows: dict[CacheKey, int]) -> int:

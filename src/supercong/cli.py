@@ -75,8 +75,8 @@ def _parse_instance(text: str) -> dict:
     return params
 
 
-def _parse_comp(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.replace("+", ",").split(",") if tok)
+def _parse_comp(text: str, flag: str) -> tuple[int, ...]:
+    return tuple(_int(tok, flag, text) for tok in text.replace("+", ",").split(",") if tok)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -213,7 +213,7 @@ def _cmd_compute(args) -> int:
     if args.quantity == "mhs":
         M = PrimePowerModulus(args.p, args.r)
         fn = mhs_restricted if args.restricted else mhs
-        print(fn(args.N, _parse_comp(args.s), M))
+        print(fn(args.N, _parse_comp(args.s, "--s"), M))
         return 0
     if args.quantity in ("s", "r"):
         spec = (s_spec if args.quantity == "s" else r_spec)(args.n, args.m, args.p, args.r_exp)
@@ -226,7 +226,7 @@ def _cmd_compute(args) -> int:
         return 0
     if args.quantity == "u":
         M = PrimePowerModulus(args.p, args.r)
-        print(unordered_sum(args.b, _parse_comp(args.alphas), M))
+        print(unordered_sum(args.b, _parse_comp(args.alphas, "--alphas"), M))
         return 0
     raise AssertionError(args.quantity)
 

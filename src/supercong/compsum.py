@@ -8,19 +8,21 @@ expansion. Writing each part as l = a + p*b with 0 < a < p,
 the Eulerian sums sum_b b**j y**b = E_j(y) / (1 - y)**(j+1) gives
 f == P(x) / (1 - x**p)**e (mod p**e) with deg P < p*e. So for
 N >= L = n*p*e, [x**N] f**n is an exact integer combination of the
-coefficients [x**t] f**n with t == N (mod p) and t < L (reduce), and for
-the bounded family with R >= e, f_b == (1 - x**p**R) * f (mod p**e) turns
-[x**N] f_b**n into n + 1 shifted unbounded coefficients, each reduced the
-same way. At e >= 2 every other request (N < L, and the bounded family
-with R < e) is read at its own target. Mod p (e = 1) the expansion has one term:
+coefficients [x**t] f**n with t == N (mod p) and t < L (reduce). The
+bounded family with R >= e gets no series of its own: f_b == (1 - x**p**R)
+* f (mod p**e) turns [x**N] f_b**n into n + 1 shifted unbounded
+coefficients, each read at its shifted target below L and reduced from L
+on. Only a bounded request with R < e is read at its own target, on its
+own bounded series. Mod p (e = 1) the expansion has one term:
 1/(a + b*p) == 1/a, so f == g / (1 - x**p) with g = sum_{0<a<p} x**a / a
 of degree p - 1, and f_b == (1 - x**p**R) * g / (1 - x**p). So every
 e = 1 request, of either family and at any r, is an exact integer
 combination of the coefficients [x**t] g**n with n <= t <= n*(p-1), all
 read off one period key per prime (_period_weights). A request can also
-ask for its own target explicitly (CompSumSpec.full_target), which is
-how the verifier cross-checks the identities that these readings would
-make hold by algebra alone; at e = 1 its full target climbs f itself. The
+ask to be read without weights (CompSumSpec.full_target): each shifted
+unbounded coefficient at its exact target, which is how the verifier
+cross-checks the identities that the weights would make hold by algebra
+alone; at e = 1 it climbs f itself, not the period key. The
 plan decides each request's route: a sum that one request of a plan
 reads at its full target is read there by every request of that plan.
 
@@ -40,14 +42,15 @@ is planned: a caller declares the sums it will ask for (Plan) and passes
 the plan to comp_sum, which looks up the request's reading and combines
 the coefficients. Each (prime, part bound, precision) key of the plan
 gets one ladder, built once for its largest part count and target; a
-reduced request plans its coefficients under the unbounded key
-(p, None, e), below n*p*e, and an e = 1 request under the period key
-(p, _PERIOD, 1). The rows are streamed, two alive at a time,
-and only the planned coefficients are kept. A request outside the plan,
-or made without one, is a plan of its own. One independent oracle
-checks the evaluator, here because `supercong oracle` runs it: binary
-powering with one Kronecker-substitution big-integer multiply per step
-(comp_sum_kronecker). Both return a plain int, canonical in [0, p**e).
+request plans its coefficients under the unbounded key (p, None, e), an
+e = 1 request not at its full target under the period key (p, _PERIOD, 1),
+and a bounded request with R < e under its own key (p, p**R, e). The rows
+are streamed, two alive at a time, and only the planned coefficients are
+kept. A request outside the plan, or made without one, is a plan of its
+own. One independent oracle checks the evaluator, here because
+`supercong oracle` runs it: binary powering with one Kronecker-substitution
+big-integer multiply per step (comp_sum_kronecker). Both return a plain
+int, canonical in [0, p**e).
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .modring import PrimePowerModulus, inverses_mod_p, prime_power
 
-__all__ = ["ScaleGuardError", "PrecisionError", "CompSumSpec", "s_spec", "r_spec", "comp_sum", "is_reduced", "Plan",
+__all__ = ["ScaleGuardError", "PrecisionError", "CompSumSpec", "s_spec", "r_spec", "comp_sum", "Plan",
            "comp_sum_kronecker", "count_solutions_exact"]
 
 # comp_sum_kronecker refuses a packed operand wider than this many bits:
@@ -93,8 +96,9 @@ class CompSumSpec(_SpecFields):
     parts are free (the family appearing at target m*p and in the lifted
     congruences). An explicit target decoupled from m * p**r is accepted
     for oracle-style evaluations at arbitrary sums. full_target reads the
-    coefficient at the target itself, never by reduction: the same value,
-    by a second route. An immutable named tuple, validated on construction.
+    sum with no weights, each coefficient at its exact (shifted) target and
+    never on the period key: the same value, by a second route. An
+    immutable named tuple, validated on construction.
     """
 
     __slots__ = ()
@@ -340,16 +344,6 @@ class _Ladder:
         return row
 
 
-def is_reduced(spec: CompSumSpec, e: int) -> bool:
-    """True when comp_sum reads spec mod p**e as a combination of unbounded
-    coefficients below n*p*e instead of at its own target. This is the
-    route for e >= 2: at e = 1 every request not at its full target is read
-    on the period key instead (_reading), whatever this says."""
-    if spec.full_target or spec.upper_bound is not None and spec.r < e:
-        return False
-    return spec.target >= spec.n * spec.p * e
-
-
 def _digit_weights(n: int, p: int, e: int, N: int) -> dict[int, int]:
     """w_t with [x**N] f**n == sum_t w_t * [x**t] f**n (mod p**e), over t == N
     (mod p), n <= t < L = n*p*e <= N.
@@ -391,16 +385,18 @@ def _period_weights(n: int, p: int, N: int) -> dict[int, int]:
 
 def _reading(spec: CompSumSpec, e: int) -> tuple[tuple[int, int | None, int], dict[int, int]]:
     """The ladder key (p, part bound, e) and the weights w_t with spec's value
-    == sum_t w_t * [x**t] f**n (mod p**e), f the series of that key: the
-    target itself, or the reduced coefficients below n*p*e. At e = 1 every
-    request not asked at its full target is read on the period key, as
-    coefficients of g**n, with its weights reduced mod p and the vanishing
-    ones dropped."""
+    == sum_t w_t * [x**t] f**n (mod p**e), f the series of that key. A
+    bounded request with R < e is read at its target on (p, p**R, e); every
+    other one through the n + 1 shifts of the unbounded series (one for a
+    free request), each shift at its exact target below n*p*e or at full
+    target, and by its digit weights from n*p*e on. At e = 1 every request
+    not asked at its full target is read on the period key, as coefficients
+    of g**n, with its weights reduced mod p and the vanishing ones dropped."""
     n, N, p = spec.n, spec.target, spec.p
-    period = e == 1 and not spec.full_target
-    if not period and not is_reduced(spec, e):
+    if spec.upper_bound is not None and spec.r < e:
         return (p, spec.upper_bound, e), {N: 1}
-    # bounded: f_b == (1 - x**p**R) * f (mod p**e for R >= e, and mod p for any R),
+    period = e == 1 and not spec.full_target
+    # bounded: f_b == (1 - x**p**R) * f (mod p**e, R >= e),
     # so f_b**n == sum_k (-1)**k C(n, k) x**(k*p**R) f**n
     shifts = range(n + 1) if spec.upper_bound is not None else range(1)
     out: dict[int, int] = {}
@@ -411,7 +407,7 @@ def _reading(spec: CompSumSpec, e: int) -> tuple[tuple[int, int | None, int], di
         if period:
             terms = _period_weights(n, p, shifted)
         else:
-            terms = {shifted: 1} if shifted < n * p * e else _digit_weights(n, p, e, shifted)
+            terms = {shifted: 1} if spec.full_target or shifted < n * p * e else _digit_weights(n, p, e, shifted)
         for t, w in terms.items():
             out[t] = out.get(t, 0) + sign * w
     if period:
@@ -427,12 +423,9 @@ class Plan:
     is read there by every request of the plan, so the plan holds one value
     per sum. readings[(spec, e)] is the request's ladder key and weights
     (_reading). Each (prime, part bound, precision) key gets one ladder,
-    sized to the largest part count and target requested of it; a reduced
-    request asks the unbounded key (p, None, e) for its coefficients below
-    n*p*e, and an e = 1 request not at its full target asks the period key
-    (p, _PERIOD, 1) for coefficients of g**n. The first comp_sum call that
-    reaches a key climbs its ladder and fills in every requested coefficient
-    of that key.
+    sized to the largest part count and target requested of it. The first
+    comp_sum call that reaches a key climbs its ladder and fills in every
+    requested coefficient of that key.
     """
 
     def __init__(self, requests: Iterable[tuple[CompSumSpec, int]] = ()):

@@ -375,11 +375,12 @@ def _thm1ii_eval(inst: ClaimInstance):
     return lhs, rhs, p**r, ""
 
 
-# EQ-1.3, EQ-4.1 and LEM-2.3-ii hold by algebra alone for the reduced
-# route (f_b == (1 - x**p**R) * f mod p**e is how it reads the bounded
-# family), so each takes one side at its full target: EQ-1.3 its lower
-# sum, EQ-4.1 its free sum, and LEM-2.3-ii its lower sums, whose parts
-# stay below p**r < p**e and are never reduced. At e = 1 every other sum
+# EQ-1.3, EQ-4.1 and LEM-2.3-ii hold by algebra alone for the digit
+# weights (and f_b == (1 - x**p**R) * f mod p**e, R >= e, is how every
+# bounded sum is read), so each takes one side at its full target, read
+# with no weights: EQ-1.3 its lower sum, EQ-4.1 its free sum, and
+# LEM-2.3-ii its lower sums, whose parts stay below p**r < p**e, the one
+# case that climbs a bounded ladder of its own. At e = 1 every other sum
 # is read on the period key, whose mirror [x**(n*p - t)] g**n ==
 # (-1)**n [x**t] g**n makes LEM-2.3-i at r = 1 hold by algebra alone: it
 # takes the side with the larger index at its full target, so that each

@@ -87,12 +87,16 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("flag, text, token", [
         ("--primes", "11..a", "a"), ("--r", "x", "x"), ("--m", "1..b", "b"),
         ("--instance", "p=eleven", "eleven"), ("--instance", "p=11,alphas=1+x", "x"),
+        ("--s", "1,x", "x"), ("--alphas", "1+1+y", "y"),
     ])
     def test_a_non_integer_names_its_flag_and_exits_two_before_the_cache(self, capsys, tmp_path, flag, text, token):
         # these used to print int()'s own message, naming neither the flag nor its text
         cache = tmp_path / "cache.csv"
         cache.write_text("not,a,cache\n")  # reading it would fail with another message
-        rc, out, err = run(capsys, ["verify", "--claims", "EQ-1.1", flag, text, "--cache", str(cache)])
+        compute = {"--s": ["compute", "mhs", "--N", "5", "--p", "11"],
+                   "--alphas": ["compute", "u", "--b", "1", "--p", "11"]}
+        argv = compute.get(flag, ["verify", "--claims", "EQ-1.1", "--cache", str(cache)])
+        rc, out, err = run(capsys, [*argv, flag, text])
         assert (rc, out) == (2, "")
         assert err == f"error: ValueError: {flag} {text!r}: {token!r} is not an integer\n"
 

@@ -363,7 +363,8 @@ class TestReducedRoute:
                 continue
             M = PrimePowerModulus(p, e)
             assert comp_sum(spec, M) == comp_sum(spec._replace(full_target=True), M), (spec, e)
-            reduced += compsum.is_reduced(spec, e)
+            weights = compsum._reading(spec, e)[1]
+            reduced += spec.target >= n * p * e > max(weights, default=0)
         assert reduced >= 40
 
     def test_agrees_with_bruteforce_where_it_reduces(self):
@@ -373,7 +374,8 @@ class TestReducedRoute:
         for N in range(27, 55):
             for bound, r in ((None, 1), (9, 2)):
                 spec = CompSumSpec(n=3, m=1, p=3, r=r, upper_bound=bound, target=N)
-                assert compsum.is_reduced(spec, 2)
+                key, weights = compsum._reading(spec, 2)
+                assert key == (3, None, 2) and max(weights) < 18
                 assert comp_sum(spec, M) == comp_sum_bruteforce(spec, M), spec
 
     def test_digit_weights_are_the_binomial_sums(self):
@@ -395,11 +397,13 @@ class TestReducedRoute:
     def test_routes(self):
         # the ladder at the full target for N < n*p*e, for parts below p**R with R < e
         # and on request; everything else is reduced
-        assert not compsum.is_reduced(r_spec(7, 1, 11, 1), 1)  # 11 < 77
-        assert compsum.is_reduced(r_spec(7, 2, 11, 2), 2)  # 242 >= 154
-        assert not compsum.is_reduced(r_spec(7, 2, 11, 2, full_target=True), 2)
-        assert compsum.is_reduced(s_spec(7, 1, 11, 3), 3)
-        assert not compsum.is_reduced(s_spec(7, 1, 11, 2), 3)  # R = 2 < e = 3
+        assert compsum._reading(r_spec(7, 1, 11, 1), 1) == ((11, compsum._PERIOD, 1), {11: 1})  # 11 < 77
+        key, weights = compsum._reading(r_spec(7, 2, 11, 2), 2)  # 242 >= 154
+        assert key == (11, None, 2) and max(weights) < 154
+        assert compsum._reading(r_spec(7, 2, 11, 2, full_target=True), 2) == ((11, None, 2), {242: 1})
+        key, weights = compsum._reading(s_spec(7, 1, 11, 3), 3)
+        assert key == (11, None, 3) and max(weights) < 231
+        assert compsum._reading(s_spec(7, 1, 11, 2), 3) == ((11, 121, 3), {121: 1})  # R = 2 < e = 3
 
     def test_a_plan_reads_a_cross_checked_sum_at_its_full_target(self, builds):
         # one request at the full target takes every request of that sum there
@@ -437,6 +441,43 @@ class TestReducedRoute:
 
         reports = sweep(["THM-1.1-ii", "PROP-4.1"], GridSpec(rs=(r,)))
         assert len(reports) == 6 and all(rep.status == "pass" for rep in reports), reports
+
+
+class TestOneReadingRule:
+    """A part bound p**R gets a ladder of its own only below the precision
+    (R < e); every other request is read through the shifts of the unbounded
+    series, or on the period key."""
+
+    def test_bounded_sums_read_through_the_unbounded_series_at_production_sizes(self):
+        rng = random.Random(20261020)
+        large = [q for q in range(401, 901) if is_prime(q)]
+        shifted = set()
+        for trial in range(72):
+            p = rng.choice(large) if trial % 3 == 0 else rng.choice((11, 13))
+            R = 1 if p > 13 else rng.randint(1, 3)
+            n, e, bounded = rng.choice((2, 3, 7, 8, 10)), rng.randint(1, 3), rng.random() < 0.75
+            N = n * p * e + rng.choice((-1, 1)) * rng.randint(1, p)
+            if (min(N, p**R) if bounded else N) * e > 12000:
+                continue  # keeps each Kronecker product under about 0.1 s
+            spec = CompSumSpec(n=n, m=1, p=p, r=R, upper_bound=p**R if bounded else None, target=N)
+            M = PrimePowerModulus(p, e)
+            want = comp_sum_kronecker(spec, M)
+            for read in (spec, spec._replace(full_target=True)):
+                key, weights = compsum._reading(read, e)
+                if bounded and R < e:
+                    assert (key, weights) == ((p, p**R, e), {N: 1}), (read, e)
+                else:
+                    assert key == ((p, compsum._PERIOD, 1) if e == 1 and not read.full_target else (p, None, e))
+                assert _fresh(read, M) == want, (read, e)
+            if bounded:
+                # a second climb for reference: the bounded ladder read directly at the target
+                wanted = {(n, N): None}
+                compsum._Ladder(p, p**R, e, (n + 1) // 2, N).fill(wanted)
+                assert wanted[(n, N)] == want, (spec, e)
+                if R >= e:
+                    shifted.add((p > 13, e, N >= n * p * e))
+        assert shifted == {(large, e, above) for large in (False, True) for e in (1, 2, 3) for above in (False, True)
+                           if e == 1 or not large}
 
 
 class TestKroneckerGuard:

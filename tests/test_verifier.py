@@ -473,16 +473,16 @@ class TestMixedBatch:
 
 # The (p, part bound, e, K, N) of every ladder the default catalog builds, in
 # order. At e = 1 a prime's sums share one period key (part bound
-# compsum._PERIOD), and a full target climbs f by the digit route: EQ-4.1's
-# free sum (11, None, 1) and LEM-2.3-i's larger-index side (11, 11, 1) and
-# (13, 13, 1), all at r = 1.
+# compsum._PERIOD), and a full target climbs f: EQ-4.1's free sum and
+# LEM-2.3-i's larger-index side share (11, None, 1), and (13, None, 1) holds
+# LEM-2.3-i's, all at r = 1. Only LEM-2.3-ii's lower sums, with parts below
+# p**r < p**e, climb a bounded series: (11, 11, 2) and (11, 121, 3).
 _PERIOD = compsum._PERIOD
 _CATALOG_LADDERS = [
     (5, _PERIOD, 1, 2, 5), (7, _PERIOD, 1, 2, 7),
-    (11, _PERIOD, 1, 5, 44), (11, None, 1, 4, 33), (11, None, 2, 4, 363), (11, None, 3, 4, 220),
-    (11, 121, 2, 4, 121), (11, 11, 1, 4, 77), (11, 11, 2, 4, 66), (11, 121, 3, 4, 726),
-    (13, _PERIOD, 1, 5, 52), (13, None, 2, 4, 195), (13, None, 3, 4, 260), (13, 13, 1, 4, 91),
-    (13, 169, 2, 4, 169),
+    (11, _PERIOD, 1, 5, 44), (11, None, 1, 4, 77), (11, None, 2, 4, 363), (11, None, 3, 4, 220),
+    (11, 11, 2, 4, 66), (11, 121, 3, 4, 726),
+    (13, _PERIOD, 1, 5, 52), (13, None, 2, 4, 195), (13, None, 3, 4, 260), (13, None, 1, 4, 91),
     (17, _PERIOD, 1, 5, 68), (17, None, 2, 4, 17), (19, _PERIOD, 1, 5, 76), (19, None, 2, 4, 19),
     (23, _PERIOD, 1, 5, 92), (23, None, 2, 4, 23), (29, _PERIOD, 1, 5, 116), (29, None, 2, 4, 29),
     (31, _PERIOD, 1, 5, 124), (31, None, 2, 4, 31),
@@ -556,7 +556,7 @@ class TestPlan:
         monkeypatch.setattr(verifier, "comp_sum", recording)
         ctx = EvalContext()
         sweep(list(CLAIMS), ctx=ctx)
-        assert builds == _CATALOG_LADDERS and ctx.ladder_builds == 39
+        assert builds == _CATALOG_LADDERS and ctx.ladder_builds == 36
         keys = [args[:3] for args in builds]
         assert len(keys) == len(set(keys))
         # the (p, part bound, e) ladder key of every evaluation, as its plan routes it:
@@ -564,12 +564,29 @@ class TestPlan:
         assert set(keys) == routed
         ctx = EvalContext(cache_rows=ctx.new_rows)
         sweep(list(CLAIMS), ctx=ctx)  # a filled cache: nothing left to plan
-        assert (len(builds), ctx.ladder_builds, ctx.comp_sum_evals, ctx.cache_hits) == (39, 0, 0, 407)
+        assert (len(builds), ctx.ladder_builds, ctx.comp_sum_evals, ctx.cache_hits) == (36, 0, 0, 407)
 
     def test_catalog_ladders_at_two_jobs(self):
         ctx = EvalContext()
         sweep(list(CLAIMS), ctx=ctx, jobs=2)
-        assert (ctx.ladder_builds, ctx.comp_sum_evals) == (39, 407)
+        assert (ctx.ladder_builds, ctx.comp_sum_evals) == (36, 407)
+
+    def test_a_part_bound_gets_a_ladder_only_below_the_precision(self, builds):
+        # the catalog, and CI's depth and cross-route grids: every ladder key is
+        # (p, None, e), the period key (p, _PERIOD, 1), or (p, p**R, e) with R < e
+        primes = tuple(q for q in range(11, 98) if modring.is_prime(q))
+        for claim_ids, grid in [(list(CLAIMS), GridSpec()),
+                                (["THM-1.1-ii", "PROP-4.1"], GridSpec(rs=tuple(range(2, 9)))),
+                                (["LEM-2.3-ii"], GridSpec(rs=(3,))),
+                                (["EQ-1.3", "EQ-4.1", "THM-1.1-ii"], GridSpec(primes=(11, 13), rs=(2, 3))),
+                                (["EQ-4.1", "LEM-2.3-i", "LEM-2.3-ii"], GridSpec(primes=primes, rs=(1,)))]:
+            assert "fail" not in {rep.status for rep in sweep(claim_ids, grid)}
+        keys = {args[:3] for args in builds}
+        bounded = {(p, bound, e) for p, bound, e in keys if bound not in (None, _PERIOD)}
+        assert all(bound != _PERIOD or e == 1 for _, bound, e in keys)
+        assert all(bound in {p**R for R in range(1, e)} for p, bound, e in bounded), bounded
+        # LEM-2.3-ii's lower sums, with parts below p**r and read mod p**(r + 1)
+        assert bounded == {(11, 11, 2), (11, 121, 3), (11, 1331, 4), *((p, p, 2) for p in primes)}
 
     def test_memoized_terms_are_not_planned(self, builds):
         first = EvalContext()

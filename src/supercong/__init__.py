@@ -70,13 +70,7 @@ __all__ = [
     "PrimePowerModulus",
     "is_prime",
     "rational_to_residue",
-    "DuplicatePrimeError",
-    "InsufficientDataError",
-    "ReconstructionResult",
-    "ResidueObservation",
-    "crt_combine",
-    "hunt_constant",
-    "reconstruct",
+    *_RATRECON,
     "CLAIMS",
     "Claim",
     "ClaimInstance",

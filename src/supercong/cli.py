@@ -188,8 +188,7 @@ def _cmd_verify(args) -> int:
         reports = sweep(claim_ids, GridSpec(*selected), ctx=ctx, jobs=args.jobs)
     if cache is not None:
         cache.append(ctx.new_rows)
-    reports_mod.emit_report(reports, args.format, path=args.out,
-                            out=sys.stdout if args.out is None else None)
+    reports_mod.emit_report(reports, args.format, path=args.out)
     if args.stats:
         print(
             f"comp_sum evaluations: {ctx.comp_sum_evals} (cache hits: {ctx.cache_hits})",

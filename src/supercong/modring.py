@@ -11,6 +11,7 @@ module is safe to use from any number of concurrent tasks.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 __all__ = ["NonUnitError", "PrimePowerModulus", "prime_power", "is_prime", "rational_to_residue", "inverses_mod_p"]
 
@@ -50,40 +51,28 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class PrimePowerModulus:
-    """A prime p and exponent r >= 1 defining the ring Z / p**r.
+class _ModulusFields(NamedTuple):
+    p: int
+    r: int
+    modulus: int
 
-    Immutable, equal and hashed by (p, r), and never equal to a plain
-    (p, r) tuple; modulus = p**r is stored once."""
 
-    __slots__ = ("p", "r", "modulus")
+class PrimePowerModulus(_ModulusFields):
+    """A prime p and exponent r >= 1 defining the ring Z / p**r, with
+    modulus = p**r stored once. An immutable named tuple, validated on
+    construction; a third field keeps it unequal to a plain (p, r) pair."""
 
-    def __init__(self, p: int, r: int):
+    __slots__ = ()
+
+    def __new__(cls, p: int, r: int) -> PrimePowerModulus:
         if r < 1:
             raise ValueError(f"exponent must be >= 1, got {r}")
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        set_field = object.__setattr__
-        set_field(self, "p", p)
-        set_field(self, "r", r)
-        set_field(self, "modulus", p**r)
+        return super().__new__(cls, p, r, p**r)
 
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.p, self.r) == (other.p, other.r)
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.r))
-
-    def __reduce__(self):
-        return PrimePowerModulus, (self.p, self.r)
+    def __getnewargs__(self) -> tuple[int, int]:
+        return self.p, self.r
 
     def __repr__(self) -> str:
         return f"PrimePowerModulus({self.p}**{self.r})"

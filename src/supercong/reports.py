@@ -5,10 +5,11 @@ are emitted, so two identical runs produce identical bytes.
 
 The API is FIELDS, FORMATS, row_values(report) (one row, its values in
 FIELDS order), render(reports, fmt) (a whole report as text) and
-emit_report. Every format is made as a sequence of pieces of at most
-_PIECE_ROWS rows. emit_report writes each piece to its file or stream as
-it is made, so a report of any length is written holding one piece of its
-text; render joins the pieces.
+emit_report(reports, fmt, path=None), which writes the report to the
+file at path, or else to sys.stdout, and returns "". Every format is
+made as a sequence of pieces of at most _PIECE_ROWS rows. emit_report
+writes each piece as it is made, so a report of any length is written
+holding one piece of its text; render joins the pieces.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator
@@ -172,18 +174,16 @@ def render(reports: Iterable[ClaimReport], fmt: str) -> str:
     return "".join(_pieces(reports, fmt))
 
 
-def emit_report(reports: Iterable[ClaimReport], fmt: str, path=None, out=None) -> str:
-    """Write the report piece by piece to the file at path, or else to the
-    text stream out, and return ""; given neither, return its text.
+def emit_report(reports: Iterable[ClaimReport], fmt: str, path=None) -> str:
+    """Write the report piece by piece to the file at path, or else to
+    sys.stdout, and return "".
 
     writelines makes one write per piece and drops each piece before it
     asks for the next, so one piece of the text is held at a time."""
     report = _pieces(reports, fmt)
-    if path is not None:
+    if path is None:
+        sys.stdout.writelines(report)
+    else:
         with open(path, "w", newline="") as fh:
             fh.writelines(report)
-    elif out is not None:
-        out.writelines(report)
-    else:
-        return "".join(report)
     return ""

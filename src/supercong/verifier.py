@@ -14,17 +14,19 @@ whole catalog sweeps in seconds single-threaded.
 
 Instances are verified prime by prime (verify_instances), each prime
 against its own EvalContext, in process or as one process-pool task per
-prime. A task returns plain data: each instance's outcome, the context's
-counters and its new cache rows; the calling process builds each
-ClaimReport from its own instance, so reports, counters and new cache
-rows do not depend on the number of workers. A prime is planned before it is evaluated: every instance
-that passes its hypotheses is started up to the terms it yields, those
-terms, less the ones already cached, go to compsum as one plan, so that
-each ladder is built once, at the largest part count and target asked
-of it, and only then is each instance sent its values. compsum decides
-how each term is read; the context knows only cache keys and values.
-Within a prime, each claim's parameter names are read once and the prime
-is tested once; nothing of that is kept from one call to the next.
+prime; every entry point runs that one task, _verify_prime, and verify
+is verify_instances of one instance. A task returns plain data: each
+instance's outcome, the context's counters and its new cache rows; the
+calling process builds each ClaimReport from its own instance, so
+reports, counters and new cache rows do not depend on the number of
+workers. A prime is planned before it is evaluated: every instance that
+passes its hypotheses is started up to the terms it yields, those terms,
+less the ones already cached, go to compsum as one plan, so that each
+ladder is built once, at the largest part count and target asked of it,
+and only then is each instance sent its values. compsum decides how each
+term is read; the context knows only cache keys and values. Within a
+prime, each claim's parameter names are read once and the prime is
+tested once; nothing of that is kept from one call to the next.
 Reports come back in ClaimInstance.sort_key order.
 
 Mixed-precision rule used throughout: a right-hand side of the shape
@@ -165,11 +167,14 @@ class EvalContext:
     rows, and counters of evaluations, cache hits and ladder builds (cache
     hits never touch the evaluator).
 
-    Values live for one plan: plan() forgets the previous plan's, and a
-    term outside the current plan is a plan of its own. compsum.Plan
-    decides each term's route, one per cache key within a plan, so a value
-    read by one route never stands in for another. The cache holds one
-    value per cache key, whatever its route."""
+    Values live for one plan: plan() replaces the previous plan and forgets
+    its values. Reading a term outside the current plan replaces the plan
+    with one of that term alone, so a later read of a term of the old plan
+    climbs its ladders again; _verify_prime plans every term a prime's
+    instances yield before it reads any. compsum.Plan decides each term's
+    route, one per cache key within a plan, so a value read by one route
+    never stands in for another. The cache holds one value per cache key,
+    whatever its route."""
 
     def __init__(self, cache_rows: Mapping[tuple, int] | None = None):
         self.comp_sum_evals = 0
@@ -188,8 +193,8 @@ class EvalContext:
         return ("comp_sum", spec.p, spec.r, params)
 
     def plan(self, terms: Iterable[Term]) -> None:
-        """Forget the previous plan's values, keep each term's cache key, and
-        hand compsum the terms whose key the cache does not hold."""
+        """Replace the current plan and forget its values: keep each term's
+        cache key, and hand compsum the terms whose key the cache does not hold."""
         self._keys = {term: self.cache_key(*term) for term in terms}
         self._values: dict[tuple, int] = {}
         self._plan = Plan(term for term, key in self._keys.items() if key not in self._cache)
@@ -863,35 +868,33 @@ def _error(claim: Claim, exc: Exception) -> Outcome:
     return "error", None, None, None, f"{type(exc).__name__}: {exc}", claim.anchor
 
 
-def _verify_planned(instances: Iterable[ClaimInstance], ctx: EvalContext) -> list[Outcome]:
-    """Check every instance's hypotheses and start its evaluation, hand all
-    the terms yielded to ctx as one plan, then finish the instances in order."""
+def verify(instance: ClaimInstance, ctx: EvalContext | None = None) -> ClaimReport:
+    """Evaluate one claim instance into a ClaimReport: verify_instances([instance], ctx)[0].
+
+    Hypothesis violations yield a skip, never a failure; arithmetic
+    domain errors (non-units, Bernoulli poles, malformed parameters) yield
+    an error report. ctx, as for verify_instances, is read for cache rows
+    and receives the counters and new rows; nothing is evaluated in it.
+    """
+    return verify_instances([instance], ctx)[0]
+
+
+def _verify_prime(task: tuple[list[ClaimInstance], dict]) -> tuple[list[Outcome], tuple[int, int, int], dict]:
+    """Verify one prime's instances against a context reading the given
+    cache rows (a pool task is sent only its prime's): check every
+    instance's hypotheses and start its evaluation, hand all the terms
+    yielded to the context as one plan, then finish the instances in order.
+    Module-level so that a pool can run it. Returns plain data: each
+    instance's outcome in order, the context's counters (evaluations, cache
+    hits, ladder builds) and its new cache rows."""
+    instances, cache_rows = task
+    ctx = EvalContext(cache_rows)
     claims: dict = {}
     primes: dict[int, bool] = {}
     prepared = [_prepare(instance, claims, primes) for instance in instances]
     ctx.plan(term for _, _, terms in prepared for term in terms)
-    return [_evaluate(claim, run, terms, ctx) if isinstance(run, Generator) else run
-            for claim, run, terms in prepared]
-
-
-def verify(instance: ClaimInstance, ctx: EvalContext | None = None) -> ClaimReport:
-    """Evaluate one claim instance into a ClaimReport.
-
-    Hypothesis violations yield a skip, never a failure; arithmetic
-    domain errors (non-units, Bernoulli poles, malformed parameters) yield
-    an error report.
-    """
-    return ClaimReport(instance, *_verify_planned([instance], ctx if ctx is not None else EvalContext())[0])
-
-
-def _verify_prime(task: tuple[list[ClaimInstance], dict]) -> tuple[list[Outcome], tuple[int, int, int], dict]:
-    """Verify one prime's instances against a context holding only that
-    prime's cache rows; module-level so that a pool can run it. Returns
-    plain data: each instance's outcome in order, the context's counters
-    (evaluations, cache hits, ladder builds) and its new cache rows."""
-    instances, cache_rows = task
-    ctx = EvalContext(cache_rows)
-    outcomes = _verify_planned(instances, ctx)
+    outcomes = [_evaluate(claim, run, terms, ctx) if isinstance(run, Generator) else run
+                for claim, run, terms in prepared]
     return outcomes, (ctx.comp_sum_evals, ctx.cache_hits, ctx.ladder_builds), ctx.new_rows
 
 
@@ -916,13 +919,16 @@ def verify_instances(
     groups: dict[int, list[ClaimInstance]] = {}
     for inst in instances:
         groups.setdefault(inst.p, []).append(inst)
+    primes = sorted(groups, key=lambda p: (isinstance(p, tuple), p))
+    workers = min(jobs, len(primes), os.cpu_count() or 1)
+    if workers <= 1:
+        # each cache key holds its prime, so in process every task reads the caller's rows in place
+        tasks = [(groups[p], ctx._cache) for p in primes]
+        return _collect(tasks, map(_verify_prime, tasks), ctx)
     cache: dict[int, dict[tuple, int]] = {}
     for key, value in ctx._cache.items():
         cache.setdefault(key[1], {})[key] = value
-    tasks = [(groups[p], cache.get(p, {})) for p in sorted(groups, key=lambda p: (isinstance(p, tuple), p))]
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    if workers <= 1:
-        return _collect(tasks, map(_verify_prime, tasks), ctx)
+    tasks = [(groups[p], cache.get(p, {})) for p in primes]  # a pool task is sent only its prime's rows
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -238,20 +238,22 @@ class TestStreaming:
             assert sum(map(ROWS_IN[fmt], pieces)) == len(reports) + (fmt == "csv")
 
     @pytest.mark.parametrize("fmt", sorted(ORACLES))
-    def test_emit_writes_piece_by_piece(self, catalog_reports, fmt):
+    def test_emit_writes_piece_by_piece(self, catalog_reports, fmt, monkeypatch):
         sink = _Sink()
-        assert emit_report(catalog_reports, fmt, out=sink) == ""
+        monkeypatch.setattr(sys, "stdout", sink)
+        assert emit_report(catalog_reports, fmt) == ""
         assert sink.size == len(render(catalog_reports, fmt))
         assert sink.writes <= math.ceil(len(catalog_reports) / reports_mod._PIECE_ROWS) + 2
 
-    def test_emit_holds_a_piece_not_the_report(self, catalog_reports):
+    def test_emit_holds_a_piece_not_the_report(self, catalog_reports, monkeypatch):
         size = len(render(catalog_reports, "json"))
         sink = _Sink()
+        monkeypatch.setattr(sys, "stdout", sink)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            emit_report(catalog_reports, "json", out=sink)
+            emit_report(catalog_reports, "json")
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()

@@ -606,17 +606,17 @@ class TestPlan:
         cold = EvalContext()
         sweep(list(CLAIMS), ctx=cold)
         counts = {"moduli": 0, "is_prime": 0}
-        init, is_prime = modring.PrimePowerModulus.__init__, modring.is_prime
+        new, is_prime = modring.PrimePowerModulus.__new__, modring.is_prime
 
-        def counted_init(self, p, r):
+        def counted_new(cls, p, r):
             counts["moduli"] += 1
-            init(self, p, r)
+            return new(cls, p, r)
 
         def counted_is_prime(n):
             counts["is_prime"] += 1
             return is_prime(n)
 
-        monkeypatch.setattr(modring.PrimePowerModulus, "__init__", counted_init)
+        monkeypatch.setattr(modring.PrimePowerModulus, "__new__", counted_new)
         for module in (modring, verifier):
             monkeypatch.setattr(module, "is_prime", counted_is_prime)
         modring.prime_power.cache_clear()
@@ -705,6 +705,67 @@ class TestEvalContext:
         ctx = EvalContext(cache_rows=first.new_rows)
         sweep(["EQ-1.3"], GridSpec(primes=(11,), rs=(2,)), ctx=ctx)
         assert (ctx.comp_sum_evals, ctx.cache_hits, ctx.ladder_builds) == (0, 2, 0)  # both sums cached
+
+
+class TestOnePath:
+    """verify is verify_instances of one instance, and every entry point
+    plans each prime once, before it reads any term."""
+
+    def test_verify_is_verify_instances_of_one(self):
+        catalog = {rep.instance: rep for rep in sweep(list(CLAIMS))}
+        mix = random.Random(2424).sample(sorted(catalog, key=ClaimInstance.sort_key), 40)
+        mix += [ClaimInstance("EQ-1.1", 11), ClaimInstance("THM-1.1-i", 7, m=1),
+                ClaimInstance("EQ-1.1", (11, 13)), ClaimInstance("EQ-1.1", 11, extra=(("zzz", 1),))]
+        warm = EvalContext()
+        verify(ClaimInstance("EQ-1.1", 11), warm)  # one cache row, so that a read hits it
+        alone, batch = EvalContext(cache_rows=warm.new_rows), EvalContext(cache_rows=warm.new_rows)
+        reports = []
+        for inst in mix:
+            reports.append(verify(inst, alone))
+            assert reports[-1] == verify_instances([inst], batch)[0]
+            assert reports[-1] == catalog.get(inst, reports[-1])
+            for ctx in (alone, batch):
+                # the caller's context only lends its cache rows and collects counters and rows
+                assert ctx._keys == ctx._values == ctx._plan.wanted == {}
+        assert {rep.status for rep in reports} >= {"pass", "skip", "error"}
+        assert alone.cache_hits >= 1 and alone.comp_sum_evals > 0
+        assert (alone.comp_sum_evals, alone.cache_hits, alone.ladder_builds) == (
+            batch.comp_sum_evals, batch.cache_hits, batch.ladder_builds)
+        assert list(alone.new_rows.items()) == list(batch.new_rows.items())
+
+    def test_a_list_p_raises_from_both_entry_points(self):
+        inst = ClaimInstance("EQ-1.1", [11, 13])
+        with pytest.raises(TypeError, match="unhashable type: 'list'"):
+            verify(inst)
+        with pytest.raises(TypeError, match="unhashable type: 'list'"):
+            verify_instances([inst])
+
+    def test_a_sweep_plans_each_prime_once(self, monkeypatch):
+        plans = []  # the primes of each plan's terms, and whether a read made the plan
+        reading = []
+        plan, read = EvalContext.plan, EvalContext.comp_sum
+
+        def recorded_plan(self, terms):
+            terms = list(terms)
+            plans.append(({spec.p for spec, _ in terms}, bool(reading)))
+            plan(self, terms)
+
+        def recorded_read(self, spec, mod_exp):
+            reading.append(spec)
+            try:
+                return read(self, spec, mod_exp)
+            finally:
+                reading.pop()
+
+        monkeypatch.setattr(EvalContext, "plan", recorded_plan)
+        monkeypatch.setattr(EvalContext, "comp_sum", recorded_read)
+        primes = sorted({rep.instance.p for rep in sweep(list(CLAIMS))})
+        # the caller's context and each prime's make an empty plan on creation
+        assert len(plans) == 1 + 2 * len(primes) == 47
+        assert not any(made_by_read for _, made_by_read in plans)
+        planned = [plan_primes for plan_primes, _ in plans if plan_primes]
+        assert all(len(plan_primes) == 1 for plan_primes in planned)
+        assert sorted(min(plan_primes) for plan_primes in planned) == primes
 
 
 class TestCrossChecks:

@@ -47,10 +47,11 @@ e = 1 request not at its full target under the period key (p, _PERIOD, 1),
 and a bounded request with R < e under its own key (p, p**R, e). The rows
 are streamed, two alive at a time, and only the planned coefficients are
 kept. A request outside the plan, or made without one, is a plan of its
-own. One independent oracle checks the evaluator, here because
-`supercong oracle` runs it: binary powering with one Kronecker-substitution
-big-integer multiply per step (comp_sum_kronecker). Both return a plain
-int, canonical in [0, p**e).
+own. A plan prices each ladder before any is climbed and refuses one too
+large to finish with ScaleGuardError. One independent oracle checks the
+evaluator, here because `supercong oracle` runs it: binary powering with
+one Kronecker-substitution big-integer multiply per step
+(comp_sum_kronecker). Both return a plain int, canonical in [0, p**e).
 """
 
 from __future__ import annotations
@@ -68,10 +69,16 @@ __all__ = ["ScaleGuardError", "PrecisionError", "CompSumSpec", "s_spec", "r_spec
 # comp_sum_kronecker refuses a packed operand wider than this many bits:
 # R(7,3,11**4) mod 11**4 packs 2.1 Mbit and takes seconds, R(7,3,11**5) 27 Mbit and minutes
 _KRONECKER_BITS = 1 << 22
+# Plan refuses a ladder priced above this (Plan._price): LEM-2.3-ii at r = 5 prices
+# 8.1e7 and takes 4 s and 225 MB, EQ-1.3 at p = 11, r = 6 1.7e8, 7 s and 480 MB,
+# and EQ-1.3 at r = 7 2.2e9, which ran out of memory under a 1.5 GB cap
+_MAX_LADDER_PRICE = 2e8
 
 
 class ScaleGuardError(ValueError):
-    """Kronecker oracle refused: its packed operand is wider than _KRONECKER_BITS."""
+    """A request refused before any work: a Plan whose costliest ladder is
+    priced above _MAX_LADDER_PRICE, or a Kronecker oracle call whose packed
+    operand is wider than _KRONECKER_BITS."""
 
 
 class PrecisionError(ArithmeticError):
@@ -206,13 +213,7 @@ class _Ladder:
             self.prec, self.mod = 1, p
             self.inverses = inverses_mod_p(p)
             return
-        V, limit, D, power = 0, p, 0, p
-        while limit <= N:
-            V, limit = V + 1, limit * p
-        while power <= N:
-            D, power = D + N // power, power * p
-        # precs[k]: the digits row k is kept to; row 0, the constant 1, at row 1's
-        self.precs = [e + min((K - max(k, 1)) * V, D) for k in range(K + 1)]
+        self.precs = self.precisions(p, e, K, N)
         self.prec = self.precs[1]
         self.mod = mod = p**self.prec
         # inverses[j] inverts j's unit part; one pow for the product of all units
@@ -227,6 +228,16 @@ class _Ladder:
         self.inverses = inverses = [0]
         for j in range(1, N + 1):
             inverses.append(next(fresh) if j % p else inverses[j // p])
+
+    @staticmethod
+    def precisions(p: int, e: int, K: int, N: int) -> list[int]:
+        """The digits row k = 0..K is kept to, by the rule above; row 0, the constant 1, at row 1's."""
+        V, limit, D, power = 0, p, 0, p
+        while limit <= N:
+            V, limit = V + 1, limit * p
+        while power <= N:
+            D, power = D + N // power, power * p
+        return [e + min((K - max(k, 1)) * V, D) for k in range(K + 1)]
 
     def fill(self, wanted: dict[tuple[int, int], int | None]) -> None:
         """Set wanted[(n, t)] to [x**t] f**n mod p**e for every requested (n, t),
@@ -423,9 +434,12 @@ class Plan:
     is read there by every request of the plan, so the plan holds one value
     per sum. readings[(spec, e)] is the request's ladder key and weights
     (_reading). Each (prime, part bound, precision) key gets one ladder,
-    sized to the largest part count and target requested of it. The first
-    comp_sum call that reaches a key climbs its ladder and fills in every
-    requested coefficient of that key.
+    sized to the largest part count and target requested of it: sizes[key]
+    is its rows K and top target N. Every ladder is priced on construction,
+    before any climb (_price), and a plan whose costliest ladder is priced
+    above _MAX_LADDER_PRICE raises ScaleGuardError naming the term that sets
+    its top target. The first comp_sum call that reaches a key climbs its
+    ladder and fills in every requested coefficient of that key.
     """
 
     def __init__(self, requests: Iterable[tuple[CompSumSpec, int]] = ()):
@@ -440,6 +454,21 @@ class Plan:
                 read = spec._replace(full_target=True) if (spec, e) in full else spec
                 key, weights = self.readings[(spec, e)] = _reading(read, e)
                 self.wanted.setdefault(key, {}).update(((spec.n, t), None) for t in weights)
+        # per key with a coefficient to read, the ladder's rows K (half its largest part count) and top target N
+        self.sizes = {key: ((max(n for n, _ in wanted) + 1) // 2, max(t for _, t in wanted))
+                      for key, wanted in self.wanted.items() if wanted}
+        key = max(self.sizes, key=self._price, default=None)
+        if key is not None and self._price(key) > _MAX_LADDER_PRICE:
+            K, N = self.sizes[key]
+            spec, e = next(term for term, (k, weights) in self.readings.items() if k == key and N in weights)
+            raise ScaleGuardError(f"{spec} mod {spec.p}**{e} needs a ladder of {K} rows to target {N}, "
+                                  f"priced {self._price(key):.3g} > {_MAX_LADDER_PRICE:.3g}")
+
+    def _price(self, key: tuple[int, int | None, int]) -> float:
+        """About K * N * digits for the key's ladder, its rows climbed, top target
+        and working precision (_Ladder.precisions), half that on a period key."""
+        (p, bound, e), (K, N) = key, self.sizes[key]
+        return K * N / 2 if bound == _PERIOD else K * N * _Ladder.precisions(p, e, K, N)[1]
 
 
 def comp_sum(spec: CompSumSpec, modulus: PrimePowerModulus | None = None, plan: Plan | None = None) -> int:
@@ -462,8 +491,7 @@ def comp_sum(spec: CompSumSpec, modulus: PrimePowerModulus | None = None, plan: 
     wanted = plan.wanted[key]
     if any(wanted[(n, t)] is None for t in weights):
         plan.ladders_built += 1
-        K, top = max(k for k, _ in wanted), max(t for _, t in wanted)
-        _Ladder(spec.p, key[1], M.r, (K + 1) // 2, top).fill(wanted)
+        _Ladder(spec.p, key[1], M.r, *plan.sizes[key]).fill(wanted)
     return sum(w * wanted[(n, t)] for t, w in weights.items()) % M.modulus
 
 

@@ -12,22 +12,24 @@ directly. One grid builder (Claim.grid) and one hypothesis walk
 (Claim.violated) serve every row, and the default grids are sized so the
 whole catalog sweeps in seconds single-threaded.
 
-Instances are verified prime by prime (verify_instances), each prime
+verify_instances sorts its instances once, on entry, by
+ClaimInstance.sort_key and verifies them prime by prime, each prime
 against its own EvalContext, in process or as one process-pool task per
 prime; every entry point runs that one task, _verify_prime, and verify
 is verify_instances of one instance. A task returns plain data: each
-instance's outcome, the context's counters and its new cache rows; the
-calling process builds each ClaimReport from its own instance, so
-reports, counters and new cache rows do not depend on the number of
-workers. A prime is planned before it is evaluated: every instance that
-passes its hypotheses is started up to the terms it yields, those terms,
-less the ones already cached, go to compsum as one plan, so that each
-ladder is built once, at the largest part count and target asked of it,
-and only then is each instance sent its values. compsum decides how each
-term is read; the context knows only cache keys and values. Within a
-prime, each claim's parameter names are read once and the prime is
-tested once; nothing of that is kept from one call to the next.
-Reports come back in ClaimInstance.sort_key order.
+instance's outcome, the context's counters and its new cache rows. The
+calling process walks the sorted instances and builds each ClaimReport
+from its own instance and its prime's next outcome, so nothing is sorted
+after evaluation and nothing depends on the number of workers. A prime
+is planned before it is evaluated: every instance that passes its
+hypotheses is started up to the terms it yields, and the prime's context
+is made with those terms as its one plan, so that each ladder is built
+once, at the largest part count and target asked of it, and a ladder too
+large to finish is refused (ScaleGuardError) before any is climbed.
+compsum decides how each term is read; the context knows only cache keys
+and values, and reads no term outside its plan. Within a prime, each
+claim's parameter names are read once and the prime is tested once;
+nothing of that is kept from one call to the next.
 
 Mixed-precision rule used throughout: a right-hand side of the shape
 c * B * p**j (mod p**(j+1)) is evaluated by reducing the cofactor c * B
@@ -167,22 +169,24 @@ class EvalContext:
     rows, and counters of evaluations, cache hits and ladder builds (cache
     hits never touch the evaluator).
 
-    Values live for one plan: plan() replaces the previous plan and forgets
-    its values. Reading a term outside the current plan replaces the plan
-    with one of that term alone, so a later read of a term of the old plan
-    climbs its ladders again; _verify_prime plans every term a prime's
-    instances yield before it reads any. compsum.Plan decides each term's
-    route, one per cache key within a plan, so a value read by one route
-    never stands in for another. The cache holds one value per cache key,
-    whatever its route."""
+    The plan is fixed on construction: terms, (spec, e) pairs, are the only
+    ones comp_sum reads, and reading any other raises KeyError naming it;
+    _verify_prime makes one context per prime from every term that prime's
+    instances yield. The uncached terms go to one compsum.Plan, which
+    raises ScaleGuardError here if a ladder is too large to finish. It
+    decides each term's route, one per cache key within a plan, so a value
+    read by one route never stands in for another. The cache holds one
+    value per cache key, whatever its route."""
 
-    def __init__(self, cache_rows: Mapping[tuple, int] | None = None):
+    def __init__(self, cache_rows: Mapping[tuple, int] | None = None, terms: Iterable[Term] = ()):
         self.comp_sum_evals = 0
         self.cache_hits = 0
         self.ladder_builds = 0
         self._cache = cache_rows or {}
         self.new_rows: dict[tuple, int] = {}
-        self.plan(())
+        self._keys = {term: self.cache_key(*term) for term in terms}
+        self._values: dict[tuple, int] = {}
+        self._plan = Plan(term for term, key in self._keys.items() if key not in self._cache)
 
     @staticmethod
     def cache_key(spec: CompSumSpec, mod_exp: int) -> tuple[str, int, int, str]:
@@ -192,18 +196,10 @@ class EvalContext:
             params += f";target={spec.target}"
         return ("comp_sum", spec.p, spec.r, params)
 
-    def plan(self, terms: Iterable[Term]) -> None:
-        """Replace the current plan and forget its values: keep each term's
-        cache key, and hand compsum the terms whose key the cache does not hold."""
-        self._keys = {term: self.cache_key(*term) for term in terms}
-        self._values: dict[tuple, int] = {}
-        self._plan = Plan(term for term, key in self._keys.items() if key not in self._cache)
-
     def comp_sum(self, spec: CompSumSpec, mod_exp: int) -> int:
-        term = (spec, mod_exp)
-        if term not in self._keys:
-            self.plan([term])
-        key = self._keys[term]
+        key = self._keys.get((spec, mod_exp))
+        if key is None:
+            raise KeyError(f"({spec}, {mod_exp}) is not in the context's plan")
         if key in self._values:
             return self._values[key]
         if key in self._cache:
@@ -307,8 +303,10 @@ class Claim(NamedTuple):
             points = [{**point, name: value} for point in points
                       for value in (values(point) if callable(values) else values)]
         extras = sorted(name for name, _ in self.dims if name not in _INT_FIELDS)
+        shared: dict[tuple, tuple] = {}  # one extra tuple per distinct value, held by every prime's instances
         return [ClaimInstance(self.claim_id, point["p"], point.get("r"), point.get("m"), point.get("n"),
-                              tuple([(name, point[name]) for name in extras])) for point in points]
+                              shared.setdefault(extra := tuple([(name, point[name]) for name in extras]), extra))
+                for point in points]
 
     def violated(self, instance: ClaimInstance) -> str | None:
         """The note of the first hypothesis the instance fails, or None."""
@@ -403,7 +401,7 @@ def _lem21_eval(inst: ClaimInstance):
     lhs = count_solutions_exact(a, m, n, p) % p**2
     # (-1)**(m-1) C(n-2, m-1) times gamma_n(a) = (-1)**(a-1) / (a C(n-1, a))
     rhs = _cof_rhs((-1) ** (m + a) * comb(n - 2, m - 1), a * comb(n - 1, a), [], p, 1)
-    return lhs, rhs, p**2, ""
+    return lhs, rhs, prime_power(p, 2).modulus, ""  # one modulus int per prime, shared by its rows
 
 
 _N7_DIFFS = {  # (m, a): the multiple of p, as numerator and denominator
@@ -456,14 +454,15 @@ def _u_eval(inst: ClaimInstance):
     n = len(alphas)
     w = sum(alphas)
     # both branches read one table per (b, p), built once at p**3: U is an integer
-    # combination of power sums, so its value mod p**3 reduces to the one mod p**2
-    lhs = unordered_sum(b, alphas, prime_power(p, 3))
+    # combination of power sums, so its value mod p**3 reduces to the one mod p**2;
+    # each modulus is the cached prime power's, one int per (p, e) shared by its rows
+    lhs = unordered_sum(b, alphas, M := prime_power(p, 3))
     if _odd(w):
         rhs = _cof_rhs((-1) ** n * factorial(n - 1) * b * b * w * (w + 1), 2 * (w + 2), [p - w - 2], p, 2)
-        return lhs, rhs, p**3, "odd-weight branch"
-    lhs %= p * p
+        return lhs, rhs, M.modulus, "odd-weight branch"
+    M = prime_power(p, 2)
     rhs = _cof_rhs((-1) ** (n - 1) * factorial(n - 1) * b * w, w + 1, [p - w - 1], p, 1)
-    return lhs, rhs, p**2, "even-weight branch"
+    return lhs % M.modulus, rhs, M.modulus, "even-weight branch"
 
 
 def _cor32_eval(inst: ClaimInstance):
@@ -856,7 +855,7 @@ def _evaluate(claim: Claim, run: Evaluation, terms: tuple[Term, ...], ctx: EvalC
 def _outcome(claim: Claim, sides: Sides) -> Outcome:
     lhs, rhs, modulus, note = sides
     if lhs == rhs:
-        status = "pass"
+        status, rhs = "pass", lhs  # one int object for both sides
     else:
         status = "finding" if claim.conjecture else "fail"
         tag = "conjecture mismatch" if claim.conjecture else "congruence fails"
@@ -882,17 +881,16 @@ def verify(instance: ClaimInstance, ctx: EvalContext | None = None) -> ClaimRepo
 def _verify_prime(task: tuple[list[ClaimInstance], dict]) -> tuple[list[Outcome], tuple[int, int, int], dict]:
     """Verify one prime's instances against a context reading the given
     cache rows (a pool task is sent only its prime's): check every
-    instance's hypotheses and start its evaluation, hand all the terms
-    yielded to the context as one plan, then finish the instances in order.
+    instance's hypotheses and start its evaluation, plan all the terms
+    yielded in one context, then finish the instances in order.
     Module-level so that a pool can run it. Returns plain data: each
     instance's outcome in order, the context's counters (evaluations, cache
     hits, ladder builds) and its new cache rows."""
     instances, cache_rows = task
-    ctx = EvalContext(cache_rows)
     claims: dict = {}
     primes: dict[int, bool] = {}
     prepared = [_prepare(instance, claims, primes) for instance in instances]
-    ctx.plan(term for _, _, terms in prepared for term in terms)
+    ctx = EvalContext(cache_rows, (term for _, _, terms in prepared for term in terms))
     outcomes = [_evaluate(claim, run, terms, ctx) if isinstance(run, Generator) else run
                 for claim, run, terms in prepared]
     return outcomes, (ctx.comp_sum_evals, ctx.cache_hits, ctx.ladder_builds), ctx.new_rows
@@ -906,16 +904,17 @@ def verify_instances(
     """Verify instances prime by prime, in process or over a pool of
     min(jobs, primes, CPUs) processes with one task per prime.
 
-    A prime's instances share one context and one compsum plan, so each
-    ladder at that prime is built once and serves every claim, and one
-    primality test and one read of each claim's names serve them all. A
-    task returns its outcomes, counters and new cache rows; this process
-    merges the counters and rows into ctx in ascending prime order and
-    builds each report from its own instance, so reports come back in
-    ClaimInstance.sort_key order and nothing depends on the number of
-    workers.
+    The instances are sorted once, on entry, by ClaimInstance.sort_key, and
+    each prime's task gets its instances in that order. They share one
+    context and one compsum plan, so each ladder at that prime is built
+    once, and one primality test and one read of each claim's names serve
+    them all. Each task's counters and new cache rows go into ctx in
+    ascending prime order; the reports are made by walking the sorted
+    instances, each taking its prime's next outcome, so they come back in
+    sort_key order and nothing depends on the number of workers.
     """
     ctx = ctx if ctx is not None else EvalContext()
+    instances = sorted(instances, key=ClaimInstance.sort_key)
     groups: dict[int, list[ClaimInstance]] = {}
     for inst in instances:
         groups.setdefault(inst.p, []).append(inst)
@@ -923,31 +922,24 @@ def verify_instances(
     workers = min(jobs, len(primes), os.cpu_count() or 1)
     if workers <= 1:
         # each cache key holds its prime, so in process every task reads the caller's rows in place
-        tasks = [(groups[p], ctx._cache) for p in primes]
-        return _collect(tasks, map(_verify_prime, tasks), ctx)
-    cache: dict[int, dict[tuple, int]] = {}
-    for key, value in ctx._cache.items():
-        cache.setdefault(key[1], {})[key] = value
-    tasks = [(groups[p], cache.get(p, {})) for p in primes]  # a pool task is sent only its prime's rows
-    from concurrent.futures import ProcessPoolExecutor
+        results = map(_verify_prime, [(groups[p], ctx._cache) for p in primes])
+    else:
+        cache: dict[int, dict[tuple, int]] = {}
+        for key, value in ctx._cache.items():
+            cache.setdefault(key[1], {})[key] = value
+        from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return _collect(tasks, pool.map(_verify_prime, tasks), ctx)
-
-
-def _collect(tasks: list[tuple[list[ClaimInstance], dict]], results: Iterable, ctx: EvalContext) -> list[ClaimReport]:
-    """Each task's reports, built from its own instances as its result
-    arrives, so no result is held once read; the counters and new rows go
-    to ctx in task order."""
-    reports: list[ClaimReport] = []
-    for (group, _), (outcomes, (evals, hits, builds), new_rows) in zip(tasks, results):
-        reports.extend(ClaimReport(inst, *outcome) for inst, outcome in zip(group, outcomes))
+        with ProcessPoolExecutor(max_workers=workers) as pool:  # a pool task is sent only its prime's rows
+            results = list(pool.map(_verify_prime, [(groups[p], cache.get(p, {})) for p in primes]))
+    pending: dict[int, list[Outcome]] = {}
+    for p, (outcomes, (evals, hits, builds), new_rows) in zip(primes, results):
+        outcomes.reverse()  # the walk below pops them in order, dropping each once its report is made
+        pending[p] = outcomes
         ctx.comp_sum_evals += evals
         ctx.cache_hits += hits
         ctx.ladder_builds += builds
         ctx.new_rows.update(new_rows)
-    reports.sort(key=lambda rep: rep.instance.sort_key())
-    return reports
+    return [ClaimReport(inst, *pending[inst.p].pop()) for inst in instances]
 
 
 def sweep(

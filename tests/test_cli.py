@@ -500,6 +500,15 @@ class TestOracleCommand:
         rc, out, _ = run(capsys, ["oracle", "--n", "2", "--m", "1", "--p", "3", "--target", "4"])
         assert rc == 0
 
+    def test_a_ladder_too_large_to_finish_is_refused(self, capsys, builds, tmp_path):
+        # EQ-1.3 at p = 11, r = 7 would climb its lower sum to 11**7: refused when the prime is planned
+        start = time.perf_counter()
+        rc, out, err = run(capsys, ["verify", "--claims", "EQ-1.3", "--instance", "p=11,r=7",
+                                    "--cache", str(tmp_path / "cache.csv")])
+        assert rc == 2 and "ScaleGuardError" in err and "target 19487171" in err and out == ""
+        assert builds == [] and time.perf_counter() - start < 1
+        assert not (tmp_path / "cache.csv").exists()
+
     def test_scale_guard_is_cli_error(self, capsys, builds):
         # R(7,3,11**5) mod 11**5 would pack 27 Mbit: refused before any ladder is climbed
         start = time.perf_counter()

@@ -157,15 +157,14 @@ class TestLadder:
         assert [comp_sum(spec, M, plan) for (spec, M), _ in shuffled] == [want for _, want in shuffled]
 
     def test_ladders_kept_for_one_prime_only(self):
-        # a sweep's context replaces its plan, and the values it holds, prime by prime
-        ctx = EvalContext()
-        ctx.plan([(r_spec(3, 2, 11), 2), (s_spec(3, 2, 11), 2)])
-        ctx.comp_sum(r_spec(3, 2, 11), 2)
-        ctx.comp_sum(s_spec(3, 2, 11), 2)
-        ctx.plan([(r_spec(3, 1, 13), 1)])
+        # a sweep makes one context per prime, each holding only its own plan and values
+        first = EvalContext(terms=[(r_spec(3, 2, 11), 2), (s_spec(3, 2, 11), 2)])
+        first.comp_sum(r_spec(3, 2, 11), 2)
+        first.comp_sum(s_spec(3, 2, 11), 2)
+        ctx = EvalContext(terms=[(r_spec(3, 1, 13), 1)])
         ctx.comp_sum(r_spec(3, 1, 13), 1)
         assert {key[0] for key in ctx._plan.wanted} == {13}
-        assert ctx.ladder_builds == 3
+        assert (first.ladder_builds, ctx.ladder_builds) == (2, 1)
 
     def test_short_precision_raises(self):
         # built for one part to target 300: rows 3 and 11**3 are beyond it
@@ -494,6 +493,39 @@ class TestKroneckerGuard:
         monkeypatch.setattr(compsum, "_KRONECKER_BITS", 47)
         with pytest.raises(ScaleGuardError, match="48 bits"):
             comp_sum_kronecker(spec, M)
+
+
+class TestLadderPriceGuard:
+    """A plan prices each ladder at rows K times top target N times its working
+    digits, half K*N on a period key, before any is climbed."""
+
+    def test_ladders_are_priced_without_a_climb(self, builds):
+        # LEM-2.3-ii at r = 5: parts below 11**5 mod 11**6 climb their own ladder to
+        # the bounded target 6*11**5 = 966306, kept to 6 + 3*5 digits (11**5 <= N < 11**6)
+        plan = compsum.Plan([(s_spec(7, a, 11, 5), 6) for a in range(1, 7)] + [(s_spec(7, 3, 11, 6), 6)])
+        assert plan.sizes[(11, 11**5, 6)] == (4, 966306)
+        assert plan._price((11, 11**5, 6)) == 4 * 966306 * 21 < compsum._MAX_LADDER_PRICE
+        # R(7,3,10007) mod 10007 on the period key: targets 10007, 20014, 30021
+        plan = compsum.Plan([(r_spec(7, 3, 10007), 1)])
+        assert plan.sizes == {(10007, compsum._PERIOD, 1): (4, 30021)}
+        assert plan._price((10007, compsum._PERIOD, 1)) == 4 * 30021 / 2
+        assert builds == []
+
+    def test_a_ladder_that_cannot_finish_is_refused_before_any_climb(self, builds):
+        # EQ-1.3's lower sum at p = 11, r = 7, read at its full target 11**7 with 7 + 3*7 digits
+        spec, M = s_spec(7, 1, 11, 7, full_target=True), PrimePowerModulus(11, 7)
+        refusal = r"CompSumSpec\(n=7, m=1, p=11, r=7, .*\) mod 11\*\*7 needs a ladder of 4 rows to target 19487171"
+        for refused in (lambda: compsum.Plan([(spec, 7), (s_spec(7, 1, 11, 8), 8)]), lambda: comp_sum(spec, M),
+                        lambda: EvalContext(terms=[(spec, 7)])):
+            with pytest.raises(ScaleGuardError, match=refusal + r", priced 2.18e\+09 > 2e\+08"):
+                refused()
+        assert builds == []
+
+    def test_the_costliest_ladder_is_named(self, monkeypatch):
+        terms = [(s_spec(7, 1, 11, 2, full_target=True), 2), (r_spec(7, 1, 11, 3, full_target=True), 3)]
+        monkeypatch.setattr(compsum, "_MAX_LADDER_PRICE", 100)
+        with pytest.raises(ScaleGuardError, match=r"r=3, .* mod 11\*\*3 needs a ladder of 4 rows to target 1331"):
+            compsum.Plan(terms)
 
 
 class TestBruteforce:

@@ -1,7 +1,9 @@
 import concurrent.futures
+import hashlib
 import os
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -9,8 +11,10 @@ import pytest
 
 from supercong import compsum, modring, verifier
 from supercong.bernoulli import bernoulli_mod_p
+from supercong.cache import ResidueCache
 from supercong.compsum import comp_sum, r_spec, s_spec
 from supercong.modring import NonUnitError, PrimePowerModulus, rational_to_residue
+from supercong.reports import render
 from supercong.verifier import (
     CLAIMS,
     Claim,
@@ -379,6 +383,22 @@ class TestSweep:
         assert plain(outcomes) and plain(counters) and plain(list(new_rows.items()))
         assert [ClaimReport(inst, *o) for inst, o in zip(batch, outcomes)] == [verify(inst) for inst in batch]
 
+    def test_a_sweep_holds_few_bytes_per_row(self):
+        # sorted on entry, a sweep builds each report as it drops its outcome, a
+        # passing row holds one int for both sides, and a grid holds each distinct
+        # extra tuple once; sorting the finished reports peaked near 600 bytes a row
+        tracemalloc.start()
+        try:
+            reports = sweep(["LEM-2.1", "LEM-3.4"], GridSpec(primes=primes_between(11, 100)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(reports) == 5649 and {rep.status for rep in reports} == {"pass"}
+        assert peak / len(reports) < 500
+        assert all(rep.lhs is rep.rhs for rep in reports if rep.status == "pass")
+        extras = {(rep.instance.claim_id, rep.instance.extra): id(rep.instance.extra) for rep in reports}
+        assert len(set(extras.values())) == len(extras)
+
     def test_claim_that_yields_twice_raises(self, monkeypatch):
         def twice(inst):
             [first] = yield [(r_spec(3, 1, inst.p), 1)]
@@ -449,6 +469,37 @@ class TestMixedBatch:
             if not malformed:
                 assert outcome[inst].status != "error"
 
+    # sha256 of the json report and of the cache file written from a mix, recorded
+    # at commit 5a5bdcf, which grouped instances in input order and sorted the
+    # finished reports
+    _MIX_DIGESTS = {
+        2501: ("7a4e71ef1c142b68f45e10d8b0f77428a8e060fa3f706262b6fc2b79f87b3c9e",
+               "b766df05d7936ee9442aea49b17ffaee4aaadab3cb99c28617c7046f2a821d5c"),
+        2502: ("6beac6f2c91c82e5137263216112ba1b96a2f64c79cd8390750f49c2168c777b",
+               "cae23aab6199e809eb85a26caac33351d2bec82771b21f14d4d8f7980809bb8e"),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(_MIX_DIGESTS))
+    def test_a_shuffled_mix_reports_and_caches_as_before(self, seed, tmp_path, monkeypatch):
+        # catalog instances with duplicates, skip rows and tuple-p error rows, shuffled:
+        # sorted once on entry, they give the same bytes at one and two workers
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        rng = random.Random(seed)
+        mix = rng.sample([inst for claim in CLAIMS.values() for inst in claim.grid()], 150)
+        mix += rng.sample(mix, 20)
+        mix += [ClaimInstance("THM-1.1-i", 7, m=1), ClaimInstance("EQ-1.1", 9), ClaimInstance("EQ-1.1", (11, 13)),
+                ClaimInstance("LEM-3.5", (13,), n=5), ClaimInstance("EQ-1.1", 13)]
+        rng.shuffle(mix)
+        for jobs in (1, 2):
+            ctx = EvalContext()
+            reports = verify_instances(mix, ctx, jobs)
+            assert {"pass", "skip", "error"} <= {rep.status for rep in reports}
+            cache = ResidueCache(tmp_path / f"cache{jobs}.csv")
+            cache.append(ctx.new_rows)
+            digests = (hashlib.sha256(render(reports, "json").encode()).hexdigest(),
+                       hashlib.sha256(cache.path.read_bytes()).hexdigest())
+            assert digests == self._MIX_DIGESTS[seed], jobs
+
     def test_the_flat_sort_key_orders_as_the_nested_one(self):
         def ordered(value):
             return isinstance(value, tuple), value
@@ -472,17 +523,19 @@ class TestMixedBatch:
 
 
 # The (p, part bound, e, K, N) of every ladder the default catalog builds, in
-# order. At e = 1 a prime's sums share one period key (part bound
-# compsum._PERIOD), and a full target climbs f: EQ-4.1's free sum and
-# LEM-2.3-i's larger-index side share (11, None, 1), and (13, None, 1) holds
-# LEM-2.3-i's, all at r = 1. Only LEM-2.3-ii's lower sums, with parts below
-# p**r < p**e, climb a bounded series: (11, 11, 2) and (11, 121, 3).
+# order: primes ascending, and within a prime each key as first planned by the
+# prime's instances in ClaimInstance.sort_key order. At e = 1 a prime's sums
+# share one period key (part bound compsum._PERIOD), and a full target climbs
+# f: EQ-4.1's free sum and LEM-2.3-i's larger-index side share (11, None, 1),
+# and (13, None, 1) holds LEM-2.3-i's, all at r = 1. Only LEM-2.3-ii's lower
+# sums, with parts below p**r < p**e, climb a bounded series: (11, 11, 2) and
+# (11, 121, 3).
 _PERIOD = compsum._PERIOD
 _CATALOG_LADDERS = [
     (5, _PERIOD, 1, 2, 5), (7, _PERIOD, 1, 2, 7),
-    (11, _PERIOD, 1, 5, 44), (11, None, 1, 4, 77), (11, None, 2, 4, 363), (11, None, 3, 4, 220),
+    (11, _PERIOD, 1, 5, 44), (11, None, 1, 4, 77), (11, None, 3, 4, 220), (11, None, 2, 4, 363),
     (11, 11, 2, 4, 66), (11, 121, 3, 4, 726),
-    (13, _PERIOD, 1, 5, 52), (13, None, 2, 4, 195), (13, None, 3, 4, 260), (13, None, 1, 4, 91),
+    (13, _PERIOD, 1, 5, 52), (13, None, 1, 4, 91), (13, None, 2, 4, 195), (13, None, 3, 4, 260),
     (17, _PERIOD, 1, 5, 68), (17, None, 2, 4, 17), (19, _PERIOD, 1, 5, 76), (19, None, 2, 4, 19),
     (23, _PERIOD, 1, 5, 92), (23, None, 2, 4, 23), (29, _PERIOD, 1, 5, 116), (29, None, 2, 4, 29),
     (31, _PERIOD, 1, 5, 124), (31, None, 2, 4, 31),
@@ -629,8 +682,8 @@ class TestPlan:
 
 class TestEvalContext:
     def test_memo_avoids_reevaluation(self):
-        ctx = EvalContext()
         spec = s_spec(7, 1, 11, 2)
+        ctx = EvalContext(terms=[(spec, 2)])
         v1 = ctx.comp_sum(spec, 2)
         evals = ctx.comp_sum_evals
         v2 = ctx.comp_sum(spec, 2)
@@ -640,30 +693,33 @@ class TestEvalContext:
         spec = s_spec(7, 1, 11, 2)
         key = EvalContext.cache_key(spec, 2)
         true_value = comp_sum(spec, PrimePowerModulus(11, 2))
-        ctx = EvalContext(cache_rows={key: true_value})
+        ctx = EvalContext(cache_rows={key: true_value}, terms=[(spec, 2)])
         assert ctx.comp_sum(spec, 2) == true_value
         assert ctx.comp_sum_evals == 0 and ctx.cache_hits == 1
         assert ctx.new_rows == {}
 
     def test_new_rows_collected(self):
-        ctx = EvalContext()
         spec = s_spec(3, 1, 5, 1)
+        ctx = EvalContext(terms=[(spec, 1)])
         value = ctx.comp_sum(spec, 1)
         assert ctx.new_rows == {EvalContext.cache_key(spec, 1): value}
 
     def test_a_reduced_value_does_not_stand_in_for_a_full_target_one(self, evaluated):
-        ctx = EvalContext()
+        # a context reads only its own plan's terms, so the one that planned the sum
+        # reduced cannot serve it at the full target, and the other climbs it there
         plain, full = r_spec(7, 2, 11, 2), r_spec(7, 2, 11, 2, full_target=True)
-        assert ctx.comp_sum(plain, 2) == ctx.comp_sum(full, 2)
-        assert evaluated == [(plain, 2), (full, 2)] and ctx.comp_sum_evals == 2
+        reduced, direct = EvalContext(terms=[(plain, 2)]), EvalContext(terms=[(full, 2)])
+        assert reduced.comp_sum(plain, 2) == direct.comp_sum(full, 2)
+        with pytest.raises(KeyError):
+            reduced.comp_sum(full, 2)
+        assert evaluated == [(plain, 2), (full, 2)] and reduced.comp_sum_evals == direct.comp_sum_evals == 1
         # one cache row per cache key, whatever the route
-        assert list(ctx.new_rows) == [EvalContext.cache_key(plain, 2)]
+        assert list(reduced.new_rows) == list(direct.new_rows) == [EvalContext.cache_key(plain, 2)]
 
     def test_a_plan_evaluates_a_cross_checked_sum_once(self, evaluated, builds):
         # within a plan, every term of a sum that some term cross-checks takes the full target
-        ctx = EvalContext()
         terms = [(r_spec(7, 2, 11, 2), 2), (r_spec(7, 2, 11, 2, full_target=True), 2)]
-        ctx.plan(terms)
+        ctx = EvalContext(terms=terms)
         assert len({ctx.comp_sum(*term) for term in terms}) == 1
         assert len(evaluated) == 1 and ctx.comp_sum_evals == 1
         # the one ladder reaches the full target 2 * 11**2
@@ -678,24 +734,32 @@ class TestEvalContext:
             return reading(spec, e)
 
         monkeypatch.setattr(compsum, "_reading", counting)
-        ctx = EvalContext()
         terms = [(r_spec(7, 2, 11, 2), 2), (r_spec(7, 2, 11, 2, full_target=True), 2), (r_spec(7, 2, 11, 2), 2)]
-        ctx.plan(terms)
+        ctx = EvalContext(terms=terms)
         for term in terms:
             ctx.comp_sum(*term)
         # once per distinct request, the plain one read at the full target
         assert read == [(terms[1][0], 2)] * 2
-        ctx.comp_sum(s_spec(3, 1, 11), 1)  # outside the plan: read on the spot
-        assert read[2:] == [(s_spec(3, 1, 11), 1)]
+        with pytest.raises(KeyError):
+            ctx.comp_sum(s_spec(3, 1, 11), 1)  # outside the plan: refused, not routed
+        assert len(read) == 2
 
     def test_cached_values_serve_both_routes(self, evaluated):
         spec = r_spec(7, 2, 11, 2)
         key = EvalContext.cache_key(spec, 2)
-        ctx = EvalContext(cache_rows={key: comp_sum(spec, PrimePowerModulus(11, 2))})
-        ctx.plan([(spec, 2), (r_spec(7, 2, 11, 2, full_target=True), 2)])
+        ctx = EvalContext(cache_rows={key: comp_sum(spec, PrimePowerModulus(11, 2))},
+                          terms=[(spec, 2), (r_spec(7, 2, 11, 2, full_target=True), 2)])
         ctx.comp_sum(spec, 2)
         ctx.comp_sum(r_spec(7, 2, 11, 2, full_target=True), 2)
         assert evaluated == [] and ctx.cache_hits == 1
+
+    def test_a_term_outside_the_plan_raises(self, evaluated):
+        spec = s_spec(7, 1, 11, 2)
+        for ctx in (EvalContext(), EvalContext(terms=[(spec, 3)]), EvalContext({EvalContext.cache_key(spec, 2): 1})):
+            with pytest.raises(KeyError, match=r"\(CompSumSpec\(n=7, m=1, p=11, r=2, .*\), 2\) is not in the context's plan"):
+                ctx.comp_sum(spec, 2)
+            assert (ctx.comp_sum_evals, ctx.cache_hits, ctx.new_rows) == (0, 0, {})
+        assert evaluated == []
 
     def test_shared_context_across_claims(self):
         # PROP-4.1 at r in {1,2} computes the bounded sums at p^2 and p^3,
@@ -741,14 +805,14 @@ class TestOnePath:
             verify_instances([inst])
 
     def test_a_sweep_plans_each_prime_once(self, monkeypatch):
-        plans = []  # the primes of each plan's terms, and whether a read made the plan
+        plans = []  # the primes of each context's planned terms, and whether a read made the context
         reading = []
-        plan, read = EvalContext.plan, EvalContext.comp_sum
+        init, read = EvalContext.__init__, EvalContext.comp_sum
 
-        def recorded_plan(self, terms):
+        def recorded_init(self, cache_rows=None, terms=()):
             terms = list(terms)
             plans.append(({spec.p for spec, _ in terms}, bool(reading)))
-            plan(self, terms)
+            init(self, cache_rows, terms)
 
         def recorded_read(self, spec, mod_exp):
             reading.append(spec)
@@ -757,11 +821,11 @@ class TestOnePath:
             finally:
                 reading.pop()
 
-        monkeypatch.setattr(EvalContext, "plan", recorded_plan)
+        monkeypatch.setattr(EvalContext, "__init__", recorded_init)
         monkeypatch.setattr(EvalContext, "comp_sum", recorded_read)
         primes = sorted({rep.instance.p for rep in sweep(list(CLAIMS))})
-        # the caller's context and each prime's make an empty plan on creation
-        assert len(plans) == 1 + 2 * len(primes) == 47
+        # the caller's context plans nothing, and each prime's context is made with its plan
+        assert len(plans) == 1 + len(primes) == 24
         assert not any(made_by_read for _, made_by_read in plans)
         planned = [plan_primes for plan_primes, _ in plans if plan_primes]
         assert all(len(plan_primes) == 1 for plan_primes in planned)

@@ -13,18 +13,17 @@ bounded family with R >= e gets no series of its own: f_b == (1 - x**p**R)
 * f (mod p**e) turns [x**N] f_b**n into n + 1 shifted unbounded
 coefficients, each read at its shifted target below L and reduced from L
 on. Only a bounded request with R < e is read at its own target, on its
-own bounded series. Mod p (e = 1) the expansion has one term:
-1/(a + b*p) == 1/a, so f == g / (1 - x**p) with g = sum_{0<a<p} x**a / a
-of degree p - 1, and f_b == (1 - x**p**R) * g / (1 - x**p). So every
-e = 1 request, of either family and at any r, is an exact integer
-combination of the coefficients [x**t] g**n with n <= t <= n*(p-1), all
-read off one period key per prime (_period_weights). A request can also
-ask to be read without weights (CompSumSpec.full_target): each shifted
-unbounded coefficient at its exact target, which is how the verifier
-cross-checks the identities that the weights would make hold by algebra
-alone; at e = 1 it climbs f itself, not the period key. The
-plan decides each request's route: a sum that one request of a plan
-reads at its full target is read there by every request of that plan.
+own bounded series. So a bounded sum asked one digit deeper than its part
+bound, mod p**(R+1), is read with no weights, on a climb of its own: the
+verifier reads one side of each identity that the weights would make hold
+by algebra alone this way, and reduces it. Mod p (e = 1) the expansion
+has one term: 1/(a + b*p) == 1/a, so f == g / (1 - x**p) with
+g = sum_{0<a<p} x**a / a of degree p - 1, and f_b == (1 - x**p**R) * g /
+(1 - x**p). So every e = 1 request, of either family and at any r, is
+an exact integer combination of the coefficients [x**t] g**n with
+n <= t <= n*(p-1), all read off one period key per prime
+(_period_weights). A request's route is a function of the request
+(spec, e) alone (_reading).
 
 The coefficients themselves come from one evaluator, a derivative
 ladder: (f**k)' = k * f**(k-1) * f', and f' has 0/1 coefficients, so
@@ -43,10 +42,9 @@ the plan to comp_sum, which looks up the request's reading and combines
 the coefficients. Each (prime, part bound, precision) key of the plan
 gets one ladder, built once for its largest part count and target; a
 request plans its coefficients under the unbounded key (p, None, e), an
-e = 1 request not at its full target under the period key (p, _PERIOD, 1),
-and a bounded request with R < e under its own key (p, p**R, e). The rows
-are streamed, two alive at a time, and only the planned coefficients are
-kept. A request outside the plan, or made without one, is a plan of its
+e = 1 request under the period key (p, _PERIOD, 1), and a bounded request
+with R < e under its own key (p, p**R, e). The rows are streamed, two
+alive at a time, and only the planned coefficients are kept. A request outside the plan, or made without one, is a plan of its
 own. A plan prices each ladder before any is climbed and refuses one too
 large to finish with ScaleGuardError. One independent oracle checks the
 evaluator, here because `supercong oracle` runs it: binary powering with
@@ -70,8 +68,9 @@ __all__ = ["ScaleGuardError", "PrecisionError", "CompSumSpec", "s_spec", "r_spec
 # R(7,3,11**4) mod 11**4 packs 2.1 Mbit and takes seconds, R(7,3,11**5) 27 Mbit and minutes
 _KRONECKER_BITS = 1 << 22
 # Plan refuses a ladder priced above this (Plan._price): LEM-2.3-ii at r = 5 prices
-# 8.1e7 and takes 4 s and 225 MB, EQ-1.3 at p = 11, r = 6 1.7e8, 7 s and 480 MB,
-# and EQ-1.3 at r = 7 2.2e9, which ran out of memory under a 1.5 GB cap
+# 8.1e7 and takes 4 s and 225 MB, EQ-1.3 at p = 11, r = 6 1.8e8, and EQ-1.3 at
+# r = 7 2.3e9, a ladder of 4 rows to 11**7 like the one that ran out of memory
+# under a 1.5 GB cap
 _MAX_LADDER_PRICE = 2e8
 
 
@@ -92,7 +91,6 @@ class _SpecFields(NamedTuple):
     r: int
     upper_bound: int | None
     target: int
-    full_target: bool
 
 
 class CompSumSpec(_SpecFields):
@@ -102,16 +100,14 @@ class CompSumSpec(_SpecFields):
     bounded family, nonempty only for m <= n - 1); with upper_bound = None
     parts are free (the family appearing at target m*p and in the lifted
     congruences). An explicit target decoupled from m * p**r is accepted
-    for oracle-style evaluations at arbitrary sums. full_target reads the
-    sum with no weights, each coefficient at its exact (shifted) target and
-    never on the period key: the same value, by a second route. An
-    immutable named tuple, validated on construction.
+    for oracle-style evaluations at arbitrary sums. An immutable named
+    tuple, validated on construction.
     """
 
     __slots__ = ()
 
     def __new__(cls, n: int, m: int, p: int, r: int = 1, upper_bound: int | None = None,
-                target: int | None = None, full_target: bool = False) -> CompSumSpec:
+                target: int | None = None) -> CompSumSpec:
         if n < 1:
             raise ValueError("need at least one part")
         if m < 1:
@@ -124,17 +120,17 @@ class CompSumSpec(_SpecFields):
             target = m * p**r
         elif target < 1:
             raise ValueError(f"target must be >= 1, got {target}")
-        return super().__new__(cls, n, m, p, r, upper_bound, target, full_target)
+        return super().__new__(cls, n, m, p, r, upper_bound, target)
 
 
-def s_spec(n: int, m: int, p: int, r: int = 1, full_target: bool = False) -> CompSumSpec:
+def s_spec(n: int, m: int, p: int, r: int = 1) -> CompSumSpec:
     """Spec with every part strictly below p**r."""
-    return CompSumSpec(n=n, m=m, p=p, r=r, upper_bound=p**r, full_target=full_target)
+    return CompSumSpec(n=n, m=m, p=p, r=r, upper_bound=p**r)
 
 
-def r_spec(n: int, m: int, p: int, r: int = 1, full_target: bool = False) -> CompSumSpec:
+def r_spec(n: int, m: int, p: int, r: int = 1) -> CompSumSpec:
     """Spec with unbounded parts."""
-    return CompSumSpec(n=n, m=m, p=p, r=r, full_target=full_target)
+    return CompSumSpec(n=n, m=m, p=p, r=r)
 
 
 def _eval_modulus(spec: CompSumSpec, modulus: PrimePowerModulus | None) -> PrimePowerModulus:
@@ -151,8 +147,7 @@ def _shifted(values: Iterable[int], d: int, N: int) -> Iterator[int]:
 
 
 # The part bound of the period key, which climbs g = sum_{0<a<p} x**a / a mod p
-# (_Ladder) and reads every e = 1 sum not asked at its full target
-# (_period_weights). A real part bound p**r is at least 2.
+# (_Ladder) and reads every e = 1 sum (_period_weights). A real part bound p**r is at least 2.
 _PERIOD = 0
 
 
@@ -399,14 +394,13 @@ def _reading(spec: CompSumSpec, e: int) -> tuple[tuple[int, int | None, int], di
     == sum_t w_t * [x**t] f**n (mod p**e), f the series of that key. A
     bounded request with R < e is read at its target on (p, p**R, e); every
     other one through the n + 1 shifts of the unbounded series (one for a
-    free request), each shift at its exact target below n*p*e or at full
-    target, and by its digit weights from n*p*e on. At e = 1 every request
-    not asked at its full target is read on the period key, as coefficients
-    of g**n, with its weights reduced mod p and the vanishing ones dropped."""
+    free request), each shift at its exact target below n*p*e and by its
+    digit weights from n*p*e on. At e = 1 every request is read on the
+    period key, as coefficients of g**n, with its weights reduced mod p and
+    the vanishing ones dropped."""
     n, N, p = spec.n, spec.target, spec.p
     if spec.upper_bound is not None and spec.r < e:
         return (p, spec.upper_bound, e), {N: 1}
-    period = e == 1 and not spec.full_target
     # bounded: f_b == (1 - x**p**R) * f (mod p**e, R >= e),
     # so f_b**n == sum_k (-1)**k C(n, k) x**(k*p**R) f**n
     shifts = range(n + 1) if spec.upper_bound is not None else range(1)
@@ -415,13 +409,13 @@ def _reading(spec: CompSumSpec, e: int) -> tuple[tuple[int, int | None, int], di
         shifted, sign = N - k * p**spec.r, (-1) ** k * comb(n, k)
         if shifted < n:
             break
-        if period:
+        if e == 1:
             terms = _period_weights(n, p, shifted)
         else:
-            terms = {shifted: 1} if spec.full_target or shifted < n * p * e else _digit_weights(n, p, e, shifted)
+            terms = {shifted: 1} if shifted < n * p * e else _digit_weights(n, p, e, shifted)
         for t, w in terms.items():
             out[t] = out.get(t, 0) + sign * w
-    if period:
+    if e == 1:
         return (p, _PERIOD, 1), {t: w % p for t, w in out.items() if w % p}
     return (p, None, e), out
 
@@ -430,29 +424,25 @@ class Plan:
     """The composition sums a caller will ask for, as (spec, e) pairs, each
     to be evaluated mod p**e, and how each is read.
 
-    A sum that one request reads at its full target (CompSumSpec.full_target)
-    is read there by every request of the plan, so the plan holds one value
-    per sum. readings[(spec, e)] is the request's ladder key and weights
-    (_reading). Each (prime, part bound, precision) key gets one ladder,
-    sized to the largest part count and target requested of it: sizes[key]
-    is its rows K and top target N. Every ladder is priced on construction,
-    before any climb (_price), and a plan whose costliest ladder is priced
-    above _MAX_LADDER_PRICE raises ScaleGuardError naming the term that sets
-    its top target. The first comp_sum call that reaches a key climbs its
-    ladder and fills in every requested coefficient of that key.
+    readings[(spec, e)] is the request's ladder key and weights (_reading),
+    so each request has one route, whatever else the plan holds. Each
+    (prime, part bound, precision) key gets one ladder, sized to the largest
+    part count and target requested of it: sizes[key] is its rows K and top
+    target N. Every ladder is priced on construction, before any climb
+    (_price), and a plan whose costliest ladder is priced above
+    _MAX_LADDER_PRICE raises ScaleGuardError naming the term that sets its
+    top target. The first comp_sum call that reaches a key climbs its ladder
+    and fills in every requested coefficient of that key.
     """
 
     def __init__(self, requests: Iterable[tuple[CompSumSpec, int]] = ()):
         self.ladders_built = 0
-        requests = dict.fromkeys(requests)
-        full = {(spec._replace(full_target=False), e) for spec, e in requests if spec.full_target}
         self.readings: dict[tuple[CompSumSpec, int], tuple[tuple[int, int | None, int], dict[int, int]]] = {}
         # per key, the requested (n, t) coefficients, None until the key's ladder is climbed
         self.wanted: dict[tuple[int, int | None, int], dict[tuple[int, int], int | None]] = {}
-        for spec, e in requests:
+        for spec, e in dict.fromkeys(requests):
             if spec.target >= spec.n:
-                read = spec._replace(full_target=True) if (spec, e) in full else spec
-                key, weights = self.readings[(spec, e)] = _reading(read, e)
+                key, weights = self.readings[(spec, e)] = _reading(spec, e)
                 self.wanted.setdefault(key, {}).update(((spec.n, t), None) for t in weights)
         # per key with a coefficient to read, the ladder's rows K (half its largest part count) and top target N
         self.sizes = {key: ((max(n for n, _ in wanted) + 1) // 2, max(t for _, t in wanted))

@@ -174,9 +174,8 @@ class EvalContext:
     _verify_prime makes one context per prime from every term that prime's
     instances yield. The uncached terms go to one compsum.Plan, which
     raises ScaleGuardError here if a ladder is too large to finish. It
-    decides each term's route, one per cache key within a plan, so a value
-    read by one route never stands in for another. The cache holds one
-    value per cache key, whatever its route."""
+    reads each term by the route of the term alone, so a cache key has one
+    route, and the cache holds one value per cache key."""
 
     def __init__(self, cache_rows: Mapping[tuple, int] | None = None, terms: Iterable[Term] = ()):
         self.comp_sum_evals = 0
@@ -378,21 +377,16 @@ def _thm1ii_eval(inst: ClaimInstance):
     return lhs, rhs, p**r, ""
 
 
-# EQ-1.3, EQ-4.1 and LEM-2.3-ii hold by algebra alone for the digit
-# weights (and f_b == (1 - x**p**R) * f mod p**e, R >= e, is how every
-# bounded sum is read), so each takes one side at its full target, read
-# with no weights: EQ-1.3 its lower sum, EQ-4.1 its free sum, and
-# LEM-2.3-ii its lower sums, whose parts stay below p**r < p**e, the one
-# case that climbs a bounded ladder of its own. At e = 1 every other sum
-# is read on the period key, whose mirror [x**(n*p - t)] g**n ==
-# (-1)**n [x**t] g**n makes LEM-2.3-i at r = 1 hold by algebra alone: it
-# takes the side with the larger index at its full target, so that each
-# sum S(n, j, p) has one route. Full targets at e = 1 climb f by the digit
-# route, so every cross-routed row compares two different climbs.
+# EQ-1.3, EQ-4.1, LEM-2.3-i at r = 1 (by the period key's mirror) and
+# LEM-2.3-ii would hold by algebra alone if both sides were read by
+# weights, so each asks one side's bounded sums S(n, a, p**r) one digit
+# deeper, mod p**(r+1), where parts below p**r climb a ladder of their own
+# (compsum._reading), and uses them mod p**r (LEM-2.3-ii through its
+# multiples of p, C(a, m, n, p)).
 
 def _eq13_eval(inst: ClaimInstance):
     p, r = inst.p, inst.r
-    upper, lower = yield [(s_spec(7, 1, p, r + 1), r + 1), (s_spec(7, 1, p, r, full_target=True), r)]
+    upper, lower = yield [(s_spec(7, 1, p, r + 1), r + 1), (s_spec(7, 1, p, r), r + 1)]
     return upper, p * lower % p ** (r + 1), p ** (r + 1), ""
 
 
@@ -423,9 +417,10 @@ def _cor22_eval(inst: ClaimInstance):
 
 def _lem23i_eval(inst: ClaimInstance):
     p, r, n, k = inst.p, inst.r, inst.n, inst.m
-    s_k, s_n_minus_k = yield [(s_spec(n, k, p, r, full_target=r == 1 and 2 * k >= n), r),
-                              (s_spec(n, n - k, p, r, full_target=r == 1 and 2 * k <= n), r)]
-    return s_k, (-1) ** n * s_n_minus_k % p**r, p**r, ""
+    # at r = 1 the side with index >= n/2 is read mod p**2; at 2k = n the one sum both ways
+    s_k, s_n_minus_k = yield [(s_spec(n, k, p, r), 2 if r == 1 and 2 * k >= n else r),
+                              (s_spec(n, n - k, p, r), 2 if r == 1 and 2 * k < n else r)]
+    return s_k % p**r, (-1) ** n * s_n_minus_k % p**r, p**r, ""
 
 
 def _lem23ii_eval(inst: ClaimInstance):
@@ -534,8 +529,7 @@ def _prop41_eval(inst: ClaimInstance):
 
 def _eq41_eval(inst: ClaimInstance):
     p, r, m = inst.p, inst.r, inst.m
-    free, *bounded = yield [(r_spec(7, m, p, r, full_target=True), r),
-                            *((s_spec(7, a, p, r), r) for a in range(1, 7))]
+    free, *bounded = yield [(r_spec(7, m, p, r), r), *((s_spec(7, a, p, r), r + 1) for a in range(1, 7))]
     rhs = sum(comb(m + 6 - a, 6) * s for a, s in enumerate(bounded, start=1))
     return free, rhs % p**r, p**r, ""
 

@@ -91,6 +91,14 @@ def _fresh(spec, M):
     return comp_sum(spec, M)
 
 
+def _climbed(spec, e):
+    """[x**N] f**n mod p**e on the spec's own series (f, or f_b with parts below
+    its bound), climbed to the exact target N with no weights and no shifts."""
+    wanted = {(spec.n, spec.target): None}
+    compsum._Ladder(spec.p, spec.upper_bound, e, (spec.n + 1) // 2, spec.target).fill(wanted)
+    return wanted[(spec.n, spec.target)]
+
+
 class TestLadder:
     def test_randomized_against_kronecker_oracle(self):
         rng = random.Random(20261018)
@@ -109,10 +117,10 @@ class TestLadder:
                 spec = CompSumSpec(n=n, m=m, p=p, r=r, upper_bound=bound)
             M = PrimePowerModulus(p, rng.randint(1, 12))
             want = comp_sum_kronecker(spec, M)
-            # and the ladder itself at the full target, which a deep request no longer reaches
-            assert _fresh(spec, M) == _fresh(spec._replace(full_target=True), M) == want, (spec, M)
-        # e = 1 requests read g**n off the period key, mod p, and their full targets
-        # climb f by the digit route: bounds below N, N below p and at a multiple
+            # and the ladder itself climbed to the exact target, which a deep request no longer reaches
+            assert _fresh(spec, M) == _climbed(spec, M.r) == want, (spec, M)
+        # e = 1 requests read g**n off the period key, mod p, and the digit route
+        # climbs f to the exact target: bounds below N, N below p and at a multiple
         # of p, p in {2, 3} over many periods, up to 10 parts
         cases = [(5, 1, 37, 4), (3, 2, 40, 6), (7, 1, 50, 10), (2, 3, 301, 7),  # bound < N
                  (13, None, 10, 3), (11, 1, 9, 2), (13, 2, 12, 5),  # N < p
@@ -127,7 +135,7 @@ class TestLadder:
             key, _ = compsum._reading(spec, 1)
             assert key == (p, compsum._PERIOD, 1) and compsum._Ladder(*key, (n + 1) // 2, N).mod == p
             want = comp_sum_kronecker(spec, M)
-            assert _fresh(spec, M) == _fresh(spec._replace(full_target=True), M) == want, (spec, M)
+            assert _fresh(spec, M) == _climbed(spec, 1) == want, (spec, M)
 
     def test_kronecker_oracle_against_bruteforce(self):
         rng = random.Random(7)
@@ -263,7 +271,7 @@ class TestLadder:
             assert any(got)
 
     def test_period_key_against_kronecker(self):
-        # every e = 1 sum not read at its full target comes off one half-climbed
+        # every e = 1 sum comes off one half-climbed
         # period ladder per prime: both families, targets on and off multiples of p,
         # parts below p**2 at e = 1, and more parts than p at p in {2, 3}
         rng = random.Random(20261019)
@@ -349,7 +357,10 @@ class TestLadder:
 class TestReducedRoute:
     """Deep requests are reduced by the digit expansion to coefficients below n*p*e."""
 
-    def test_agrees_with_the_full_target_ladder(self):
+    def test_agrees_with_the_cross_route(self):
+        # a bounded sum read mod p**e <= p**(r+1) equals the same sum read mod p**(r+1)
+        # on its own ladder (p, p**r, r+1), reduced; a free sum equals its own series
+        # climbed to the exact target
         rng = random.Random(20261019)
         reduced = 0
         for _ in range(120):
@@ -360,8 +371,12 @@ class TestReducedRoute:
             spec = (s_spec if rng.random() < 0.5 else r_spec)(n, rng.randint(1, n + 1), p, r)
             if spec.target > 6000:
                 continue
-            M = PrimePowerModulus(p, e)
-            assert comp_sum(spec, M) == comp_sum(spec._replace(full_target=True), M), (spec, e)
+            if spec.upper_bound is None:
+                other = _climbed(spec, e)
+            else:
+                assert compsum._reading(spec, r + 1)[0] == (p, p**r, r + 1)
+                other = comp_sum(spec, PrimePowerModulus(p, r + 1)) % p**e
+            assert comp_sum(spec, PrimePowerModulus(p, e)) == other, (spec, e)
             weights = compsum._reading(spec, e)[1]
             reduced += spec.target >= n * p * e > max(weights, default=0)
         assert reduced >= 40
@@ -394,25 +409,16 @@ class TestReducedRoute:
             assert compsum._digit_weights(n, p, e, N) == want, (n, p, e, N)
 
     def test_routes(self):
-        # the ladder at the full target for N < n*p*e, for parts below p**R with R < e
-        # and on request; everything else is reduced
+        # the ladder at the exact target for N < n*p*e and for parts below p**R with
+        # R < e; everything else is reduced, or at e = 1 read on the period key
         assert compsum._reading(r_spec(7, 1, 11, 1), 1) == ((11, compsum._PERIOD, 1), {11: 1})  # 11 < 77
         key, weights = compsum._reading(r_spec(7, 2, 11, 2), 2)  # 242 >= 154
         assert key == (11, None, 2) and max(weights) < 154
-        assert compsum._reading(r_spec(7, 2, 11, 2, full_target=True), 2) == ((11, None, 2), {242: 1})
+        key, weights = compsum._reading(s_spec(7, 2, 11, 2), 2)  # R = e: the shifts of f, reduced
+        assert key == (11, None, 2) and max(weights) < 154
         key, weights = compsum._reading(s_spec(7, 1, 11, 3), 3)
         assert key == (11, None, 3) and max(weights) < 231
         assert compsum._reading(s_spec(7, 1, 11, 2), 3) == ((11, 121, 3), {121: 1})  # R = 2 < e = 3
-
-    def test_a_plan_reads_a_cross_checked_sum_at_its_full_target(self, builds):
-        # one request at the full target takes every request of that sum there
-        plain, full = r_spec(7, 2, 11, 2), r_spec(7, 2, 11, 2, full_target=True)
-        M = PrimePowerModulus(11, 2)
-        plan = compsum.Plan([(plain, 2), (full, 2)])
-        assert plan.readings[(plain, 2)] == plan.readings[(full, 2)] == ((11, None, 2), {242: 1})
-        assert comp_sum(plain, M, plan) == comp_sum_kronecker(plain, M)
-        assert [(args[:3], args[4]) for args in builds] == [((11, None, 2), 242)]
-        assert comp_sum(full, M, plan) == comp_sum(plain, M, plan) and plan.ladders_built == 1
 
     def test_without_the_full_request_a_plan_reduces(self, builds):
         plain = r_spec(7, 2, 11, 2)
@@ -423,8 +429,8 @@ class TestReducedRoute:
         assert len(builds) == 1 and builds[0][:3] == (11, None, 2) and builds[0][4] < 7 * 11 * 2
 
     def test_a_request_outside_the_plan_is_a_plan_of_its_own(self, builds):
-        full = r_spec(7, 2, 11, 2, full_target=True)
-        plan = compsum.Plan([(full, 2)])
+        cross = s_spec(7, 2, 11, 2)
+        plan = compsum.Plan([(cross, 3)])
         wanted = {key: dict(coefficients) for key, coefficients in plan.wanted.items()}
         # the plain sum is not in the plan: it is reduced, and the plan's ladder is not climbed
         plain = r_spec(7, 2, 11, 2)
@@ -435,7 +441,7 @@ class TestReducedRoute:
     @pytest.mark.parametrize("r", [6, 8])
     def test_deep_closed_forms(self, r):
         # THM-1.1-ii and PROP-4.1 have closed right-hand sides with a Bernoulli
-        # residue, so at depths far beyond the full-target ladder they are real checks
+        # residue, so at depths far beyond any climb to the exact target they are real checks
         from supercong.verifier import GridSpec, sweep
 
         reports = sweep(["THM-1.1-ii", "PROP-4.1"], GridSpec(rs=(r,)))
@@ -461,20 +467,15 @@ class TestOneReadingRule:
             spec = CompSumSpec(n=n, m=1, p=p, r=R, upper_bound=p**R if bounded else None, target=N)
             M = PrimePowerModulus(p, e)
             want = comp_sum_kronecker(spec, M)
-            for read in (spec, spec._replace(full_target=True)):
-                key, weights = compsum._reading(read, e)
-                if bounded and R < e:
-                    assert (key, weights) == ((p, p**R, e), {N: 1}), (read, e)
-                else:
-                    assert key == ((p, compsum._PERIOD, 1) if e == 1 and not read.full_target else (p, None, e))
-                assert _fresh(read, M) == want, (read, e)
-            if bounded:
-                # a second climb for reference: the bounded ladder read directly at the target
-                wanted = {(n, N): None}
-                compsum._Ladder(p, p**R, e, (n + 1) // 2, N).fill(wanted)
-                assert wanted[(n, N)] == want, (spec, e)
-                if R >= e:
-                    shifted.add((p > 13, e, N >= n * p * e))
+            key, weights = compsum._reading(spec, e)
+            if bounded and R < e:
+                assert (key, weights) == ((p, p**R, e), {N: 1}), (spec, e)
+            else:
+                assert key == ((p, compsum._PERIOD, 1) if e == 1 else (p, None, e))
+            # and a second climb for reference: the spec's own series read directly at the target
+            assert _fresh(spec, M) == _climbed(spec, e) == want, (spec, e)
+            if bounded and R >= e:
+                shifted.add((p > 13, e, N >= n * p * e))
         assert shifted == {(large, e, above) for large in (False, True) for e in (1, 2, 3) for above in (False, True)
                            if e == 1 or not large}
 
@@ -512,19 +513,20 @@ class TestLadderPriceGuard:
         assert builds == []
 
     def test_a_ladder_that_cannot_finish_is_refused_before_any_climb(self, builds):
-        # EQ-1.3's lower sum at p = 11, r = 7, read at its full target 11**7 with 7 + 3*7 digits
-        spec, M = s_spec(7, 1, 11, 7, full_target=True), PrimePowerModulus(11, 7)
-        refusal = r"CompSumSpec\(n=7, m=1, p=11, r=7, .*\) mod 11\*\*7 needs a ladder of 4 rows to target 19487171"
-        for refused in (lambda: compsum.Plan([(spec, 7), (s_spec(7, 1, 11, 8), 8)]), lambda: comp_sum(spec, M),
-                        lambda: EvalContext(terms=[(spec, 7)])):
-            with pytest.raises(ScaleGuardError, match=refusal + r", priced 2.18e\+09 > 2e\+08"):
+        # EQ-1.3's lower sum at p = 11, r = 7, read mod 11**8 on its own ladder to its
+        # target 11**7, with 8 + 3*7 digits
+        spec, M = s_spec(7, 1, 11, 7), PrimePowerModulus(11, 8)
+        refusal = r"CompSumSpec\(n=7, m=1, p=11, r=7, .*\) mod 11\*\*8 needs a ladder of 4 rows to target 19487171"
+        for refused in (lambda: compsum.Plan([(spec, 8), (s_spec(7, 1, 11, 8), 8)]), lambda: comp_sum(spec, M),
+                        lambda: EvalContext(terms=[(spec, 8)])):
+            with pytest.raises(ScaleGuardError, match=refusal + r", priced 2.26e\+09 > 2e\+08"):
                 refused()
         assert builds == []
 
     def test_the_costliest_ladder_is_named(self, monkeypatch):
-        terms = [(s_spec(7, 1, 11, 2, full_target=True), 2), (r_spec(7, 1, 11, 3, full_target=True), 3)]
+        terms = [(s_spec(7, 1, 11, 2), 3), (s_spec(7, 1, 11, 3), 4)]
         monkeypatch.setattr(compsum, "_MAX_LADDER_PRICE", 100)
-        with pytest.raises(ScaleGuardError, match=r"r=3, .* mod 11\*\*3 needs a ladder of 4 rows to target 1331"):
+        with pytest.raises(ScaleGuardError, match=r"r=3, .* mod 11\*\*4 needs a ladder of 4 rows to target 1331"):
             compsum.Plan(terms)
 
 

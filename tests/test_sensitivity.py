@@ -70,10 +70,10 @@ def _blind(baseline, mutated, reads):
 # consistent ladder error can pass them. CONJ-5.1-w10 passes only where both
 # sides vanish mod p (m = 1, and p = 23 at m = 4), which an error can leave
 # at 0; its other rows are findings already. This set may only shrink.
-# Today the inverse mutation leaves LEM-2.3-ii blind, the split-read
-# mutation EQ-1.3, EQ-4.1 and LEM-2.3-ii, and the dot-product mutation
-# CONJ-5.1-w10; the mirror mutation is refused. LEM-2.3-i left this set when
-# its r = 1 rows came to compare the period key with the digit route.
+# Today the inverse and split-read mutations leave EQ-1.3, EQ-4.1 and
+# LEM-2.3-ii blind, and the dot-product mutation CONJ-5.1-w10; the mirror
+# mutation is refused. LEM-2.3-i left this set when its r = 1 rows came to
+# compare the period key with the digit route.
 _BLIND_AT_MOST = {"EQ-1.3", "EQ-4.1", "LEM-2.3-ii", "CONJ-5.1-w10"}
 
 
@@ -95,7 +95,8 @@ def test_a_wrong_reduction_weight_is_noticed(baseline, monkeypatch):
     monkeypatch.setattr(compsum, "_digit_weights", first_doubled)
     noticed = _noticed(baseline, _sweep())
     # EQ-1.3, EQ-4.1 and LEM-2.3-ii would hold by algebra alone if both of
-    # their sides were reduced: each keeps one side at its full target
+    # their sides were reduced: each reads one side one digit deeper, on a
+    # bounded ladder of its own
     assert {"EQ-1.3", "EQ-4.1", "LEM-2.3-ii", "THM-1.1-ii", "PROP-4.1"} <= noticed
     assert noticed <= _COMPOSITION_CLAIMS
 
@@ -137,14 +138,15 @@ def test_a_wrong_bounded_shift(baseline, reads, monkeypatch, old, new):
     # f_b**n == sum_k (-1)**k C(n, k) x**(k*p**R) f**n
     monkeypatch.setattr(compsum, "_reading", _mutant(compsum, "_reading", old, new))
     mutated = _sweep()
-    assert {"EQ-4.1", "LEM-2.3-i", "LEM-2.3-ii", "COR-3.8"} <= _noticed(baseline, mutated)
+    # EQ-4.1 reads its bounded sums on their own ladders, with no shift
+    assert {"EQ-5.1", "LEM-2.3-i", "LEM-2.3-ii", "COR-3.8"} <= _noticed(baseline, mutated)
     assert _blind(baseline, mutated, reads) <= _SHIFT_BLIND_AT_MOST
 
 
 def test_a_wrong_ladder_inverse_at_multiples_of_p(baseline, reads, monkeypatch):
     # the period key's table is the inverse period, with no multiple of p but 0,
-    # so this mutation reaches only the digit route: the ladders with e >= 2 and
-    # the full targets at e = 1, one side of LEM-2.3-i at r = 1 among them
+    # so this mutation reaches only the digit route: the ladders with e >= 2, one
+    # side of LEM-2.3-i at r = 1 among them
     build = compsum._Ladder.__init__
 
     def doubled_at_multiples_of_p(self, *args):
@@ -155,7 +157,18 @@ def test_a_wrong_ladder_inverse_at_multiples_of_p(baseline, reads, monkeypatch):
     monkeypatch.setattr(compsum._Ladder, "__init__", doubled_at_multiples_of_p)
     mutated = _sweep()
     assert "LEM-2.3-i" in _noticed(baseline, mutated)
-    assert _blind(baseline, mutated, reads) <= _BLIND_AT_MOST
+    blind = _blind(baseline, mutated, reads)
+    assert blind <= _BLIND_AT_MOST
+    # what the blind claims read changes only in its top digit, mod p**e but not
+    # mod p**(e-1), and each drops that digit: EQ-1.3 and EQ-4.1 read their cross
+    # sides mod p**r, LEM-2.3-ii its lower sums times multiples of p
+    values, changed_values = baseline[1], mutated[1]
+    changed = {key for claim_id in blind for key in reads[claim_id] if changed_values[key] != values[key]}
+    assert changed
+    for key in changed:
+        _, p, _, params = key
+        e = int(dict(field.split("=") for field in params.split(";"))["e"])
+        assert (changed_values[key] - values[key]) % p ** (e - 1) == 0, key
 
 
 def test_a_flipped_dot_product_at_multiples_of_p(baseline, reads, monkeypatch):

@@ -15,7 +15,8 @@ from pathlib import Path
 from supercong.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
-# EQ-4.1 reads its free sum R(7,m,p^r) at its full target: a cross-routed sum
+# EQ-4.1 reads its bounded sums S(7,a,p^r) one digit deeper, mod p^(r+1), on their own
+# ladder (a cross route), and its free sum R(7,m,p^r) reduced
 ARGV = ["verify", "--claims", "EQ-1.1,EQ-4.1,LEM-2.3-ii,LEM-3.4", "--primes", "11", "--format", "json"]
 
 
@@ -38,7 +39,7 @@ def test_traced_cli_matches_untraced_and_sees_every_layer(tmp_path, monkeypatch,
     compsum_attrs = [span[4] for span in spans if span[0] == "compsum.comp_sum"]
     # LEM-2.3-ii evaluates at r = 1 modulo p**2: e comes from the modulus argument
     assert any(attrs["e"] != attrs["r"] for attrs in compsum_attrs)
-    # the cross-routed sum passes the traced name as EQ-4.1 yields it
+    # EQ-4.1's free sum passes the traced name as EQ-4.1 yields it
     assert any(attrs["kind"] == "R" and attrs["n"] == 7 and attrs["r"] == 2 for attrs in compsum_attrs)
     # the Bernoulli wrapper reads p from the second positional argument
     assert all(span[4] == {"p": 11} for span in spans if span[0] == "bernoulli.mod_p")

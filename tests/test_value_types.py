@@ -21,7 +21,7 @@ def _pairs():
     claim = CLAIMS["EQ-1.1"]
     return [
         (s_spec(7, 2, 11, 2), CompSumSpec(n=7, m=2, p=11, r=2, upper_bound=121)),
-        (r_spec(3, 1, 5, full_target=True), CompSumSpec(3, 1, 5, 1, None, 5, True)),
+        (r_spec(3, 1, 5), CompSumSpec(3, 1, 5, 1, None, 5)),
         (PrimePowerModulus(11, 3), PrimePowerModulus(p=11, r=3)),
         (INSTANCE, ClaimInstance("LEM-3.1", 11, None, None, 3, (("alphas", (1, 1, 2)),))),
         (GridSpec(primes=(5, 7)), GridSpec((5, 7), None, None)),
@@ -38,7 +38,7 @@ def test_equal_fields_give_equal_objects_and_hashes(a, b):
 
 
 def test_a_field_changes_equality():
-    assert s_spec(7, 2, 11, 2) != s_spec(7, 2, 11, 2, full_target=True)
+    assert s_spec(7, 2, 11, 2) != r_spec(7, 2, 11, 2)
     assert PrimePowerModulus(5, 2) != PrimePowerModulus(5, 3)
     assert INSTANCE != INSTANCE._replace(n=4)
     assert GridSpec() != GridSpec(rs=(2,))
@@ -79,7 +79,7 @@ def test_a_pickled_modulus_keeps_its_modulus():
 
 def test_reprs():
     assert repr(s_spec(7, 2, 11, 2)) == (
-        "CompSumSpec(n=7, m=2, p=11, r=2, upper_bound=121, target=242, full_target=False)")
+        "CompSumSpec(n=7, m=2, p=11, r=2, upper_bound=121, target=242)")
     assert repr(PrimePowerModulus(11, 3)) == "PrimePowerModulus(11**3)"
     # the repr a missing extra parameter's KeyError quotes
     assert repr(INSTANCE) == (

@@ -469,14 +469,15 @@ class TestMixedBatch:
             if not malformed:
                 assert outcome[inst].status != "error"
 
-    # sha256 of the json report and of the cache file written from a mix, recorded
-    # at commit 5a5bdcf, which grouped instances in input order and sorted the
-    # finished reports
+    # sha256 of the json report and of the cache file written from a mix. The
+    # reports were recorded at commit 5a5bdcf, which grouped instances in input
+    # order and sorted the finished reports. The cache files were re-recorded when
+    # the cross-checked sides moved to their e = r + 1 keys
     _MIX_DIGESTS = {
         2501: ("7a4e71ef1c142b68f45e10d8b0f77428a8e060fa3f706262b6fc2b79f87b3c9e",
-               "b766df05d7936ee9442aea49b17ffaee4aaadab3cb99c28617c7046f2a821d5c"),
+               "69ef1e0dfd924777cd84130056bfde74a03d06d98a378ec891fbdd6c6d6680fc"),
         2502: ("6beac6f2c91c82e5137263216112ba1b96a2f64c79cd8390750f49c2168c777b",
-               "cae23aab6199e809eb85a26caac33351d2bec82771b21f14d4d8f7980809bb8e"),
+               "19288739e158d294c92e78afa1f26cdce448e6cb7cae77ef387e7e436bc40a9b"),
     }
 
     @pytest.mark.parametrize("seed", sorted(_MIX_DIGESTS))
@@ -525,17 +526,17 @@ class TestMixedBatch:
 # The (p, part bound, e, K, N) of every ladder the default catalog builds, in
 # order: primes ascending, and within a prime each key as first planned by the
 # prime's instances in ClaimInstance.sort_key order. At e = 1 a prime's sums
-# share one period key (part bound compsum._PERIOD), and a full target climbs
-# f: EQ-4.1's free sum and LEM-2.3-i's larger-index side share (11, None, 1),
-# and (13, None, 1) holds LEM-2.3-i's, all at r = 1. Only LEM-2.3-ii's lower
-# sums, with parts below p**r < p**e, climb a bounded series: (11, 11, 2) and
-# (11, 121, 3).
+# share one period key (part bound compsum._PERIOD), and no ladder (p, None, 1)
+# is built. The cross-checked sides, with parts below p**r read mod p**(r+1),
+# climb a bounded series: EQ-1.3's lower sum, EQ-4.1's and LEM-2.3-ii's lower
+# sums in (11, 11, 2) and (11, 121, 3), and LEM-2.3-i's larger-index side at
+# r = 1 in (11, 11, 2) and (13, 13, 2).
 _PERIOD = compsum._PERIOD
 _CATALOG_LADDERS = [
     (5, _PERIOD, 1, 2, 5), (7, _PERIOD, 1, 2, 7),
-    (11, _PERIOD, 1, 5, 44), (11, None, 1, 4, 77), (11, None, 3, 4, 220), (11, None, 2, 4, 363),
-    (11, 11, 2, 4, 66), (11, 121, 3, 4, 726),
-    (13, _PERIOD, 1, 5, 52), (13, None, 1, 4, 91), (13, None, 2, 4, 195), (13, None, 3, 4, 260),
+    (11, _PERIOD, 1, 5, 44), (11, None, 3, 4, 220), (11, 121, 3, 4, 726), (11, 11, 2, 4, 77),
+    (11, None, 2, 4, 165),
+    (13, _PERIOD, 1, 5, 52), (13, 13, 2, 4, 91), (13, None, 2, 4, 195), (13, None, 3, 4, 260),
     (17, _PERIOD, 1, 5, 68), (17, None, 2, 4, 17), (19, _PERIOD, 1, 5, 76), (19, None, 2, 4, 19),
     (23, _PERIOD, 1, 5, 92), (23, None, 2, 4, 23), (29, _PERIOD, 1, 5, 116), (29, None, 2, 4, 29),
     (31, _PERIOD, 1, 5, 124), (31, None, 2, 4, 31),
@@ -609,20 +610,38 @@ class TestPlan:
         monkeypatch.setattr(verifier, "comp_sum", recording)
         ctx = EvalContext()
         sweep(list(CLAIMS), ctx=ctx)
-        assert builds == _CATALOG_LADDERS and ctx.ladder_builds == 36
+        assert builds == _CATALOG_LADDERS and ctx.ladder_builds == 35
         keys = [args[:3] for args in builds]
         assert len(keys) == len(set(keys))
-        # the (p, part bound, e) ladder key of every evaluation, as its plan routes it:
-        # THM-1.1-i's R(7,m,11) at e = 1 is EQ-4.1's free sum, read at its full target
+        # the (p, part bound, e) ladder key of every evaluation, as its plan routes it
         assert set(keys) == routed
         ctx = EvalContext(cache_rows=ctx.new_rows)
         sweep(list(CLAIMS), ctx=ctx)  # a filled cache: nothing left to plan
-        assert (len(builds), ctx.ladder_builds, ctx.comp_sum_evals, ctx.cache_hits) == (36, 0, 0, 407)
+        assert (len(builds), ctx.ladder_builds, ctx.comp_sum_evals, ctx.cache_hits) == (35, 0, 0, 414)
+
+    def test_a_claims_route_does_not_depend_on_its_sweep_mates(self, builds, monkeypatch):
+        routed = {}
+        evaluate = verifier.comp_sum
+
+        def recording(spec, modulus, plan=None):
+            routed[(spec, modulus.r)] = plan.readings[(spec, modulus.r)][0]
+            return evaluate(spec, modulus, plan=plan)
+
+        monkeypatch.setattr(verifier, "comp_sum", recording)
+        sweep(list(CLAIMS))
+        assert [args for args in builds if args[1:3] == (None, 1)] == []
+        # every term of the catalog is routed as in a plan of its own
+        assert all(key == compsum.Plan([term]).readings[term][0] for term, key in routed.items())
+        # with EQ-4.1 and LEM-2.3-i, which cross-check them, in the same sweep
+        thm = {(r_spec(7, inst.m, 11), 1) for inst in CLAIMS["THM-1.1-i"].grid(GridSpec(primes=(11,)))}
+        eq51 = {(s_spec(3, 2, inst.p), 1) for inst in CLAIMS["EQ-5.1"].grid() if (inst.n, inst.m) == (3, 2)}
+        assert thm and eq51
+        assert all(routed[term] == (term[0].p, _PERIOD, 1) for term in thm | eq51)
 
     def test_catalog_ladders_at_two_jobs(self):
         ctx = EvalContext()
         sweep(list(CLAIMS), ctx=ctx, jobs=2)
-        assert (ctx.ladder_builds, ctx.comp_sum_evals) == (36, 407)
+        assert (ctx.ladder_builds, ctx.comp_sum_evals) == (35, 414)
 
     def test_a_part_bound_gets_a_ladder_only_below_the_precision(self, builds):
         # the catalog, and CI's depth and cross-route grids: every ladder key is
@@ -638,22 +657,22 @@ class TestPlan:
         bounded = {(p, bound, e) for p, bound, e in keys if bound not in (None, _PERIOD)}
         assert all(bound != _PERIOD or e == 1 for _, bound, e in keys)
         assert all(bound in {p**R for R in range(1, e)} for p, bound, e in bounded), bounded
-        # LEM-2.3-ii's lower sums, with parts below p**r and read mod p**(r + 1)
-        assert bounded == {(11, 11, 2), (11, 121, 3), (11, 1331, 4), *((p, p, 2) for p in primes)}
+        # the cross-checked sides, with parts below p**r and read mod p**(r + 1)
+        assert bounded == {(11, 11, 2), (11, 121, 3), (11, 1331, 4), (13, 169, 3), (13, 2197, 4),
+                           *((p, p, 2) for p in primes)}
 
     def test_memoized_terms_are_not_planned(self, builds):
         first = EvalContext()
-        sweep(["PROP-4.1"], GridSpec(primes=(11,), rs=(1, 2)), ctx=first)
+        sweep(["EQ-1.3", "PROP-4.1"], GridSpec(primes=(11,), rs=(2,)), ctx=first)
         del builds[:]
         ctx = EvalContext(cache_rows=first.new_rows)
         sweep(["EQ-1.3", "PROP-4.1"], GridSpec(primes=(11,), rs=(2, 3)), ctx=ctx)
-        # EQ-1.3 at r = 2 reads PROP-4.1's sums at r = 1, 2 from the cache, and so
-        # does EQ-1.3's lower sum at r = 3: the cache holds one value per cache key,
-        # whatever its route. EQ-1.3's upper sum and PROP-4.1 at r = 3 share the
-        # one new ladder and one evaluation: S(7,1,11**4), reduced below 7*11*4 on
-        # the unbounded ladder mod 11**4
-        assert builds == [(11, None, 4, 4, 297)] and 297 < 7 * 11 * 4
-        assert (ctx.comp_sum_evals, ctx.cache_hits) == (1, 2)
+        # both sums of r = 2 come from the cache, so EQ-1.3's lower sum there, which
+        # would climb (11, 121, 3), is not planned. EQ-1.3's upper sum and PROP-4.1
+        # at r = 3 share one evaluation: S(7,1,11**4), reduced below 7*11*4 on the
+        # unbounded ladder mod 11**4; EQ-1.3's lower sum S(7,1,11**3) climbs its own
+        assert builds == [(11, None, 4, 4, 297), (11, 1331, 4, 4, 1331)] and 297 < 7 * 11 * 4
+        assert (ctx.comp_sum_evals, ctx.cache_hits) == (2, 2)
 
     def test_warm_catalog_builds_each_modulus_once(self, monkeypatch):
         cold = EvalContext()
@@ -704,27 +723,6 @@ class TestEvalContext:
         value = ctx.comp_sum(spec, 1)
         assert ctx.new_rows == {EvalContext.cache_key(spec, 1): value}
 
-    def test_a_reduced_value_does_not_stand_in_for_a_full_target_one(self, evaluated):
-        # a context reads only its own plan's terms, so the one that planned the sum
-        # reduced cannot serve it at the full target, and the other climbs it there
-        plain, full = r_spec(7, 2, 11, 2), r_spec(7, 2, 11, 2, full_target=True)
-        reduced, direct = EvalContext(terms=[(plain, 2)]), EvalContext(terms=[(full, 2)])
-        assert reduced.comp_sum(plain, 2) == direct.comp_sum(full, 2)
-        with pytest.raises(KeyError):
-            reduced.comp_sum(full, 2)
-        assert evaluated == [(plain, 2), (full, 2)] and reduced.comp_sum_evals == direct.comp_sum_evals == 1
-        # one cache row per cache key, whatever the route
-        assert list(reduced.new_rows) == list(direct.new_rows) == [EvalContext.cache_key(plain, 2)]
-
-    def test_a_plan_evaluates_a_cross_checked_sum_once(self, evaluated, builds):
-        # within a plan, every term of a sum that some term cross-checks takes the full target
-        terms = [(r_spec(7, 2, 11, 2), 2), (r_spec(7, 2, 11, 2, full_target=True), 2)]
-        ctx = EvalContext(terms=terms)
-        assert len({ctx.comp_sum(*term) for term in terms}) == 1
-        assert len(evaluated) == 1 and ctx.comp_sum_evals == 1
-        # the one ladder reaches the full target 2 * 11**2
-        assert builds == [(11, None, 2, 4, 242)]
-
     def test_a_planned_term_is_routed_once(self, monkeypatch):
         read = []
         reading = compsum._reading
@@ -734,24 +732,23 @@ class TestEvalContext:
             return reading(spec, e)
 
         monkeypatch.setattr(compsum, "_reading", counting)
-        terms = [(r_spec(7, 2, 11, 2), 2), (r_spec(7, 2, 11, 2, full_target=True), 2), (r_spec(7, 2, 11, 2), 2)]
+        terms = [(s_spec(7, 2, 11, 2), 2), (s_spec(7, 2, 11, 2), 3), (s_spec(7, 2, 11, 2), 2)]
         ctx = EvalContext(terms=terms)
         for term in terms:
             ctx.comp_sum(*term)
-        # once per distinct request, the plain one read at the full target
-        assert read == [(terms[1][0], 2)] * 2
+        # once per distinct request, each by its own route
+        assert read == terms[:2]
         with pytest.raises(KeyError):
             ctx.comp_sum(s_spec(3, 1, 11), 1)  # outside the plan: refused, not routed
         assert len(read) == 2
 
     def test_cached_values_serve_both_routes(self, evaluated):
-        spec = r_spec(7, 2, 11, 2)
-        key = EvalContext.cache_key(spec, 2)
-        ctx = EvalContext(cache_rows={key: comp_sum(spec, PrimePowerModulus(11, 2))},
-                          terms=[(spec, 2), (r_spec(7, 2, 11, 2, full_target=True), 2)])
-        ctx.comp_sum(spec, 2)
-        ctx.comp_sum(r_spec(7, 2, 11, 2, full_target=True), 2)
-        assert evaluated == [] and ctx.cache_hits == 1
+        # S(7,2,11) mod 11 comes off the period key, mod 11**2 off its own ladder (11, 11, 2)
+        spec = s_spec(7, 2, 11)
+        rows = {EvalContext.cache_key(spec, e): comp_sum(spec, PrimePowerModulus(11, e)) for e in (1, 2)}
+        ctx = EvalContext(cache_rows=rows, terms=[(spec, 1), (spec, 2)])
+        assert ctx.comp_sum(spec, 2) % 11 == ctx.comp_sum(spec, 1)
+        assert evaluated == [] and ctx.cache_hits == 2
 
     def test_a_term_outside_the_plan_raises(self, evaluated):
         spec = s_spec(7, 1, 11, 2)
@@ -762,10 +759,10 @@ class TestEvalContext:
         assert evaluated == []
 
     def test_shared_context_across_claims(self):
-        # PROP-4.1 at r in {1,2} computes the bounded sums at p^2 and p^3,
-        # which is exactly what EQ-1.3 at r=2 compares
+        # PROP-4.1 at r = 2 computes the bounded sum at p^3 mod p^3, and LEM-2.3-ii
+        # at r = 2 its lower sums at p^2 mod p^3: EQ-1.3 at r = 2 compares two of them
         first = EvalContext()
-        sweep(["PROP-4.1"], GridSpec(primes=(11,), rs=(1, 2)), ctx=first)
+        sweep(["PROP-4.1", "LEM-2.3-ii"], GridSpec(primes=(11,), rs=(2,)), ctx=first)
         ctx = EvalContext(cache_rows=first.new_rows)
         sweep(["EQ-1.3"], GridSpec(primes=(11,), rs=(2,)), ctx=ctx)
         assert (ctx.comp_sum_evals, ctx.cache_hits, ctx.ladder_builds) == (0, 2, 0)  # both sums cached

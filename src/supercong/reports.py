@@ -153,7 +153,9 @@ def _md_pieces(reports: Iterable[ClaimReport]) -> Iterator[str]:
                     lines.append("\n")  # a blank line closes the previous claim's table
                 claim_id = row[0]
                 lines.append(f"## {claim_id}\n\n`{row[11]}`\n\n{_MD_TABLE_HEAD}")
-            lines.append("| " + " | ".join(["" if v is None else str(v) for v in row[1:11]]) + " |\n")
+            # a | in a cell is written \| and a line break <br>, so that each cell stays in its column
+            lines.append("| " + " | ".join(["" if v is None else str(v).replace("|", "\\|").replace("\n", "<br>")
+                                            for v in row[1:11]]) + " |\n")
         yield "".join(lines)
     if claim_id is None:
         yield "(no instances)\n"

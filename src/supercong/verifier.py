@@ -17,10 +17,15 @@ ClaimInstance.sort_key and verifies them prime by prime, each prime
 against its own EvalContext, in process or as one process-pool task per
 prime; every entry point runs that one task, _verify_prime, and verify
 is verify_instances of one instance. A task returns plain data: each
-instance's outcome, the context's counters and its new cache rows. The
-calling process walks the sorted instances and builds each ClaimReport
-from its own instance and its prime's next outcome, so nothing is sorted
-after evaluation and nothing depends on the number of workers. A prime
+instance's verdict (status, lhs, rhs, modulus, note), the context's
+counters and its new cache rows. Reports are made in one place, the loop
+in verify_instances that reads each prime's result as it arrives: it
+builds that prime's ClaimReports from its own instances, reads each
+anchor from CLAIMS, and gives a pass row one int for both sides and each
+distinct modulus one int, whichever process computed them; no claim
+shares values by hand. The sorted instances then take their prime's next
+report, so nothing is sorted after evaluation and nothing depends on the
+number of workers. A prime
 is planned before it is evaluated: every instance that passes its
 hypotheses is started up to the terms it yields, and the prime's context
 is made with those terms as its one plan, so that each ladder is built
@@ -48,6 +53,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Generator
+from contextlib import nullcontext
 from math import comb, factorial, gcd
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -161,7 +167,7 @@ class GridSpec(NamedTuple):
 Term = tuple[CompSumSpec, int]  # a composition sum and the exponent e of its modulus p**e
 Sides = tuple[int, int, int, str]  # lhs, rhs, modulus, note
 Evaluation = Generator[Sequence[Term], tuple[int, ...], Sides]
-Outcome = tuple[str, int | None, int | None, int | None, str, str]  # a ClaimReport's fields after its instance
+Outcome = tuple[str, int | None, int | None, int | None, str]  # a verdict: status, lhs, rhs, modulus, note
 
 
 class EvalContext:
@@ -395,7 +401,7 @@ def _lem21_eval(inst: ClaimInstance):
     lhs = count_solutions_exact(a, m, n, p) % p**2
     # (-1)**(m-1) C(n-2, m-1) times gamma_n(a) = (-1)**(a-1) / (a C(n-1, a))
     rhs = _cof_rhs((-1) ** (m + a) * comb(n - 2, m - 1), a * comb(n - 1, a), [], p, 1)
-    return lhs, rhs, prime_power(p, 2).modulus, ""  # one modulus int per prime, shared by its rows
+    return lhs, rhs, p**2, ""
 
 
 _N7_DIFFS = {  # (m, a): the multiple of p, as numerator and denominator
@@ -449,15 +455,13 @@ def _u_eval(inst: ClaimInstance):
     n = len(alphas)
     w = sum(alphas)
     # both branches read one table per (b, p), built once at p**3: U is an integer
-    # combination of power sums, so its value mod p**3 reduces to the one mod p**2;
-    # each modulus is the cached prime power's, one int per (p, e) shared by its rows
-    lhs = unordered_sum(b, alphas, M := prime_power(p, 3))
+    # combination of power sums, so its value mod p**3 reduces to the one mod p**2
+    lhs = unordered_sum(b, alphas, prime_power(p, 3))
     if _odd(w):
         rhs = _cof_rhs((-1) ** n * factorial(n - 1) * b * b * w * (w + 1), 2 * (w + 2), [p - w - 2], p, 2)
-        return lhs, rhs, M.modulus, "odd-weight branch"
-    M = prime_power(p, 2)
+        return lhs, rhs, p**3, "odd-weight branch"
     rhs = _cof_rhs((-1) ** (n - 1) * factorial(n - 1) * b * w, w + 1, [p - w - 1], p, 1)
-    return lhs % M.modulus, rhs, M.modulus, "even-weight branch"
+    return lhs % p**2, rhs, p**2, "even-weight branch"
 
 
 def _cor32_eval(inst: ClaimInstance):
@@ -822,15 +826,15 @@ def _prepare(instance: ClaimInstance, claims: dict, primes: dict[int, bool]
             prime = primes[p] = is_prime(p)
         reason = claim.violated(instance) if prime else f"{p} is not prime"
     except (KeyError, TypeError, ValueError) as exc:
-        return claim, ("error", None, None, None, f"bad parameters: {exc}", claim.anchor), ()
+        return claim, ("error", None, None, None, f"bad parameters: {exc}"), ()
     if reason is not None:
-        return claim, ("skip", None, None, None, reason, claim.anchor), ()
+        return claim, ("skip", None, None, None, reason), ()
     try:
         run = claim.evaluate(instance)
         if isinstance(run, Generator):
             return claim, run, tuple(next(run))
     except _EVAL_ERRORS as exc:
-        return claim, _error(claim, exc), ()
+        return claim, _error(exc), ()
     return claim, _outcome(claim, run), ()
 
 
@@ -841,7 +845,7 @@ def _evaluate(claim: Claim, run: Evaluation, terms: tuple[Term, ...], ctx: EvalC
     except StopIteration as stop:
         return _outcome(claim, stop.value)
     except _EVAL_ERRORS as exc:
-        return _error(claim, exc)
+        return _error(exc)
     run.close()
     raise RuntimeError(f"{claim.claim_id} yielded a second time; a claim yields its terms once")
 
@@ -849,16 +853,14 @@ def _evaluate(claim: Claim, run: Evaluation, terms: tuple[Term, ...], ctx: EvalC
 def _outcome(claim: Claim, sides: Sides) -> Outcome:
     lhs, rhs, modulus, note = sides
     if lhs == rhs:
-        status, rhs = "pass", lhs  # one int object for both sides
-    else:
-        status = "finding" if claim.conjecture else "fail"
-        tag = "conjecture mismatch" if claim.conjecture else "congruence fails"
-        note = f"{tag}: lhs {lhs} != rhs {rhs} (mod {modulus})" + (f"; {note}" if note else "")
-    return status, lhs, rhs, modulus, note, claim.anchor
+        return "pass", lhs, rhs, modulus, note
+    tag = "conjecture mismatch" if claim.conjecture else "congruence fails"
+    note = f"{tag}: lhs {lhs} != rhs {rhs} (mod {modulus})" + (f"; {note}" if note else "")
+    return "finding" if claim.conjecture else "fail", lhs, rhs, modulus, note
 
 
-def _error(claim: Claim, exc: Exception) -> Outcome:
-    return "error", None, None, None, f"{type(exc).__name__}: {exc}", claim.anchor
+def _error(exc: Exception) -> Outcome:
+    return "error", None, None, None, f"{type(exc).__name__}: {exc}"
 
 
 def verify(instance: ClaimInstance, ctx: EvalContext | None = None) -> ClaimReport:
@@ -878,8 +880,10 @@ def _verify_prime(task: tuple[list[ClaimInstance], dict]) -> tuple[list[Outcome]
     instance's hypotheses and start its evaluation, plan all the terms
     yielded in one context, then finish the instances in order.
     Module-level so that a pool can run it. Returns plain data: each
-    instance's outcome in order, the context's counters (evaluations, cache
-    hits, ladder builds) and its new cache rows."""
+    instance's verdict in order (status, lhs, rhs, modulus, note; no
+    anchor and no instance, since verify_instances makes the reports), the
+    context's counters (evaluations, cache hits, ladder builds) and its
+    new cache rows."""
     instances, cache_rows = task
     claims: dict = {}
     primes: dict[int, bool] = {}
@@ -902,10 +906,13 @@ def verify_instances(
     each prime's task gets its instances in that order. They share one
     context and one compsum plan, so each ladder at that prime is built
     once, and one primality test and one read of each claim's names serve
-    them all. Each task's counters and new cache rows go into ctx in
-    ascending prime order; the reports are made by walking the sorted
-    instances, each taking its prime's next outcome, so they come back in
-    sort_key order and nothing depends on the number of workers.
+    them all. This is the one place that makes a ClaimReport: as each
+    prime's verdicts arrive, in ascending prime order, its counters and new
+    cache rows go into ctx and its reports are made from its own instances,
+    each anchor read from CLAIMS, a pass row holding one int for both sides
+    and equal moduli one int, whichever process computed them. The sorted
+    instances then take their prime's next report, so the reports come back
+    in sort_key order and nothing depends on the number of workers.
     """
     ctx = ctx if ctx is not None else EvalContext()
     instances = sorted(instances, key=ClaimInstance.sort_key)
@@ -914,26 +921,29 @@ def verify_instances(
         groups.setdefault(inst.p, []).append(inst)
     primes = sorted(groups, key=lambda p: (isinstance(p, tuple), p))
     workers = min(jobs, len(primes), os.cpu_count() or 1)
+    done, moduli = {}, {}  # each prime's reports, and one int per distinct modulus
     if workers <= 1:
         # each cache key holds its prime, so in process every task reads the caller's rows in place
-        results = map(_verify_prime, [(groups[p], ctx._cache) for p in primes])
+        pool, run, cache = nullcontext(), map, dict.fromkeys(primes, ctx._cache)
     else:
-        cache: dict[int, dict[tuple, int]] = {}
+        cache = {}
         for key, value in ctx._cache.items():
             cache.setdefault(key[1], {})[key] = value
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:  # a pool task is sent only its prime's rows
-            results = list(pool.map(_verify_prime, [(groups[p], cache.get(p, {})) for p in primes]))
-    pending: dict[int, list[Outcome]] = {}
-    for p, (outcomes, (evals, hits, builds), new_rows) in zip(primes, results):
-        outcomes.reverse()  # the walk below pops them in order, dropping each once its report is made
-        pending[p] = outcomes
-        ctx.comp_sum_evals += evals
-        ctx.cache_hits += hits
-        ctx.ladder_builds += builds
-        ctx.new_rows.update(new_rows)
-    return [ClaimReport(inst, *pending[inst.p].pop()) for inst in instances]
+        pool = ProcessPoolExecutor(max_workers=workers)  # a pool task is sent only its prime's rows
+        run = pool.map
+    with pool:
+        for p, (outcomes, (evals, hits, builds), new_rows) in zip(
+                primes, run(_verify_prime, [(groups[p], cache.get(p, {})) for p in primes])):
+            ctx.comp_sum_evals += evals
+            ctx.cache_hits += hits
+            ctx.ladder_builds += builds
+            ctx.new_rows.update(new_rows)
+            done[p] = iter([ClaimReport(inst, status, lhs, lhs if status == "pass" else rhs,
+                                        moduli.setdefault(modulus, modulus), note, CLAIMS[inst.claim_id].anchor)
+                            for inst, (status, lhs, rhs, modulus, note) in zip(groups[p], outcomes)])
+    return [next(done[inst.p]) for inst in instances]
 
 
 def sweep(

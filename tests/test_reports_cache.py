@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -21,7 +22,7 @@ from supercong.reports import (
     render,
     row_values,
 )
-from supercong.verifier import CLAIMS, ClaimInstance, ClaimReport, GridSpec, sweep, verify
+from supercong.verifier import CLAIMS, ClaimInstance, ClaimReport, GridSpec, instance_from_params, sweep, verify
 
 
 def row(report) -> dict:
@@ -96,6 +97,19 @@ class TestRenderers:
     def test_md_empty(self):
         assert "(no instances)" in render([], "md")
 
+    def test_md_cells_stay_in_their_columns(self):
+        # a | in a name and in the note that quotes it, and a line break in a note
+        reports = [verify(instance_from_params("EQ-1.1", {"p": 11, "a|b": 3})),
+                   ClaimReport(ClaimInstance("EQ-1.1", 13), "pass", 4, 4, 13, note="two\nlines | one cell")]
+        assert reports[0].status == "error" and reports[0].note == "bad parameters: EQ-1.1 does not take a|b"
+        text = render(reports, "md")
+        assert text == md_oracle(reports)
+        rows = [line for line in text.splitlines() if line.startswith("| ")]
+        assert len(rows) == 4  # the column names, the rule and two rows: no line break inside a row
+        assert all(len(re.split(r"(?<!\\)\|", line)) == 12 for line in rows)  # 10 cells between 11 bars
+        assert rows[2].endswith(" | a\\|b=3 |  |  |  | error | bad parameters: EQ-1.1 does not take a\\|b |")
+        assert rows[3].endswith(" | pass | two<br>lines \\| one cell |")
+
     def test_renders_are_deterministic(self, passing_reports):
         for fmt in FORMATS:
             assert render(passing_reports, fmt) == render(passing_reports, fmt)
@@ -149,6 +163,11 @@ def csv_oracle(reports) -> str:
     return out.getvalue()
 
 
+def md_cell(value) -> str:
+    """A value as an md table cell: None empty, | escaped as \\|, a line break as <br>."""
+    return "" if value is None else str(value).replace("|", "\\|").replace("\n", "<br>")
+
+
 def md_oracle(reports) -> str:
     """The md report written from report_row's dicts, one field at a time."""
     reports = list(reports)
@@ -165,7 +184,7 @@ def md_oracle(reports) -> str:
                   "| " + " | ".join(cols) + " |", "|" + "|".join(" --- " for _ in cols) + "|"]
         for report in group:
             fields = report_row(report)
-            lines.append("| " + " | ".join("" if fields[c] is None else str(fields[c]) for c in cols) + " |")
+            lines.append("| " + " | ".join(md_cell(fields[c]) for c in cols) + " |")
         lines.append("")
     return "\n".join(lines)
 
@@ -210,7 +229,7 @@ ORACLES = {"json": json_oracle, "csv": csv_oracle, "md": md_oracle}
 # the rows a piece holds, read off its text
 ROWS_IN = {
     "json": lambda piece: piece.count('\n      "claim_id": '),
-    "csv": lambda piece: piece.count("\n"),
+    "csv": lambda piece: len(list(csv.reader(io.StringIO(piece)))),  # a quoted line break stays in its row
     # each claim's table opens with two lines of its own: the column names and the rule
     "md": lambda piece: sum(line.startswith("| ") - 2 * line.startswith("## ") for line in piece.splitlines()),
 }
@@ -223,7 +242,9 @@ class TestStreaming:
     def mixes(self, catalog_reports):
         mix = sweep(["EQ-1.1", "THM-1.1-i", "LEM-3.4", "CONJ-5.1-w10"], GridSpec(primes=(7, 11, 13)))
         mix += [verify(ClaimInstance("EQ-1.1", (11, 13))), verify(ClaimInstance("LEM-3.3", 5, n=-1)),
-                ClaimReport(ClaimInstance("EQ-1.1", 11), "pass", 3, 3, 11, note="caf\u00e9 \u2264 \U0001d53d")]
+                ClaimReport(ClaimInstance("EQ-1.1", 11), "pass", 3, 3, 11, note="caf\u00e9 \u2264 \U0001d53d"),
+                verify(instance_from_params("EQ-1.1", {"p": 11, "a|b": 3})),
+                ClaimReport(ClaimInstance("EQ-1.1", 13), "pass", 4, 4, 13, note="two\nlines | one cell")]
         assert {r.status for r in mix} >= {"pass", "skip", "error", "finding"}
         return [catalog_reports, [], mix, random.Random(21).sample(mix, len(mix))]
 

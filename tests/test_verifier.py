@@ -348,22 +348,36 @@ class TestSweep:
                 ClaimInstance("EQ-1.1", (11, 13)), ClaimInstance("EQ-1.1", 11, extra=(("zzz", 1),)),
                 ClaimInstance("LEM-3.5", 13, n=7), ClaimInstance("EQ-1.1", 11)]
 
+    @staticmethod
+    def _large_batch() -> list[ClaimInstance]:
+        """LEM-2.1 and LEM-3.4 at p = 17 and 19, whose residues and moduli
+        (p**2 = 289, 361, p**3) lie above the small ints CPython caches."""
+        return ([ClaimInstance("LEM-2.1", p, m=m, n=n, extra=(("a", a),))
+                 for p in (19, 17) for n, m, a in ((8, 4, 3), (8, 4, 5), (6, 1, 2))]
+                + [ClaimInstance("LEM-3.4", p, n=len(alphas), extra=(("alphas", alphas), ("b", b)))
+                   for p in (17, 19) for alphas, b in (((1, 1, 1), 2), ((2, 2), 1))])
+
     def test_parent_builds_every_report_from_its_own_instance(self, monkeypatch):
-        # the pool returns plain outcomes, so at two workers each report holds the
-        # caller's instance object itself, not a copy unpickled from a worker
+        # the pool returns plain verdicts, so at two workers each report holds the
+        # caller's instance object itself, not a copy unpickled from a worker, and
+        # the caller shares the values a worker's pickle copies apart
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         cached = EvalContext()
         verify(ClaimInstance("EQ-1.1", 11), cached)
         runs = {}
         for jobs in (1, 2):
-            instances, ctx = self._mixed_batch(), EvalContext(cache_rows=cached.new_rows)
+            instances, ctx = self._mixed_batch() + self._large_batch(), EvalContext(cache_rows=cached.new_rows)
             reports = verify_instances(instances, ctx, jobs=jobs)
             assert sorted(id(r.instance) for r in reports) == sorted(map(id, instances))
+            assert all(r.lhs is r.rhs for r in reports if r.status == "pass")
+            assert len({id(r.modulus) for r in reports}) == len({r.modulus for r in reports})
             counters = (ctx.comp_sum_evals, ctx.cache_hits, ctx.ladder_builds)
             runs[jobs] = reports, counters, list(ctx.new_rows.items())
         assert runs[2] == runs[1]
         reports, counters, new_rows = runs[1]
-        assert [r.status for r in reports] == ["pass", "error", "pass", "pass", "error", "pass", "pass"]
+        assert [r.status for r in reports] == ["pass", "error", "pass", "pass", "error"] + ["pass"] * 12
+        large = [r for r in reports if r.instance.claim_id in ("LEM-2.1", "LEM-3.4")]
+        assert len(large) == 10 and max(r.lhs for r in large) > 256 < min(r.modulus for r in large)
         assert counters[:2] == (3, 1) and len(new_rows) == 3  # R(3,1,13) once; R(3,1,11) from the cache
 
     def test_a_prime_task_returns_only_plain_data(self):
@@ -377,16 +391,19 @@ class TestSweep:
                 return all(map(plain, value))
             return type(value) in (int, str, type(None))
 
-        outcomes, counters, new_rows = result
-        assert type(result) is tuple and type(outcomes) is list and type(new_rows) is dict
-        assert len(outcomes) == len(batch) and all(type(o) is tuple and len(o) == 6 for o in outcomes)
-        assert plain(outcomes) and plain(counters) and plain(list(new_rows.items()))
-        assert [ClaimReport(inst, *o) for inst, o in zip(batch, outcomes)] == [verify(inst) for inst in batch]
+        verdicts, counters, new_rows = result
+        assert type(result) is tuple and type(verdicts) is list and type(new_rows) is dict
+        # status, lhs, rhs, modulus and note: no anchor, which the caller reads from CLAIMS
+        assert len(verdicts) == len(batch) and all(type(v) is tuple and len(v) == 5 for v in verdicts)
+        assert plain(verdicts) and plain(counters) and plain(list(new_rows.items()))
+        assert [ClaimReport(inst, *v, CLAIMS[inst.claim_id].anchor) for inst, v in zip(batch, verdicts)] == [
+            verify(inst) for inst in batch]
 
     def test_a_sweep_holds_few_bytes_per_row(self):
-        # sorted on entry, a sweep builds each report as it drops its outcome, a
-        # passing row holds one int for both sides, and a grid holds each distinct
-        # extra tuple once; sorting the finished reports peaked near 600 bytes a row
+        # sorted on entry, a sweep builds each prime's reports as its verdicts arrive,
+        # a passing row holds one int for both sides, and a grid holds each distinct
+        # extra tuple once; sorting the finished reports peaked near 600 bytes a row,
+        # and keeping every verdict until the walk near 390 (375 without)
         tracemalloc.start()
         try:
             reports = sweep(["LEM-2.1", "LEM-3.4"], GridSpec(primes=primes_between(11, 100)))
@@ -394,7 +411,7 @@ class TestSweep:
         finally:
             tracemalloc.stop()
         assert len(reports) == 5649 and {rep.status for rep in reports} == {"pass"}
-        assert peak / len(reports) < 500
+        assert peak / len(reports) < 450
         assert all(rep.lhs is rep.rhs for rep in reports if rep.status == "pass")
         extras = {(rep.instance.claim_id, rep.instance.extra): id(rep.instance.extra) for rep in reports}
         assert len(set(extras.values())) == len(extras)

@@ -10,27 +10,28 @@ carry p**2 once k + 1 < p. Pairing j with p - j halves the sum, since
 (p - j)**k == j**k - k*p*j**(k-1) (mod p**2) for even k. The (p - 1)/2
 powers j**(k-1) are multiplicative in j, so a sieve of smallest prime
 factors fills them with a modular power at each prime below p/2 and one
-product at each composite. B_k mod p is memoized per (k, p); the sieve is
-rebuilt per call and not kept. The exact-rational path (bernoulli_exact,
-which also feeds rational constants and `compute bernoulli`) checks it;
-the tests also hold the O(p**2) mod-p recurrence table as a second
-oracle. Indexes k <= p - 3 are p-integral by von Staudt-Clausen, which
-is exactly the range served.
+product at each composite. B_k mod p is memoized for the last prime asked
+(PrimeMemo); the sieve is rebuilt per call and not kept, and one too
+large to finish is refused (ScaleGuardError). The exact-rational path
+(bernoulli_exact, which also feeds rational constants and `compute
+bernoulli`) checks it; the tests also hold the O(p**2) mod-p recurrence
+table as a second oracle. Indexes k <= p - 3 are p-integral by von
+Staudt-Clausen, which is exactly the range served.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb, isqrt
 from operator import mul
 
-from .modring import prime_power
+from .modring import PrimeMemo, guard_table, prime_power
 
 __all__ = ["PoleError", "PowerSumError", "EXACT_CAP", "bernoulli_exact", "bernoulli_mod_p"]
 
 EXACT_CAP = 120
 
 _exact: list[Fraction] = []  # B_0, B_1, ... as far as asked; fractions is imported on first use
+_residues = PrimeMemo()  # B_k mod p by k, at the last prime asked
 
 
 class PoleError(ArithmeticError):
@@ -56,7 +57,6 @@ def bernoulli_exact(k: int) -> Fraction:
     return _exact[k]
 
 
-@lru_cache(maxsize=None)
 def power_sum_residue(k: int, p: int) -> int:
     """B_k mod p as (sum_{j<p} j**k mod p**2) / p, valid for even 2 <= k <= p - 3.
 
@@ -67,11 +67,13 @@ def power_sum_residue(k: int, p: int) -> int:
     power at each prime, one product at each composite. The pairing needs k
     even, so an odd k raises ValueError. Raises PowerSumError when p does not
     divide the sum (for instance at k = p - 1, where the sum is -1 mod p):
-    that sum carries no B_k.
+    that sum carries no B_k. One of more than a few seconds of terms
+    raises ScaleGuardError before the sieve is built.
     """
     if k % 2:
         raise ValueError(f"the paired power sum needs an even index, got {k}")
     q, half = p * p, (p - 1) // 2
+    guard_table(f"the power sum of B_{k} at p = {p}", half)
     # factor[j]: the smallest prime factor of a composite j, 0 at 0, 1 and the primes;
     # the smaller factors are written last
     factor = [0] * (half + 1)
@@ -106,5 +108,5 @@ def bernoulli_mod_p(k: int, p: int) -> int:
     if k % 2 == 1:
         return 0
     if k <= p - 3:
-        return power_sum_residue(k, p)
+        return _residues(p, k, lambda: power_sum_residue(k, p))
     raise ValueError(f"even index {k} above p-3 = {p - 3}: the power sum serves only 2 <= k <= p-3")

@@ -7,7 +7,8 @@ Each residue is canonical modulo p**e, with e taken from the params'
 refused on load. A final line without its newline is the torn tail of an
 interrupted append: it is skipped with a warning and cut off before the
 next append. An append holds an exclusive flock on the file, so appends
-from several processes never interleave.
+from several processes never interleave, and syncs its rows to disk
+before it lets the lock go.
 """
 
 from __future__ import annotations
@@ -74,8 +75,9 @@ class ResidueCache:
         """Append unseen rows (sorted by key) and fold them in; returns count.
 
         The torn tail is cut and the rows written, in one write with the
-        header when the file is empty, under an exclusive lock on the file,
-        so that appenders in other processes cannot tear each other's rows."""
+        header when the file is empty, and synced to disk (os.fsync), all
+        under an exclusive lock on the file, so that appenders in other
+        processes cannot tear each other's rows."""
         fresh = {k: v for k, v in new_rows.items() if k not in self.rows}
         if not fresh:
             return 0
@@ -92,6 +94,8 @@ class ResidueCache:
                 fh.truncate(end)
             header = b"" if end else ",".join(COLUMNS).encode() + b"\n"
             fh.write(header + out.getvalue().encode())
+            fh.flush()
+            os.fsync(fh.fileno())  # on disk before the lock is released
         self.rows.update(fresh)
         return len(fresh)
 

@@ -59,7 +59,7 @@ from math import comb
 from operator import add, mul, sub
 from typing import Iterable, Iterator, NamedTuple
 
-from .modring import PrimePowerModulus, inverses_mod_p, prime_power
+from .modring import PrimePowerModulus, ScaleGuardError, inverses_mod_p, prime_power, unit_inverses
 
 __all__ = ["ScaleGuardError", "PrecisionError", "CompSumSpec", "s_spec", "r_spec", "comp_sum", "Plan",
            "comp_sum_kronecker", "count_solutions_exact"]
@@ -72,12 +72,6 @@ _KRONECKER_BITS = 1 << 22
 # r = 7 2.3e9, a ladder of 4 rows to 11**7 like the one that ran out of memory
 # under a 1.5 GB cap
 _MAX_LADDER_PRICE = 2e8
-
-
-class ScaleGuardError(ValueError):
-    """A request refused before any work: a Plan whose costliest ladder is
-    priced above _MAX_LADDER_PRICE, or a Kronecker oracle call whose packed
-    operand is wider than _KRONECKER_BITS."""
 
 
 class PrecisionError(ArithmeticError):
@@ -210,19 +204,8 @@ class _Ladder:
             return
         self.precs = self.precisions(p, e, K, N)
         self.prec = self.precs[1]
-        self.mod = mod = p**self.prec
-        # inverses[j] inverts j's unit part; one pow for the product of all units
-        units = [j for j in range(1, N + 1) if j % p]
-        products = list(accumulate(units, lambda a, b: a * b % mod, initial=1))
-        inverse = pow(products[-1], -1, mod)
-        unit_inverses = [0] * len(units)
-        for i in range(len(units) - 1, -1, -1):
-            unit_inverses[i] = inverse * products[i] % mod
-            inverse = inverse * units[i] % mod
-        fresh = iter(unit_inverses)
-        self.inverses = inverses = [0]
-        for j in range(1, N + 1):
-            inverses.append(next(fresh) if j % p else inverses[j // p])
+        self.mod = p**self.prec
+        self.inverses = unit_inverses(p, N, self.mod)  # inverses[j] inverts j's unit part
 
     @staticmethod
     def precisions(p: int, e: int, K: int, N: int) -> list[int]:

@@ -8,22 +8,23 @@ the empty tuple acts as the unit value 1, a convention used internally
 by the recursions.
 
 Unordered sums are power sums + collision recursion: the inverse power
-sums P_k = sum l**(-k) over the units 0 < l < b*p, one O(b*p) pass of
-inverses per (b, p) at the highest precision asked and one multiply per
-index and weight, are combined with integer coefficients only (the
-quasi-shuffle relation), so no precision is lost at any r, and a value
-mod p**r reduces to the value mod any lower power. Only the last prime's
-tables are held: a call at another prime drops them, so a sweep, which
-verifies one prime at a time, holds one prime's tables however many
-primes it covers. The chain sweep over the rearrangements of the
-exponents is its oracle, with a nested-loop brute force kept in the tests.
+sums P_k = sum l**(-k) over the units 0 < l < b*p, one O(b*p) table of
+inverses per (b, p, r) and one multiply per unit and weight, are
+combined with integer coefficients only (the quasi-shuffle relation), so
+no precision is lost at any r, and a value mod p**r reduces to the value
+mod any lower power. Only the last prime's tables are held (PrimeMemo),
+so a sweep, which verifies one prime at a time, holds one prime's tables
+however many primes it covers. The chain sweep over the rearrangements
+of the exponents is its oracle, with a nested-loop brute force kept in
+the tests. A chain sweep or a table too large to finish is refused
+(ScaleGuardError) before it starts.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .modring import NonUnitError, PrimePowerModulus
+from .modring import NonUnitError, PrimeMemo, PrimePowerModulus, guard_table, unit_inverses
 
 __all__ = ["mhs", "mhs_restricted", "unordered_sum"]
 
@@ -42,6 +43,8 @@ def _sweep(N: int, parts: tuple[int, ...], M: PrimePowerModulus) -> int:
     d = len(parts)
     if d == 0:
         return 1 % mod
+    # an index costs one inverse and d products
+    guard_table(f"the chain sweep of depth {d} to N = {N} at p = {p}", N * (d + 1))
     dp = [0] * d + [1]
     for k in range(1, N + 1):
         if k % p == 0:
@@ -79,30 +82,19 @@ def mhs_restricted(N: int, s: Sequence[int], M: PrimePowerModulus) -> int:
 
 
 class _UnorderedTable:
-    """Unordered sums at one (b, p), kept while p is the prime being
-    verified, at the highest precision p**r asked of it: the inverse power
-    sums P_k = sum of l**(-k) over units 0 < l < b*p, mod p**r, and the
-    collision memo of U values on sorted exponent tuples. Every value is an
-    integer combination of power sums, so it serves any lower precision
-    reduced.
+    """Unordered sums at one (b, p, r): the inverse power sums P_k = sum of
+    l**(-k) over units 0 < l < b*p, mod p**r, and the collision memo of U
+    values on sorted exponent tuples. The inverses of the units are taken
+    once, on construction (unit_inverses); the power sums grow by one
+    multiply per unit and weight when a larger weight is asked."""
 
-    One inverse per unit index is taken once per precision; the power sums
-    grow by one multiply per index and weight when a larger weight is
-    asked. A request above the table's precision rebuilds it there."""
-
-    def __init__(self, b: int, p: int):
-        self.b, self.p, self.r = b, p, 0
-
-    def at(self, r: int) -> _UnorderedTable:
-        """The table, rebuilt at p**r if its precision is below that."""
-        if r > self.r:
-            self.r = r
-            self.mod = mod = self.p**r
-            self.inverses = [pow(l, -1, mod) for l in range(1, self.b * self.p) if l % self.p]
-            self.powers = [1] * len(self.inverses)  # l**(-k) at the last k in sums
-            self.sums = [len(self.inverses) % mod]
-            self.memo: dict[tuple[int, ...], int] = {(): 1 % mod}
-        return self
+    def __init__(self, b: int, p: int, r: int):
+        self.mod = mod = p**r
+        self.inverses = unit_inverses(p, b * p - 1, mod)
+        del self.inverses[::p]  # index 0 and the multiples of p
+        self.powers = [1] * len(self.inverses)  # l**(-k) at the last k in sums
+        self.sums = [len(self.inverses) % mod]
+        self.memo: dict[tuple[int, ...], int] = {(): 1 % mod}
 
     def power_sum(self, k: int) -> int:
         sums, mod = self.sums, self.mod
@@ -123,29 +115,7 @@ class _UnorderedTable:
         return memo[key]
 
 
-class _PrimeTables(dict):
-    """The _UnorderedTable of each b at the last prime asked. A request at
-    another prime drops them all: sweeps verify one prime at a time, so a
-    table is never needed again once its prime is done."""
-
-    p = None
-
-    def __call__(self, b: int, p: int) -> _UnorderedTable:
-        if p != self.p:
-            self.cache_clear()
-            self.p = p
-        return self[b]
-
-    def __missing__(self, b: int) -> _UnorderedTable:
-        table = self[b] = _UnorderedTable(b, self.p)
-        return table
-
-    def cache_clear(self) -> None:
-        self.clear()
-        self.p = None
-
-
-_inverse_power_sums = _PrimeTables()
+_tables = PrimeMemo()  # the _UnorderedTable of each (b, r) at the last prime asked
 
 
 def unordered_sum(b: int, alphas: Sequence[int], M: PrimePowerModulus) -> int:
@@ -159,10 +129,11 @@ def unordered_sum(b: int, alphas: Sequence[int], M: PrimePowerModulus) -> int:
     U(a_1, ..., a_n) = P_{a_1} U(a_2, ..., a_n) - sum_{i>=2} U(a_2, ..., a_i + a_1, ..., a_n),
     with U() = 1. The value is invariant under permutations of the
     exponents, so the recursion is memoized on sorted tuples, in one
-    table per (b, p) at the highest precision asked, shared by every
-    call at that prime until a call at another prime drops it. The chain
-    sweep (the multiplicity-weighted sum of mhs_restricted over the
-    rearrangements) is its oracle.
+    table per (b, r) at the prime, shared by every call there until a
+    call at another prime drops it (PrimeMemo). A table priced above a few
+    seconds of work, b*p units times the weight plus one, is refused
+    (ScaleGuardError). The chain sweep (the multiplicity-weighted sum of
+    mhs_restricted over the rearrangements) is its oracle.
     """
     parts = _parts(alphas)
     n = len(parts)
@@ -172,4 +143,5 @@ def unordered_sum(b: int, alphas: Sequence[int], M: PrimePowerModulus) -> int:
         return 1
     if M.p <= n:
         raise ValueError(f"need p > depth (got p={M.p}, depth={n})")
-    return _inverse_power_sums(b, M.p).at(M.r).u(tuple(sorted(parts))) % M.modulus
+    guard_table(f"the unordered-sum table of U_{b} at p = {M.p} to weight {sum(parts)}", b * M.p * (sum(parts) + 1))
+    return _tables(M.p, (b, M.r), lambda: _UnorderedTable(b, M.p, M.r)).u(tuple(sorted(parts)))

@@ -1,10 +1,11 @@
-"""Property tests for bad input at the CLI: generated --instance strings and
-generated cache files. A run either exits 2 before it writes any report,
-or writes the rows that the same instances give through verify with no
-cache; no row of a proven claim is a fail. Values are drawn small (p <= 31,
-r <= 3, n <= 9), so that no instance runs long."""
+"""Property tests for bad input at the CLI: generated --instance strings,
+generated cache files and generated grids. A run either exits 2 before it
+writes any report, or writes the rows that the same instances give through
+verify with no cache; no row of a proven claim is a fail. Values are drawn
+small (p <= 40, r <= 3, m <= 4, n <= 9), so that no instance runs long."""
 
 import contextlib
+import csv
 import io
 import tempfile
 from pathlib import Path
@@ -14,6 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 from supercong import cli
 from supercong.cache import ResidueCache
 from supercong.reports import render
+from supercong.modring import is_prime
 from supercong.verifier import CLAIMS, EvalContext, instance_from_params, verify_instances
 
 _BAD = object()  # a value the instance parser must refuse
@@ -156,3 +158,50 @@ def test_generated_cache_files(claim_ids, draws, mutation, data):
                    Path(tmp, "out.csv"))
     # a torn tail is skipped and CRLF lines read as LF ones; every other damage is refused
     assert got == (want if mutation in ("torn tail", "crlf") else (2, None)), mutation
+
+
+@st.composite
+def _grid_text(draw, top: int) -> tuple[str, tuple[int, ...] | None]:
+    """A --primes, --r or --m text and the integers it lists, or None when it is
+    not a list of integers: a range, a reversed range (empty unless its ends
+    meet), a comma list (maybe empty), or a malformed text."""
+    lo, hi = sorted((draw(st.integers(-2, top)), draw(st.integers(-2, top))))
+    kind = draw(st.sampled_from(("range", "reversed", "list", "bad")))
+    if kind == "range":
+        return f"{lo}..{hi}", tuple(range(lo, hi + 1))
+    if kind == "reversed":
+        return f"{hi}..{lo}", tuple(range(hi, lo + 1))
+    if kind == "list":
+        values = tuple(draw(st.lists(st.integers(-2, top), max_size=3)))
+        return ",".join(map(str, values)), values
+    return draw(st.sampled_from(("x", "1.5", "3..y", "..", "1e3", "2..3..4", "5,,x"))), None
+
+
+_STATUSES = {"pass", "fail", "skip", "error", "finding"}
+
+
+@settings(max_examples=40)
+@given(st.lists(st.sampled_from(sorted(CLAIMS)), min_size=1, max_size=3, unique=True),
+       *(st.none() | _grid_text(top) for top in (40, 2, 4)))
+def test_generated_grids(claim_ids, primes, rs, ms):
+    argv = ["verify", "--claims", ",".join(claim_ids)]
+    refused = False
+    for flag, drawn in (("--primes", primes), ("--r", rs), ("--m", ms)):
+        if drawn is not None:
+            text, values = drawn
+            argv.append(f"{flag}={text}")  # one token, so that a leading '-' is not read as a flag
+            selected = values if values is None or flag != "--primes" else [q for q in values if is_prime(q)]
+            refused = refused or not selected
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        out = Path(tmp, "out.csv")
+        rc = cli.main([*argv, "--cache", f"{tmp}/cache.csv", "--format", "csv", "--out", str(out)])
+        rows = list(csv.DictReader(io.StringIO(out.read_text()))) if out.exists() else None
+    assert "Traceback" not in err.getvalue(), argv
+    if refused:
+        assert (rc, rows) == (2, None), argv
+        return
+    assert rows is not None, (argv, err.getvalue())
+    statuses = {row["status"] for row in rows}
+    assert statuses <= _STATUSES and "fail" not in statuses, argv
+    assert rc == (2 if "error" in statuses else 1 if "fail" in statuses else 0), argv

@@ -510,6 +510,29 @@ class TestOracleCommand:
         assert builds == [] and time.perf_counter() - start < 1
         assert not (tmp_path / "cache.csv").exists()
 
+    @pytest.mark.parametrize("claim,instance,table", [
+        ("COR-3.2", "p=1000000007,n=1,alpha=1", "the chain sweep of depth 1 to N = 1000000006 at p = 1000000007"),
+        ("LEM-3.1", "p=1000000007,alphas=1+1", "the unordered-sum table of U_1 at p = 1000000007 to weight 2"),
+        ("LEM-3.4", "p=1000000007,b=2,alphas=2", "the unordered-sum table of U_2 at p = 1000000007 to weight 2"),
+    ])
+    def test_a_table_too_large_to_finish_is_an_error_row(self, capsys, claim, instance, table):
+        # priced before it is built: a ValueError inside the claim, so an error row, and exit 2
+        start = time.perf_counter()
+        rc, out, _ = run(capsys, ["verify", "--claims", claim, "--instance", instance, "--format", "csv"])
+        (row,) = out.splitlines()[1:]
+        assert rc == 2 and f",error,ScaleGuardError: {table} is priced " in row
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("argv", [
+        ["compute", "bernoulli", "--k", "4", "--mod-p", "1000000007"],
+        ["search", "--family", "qd", "--d", "9", "--primes", "11,13,17,1000000007"],
+    ])
+    def test_a_bernoulli_power_sum_too_large_to_finish_exits_two(self, capsys, argv):
+        start = time.perf_counter()
+        rc, out, err = run(capsys, argv)
+        assert rc == 2 and out == "" and "ScaleGuardError: the power sum of B_" in err
+        assert time.perf_counter() - start < 1
+
     def test_scale_guard_is_cli_error(self, capsys, builds):
         # R(7,3,11**5) mod 11**5 would pack 27 Mbit: refused before any ladder is climbed
         start = time.perf_counter()

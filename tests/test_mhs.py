@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from supercong.mhs import mhs, mhs_restricted, unordered_sum
-from supercong.modring import NonUnitError, PrimePowerModulus, rational_to_residue
+from supercong.modring import NonUnitError, PrimePowerModulus, ScaleGuardError, rational_to_residue, unit_inverses
 
 from oracles import unordered_sum_bruteforce
 
@@ -192,45 +192,42 @@ class TestUnorderedSum:
             assert unordered_sum(b, parts, M) == unordered_by_rearrangements(b, parts, M), (b, parts, M)
 
     def test_one_power_sum_table_per_key(self, monkeypatch):
-        inverses = []
+        built = []
 
-        def counting_pow(base, exp, mod=None):
-            if exp == -1:
-                inverses.append(base)
-            return pow(base, exp, mod)
+        def counting(p, N, mod):
+            built.append((p, N, mod))
+            return unit_inverses(p, N, mod)
 
         calls = [
             (1, (1, 2), 11, 3), (1, (2, 1), 11, 2), (1, (3,), 11, 2), (1, (1, 1, 1), 11, 2),
             (2, (1, 2), 11, 2), (1, (1, 2), 11, 1), (1, (1, 3), 11, 2),
         ]
         expected = [unordered_by_rearrangements(b, parts, PrimePowerModulus(p, r)) for b, parts, p, r in calls]
-        monkeypatch.setattr(mhs_module, "pow", counting_pow, raising=False)
-        mhs_module._inverse_power_sums.cache_clear()
+        monkeypatch.setattr(mhs_module, "unit_inverses", counting)
+        mhs_module._tables.clear()
         assert [unordered_sum(b, parts, PrimePowerModulus(p, r)) for b, parts, p, r in calls] == expected
-        # one table per b at the prime asked, and one inverse per unit index and table:
-        # (1, 11) was built at 11**3 and serves r = 1, 2 reduced; it grew from weight 3
-        # to 4 without another inverse
-        assert sorted(mhs_module._inverse_power_sums) == [1, 2]
-        assert len(inverses) == 1 * 10 + 2 * 10
-        assert len(mhs_module._inverse_power_sums(1, 11).sums) == 5
-        # a request above a table's precision rebuilds that table once, in place
-        del inverses[:]
-        unordered_sum(1, (1, 2), PrimePowerModulus(11, 4))
-        unordered_sum(1, (2, 2), PrimePowerModulus(11, 2))
-        assert len(inverses) == 10 and sorted(mhs_module._inverse_power_sums) == [1, 2]
-        assert mhs_module._inverse_power_sums(1, 11).r == 4
+        # one table per (b, r) at the prime asked, and one inverse pass per table:
+        # (1, 2) grew from weight 3 to 4 without another
+        assert sorted(mhs_module._tables) == [(1, 1), (1, 2), (1, 3), (2, 2)]
+        assert sorted(built) == [(11, 10, 11), (11, 10, 11**2), (11, 10, 11**3), (11, 21, 11**2)]
+        assert len(mhs_module._tables[(1, 2)].sums) == 5
+        del built[:]
+        assert unordered_sum(1, (2, 2), PrimePowerModulus(11, 2)) == unordered_by_rearrangements(
+            1, (2, 2), PrimePowerModulus(11, 2))
+        assert built == []
 
     def test_a_request_at_another_prime_drops_the_tables(self):
-        mhs_module._inverse_power_sums.cache_clear()
+        mhs_module._tables.clear()
         for b in (1, 2):
             unordered_sum(b, (1, 2), PrimePowerModulus(11, 2))
-        table = mhs_module._inverse_power_sums(1, 11)
+        table = mhs_module._tables[(1, 2)]
         M = PrimePowerModulus(13, 2)
         assert unordered_sum(1, (1, 2), M) == unordered_by_rearrangements(1, (1, 2), M)
-        assert mhs_module._inverse_power_sums.p == 13
-        assert [(b, t.p) for b, t in mhs_module._inverse_power_sums.items()] == [(1, 13)]
+        assert mhs_module._tables.p == 13
+        assert [(key, t.mod) for key, t in mhs_module._tables.items()] == [((1, 2), 13**2)]
         # a return to 11 builds its table afresh
-        assert mhs_module._inverse_power_sums(1, 11) is not table
+        unordered_sum(1, (1, 2), PrimePowerModulus(11, 2))
+        assert mhs_module._tables[(1, 2)] is not table
 
     def test_values_do_not_depend_on_call_order(self):
         rng = random.Random(3)
@@ -241,13 +238,13 @@ class TestUnorderedSum:
         expected = {call: unordered_by_rearrangements(call[0], call[1], PrimePowerModulus(*call[2:]))
                     for call in calls}
         for _ in range(2):
-            mhs_module._inverse_power_sums.cache_clear()
+            mhs_module._tables.clear()
             rng.shuffle(calls)
             for b, parts, p, r in calls:
                 assert unordered_sum(b, parts, PrimePowerModulus(p, r)) == expected[b, parts, p, r]
 
     def test_tables_are_kept_apart_by_precision(self):
-        mhs_module._inverse_power_sums.cache_clear()
+        mhs_module._tables.clear()
         for r in (1, 2, 3, 4):
             M = PrimePowerModulus(13, r)
             for b, parts in ((1, (1, 2)), (2, (3,)), (3, (1, 1, 1))):
@@ -271,3 +268,23 @@ class TestUnorderedSum:
     def test_bad_b(self):
         with pytest.raises(ValueError):
             unordered_sum(0, (1,), PrimePowerModulus(5, 1))
+
+
+class TestTableRefusal:
+    """A chain sweep or an unordered-sum table too large to finish is refused
+    before it is built, with an error that names it and its price."""
+
+    def test_an_unordered_table_is_priced_before_it_is_built(self, monkeypatch):
+        monkeypatch.setattr(mhs_module, "unit_inverses", None)  # nothing may be built
+        mhs_module._tables.clear()
+        with pytest.raises(ScaleGuardError, match=r"table of U_2 at p = 1000000007 to weight 2 is priced 6e\+09"):
+            unordered_sum(2, (2,), PrimePowerModulus(1000000007, 3))
+        assert not mhs_module._tables
+
+    def test_a_chain_sweep_is_priced_before_it_starts(self, monkeypatch):
+        monkeypatch.setattr(mhs_module, "pow", None, raising=False)  # no index may be inverted
+        M = PrimePowerModulus(1000000007, 2)
+        with pytest.raises(ScaleGuardError, match=r"chain sweep of depth 1 to N = 1000000006 .* priced 2e\+09"):
+            mhs(M.p - 1, (1,), M)
+        with pytest.raises(ScaleGuardError, match="depth 3"):
+            mhs_restricted(10**7, (1, 1, 1), M)

@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from supercong import modring
 from supercong.bernoulli import bernoulli_mod_p
 from supercong.compsum import (
     CompSumSpec,
@@ -12,7 +14,16 @@ from supercong.compsum import (
     s_spec,
 )
 from supercong.mhs import mhs, mhs_restricted, unordered_sum
-from supercong.modring import NonUnitError, PrimePowerModulus, is_prime, rational_to_residue
+from supercong.modring import (
+    NonUnitError,
+    PrimeMemo,
+    PrimePowerModulus,
+    ScaleGuardError,
+    guard_table,
+    is_prime,
+    rational_to_residue,
+    unit_inverses,
+)
 
 from oracles import comp_sum_bruteforce, unordered_sum_bruteforce
 
@@ -84,6 +95,59 @@ class TestInverse:
         for u in range(1, M.modulus):
             if u % p:
                 assert rational_to_residue(Fraction(1, u), M) * u % M.modulus == 1
+
+
+class TestUnitInverses:
+    """unit_inverses(p, N, p**e)[j] inverts j's unit part j / p**v_p(j), the same as pow."""
+
+    def test_agrees_with_pow_on_seeded_cases(self):
+        rng = random.Random(28)
+        cases = [(2, 1, 1), (3, 2, 1), (5, 125, 2)]
+        cases += [(rng.choice((2, 3, 5, 7, 11, 13, 101)), rng.randint(1, 600), rng.randint(1, 4)) for _ in range(40)]
+        for p, N, e in cases:
+            mod = p**e
+            table = unit_inverses(p, N, mod)
+            assert len(table) == N + 1 and table[0] == 0, (p, N, e)
+            for j in range(1, N + 1):
+                unit = j
+                while unit % p == 0:
+                    unit //= p
+                assert table[j] == pow(unit, -1, mod), (p, N, e, j)
+        # the multiples of p, and of p**2, are read as well as the units
+        assert sum(N // p for p, N, _ in cases) > 1000 and sum(N // p**2 for p, N, _ in cases) > 100
+
+    def test_one_pow_per_table(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(modring, "pow", lambda *args: calls.append(args) or pow(*args), raising=False)
+        unit_inverses(11, 500, 11**3)
+        assert len(calls) == 1
+
+
+class TestPrimeMemo:
+    def test_holds_the_last_prime_only(self):
+        memo, made = PrimeMemo(), []
+
+        def make(value):
+            return lambda: made.append(value) or value
+
+        assert memo(11, "a", make(1)) == 1 and memo(11, "a", make(2)) == 1
+        assert memo(11, "b", make(3)) == 3 and memo.p == 11 and memo == {"a": 1, "b": 3}
+        assert memo(13, "a", make(4)) == 4 and memo.p == 13 and memo == {"a": 4}
+        assert memo(11, "a", make(5)) == 5 and made == [1, 3, 4, 5]
+
+
+class TestGuardTable:
+    def test_refuses_only_above_the_limit(self):
+        guard_table("a table", modring._MAX_TABLE_PRICE)
+        with pytest.raises(ScaleGuardError, match=r"a table is priced 1e\+07 element operations > 1e\+07"):
+            guard_table("a table", modring._MAX_TABLE_PRICE + 1)
+
+    def test_the_classes_are_one(self):
+        import supercong
+        from supercong import compsum
+
+        assert supercong.ScaleGuardError is compsum.ScaleGuardError is ScaleGuardError
+        assert issubclass(ScaleGuardError, ValueError)
 
 
 class TestRationalToResidue:

@@ -334,6 +334,27 @@ class TestCache:
         assert cache.append({("comp_sum", 5, 1, "kind=R;n=3;m=1;e=1"): 3}) == 0
         assert len(path.read_text().splitlines()) == 2
 
+    def test_each_append_that_writes_rows_syncs_them_under_its_lock(self, tmp_path, monkeypatch):
+        import fcntl
+
+        path, synced = tmp_path / "cache.csv", []
+
+        def fsync(fd):
+            # the rows are written and the lock still held: another open file cannot take it
+            with open(path, "rb") as other:
+                with pytest.raises(BlockingIOError):
+                    fcntl.flock(other, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                synced.append(len(other.read().splitlines()))
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        cache = ResidueCache(path)
+        assert cache.append({("comp_sum", 5, 1, "kind=R;n=3;m=1;e=1"): 3}) == 1
+        assert cache.append({("comp_sum", 5, 1, "kind=R;n=3;m=1;e=1"): 3}) == 0
+        assert cache.append({}) == 0
+        assert cache.append({("comp_sum", 5, 1, "kind=R;n=3;m=2;e=1"): 1,
+                             ("comp_sum", 7, 1, "kind=R;n=3;m=1;e=1"): 2}) == 2
+        assert synced == [2, 4]
+
     def test_rows_sorted_within_append(self, tmp_path):
         path = tmp_path / "cache.csv"
         ResidueCache(path).append(

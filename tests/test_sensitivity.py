@@ -227,17 +227,34 @@ def test_a_wrong_split_read(baseline, reads, monkeypatch):
     assert _COMPOSITION_CLAIMS - _noticed(baseline, mutated) <= _BLIND_AT_MOST
 
 
+def _clear_memos():
+    """Drop the memoized Bernoulli residues and unordered-sum tables."""
+    bernoulli._residues.clear()
+    mhs_module._tables.clear()
+
+
 def _callers(owner, name: str) -> set[str]:
-    """The claims whose default grid calls owner.name."""
+    """The claims whose default grid calls owner.name; no memoized value stands in for a call."""
     real, callers = getattr(owner, name), set()
     for claim_id in CLAIMS:
         calls = []
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(owner, name, lambda *args: calls.append(args) or real(*args))
+            _clear_memos()
             sweep([claim_id])
         if calls:
             callers.add(claim_id)
     return callers
+
+
+# The memoized Bernoulli residues and unordered-sum tables outlive a sweep, so
+# each mutation of a memoized layer runs between two clears: it reads no clean
+# value and leaves none of its own.
+@pytest.fixture
+def fresh_memos():
+    _clear_memos()
+    yield
+    _clear_memos()
 
 
 @pytest.fixture(scope="module")
@@ -261,7 +278,7 @@ def test_a_bernoulli_index_off_by_two(baseline, monkeypatch):
     assert readers - noticed <= _BERNOULLI_INDEX_BLIND_AT_MOST
 
 
-def test_a_flipped_pair_correction_in_the_power_sum(baseline, power_sum_readers, monkeypatch):
+def test_a_flipped_pair_correction_in_the_power_sum(baseline, power_sum_readers, fresh_memos, monkeypatch):
     # power_sum_residue sums j**(k-1) * (2*j - k*p) over j < p/2. With the sign
     # of the correction k*p*j**(k-1) flipped, the sum grows by
     # 2*k*p*sum_{j<p/2} j**(k-1), so B_k mod p by 2*k*sum_{j<p/2} j**(k-1)
@@ -281,22 +298,13 @@ def test_a_flipped_pair_correction_in_the_power_sum(baseline, power_sum_readers,
 
 
 # The harmonic sweeps: the unordered sums' collision recursion (LEM-3.1,
-# LEM-3.4) and the nested chain sweep (COR-3.2). Their tables live for the
-# whole process, so each mutation runs between two clears: it reads no clean
-# value and leaves none of its own. Today neither mutation leaves a claim
-# blind. Each set may only shrink.
+# LEM-3.4) and the nested chain sweep (COR-3.2). Today neither mutation leaves
+# a claim blind. Each set may only shrink.
 _UNORDERED_BLIND_AT_MOST: set[str] = set()
 _CHAIN_BLIND_AT_MOST: set[str] = set()
 
 
-@pytest.fixture
-def fresh_tables():
-    mhs_module._inverse_power_sums.cache_clear()
-    yield
-    mhs_module._inverse_power_sums.cache_clear()
-
-
-def test_a_flipped_collision_term_in_the_unordered_sum(baseline, fresh_tables, monkeypatch):
+def test_a_flipped_collision_term_in_the_unordered_sum(baseline, fresh_memos, monkeypatch):
     # U(a_1, ..., a_n) = P_{a_1} U(a_2, ..., a_n) - sum_i U(a_2, ..., a_i + a_1, ..., a_n),
     # here with the collision terms added rather than subtracted
     def added(self, key):
@@ -311,12 +319,12 @@ def test_a_flipped_collision_term_in_the_unordered_sum(baseline, fresh_tables, m
 
     readers = _callers(verifier, "unordered_sum")
     assert readers == {"LEM-3.1", "LEM-3.4"}
-    mhs_module._inverse_power_sums.cache_clear()
+    _clear_memos()
     monkeypatch.setattr(mhs_module._UnorderedTable, "u", added)
     assert readers - _noticed(baseline, _sweep()) <= _UNORDERED_BLIND_AT_MOST
 
 
-def test_a_chain_sweep_that_skips_the_wrong_class(baseline, fresh_tables, monkeypatch):
+def test_a_chain_sweep_that_skips_the_wrong_class(baseline, fresh_memos, monkeypatch):
     # mhs._sweep with its restriction moved from the multiples of p to k == 1 (mod p)
     def skips_one_mod_p(N, parts, M):
         dp = [0] * len(parts) + [1]

@@ -9,8 +9,8 @@ from math import factorial
 
 import pytest
 
-from supercong import compsum, modring, verifier
-from supercong.bernoulli import bernoulli_mod_p
+from supercong import bernoulli, compsum, modring, verifier
+from supercong.bernoulli import bernoulli_mod_p, power_sum_residue
 from supercong.cache import ResidueCache
 from supercong.compsum import comp_sum, r_spec, s_spec
 from supercong.modring import NonUnitError, PrimePowerModulus, rational_to_residue
@@ -583,36 +583,47 @@ class TestPlan:
         # LEM-3.1 and LEM-3.4 read both weight branches off one table per (b, p),
         # built at p**3; an even weight is reduced mod p**2
         built = []
-        at = mhs_module._UnorderedTable.at
+        table = mhs_module._UnorderedTable
 
-        def counting(self, r):
-            if r > self.r:
-                built.append((self.b, self.p, r))
-            return at(self, r)
+        def counting(b, p, r):
+            built.append((b, p, r))
+            return table(b, p, r)
 
-        mhs_module._inverse_power_sums.cache_clear()
-        monkeypatch.setattr(mhs_module._UnorderedTable, "at", counting)
+        mhs_module._tables.clear()
+        monkeypatch.setattr(mhs_module, "_UnorderedTable", counting)
         reports = sweep(["LEM-3.1", "LEM-3.4"])
         assert {rep.status for rep in reports} == {"pass"}
         assert len(built) == len({(b, p) for b, p, _ in built}) == 21
         assert {r for *_, r in built} == {3}
 
     def test_a_sweep_holds_only_its_last_primes_tables(self):
-        mhs_module._inverse_power_sums.cache_clear()
+        mhs_module._tables.clear()
         reports = sweep(["LEM-3.4"], GridSpec(primes=(11, 13, 17)))
         assert {rep.status for rep in reports} == {"pass"}
-        held = mhs_module._inverse_power_sums
+        held = mhs_module._tables
         assert held.p == 17 and held
-        assert {table.p for table in held.values()} == {17}
-        assert sorted(held) == sorted({inst.get("b", 1) for inst in CLAIMS["LEM-3.4"].grid(GridSpec(primes=(17,)))})
+        assert {table.mod for table in held.values()} == {17**3}
+        grid = CLAIMS["LEM-3.4"].grid(GridSpec(primes=(17,)))
+        assert sorted(held) == sorted({(inst.get("b", 1), 3) for inst in grid})
+
+    def test_a_sweep_holds_only_its_last_primes_bernoulli_residues(self, monkeypatch):
+        asked = []
+        residue = verifier.bernoulli_mod_p
+        monkeypatch.setattr(verifier, "bernoulli_mod_p", lambda k, p: asked.append((k, p)) or residue(k, p))
+        bernoulli._residues.clear()
+        reports = sweep(["EQ-1.1"], GridSpec(primes=primes_between(5, 97)))
+        assert "pass" in {rep.status for rep in reports} and len({p for _, p in asked}) > 20
+        held = bernoulli._residues
+        assert held.p == 97 and held
+        assert held == {k: power_sum_residue(k, 97) for k, p in asked if p == 97}
 
     def test_interleaved_primes_match_a_fresh_run(self):
         instances = [inst for p in (11, 13, 11) for inst in CLAIMS["LEM-3.4"].grid(GridSpec(primes=(p,)))]
         fresh = []
         for inst in instances:
-            mhs_module._inverse_power_sums.cache_clear()
+            mhs_module._tables.clear()
             fresh.append(verify(inst))
-        mhs_module._inverse_power_sums.cache_clear()
+        mhs_module._tables.clear()
         assert [verify(inst) for inst in instances] == fresh
         assert {rep.status for rep in fresh} == {"pass"}
 

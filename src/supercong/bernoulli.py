@@ -73,7 +73,7 @@ def power_sum_residue(k: int, p: int) -> int:
     if k % 2:
         raise ValueError(f"the paired power sum needs an even index, got {k}")
     q, half = p * p, (p - 1) // 2
-    guard_table(f"the power sum of B_{k} at p = {p}", half)
+    guard_table("the power sum of B_{} at p = {}", half, k, p)
     # factor[j]: the smallest prime factor of a composite j, 0 at 0, 1 and the primes;
     # the smaller factors are written last
     factor = [0] * (half + 1)

@@ -38,15 +38,17 @@ it where a read needs it. The ladder meets in the middle: for part
 counts up to K it climbs only rows 1..ceil(K/2), and reads [x**t] f**n
 as one dot product of rows n//2 and n - n//2 up to index t. Evaluation
 is planned: a caller declares the sums it will ask for (Plan) and passes
-the plan to comp_sum, which looks up the request's reading and combines
-the coefficients. Each (prime, part bound, precision) key of the plan
-gets one ladder, built once for its largest part count and target; a
-request plans its coefficients under the unbounded key (p, None, e), an
-e = 1 request under the period key (p, _PERIOD, 1), and a bounded request
-with R < e under its own key (p, p**R, e). The rows are streamed, two
-alive at a time, and only the planned coefficients are kept. A request outside the plan, or made without one, is a plan of its
-own. A plan prices each ladder before any is climbed and refuses one too
-large to finish with ScaleGuardError. One independent oracle checks the
+the plan to comp_sum; Plan.value, the one reader of a plan, looks up the
+request's reading and combines the coefficients. Each (prime, part bound,
+precision) key of the plan gets one ladder, built once for its largest
+part count and target; a request plans its coefficients under the
+unbounded key (p, None, e), an e = 1 request under the period key
+(p, _PERIOD, 1), and a bounded request with R < e under its own key
+(p, p**R, e). The rows are streamed, two alive at a time, and only the
+planned coefficients are kept. A request the given plan did not plan
+raises KeyError; one made without a plan is a plan of its own. A plan
+prices each ladder by what it climbs, before any is climbed, and refuses
+one too large to finish with ScaleGuardError. One independent oracle checks the
 evaluator, here because `supercong oracle` runs it: binary powering with
 one Kronecker-substitution big-integer multiply per step
 (comp_sum_kronecker). Both return a plain int, canonical in [0, p**e).
@@ -59,7 +61,7 @@ from math import comb
 from operator import add, mul, sub
 from typing import Iterable, Iterator, NamedTuple
 
-from .modring import PrimePowerModulus, ScaleGuardError, inverses_mod_p, prime_power, unit_inverses
+from .modring import PrimePowerModulus, ScaleGuardError, figure, guard_table, inverses_mod_p, prime_power, unit_inverses
 
 __all__ = ["ScaleGuardError", "PrecisionError", "CompSumSpec", "s_spec", "r_spec", "comp_sum", "Plan",
            "comp_sum_kronecker", "count_solutions_exact"]
@@ -95,7 +97,8 @@ class CompSumSpec(_SpecFields):
     parts are free (the family appearing at target m*p and in the lifted
     congruences). An explicit target decoupled from m * p**r is accepted
     for oracle-style evaluations at arbitrary sums. An immutable named
-    tuple, validated on construction.
+    tuple, validated on construction, whose repr writes a field past 10**100
+    by its digit count (modring.figure).
     """
 
     __slots__ = ()
@@ -115,6 +118,9 @@ class CompSumSpec(_SpecFields):
         elif target < 1:
             raise ValueError(f"target must be >= 1, got {target}")
         return super().__new__(cls, n, m, p, r, upper_bound, target)
+
+    def __repr__(self) -> str:
+        return f"CompSumSpec({', '.join(f'{k}={v if v is None else figure(v)}' for k, v in zip(self._fields, self))})"
 
 
 def s_spec(n: int, m: int, p: int, r: int = 1) -> CompSumSpec:
@@ -344,8 +350,10 @@ def _digit_weights(n: int, p: int, e: int, N: int) -> dict[int, int]:
     q - c >= lo = ceil((N - L + 1) / p), the same for every t, so the
     weights read at most n*e binomials C(n*e - 1 + j, n*e - 1), lo <= j:
     the first one exact, each next one by the exact ratio (n*e + j)/(j + 1).
+    Priced at its n*e targets times its n*e binomials before the first one.
     """
     d, L, mod = n * e, n * p * e, p**e
+    guard_table("the digit weights of f**{} mod {}**{} at target {}", d * d, n, p, e, N)
     targets = range(n + (N - n) % p, L, p)
     lo = -((L - 1 - N) // p)
     binomials, binomial = [], comb(d - 1 + lo, d - 1)
@@ -414,8 +422,9 @@ class Plan:
     target N. Every ladder is priced on construction, before any climb
     (_price), and a plan whose costliest ladder is priced above
     _MAX_LADDER_PRICE raises ScaleGuardError naming the term that sets its
-    top target. The first comp_sum call that reaches a key climbs its ladder
-    and fills in every requested coefficient of that key.
+    top target. value is the one reader of readings, wanted and sizes: the
+    first read of a key climbs its ladder, counts it in ladders_built and
+    fills in every requested coefficient of that key.
     """
 
     def __init__(self, requests: Iterable[tuple[CompSumSpec, int]] = ()):
@@ -434,14 +443,26 @@ class Plan:
         if key is not None and self._price(key) > _MAX_LADDER_PRICE:
             K, N = self.sizes[key]
             spec, e = next(term for term, (k, weights) in self.readings.items() if k == key and N in weights)
-            raise ScaleGuardError(f"{spec} mod {spec.p}**{e} needs a ladder of {K} rows to target {N}, "
-                                  f"priced {self._price(key):.3g} > {_MAX_LADDER_PRICE:.3g}")
+            raise ScaleGuardError(f"{spec} mod {spec.p}**{e} needs a ladder of {K} rows to target {figure(N)}, "
+                                  f"priced {figure(self._price(key), '.3g')} > {_MAX_LADDER_PRICE:.3g}")
 
-    def _price(self, key: tuple[int, int | None, int]) -> float:
-        """About K * N * digits for the key's ladder, its rows climbed, top target
-        and working precision (_Ladder.precisions), half that on a period key."""
+    def _price(self, key: tuple[int, int | None, int]) -> int:
+        """What the key's ladder climbs: on a period key rows k = 2..K, each to
+        floor(k*p/2), whatever its top target; else about K * N * digits, its
+        rows, top target and working precision (_Ladder.precisions)."""
         (p, bound, e), (K, N) = key, self.sizes[key]
-        return K * N / 2 if bound == _PERIOD else K * N * _Ladder.precisions(p, e, K, N)[1]
+        if bound == _PERIOD:
+            return (p * (K * (K + 1) // 2 - 1) - p % 2 * ((K - 1) // 2)) // 2 + K - 1  # odd k*p lose a half
+        return K * N * _Ladder.precisions(p, e, K, N)[1]
+
+    def value(self, spec: CompSumSpec, e: int) -> int:
+        """spec's sum mod p**e as planned; a request the plan did not plan raises KeyError naming it."""
+        key, weights = self.readings[(spec, e)]
+        wanted = self.wanted[key]
+        if any(wanted[(spec.n, t)] is None for t in weights):
+            self.ladders_built += 1
+            _Ladder(*key, *self.sizes[key]).fill(wanted)
+        return sum(w * wanted[(spec.n, t)] for t, w in weights.items()) % spec.p**e
 
 
 def comp_sum(spec: CompSumSpec, modulus: PrimePowerModulus | None = None, plan: Plan | None = None) -> int:
@@ -449,23 +470,15 @@ def comp_sum(spec: CompSumSpec, modulus: PrimePowerModulus | None = None, plan: 
     canonical int in [0, p**e).
 
     Evaluated mod p**spec.r unless an explicit modulus (same prime, any
-    exponent) is supplied, and read as the plan reads it. Empty sums return
-    0, not an error: they are legitimate corner cases (e.g. a single part
-    equal to m * p**r). A request outside the plan, or made without one, is
-    a plan of its own.
+    exponent) is supplied, and read by plan.value. Empty sums return 0, not
+    an error: they are legitimate corner cases (e.g. a single part equal to
+    m * p**r). A request that the given plan did not plan raises KeyError;
+    made without a plan, a request is a plan of its own.
     """
     M = _eval_modulus(spec, modulus)
-    n = spec.n
-    if spec.target < n:
+    if spec.target < spec.n:
         return 0
-    if plan is None or (spec, M.r) not in plan.readings:
-        plan = Plan([(spec, M.r)])
-    key, weights = plan.readings[(spec, M.r)]
-    wanted = plan.wanted[key]
-    if any(wanted[(n, t)] is None for t in weights):
-        plan.ladders_built += 1
-        _Ladder(spec.p, key[1], M.r, *plan.sizes[key]).fill(wanted)
-    return sum(w * wanted[(n, t)] for t, w in weights.items()) % M.modulus
+    return (plan if plan is not None else Plan([(spec, M.r)])).value(spec, M.r)
 
 
 def comp_sum_kronecker(spec: CompSumSpec, modulus: PrimePowerModulus | None = None) -> int:
@@ -512,14 +525,16 @@ def count_solutions_exact(a: int, m: int, n: int, p: int) -> int:
     """Number of integer solutions of x_1 + ... + x_n = m*p - a, 0 <= x_i < p.
 
     Inclusion-exclusion over how many coordinates overflow p, with exact
-    integer binomials.
+    integer binomials, priced as terms times n products before the first.
     """
     if n < 1:
         raise ValueError("need at least one coordinate")
     target = m * p - a
     if target < 0:
         return 0
+    terms = min(n, target // p) + 1
+    guard_table("the solution count of {} coordinates below {} summing to {}", terms * n, n, p, target)
     total = 0
-    for i in range(min(n, target // p) + 1):
+    for i in range(terms):
         total += (-1) ** i * comb(n, i) * comb(n + target - i * p - 1, n - 1)
     return total

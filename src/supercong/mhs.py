@@ -44,7 +44,7 @@ def _sweep(N: int, parts: tuple[int, ...], M: PrimePowerModulus) -> int:
     if d == 0:
         return 1 % mod
     # an index costs one inverse and d products
-    guard_table(f"the chain sweep of depth {d} to N = {N} at p = {p}", N * (d + 1))
+    guard_table("the chain sweep of depth {} to N = {} at p = {}", N * (d + 1), d, N, p)
     dp = [0] * d + [1]
     for k in range(1, N + 1):
         if k % p == 0:
@@ -143,5 +143,6 @@ def unordered_sum(b: int, alphas: Sequence[int], M: PrimePowerModulus) -> int:
         return 1
     if M.p <= n:
         raise ValueError(f"need p > depth (got p={M.p}, depth={n})")
-    guard_table(f"the unordered-sum table of U_{b} at p = {M.p} to weight {sum(parts)}", b * M.p * (sum(parts) + 1))
+    weight = sum(parts)
+    guard_table("the unordered-sum table of U_{} at p = {} to weight {}", b * M.p * (weight + 1), b, M.p, weight)
     return _tables(M.p, (b, M.r), lambda: _UnorderedTable(b, M.p, M.r)).u(tuple(sorted(parts)))

@@ -5,18 +5,20 @@ the ring Z / p**r and validates it (p prime, r >= 1), and prime_power
 builds it once per (p, r) for callers that need it per evaluation.
 inverses_mod_p and unit_inverses tabulate inverses mod p and mod p**e.
 PrimeMemo, the one memo of per-prime values, holds the last prime's in
-each process; guard_table refuses a per-prime table too large to finish.
-Everything else is an immutable value or a pure function.
+each process; guard_table refuses a table too large to finish, and figure
+writes a number for its message. Everything else is an immutable value or
+a pure function.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
+from math import log10
 from typing import Callable, Hashable, NamedTuple
 
 __all__ = ["NonUnitError", "ScaleGuardError", "PrimePowerModulus", "prime_power", "is_prime",
-           "rational_to_residue", "inverses_mod_p", "unit_inverses", "PrimeMemo", "guard_table"]
+           "rational_to_residue", "inverses_mod_p", "unit_inverses", "PrimeMemo", "guard_table", "figure"]
 
 # guard_table refuses a per-prime table priced above this many element operations. At
 # p near 10**6 a term of the Bernoulli power sum costs 0.7 us, an index of the chain
@@ -32,9 +34,10 @@ class NonUnitError(ArithmeticError):
 
 class ScaleGuardError(ValueError):
     """A request refused before any work because it is too large to finish:
-    a per-prime table priced above _MAX_TABLE_PRICE (guard_table), a
-    composition-sum plan whose costliest ladder is priced above its limit,
-    or a Kronecker oracle operand that is too wide (compsum)."""
+    a per-prime table, digit weights or a solution count priced above
+    _MAX_TABLE_PRICE (guard_table), a composition-sum plan whose costliest
+    ladder is priced above its limit, or a Kronecker oracle operand that is
+    too wide (compsum)."""
 
 
 # Witness set that makes Miller-Rabin deterministic for all n < 2**64.
@@ -164,8 +167,21 @@ class PrimeMemo(dict):
         return self[key]
 
 
-def guard_table(table: str, price: int) -> None:
+def figure(x: int, spec: str = "") -> str:
+    """format(x, spec) for a message, or x's digit count from 10**100 on: a
+    huge int is never written whole, and past 4,300 digits Python refuses to."""
+    if abs(x) < 10**100:
+        return format(x, spec)
+    digits = int(log10(abs(x))) + 1  # log10 may round across a power of 10
+    digits += (abs(x) >= 10**digits) - (abs(x) < 10 ** (digits - 1))
+    return f"<{digits} digits>"
+
+
+def guard_table(table: str, price: int, *args: object) -> None:
     """Refuse, with ScaleGuardError naming it, a per-prime table priced above
-    _MAX_TABLE_PRICE element operations; call it before the table is built."""
+    _MAX_TABLE_PRICE element operations; call it before the table is built.
+    The name is table.format(*args), each int argument written by figure,
+    and is formatted only when the table is refused."""
     if price > _MAX_TABLE_PRICE:
-        raise ScaleGuardError(f"{table} is priced {price:.3g} element operations > {_MAX_TABLE_PRICE:.3g}")
+        name = table.format(*(figure(a) if isinstance(a, int) else a for a in args))
+        raise ScaleGuardError(f"{name} is priced {figure(price, '.3g')} element operations > {_MAX_TABLE_PRICE:.3g}")

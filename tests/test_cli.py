@@ -510,6 +510,29 @@ class TestOracleCommand:
         assert builds == [] and time.perf_counter() - start < 1
         assert not (tmp_path / "cache.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--claims", "EQ-5.1", "--instance", "p=100003,n=4001,m=1"],
+        ["verify", "--claims", "THM-1.1-ii", "--instance", "p=11,r=2000,m=1"],
+        ["verify", "--claims", "THM-1.1-ii", "--instance", "p=11,r=5000,m=1"],
+        ["verify", "--claims", "LEM-2.3-ii", "--instance", "p=100003,r=1,n=5000,m=1"],
+        ["compute", "count", "--n", "10000", "--a", "1", "--m", "10000", "--p", "11"],
+    ])
+    def test_a_large_value_is_refused_before_its_work(self, capsys, builds, argv):
+        # a period key priced by the rows it climbs, the digit weights and a solution count,
+        # each before it is built; a target past 4,300 digits is named by its digit count
+        start = time.perf_counter()
+        rc, out, err = run(capsys, argv)
+        assert rc == 2 and out == "" and "ScaleGuardError" in err and "ValueError" not in err
+        assert builds == [] and time.perf_counter() - start < 1
+
+    def test_a_count_too_large_to_finish_is_an_error_row(self, capsys):
+        start = time.perf_counter()
+        rc, out, _ = run(capsys, ["verify", "--claims", "LEM-2.1", "--instance", "p=10007,n=10000,m=9999,a=1",
+                                  "--format", "csv"])
+        (row,) = out.splitlines()[1:]
+        assert rc == 2 and ",error,ScaleGuardError: the solution count of 10000 coordinates below 10007 " in row
+        assert time.perf_counter() - start < 1
+
     @pytest.mark.parametrize("claim,instance,table", [
         ("COR-3.2", "p=1000000007,n=1,alpha=1", "the chain sweep of depth 1 to N = 1000000006 at p = 1000000007"),
         ("LEM-3.1", "p=1000000007,alphas=1+1", "the unordered-sum table of U_1 at p = 1000000007 to weight 2"),

@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from supercong import compsum
+from supercong import compsum, modring
 from supercong.compsum import (
     CompSumSpec,
     PrecisionError,
@@ -428,15 +428,20 @@ class TestReducedRoute:
         assert comp_sum(plain, M, plan) == comp_sum_kronecker(plain, M)
         assert len(builds) == 1 and builds[0][:3] == (11, None, 2) and builds[0][4] < 7 * 11 * 2
 
-    def test_a_request_outside_the_plan_is_a_plan_of_its_own(self, builds):
+    def test_a_request_outside_the_plan_is_refused(self, builds):
         cross = s_spec(7, 2, 11, 2)
         plan = compsum.Plan([(cross, 3)])
         wanted = {key: dict(coefficients) for key, coefficients in plan.wanted.items()}
-        # the plain sum is not in the plan: it is reduced, and the plan's ladder is not climbed
-        plain = r_spec(7, 2, 11, 2)
-        assert comp_sum(plain, PrimePowerModulus(11, 2), plan) == comp_sum_kronecker(plain, PrimePowerModulus(11, 2))
+        # the plain sum is not in the plan: refused by name, and nothing is climbed
+        plain, M = r_spec(7, 2, 11, 2), PrimePowerModulus(11, 2)
+        with pytest.raises(KeyError, match=r"^\(CompSumSpec\(n=7, m=2, p=11, r=2, upper_bound=None, target=242\), 2\)"):
+            comp_sum(plain, M, plan)
+        with pytest.raises(KeyError):
+            comp_sum(cross, M, plan)  # planned mod 11**3, not mod 11**2
+        assert builds == [] and plan.wanted == wanted and plan.ladders_built == 0
+        # made without a plan, the request is a plan of its own, and reduced
+        assert comp_sum(plain, M) == comp_sum_kronecker(plain, M)
         assert len(builds) == 1 and builds[0][4] < 7 * 11 * 2
-        assert plan.wanted == wanted and plan.ladders_built == 0
 
     @pytest.mark.parametrize("r", [6, 8])
     def test_deep_closed_forms(self, r):
@@ -497,8 +502,9 @@ class TestKroneckerGuard:
 
 
 class TestLadderPriceGuard:
-    """A plan prices each ladder at rows K times top target N times its working
-    digits, half K*N on a period key, before any is climbed."""
+    """A plan prices each ladder by what it climbs, before any is climbed: rows
+    K times top target N times its working digits, and on a period key rows
+    k = 2..K, each to floor(k*p/2), whatever its top target."""
 
     def test_ladders_are_priced_without_a_climb(self, builds):
         # LEM-2.3-ii at r = 5: parts below 11**5 mod 11**6 climb their own ladder to
@@ -506,10 +512,32 @@ class TestLadderPriceGuard:
         plan = compsum.Plan([(s_spec(7, a, 11, 5), 6) for a in range(1, 7)] + [(s_spec(7, 3, 11, 6), 6)])
         assert plan.sizes[(11, 11**5, 6)] == (4, 966306)
         assert plan._price((11, 11**5, 6)) == 4 * 966306 * 21 < compsum._MAX_LADDER_PRICE
-        # R(7,3,10007) mod 10007 on the period key: targets 10007, 20014, 30021
+        # R(7,3,10007) mod 10007 on the period key: targets 10007, 20014, 30021, and
+        # rows 2, 3 and 4 climbed to indexes 10007, 15010 and 20014
         plan = compsum.Plan([(r_spec(7, 3, 10007), 1)])
         assert plan.sizes == {(10007, compsum._PERIOD, 1): (4, 30021)}
-        assert plan._price((10007, compsum._PERIOD, 1)) == 4 * 30021 / 2
+        assert plan._price((10007, compsum._PERIOD, 1)) == 10008 + 15011 + 20015
+        assert builds == []
+
+    @pytest.mark.parametrize("p", [2, 3, 11, 887])
+    def test_a_period_key_is_priced_at_the_entries_it_climbs(self, p):
+        key = (p, compsum._PERIOD, 1)
+        for n in range(1, 12):
+            plan = compsum.Plan([(CompSumSpec(n=n, m=1, p=p, target=n), 1)])
+            climbed = sum(len(row) for k, row in compsum._Ladder(*key, *plan.sizes[key]).rows() if k > 1)
+            assert plan._price(key) == climbed, n
+
+    def test_a_period_key_price_does_not_depend_on_its_top_target(self):
+        # R(7,1,887) reads targets up to 887 and R(7,3,887) up to 2661; both climb rows 2..4
+        key = (887, compsum._PERIOD, 1)
+        low, high = (compsum.Plan([(r_spec(7, m, 887), 1)]) for m in (1, 3))
+        assert low.sizes[key] == (4, 887) and high.sizes[key] == (4, 2661)
+        assert low._price(key) == high._price(key) == 888 + 1331 + 1775
+
+    def test_a_period_key_that_cannot_finish_is_refused(self, builds):
+        # EQ-5.1 at p = 100003 with 4001 parts: target p, but 2000 rows each climbed to floor(k*p/2)
+        with pytest.raises(ScaleGuardError, match=r"n=4001, .* ladder of 2001 rows to target 100003, priced 1e\+11"):
+            compsum.Plan([(s_spec(4001, 1, 100003), 1)])
         assert builds == []
 
     def test_a_ladder_that_cannot_finish_is_refused_before_any_climb(self, builds):
@@ -528,6 +556,54 @@ class TestLadderPriceGuard:
         monkeypatch.setattr(compsum, "_MAX_LADDER_PRICE", 100)
         with pytest.raises(ScaleGuardError, match=r"r=3, .* mod 11\*\*4 needs a ladder of 4 rows to target 1331"):
             compsum.Plan(terms)
+
+
+class TestRefusalsBeforeWork:
+    """The digit weights and the solution count are priced before their first
+    binomial, and a refusal never writes a huge integer whole."""
+
+    @pytest.fixture
+    def combs(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(compsum, "comb", lambda *args: calls.append(args) or comb(*args))
+        return calls
+
+    def test_digit_weights_are_refused_before_the_first_binomial(self, combs, monkeypatch):
+        refusal = r"the digit weights of f\*\*7 mod 11\*\*2000 at target <2083 digits> is priced 1.96e\+08 "
+        with pytest.raises(ScaleGuardError, match=refusal):
+            compsum._digit_weights(7, 11, 2000, 11**2000)
+        assert combs == []
+        # priced at (n*e)**2: 7 parts mod 11**2 at 196, refused one below
+        monkeypatch.setattr(modring, "_MAX_TABLE_PRICE", 196)
+        assert compsum._digit_weights(7, 11, 2, 11**3) and combs
+        monkeypatch.setattr(modring, "_MAX_TABLE_PRICE", 195)
+        with pytest.raises(ScaleGuardError, match=r"f\*\*7 mod 11\*\*2 at target 1331 is priced 196 "):
+            compsum._digit_weights(7, 11, 2, 11**3)
+
+    def test_a_plan_is_refused_before_any_ladder(self, builds):
+        # THM-1.1-ii at p = 11, r = 5000: the spec's own fields pass 4,300 digits
+        spec = r_spec(7, 1, 11, 5000)
+        with pytest.raises(ScaleGuardError, match="at target <5207 digits>"):
+            comp_sum(spec, PrimePowerModulus(11, 5000))
+        assert builds == [] and "target=<5207 digits>" in repr(spec) and len(repr(spec)) < 100
+        # parts below 11**5000 mod 11**5001 on a ladder of their own, refused by its price
+        refusal = r"upper_bound=<5207 digits>, target=<5207 digits>\) mod 11\*\*5001 .* to target <5207 digits>"
+        with pytest.raises(ScaleGuardError, match=refusal):
+            comp_sum(s_spec(7, 1, 11, 5000), PrimePowerModulus(11, 5001))
+        assert builds == []
+
+    def test_a_count_is_refused_before_the_first_binomial(self, combs, monkeypatch):
+        refusal = r"solution count of 10000 coordinates below 11 summing to 109999 is priced 1e\+08 "
+        with pytest.raises(ScaleGuardError, match=refusal):
+            count_solutions_exact(1, 10000, 10000, 11)
+        assert combs == []
+        # priced at (min(n, target // p) + 1) * n: 7 coordinates to 4*11 - 1 at 4 * 7
+        want = count_solutions_exact(1, 4, 7, 11)
+        monkeypatch.setattr(modring, "_MAX_TABLE_PRICE", 28)
+        assert count_solutions_exact(1, 4, 7, 11) == want
+        monkeypatch.setattr(modring, "_MAX_TABLE_PRICE", 27)
+        with pytest.raises(ScaleGuardError, match="priced 28 "):
+            count_solutions_exact(1, 4, 7, 11)
 
 
 class TestBruteforce:

@@ -19,6 +19,7 @@ from supercong.modring import (
     PrimeMemo,
     PrimePowerModulus,
     ScaleGuardError,
+    figure,
     guard_table,
     is_prime,
     rational_to_residue,
@@ -141,6 +142,22 @@ class TestGuardTable:
         guard_table("a table", modring._MAX_TABLE_PRICE)
         with pytest.raises(ScaleGuardError, match=r"a table is priced 1e\+07 element operations > 1e\+07"):
             guard_table("a table", modring._MAX_TABLE_PRICE + 1)
+
+    def test_the_name_is_formatted_only_on_a_refusal(self):
+        class Unformattable:
+            def __format__(self, spec):
+                raise AssertionError("formatted")
+
+        guard_table("a table at {}", modring._MAX_TABLE_PRICE, Unformattable())
+        with pytest.raises(ScaleGuardError, match=r"^a table to N = <4301 digits> at p = 11 is priced <4301 digits> "):
+            guard_table("a table to N = {} at p = {}", 10**4300, 10**4300, 11)
+
+    def test_figure_writes_a_huge_int_by_its_digit_count(self):
+        assert [figure(x) for x in (0, -7, 10**99 - 1)] == ["0", "-7", "9" * 99]
+        assert figure(2260000000, ".3g") == "2.26e+09"
+        for digits in (101, 102, 4300, 4301, 10**5):
+            least, most = 10 ** (digits - 1), 10**digits - 1
+            assert figure(least) == figure(most) == figure(-most) == f"<{digits} digits>"
 
     def test_the_classes_are_one(self):
         import supercong

@@ -79,11 +79,16 @@ def power_sum_residue(k: int, p: int) -> int:
     factor = [0] * (half + 1)
     for i in range(isqrt(half), 1, -1):
         factor[i * i :: i] = [i] * ((half - i * i) // i + 1)
-    powers = [0, 1][: half + 1]  # powers[j] = j**(k-1) mod p**2
-    for j in range(2, half + 1):
+    kept = half // 2  # a composite j's factors lie below j/2: the powers above are summed as made
+    powers = [0, 1][: kept + 1]  # powers[j] = j**(k-1) mod p**2
+    for j in range(2, kept + 1):
         a = factor[j]
         powers.append(powers[a] * powers[j // a] % q if a else pow(j, k - 1, q))
-    total = sum(map(mul, powers, range(-k * p, 2 * half + 1 - k * p, 2))) % q
+    total = sum(map(mul, powers, range(-k * p, 2 * kept + 1 - k * p, 2)))
+    for j in range(kept + 1, half + 1):
+        a = factor[j]
+        total += (powers[a] * powers[j // a] % q if a else pow(j, k - 1, q)) * (2 * j - k * p)
+    total %= q
     if total % p:
         raise PowerSumError(f"p = {p} does not divide sum_(j<p) j**{k} = {total} mod p**2")
     return total // p

@@ -1,5 +1,5 @@
 """Command-line front end: claim sweeps, single-quantity computation,
-constant hunting, and the ladder checked against the Kronecker oracle.
+constant hunting, and comp_sum checked against the Kronecker oracle.
 
 Exit codes: 0 when nothing failed (skips and conjecture findings do not
 fail), 1 when a non-conjectural congruence failed, 2 on usage or internal
@@ -144,7 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
     srch.add_argument("--format", choices=("text", "json"), default="text")
     srch.add_argument("--out")
 
-    orc = sub.add_parser("oracle", help="cross-check the derivative-ladder evaluator against Kronecker powering")
+    orc = sub.add_parser("oracle", help="cross-check comp_sum (unit factorials mod p, the derivative ladder "
+                                        "mod p**e) against Kronecker powering")
     orc.add_argument("--n", type=int, required=True)
     orc.add_argument("--m", type=int, required=True)
     orc.add_argument("--p", type=int, required=True)
@@ -281,7 +282,7 @@ def _cmd_oracle(args) -> int:
     spec = CompSumSpec(args.n, args.m, args.p, args.r_exp, upper_bound=bound, target=args.target)
     e = args.mod_exp if args.mod_exp is not None else args.r_exp
     M = PrimePowerModulus(args.p, e)
-    # the oracle first: a request too large for it is refused before any ladder is climbed
+    # the oracle first: a request too large for it is refused before comp_sum works
     oracle = comp_sum_kronecker(spec, M)
     fast = comp_sum(spec, M)
     agree = fast == oracle

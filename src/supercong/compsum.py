@@ -2,8 +2,8 @@
 
 Every sum is one coefficient [x**N] f**n of the truncated unit series
 f(x) = sum_{p not| l} x**l / l, or of its bounded variant f_b (parts below
-p**R). Before anything is climbed, a deep request is reduced by the digit
-expansion. Writing each part as l = a + p*b with 0 < a < p,
+p**R). Before anything is evaluated, a deep request is reduced by the
+digit expansion. Writing each part as l = a + p*b with 0 < a < p,
 1/l = sum_{j<e} (-p*b)**j / a**(j+1) (mod p**e), and summing over b with
 the Eulerian sums sum_b b**j y**b = E_j(y) / (1 - y)**(j+1) gives
 f == P(x) / (1 - x**p)**e (mod p**e) with deg P < p*e. So for
@@ -21,47 +21,43 @@ has one term: 1/(a + b*p) == 1/a, so f == g / (1 - x**p) with
 g = sum_{0<a<p} x**a / a of degree p - 1, and f_b == (1 - x**p**R) * g /
 (1 - x**p). So every e = 1 request, of either family and at any r, is
 an exact integer combination of the coefficients [x**t] g**n with
-n <= t <= n*(p-1), all read off one period key per prime
-(_period_weights). A request's route is a function of the request
-(spec, e) alone (_reading).
+n <= t <= n*(p-1) (_period_weights). A request's route is a function of
+the request (spec, e) alone (_reading).
 
-The coefficients themselves come from one evaluator, a derivative
-ladder: (f**k)' = k * f**(k-1) * f', and f' has 0/1 coefficients, so
-each row f**k costs one O(N) pass of prefix sums followed by an exact
-p-adic division by the index; row 1 is f itself, read off the table of
-inverses without a climb. The period key climbs g mod p the same way
-but divides by no multiple of p: at p | j its coefficient is one dot
-product of the row below with the inverse period, and every row stays
-mod p. g is anti-palindromic, x**p * g(1/x) == -g (mod p), so row k is
-climbed only to its centre of symmetry, floor(k*p/2), and mirrored past
-it where a read needs it. The ladder meets in the middle: for part
-counts up to K it climbs only rows 1..ceil(K/2), and reads [x**t] f**n
-as one dot product of rows n//2 and n - n//2 up to index t. Evaluation
-is planned: a caller declares the sums it will ask for (Plan) and passes
+Two evaluators read the coefficients. Mod p each coefficient of g**n is
+a signed sum of binomials C(k*p, j), k <= n, over p**n, read off one
+running product of the units below n*p per prime (_unit_pass). Mod
+p**e, e >= 2, a derivative ladder: (f**k)' = k * f**(k-1) * f', and f'
+has 0/1 coefficients, so each row f**k costs one O(N) pass of prefix
+sums followed by an exact p-adic division by the index; row 1 is f
+itself, read off the table of inverses without a climb. The ladder meets
+in the middle: for part counts up to K it climbs only rows 1..ceil(K/2),
+and reads [x**t] f**n as one dot product of rows n//2 and n - n//2 up to
+index t; its rows are streamed, two alive at a time. Evaluation is
+planned: a caller declares the sums it will ask for (Plan) and passes
 the plan to comp_sum; Plan.value, the one reader of a plan, looks up the
-request's reading and combines the coefficients. Each (prime, part bound,
-precision) key of the plan gets one ladder, built once for its largest
-part count and target; a request plans its coefficients under the
-unbounded key (p, None, e), an e = 1 request under the period key
-(p, _PERIOD, 1), and a bounded request with R < e under its own key
-(p, p**R, e). The rows are streamed, two alive at a time, and only the
-planned coefficients are kept. A request the given plan did not plan
-raises KeyError; one made without a plan is a plan of its own. A plan
-prices each ladder by what it climbs, before any is climbed, and refuses
-one too large to finish with ScaleGuardError. One independent oracle checks the
-evaluator, here because `supercong oracle` runs it: binary powering with
-one Kronecker-substitution big-integer multiply per step
+request's reading and combines the coefficients. Each (prime, part
+bound, precision) key of the plan is evaluated once, for its largest
+part count and target: a request plans its coefficients under the
+unbounded key (p, None, e), read by one unit pass at e = 1 and by one
+ladder at e >= 2, and a bounded request with R < e under its own ladder
+key (p, p**R, e). A request the given plan did not plan raises KeyError;
+one made without a plan is a plan of its own. A plan prices each key by
+its work, before any is done, and refuses one too large to finish with
+ScaleGuardError. One independent oracle checks the evaluators, here
+because `supercong oracle` runs it: binary powering with one
+Kronecker-substitution big-integer multiply per step
 (comp_sum_kronecker). Both return a plain int, canonical in [0, p**e).
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, cycle, islice, repeat
-from math import comb
+from itertools import accumulate, chain, islice, repeat
+from math import comb, perm
 from operator import add, mul, sub
 from typing import Iterable, Iterator, NamedTuple
 
-from .modring import PrimePowerModulus, ScaleGuardError, figure, guard_table, inverses_mod_p, prime_power, unit_inverses
+from .modring import PrimePowerModulus, ScaleGuardError, figure, guard_table, prime_power, unit_inverses
 
 __all__ = ["ScaleGuardError", "PrecisionError", "CompSumSpec", "s_spec", "r_spec", "comp_sum", "Plan",
            "comp_sum_kronecker", "count_solutions_exact"]
@@ -69,7 +65,7 @@ __all__ = ["ScaleGuardError", "PrecisionError", "CompSumSpec", "s_spec", "r_spec
 # comp_sum_kronecker refuses a packed operand wider than this many bits:
 # R(7,3,11**4) mod 11**4 packs 2.1 Mbit and takes seconds, R(7,3,11**5) 27 Mbit and minutes
 _KRONECKER_BITS = 1 << 22
-# Plan refuses a ladder priced above this (Plan._price): LEM-2.3-ii at r = 5 prices
+# Plan refuses a key priced above this (Plan._price): LEM-2.3-ii at r = 5 prices
 # 8.1e7 and takes 4 s and 225 MB, EQ-1.3 at p = 11, r = 6 1.8e8, and EQ-1.3 at
 # r = 7 2.3e9, a ladder of 4 rows to 11**7 like the one that ran out of memory
 # under a 1.5 GB cap
@@ -146,11 +142,6 @@ def _shifted(values: Iterable[int], d: int, N: int) -> Iterator[int]:
     return chain(repeat(0, pad), islice(values, N - pad))
 
 
-# The part bound of the period key, which climbs g = sum_{0<a<p} x**a / a mod p
-# (_Ladder) and reads every e = 1 sum (_period_weights). A real part bound p**r is at least 2.
-_PERIOD = 0
-
-
 class _Ladder:
     """Rows f**1 .. f**K of one truncated unit series to x**N, each to the
     precision it needs, read as products f**n = f**(n//2) * f**(n - n//2)
@@ -173,22 +164,6 @@ class _Ladder:
     error is divisible by p**(e + v_p(j)), so the check passes whenever
     the rows below are right, and a failure raises PrecisionError.
 
-    The period key (bound _PERIOD, e = 1) climbs g = sum_{0<a<p} x**a / a
-    mod p in place of f, a polynomial of degree p - 1, and divides by no
-    multiple of p, so every row is kept mod p. Row 1 is g itself, the
-    inverse period [0, 1/1, ..., 1/(p-1)] mod p. Since g' == sum_{0<a<p}
-    x**(a-1) (mod p), row k at p not| j is k * w_j / j, with w_j the sum
-    of row k-1 over the window j - p < i < j (one prefix sum, no part
-    bound). At p | j it is the product's own coefficient, sum_{0<a<p}
-    [x**(j-a)] g**(k-1) / a: one dot product of p - 1 terms against the
-    inverse period. p must still divide k * w_j there, and a failure
-    raises PrecisionError. g is anti-palindromic, x**p * g(1/x) == -g
-    (mod p), so [x**(k*p - t)] g**k == (-1)**k [x**t] g**k: row k is
-    climbed only to index floor(k*p/2), and extended past it by that
-    mirror only where a read needs it: the next row's climb, to one index
-    below its own middle, and the split read below, which reads [x**t]
-    g**n at the nearer of t and n*p - t.
-
     A caller asking for part counts up to K' builds the ladder with
     K = ceil(K'/2), so the rule above runs over half as many rows and
     every row is kept to fewer digits. The read [x**t] f**n = sum_{i<=t}
@@ -203,11 +178,6 @@ class _Ladder:
 
     def __init__(self, p: int, bound: int | None, e: int, K: int, N: int):
         self.p, self.bound, self.e, self.K, self.N = p, bound, e, K, N
-        if bound == _PERIOD:
-            # nothing is divided by p (_half_row), so every row of g is exact mod p
-            self.prec, self.mod = 1, p
-            self.inverses = inverses_mod_p(p)
-            return
         self.precs = self.precisions(p, e, K, N)
         self.prec = self.precs[1]
         self.mod = p**self.prec
@@ -225,30 +195,21 @@ class _Ladder:
 
     def fill(self, wanted: dict[tuple[int, int], int | None]) -> None:
         """Set wanted[(n, t)] to [x**t] f**n mod p**e for every requested (n, t),
-        n <= 2*K, as the dot product of rows n//2 and n - n//2 up to index t;
-        on the period key up to u = min(t, n*p - t), times (-1)**n if u < t."""
-        p, period = self.p, self.bound == _PERIOD
-        reads: dict[int, list[tuple[int, int]]] = {}  # n: the (t, u) read at u
+        n <= 2*K, as the dot product of rows n//2 and n - n//2 up to index t."""
+        reads: dict[int, list[int]] = {}
         for n, t in wanted:
             if n > 2 * self.K or t > self.N:
                 raise PrecisionError(
-                    f"[x**{t}] f**{n} mod {p}**{self.e} is beyond the ladder's "
-                    f"{p}**{self.prec} (climbed to row {self.K}, targets up to {self.N})"
+                    f"[x**{t}] f**{n} mod {self.p}**{self.e} is beyond the ladder's "
+                    f"{self.p}**{self.prec} (climbed to row {self.K}, targets up to {self.N})"
                 )
-            reads.setdefault(n, []).append((t, min(t, n * p - t) if period else t))
+            reads.setdefault(n, []).append(t)
         below = [1]  # row 0, the constant 1
         for k, row in self.rows():
             # the part counts whose upper half is row k: 2k - 1 = (k - 1) + k and 2k = k + k
             for n in (2 * k - 1, 2 * k):
-                if n in reads:
-                    if period:
-                        top = max(u for _, u in reads[n])
-                        row = self._mirrored(row, k, top)
-                        if n < 2 * k:
-                            below = self._mirrored(below, k - 1, min(top, (k - 1) * p))
-                    for t, u in reads[n]:
-                        value = self._product(below if n < 2 * k else row, row, u)
-                        wanted[(n, t)] = -value % p if u < t and n % 2 else value
+                for t in reads.get(n, ()):
+                    wanted[(n, t)] = self._product(below if n < 2 * k else row, row, t)
             below = row
 
     def _product(self, low: list[int], high: list[int], t: int) -> int:
@@ -259,16 +220,9 @@ class _Ladder:
         """(k, f**k) for k = 1..K, each row built from the one before and then dropped.
 
         Row 1 is f itself, not climbed: a copy of the inverse table with 0 at
-        the multiples of p and, in the bounded family, from the bound on. On
-        the period key, (k, g**k) up to index floor(k*p/2), row 1 all of g."""
+        the multiples of p and, in the bounded family, from the bound on."""
         p, bound, N = self.p, self.bound, self.N
         row = self.inverses.copy()
-        if bound == _PERIOD:
-            yield 1, row
-            for k in range(2, self.K + 1):
-                row = self._half_row(self._mirrored(row, k - 1, k * p // 2 - 1), k)
-                yield k, row
-            return
         row[::p] = repeat(0, N // p + 1)
         if bound is not None and bound <= N:
             row[bound:] = repeat(0, N + 1 - bound)
@@ -276,36 +230,6 @@ class _Ladder:
         for k in range(2, self.K + 1):
             row = self._row(row, k)
             yield k, row
-
-    def _mirrored(self, row: list[int], k: int, top: int) -> list[int]:
-        """Row k of the period key to index top <= k*p, extended past its end by
-        [x**(k*p - t)] g**k == (-1)**k [x**t] g**k (mod p); row itself if it reaches top."""
-        have = len(row) - 1
-        if top <= have:
-            return row
-        kp = k * self.p
-        mirror = row[kp - top : kp - have][::-1]
-        return row + (mirror if k % 2 == 0 else [-c % self.p for c in mirror])
-
-    def _half_row(self, prev: list[int], k: int) -> list[int]:
-        """g**k mod p to index floor(k*p/2), from prev = g**(k-1) to at least one
-        index below that: j * c_j = k * [x**(j-1)] prev * g', and at p | j the
-        product's own coefficient, a dot product against the inverse period."""
-        p, inverses = self.p, self.inverses
-        half = k * p // 2
-        # prefix[i] = k * (prev[0] + ... + prev[i-1]), so the window j - p < i < j
-        # of k * prev is prefix[j] - prefix[j - p + 1] (0 below index 0)
-        prefix = list(accumulate(map(mul, prev[:half], repeat(k)), initial=0))
-        lagged = chain(repeat(0, p - 1), prefix)
-        row = [(a - b) * c % p for a, b, c in zip(prefix, lagged, cycle(inverses))]
-        backward = inverses[:0:-1]  # 1/(p-1), ..., 1/1
-        for j in range(p, half + 1, p):
-            if (prefix[j] - prefix[j - p + 1]) % p:
-                raise PrecisionError(
-                    f"p does not divide the numerator of coefficient {j} in row {k} mod p (p={p})"
-                )
-            row[j] = sum(map(mul, prev[j - p + 1 : j], backward)) % p
-        return row
 
     def _row(self, prev: list[int], k: int) -> list[int]:
         """f**k from prev = f**(k-1): j * c_j = k * [x**(j-1)] prev * f'."""
@@ -339,6 +263,70 @@ class _Ladder:
         return row
 
 
+# The unit pass. For 0 < a < p, C(p, a) = (p/a) C(p-1, a-1) and C(p-1, a-1) ==
+# (-1)**(a-1) (mod p), so g == -Q/p (mod p) with Q = (1 - x)**p - 1 - (-x)**p,
+# and expanding (-Q/p)**n gives [x**j] g**n == (-1)**(n+j) p**-n sum_{k<=n}
+# (-1)**(n-k) C(n, k) sum_i C(n-k, i) C(k*p, j - i*p) (mod p): the sum is taken
+# mod p**(n+1), and p**n must divide it (else PrecisionError). With C(n, k)
+# C(n-k, i) = C(n, i) C(n-i, k) and j = s*p + c, 0 <= c < p, it is sum_i (-1)**i
+# C(n, i) D[s-i][n-i], where D[r][m] = sum_k (-1)**(m-k) C(m, k) C(k*p, r*p + c)
+# is the m-th forward difference at 0 of k -> C(k*p, r*p + c): one table per
+# residue c serves every part count. The binomials come from unit-part
+# factorials (Granville, "Arithmetic properties of binomial coefficients I",
+# 1997): x! = p**q q! U(x), q = x // p, U(x) the product of the units up to x,
+# so C(k*p, r*p) = C(k, r) U(k*p) / (U(r*p) U((k-r)*p)), and at c > 0
+# C(k*p, r*p + c) = p (k - r) C(k, r) U(k*p) / (U(r*p + c) U((k-r)*p - c)). One
+# running product of the units below K*p mod p**(K+1) records U where these read
+# it (_unit_factorials), and memory is O(K**2), whatever p.
+def _unit_pass(p: int, K: int, wanted: dict[tuple[int, int], int | None]) -> None:
+    """Set wanted[(n, t)] to [x**t] g**n mod p for every requested (n, t),
+    n <= K, g = sum_{0<a<p} x**a / a, by the rule above."""
+    reads: dict[int, dict[int, list[int]]] = {}  # residue c: part count n: its targets
+    for n, t in wanted:
+        if n > K:
+            raise PrecisionError(f"[x**{t}] g**{n} mod {p} is beyond the unit pass's {K} parts")
+        reads.setdefault(t % p, {}).setdefault(n, []).append(t)
+    mod = p ** (K + 1)
+    units = _unit_factorials(p, K, reads, mod)
+    inverse = {x: pow(u, -1, mod) for x, u in units.items()}
+    signed = [[1]]  # signed[m][k] = (-1)**(m-k) C(m, k), by Pascal's rule
+    for _ in range(K):
+        signed.append(list(map(sub, [0, *signed[-1]], [*signed[-1], 0])))
+    for c, counts in reads.items():
+        up = c > 0  # the p-power of C(k*p, s*p + c)
+        differences = []  # D[r][m] up to the highest r read
+        for r in range(max(map(max, counts.values())) // p + 1):
+            low = inverse[r * p + c]
+            row = [comb(k, r) * (p * (k - r) if up else 1) * units[k * p] * low % mod
+                   * inverse[(k - r) * p - c] % mod if k - up >= r else 0 for k in range(K + 1)]
+            differences.append([sum(map(mul, signs, row)) for signs in signed])
+        for n, targets in counts.items():
+            power = p**n
+            for t in targets:
+                s = t // p
+                h = sum(signed[n][n - i] * differences[s - i][n - i] for i in range(min(s, n) + 1))
+                if h % power:
+                    raise PrecisionError(f"p**{n} does not divide the sum of [x**{t}] g**{n} mod p**{n + 1} (p={p})")
+                wanted[(n, t)] = (-1) ** (n + t) * (h % (power * p) // power) % p
+
+
+def _unit_factorials(p: int, K: int, residues: Iterable[int], mod: int) -> dict[int, int]:
+    """U(x) mod `mod` at x = 0, k*p (k <= K), s*p + c and s*p + p - c (s < K)
+    for each c in residues: 64 units to a perm, one reduction per perm."""
+    offsets = sorted({p, *residues, *(p - c for c in residues)} - {0})
+    out, product = {0: 1}, 1
+    for base in range(0, K * p, p):
+        start = base + 1
+        for d in offsets:
+            stop = base + min(d, p - 1)  # base + p is no unit: U(base + p) = U(base + p - 1)
+            for lo in range(start, stop + 1, 64):
+                hi = min(lo + 64, stop + 1)
+                product = product * perm(hi - 1, hi - lo) % mod
+            out[base + d] = product
+            start = max(start, stop + 1)
+    return out
+
+
 def _digit_weights(n: int, p: int, e: int, N: int) -> dict[int, int]:
     """w_t with [x**N] f**n == sum_t w_t * [x**t] f**n (mod p**e), over t == N
     (mod p), n <= t < L = n*p*e <= N.
@@ -370,24 +358,26 @@ def _digit_weights(n: int, p: int, e: int, N: int) -> dict[int, int]:
 
 def _period_weights(n: int, p: int, N: int) -> dict[int, int]:
     """w_t with [x**N] f**n == sum_t w_t * [x**t] g**n (mod p), over t == N
-    (mod p), n <= t <= min(N, n*(p-1)), g = sum_{0<a<p} x**a / a the series
-    of the period key.
+    (mod p), n <= t <= min(N, n*(p-1)), g = sum_{0<a<p} x**a / a.
 
     Mod p, 1/(a + b*p) == 1/a, so f == g / (1 - x**p) and [x**N] f**n =
     sum_q C(n - 1 + q, q) [x**(N - q*p)] g**n: exact weights. g**n vanishes
-    outside n..n*(p-1), so only those targets are read.
+    outside n..n*(p-1), so only those targets are read. Priced at its
+    targets times n before the first binomial.
     """
-    return {t: comb(n - 1 + (N - t) // p, n - 1) for t in range(n + (N - n) % p, min(N, n * (p - 1)) + 1, p)}
+    targets = range(n + (N - n) % p, min(N, n * (p - 1)) + 1, p)
+    guard_table("the weights of g**{} mod {} at target {}", len(targets) * n, n, p, N)
+    return {t: comb(n - 1 + (N - t) // p, n - 1) for t in targets}
 
 
 def _reading(spec: CompSumSpec, e: int) -> tuple[tuple[int, int | None, int], dict[int, int]]:
-    """The ladder key (p, part bound, e) and the weights w_t with spec's value
-    == sum_t w_t * [x**t] f**n (mod p**e), f the series of that key. A
+    """The key (p, part bound, e) and the weights w_t with spec's value ==
+    sum_t w_t * [x**t] f**n (mod p**e), f the series of that key. A
     bounded request with R < e is read at its target on (p, p**R, e); every
     other one through the n + 1 shifts of the unbounded series (one for a
     free request), each shift at its exact target below n*p*e and by its
-    digit weights from n*p*e on. At e = 1 every request is read on the
-    period key, as coefficients of g**n, with its weights reduced mod p and
+    digit weights from n*p*e on. At e = 1 every request is read under
+    (p, None, 1) as coefficients of g**n, with its weights reduced mod p and
     the vanishing ones dropped."""
     n, N, p = spec.n, spec.target, spec.p
     if spec.upper_bound is not None and spec.r < e:
@@ -406,53 +396,57 @@ def _reading(spec: CompSumSpec, e: int) -> tuple[tuple[int, int | None, int], di
             terms = {shifted: 1} if shifted < n * p * e else _digit_weights(n, p, e, shifted)
         for t, w in terms.items():
             out[t] = out.get(t, 0) + sign * w
-    if e == 1:
-        return (p, _PERIOD, 1), {t: w % p for t, w in out.items() if w % p}
-    return (p, None, e), out
+    return (p, None, e), ({t: w % p for t, w in out.items() if w % p} if e == 1 else out)
 
 
 class Plan:
     """The composition sums a caller will ask for, as (spec, e) pairs, each
     to be evaluated mod p**e, and how each is read.
 
-    readings[(spec, e)] is the request's ladder key and weights (_reading),
-    so each request has one route, whatever else the plan holds. Each
-    (prime, part bound, precision) key gets one ladder, sized to the largest
-    part count and target requested of it: sizes[key] is its rows K and top
-    target N. Every ladder is priced on construction, before any climb
-    (_price), and a plan whose costliest ladder is priced above
-    _MAX_LADDER_PRICE raises ScaleGuardError naming the term that sets its
-    top target. value is the one reader of readings, wanted and sizes: the
-    first read of a key climbs its ladder, counts it in ladders_built and
-    fills in every requested coefficient of that key.
+    readings[(spec, e)] is the request's key and weights (_reading), so
+    each request has one route, whatever else the plan holds. Each (prime,
+    part bound, precision) key is evaluated once, for the largest part
+    count and target requested of it, sizes[key]: at e = 1 by one unit
+    pass (_unit_pass), at e >= 2 by one ladder. Every key is priced on
+    construction, before any work (_price), and a plan whose costliest key
+    is priced above _MAX_LADDER_PRICE raises ScaleGuardError naming the
+    term that sets its size. value is the one reader of readings, wanted
+    and sizes: the first read of a key evaluates it, counts it in
+    ladders_built and fills in every requested coefficient of that key.
     """
 
     def __init__(self, requests: Iterable[tuple[CompSumSpec, int]] = ()):
         self.ladders_built = 0
         self.readings: dict[tuple[CompSumSpec, int], tuple[tuple[int, int | None, int], dict[int, int]]] = {}
-        # per key, the requested (n, t) coefficients, None until the key's ladder is climbed
+        # per key, the requested (n, t) coefficients, None until the key is evaluated
         self.wanted: dict[tuple[int, int | None, int], dict[tuple[int, int], int | None]] = {}
         for spec, e in dict.fromkeys(requests):
             if spec.target >= spec.n:
                 key, weights = self.readings[(spec, e)] = _reading(spec, e)
                 self.wanted.setdefault(key, {}).update(((spec.n, t), None) for t in weights)
-        # per key with a coefficient to read, the ladder's rows K (half its largest part count) and top target N
-        self.sizes = {key: ((max(n for n, _ in wanted) + 1) // 2, max(t for _, t in wanted))
+        # per key with a coefficient to read, its largest part count n and top target N
+        self.sizes = {key: (max(n for n, _ in wanted), max(t for _, t in wanted))
                       for key, wanted in self.wanted.items() if wanted}
         key = max(self.sizes, key=self._price, default=None)
         if key is not None and self._price(key) > _MAX_LADDER_PRICE:
-            K, N = self.sizes[key]
-            spec, e = next(term for term, (k, weights) in self.readings.items() if k == key and N in weights)
-            raise ScaleGuardError(f"{spec} mod {spec.p}**{e} needs a ladder of {K} rows to target {figure(N)}, "
+            (p, _, e), (n, N) = key, self.sizes[key]
+            spec, e = next(term for term, (k, weights) in self.readings.items()
+                           if k == key and (term[0].n == n if e == 1 else N in weights))
+            work = (f"a unit pass over the {figure(n * p)} units below {n}*{p}" if e == 1
+                    else f"a ladder of {(n + 1) // 2} rows to target {figure(N)}")
+            raise ScaleGuardError(f"{spec} mod {spec.p}**{e} needs {work}, "
                                   f"priced {figure(self._price(key), '.3g')} > {_MAX_LADDER_PRICE:.3g}")
 
     def _price(self, key: tuple[int, int | None, int]) -> int:
-        """What the key's ladder climbs: on a period key rows k = 2..K, each to
-        floor(k*p/2), whatever its top target; else about K * N * digits, its
-        rows, top target and working precision (_Ladder.precisions)."""
-        (p, bound, e), (K, N) = key, self.sizes[key]
-        if bound == _PERIOD:
-            return (p * (K * (K + 1) // 2 - 1) - p % 2 * ((K - 1) // 2)) // 2 + K - 1  # odd k*p lose a half
+        """What evaluating the key costs, before any of it is done. At e = 1 the
+        unit pass: a small multiply per unit below n*p, and at the modulus's n + 1
+        digits a reduction per 64 units and about n*n differences. At e >= 2 about
+        K * N * digits: the ladder's rows K = ceil(n/2), top target and precision."""
+        (p, _, e), (n, N) = key, self.sizes[key]
+        if e == 1:
+            units = n * p
+            return units + (units // 64 + n * n) * (n + 1)
+        K = (n + 1) // 2
         return K * N * _Ladder.precisions(p, e, K, N)[1]
 
     def value(self, spec: CompSumSpec, e: int) -> int:
@@ -461,7 +455,11 @@ class Plan:
         wanted = self.wanted[key]
         if any(wanted[(spec.n, t)] is None for t in weights):
             self.ladders_built += 1
-            _Ladder(*key, *self.sizes[key]).fill(wanted)
+            n, N = self.sizes[key]
+            if e == 1:
+                _unit_pass(key[0], n, wanted)
+            else:
+                _Ladder(*key, (n + 1) // 2, N).fill(wanted)
         return sum(w * wanted[(spec.n, t)] for t, w in weights.items()) % spec.p**e
 
 

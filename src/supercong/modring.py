@@ -3,7 +3,7 @@
 Residues are plain ints, canonical in [0, p**r); PrimePowerModulus names
 the ring Z / p**r and validates it (p prime, r >= 1), and prime_power
 builds it once per (p, r) for callers that need it per evaluation.
-inverses_mod_p and unit_inverses tabulate inverses mod p and mod p**e.
+unit_inverses tabulates the inverses of the units' parts mod p**e.
 PrimeMemo, the one memo of per-prime values, holds the last prime's in
 each process; guard_table refuses a table too large to finish, and figure
 writes a number for its message. Everything else is an immutable value or
@@ -18,7 +18,7 @@ from math import log10
 from typing import Callable, Hashable, NamedTuple
 
 __all__ = ["NonUnitError", "ScaleGuardError", "PrimePowerModulus", "prime_power", "is_prime",
-           "rational_to_residue", "inverses_mod_p", "unit_inverses", "PrimeMemo", "guard_table", "figure"]
+           "rational_to_residue", "unit_inverses", "PrimeMemo", "guard_table", "figure"]
 
 # guard_table refuses a per-prime table priced above this many element operations. At
 # p near 10**6 a term of the Bernoulli power sum costs 0.7 us, an index of the chain
@@ -120,16 +120,6 @@ def rational_to_residue(q: Fraction | int, M: PrimePowerModulus) -> int:
     if denominator % M.p == 0:
         raise NonUnitError(f"denominator of {q} is divisible by {M.p}")
     return numerator * pow(denominator, -1, M.modulus) % M.modulus
-
-
-def inverses_mod_p(p: int) -> list[int]:
-    """[0, 1/1, ..., 1/(p-1)] mod p, by 1/i == -(p//i) / (p % i) below p/2
-    and 1/(p-i) == -1/i above it."""
-    inv = [0, 1][:p]
-    for i in range(2, (p + 1) // 2):
-        inv.append(-(p // i) * inv[p % i] % p)
-    inv += [p - c for c in inv[(p - 1) // 2 : 0 : -1]]
-    return inv
 
 
 def unit_inverses(p: int, N: int, mod: int) -> list[int]:

@@ -383,7 +383,7 @@ def _thm1ii_eval(inst: ClaimInstance):
     return lhs, rhs, p**r, ""
 
 
-# EQ-1.3, EQ-4.1, LEM-2.3-i at r = 1 (by the period key's mirror) and
+# EQ-1.3, EQ-4.1, LEM-2.3-i at r = 1 (by g's mirror x**p * g(1/x) == -g mod p) and
 # LEM-2.3-ii would hold by algebra alone if both sides were read by
 # weights, so each asks one side's bounded sums S(n, a, p**r) one digit
 # deeper, mod p**(r+1), where parts below p**r climb a ladder of their own

@@ -13,13 +13,19 @@ settings.load_profile("suite")
 
 @pytest.fixture
 def builds(monkeypatch):
-    """The (p, part bound, e, K, N) of every ladder built."""
+    """In order, the (p, part bound, e, K, N) of every ladder built and the
+    (p, K) of every unit pass."""
     built = []
-    build = compsum._Ladder.__init__
+    build, unit_pass = compsum._Ladder.__init__, compsum._unit_pass
 
     def counting(self, *args):
         built.append(args)
         build(self, *args)
 
+    def counted_pass(p, K, wanted):
+        built.append((p, K))
+        unit_pass(p, K, wanted)
+
     monkeypatch.setattr(compsum._Ladder, "__init__", counting)
+    monkeypatch.setattr(compsum, "_unit_pass", counted_pass)
     return built

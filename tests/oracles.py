@@ -23,7 +23,7 @@ from typing import Sequence
 
 from supercong.compsum import CompSumSpec
 from supercong.mhs import _parts
-from supercong.modring import PrimePowerModulus, inverses_mod_p
+from supercong.modring import PrimePowerModulus
 
 # the largest target comp_sum_bruteforce enumerates
 BRUTEFORCE_TARGET_CAP = 60
@@ -72,7 +72,7 @@ def gamma_n(a: int, n: int) -> Fraction:
 def mod_p_table(p: int) -> tuple[int, ...]:
     """B_0 .. B_{p-3} mod p by the recurrence sum_{j<=n} C(n+1, j) B_j = 0."""
     top = max(p - 3, 0)
-    inv = inverses_mod_p(p)
+    inv = [0] + [pow(j, -1, p) for j in range(1, p)]
     table = [1 % p]
     for n in range(1, top + 1):
         acc = 0

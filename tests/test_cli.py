@@ -253,20 +253,19 @@ class TestVerifyCommand:
         assert len(cache.read_text().splitlines()) == 4
 
     def test_a_failed_exact_division_is_refused(self, capsys, tmp_path, monkeypatch):
-        # a wrong inverse at one unit class breaks the climb's exact divisions:
-        # the run stops with PrecisionError, prints no report and writes no row
+        # a wrong product of the units below 2p breaks the unit route's exact
+        # division by p**n: the run stops with PrecisionError, prints no report
+        # and writes no row
         cache = tmp_path / "cache.csv"
         run(capsys, ["verify", "--claims", "EQ-1.1", "--primes", "11", "--cache", str(cache)])
         before = cache.read_bytes()
         assert b"comp_sum,11," in before
-        build = compsum._Ladder.__init__
+        units = compsum._unit_factorials
 
-        def doubled_at_one_mod_p(self, *args):
-            build(self, *args)
-            for j in range(1, self.N + 1, self.p):
-                self.inverses[j] = 2 * self.inverses[j] % self.mod
+        def doubled_at_two_p(p, K, residues, mod):
+            return {x: 2 * u % mod if x == 2 * p else u for x, u in units(p, K, residues, mod).items()}
 
-        monkeypatch.setattr(compsum._Ladder, "__init__", doubled_at_one_mod_p)
+        monkeypatch.setattr(compsum, "_unit_factorials", doubled_at_two_p)
         rc, out, err = run(capsys, ["verify", "--claims", "EQ-1.1", "--format", "json", "--cache", str(cache)])
         assert (rc, out) == (2, "")
         assert err.startswith("error: PrecisionError")
@@ -479,7 +478,7 @@ class TestOracleCommand:
         assert ladder == compsum.comp_sum(compsum.r_spec(7, 1, 61))
 
     @pytest.mark.parametrize("argv", [
-        # the period key at e = 1, and the reduced route at e = 3, of both families
+        # the unit route at e = 1, and the reduced route at e = 3, of both families
         ["--p", "1009"], ["--p", "1009", "--bounded"],
         ["--p", "11", "--r", "3"], ["--p", "11", "--r", "3", "--bounded"],
         # R(7,3,11**4) mod 11**4: a 2.1 Mbit Kronecker operand, about 2 s
@@ -518,8 +517,9 @@ class TestOracleCommand:
         ["compute", "count", "--n", "10000", "--a", "1", "--m", "10000", "--p", "11"],
     ])
     def test_a_large_value_is_refused_before_its_work(self, capsys, builds, argv):
-        # a period key priced by the rows it climbs, the digit weights and a solution count,
-        # each before it is built; a target past 4,300 digits is named by its digit count
+        # a unit pass priced by the units it multiplies, the digit and period weights and
+        # a solution count, each before it is built; a target past 4,300 digits is named
+        # by its digit count
         start = time.perf_counter()
         rc, out, err = run(capsys, argv)
         assert rc == 2 and out == "" and "ScaleGuardError" in err and "ValueError" not in err

@@ -3,7 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import comb
+from math import comb, perm
 
 import pytest
 
@@ -119,8 +119,8 @@ class TestLadder:
             want = comp_sum_kronecker(spec, M)
             # and the ladder itself climbed to the exact target, which a deep request no longer reaches
             assert _fresh(spec, M) == _climbed(spec, M.r) == want, (spec, M)
-        # e = 1 requests read g**n off the period key, mod p, and the digit route
-        # climbs f to the exact target: bounds below N, N below p and at a multiple
+        # e = 1 requests read g**n off the unit pass, mod p, and the ladder climbs
+        # f mod p to the exact target: bounds below N, N below p and at a multiple
         # of p, p in {2, 3} over many periods, up to 10 parts
         cases = [(5, 1, 37, 4), (3, 2, 40, 6), (7, 1, 50, 10), (2, 3, 301, 7),  # bound < N
                  (13, None, 10, 3), (11, 1, 9, 2), (13, 2, 12, 5),  # N < p
@@ -133,7 +133,7 @@ class TestLadder:
             spec = CompSumSpec(n=n, m=1, p=p, r=r or 1, upper_bound=r and p**r, target=N)
             M = PrimePowerModulus(p, 1)
             key, _ = compsum._reading(spec, 1)
-            assert key == (p, compsum._PERIOD, 1) and compsum._Ladder(*key, (n + 1) // 2, N).mod == p
+            assert key == (p, None, 1)
             want = comp_sum_kronecker(spec, M)
             assert _fresh(spec, M) == _climbed(spec, 1) == want, (spec, M)
 
@@ -270,44 +270,6 @@ class TestLadder:
             assert got == [comp_sum_kronecker(spec, M) for spec in requests], (p, e)
             assert any(got)
 
-    def test_period_key_against_kronecker(self):
-        # every e = 1 sum comes off one half-climbed
-        # period ladder per prime: both families, targets on and off multiples of p,
-        # parts below p**2 at e = 1, and more parts than p at p in {2, 3}
-        rng = random.Random(20261019)
-        cases = {887: [family(n, m, 887) for family in (s_spec, r_spec) for n, m in [(3, 1), (7, 3), (8, 2), (10, 4)]]
-                 + [CompSumSpec(n=n, m=1, p=887, upper_bound=bound, target=t)
-                    for n, bound, t in [(7, None, 2 * 887 + 5), (6, 887, 887 - 3), (9, 887, 3 * 887 + 1), (4, None, 5)]]}
-        for p in (5, 7, 11):
-            cases[p] = [s_spec(n, m, p, 2) for n, m in [(3, 1), (5, 2), (8, 5), (8, 7)]]
-            cases[p] += [CompSumSpec(n=rng.randint(2, 8), m=1, p=p, r=2, upper_bound=p * p,
-                                     target=rng.randint(p, 8 * p * p)) for _ in range(6)]
-        for p in (2, 3):
-            cases[p] = [CompSumSpec(n=n, m=1, p=p, r=r, upper_bound=bound and p**r, target=t)
-                        for n, r, bound, t in [(p, 1, None, 40), (p + 1, 1, 1, p * (p + 1)), (7, 2, 1, 40),
-                                               (10, 1, None, 3 * p + 1), (9, 3, 1, 27), (10, 2, None, 20)]]
-        for p, requests in cases.items():
-            M = PrimePowerModulus(p, 1)
-            plan = compsum.Plan((spec, 1) for spec in requests)
-            assert {key for key, _ in plan.readings.values()} == {(p, compsum._PERIOD, 1)}
-            got = [comp_sum(spec, M, plan) for spec in requests]
-            assert plan.ladders_built == 1
-            assert got == [comp_sum_kronecker(spec, M) for spec in requests], p
-            assert any(got)
-
-    @pytest.mark.parametrize("p", [2, 3, 5, 13])
-    def test_mirror_extends_each_half_row_to_the_whole_power_of_g(self, p):
-        # x**p * g(1/x) == -g (mod p), so [x**(k*p - t)] g**k == (-1)**k [x**t] g**k:
-        # row k is climbed to floor(k*p/2), and mirrored to k*p it is all of g**k
-        g = [pow(a, -1, p) if a else 0 for a in range(p)]
-        ladder = compsum._Ladder(p, compsum._PERIOD, 1, 6, 6 * p)
-        power = [1]
-        for k, row in ladder.rows():
-            power = [sum(power[i] * g[j - i] for i in range(len(power)) if 0 <= j - i < p) % p
-                     for j in range(len(power) + p - 1)]
-            assert len(row) == (p if k == 1 else k * p // 2 + 1)
-            assert ladder._mirrored(row, k, k * p) == power + [0] * (k * p + 1 - len(power)), k
-
     def test_split_read_below_the_part_count_is_zero(self):
         # t < n: no n units sum to t, and the halves' rows vanish below their part counts
         p, N = 409, 40
@@ -352,6 +314,89 @@ class TestLadder:
                 "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+
+class TestUnitRoute:
+    """Every e = 1 sum is read off the unit pass; the ladder, climbed mod p on
+    the request's own series to its exact target, shares none of its code."""
+
+    def test_unit_route_against_kronecker(self):
+        # every e = 1 sum comes off one unit pass per prime: both families,
+        # targets on and off multiples of p, parts below p**2 at e = 1, and more
+        # parts than p at p in {2, 3}
+        rng = random.Random(20261019)
+        cases = {887: [family(n, m, 887) for family in (s_spec, r_spec) for n, m in [(3, 1), (7, 3), (8, 2), (10, 4)]]
+                 + [CompSumSpec(n=n, m=1, p=887, upper_bound=bound, target=t)
+                    for n, bound, t in [(7, None, 2 * 887 + 5), (6, 887, 887 - 3), (9, 887, 3 * 887 + 1), (4, None, 5)]]}
+        for p in (5, 7, 11):
+            cases[p] = [s_spec(n, m, p, 2) for n, m in [(3, 1), (5, 2), (8, 5), (8, 7)]]
+            cases[p] += [CompSumSpec(n=rng.randint(2, 8), m=1, p=p, r=2, upper_bound=p * p,
+                                     target=rng.randint(p, 8 * p * p)) for _ in range(6)]
+        for p in (2, 3):
+            cases[p] = [CompSumSpec(n=n, m=1, p=p, r=r, upper_bound=bound and p**r, target=t)
+                        for n, r, bound, t in [(p, 1, None, 40), (p + 1, 1, 1, p * (p + 1)), (7, 2, 1, 40),
+                                               (10, 1, None, 3 * p + 1), (9, 3, 1, 27), (10, 2, None, 20)]]
+        for p, requests in cases.items():
+            M = PrimePowerModulus(p, 1)
+            plan = compsum.Plan((spec, 1) for spec in requests)
+            assert {key for key, _ in plan.readings.values()} == {(p, None, 1)}
+            got = [comp_sum(spec, M, plan) for spec in requests]
+            assert plan.ladders_built == 1
+            assert got == [comp_sum_kronecker(spec, M) for spec in requests], p
+            assert any(got)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 13])
+    def test_unit_pass_reads_every_coefficient_of_a_power_of_g(self, p):
+        # g**k by schoolbook products of g = sum_{0<a<p} x**a / a mod p, against the
+        # unit pass at every index 0..k*p, residues 0..p-1 and part counts 1..6 at once
+        g = [pow(a, -1, p) if a else 0 for a in range(p)]
+        wanted = {(k, t): None for k in range(1, 7) for t in range(k * p + 1)}
+        compsum._unit_pass(p, 6, wanted)
+        power = [1]
+        for k in range(1, 7):
+            power = [sum(power[i] * g[j - i] for i in range(len(power)) if 0 <= j - i < p) % p
+                     for j in range(len(power) + p - 1)]
+            assert [wanted[(k, t)] for t in range(k * p + 1)] == power + [0] * (k * p + 1 - len(power)), k
+
+    def test_unit_pass_refuses_what_it_cannot_read(self, monkeypatch):
+        # sized for 3 parts: 4 parts need p**5, beyond its modulus p**4
+        with pytest.raises(PrecisionError, match="beyond the unit pass's 3 parts"):
+            compsum._unit_pass(11, 3, {(4, 44): None})
+        # a wrong unit product breaks the exact division by p**n
+        units = compsum._unit_factorials
+        monkeypatch.setattr(compsum, "_unit_factorials", lambda p, K, residues, mod: {
+            x: 2 * u if x == 22 else u for x, u in units(p, K, residues, mod).items()})
+        with pytest.raises(PrecisionError, match=r"p\*\*3 does not divide the sum of \[x\*\*22\] g\*\*3 mod p\*\*4"):
+            compsum._unit_pass(11, 3, {(3, 22): None})
+
+    def test_agrees_with_the_ladder_on_a_seeded_sample(self):
+        rng = random.Random(20261020)
+        small = [q for q in range(2, 50) if is_prime(q)]
+        large = [q for q in range(8 * 10**4, 10**5) if is_prime(q)]
+        seen = set()
+        for trial in range(60):
+            # every sixth prime near 10**5, each fifth case at p = 2, the rest below 50
+            p = 2 if trial % 5 == 0 else rng.choice(large if trial % 6 == 1 else small)
+            n, m, bounded = rng.randint(1, 10), rng.randint(1, 5 if p < 50 else 1), trial % 2 == 0
+            target = m * p if trial % 3 else m * p + rng.randint(1, p - 1) if p > 2 else 2 * m + 1
+            spec = CompSumSpec(n=n, m=m, p=p, r=1, upper_bound=p if bounded else None, target=target)
+            assert comp_sum(spec, PrimePowerModulus(p, 1)) == _climbed(spec, 1), spec
+            seen.add((p == 2, p <= n, target % p > 0, bounded))
+        assert {(False, True, True, True), (True, True, True, True), (False, False, False, False)} <= seen
+        assert len(seen) >= 10
+
+    def test_agrees_with_the_ladder_on_every_e1_catalog_term(self, monkeypatch):
+        from supercong import verifier
+
+        terms = []
+        evaluate = verifier.comp_sum
+        monkeypatch.setattr(verifier, "comp_sum",
+                            lambda spec, M, plan=None: terms.append((spec, M.r)) or evaluate(spec, M, plan=plan))
+        verifier.sweep(list(verifier.CLAIMS))
+        ones = [spec for spec, e in terms if e == 1]
+        assert len(ones) == 277
+        for spec in ones:
+            assert comp_sum(spec, PrimePowerModulus(spec.p, 1)) == _climbed(spec, 1), spec
 
 
 class TestReducedRoute:
@@ -410,8 +455,8 @@ class TestReducedRoute:
 
     def test_routes(self):
         # the ladder at the exact target for N < n*p*e and for parts below p**R with
-        # R < e; everything else is reduced, or at e = 1 read on the period key
-        assert compsum._reading(r_spec(7, 1, 11, 1), 1) == ((11, compsum._PERIOD, 1), {11: 1})  # 11 < 77
+        # R < e; everything else is reduced, or at e = 1 read as coefficients of g**n
+        assert compsum._reading(r_spec(7, 1, 11, 1), 1) == ((11, None, 1), {11: 1})  # 11 < 77
         key, weights = compsum._reading(r_spec(7, 2, 11, 2), 2)  # 242 >= 154
         assert key == (11, None, 2) and max(weights) < 154
         key, weights = compsum._reading(s_spec(7, 2, 11, 2), 2)  # R = e: the shifts of f, reduced
@@ -456,7 +501,7 @@ class TestReducedRoute:
 class TestOneReadingRule:
     """A part bound p**R gets a ladder of its own only below the precision
     (R < e); every other request is read through the shifts of the unbounded
-    series, or on the period key."""
+    series, at e = 1 by the unit pass."""
 
     def test_bounded_sums_read_through_the_unbounded_series_at_production_sizes(self):
         rng = random.Random(20261020)
@@ -476,7 +521,7 @@ class TestOneReadingRule:
             if bounded and R < e:
                 assert (key, weights) == ((p, p**R, e), {N: 1}), (spec, e)
             else:
-                assert key == ((p, compsum._PERIOD, 1) if e == 1 else (p, None, e))
+                assert key == (p, None, e)
             # and a second climb for reference: the spec's own series read directly at the target
             assert _fresh(spec, M) == _climbed(spec, e) == want, (spec, e)
             if bounded and R >= e:
@@ -502,41 +547,54 @@ class TestKroneckerGuard:
 
 
 class TestLadderPriceGuard:
-    """A plan prices each ladder by what it climbs, before any is climbed: rows
-    K times top target N times its working digits, and on a period key rows
-    k = 2..K, each to floor(k*p/2), whatever its top target."""
+    """A plan prices each key by its work, before any is done: a ladder at its
+    rows K times top target N times its working digits, and a unit pass at its
+    units below n*p, and at the modulus's n + 1 digits one reduction per 64
+    units and n*n binomials, whatever its top target."""
 
     def test_ladders_are_priced_without_a_climb(self, builds):
         # LEM-2.3-ii at r = 5: parts below 11**5 mod 11**6 climb their own ladder to
         # the bounded target 6*11**5 = 966306, kept to 6 + 3*5 digits (11**5 <= N < 11**6)
         plan = compsum.Plan([(s_spec(7, a, 11, 5), 6) for a in range(1, 7)] + [(s_spec(7, 3, 11, 6), 6)])
-        assert plan.sizes[(11, 11**5, 6)] == (4, 966306)
+        assert plan.sizes[(11, 11**5, 6)] == (7, 966306)
         assert plan._price((11, 11**5, 6)) == 4 * 966306 * 21 < compsum._MAX_LADDER_PRICE
-        # R(7,3,10007) mod 10007 on the period key: targets 10007, 20014, 30021, and
-        # rows 2, 3 and 4 climbed to indexes 10007, 15010 and 20014
+        # R(7,3,10007) mod 10007 off one unit pass: targets 10007, 20014, 30021, and the
+        # 70049 units below 7*10007 mod 10007**8
         plan = compsum.Plan([(r_spec(7, 3, 10007), 1)])
-        assert plan.sizes == {(10007, compsum._PERIOD, 1): (4, 30021)}
-        assert plan._price((10007, compsum._PERIOD, 1)) == 10008 + 15011 + 20015
+        assert plan.sizes == {(10007, None, 1): (7, 30021)}
+        assert plan._price((10007, None, 1)) == 70049 + (70049 // 64 + 49) * 8
         assert builds == []
 
     @pytest.mark.parametrize("p", [2, 3, 11, 887])
-    def test_a_period_key_is_priced_at_the_entries_it_climbs(self, p):
-        key = (p, compsum._PERIOD, 1)
+    def test_a_unit_pass_multiplies_each_unit_once(self, p, monkeypatch):
+        # every unit below n*p goes into one perm of at most 64 units, each perm
+        # followed by one reduction; the offsets c and p - c of the target's
+        # residue c cut each block's run of units at most twice more
+        calls = []
+        monkeypatch.setattr(compsum, "perm", lambda top, k: calls.append(k) or perm(top, k))
+        key = (p, None, 1)
         for n in range(1, 12):
-            plan = compsum.Plan([(CompSumSpec(n=n, m=1, p=p, target=n), 1)])
-            climbed = sum(len(row) for k, row in compsum._Ladder(*key, *plan.sizes[key]).rows() if k > 1)
-            assert plan._price(key) == climbed, n
+            del calls[:]
+            spec = CompSumSpec(n=n, m=1, p=p, target=n * (p - 1))  # the top of g**n, its weight 1
+            plan = compsum.Plan([(spec, 1)])
+            assert plan.sizes[key][0] == n
+            assert comp_sum(spec, plan=plan) == _climbed(spec, 1)
+            assert sum(calls) == n * (p - 1) and len(calls) <= n * (-(-(p - 1) // 64) + 2), n
+            assert plan._price(key) == n * p + (n * p // 64 + n * n) * (n + 1)
 
-    def test_a_period_key_price_does_not_depend_on_its_top_target(self):
-        # R(7,1,887) reads targets up to 887 and R(7,3,887) up to 2661; both climb rows 2..4
-        key = (887, compsum._PERIOD, 1)
+    def test_a_unit_pass_price_does_not_depend_on_its_top_target(self):
+        # R(7,1,887) reads targets up to 887 and R(7,3,887) up to 2661; both pass the units below 7*887
+        key = (887, None, 1)
         low, high = (compsum.Plan([(r_spec(7, m, 887), 1)]) for m in (1, 3))
-        assert low.sizes[key] == (4, 887) and high.sizes[key] == (4, 2661)
-        assert low._price(key) == high._price(key) == 888 + 1331 + 1775
+        assert low.sizes[key] == (7, 887) and high.sizes[key] == (7, 2661)
+        assert low._price(key) == high._price(key) == 6209 + (6209 // 64 + 49) * 8
 
-    def test_a_period_key_that_cannot_finish_is_refused(self, builds):
-        # EQ-5.1 at p = 100003 with 4001 parts: target p, but 2000 rows each climbed to floor(k*p/2)
-        with pytest.raises(ScaleGuardError, match=r"n=4001, .* ladder of 2001 rows to target 100003, priced 1e\+11"):
+    def test_a_unit_pass_that_cannot_finish_is_refused(self, builds):
+        # EQ-5.1 at p = 100003 with 4001 parts: target p, but 400,112,003 units mod p**4002
+        units = 4001 * 100003
+        price = units + (units // 64 + 4001**2) * 4002
+        refusal = rf"n=4001, .* needs a unit pass over the {units} units below 4001\*100003, priced {price:.3g}"
+        with pytest.raises(ScaleGuardError, match=refusal.replace("+", r"\+")):
             compsum.Plan([(s_spec(4001, 1, 100003), 1)])
         assert builds == []
 
@@ -559,8 +617,8 @@ class TestLadderPriceGuard:
 
 
 class TestRefusalsBeforeWork:
-    """The digit weights and the solution count are priced before their first
-    binomial, and a refusal never writes a huge integer whole."""
+    """The digit and period weights and the solution count are priced before
+    their first binomial, and a refusal never writes a huge integer whole."""
 
     @pytest.fixture
     def combs(self, monkeypatch):
@@ -579,6 +637,19 @@ class TestRefusalsBeforeWork:
         monkeypatch.setattr(modring, "_MAX_TABLE_PRICE", 195)
         with pytest.raises(ScaleGuardError, match=r"f\*\*7 mod 11\*\*2 at target 1331 is priced 196 "):
             compsum._digit_weights(7, 11, 2, 11**3)
+
+    def test_period_weights_are_refused_before_the_first_binomial(self, combs, monkeypatch):
+        # R(100000, 100000, 11) mod 11: 81,819 targets of g**100000, each weight a binomial of 100000 terms
+        refusal = r"the weights of g\*\*100000 mod 11 at target 1100000 is priced 8.18e\+09 "
+        with pytest.raises(ScaleGuardError, match=refusal):
+            compsum._period_weights(100000, 11, 1100000)
+        assert combs == []
+        # priced at targets times n: 7 parts at 3*11 read the targets 11, 22 and 33, at 21
+        monkeypatch.setattr(modring, "_MAX_TABLE_PRICE", 21)
+        assert compsum._period_weights(7, 11, 33) == {11: comb(8, 6), 22: comb(7, 6), 33: 1} and combs
+        monkeypatch.setattr(modring, "_MAX_TABLE_PRICE", 20)
+        with pytest.raises(ScaleGuardError, match=r"g\*\*7 mod 11 at target 33 is priced 21 "):
+            compsum._period_weights(7, 11, 33)
 
     def test_a_plan_is_refused_before_any_ladder(self, builds):
         # THM-1.1-ii at p = 11, r = 5000: the spec's own fields pass 4,300 digits

@@ -66,15 +66,18 @@ def _blind(baseline, mutated, reads):
     return {claim_id for claim_id, keys in reads.items() if keys & changed} - _noticed(baseline, mutated)
 
 
-# The first three equate sums that all come from the same ladder, so a
-# consistent ladder error can pass them. CONJ-5.1-w10 passes only where both
-# sides vanish mod p (m = 1, and p = 23 at m = 4), which an error can leave
-# at 0; its other rows are findings already. This set may only shrink.
-# Today the inverse and split-read mutations leave EQ-1.3, EQ-4.1 and
-# LEM-2.3-ii blind, and the dot-product mutation CONJ-5.1-w10; the mirror
-# mutation is refused. LEM-2.3-i left this set when its r = 1 rows came to
-# compare the period key with the digit route.
-_BLIND_AT_MOST = {"EQ-1.3", "EQ-4.1", "LEM-2.3-ii", "CONJ-5.1-w10"}
+# These three equate sums that all come from the same ladder, so a
+# consistent ladder error can pass them. This set may only shrink. Today the
+# inverse and split-read mutations leave EQ-1.3, EQ-4.1 and LEM-2.3-ii blind.
+# LEM-2.3-i left this set when its r = 1 rows came to compare the e = 1
+# route with the ladder, and CONJ-5.1-w10 when its sums, all e = 1, left the
+# ladder for the unit pass.
+_BLIND_AT_MOST = {"EQ-1.3", "EQ-4.1", "LEM-2.3-ii"}
+
+
+def _exponent(key) -> int:
+    """The e of a composition sum's cache key."""
+    return int(dict(field.split("=") for field in key[3].split(";"))["e"])
 
 
 def test_every_composition_claim_has_a_pass_row(baseline, reads):
@@ -144,9 +147,8 @@ def test_a_wrong_bounded_shift(baseline, reads, monkeypatch, old, new):
 
 
 def test_a_wrong_ladder_inverse_at_multiples_of_p(baseline, reads, monkeypatch):
-    # the period key's table is the inverse period, with no multiple of p but 0,
-    # so this mutation reaches only the digit route: the ladders with e >= 2, one
-    # side of LEM-2.3-i at r = 1 among them
+    # every e = 1 sum is read off the unit pass, so this mutation reaches only
+    # the ladders, e >= 2, one side of LEM-2.3-i at r = 1 among them
     build = compsum._Ladder.__init__
 
     def doubled_at_multiples_of_p(self, *args):
@@ -166,52 +168,34 @@ def test_a_wrong_ladder_inverse_at_multiples_of_p(baseline, reads, monkeypatch):
     changed = {key for claim_id in blind for key in reads[claim_id] if changed_values[key] != values[key]}
     assert changed
     for key in changed:
-        _, p, _, params = key
-        e = int(dict(field.split("=") for field in params.split(";"))["e"])
-        assert (changed_values[key] - values[key]) % p ** (e - 1) == 0, key
+        assert (changed_values[key] - values[key]) % key[1] ** (_exponent(key) - 1) == 0, key
 
 
-def test_a_flipped_dot_product_at_multiples_of_p(baseline, reads, monkeypatch):
-    # a half row of the period key reads its coefficients at p | j as one dot
-    # product against the inverse period; here its sign is flipped. Under this
-    # flip a sum of up to seven parts keeps its coefficients at the multiples
-    # of p (seen for p = 11, 13, 17), which are all that EQ-1.1 and THM-1.1-i
-    # read, so those two cannot notice
-    climb = compsum._Ladder._half_row
+# The unit route's sign (-1)**(n+t) flipped negates every e = 1 sum. CONJ-5.1-w10
+# passes only where both sides vanish mod p (m = 1, and p = 23 at m = 4), and 0
+# negated is 0; its other rows are findings already. This set may only shrink.
+_UNIT_SIGN_BLIND_AT_MOST = {"CONJ-5.1-w10"}
 
-    def flipped(self, prev, k):
-        row = climb(self, prev, k)
-        row[self.p :: self.p] = [-c % self.p for c in row[self.p :: self.p]]
-        return row
 
-    monkeypatch.setattr(compsum._Ladder, "_half_row", flipped)
+def test_a_flipped_sign_in_the_unit_route(baseline, reads, monkeypatch):
+    # [x**t] g**n == (-1)**(n+t) p**-n (its signed binomial sum): here the sign is flipped
+    monkeypatch.setattr(compsum, "_unit_pass", _mutant(compsum, "_unit_pass", "(-1) ** (n + t)", "(-1) ** (n + t + 1)"))
     mutated = _sweep()
-    assert {"LEM-2.3-i", "LEM-3.7", "COR-3.8", "CONJ-5.1-w8", "CONJ-5.1-w9"} <= _noticed(baseline, mutated)
-    assert _blind(baseline, mutated, reads) <= _BLIND_AT_MOST
+    assert {"EQ-1.1", "THM-1.1-i", "EQ-5.1", "EQ-5.2", "LEM-3.3", "LEM-3.7", "COR-3.8",
+            "CONJ-5.1-w8", "CONJ-5.1-w9", "LEM-2.3-i"} <= _noticed(baseline, mutated)
+    assert _blind(baseline, mutated, reads) <= _UNIT_SIGN_BLIND_AT_MOST
 
 
-def test_a_flipped_mirror_at_odd_rows_is_refused(monkeypatch):
-    # past its middle an odd row of the period key is minus its mirror image;
-    # here that sign is flipped. The next row's climb reads the mirrored part
-    # in its window at p | j, so the check that p divides it fails: the sweep
-    # stops with PrecisionError before any report, and nothing is blind
-    mirrored = compsum._Ladder._mirrored
-
-    def flipped(self, row, k, top):
-        out = mirrored(self, row, k, top)
-        if k % 2:
-            out = out[: len(row)] + [-c % self.p for c in out[len(row) :]]
-        return out
-
-    monkeypatch.setattr(compsum._Ladder, "_mirrored", flipped)
-    with pytest.raises(compsum.PrecisionError, match="in row 4 mod p"):
+def test_a_unit_skipped_in_the_running_product_is_refused(monkeypatch):
+    # the pass skips the first unit of every block of p, so every U(x) past the
+    # first block loses a factor: the binomials C(k*p, j) are then no longer
+    # those of (1 - x)**(k*p), and the check that p**n divides their signed sum
+    # fails at the first prime, before any report: nothing is blind
+    units = _mutant(compsum, "_unit_factorials", "start = base + 1", "start = base + 2")
+    monkeypatch.setattr(compsum, "_unit_factorials", units)
+    refusal = r"p\*\*3 does not divide the sum of \[x\*\*5\] g\*\*3 mod p\*\*4 \(p=5\)"
+    with pytest.raises(compsum.PrecisionError, match=refusal):
         _sweep()
-    # the same flip in a row read but never climbed from changes the value read
-    spec = compsum.r_spec(5, 2, 11)
-    monkeypatch.undo()
-    clean = compsum.comp_sum(spec)
-    monkeypatch.setattr(compsum._Ladder, "_mirrored", flipped)
-    assert compsum.comp_sum(spec) != clean
 
 
 def test_a_wrong_split_read(baseline, reads, monkeypatch):
@@ -224,7 +208,10 @@ def test_a_wrong_split_read(baseline, reads, monkeypatch):
     monkeypatch.setattr(compsum._Ladder, "_product", lower_half_doubled_at_one_mod_p)
     mutated = _sweep()
     assert _blind(baseline, mutated, reads) <= _BLIND_AT_MOST
-    assert _COMPOSITION_CLAIMS - _noticed(baseline, mutated) <= _BLIND_AT_MOST
+    # every claim that reads a ladder, a sum mod p**e with e >= 2, notices or is allowed blind
+    ladder_readers = {claim_id for claim_id, keys in reads.items() if any(_exponent(key) > 1 for key in keys)}
+    assert {"THM-1.1-ii", "PROP-4.1", "LEM-2.3-i"} <= ladder_readers
+    assert ladder_readers - _noticed(baseline, mutated) <= _BLIND_AT_MOST
 
 
 def _clear_memos():

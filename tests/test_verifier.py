@@ -280,21 +280,13 @@ class TestSweep:
         assert len(reports) == 8
         assert [r.status for r in reports] == ["pass"] * 8
 
-    def test_evaluation_by_prime_shares_ladders(self, monkeypatch):
-        # three claims over the same free-part ladder at each prime: evaluated
-        # claim by claim they would rebuild it per claim, by prime once per prime
-        builds = []
-        build = compsum._Ladder.__init__
-
-        def counting(self, *args):
-            builds.append(args)
-            build(self, *args)
-
-        monkeypatch.setattr(compsum._Ladder, "__init__", counting)
+    def test_evaluation_by_prime_shares_ladders(self, builds):
+        # three claims over the same free-part sums at each prime: evaluated
+        # claim by claim they would rebuild the evaluator per claim, by prime once per prime
         claims = ["CONJ-5.1-w10", "LEM-3.5", "LEM-3.7"]
         reports = sweep(claims, GridSpec(primes=(13, 11)))
-        # every sum is read mod p off the period key: rows up to ceil(10/2), targets up to 4p
-        assert builds == [(11, compsum._PERIOD, 1, 5, 44), (13, compsum._PERIOD, 1, 5, 52)]
+        # every sum is read mod p off one unit pass per prime, sized to 10 parts
+        assert builds == [(11, 10), (13, 10)]
         keys = [r.instance.sort_key() for r in reports]
         assert keys == sorted(keys) and len(keys) == 24
         by_claim = [r for cid in claims for r in sweep([cid], GridSpec(primes=(11, 13)))]
@@ -540,26 +532,30 @@ class TestMixedBatch:
         assert sorted([b_pair, b2], key=ClaimInstance.sort_key) == [b2, b_pair]
 
 
-# The (p, part bound, e, K, N) of every ladder the default catalog builds, in
-# order: primes ascending, and within a prime each key as first planned by the
-# prime's instances in ClaimInstance.sort_key order. At e = 1 a prime's sums
-# share one period key (part bound compsum._PERIOD), and no ladder (p, None, 1)
-# is built. The cross-checked sides, with parts below p**r read mod p**(r+1),
+# In order, the (p, n) of every unit pass and the (p, part bound, e, K, N) of
+# every ladder the default catalog builds: primes ascending, and within a prime
+# each key as first planned by the prime's instances in ClaimInstance.sort_key
+# order. At e = 1 a prime's sums share one unit pass, sized to their largest
+# part count n, under the key (p, None, 1), and no ladder (p, None, 1) is
+# built. The cross-checked sides, with parts below p**r read mod p**(r+1),
 # climb a bounded series: EQ-1.3's lower sum, EQ-4.1's and LEM-2.3-ii's lower
 # sums in (11, 11, 2) and (11, 121, 3), and LEM-2.3-i's larger-index side at
 # r = 1 in (11, 11, 2) and (13, 13, 2).
-_PERIOD = compsum._PERIOD
-_CATALOG_LADDERS = [
-    (5, _PERIOD, 1, 2, 5), (7, _PERIOD, 1, 2, 7),
-    (11, _PERIOD, 1, 5, 44), (11, None, 3, 4, 220), (11, 121, 3, 4, 726), (11, 11, 2, 4, 77),
-    (11, None, 2, 4, 165),
-    (13, _PERIOD, 1, 5, 52), (13, 13, 2, 4, 91), (13, None, 2, 4, 195), (13, None, 3, 4, 260),
-    (17, _PERIOD, 1, 5, 68), (17, None, 2, 4, 17), (19, _PERIOD, 1, 5, 76), (19, None, 2, 4, 19),
-    (23, _PERIOD, 1, 5, 92), (23, None, 2, 4, 23), (29, _PERIOD, 1, 5, 116), (29, None, 2, 4, 29),
-    (31, _PERIOD, 1, 5, 124), (31, None, 2, 4, 31),
-    (37, _PERIOD, 1, 4, 111), (41, _PERIOD, 1, 4, 123), (43, _PERIOD, 1, 4, 129), (47, _PERIOD, 1, 4, 141),
-    *((p, _PERIOD, 1, 2, p) for p in (53, 59, 61, 67, 71, 73, 79, 83, 89, 97)),
+_CATALOG_BUILDS = [
+    (5, 3), (7, 3),
+    (11, 10), (11, None, 3, 4, 220), (11, 121, 3, 4, 726), (11, 11, 2, 4, 77), (11, None, 2, 4, 165),
+    (13, 10), (13, 13, 2, 4, 91), (13, None, 2, 4, 195), (13, None, 3, 4, 260),
+    (17, 10), (17, None, 2, 4, 17), (19, 10), (19, None, 2, 4, 19),
+    (23, 10), (23, None, 2, 4, 23), (29, 10), (29, None, 2, 4, 29),
+    (31, 10), (31, None, 2, 4, 31),
+    (37, 7), (41, 7), (43, 7), (47, 7),
+    *((p, 3) for p in (53, 59, 61, 67, 71, 73, 79, 83, 89, 97)),
 ]
+
+
+def _key(build: tuple) -> tuple:
+    """The plan key a build serves: (p, None, 1) for a unit pass (p, n)."""
+    return build[:3] if len(build) == 5 else (build[0], None, 1)
 
 
 @pytest.fixture
@@ -638,8 +634,8 @@ class TestPlan:
         monkeypatch.setattr(verifier, "comp_sum", recording)
         ctx = EvalContext()
         sweep(list(CLAIMS), ctx=ctx)
-        assert builds == _CATALOG_LADDERS and ctx.ladder_builds == 35
-        keys = [args[:3] for args in builds]
+        assert builds == _CATALOG_BUILDS and ctx.ladder_builds == 35
+        keys = [_key(args) for args in builds]
         assert len(keys) == len(set(keys))
         # the (p, part bound, e) ladder key of every evaluation, as its plan routes it
         assert set(keys) == routed
@@ -657,14 +653,14 @@ class TestPlan:
 
         monkeypatch.setattr(verifier, "comp_sum", recording)
         sweep(list(CLAIMS))
-        assert [args for args in builds if args[1:3] == (None, 1)] == []
+        assert [args for args in builds if len(args) == 5 and args[2] == 1] == []
         # every term of the catalog is routed as in a plan of its own
         assert all(key == compsum.Plan([term]).readings[term][0] for term, key in routed.items())
         # with EQ-4.1 and LEM-2.3-i, which cross-check them, in the same sweep
         thm = {(r_spec(7, inst.m, 11), 1) for inst in CLAIMS["THM-1.1-i"].grid(GridSpec(primes=(11,)))}
         eq51 = {(s_spec(3, 2, inst.p), 1) for inst in CLAIMS["EQ-5.1"].grid() if (inst.n, inst.m) == (3, 2)}
         assert thm and eq51
-        assert all(routed[term] == (term[0].p, _PERIOD, 1) for term in thm | eq51)
+        assert all(routed[term] == (term[0].p, None, 1) for term in thm | eq51)
 
     def test_catalog_ladders_at_two_jobs(self):
         ctx = EvalContext()
@@ -672,8 +668,8 @@ class TestPlan:
         assert (ctx.ladder_builds, ctx.comp_sum_evals) == (35, 414)
 
     def test_a_part_bound_gets_a_ladder_only_below_the_precision(self, builds):
-        # the catalog, and CI's depth and cross-route grids: every ladder key is
-        # (p, None, e), the period key (p, _PERIOD, 1), or (p, p**R, e) with R < e
+        # the catalog, and CI's depth and cross-route grids: every key is (p, None, e),
+        # at e = 1 read by a unit pass, or a ladder (p, p**R, e) with R < e
         primes = tuple(q for q in range(11, 98) if modring.is_prime(q))
         for claim_ids, grid in [(list(CLAIMS), GridSpec()),
                                 (["THM-1.1-ii", "PROP-4.1"], GridSpec(rs=tuple(range(2, 9)))),
@@ -681,9 +677,9 @@ class TestPlan:
                                 (["EQ-1.3", "EQ-4.1", "THM-1.1-ii"], GridSpec(primes=(11, 13), rs=(2, 3))),
                                 (["EQ-4.1", "LEM-2.3-i", "LEM-2.3-ii"], GridSpec(primes=primes, rs=(1,)))]:
             assert "fail" not in {rep.status for rep in sweep(claim_ids, grid)}
-        keys = {args[:3] for args in builds}
-        bounded = {(p, bound, e) for p, bound, e in keys if bound not in (None, _PERIOD)}
-        assert all(bound != _PERIOD or e == 1 for _, bound, e in keys)
+        keys = {_key(args) for args in builds}
+        bounded = {(p, bound, e) for p, bound, e in keys if bound is not None}
+        assert all(len(args) == 2 or args[2] > 1 for args in builds)
         assert all(bound in {p**R for R in range(1, e)} for p, bound, e in bounded), bounded
         # the cross-checked sides, with parts below p**r and read mod p**(r + 1)
         assert bounded == {(11, 11, 2), (11, 121, 3), (11, 1331, 4), (13, 169, 3), (13, 2197, 4),
@@ -771,7 +767,7 @@ class TestEvalContext:
         assert len(read) == 2
 
     def test_cached_values_serve_both_routes(self, evaluated):
-        # S(7,2,11) mod 11 comes off the period key, mod 11**2 off its own ladder (11, 11, 2)
+        # S(7,2,11) mod 11 comes off the unit pass, mod 11**2 off its own ladder (11, 11, 2)
         spec = s_spec(7, 2, 11)
         rows = {EvalContext.cache_key(spec, e): comp_sum(spec, PrimePowerModulus(11, e)) for e in (1, 2)}
         ctx = EvalContext(cache_rows=rows, terms=[(spec, 1), (spec, 2)])

@@ -10,9 +10,10 @@ carry p**2 once k + 1 < p. Pairing j with p - j halves the sum, since
 (p - j)**k == j**k - k*p*j**(k-1) (mod p**2) for even k. The (p - 1)/2
 powers j**(k-1) are multiplicative in j, so a sieve of smallest prime
 factors fills them with a modular power at each prime below p/2 and one
-product at each composite. B_k mod p is memoized for the last prime asked
-(PrimeMemo); the sieve is rebuilt per call and not kept, and one too
-large to finish is refused (ScaleGuardError). The exact-rational path
+product at each composite. Nothing is kept between calls: the verifier
+asks for each B_k mod p once per prime, as a term of that prime's
+EvalContext, which reads it from the cache or computes it here. A sieve
+too large to finish is refused (ScaleGuardError). The exact-rational path
 (bernoulli_exact, which also feeds rational constants and `compute
 bernoulli`) checks it; the tests also hold the O(p**2) mod-p recurrence
 table as a second oracle. Indexes k <= p - 3 are p-integral by von
@@ -24,14 +25,13 @@ from __future__ import annotations
 from math import comb, isqrt
 from operator import mul
 
-from .modring import PrimeMemo, guard_table, prime_power
+from .modring import guard_table, prime_power
 
 __all__ = ["PoleError", "PowerSumError", "EXACT_CAP", "bernoulli_exact", "bernoulli_mod_p"]
 
 EXACT_CAP = 120
 
 _exact: list[Fraction] = []  # B_0, B_1, ... as far as asked; fractions is imported on first use
-_residues = PrimeMemo()  # B_k mod p by k, at the last prime asked
 
 
 class PoleError(ArithmeticError):
@@ -113,5 +113,5 @@ def bernoulli_mod_p(k: int, p: int) -> int:
     if k % 2 == 1:
         return 0
     if k <= p - 3:
-        return _residues(p, k, lambda: power_sum_residue(k, p))
+        return power_sum_residue(k, p)
     raise ValueError(f"even index {k} above p-3 = {p - 3}: the power sum serves only 2 <= k <= p-3")

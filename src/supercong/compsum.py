@@ -21,7 +21,7 @@ has one term: 1/(a + b*p) == 1/a, so f == g / (1 - x**p) with
 g = sum_{0<a<p} x**a / a of degree p - 1, and f_b == (1 - x**p**R) * g /
 (1 - x**p). So every e = 1 request, of either family and at any r, is
 an exact integer combination of the coefficients [x**t] g**n with
-n <= t <= n*(p-1) (_period_weights). A request's route is a function of
+n <= t <= n*(p-1) (_reading). A request's route is a function of
 the request (spec, e) alone (_reading).
 
 Two evaluators read the coefficients. Mod p each coefficient of g**n is
@@ -52,7 +52,7 @@ Kronecker-substitution big-integer multiply per step
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, islice, repeat, takewhile
 from math import comb, perm
 from operator import add, mul, sub
 from typing import Iterable, Iterator, NamedTuple
@@ -356,20 +356,6 @@ def _digit_weights(n: int, p: int, e: int, N: int) -> dict[int, int]:
     return weights
 
 
-def _period_weights(n: int, p: int, N: int) -> dict[int, int]:
-    """w_t with [x**N] f**n == sum_t w_t * [x**t] g**n (mod p), over t == N
-    (mod p), n <= t <= min(N, n*(p-1)), g = sum_{0<a<p} x**a / a.
-
-    Mod p, 1/(a + b*p) == 1/a, so f == g / (1 - x**p) and [x**N] f**n =
-    sum_q C(n - 1 + q, q) [x**(N - q*p)] g**n: exact weights. g**n vanishes
-    outside n..n*(p-1), so only those targets are read. Priced at its
-    targets times n before the first binomial.
-    """
-    targets = range(n + (N - n) % p, min(N, n * (p - 1)) + 1, p)
-    guard_table("the weights of g**{} mod {} at target {}", len(targets) * n, n, p, N)
-    return {t: comb(n - 1 + (N - t) // p, n - 1) for t in targets}
-
-
 def _reading(spec: CompSumSpec, e: int) -> tuple[tuple[int, int | None, int], dict[int, int]]:
     """The key (p, part bound, e) and the weights w_t with spec's value ==
     sum_t w_t * [x**t] f**n (mod p**e), f the series of that key. A
@@ -378,20 +364,25 @@ def _reading(spec: CompSumSpec, e: int) -> tuple[tuple[int, int | None, int], di
     free request), each shift at its exact target below n*p*e and by its
     digit weights from n*p*e on. At e = 1 every request is read under
     (p, None, 1) as coefficients of g**n, with its weights reduced mod p and
-    the vanishing ones dropped."""
+    the vanishing ones dropped. Mod p, 1/(a + b*p) == 1/a, so f == g / (1 - x**p)
+    and [x**N] f**n = sum_q C(n - 1 + q, q) [x**(N - q*p)] g**n: exact
+    weights, read only at the t == N (mod p) in n..n*(p-1), where g**n can
+    be nonzero, and priced at those targets times n before the first binomial."""
     n, N, p = spec.n, spec.target, spec.p
     if spec.upper_bound is not None and spec.r < e:
         return (p, spec.upper_bound, e), {N: 1}
     # bounded: f_b == (1 - x**p**R) * f (mod p**e, R >= e),
     # so f_b**n == sum_k (-1)**k C(n, k) x**(k*p**R) f**n
     shifts = range(n + 1) if spec.upper_bound is not None else range(1)
+    targets = list(takewhile(n.__le__, (N - k * p**spec.r for k in shifts)))  # down to the first below n
+    if e == 1:  # every shift's g**n targets, all priced at once
+        reads = [range(n + (s - n) % p, min(s, n * (p - 1)) + 1, p) for s in targets]
+        guard_table("the weights of g**{} mod {} at target {}", n * sum(map(len, reads)), n, p, N)
     out: dict[int, int] = {}
-    for k in shifts:
-        shifted, sign = N - k * p**spec.r, (-1) ** k * comb(n, k)
-        if shifted < n:
-            break
+    for k, shifted in enumerate(targets):
+        sign = (-1) ** k * comb(n, k)
         if e == 1:
-            terms = _period_weights(n, p, shifted)
+            terms = {t: comb(n - 1 + (shifted - t) // p, n - 1) for t in reads[k]}
         else:
             terms = {shifted: 1} if shifted < n * p * e else _digit_weights(n, p, e, shifted)
         for t, w in terms.items():

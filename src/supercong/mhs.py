@@ -12,11 +12,12 @@ sums P_k = sum l**(-k) over the units 0 < l < b*p, one O(b*p) table of
 inverses per (b, p, r) and one multiply per unit and weight, are
 combined with integer coefficients only (the quasi-shuffle relation), so
 no precision is lost at any r, and a value mod p**r reduces to the value
-mod any lower power. Only the last prime's tables are held (PrimeMemo),
-so a sweep, which verifies one prime at a time, holds one prime's tables
-however many primes it covers. The chain sweep over the rearrangements
-of the exponents is its oracle, with a nested-loop brute force kept in
-the tests. A chain sweep or a table too large to finish is refused
+mod any lower power. The tables belong to the caller, who passes them
+in (unordered_sum's `tables`); nothing here keeps one between calls. The
+verifier's EvalContext for a prime owns that prime's, so a sweep holds
+one prime's tables at a time, and none once it is done. The chain sweep
+over the rearrangements of the exponents is its oracle, with a
+nested-loop brute force kept in the tests. A chain sweep or a table too large to finish is refused
 (ScaleGuardError) before it starts.
 """
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .modring import NonUnitError, PrimeMemo, PrimePowerModulus, guard_table, unit_inverses
+from .modring import NonUnitError, PrimePowerModulus, guard_table, unit_inverses
 
 __all__ = ["mhs", "mhs_restricted", "unordered_sum"]
 
@@ -115,10 +116,7 @@ class _UnorderedTable:
         return memo[key]
 
 
-_tables = PrimeMemo()  # the _UnorderedTable of each (b, r) at the last prime asked
-
-
-def unordered_sum(b: int, alphas: Sequence[int], M: PrimePowerModulus) -> int:
+def unordered_sum(b: int, alphas: Sequence[int], M: PrimePowerModulus, tables: dict | None = None) -> int:
     """U_b(a_1, ..., a_n): sum over pairwise-distinct unit indexes
     0 < l_i < b*p of prod l_i**(-a_i), mod p**r.
 
@@ -129,10 +127,10 @@ def unordered_sum(b: int, alphas: Sequence[int], M: PrimePowerModulus) -> int:
     U(a_1, ..., a_n) = P_{a_1} U(a_2, ..., a_n) - sum_{i>=2} U(a_2, ..., a_i + a_1, ..., a_n),
     with U() = 1. The value is invariant under permutations of the
     exponents, so the recursion is memoized on sorted tuples, in one
-    table per (b, r) at the prime, shared by every call there until a
-    call at another prime drops it (PrimeMemo). A table priced above a few
-    seconds of work, b*p units times the weight plus one, is refused
-    (ScaleGuardError). The chain sweep (the multiplicity-weighted sum of
+    table per (b, p, r) kept in `tables`, shared by every call given that
+    dict; a call given none builds a table of its own. A table priced
+    above a few seconds of work, b*p units times the weight plus one, is
+    refused (ScaleGuardError). The chain sweep (the multiplicity-weighted sum of
     mhs_restricted over the rearrangements) is its oracle.
     """
     parts = _parts(alphas)
@@ -145,4 +143,7 @@ def unordered_sum(b: int, alphas: Sequence[int], M: PrimePowerModulus) -> int:
         raise ValueError(f"need p > depth (got p={M.p}, depth={n})")
     weight = sum(parts)
     guard_table("the unordered-sum table of U_{} at p = {} to weight {}", b * M.p * (weight + 1), b, M.p, weight)
-    return _tables(M.p, (b, M.r), lambda: _UnorderedTable(b, M.p, M.r)).u(tuple(sorted(parts)))
+    tables = {} if tables is None else tables
+    if (b, M.p, M.r) not in tables:
+        tables[b, M.p, M.r] = _UnorderedTable(b, M.p, M.r)
+    return tables[b, M.p, M.r].u(tuple(sorted(parts)))

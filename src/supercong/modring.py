@@ -4,10 +4,10 @@ Residues are plain ints, canonical in [0, p**r); PrimePowerModulus names
 the ring Z / p**r and validates it (p prime, r >= 1), and prime_power
 builds it once per (p, r) for callers that need it per evaluation.
 unit_inverses tabulates the inverses of the units' parts mod p**e.
-PrimeMemo, the one memo of per-prime values, holds the last prime's in
-each process; guard_table refuses a table too large to finish, and figure
-writes a number for its message. Everything else is an immutable value or
-a pure function.
+guard_table refuses a table too large to finish, and figure writes a
+number for its message. No memo here holds a value of a prime's sums:
+those live in the verifier's EvalContext for that prime. Everything else
+is an immutable value or a pure function.
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate
 from math import log10
-from typing import Callable, Hashable, NamedTuple
+from typing import NamedTuple
 
 __all__ = ["NonUnitError", "ScaleGuardError", "PrimePowerModulus", "prime_power", "is_prime",
-           "rational_to_residue", "unit_inverses", "PrimeMemo", "guard_table", "figure"]
+           "rational_to_residue", "unit_inverses", "guard_table", "figure"]
 
 # guard_table refuses a per-prime table priced above this many element operations. At
 # p near 10**6 a term of the Bernoulli power sum costs 0.7 us, an index of the chain
@@ -137,24 +137,6 @@ def unit_inverses(p: int, N: int, mod: int) -> list[int]:
     for j in range(1, N + 1):
         inverses.append(fresh.pop() if j % p else inverses[j // p])
     return inverses
-
-
-class PrimeMemo(dict):
-    """Values by key for one prime, the last one a call named. A call at
-    another prime drops them all first: sweeps verify one prime at a time,
-    so a value is never needed again once its prime is done, and a sweep
-    holds one prime's values however many primes it covers."""
-
-    p = None
-
-    def __call__(self, p: int, key: Hashable, make: Callable[[], object]):
-        """The value at key for prime p, made by make() on its first request."""
-        if p != self.p:
-            self.clear()
-            self.p = p
-        if key not in self:
-            self[key] = make()
-        return self[key]
 
 
 def figure(x: int, spec: str = "") -> str:

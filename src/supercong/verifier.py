@@ -1,40 +1,27 @@
 """Catalog of congruence claims over restricted sums, with grid sweeps.
 
 The catalog is one table, CLAIMS: each row is a Claim holding a stable
-id, the congruence actually checked (an ASCII formula printed in
-reports), the default parameter grid as ordered dimensions, the
-hypotheses as (fails, message) pairs drawn from a small shared
-vocabulary, one evaluate function, and a conjecture flag. evaluate is the
-only per-claim code: a claim that needs composition sums is a generator
-that yields their (spec, e) terms once, receives their values and returns
-(lhs, rhs, modulus, note); a claim without them returns that tuple
-directly. One grid builder (Claim.grid) and one hypothesis walk
-(Claim.violated) serve every row, and the default grids are sized so the
-whole catalog sweeps in seconds single-threaded.
+id, the congruence checked (an ASCII formula printed in reports), the
+default grid as ordered dimensions, the hypotheses as (fails, message)
+pairs from a small shared vocabulary, one evaluate function and a
+conjecture flag. evaluate is the only per-claim code: a generator that
+yields, once, every term it reads whose cost grows with p (composition
+sums, Bernoulli residues, unordered sums and chain sweeps; see Term),
+receives their values and returns (lhs, rhs, modulus, note). The
+solution count, a closed form, is computed inline. One grid builder
+(Claim.grid) and one hypothesis walk (Claim.violated) serve every row.
 
-verify_instances sorts its instances once, on entry, by
-ClaimInstance.sort_key and verifies them prime by prime, each prime
-against its own EvalContext, in process or as one process-pool task per
-prime; every entry point runs that one task, _verify_prime, and verify
-is verify_instances of one instance. A task returns plain data: each
-instance's verdict (status, lhs, rhs, modulus, note), the context's
-counters and its new cache rows. Reports are made in one place, the loop
-in verify_instances that reads each prime's result as it arrives: it
-builds that prime's ClaimReports from its own instances, reads each
-anchor from CLAIMS, and gives a pass row one int for both sides and each
-distinct modulus one int, whichever process computed them; no claim
-shares values by hand. The sorted instances then take their prime's next
-report, so nothing is sorted after evaluation and nothing depends on the
-number of workers. A prime
-is planned before it is evaluated: every instance that passes its
-hypotheses is started up to the terms it yields, and the prime's context
-is made with those terms as its one plan, so that each ladder is built
-once, at the largest part count and target asked of it, and a ladder too
-large to finish is refused (ScaleGuardError) before any is climbed.
-compsum decides how each term is read; the context knows only cache keys
-and values, and reads no term outside its plan. Within a prime, each
-claim's parameter names are read once and the prime is tested once;
-nothing of that is kept from one call to the next.
+verify_instances sorts its instances once, on entry, and verifies them
+prime by prime, in process or as one pool task per prime; every entry
+point runs that one task, _verify_prime, which returns plain verdicts,
+counters and new cache rows, and verify_instances alone makes reports.
+A prime is planned before it is evaluated: every instance that passes
+its hypotheses is started up to the terms it yields, and the prime's
+EvalContext is made with all of them as its one plan. The context reads
+each term once, from the cache rows or computed, and no term outside its
+plan; compsum.Plan builds each ladder once and refuses one too large to
+finish (ScaleGuardError) before any is climbed, and the context owns the
+prime's unordered-sum tables. Nothing is kept from one prime to the next.
 
 Mixed-precision rule used throughout: a right-hand side of the shape
 c * B * p**j (mod p**(j+1)) is evaluated by reducing the cofactor c * B
@@ -164,24 +151,29 @@ class GridSpec(NamedTuple):
     ms: tuple[int, ...] | None = None
 
 
-Term = tuple[CompSumSpec, int]  # a composition sum and the exponent e of its modulus p**e
+# A term, a quantity a claim reads mod p**e, is a composition sum as (spec, e), or
+# (quantity, p, e, args): a Bernoulli residue ("bernoulli", p, 1, (k,)), an unordered
+# sum ("unordered", p, 3, (b, alphas)) or a chain sweep H_N(s), ("mhs", p, e, (N, s))
+Term = tuple
 Sides = tuple[int, int, int, str]  # lhs, rhs, modulus, note
 Evaluation = Generator[Sequence[Term], tuple[int, ...], Sides]
 Outcome = tuple[str, int | None, int | None, int | None, str]  # a verdict: status, lhs, rhs, modulus, note
 
 
-class EvalContext:
-    """One plan's comp_sum values by cache key, optional persistent cache
-    rows, and counters of evaluations, cache hits and ladder builds (cache
-    hits never touch the evaluator).
+_PARAMS = {"bernoulli": "k={}", "unordered": "b={};alphas={}", "mhs": "N={};s={}"}  # a tuple as a+b+c
 
-    The plan is fixed on construction: terms, (spec, e) pairs, are the only
-    ones comp_sum reads, and reading any other raises KeyError naming it;
-    _verify_prime makes one context per prime from every term that prime's
-    instances yield. The uncached terms go to one compsum.Plan, which
-    raises ScaleGuardError here if a ladder is too large to finish. It
-    reads each term by the route of the term alone, so a cache key has one
-    route, and the cache holds one value per cache key."""
+
+class EvalContext:
+    """One plan's term values by cache key, optional persistent cache rows,
+    the unordered-sum tables of the plan's prime, and counters of
+    composition-sum evaluations, their cache hits and ladder builds.
+
+    The plan is fixed on construction: its terms are the only ones value
+    and comp_sum read, and reading any other raises KeyError naming it.
+    The uncached composition sums go to one compsum.Plan, which raises
+    ScaleGuardError here if a ladder is too large to finish. Each term is
+    read once, from the cache rows or computed and kept as a new row; a
+    term whose computation raises is not kept, so each read raises again."""
 
     def __init__(self, cache_rows: Mapping[tuple, int] | None = None, terms: Iterable[Term] = ()):
         self.comp_sum_evals = 0
@@ -191,33 +183,57 @@ class EvalContext:
         self.new_rows: dict[tuple, int] = {}
         self._keys = {term: self.cache_key(*term) for term in terms}
         self._values: dict[tuple, int] = {}
-        self._plan = Plan(term for term, key in self._keys.items() if key not in self._cache)
+        self._tables: dict = {}  # mhs.unordered_sum's tables, at this context's prime
+        self._plan = Plan(term for term, key in self._keys.items() if len(term) == 2 and key not in self._cache)
 
     @staticmethod
-    def cache_key(spec: CompSumSpec, mod_exp: int) -> tuple[str, int, int, str]:
+    def cache_key(*term) -> tuple[str, int, int, str]:
+        """A term's row key (quantity, p, r, params); r is a composition sum's spec.r, another term's e."""
+        if len(term) == 4:
+            quantity, p, e, args = term
+            return quantity, p, e, _PARAMS[quantity].format(
+                *("+".join(map(str, a)) if isinstance(a, tuple) else a for a in args))
+        spec, mod_exp = term
         kind = "S" if spec.upper_bound is not None else "R"
         params = f"kind={kind};n={spec.n};m={spec.m};e={mod_exp}"
         if spec.target != spec.m * spec.p**spec.r:
             params += f";target={spec.target}"
         return ("comp_sum", spec.p, spec.r, params)
 
+    def value(self, term: Term) -> int:
+        """The planned term's value mod p**e; a composition sum is read by comp_sum."""
+        return self.comp_sum(*term) if len(term) == 2 else self._read(term)
+
     def comp_sum(self, spec: CompSumSpec, mod_exp: int) -> int:
-        key = self._keys.get((spec, mod_exp))
+        return self._read((spec, mod_exp))
+
+    def _read(self, term: Term) -> int:
+        key = self._keys.get(term)
         if key is None:
-            raise KeyError(f"({spec}, {mod_exp}) is not in the context's plan")
-        if key in self._values:
-            return self._values[key]
-        if key in self._cache:
-            self.cache_hits += 1
-            value = self._cache[key]
-        else:
+            raise KeyError(f"{term} is not in the context's plan")
+        if key not in self._values:
+            if key in self._cache:
+                self.cache_hits += len(term) == 2  # composition sums only
+                self._values[key] = self._cache[key]
+            else:
+                self._values[key] = self.new_rows[key] = self._compute(term)
+        return self._values[key]
+
+    def _compute(self, term: Term) -> int:
+        """The term's value, by the evaluators as this module names them."""
+        if len(term) == 2:
+            spec, e = term
             built = self._plan.ladders_built
-            value = comp_sum(spec, prime_power(spec.p, mod_exp), plan=self._plan)
+            value = comp_sum(spec, prime_power(spec.p, e), plan=self._plan)
             self.ladder_builds += self._plan.ladders_built - built
             self.comp_sum_evals += 1
-            self.new_rows[key] = value
-        self._values[key] = value
-        return value
+            return value
+        quantity, p, e, args = term
+        if quantity == "bernoulli":
+            return bernoulli_mod_p(*args, p)
+        if quantity == "unordered":
+            return unordered_sum(*args, prime_power(p, e), self._tables)
+        return mhs(*args, prime_power(p, e))
 
 
 # ---------------------------------------------------------------------------
@@ -280,17 +296,16 @@ class Claim(NamedTuple):
     before it. The dimensions name every parameter the claim takes: an
     instance carrying any other name is a bad-parameters error. --primes,
     --r and --m replace the p, r and m dimensions of the rows that have
-    them. hypotheses are checked in order. evaluate(inst)
-    returns (lhs, rhs, modulus, note); a claim that needs composition sums
-    writes it as a generator that yields a list of (spec, e) terms once
-    and receives their values, each mod p**e, in the same order.
+    them. hypotheses are checked in order. evaluate(inst) is a
+    generator: it yields a list of terms once, receives their values, each
+    mod p**e, in the same order, and returns (lhs, rhs, modulus, note).
     """
 
     claim_id: str
     anchor: str
     dims: tuple[tuple[str, Iterable | Callable[[dict], Iterable]], ...]
     hypotheses: tuple[tuple[Callable[[ClaimInstance], bool], str | Callable[[ClaimInstance], str]], ...]
-    evaluate: Callable[[ClaimInstance], Sides | Evaluation]
+    evaluate: Callable[[ClaimInstance], Evaluation]
     conjecture: bool = False
 
     def grid(self, spec: GridSpec = GridSpec()) -> list[ClaimInstance]:
@@ -333,16 +348,27 @@ def _rat(num: int, den: int, p: int) -> int:
     return num * pow(den, -1, p) % p
 
 
-def _cof_rhs(num: int, den: int, bern_indices: Iterable[int], p: int, j: int) -> int:
-    """(num/den * prod B(idx)) reduced mod p, lifted, times p**j: canonical mod p**(j+1)."""
+def _bernoulli(p: int, *indices: int) -> list[Term]:
+    """The terms B_k mod p, k in indices."""
+    return [("bernoulli", p, 1, (k,)) for k in indices]
+
+
+def _cof_rhs(num: int, den: int, residues: Iterable[int], p: int, j: int) -> int:
+    """(num/den * prod residues) reduced mod p, lifted, times p**j: canonical mod p**(j+1)."""
     cof = _rat(num, den, p)
-    for k in bern_indices:
-        cof = cof * bernoulli_mod_p(k, p) % p
+    for b in residues:
+        cof = cof * b % p
     return cof * p**j
 
 
-def _triple_bernoulli(p: int, n: int) -> int:
-    """(n!/6) * sum_{a+b+c=(n-3)/2, a,b,c>=1} prod B(p-2i-1)/(2i+1), mod p."""
+def _triple_terms(p: int, n: int) -> list[Term]:
+    """B(p-n), then the B(p-2i-1) that _triple_bernoulli reads, i = 1 .. (n-3)/2 - 2."""
+    return _bernoulli(p, p - n, *(p - 2 * i - 1 for i in range(1, (n - 3) // 2 - 1)))
+
+
+def _triple_bernoulli(p: int, n: int, odd: Sequence[int]) -> int:
+    """(n!/6) * sum_{a+b+c=(n-3)/2, a,b,c>=1} prod B(p-2i-1)/(2i+1), mod p,
+    where odd[i-1] = B(p-2i-1) mod p."""
     half = (n - 3) // 2
     acc = 0
     for a in range(1, half + 1):
@@ -350,8 +376,7 @@ def _triple_bernoulli(p: int, n: int) -> int:
             c = half - a - b
             if c < 1:
                 continue
-            term = bernoulli_mod_p(p - 2 * a - 1, p) * bernoulli_mod_p(p - 2 * b - 1, p) % p
-            term = term * bernoulli_mod_p(p - 2 * c - 1, p) % p
+            term = odd[a - 1] * odd[b - 1] % p * odd[c - 1] % p
             acc = (acc + term * _rat(1, (2 * a + 1) * (2 * b + 1) * (2 * c + 1), p)) % p
     return acc * _rat(factorial(n), 6, p) % p
 
@@ -365,21 +390,21 @@ _P_SMALL = primes_between(11, 31)  # (11, 13, 17, 19, 23, 29, 31)
 
 def _eq11_eval(inst: ClaimInstance):
     p = inst.p
-    [lhs] = yield [(r_spec(3, 1, p), 1)]
-    return lhs, _cof_rhs(-2, 1, [p - 3], p, 0), p, ""
+    lhs, b = yield [(r_spec(3, 1, p), 1), *_bernoulli(p, p - 3)]
+    return lhs, _cof_rhs(-2, 1, [b], p, 0), p, ""
 
 
 def _thm1i_eval(inst: ClaimInstance):
     p, m = inst.p, inst.m
-    [lhs] = yield [(r_spec(7, m, p), 1)]
-    rhs = _cof_rhs(-(504 * m + 210 * m**3 + 6 * m**5), 1, [p - 7], p, 0)
+    lhs, b = yield [(r_spec(7, m, p), 1), *_bernoulli(p, p - 7)]
+    rhs = _cof_rhs(-(504 * m + 210 * m**3 + 6 * m**5), 1, [b], p, 0)
     return lhs, rhs, p, ""
 
 
 def _thm1ii_eval(inst: ClaimInstance):
     p, r, m = inst.p, inst.r, inst.m
-    [lhs] = yield [(r_spec(7, m, p, r), r)]
-    rhs = _cof_rhs(-factorial(7) * m, 10, [p - 7], p, r - 1)
+    lhs, b = yield [(r_spec(7, m, p, r), r), *_bernoulli(p, p - 7)]
+    rhs = _cof_rhs(-factorial(7) * m, 10, [b], p, r - 1)
     return lhs, rhs, p**r, ""
 
 
@@ -398,6 +423,7 @@ def _eq13_eval(inst: ClaimInstance):
 
 def _lem21_eval(inst: ClaimInstance):
     p, n, m, a = inst.p, inst.n, inst.m, inst.get("a")
+    yield []
     lhs = count_solutions_exact(a, m, n, p) % p**2
     # (-1)**(m-1) C(n-2, m-1) times gamma_n(a) = (-1)**(a-1) / (a C(n-1, a))
     rhs = _cof_rhs((-1) ** (m + a) * comb(n - 2, m - 1), a * comb(n - 1, a), [], p, 1)
@@ -416,6 +442,7 @@ _N7_DIFFS = {  # (m, a): the multiple of p, as numerator and denominator
 
 def _cor22_eval(inst: ClaimInstance):
     p, m, a = inst.p, inst.m, inst.get("a")
+    yield []
     lhs = (count_solutions_exact(a, m, 7, p) - count_solutions_exact(7 - a, m, 7, p)) % p**2
     rhs = _cof_rhs(*_N7_DIFFS[(m, a)], [], p, 1)
     return lhs, rhs, p**2, ""
@@ -456,11 +483,12 @@ def _u_eval(inst: ClaimInstance):
     w = sum(alphas)
     # both branches read one table per (b, p), built once at p**3: U is an integer
     # combination of power sums, so its value mod p**3 reduces to the one mod p**2
-    lhs = unordered_sum(b, alphas, prime_power(p, 3))
-    if _odd(w):
-        rhs = _cof_rhs((-1) ** n * factorial(n - 1) * b * b * w * (w + 1), 2 * (w + 2), [p - w - 2], p, 2)
+    odd = _odd(w)
+    lhs, bern = yield [("unordered", p, 3, (b, tuple(alphas))), *_bernoulli(p, p - w - 2 if odd else p - w - 1)]
+    if odd:
+        rhs = _cof_rhs((-1) ** n * factorial(n - 1) * b * b * w * (w + 1), 2 * (w + 2), [bern], p, 2)
         return lhs, rhs, p**3, "odd-weight branch"
-    rhs = _cof_rhs((-1) ** (n - 1) * factorial(n - 1) * b * w, w + 1, [p - w - 1], p, 1)
+    rhs = _cof_rhs((-1) ** (n - 1) * factorial(n - 1) * b * w, w + 1, [bern], p, 1)
     return lhs % p**2, rhs, p**2, "even-weight branch"
 
 
@@ -468,66 +496,67 @@ def _cor32_eval(inst: ClaimInstance):
     p, n, alpha = inst.p, inst.n, inst.get("alpha")
     w = n * alpha
     if _odd(w):
-        lhs = mhs(p - 1, (alpha,) * n, prime_power(p, 3))
-        rhs = _cof_rhs((-1) ** n * alpha * (w + 1), 2 * (w + 2), [p - w - 2], p, 2)
+        lhs, b = yield [("mhs", p, 3, (p - 1, (alpha,) * n)), *_bernoulli(p, p - w - 2)]
+        rhs = _cof_rhs((-1) ** n * alpha * (w + 1), 2 * (w + 2), [b], p, 2)
         return lhs, rhs, p**3, "odd-weight branch"
-    lhs = mhs(p - 1, (alpha,) * n, prime_power(p, 2))
-    rhs = _cof_rhs((-1) ** (n - 1) * alpha, w + 1, [p - w - 1], p, 1)
+    lhs, b = yield [("mhs", p, 2, (p - 1, (alpha,) * n)), *_bernoulli(p, p - w - 1)]
+    rhs = _cof_rhs((-1) ** (n - 1) * alpha, w + 1, [b], p, 1)
     return lhs, rhs, p**2, "even-weight branch"
 
 
 def _lem33_eval(inst: ClaimInstance):
     p, n = inst.p, inst.n
-    [lhs] = yield [(r_spec(n, 1, p), 1 if _odd(n) else 2)]
-    if _odd(n):
-        return lhs, _cof_rhs(-factorial(n - 1), 1, [p - n], p, 0), p, ""
-    rhs = _cof_rhs(-n * factorial(n), 2 * (n + 1), [p - n - 1], p, 1)
+    odd = _odd(n)
+    lhs, b = yield [(r_spec(n, 1, p), 1 if odd else 2), *_bernoulli(p, p - n if odd else p - n - 1)]
+    if odd:
+        return lhs, _cof_rhs(-factorial(n - 1), 1, [b], p, 0), p, ""
+    rhs = _cof_rhs(-n * factorial(n), 2 * (n + 1), [b], p, 1)
     note = "even branch; cofactor -n*n!/(2(n+1)), the factor 2 confirmed against exact rationals"
     return lhs, rhs, p**2, note
 
 
 def _lem35_eval(inst: ClaimInstance):
     p, n = inst.p, inst.n
-    [lhs] = yield [(r_spec(n, 2, p), 1)]
-    rhs = _cof_rhs(-(n + 1) * factorial(n - 1), 2, [p - n], p, 0)
+    lhs, b = yield [(r_spec(n, 2, p), 1), *_bernoulli(p, p - n)]
+    rhs = _cof_rhs(-(n + 1) * factorial(n - 1), 2, [b], p, 0)
     return lhs, rhs, p, ""
 
 
 def _cor36_eval(inst: ClaimInstance):
     p, n = inst.p, inst.n
-    [lhs] = yield [(s_spec(n, 2, p), 1)]
-    rhs = _cof_rhs((n - 1) * factorial(n - 1), 2, [p - n], p, 0)
+    lhs, b = yield [(s_spec(n, 2, p), 1), *_bernoulli(p, p - n)]
+    rhs = _cof_rhs((n - 1) * factorial(n - 1), 2, [b], p, 0)
     return lhs, rhs, p, ""
 
 
 def _lem37_eval(inst: ClaimInstance):
     p, n = inst.p, inst.n
-    [lhs] = yield [(r_spec(n, 3, p), 1)]
+    lhs, b, *odd = yield [(r_spec(n, 3, p), 1), *_triple_terms(p, n)]
     if n == 3:
         # three bounded parts cannot reach 3p, so the decomposition
         # R = S + C(n+1,2) S(1) + n S(2) collapses to -6 B(p-3)
-        rhs = _cof_rhs(-6, 1, [p - 3], p, 0)
+        rhs = _cof_rhs(-6, 1, [b], p, 0)
         return lhs, rhs, p, "degenerate n=3 value; general cofactor does not apply"
-    main = _cof_rhs(-(n + 1) * (n + 2) * factorial(n - 1), 6, [p - n], p, 0)
-    rhs = (main - _triple_bernoulli(p, n)) % p
+    main = _cof_rhs(-(n + 1) * (n + 2) * factorial(n - 1), 6, [b], p, 0)
+    rhs = (main - _triple_bernoulli(p, n, odd)) % p
     return lhs, rhs, p, ""
 
 
 def _cor38_eval(inst: ClaimInstance):
     p, n = inst.p, inst.n
-    [lhs] = yield [(s_spec(n, 3, p), 1)]
+    # at n = 3 the bounded family is empty: three parts below p cannot sum to 3p
+    lhs, *bern = yield [(s_spec(n, 3, p), 1), *(_triple_terms(p, n) if n > 3 else ())]
     if n == 3:
-        # the bounded family is empty: three parts below p cannot sum to 3p
         return lhs, 0, p, "degenerate n=3 value; the bounded sum is empty"
-    main = _cof_rhs(-(n - 1) * (n - 2) * factorial(n - 1), 6, [p - n], p, 0)
-    rhs = (main - _triple_bernoulli(p, n)) % p
+    main = _cof_rhs(-(n - 1) * (n - 2) * factorial(n - 1), 6, bern[:1], p, 0)
+    rhs = (main - _triple_bernoulli(p, n, bern[1:])) % p
     return lhs, rhs, p, ""
 
 
 def _prop41_eval(inst: ClaimInstance):
     p, r = inst.p, inst.r
-    [lhs] = yield [(s_spec(7, 1, p, r + 1), r + 1)]
-    rhs = _cof_rhs(-factorial(7), 10, [p - 7], p, r)
+    lhs, b = yield [(s_spec(7, 1, p, r + 1), r + 1), *_bernoulli(p, p - 7)]
+    rhs = _cof_rhs(-factorial(7), 10, [b], p, r)
     return lhs, rhs, p ** (r + 1), ""
 
 
@@ -540,42 +569,42 @@ def _eq41_eval(inst: ClaimInstance):
 
 def _eq51_eval(inst: ClaimInstance):
     p, d, m = inst.p, inst.n, inst.m
-    [lhs] = yield [(s_spec(d, m, p), 1)]
+    lhs, b = yield [(s_spec(d, m, p), 1), *_bernoulli(p, p - d)]
     num, den = (-1, 1) if m == 1 else (d - 1, 2)
-    rhs = _cof_rhs(num * factorial(d - 1), den, [p - d], p, 0)
+    rhs = _cof_rhs(num * factorial(d - 1), den, [b], p, 0)
     return lhs, rhs, p, ""
 
 
 def _eq52_eval(inst: ClaimInstance):
     p, d, m = inst.p, inst.n, inst.m
-    [lhs] = yield [(r_spec(d, m, p), 1)]
+    lhs, b = yield [(r_spec(d, m, p), 1), *_bernoulli(p, p - d)]
     num, den = (-1, 1) if m == 1 else (-(d + 1), 2)
-    rhs = _cof_rhs(num * factorial(d - 1), den, [p - d], p, 0)
+    rhs = _cof_rhs(num * factorial(d - 1), den, [b], p, 0)
     return lhs, rhs, p, ""
 
 
 def _conj8_eval(inst: ClaimInstance):
     p, m = inst.p, inst.m
-    [lhs] = yield [(r_spec(8, m, p), 1)]
-    rhs = _cof_rhs(112 * m * (m * m + 16) * (m * m - 1), 5, [p - 3, p - 5], p, 0)
+    lhs, b3, b5 = yield [(r_spec(8, m, p), 1), *_bernoulli(p, p - 3, p - 5)]
+    rhs = _cof_rhs(112 * m * (m * m + 16) * (m * m - 1), 5, [b3, b5], p, 0)
     return lhs, rhs, p, ""
 
 
 def _conj9_eval(inst: ClaimInstance):
     p, m = inst.p, inst.m
-    [lhs] = yield [(r_spec(9, m, p), 1)]
+    lhs, b3, b9 = yield [(r_spec(9, m, p), 1), *_bernoulli(p, p - 3, p - 9)]
     rhs = (
-        _cof_rhs(-factorial(8) * comb(m + 2, 5), 18, [p - 3, p - 3, p - 3], p, 0)
-        + _cof_rhs(-8 * m * (m**6 + 126 * m**4 + 1869 * m**2 + 3044), 1, [p - 9], p, 0)
+        _cof_rhs(-factorial(8) * comb(m + 2, 5), 18, [b3, b3, b3], p, 0)
+        + _cof_rhs(-8 * m * (m**6 + 126 * m**4 + 1869 * m**2 + 3044), 1, [b9], p, 0)
     ) % p
     return lhs, rhs, p, ""
 
 
 def _conj10_eval(inst: ClaimInstance):
     p, m = inst.p, inst.m
-    [lhs] = yield [(r_spec(10, m, p), 1)]
+    lhs, b3, b5, b7 = yield [(r_spec(10, m, p), 1), *_bernoulli(p, p - 3, p - 5, p - 7)]
     num = -24 * m * (m**4 + 71 * m**2 + 540) * (m * m - 1)
-    rhs = (_cof_rhs(num * 50, 35, [p - 3, p - 7], p, 0) + _cof_rhs(num * 21, 35, [p - 5, p - 5], p, 0)) % p
+    rhs = (_cof_rhs(num * 50, 35, [b3, b7], p, 0) + _cof_rhs(num * 21, 35, [b5, b5], p, 0)) % p
     return lhs, rhs, p, ""
 
 
@@ -796,9 +825,9 @@ _EVAL_ERRORS = (NonUnitError, PoleError, ValueError, KeyError, TypeError)
 
 def _prepare(instance: ClaimInstance, claims: dict, primes: dict[int, bool]
              ) -> tuple[Claim, Outcome | Evaluation, tuple[Term, ...]]:
-    """The instance's claim, and either its final outcome (a skip, an error,
-    or the whole outcome of a claim without composition sums) and no terms,
-    or its evaluation paused at the terms it yielded, and those terms.
+    """The instance's claim, and either its final outcome (a skip or an
+    error) and no terms, or its evaluation paused at the terms it yielded,
+    and those terms.
 
     claims and primes are the caller's memos: each claim with the names of
     its dimensions and the indexes of the fields r, m, n it does not take,
@@ -831,17 +860,15 @@ def _prepare(instance: ClaimInstance, claims: dict, primes: dict[int, bool]
         return claim, ("skip", None, None, None, reason), ()
     try:
         run = claim.evaluate(instance)
-        if isinstance(run, Generator):
-            return claim, run, tuple(next(run))
+        return claim, run, tuple(next(run))
     except _EVAL_ERRORS as exc:
         return claim, _error(exc), ()
-    return claim, _outcome(claim, run), ()
 
 
 def _evaluate(claim: Claim, run: Evaluation, terms: tuple[Term, ...], ctx: EvalContext) -> Outcome:
     """Send the paused evaluation its terms' values and judge what it returns."""
     try:
-        run.send(tuple(ctx.comp_sum(spec, e) for spec, e in terms))
+        run.send(tuple(map(ctx.value, terms)))
     except StopIteration as stop:
         return _outcome(claim, stop.value)
     except _EVAL_ERRORS as exc:
@@ -876,14 +903,12 @@ def verify(instance: ClaimInstance, ctx: EvalContext | None = None) -> ClaimRepo
 
 def _verify_prime(task: tuple[list[ClaimInstance], dict]) -> tuple[list[Outcome], tuple[int, int, int], dict]:
     """Verify one prime's instances against a context reading the given
-    cache rows (a pool task is sent only its prime's): check every
-    instance's hypotheses and start its evaluation, plan all the terms
-    yielded in one context, then finish the instances in order.
-    Module-level so that a pool can run it. Returns plain data: each
-    instance's verdict in order (status, lhs, rhs, modulus, note; no
-    anchor and no instance, since verify_instances makes the reports), the
-    context's counters (evaluations, cache hits, ladder builds) and its
-    new cache rows."""
+    cache rows (a pool task is sent only its prime's): start every
+    instance that passes its hypotheses, plan all the terms yielded in one
+    context, then finish the instances in order. Module-level so that a
+    pool can run it. Returns plain data: each instance's verdict (status,
+    lhs, rhs, modulus, note), the context's counters (evaluations, cache
+    hits, ladder builds) and its new cache rows."""
     instances, cache_rows = task
     claims: dict = {}
     primes: dict[int, bool] = {}
@@ -902,19 +927,18 @@ def verify_instances(
     """Verify instances prime by prime, in process or over a pool of
     min(jobs, primes, CPUs) processes with one task per prime.
 
-    The instances are sorted once, on entry, by ClaimInstance.sort_key, and
-    each prime's task gets its instances in that order. They share one
-    context and one compsum plan, so each ladder at that prime is built
-    once, and one primality test and one read of each claim's names serve
-    them all. This is the one place that makes a ClaimReport: as each
-    prime's verdicts arrive, in ascending prime order, its counters and new
-    cache rows go into ctx and its reports are made from its own instances,
-    each anchor read from CLAIMS, a pass row holding one int for both sides
-    and equal moduli one int, whichever process computed them. The sorted
-    instances then take their prime's next report, so the reports come back
-    in sort_key order and nothing depends on the number of workers.
+    The instances are sorted once, on entry, by ClaimInstance.sort_key; each
+    prime's task gets its instances in that order, and they share one
+    context. This is the one place that makes a ClaimReport: as each prime's
+    verdicts arrive, in ascending prime order, its counters and new cache
+    rows go into ctx (rows only into a caller's ctx, which reads them) and
+    its reports are made from its own instances, each anchor read from
+    CLAIMS, a pass row holding one int for both sides and equal moduli one
+    int. The sorted instances then take their prime's next report, so
+    nothing depends on the number of workers.
     """
-    ctx = ctx if ctx is not None else EvalContext()
+    kept = ctx is not None
+    ctx = ctx if kept else EvalContext()
     instances = sorted(instances, key=ClaimInstance.sort_key)
     groups: dict[int, list[ClaimInstance]] = {}
     for inst in instances:
@@ -939,7 +963,8 @@ def verify_instances(
             ctx.comp_sum_evals += evals
             ctx.cache_hits += hits
             ctx.ladder_builds += builds
-            ctx.new_rows.update(new_rows)
+            if kept:
+                ctx.new_rows.update(new_rows)
             done[p] = iter([ClaimReport(inst, status, lhs, lhs if status == "pass" else rhs,
                                         moduli.setdefault(modulus, modulus), note, CLAIMS[inst.claim_id].anchor)
                             for inst, (status, lhs, rhs, modulus, note) in zip(groups[p], outcomes)])

@@ -12,6 +12,7 @@ from functools import lru_cache
 
 import pytest
 
+from supercong.bernoulli import bernoulli_mod_p
 from supercong.cli import main
 from supercong.compsum import comp_sum, r_spec, s_spec
 from supercong.mhs import mhs
@@ -95,7 +96,8 @@ def test_criterion_06_target_p_2p_3p_families(ctx):
         if r.instance.n in (3, 5, 7, 9)
     ]
     assert all(r.status == "pass" for r in odd33)
-    assert any(_triple_bernoulli(p, 9) != 0 for p in P_11_31), "n=9 triple term never exercised"
+    assert any(_triple_bernoulli(p, 9, [bernoulli_mod_p(p - 3, p)]) != 0 for p in P_11_31), \
+        "n=9 triple term never exercised"
     nine = [r for r in reports if r.instance.claim_id == "LEM-3.7" and r.instance.n == 9]
     assert nine and all(r.status == "pass" for r in nine)
     print(f"[criterion 06] PASS: depth-d families at p, 2p, 3p exact ({passed + len(odd33)} rows; "

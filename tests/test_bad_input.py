@@ -127,7 +127,9 @@ def _cache_rows(text: str, mutation: str, draw) -> bytes:
         cells[draw(st.sampled_from((1, 2, 4)))] = draw(st.sampled_from(("x", "1.5", "")))
         lines[i] = ",".join(cells) + "\n"
     elif mutation in ("negative residue", "residue too large"):
-        p, e = int(cells[1]), int(cells[3].rsplit("e=", 1)[1].split(";")[0])
+        # a composition sum's modulus exponent is its e= param, another quantity's its r
+        fields = dict(item.partition("=")[::2] for item in cells[3].split(";"))
+        p, e = int(cells[1]), int(fields.get("e", cells[2]))
         cells[4] = str(-draw(st.integers(1, p)) if mutation == "negative residue" else p**e + draw(st.integers(0, p)))
         lines[i] = ",".join(cells) + "\n"
     elif mutation == "non-utf-8":

@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from supercong import cli, compsum
+from supercong import cli, compsum, verifier
 from supercong.cli import SEARCH_FAMILIES, _parse_instance, _parse_int_range, _parse_primes, main
 from supercong.ratrecon import HUNT_FAMILIES
 from supercong.reports import row_values
@@ -56,9 +56,11 @@ class TestVerifyCommand:
         assert run(capsys, ["frobnicate"])[0] == 2
 
     def test_injected_false_claim_exit_one(self, capsys, monkeypatch):
-        claim = Claim(
-            "TEST-FALSE", "0 == 1 (mod p)", (("p", (5,)),), (), lambda inst: (0, 1, inst.p, "")
-        )
+        def false(inst):
+            yield []
+            return 0, 1, inst.p, ""
+
+        claim = Claim("TEST-FALSE", "0 == 1 (mod p)", (("p", (5,)),), (), false)
         monkeypatch.setitem(CLAIMS, "TEST-FALSE", claim)
         rc, out, _ = run(capsys, ["verify", "--claims", "TEST-FALSE", "--format", "csv"])
         assert rc == 1
@@ -250,7 +252,8 @@ class TestVerifyCommand:
         assert "comp_sum evaluations: 1 (cache hits: 2)" in err
         rc, _, err = run(capsys, argv + ["--primes", "11..17"])
         assert rc == 0 and err == "comp_sum evaluations: 0 (cache hits: 3)\n"
-        assert len(cache.read_text().splitlines()) == 4
+        # the header, and a composition sum and a Bernoulli residue at each prime
+        assert len(cache.read_text().splitlines()) == 7
 
     def test_a_failed_exact_division_is_refused(self, capsys, tmp_path, monkeypatch):
         # a wrong product of the units below 2p breaks the unit route's exact
@@ -314,8 +317,11 @@ class TestCatalogPin:
         "csv": "782ecce414c9137ceda91a36e1c930af0245a0c376acb190504a7c44f5dbfac1",
         "md": "a36f7a5f0918563e5b079a2a28845a335eb8555236938e230af07d2a2828f0e7",
     }
-    # the cache file's, re-recorded when the cross-checked sides moved to their e = r + 1 keys
+    # the cache file's header and comp_sum rows, re-recorded when the cross-checked sides
+    # moved to their e = r + 1 keys, and the whole file, which holds the Bernoulli,
+    # unordered-sum and chain-sweep rows too
     CACHE_DIGEST = "1f56603cf6d01fcc8cfa5c863a237d12841f5043ff598bf21a2dbd7d7428caba"
+    FULL_CACHE_DIGEST = "384d0859362296848a09c39f35c0b4b3163e3adca9343868b0aba36b7230422a"
     STATUS_COUNTS = {
         "EQ-1.1": {"pass": 23},
         "THM-1.1-i": {"pass": 33},
@@ -350,7 +356,10 @@ class TestCatalogPin:
                     "--cache", str(cache)]
             assert run(capsys, argv)[0] == 0
             assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, fmt
-        assert hashlib.sha256(cache.read_bytes()).hexdigest() == self.CACHE_DIGEST
+        lines = cache.read_bytes().splitlines(keepends=True)
+        comp_sum_rows = b"".join(line for line in lines if not line.startswith((b"bernoulli,", b"mhs,", b"unordered,")))
+        assert hashlib.sha256(comp_sum_rows).hexdigest() == self.CACHE_DIGEST
+        assert hashlib.sha256(b"".join(lines)).hexdigest() == self.FULL_CACHE_DIGEST and len(lines) == 1065
         counts: dict = {}
         for row in json.loads((tmp_path / "all.json").read_text())["reports"]:
             by_status = counts.setdefault(row["claim_id"], {})
@@ -368,6 +377,69 @@ class TestCatalogPin:
         assert run(capsys, argv)[0] == 0
         digest = "d412d51a93025521d3c96f06c09a7af3c534d71bb919457a6fd0108da1ce14ab"
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+class TestTermCache:
+    """Bernoulli residues, unordered sums and chain sweeps are cache rows too."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The arguments of each call the verifier makes to the three evaluators, by name."""
+        calls: dict = {"bernoulli_mod_p": [], "unordered_sum": [], "mhs": []}
+        for name, made in calls.items():
+            real = getattr(verifier, name)
+            monkeypatch.setattr(verifier, name, lambda *args, real=real, made=made: made.append(args) or real(*args))
+        return calls
+
+    def test_a_warm_catalog_computes_no_term(self, capsys, tmp_path, calls):
+        cache = tmp_path / "cache.csv"
+        argv = ["verify", "--claims", "ALL", "--format", "json", "--cache", str(cache), "--out"]
+        assert run(capsys, argv + [str(tmp_path / "cold.json")])[0] == 0
+        # a cold sweep computes each distinct (k, p), (b, alphas, p) and (s, p, e) once
+        distinct = {"bernoulli_mod_p": {(k, p) for k, p in calls["bernoulli_mod_p"]},
+                    "unordered_sum": {(b, alphas, M.p) for b, alphas, M, _ in calls["unordered_sum"]},
+                    "mhs": {(s, M.p, M.r) for _, s, M in calls["mhs"]}}
+        assert {name: len(made) for name, made in calls.items()} == {name: len(d) for name, d in distinct.items()}
+        assert {name: len(d) for name, d in distinct.items()} == {"bernoulli_mod_p": 48, "unordered_sum": 462, "mhs": 140}
+        cold = cache.read_bytes()
+        assert len(cold.splitlines()) == 1 + 414 + 48 + 462 + 140
+        for name in calls:
+            calls[name].clear()
+        for jobs in ("1", "2"):
+            out = tmp_path / f"warm{jobs}.json"
+            rc, _, err = run(capsys, argv + [str(out), "--jobs", jobs, "--stats"])
+            assert rc == 0 and err == "comp_sum evaluations: 0 (cache hits: 414)\n"
+            assert out.read_bytes() == (tmp_path / "cold.json").read_bytes() and cache.read_bytes() == cold
+            if jobs == "1":  # the pool's workers call the evaluators in their own processes
+                assert calls == {"bernoulli_mod_p": [], "unordered_sum": [], "mhs": []}
+
+    def test_a_cache_of_composition_sums_alone_is_served_and_extended(self, capsys, tmp_path):
+        # a file as written before the other quantities became rows: its rows are
+        # read, and the Bernoulli, unordered and chain rows are computed and appended
+        cache = tmp_path / "cache.csv"
+        argv = ["verify", "--claims", "EQ-1.1,LEM-3.4,COR-3.2,LEM-3.3", "--primes", "11..13", "--format", "csv",
+                "--cache", str(cache), "--stats"]
+        rc, report, _ = run(capsys, argv)
+        full = cache.read_bytes()
+        kinds = sorted({line.split(b",")[0] for line in full.splitlines()[1:]})
+        assert rc == 0 and kinds == [b"bernoulli", b"comp_sum", b"mhs", b"unordered"]
+        comp_sums = b"".join(line for line in full.splitlines(keepends=True) if not line.startswith(
+            (b"bernoulli,", b"mhs,", b"unordered,")))
+        cache.write_bytes(comp_sums)
+        rc, out, err = run(capsys, argv)
+        assert (rc, out) == (0, report) and err == f"comp_sum evaluations: 0 (cache hits: {comp_sums.count(b'comp_sum,')})\n"
+        appended = cache.read_bytes()
+        assert appended.startswith(comp_sums) and sorted(appended.splitlines()) == sorted(full.splitlines())
+        assert run(capsys, argv)[1] == report and cache.read_bytes() == appended
+
+    @pytest.mark.parametrize("row", ["bernoulli,11,1,k=8,11", "unordered,11,3,b=1;alphas=1+2,1331",
+                                     "mhs,11,2,N=10;s=1+1,121"])
+    def test_an_out_of_range_term_row_exits_two(self, capsys, tmp_path, row):
+        cache = tmp_path / "cache.csv"
+        cache.write_text(f"quantity,p,r,params,residue\n{row}\n")
+        rc, out, err = run(capsys, ["verify", "--claims", "EQ-1.1", "--primes", "11", "--cache", str(cache)])
+        assert (rc, out) == (2, "")
+        assert f"cache row {row.split(',')!r} at line 2 of " in err and "is not canonical mod 11**" in err
 
 
 class TestComputeCommand:
@@ -515,11 +587,12 @@ class TestOracleCommand:
         ["verify", "--claims", "THM-1.1-ii", "--instance", "p=11,r=5000,m=1"],
         ["verify", "--claims", "LEM-2.3-ii", "--instance", "p=100003,r=1,n=5000,m=1"],
         ["compute", "count", "--n", "10000", "--a", "1", "--m", "10000", "--p", "11"],
+        ["compute", "s", "--n", "3000", "--m", "2999", "--p", "11"],
     ])
     def test_a_large_value_is_refused_before_its_work(self, capsys, builds, argv):
-        # a unit pass priced by the units it multiplies, the digit and period weights and
-        # a solution count, each before it is built; a target past 4,300 digits is named
-        # by its digit count
+        # a unit pass priced by the units it multiplies, the digit and period weights (a
+        # bounded request's over all its shifts at once) and a solution count, each before
+        # it is built; a target past 4,300 digits is named by its digit count
         start = time.perf_counter()
         rc, out, err = run(capsys, argv)
         assert rc == 2 and out == "" and "ScaleGuardError" in err and "ValueError" not in err

@@ -642,14 +642,27 @@ class TestRefusalsBeforeWork:
         # R(100000, 100000, 11) mod 11: 81,819 targets of g**100000, each weight a binomial of 100000 terms
         refusal = r"the weights of g\*\*100000 mod 11 at target 1100000 is priced 8.18e\+09 "
         with pytest.raises(ScaleGuardError, match=refusal):
-            compsum._period_weights(100000, 11, 1100000)
+            compsum._reading(r_spec(100000, 100000, 11), 1)
         assert combs == []
         # priced at targets times n: 7 parts at 3*11 read the targets 11, 22 and 33, at 21
         monkeypatch.setattr(modring, "_MAX_TABLE_PRICE", 21)
-        assert compsum._period_weights(7, 11, 33) == {11: comb(8, 6), 22: comb(7, 6), 33: 1} and combs
+        assert compsum._reading(r_spec(7, 3, 11), 1) == ((11, None, 1), {11: comb(8, 6) % 11, 22: 7, 33: 1})
         monkeypatch.setattr(modring, "_MAX_TABLE_PRICE", 20)
         with pytest.raises(ScaleGuardError, match=r"g\*\*7 mod 11 at target 33 is priced 21 "):
-            compsum._period_weights(7, 11, 33)
+            compsum._reading(r_spec(7, 3, 11), 1)
+
+    def test_a_bounded_requests_shifts_are_priced_together(self, combs, monkeypatch):
+        # S(3000, 2999, 11) mod 11: 2,727 shifts, each priced under 10**7 alone
+        refusal = r"the weights of g\*\*3000 mod 11 at target 32989 is priced 1.1e\+10 "
+        with pytest.raises(ScaleGuardError, match=refusal):
+            compsum._reading(s_spec(3000, 2999, 11), 1)
+        assert combs == []
+        # S(7, 3, 11) reads the shifts 33, 22 and 11, at 3, 2 and 1 targets: 42 in all
+        monkeypatch.setattr(modring, "_MAX_TABLE_PRICE", 42)
+        assert compsum._reading(s_spec(7, 3, 11), 1)[0] == (11, None, 1)
+        monkeypatch.setattr(modring, "_MAX_TABLE_PRICE", 41)
+        with pytest.raises(ScaleGuardError, match=r"g\*\*7 mod 11 at target 33 is priced 42 "):
+            compsum._reading(s_spec(7, 3, 11), 1)
 
     def test_a_plan_is_refused_before_any_ladder(self, builds):
         # THM-1.1-ii at p = 11, r = 5000: the spec's own fields pass 4,300 digits

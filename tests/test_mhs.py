@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from supercong.mhs import mhs, mhs_restricted, unordered_sum
 from supercong.modring import NonUnitError, PrimePowerModulus, ScaleGuardError, rational_to_residue, unit_inverses
+from supercong.verifier import EvalContext
 
 from oracles import unordered_sum_bruteforce
 
@@ -204,30 +205,36 @@ class TestUnorderedSum:
         ]
         expected = [unordered_by_rearrangements(b, parts, PrimePowerModulus(p, r)) for b, parts, p, r in calls]
         monkeypatch.setattr(mhs_module, "unit_inverses", counting)
-        mhs_module._tables.clear()
-        assert [unordered_sum(b, parts, PrimePowerModulus(p, r)) for b, parts, p, r in calls] == expected
-        # one table per (b, r) at the prime asked, and one inverse pass per table:
-        # (1, 2) grew from weight 3 to 4 without another
-        assert sorted(mhs_module._tables) == [(1, 1), (1, 2), (1, 3), (2, 2)]
+        tables: dict = {}
+        assert [unordered_sum(b, parts, PrimePowerModulus(p, r), tables) for b, parts, p, r in calls] == expected
+        # one table per (b, p, r) in the caller's dict, and one inverse pass per table:
+        # (1, 11, 2) grew from weight 3 to 4 without another
+        assert sorted(tables) == [(1, 11, 1), (1, 11, 2), (1, 11, 3), (2, 11, 2)]
         assert sorted(built) == [(11, 10, 11), (11, 10, 11**2), (11, 10, 11**3), (11, 21, 11**2)]
-        assert len(mhs_module._tables[(1, 2)].sums) == 5
+        assert len(tables[(1, 11, 2)].sums) == 5
         del built[:]
-        assert unordered_sum(1, (2, 2), PrimePowerModulus(11, 2)) == unordered_by_rearrangements(
+        assert unordered_sum(1, (2, 2), PrimePowerModulus(11, 2), tables) == unordered_by_rearrangements(
             1, (2, 2), PrimePowerModulus(11, 2))
         assert built == []
+        # a call given no tables builds one of its own, and nothing keeps it
+        unordered_sum(1, (2, 2), PrimePowerModulus(11, 2))
+        unordered_sum(1, (2, 2), PrimePowerModulus(11, 2))
+        assert built == [(11, 10, 11**2)] * 2
 
     def test_a_request_at_another_prime_drops_the_tables(self):
-        mhs_module._tables.clear()
-        for b in (1, 2):
-            unordered_sum(b, (1, 2), PrimePowerModulus(11, 2))
-        table = mhs_module._tables[(1, 2)]
-        M = PrimePowerModulus(13, 2)
-        assert unordered_sum(1, (1, 2), M) == unordered_by_rearrangements(1, (1, 2), M)
-        assert mhs_module._tables.p == 13
-        assert [(key, t.mod) for key, t in mhs_module._tables.items()] == [((1, 2), 13**2)]
-        # a return to 11 builds its table afresh
-        unordered_sum(1, (1, 2), PrimePowerModulus(11, 2))
-        assert mhs_module._tables[(1, 2)] is not table
+        # the verifier's context for a prime owns that prime's tables: a context at
+        # another prime starts with none, and a return to 11 builds its tables afresh
+        def tables_of_a_context(p: int, bs: tuple[int, ...]) -> dict:
+            terms = [("unordered", p, 2, (b, (1, 2))) for b in bs]
+            ctx = EvalContext(terms=terms)
+            M = PrimePowerModulus(p, 2)
+            assert list(map(ctx.value, terms)) == [unordered_by_rearrangements(b, (1, 2), M) for b in bs]
+            return ctx._tables
+
+        first = tables_of_a_context(11, (1, 2))
+        assert [(key, t.mod) for key, t in first.items()] == [((1, 11, 2), 11**2), ((2, 11, 2), 11**2)]
+        assert [(key, t.mod) for key, t in tables_of_a_context(13, (1,)).items()] == [((1, 13, 2), 13**2)]
+        assert tables_of_a_context(11, (1,))[(1, 11, 2)] is not first[(1, 11, 2)]
 
     def test_values_do_not_depend_on_call_order(self):
         rng = random.Random(3)
@@ -238,18 +245,19 @@ class TestUnorderedSum:
         expected = {call: unordered_by_rearrangements(call[0], call[1], PrimePowerModulus(*call[2:]))
                     for call in calls}
         for _ in range(2):
-            mhs_module._tables.clear()
+            tables: dict = {}
             rng.shuffle(calls)
             for b, parts, p, r in calls:
-                assert unordered_sum(b, parts, PrimePowerModulus(p, r)) == expected[b, parts, p, r]
+                assert unordered_sum(b, parts, PrimePowerModulus(p, r), tables) == expected[b, parts, p, r]
 
     def test_tables_are_kept_apart_by_precision(self):
-        mhs_module._tables.clear()
+        tables: dict = {}
         for r in (1, 2, 3, 4):
             M = PrimePowerModulus(13, r)
             for b, parts in ((1, (1, 2)), (2, (3,)), (3, (1, 1, 1))):
                 expected = unordered_by_rearrangements(b, parts, M)
-                assert unordered_sum(b, parts, M) == expected, (b, parts, M)
+                assert unordered_sum(b, parts, M, tables) == expected, (b, parts, M)
+        assert len(tables) == 12
 
     def test_depth_eight_runs(self):
         # all-ones depth 8 exercises the multiplicity weight 8!
@@ -276,10 +284,10 @@ class TestTableRefusal:
 
     def test_an_unordered_table_is_priced_before_it_is_built(self, monkeypatch):
         monkeypatch.setattr(mhs_module, "unit_inverses", None)  # nothing may be built
-        mhs_module._tables.clear()
+        tables: dict = {}
         with pytest.raises(ScaleGuardError, match=r"table of U_2 at p = 1000000007 to weight 2 is priced 6e\+09"):
-            unordered_sum(2, (2,), PrimePowerModulus(1000000007, 3))
-        assert not mhs_module._tables
+            unordered_sum(2, (2,), PrimePowerModulus(1000000007, 3), tables)
+        assert not tables
 
     def test_a_chain_sweep_is_priced_before_it_starts(self, monkeypatch):
         monkeypatch.setattr(mhs_module, "pow", None, raising=False)  # no index may be inverted

@@ -16,7 +16,6 @@ from supercong.compsum import (
 from supercong.mhs import mhs, mhs_restricted, unordered_sum
 from supercong.modring import (
     NonUnitError,
-    PrimeMemo,
     PrimePowerModulus,
     ScaleGuardError,
     figure,
@@ -122,19 +121,6 @@ class TestUnitInverses:
         monkeypatch.setattr(modring, "pow", lambda *args: calls.append(args) or pow(*args), raising=False)
         unit_inverses(11, 500, 11**3)
         assert len(calls) == 1
-
-
-class TestPrimeMemo:
-    def test_holds_the_last_prime_only(self):
-        memo, made = PrimeMemo(), []
-
-        def make(value):
-            return lambda: made.append(value) or value
-
-        assert memo(11, "a", make(1)) == 1 and memo(11, "a", make(2)) == 1
-        assert memo(11, "b", make(3)) == 3 and memo.p == 11 and memo == {"a": 1, "b": 3}
-        assert memo(13, "a", make(4)) == 4 and memo.p == 13 and memo == {"a": 4}
-        assert memo(11, "a", make(5)) == 5 and made == [1, 3, 4, 5]
 
 
 class TestGuardTable:

@@ -35,20 +35,22 @@ def baseline():
     return _sweep()
 
 
-# the claims that read composition sums
-_COMPOSITION_CLAIMS = {claim_id for claim_id, claim in CLAIMS.items() if inspect.isgeneratorfunction(claim.evaluate)}
+# the claims that read composition sums: all but the solution counts and the harmonic sums
+_COMPOSITION_CLAIMS = set(CLAIMS) - {"LEM-2.1", "COR-2.2", "LEM-3.1", "COR-3.2", "LEM-3.4"}
 
 
 @pytest.fixture(scope="module")
 def reads():
-    """Each composition claim's cache keys over its default grid."""
+    """Each claim's composition-sum cache keys over its default grid, for the claims that read any."""
     out: dict[str, set] = {}
-    for claim_id in _COMPOSITION_CLAIMS:
-        for instance in CLAIMS[claim_id].grid(GridSpec()):
+    for claim_id, claim in CLAIMS.items():
+        for instance in claim.grid(GridSpec()):
             _, run, terms = verifier._prepare(instance, {}, {})
             if inspect.isgenerator(run):
                 run.close()
-                out.setdefault(claim_id, set()).update(EvalContext.cache_key(spec, e) for spec, e in terms)
+                keys = {key for term in terms if (key := EvalContext.cache_key(*term))[0] == "comp_sum"}
+                if keys:
+                    out.setdefault(claim_id, set()).update(keys)
     return out
 
 
@@ -214,34 +216,19 @@ def test_a_wrong_split_read(baseline, reads, monkeypatch):
     assert ladder_readers - _noticed(baseline, mutated) <= _BLIND_AT_MOST
 
 
-def _clear_memos():
-    """Drop the memoized Bernoulli residues and unordered-sum tables."""
-    bernoulli._residues.clear()
-    mhs_module._tables.clear()
-
-
 def _callers(owner, name: str) -> set[str]:
-    """The claims whose default grid calls owner.name; no memoized value stands in for a call."""
+    """The claims whose default grid calls owner.name. A sweep keeps no value once
+    it is done (its Bernoulli residues and unordered-sum tables live in its
+    per-prime contexts), so no value from an earlier sweep stands in for a call."""
     real, callers = getattr(owner, name), set()
     for claim_id in CLAIMS:
         calls = []
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(owner, name, lambda *args: calls.append(args) or real(*args))
-            _clear_memos()
             sweep([claim_id])
         if calls:
             callers.add(claim_id)
     return callers
-
-
-# The memoized Bernoulli residues and unordered-sum tables outlive a sweep, so
-# each mutation of a memoized layer runs between two clears: it reads no clean
-# value and leaves none of its own.
-@pytest.fixture
-def fresh_memos():
-    _clear_memos()
-    yield
-    _clear_memos()
 
 
 @pytest.fixture(scope="module")
@@ -265,7 +252,7 @@ def test_a_bernoulli_index_off_by_two(baseline, monkeypatch):
     assert readers - noticed <= _BERNOULLI_INDEX_BLIND_AT_MOST
 
 
-def test_a_flipped_pair_correction_in_the_power_sum(baseline, power_sum_readers, fresh_memos, monkeypatch):
+def test_a_flipped_pair_correction_in_the_power_sum(baseline, power_sum_readers, monkeypatch):
     # power_sum_residue sums j**(k-1) * (2*j - k*p) over j < p/2. With the sign
     # of the correction k*p*j**(k-1) flipped, the sum grows by
     # 2*k*p*sum_{j<p/2} j**(k-1), so B_k mod p by 2*k*sum_{j<p/2} j**(k-1)
@@ -291,7 +278,7 @@ _UNORDERED_BLIND_AT_MOST: set[str] = set()
 _CHAIN_BLIND_AT_MOST: set[str] = set()
 
 
-def test_a_flipped_collision_term_in_the_unordered_sum(baseline, fresh_memos, monkeypatch):
+def test_a_flipped_collision_term_in_the_unordered_sum(baseline, monkeypatch):
     # U(a_1, ..., a_n) = P_{a_1} U(a_2, ..., a_n) - sum_i U(a_2, ..., a_i + a_1, ..., a_n),
     # here with the collision terms added rather than subtracted
     def added(self, key):
@@ -306,12 +293,11 @@ def test_a_flipped_collision_term_in_the_unordered_sum(baseline, fresh_memos, mo
 
     readers = _callers(verifier, "unordered_sum")
     assert readers == {"LEM-3.1", "LEM-3.4"}
-    _clear_memos()
     monkeypatch.setattr(mhs_module._UnorderedTable, "u", added)
     assert readers - _noticed(baseline, _sweep()) <= _UNORDERED_BLIND_AT_MOST
 
 
-def test_a_chain_sweep_that_skips_the_wrong_class(baseline, fresh_memos, monkeypatch):
+def test_a_chain_sweep_that_skips_the_wrong_class(baseline, monkeypatch):
     # mhs._sweep with its restriction moved from the multiples of p to k == 1 (mod p)
     def skips_one_mod_p(N, parts, M):
         dp = [0] * len(parts) + [1]

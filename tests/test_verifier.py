@@ -4,13 +4,14 @@ import os
 import random
 import sys
 import tracemalloc
+import weakref
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
-from supercong import bernoulli, compsum, modring, verifier
-from supercong.bernoulli import bernoulli_mod_p, power_sum_residue
+from supercong import compsum, modring, verifier
+from supercong.bernoulli import bernoulli_mod_p
 from supercong.cache import ResidueCache
 from supercong.compsum import comp_sum, r_spec, s_spec
 from supercong.modring import NonUnitError, PrimePowerModulus, rational_to_residue
@@ -370,7 +371,10 @@ class TestSweep:
         assert [r.status for r in reports] == ["pass", "error", "pass", "pass", "error"] + ["pass"] * 12
         large = [r for r in reports if r.instance.claim_id in ("LEM-2.1", "LEM-3.4")]
         assert len(large) == 10 and max(r.lhs for r in large) > 256 < min(r.modulus for r in large)
-        assert counters[:2] == (3, 1) and len(new_rows) == 3  # R(3,1,13) once; R(3,1,11) from the cache
+        # R(3,1,13) once and R(3,1,11) from the cache, with B_8 mod 11; new rows: three
+        # composition sums, five Bernoulli residues and LEM-3.4's four unordered sums
+        assert counters[:2] == (3, 1) and len(new_rows) == 12
+        assert sorted(key[0] for key, _ in new_rows) == ["bernoulli"] * 5 + ["comp_sum"] * 3 + ["unordered"] * 4
 
     def test_a_prime_task_returns_only_plain_data(self):
         cached = EvalContext()
@@ -419,9 +423,11 @@ class TestSweep:
             sweep(["TEST-TWICE"])
 
     def test_custom_registry_with_false_claim(self, monkeypatch):
-        false_claim = Claim(
-            "TEST-FALSE", "0 == 1 (mod p)", (("p", (5,)),), (), lambda inst: (0, 1, inst.p, "")
-        )
+        def false(inst):
+            yield []
+            return 0, 1, inst.p, ""
+
+        false_claim = Claim("TEST-FALSE", "0 == 1 (mod p)", (("p", (5,)),), (), false)
         monkeypatch.setitem(CLAIMS, "TEST-FALSE", false_claim)
         reports = sweep(["TEST-FALSE"])
         assert len(reports) == 1 and reports[0].status == "fail"
@@ -478,15 +484,19 @@ class TestMixedBatch:
             if not malformed:
                 assert outcome[inst].status != "error"
 
-    # sha256 of the json report and of the cache file written from a mix. The
-    # reports were recorded at commit 5a5bdcf, which grouped instances in input
-    # order and sorted the finished reports. The cache files were re-recorded when
-    # the cross-checked sides moved to their e = r + 1 keys
+    # sha256 of the json report, of the header and comp_sum rows of the cache file
+    # written from a mix, and of the whole file. The reports were recorded at commit
+    # 5a5bdcf, which grouped instances in input order and sorted the finished
+    # reports. The comp_sum rows were re-recorded when the cross-checked sides
+    # moved to their e = r + 1 keys; the whole files when the Bernoulli residues,
+    # unordered sums and chain sweeps became cache rows too
     _MIX_DIGESTS = {
         2501: ("7a4e71ef1c142b68f45e10d8b0f77428a8e060fa3f706262b6fc2b79f87b3c9e",
-               "69ef1e0dfd924777cd84130056bfde74a03d06d98a378ec891fbdd6c6d6680fc"),
+               "69ef1e0dfd924777cd84130056bfde74a03d06d98a378ec891fbdd6c6d6680fc",
+               "5229b456386f101587277c8c59eebcf0f30054e5db60a47ebcaecac0097a682e"),
         2502: ("6beac6f2c91c82e5137263216112ba1b96a2f64c79cd8390750f49c2168c777b",
-               "19288739e158d294c92e78afa1f26cdce448e6cb7cae77ef387e7e436bc40a9b"),
+               "19288739e158d294c92e78afa1f26cdce448e6cb7cae77ef387e7e436bc40a9b",
+               "d732ab64d6b7b2e80ea037d94a0f2d817d8fd3544eae0c9f71e9a869bfef540a"),
     }
 
     @pytest.mark.parametrize("seed", sorted(_MIX_DIGESTS))
@@ -506,8 +516,10 @@ class TestMixedBatch:
             assert {"pass", "skip", "error"} <= {rep.status for rep in reports}
             cache = ResidueCache(tmp_path / f"cache{jobs}.csv")
             cache.append(ctx.new_rows)
+            lines = cache.path.read_bytes().splitlines(keepends=True)
+            comp_sum_rows = [line for line in lines if not line.startswith((b"bernoulli,", b"mhs,", b"unordered,"))]
             digests = (hashlib.sha256(render(reports, "json").encode()).hexdigest(),
-                       hashlib.sha256(cache.path.read_bytes()).hexdigest())
+                       hashlib.sha256(b"".join(comp_sum_rows)).hexdigest(), hashlib.sha256(b"".join(lines)).hexdigest())
             assert digests == self._MIX_DIGESTS[seed], jobs
 
     def test_the_flat_sort_key_orders_as_the_nested_one(self):
@@ -585,42 +597,46 @@ class TestPlan:
             built.append((b, p, r))
             return table(b, p, r)
 
-        mhs_module._tables.clear()
         monkeypatch.setattr(mhs_module, "_UnorderedTable", counting)
         reports = sweep(["LEM-3.1", "LEM-3.4"])
         assert {rep.status for rep in reports} == {"pass"}
         assert len(built) == len({(b, p) for b, p, _ in built}) == 21
         assert {r for *_, r in built} == {3}
 
-    def test_a_sweep_holds_only_its_last_primes_tables(self):
-        mhs_module._tables.clear()
+    def test_a_sweep_holds_only_its_last_primes_tables(self, monkeypatch):
+        # each prime's context owns that prime's tables: when a table is built, every
+        # table still alive is at the same prime, and none outlives the sweep
+        alive = []  # a weak reference to each table built, and its prime
+        table = mhs_module._UnorderedTable
+
+        def tracked(b, p, r):
+            assert {q for ref, q in alive if ref() is not None} <= {p}
+            made = table(b, p, r)
+            alive.append((weakref.ref(made), p))
+            return made
+
+        monkeypatch.setattr(mhs_module, "_UnorderedTable", tracked)
         reports = sweep(["LEM-3.4"], GridSpec(primes=(11, 13, 17)))
         assert {rep.status for rep in reports} == {"pass"}
-        held = mhs_module._tables
-        assert held.p == 17 and held
-        assert {table.mod for table in held.values()} == {17**3}
-        grid = CLAIMS["LEM-3.4"].grid(GridSpec(primes=(17,)))
-        assert sorted(held) == sorted({(inst.get("b", 1), 3) for inst in grid})
+        assert sorted(q for _, q in alive) == [11] * 3 + [13] * 3 + [17] * 3  # one table per b = 1, 2, 3
+        assert all(ref() is None for ref, _ in alive)
 
     def test_a_sweep_holds_only_its_last_primes_bernoulli_residues(self, monkeypatch):
+        # each B_k mod p is a term of its prime's context: a sweep computes it once, for
+        # every instance that reads it, and keeps none, so a second sweep computes them again
         asked = []
         residue = verifier.bernoulli_mod_p
         monkeypatch.setattr(verifier, "bernoulli_mod_p", lambda k, p: asked.append((k, p)) or residue(k, p))
-        bernoulli._residues.clear()
-        reports = sweep(["EQ-1.1"], GridSpec(primes=primes_between(5, 97)))
-        assert "pass" in {rep.status for rep in reports} and len({p for _, p in asked}) > 20
-        held = bernoulli._residues
-        assert held.p == 97 and held
-        assert held == {k: power_sum_residue(k, 97) for k, p in asked if p == 97}
+        for _ in range(2):
+            reports = sweep(["EQ-1.1", "THM-1.1-i"], GridSpec(primes=primes_between(5, 97)))
+            assert "pass" in {rep.status for rep in reports}
+        half = len(asked) // 2
+        assert asked[:half] == asked[half:] and len(set(asked)) == half and len({p for _, p in asked}) > 20
 
     def test_interleaved_primes_match_a_fresh_run(self):
         instances = [inst for p in (11, 13, 11) for inst in CLAIMS["LEM-3.4"].grid(GridSpec(primes=(p,)))]
-        fresh = []
-        for inst in instances:
-            mhs_module._tables.clear()
-            fresh.append(verify(inst))
-        mhs_module._tables.clear()
-        assert [verify(inst) for inst in instances] == fresh
+        fresh = [verify(inst) for inst in instances]
+        assert verify_instances(instances) == sorted(fresh, key=lambda rep: rep.instance.sort_key())
         assert {rep.status for rep in fresh} == {"pass"}
 
     def test_catalog_builds_one_ladder_per_key(self, builds, monkeypatch):
@@ -717,9 +733,14 @@ class TestPlan:
             monkeypatch.setattr(module, "is_prime", counted_is_prime)
         modring.prime_power.cache_clear()
         reports = sweep(list(CLAIMS), ctx=EvalContext(cache_rows=cold.new_rows))
-        # one modulus per distinct (p, e), each checking its prime once, and
-        # one primality check per distinct prime of the sweep
+        # every term is read from the cache, so no modulus is built, and one
+        # primality check serves each distinct prime of the sweep
         assert len(reports) == 1935 and len({rep.instance.p for rep in reports}) == 23
+        assert counts == {"moduli": 0, "is_prime": 23}
+        # cold, one modulus per distinct (p, e), each checking its prime once
+        counts.update(moduli=0, is_prime=0)
+        modring.prime_power.cache_clear()
+        sweep(list(CLAIMS))
         assert counts == {"moduli": 37, "is_prime": 23 + 37}
 
 
@@ -832,7 +853,7 @@ class TestOnePath:
 
         def recorded_init(self, cache_rows=None, terms=()):
             terms = list(terms)
-            plans.append(({spec.p for spec, _ in terms}, bool(reading)))
+            plans.append(({EvalContext.cache_key(*term)[1] for term in terms}, bool(reading)))
             init(self, cache_rows, terms)
 
         def recorded_read(self, spec, mod_exp):
@@ -870,7 +891,7 @@ class TestCrossChecks:
 
     def test_triple_term_empty_for_n7(self):
         for p in (11, 13):
-            assert _triple_bernoulli(p, 7) == 0
+            assert _triple_bernoulli(p, 7, []) == 0
 
     def test_s7_m3_feeds_the_seven_factorial_tenth_constant(self):
         # S(7,3,p) == -5 * 6! * B(p-7), the degenerate triple-free case
@@ -881,7 +902,7 @@ class TestCrossChecks:
             assert lhs == rhs
 
     def test_triple_term_nonzero_for_n9(self):
-        assert any(_triple_bernoulli(p, 9) != 0 for p in (11, 13, 17))
+        assert any(_triple_bernoulli(p, 9, [bernoulli_mod_p(p - 3, p)]) != 0 for p in (11, 13, 17))
 
 
 class TestRationalCofactors:

@@ -11,7 +11,7 @@ from math import factorial
 import pytest
 
 from supercong import compsum, modring, verifier
-from supercong.bernoulli import bernoulli_mod_p
+from supercong.bernoulli import PoleError, bernoulli_mod_p
 from supercong.cache import ResidueCache
 from supercong.compsum import comp_sum, r_spec, s_spec
 from supercong.modring import NonUnitError, PrimePowerModulus, rational_to_residue
@@ -761,6 +761,21 @@ class TestEvalContext:
         assert ctx.comp_sum(spec, 2) == true_value
         assert ctx.comp_sum_evals == 0 and ctx.cache_hits == 1
         assert ctx.new_rows == {}
+
+    def test_a_term_that_raises_is_not_kept(self, monkeypatch):
+        # THM-1.1-i's three instances at p = 11 share B_4: each read computes it again,
+        # and each instance gets the error row
+        calls = []
+
+        def refused(k, p):
+            calls.append((k, p))
+            raise PoleError(f"no B_{k} mod {p} here")
+
+        monkeypatch.setattr(verifier, "bernoulli_mod_p", refused)
+        ctx = EvalContext()
+        reports = sweep(["THM-1.1-i"], GridSpec(primes=(11,)), ctx=ctx)
+        assert [(rep.status, rep.note) for rep in reports] == [("error", "PoleError: no B_4 mod 11 here")] * 3
+        assert calls == [(4, 11)] * 3 and [key[0] for key in ctx.new_rows] == ["comp_sum"] * 3
 
     def test_new_rows_collected(self):
         spec = s_spec(3, 1, 5, 1)

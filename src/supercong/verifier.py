@@ -181,7 +181,7 @@ class EvalContext:
         self.ladder_builds = 0
         self._cache = cache_rows or {}
         self.new_rows: dict[tuple, int] = {}
-        self._keys = {term: self.cache_key(*term) for term in terms}
+        self._keys = {term: self.cache_key(*term) for term in dict.fromkeys(terms)}  # each key built once
         self._values: dict[tuple, int] = {}
         self._tables: dict = {}  # mhs.unordered_sum's tables, at this context's prime
         self._plan = Plan(term for term, key in self._keys.items() if len(term) == 2 and key not in self._cache)

@@ -62,8 +62,10 @@ class ResidueCache:
         try:
             quantity, p, r, params, residue = row  # a row of the wrong length is malformed too
             p, r, value = int(p), int(r), int(residue)
-            fields = dict(item.partition("=")[::2] for item in params.split(";"))
-            e = int(fields["e"]) if "e" in fields else r
+            # e is the last item named e (a bare e is ""), as a dict of the items keeps it, else r
+            items = f";{params};"
+            at = max(items.rfind(";e="), items.rfind(";e;"))
+            e = r if at < 0 else int(items[at + 3:items.index(";", at + 1)])
         except ValueError:
             raise ValueError(f"malformed cache row {row!r} at line {line} of {self.path}") from None
         if p < 2 or e < 1 or value < 0 or not _below_power(value, p, e):

@@ -184,9 +184,9 @@ def _cmd_verify(args) -> int:
     ctx = EvalContext(cache_rows=cache.rows if cache else None)
     if points:
         instances = [instance_from_params(cid, point) for point in points for cid in claim_ids]
-        reports = verify_instances(instances, ctx, jobs=args.jobs)
+        reports = verify_instances(instances, ctx, jobs=args.jobs, keep_rows=cache is not None)
     else:
-        reports = sweep(claim_ids, GridSpec(*selected), ctx=ctx, jobs=args.jobs)
+        reports = sweep(claim_ids, GridSpec(*selected), ctx=ctx, jobs=args.jobs, keep_rows=cache is not None)
     if cache is not None:
         cache.append(ctx.new_rows)
     reports_mod.emit_report(reports, args.format, path=args.out)

@@ -52,6 +52,7 @@ Kronecker-substitution big-integer multiply per step
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import accumulate, chain, islice, repeat, takewhile
 from math import comb, perm
 from operator import add, mul, sub
@@ -356,7 +357,7 @@ def _digit_weights(n: int, p: int, e: int, N: int) -> dict[int, int]:
     return weights
 
 
-def _reading(spec: CompSumSpec, e: int) -> tuple[tuple[int, int | None, int], dict[int, int]]:
+def _reading(spec: CompSumSpec, e: int, digit_weights=None) -> tuple[tuple[int, int | None, int], dict[int, int]]:
     """The key (p, part bound, e) and the weights w_t with spec's value ==
     sum_t w_t * [x**t] f**n (mod p**e), f the series of that key. A
     bounded request with R < e is read at its target on (p, p**R, e); every
@@ -367,7 +368,8 @@ def _reading(spec: CompSumSpec, e: int) -> tuple[tuple[int, int | None, int], di
     the vanishing ones dropped. Mod p, 1/(a + b*p) == 1/a, so f == g / (1 - x**p)
     and [x**N] f**n = sum_q C(n - 1 + q, q) [x**(N - q*p)] g**n: exact
     weights, read only at the t == N (mod p) in n..n*(p-1), where g**n can
-    be nonzero, and priced at those targets times n before the first binomial."""
+    be nonzero, and priced at those targets times n before the first binomial.
+    digit_weights stands in for _digit_weights (a plan's keeps its values)."""
     n, N, p = spec.n, spec.target, spec.p
     if spec.upper_bound is not None and spec.r < e:
         return (p, spec.upper_bound, e), {N: 1}
@@ -384,7 +386,7 @@ def _reading(spec: CompSumSpec, e: int) -> tuple[tuple[int, int | None, int], di
         if e == 1:
             terms = {t: comb(n - 1 + (shifted - t) // p, n - 1) for t in reads[k]}
         else:
-            terms = {shifted: 1} if shifted < n * p * e else _digit_weights(n, p, e, shifted)
+            terms = {shifted: 1} if shifted < n * p * e else (digit_weights or _digit_weights)(n, p, e, shifted)
         for t, w in terms.items():
             out[t] = out.get(t, 0) + sign * w
     return (p, None, e), ({t: w % p for t, w in out.items() if w % p} if e == 1 else out)
@@ -411,9 +413,10 @@ class Plan:
         self.readings: dict[tuple[CompSumSpec, int], tuple[tuple[int, int | None, int], dict[int, int]]] = {}
         # per key, the requested (n, t) coefficients, None until the key is evaluated
         self.wanted: dict[tuple[int, int | None, int], dict[tuple[int, int], int | None]] = {}
+        digit_weights = cache(_digit_weights)  # each (n, p, e, N) computed once a plan; _reading only reads them
         for spec, e in dict.fromkeys(requests):
             if spec.target >= spec.n:
-                key, weights = self.readings[(spec, e)] = _reading(spec, e)
+                key, weights = self.readings[(spec, e)] = _reading(spec, e, digit_weights)
                 self.wanted.setdefault(key, {}).update(((spec.n, t), None) for t in weights)
         # per key with a coefficient to read, its largest part count n and top target N
         self.sizes = {key: (max(n for n, _ in wanted), max(t for _, t in wanted))

@@ -43,11 +43,10 @@ FIELDS = (
 FORMATS = ("json", "csv", "md")
 
 
-def _param(key: str, value) -> str:
-    """key=value, with a tuple value joined by '+' (alphas=1+1+2)."""
-    if isinstance(value, tuple):
-        return f"{key}={'+'.join(map(str, value))}"
-    return f"{key}={value}"
+def _params(items) -> list[str]:
+    """key=value for each (key, value), a tuple value joined by '+' (alphas=1+1+2)."""
+    return [f"{key}={'+'.join(map(str, value))}" if isinstance(value, tuple) else f"{key}={value}"
+            for key, value in items]
 
 
 def row_values(report: ClaimReport) -> tuple:
@@ -55,7 +54,7 @@ def row_values(report: ClaimReport) -> tuple:
     inst = report.instance
     # each parameter formatted once, in replay order: p, r, m, n, then the extras,
     # which are the last len(inst.extra) entries and also fill the extra field
-    params = [_param(*item) for item in inst.params().items()]
+    params = _params(inst.params().items())
     return (
         inst.claim_id, inst.p, inst.r, inst.m, inst.n,
         ";".join(params[len(params) - len(inst.extra):]),
@@ -70,54 +69,77 @@ def row_values(report: ClaimReport) -> tuple:
 _PIECE_ROWS = 256
 
 
-def _row_chunks(reports: Iterable[ClaimReport]) -> Iterator[Iterator[tuple]]:
-    """The reports' rows in runs of at most _PIECE_ROWS, each row made as it is read."""
+def _chunks(reports: Iterable[ClaimReport]) -> Iterator[list[ClaimReport]]:
+    """The reports in runs of at most _PIECE_ROWS."""
     reports = iter(reports)
     while chunk := list(islice(reports, _PIECE_ROWS)):
-        yield map(row_values, chunk)
+        yield chunk
 
 
 # json.dumps(doc, indent=2) walks the document in Python (CPython's C
 # encoder serves only indent=None), so the json pieces hold the same bytes
-# written directly: a fixed head, and one fixed template per row filled
-# with each value's JSON text. A row of ints, strs and Nones takes those
-# texts from one dict per piece, so a repeated value (a claim id, an
-# anchor, a status, a note, a small int) is encoded once a piece; the
-# replay, new in every row, is encoded directly. A row holding any other
-# type (a bool, a tuple p on an error row) goes through json.dumps.
+# written directly: a fixed head, then each row from a % template made once a
+# piece per claim id, anchor, status, note and types of the numbers. It fixes
+# those texts, the field names and the replay's prefix; a row fills in its
+# numbers and its extras' texts, made once a piece per extras tuple (a grid's
+# primes share one). JSON escapes each character alone, so escaped parts join
+# into the escaped whole. A row holding another type (a bool, a tuple p), or
+# extras that params() merges, goes through json.dumps.
 _JSON_HEAD = '{\n  "report_fields": [\n' + ",\n".join(
     f"    {encode_basestring_ascii(f)}" for f in FIELDS) + "\n  ],\n"
 _JSON_ROW = "    {\n" + ",\n".join(
     f"      {encode_basestring_ascii(f)}: %s" for f in FIELDS) + "\n    }"
-_JSON_PLAIN = frozenset((int, str, type(None)))
+_NUMBERS = frozenset((int, type(None)))
 
 
-class _JsonTexts(dict):
-    """The JSON text of each int, str and None value met, computed on first use."""
+def _json_template(claim_id, anchor, status, note, *types) -> str | None:
+    """The template of a row with these texts and types of p, r, m, n, lhs, rhs
+    and modulus, filled by (p, r, m, n, extra, lhs, rhs, modulus, p, r, m, n,
+    replay's extras): an unset number is null in its field, nothing (%.0s) in
+    the replay. None unless the texts are strs, p an int and the rest ints or None."""
+    if not str == type(claim_id) == type(anchor) == type(status) == type(note) \
+            or types[0] is not int or not _NUMBERS.issuperset(types):
+        return None
+    claim_id, anchor, status, note, replay = (encode_basestring_ascii(text).replace("%", "%%") for text in (
+        claim_id, anchor, status, note, f"supercong verify --claims {claim_id} --instance "))
+    numbers = ["%d" if t is int else "null%.0s" for t in types]
+    replay = replay[:-1] + "p=%d" + "".join(f",{name}=%d" if t is int else "%.0s"
+                                            for name, t in zip("rmn", types[1:4])) + '%s --format json"'
+    return _JSON_ROW % (claim_id, *numbers[:4], "%s", *numbers[4:], status, note, anchor, replay)
 
-    def __missing__(self, value):
-        text = self[value] = (encode_basestring_ascii(value) if type(value) is str
-                              else "null" if value is None else int.__repr__(value))
-        return text
 
-
-def _json_rows(rows: Iterable[tuple], separator: str) -> str:
-    """The rows' JSON texts joined, with separator in front."""
-    texts = _JsonTexts().__getitem__
-    encode = encode_basestring_ascii
-    rows = [_JSON_ROW % (*map(texts, row[:-1]), encode(row[-1])) if _JSON_PLAIN.issuperset(map(type, row))
-            else "    " + json.dumps(dict(zip(FIELDS, row)), indent=2).replace("\n", "\n    ")
-            for row in rows]
-    rows[0] = separator + rows[0]
-    return ",\n".join(rows)
+def _json_extras(extra: tuple) -> tuple[str, str] | None:
+    """The extra field's JSON text and the replay's escaped ",key=value" tail;
+    None when params() would merge a name given twice or named p, r, m or n."""
+    if len(dict(extra, p=0, r=0, m=0, n=0)) != len(extra) + 4:
+        return None
+    params = _params(extra)
+    return encode_basestring_ascii(";".join(params)), encode_basestring_ascii("".join("," + p for p in params))[1:-1]
 
 
 def _json_pieces(reports: Iterable[ClaimReport]) -> Iterator[str]:
     """json.dumps({"report_fields": [...], "reports": [...]}, indent=2) + newline, byte for byte."""
-    opening = _JSON_HEAD + '  "reports": [\n'
-    separator = opening
-    for chunk in _row_chunks(reports):
-        yield _json_rows(chunk, separator)
+    separator = opening = _JSON_HEAD + '  "reports": [\n'
+    for chunk in _chunks(reports):
+        templates, extras, rows = {}, {}, []
+        for report in chunk:
+            (claim_id, p, r, m, n, extra), status, lhs, rhs, mod, note, anchor = report
+            key = (claim_id, anchor, status, note, type(p), type(r), type(m), type(n), type(lhs), type(rhs), type(mod))
+            try:
+                template = templates[key]
+            except KeyError:
+                template = templates[key] = _json_template(*key)
+            except TypeError:  # an unhashable text, which only json.dumps writes
+                template = None
+            try:
+                texts = extras[id(extra)]
+            except KeyError:  # by id: the chunk holds every extras tuple, so no id is reused
+                texts = extras[id(extra)] = _json_extras(extra)
+            rows.append(template % (p, r, m, n, texts[0], lhs, rhs, mod, p, r, m, n, texts[1])
+                        if template and texts else
+                        "    " + json.dumps(dict(zip(FIELDS, row_values(report))), indent=2).replace("\n", "\n    "))
+        rows[0] = separator + rows[0]
+        yield ",\n".join(rows)
         separator = ",\n"
     yield _JSON_HEAD + '  "reports": []\n}\n' if separator is opening else "\n  ]\n}\n"
 
@@ -130,8 +152,8 @@ def _csv_text(rows: Iterable) -> str:
 
 def _csv_pieces(reports: Iterable[ClaimReport]) -> Iterator[str]:
     yield _csv_text([FIELDS])
-    for chunk in _row_chunks(reports):
-        yield _csv_text(["" if v is None else v for v in row] for row in chunk)
+    for chunk in _chunks(reports):
+        yield _csv_text(["" if v is None else v for v in row] for row in map(row_values, chunk))
 
 
 _MD_COLUMNS = FIELDS[1:11]  # p .. note
@@ -145,9 +167,9 @@ def _md_pieces(reports: Iterable[ClaimReport]) -> Iterator[str]:
     the stable sort here one linear pass."""
     yield "# Congruence verification report\n\n"
     claim_id = None
-    for chunk in _row_chunks(sorted(reports, key=lambda report: report.instance.claim_id)):
+    for chunk in _chunks(sorted(reports, key=lambda report: report.instance.claim_id)):
         lines = []
-        for row in chunk:
+        for row in map(row_values, chunk):
             if row[0] != claim_id:
                 if claim_id is not None:
                     lines.append("\n")  # a blank line closes the previous claim's table

@@ -923,6 +923,7 @@ def verify_instances(
     instances: Iterable[ClaimInstance],
     ctx: EvalContext | None = None,
     jobs: int = 1,
+    keep_rows: bool = True,
 ) -> list[ClaimReport]:
     """Verify instances prime by prime, in process or over a pool of
     min(jobs, primes, CPUs) processes with one task per prime.
@@ -931,14 +932,15 @@ def verify_instances(
     prime's task gets its instances in that order, and they share one
     context. This is the one place that makes a ClaimReport: as each prime's
     verdicts arrive, in ascending prime order, its counters and new cache
-    rows go into ctx (rows only into a caller's ctx, which reads them) and
-    its reports are made from its own instances, each anchor read from
-    CLAIMS, a pass row holding one int for both sides and equal moduli one
-    int. The sorted instances then take their prime's next report, so
-    nothing depends on the number of workers.
+    rows go into ctx (rows only into a caller's ctx, and only with
+    keep_rows, which a caller that appends no cache turns off) and its
+    reports are made from its own instances, each anchor read from CLAIMS,
+    a pass row holding one int for both sides and equal moduli one int.
+    The sorted instances then take their prime's next report, so nothing
+    depends on the number of workers.
     """
-    kept = ctx is not None
-    ctx = ctx if kept else EvalContext()
+    kept = ctx is not None and keep_rows
+    ctx = EvalContext() if ctx is None else ctx
     instances = sorted(instances, key=ClaimInstance.sort_key)
     groups: dict[int, list[ClaimInstance]] = {}
     for inst in instances:
@@ -976,6 +978,7 @@ def sweep(
     grid: GridSpec = GridSpec(),
     ctx: EvalContext | None = None,
     jobs: int = 1,
+    keep_rows: bool = True,
 ) -> list[ClaimReport]:
     """Verify the claims over their (possibly overridden) grids."""
     instances: list[ClaimInstance] = []
@@ -983,7 +986,7 @@ def sweep(
         if cid not in CLAIMS:
             raise KeyError(f"unknown claim id {cid!r}")
         instances.extend(CLAIMS[cid].grid(grid))
-    return verify_instances(instances, ctx, jobs)
+    return verify_instances(instances, ctx, jobs, keep_rows)
 
 
 def instance_from_params(claim_id: str, params: Mapping[str, object]) -> ClaimInstance:

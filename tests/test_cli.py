@@ -227,6 +227,18 @@ class TestVerifyCommand:
         run(capsys, ["verify", "--claims", "EQ-1.1", "--primes", "5..7"])
         assert cache.exists()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("points", [["--primes", "11..13"], ["--instance", "p=11", "--instance", "p=13"]])
+    def test_new_rows_are_kept_only_for_a_cache(self, capsys, tmp_path, monkeypatch, points, jobs):
+        made = []
+        monkeypatch.setattr(cli, "EvalContext", lambda **kwargs: made.append(verifier.EvalContext(**kwargs)) or made[-1])
+        argv = ["verify", "--claims", "EQ-1.1,THM-1.1-i", *points, "--stats", "--format", "json", "--jobs", jobs]
+        cache = tmp_path / "cache.csv"
+        bare, cached = run(capsys, argv), run(capsys, argv + ["--cache", str(cache)])
+        assert bare == cached and bare[0] == 0 and "comp_sum evaluations: 0 " not in bare[2]
+        assert made[0].new_rows == {} and made[1].new_rows
+        assert len(cache.read_text().splitlines()) == 1 + len(made[1].new_rows)
+
     def test_parallel_jobs_count_evaluations(self, capsys):
         argv = ["verify", "--claims", "EQ-1.1", "--primes", "11..31", "--stats"]
         for jobs in ("1", "2"):

@@ -10,6 +10,7 @@ import pytest
 from supercong import compsum, modring
 from supercong.compsum import (
     CompSumSpec,
+    Plan,
     PrecisionError,
     ScaleGuardError,
     comp_sum,
@@ -19,7 +20,7 @@ from supercong.compsum import (
     s_spec,
 )
 from supercong.modring import PrimePowerModulus, is_prime, rational_to_residue
-from supercong.verifier import EvalContext
+from supercong.verifier import CLAIMS, EvalContext, sweep
 
 from oracles import BRUTEFORCE_TARGET_CAP, comp_sum_bruteforce, gamma_n
 
@@ -452,6 +453,31 @@ class TestReducedRoute:
                 want[t] = sum((-1) ** c * comb(d, c) * comb(d - 1 + q - c, d - 1)
                               for c in range(d) if q - c >= lo) % p**e
             assert compsum._digit_weights(n, p, e, N) == want, (n, p, e, N)
+
+    def test_a_plan_computes_each_digit_weight_once(self, monkeypatch):
+        calls = []
+        weights = compsum._digit_weights
+
+        def counting(*args):
+            calls.append(args)
+            return weights(*args)
+
+        monkeypatch.setattr(compsum, "_digit_weights", counting)
+        # S(7, 3, 11**2) reads f**7 at 363, as R(7, 3, 11**2) does, and at its shift
+        # 242, as R(7, 2, 11**2) does (both at or past 7*11*2 = 154, so by digit
+        # weights): one computation per distinct (n, p, e, N) in one plan
+        requests = [(s_spec(7, 3, 11, 2), 2), (r_spec(7, 3, 11, 2), 2), (r_spec(7, 2, 11, 2), 2)]
+        plan = Plan(requests)
+        assert sorted(calls) == [(7, 11, 2, 242), (7, 11, 2, 363)]
+        calls.clear()
+        Plan(requests[:2])  # a second plan computes its own
+        assert sorted(calls) == [(7, 11, 2, 242), (7, 11, 2, 363)]
+        assert [plan.value(*request) for request in requests] == [
+            comp_sum(spec, PrimePowerModulus(11, e)) for spec, e in requests]
+        # the catalog: 164 computations of 57 distinct weights before they were kept per plan
+        calls.clear()
+        sweep(list(CLAIMS))
+        assert len(calls) == len(set(calls)) == 57
 
     def test_routes(self):
         # the ladder at the exact target for N < n*p*e and for parts below p**R with

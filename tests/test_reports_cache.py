@@ -245,8 +245,29 @@ class TestStreaming:
                 ClaimReport(ClaimInstance("EQ-1.1", 11), "pass", 3, 3, 11, note="caf\u00e9 \u2264 \U0001d53d"),
                 verify(instance_from_params("EQ-1.1", {"p": 11, "a|b": 3})),
                 ClaimReport(ClaimInstance("EQ-1.1", 13), "pass", 4, 4, 13, note="two\nlines | one cell")]
-        assert {r.status for r in mix} >= {"pass", "skip", "error", "finding"}
-        return [catalog_reports, [], mix, random.Random(21).sample(mix, len(mix))]
+        # the json writer's templates and their fallback: bools, a str extra that JSON
+        # escapes, literal %s, one claim under two anchors and with r, m and n set or
+        # not, extras that params() merges, and a text json.dumps writes as a list
+        mix += [ClaimReport(ClaimInstance("EQ-1.1", 11), "pass", True, True, 11),
+                ClaimReport(ClaimInstance("EQ-1.1", True), "pass", 3, 3, 11),
+                ClaimReport(ClaimInstance("EQ-1.1", 11, m=False), "skip"),
+                verify(ClaimInstance("LEM-3.4", 11, n=2, extra=(("alphas", (1, True)), ("b", True)))),
+                verify(instance_from_params("EQ-1.1", {"p": 11, "name": 'say "caf\u00e9" \\ %d'})),
+                ClaimReport(ClaimInstance("EQ-1.1", 11), "pass", 3, 3, 11, note="100% %s", anchor="%d %%"),
+                ClaimReport(ClaimInstance("%s", 11), "fail", 1, 2, 11),
+                ClaimReport(ClaimInstance("EQ-1.1", 11), "pass", 3, 3, 11, anchor="first anchor"),
+                ClaimReport(ClaimInstance("EQ-1.1", 13), "pass", 4, 4, 13, anchor="second anchor"),
+                *(ClaimReport(ClaimInstance("EQ-1.1", 11, r, m, n), "pass", 3, 3, 11, anchor="first anchor")
+                  for r in (None, 2) for m in (None, 1) for n in (None, 7)),
+                ClaimReport(ClaimInstance("EQ-1.1", 11, extra=(("p", 5),)), "error"),
+                ClaimReport(ClaimInstance("EQ-1.1", 11, m=1, extra=(("m", 2), ("a", 1))), "error"),
+                ClaimReport(ClaimInstance("EQ-1.1", 11, extra=(("a", 1), ("a", 2))), "error"),
+                ClaimReport(ClaimInstance("EQ-1.1", 11, extra=(("r", 2),)), "error"),
+                ClaimReport(ClaimInstance("EQ-1.1", 11), "error", note=["a", 1])]
+        assert {r.status for r in mix} >= {"pass", "skip", "error", "finding", "fail"}
+        rng = random.Random(21)
+        # more than _PIECE_ROWS rows, each kind of row in several pieces
+        return [catalog_reports, [], mix, rng.sample(mix, len(mix)), rng.sample(mix * 6, 6 * len(mix))]
 
     @pytest.mark.parametrize("fmt", sorted(ORACLES))
     def test_pieces_join_to_the_oracle(self, mixes, fmt):
@@ -384,6 +405,26 @@ class TestCache:
         assert ResidueCache(path).rows == {("comp_sum", 11, 1, "kind=R;n=3;m=1;e=2"): 120}
         path.write_text("quantity,p,r,params,residue\ncomp_sum,11,1,kind=R;n=3;m=1;e=2,121\n")
         with pytest.raises(ValueError, match="not canonical"):
+            ResidueCache(path)
+
+    def test_the_last_e_field_counts(self, tmp_path):
+        # as a dict of the params' items reads them: the last e, wherever it stands
+        path = tmp_path / "cache.csv"
+        for params, accepted, refused in (("kind=R;n=3;m=1;e=1;e=2", 120, 121), ("e=2;kind=R;n=3;m=1", 120, 121),
+                                          ("kind=R;n=3;m=1;e=2;e=1", 10, 11), ("e=1;ee=2;e1=2;ke=2", 10, 11),
+                                          ("kind=R;n=3;m=1", 10, 11), ("e=2;e;e=1", 10, 11)):
+            path.write_text(f"quantity,p,r,params,residue\ncomp_sum,11,1,{params},{accepted}\n")
+            assert ResidueCache(path).rows == {("comp_sum", 11, 1, params): accepted}
+            path.write_text(f"quantity,p,r,params,residue\ncomp_sum,11,1,{params},{refused}\n")
+            with pytest.raises(ValueError, match=f"line 2.*not canonical mod 11\\*\\*"):
+                ResidueCache(path)
+
+    @pytest.mark.parametrize("params", ["kind=R;n=3;m=1;e=", "kind=R;n=3;m=1;e", "e;kind=R", "e=1;e",
+                                        "e=1=2;kind=R", "kind=R;e=x", "e=;e=1;e="])
+    def test_an_e_field_without_a_number_is_malformed(self, tmp_path, params):
+        path = tmp_path / "cache.csv"
+        path.write_text(f"quantity,p,r,params,residue\ncomp_sum,11,1,{params},3\n")
+        with pytest.raises(ValueError, match="malformed cache row.*line 2"):
             ResidueCache(path)
 
     def test_malformed_rows_refused(self, tmp_path):

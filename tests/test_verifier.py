@@ -787,9 +787,9 @@ class TestEvalContext:
         read = []
         reading = compsum._reading
 
-        def counting(spec, e):
+        def counting(spec, e, digit_weights):
             read.append((spec, e))
-            return reading(spec, e)
+            return reading(spec, e, digit_weights)
 
         monkeypatch.setattr(compsum, "_reading", counting)
         terms = [(s_spec(7, 2, 11, 2), 2), (s_spec(7, 2, 11, 2), 3), (s_spec(7, 2, 11, 2), 2)]

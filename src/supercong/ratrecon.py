@@ -10,9 +10,9 @@ bound that was excluded, not an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, isqrt
+from typing import NamedTuple
 
 from .bernoulli import PoleError, bernoulli_mod_p
 from .compsum import r_spec, s_spec, comp_sum
@@ -38,20 +38,24 @@ class InsufficientDataError(ValueError):
     """Fewer than two usable observations."""
 
 
-@dataclass(frozen=True)
-class ResidueObservation:
-    """One prime's view of the candidate constant."""
-
+class _ObservationFields(NamedTuple):
     p: int
     value: int
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.value < self.p:
-            raise ValueError(f"observation {self.value} outside [0, {self.p})")
+
+class ResidueObservation(_ObservationFields):
+    """One prime's view of the candidate constant: an immutable named tuple,
+    validated on construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, value: int) -> ResidueObservation:
+        if not 0 <= value < p:
+            raise ValueError(f"observation {value} outside [0, {p})")
+        return super().__new__(cls, p, value)
 
 
-@dataclass(frozen=True)
-class ReconstructionResult:
+class ReconstructionResult(NamedTuple):
     status: str  # "found" | "not-found-up-to-bound"
     candidate: Fraction | None
     combined_modulus: int
@@ -184,15 +188,7 @@ def hunt_constant(family: str, d: int, m: int, primes: list[int]) -> Reconstruct
         if not consistent:
             result = ReconstructionResult("not-found-up-to-bound", None, M, result.bound)
             note += f"; candidate rejected by held-out prime {held.p}"
-    return ReconstructionResult(
-        result.status,
-        result.candidate,
-        result.combined_modulus,
-        result.bound,
-        observations=tuple(observations),
-        skipped=tuple(skipped),
-        note=note,
-    )
+    return result._replace(observations=tuple(observations), skipped=tuple(skipped), note=note)
 
 
 HUNT_FAMILIES = {"qd", "c", "cprime"}

@@ -22,7 +22,7 @@ from itertools import islice
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator
 
-from .verifier import ClaimReport
+from .verifier import ClaimReport, param_texts
 
 FIELDS = (
     "claim_id",
@@ -43,18 +43,12 @@ FIELDS = (
 FORMATS = ("json", "csv", "md")
 
 
-def _params(items) -> list[str]:
-    """key=value for each (key, value), a tuple value joined by '+' (alphas=1+1+2)."""
-    return [f"{key}={'+'.join(map(str, value))}" if isinstance(value, tuple) else f"{key}={value}"
-            for key, value in items]
-
-
 def row_values(report: ClaimReport) -> tuple:
     """The report's row, its values in FIELDS order; all three renderers read it."""
     inst = report.instance
-    # each parameter formatted once, in replay order: p, r, m, n, then the extras,
-    # which are the last len(inst.extra) entries and also fill the extra field
-    params = _params(inst.params().items())
+    # each given parameter written once, in replay order: p, the set r, m, n, then
+    # the extras, which are the last len(inst.extra) texts and also fill the extra field
+    params = param_texts(inst.params())
     return (
         inst.claim_id, inst.p, inst.r, inst.m, inst.n,
         ";".join(params[len(params) - len(inst.extra):]),
@@ -83,8 +77,8 @@ def _chunks(reports: Iterable[ClaimReport]) -> Iterator[list[ClaimReport]]:
 # those texts, the field names and the replay's prefix; a row fills in its
 # numbers and its extras' texts, made once a piece per extras tuple (a grid's
 # primes share one). JSON escapes each character alone, so escaped parts join
-# into the escaped whole. A row holding another type (a bool, a tuple p), or
-# extras that params() merges, goes through json.dumps.
+# into the escaped whole. A row holding another type (a bool, a tuple p, an
+# unhashable text) goes through json.dumps.
 _JSON_HEAD = '{\n  "report_fields": [\n' + ",\n".join(
     f"    {encode_basestring_ascii(f)}" for f in FIELDS) + "\n  ],\n"
 _JSON_ROW = "    {\n" + ",\n".join(
@@ -108,13 +102,10 @@ def _json_template(claim_id, anchor, status, note, *types) -> str | None:
     return _JSON_ROW % (claim_id, *numbers[:4], "%s", *numbers[4:], status, note, anchor, replay)
 
 
-def _json_extras(extra: tuple) -> tuple[str, str] | None:
-    """The extra field's JSON text and the replay's escaped ",key=value" tail;
-    None when params() would merge a name given twice or named p, r, m or n."""
-    if len(dict(extra, p=0, r=0, m=0, n=0)) != len(extra) + 4:
-        return None
-    params = _params(extra)
-    return encode_basestring_ascii(";".join(params)), encode_basestring_ascii("".join("," + p for p in params))[1:-1]
+def _json_extras(extra: tuple) -> tuple[str, str]:
+    """The extra field's JSON text and the replay's escaped ",name=value" tail."""
+    texts = param_texts(extra)
+    return encode_basestring_ascii(";".join(texts)), encode_basestring_ascii("".join("," + t for t in texts))[1:-1]
 
 
 def _json_pieces(reports: Iterable[ClaimReport]) -> Iterator[str]:
@@ -136,7 +127,7 @@ def _json_pieces(reports: Iterable[ClaimReport]) -> Iterator[str]:
             except KeyError:  # by id: the chunk holds every extras tuple, so no id is reused
                 texts = extras[id(extra)] = _json_extras(extra)
             rows.append(template % (p, r, m, n, texts[0], lhs, rhs, mod, p, r, m, n, texts[1])
-                        if template and texts else
+                        if template else
                         "    " + json.dumps(dict(zip(FIELDS, row_values(report))), indent=2).replace("\n", "\n    "))
         rows[0] = separator + rows[0]
         yield ",\n".join(rows)
@@ -153,7 +144,7 @@ def _csv_text(rows: Iterable) -> str:
 def _csv_pieces(reports: Iterable[ClaimReport]) -> Iterator[str]:
     yield _csv_text([FIELDS])
     for chunk in _chunks(reports):
-        yield _csv_text(["" if v is None else v for v in row] for row in map(row_values, chunk))
+        yield _csv_text(map(row_values, chunk))  # csv.writer writes None as an empty field
 
 
 _MD_COLUMNS = FIELDS[1:11]  # p .. note

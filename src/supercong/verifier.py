@@ -69,6 +69,7 @@ __all__ = [
     "sweep",
     "instance_from_params",
     "primes_between",
+    "param_texts",
 ]
 
 
@@ -103,15 +104,12 @@ class ClaimInstance(NamedTuple):
             return default
         raise KeyError(f"instance {self} has no extra parameter {key!r}")
 
-    def params(self) -> dict:
-        """The set parameters by name, in replay order: p, r, m, n, then the extras."""
-        out: dict = {"p": self.p}
-        for name in ("r", "m", "n"):
-            v = getattr(self, name)
-            if v is not None:
-                out[name] = v
-        out.update(self.extra)
-        return out
+    def params(self) -> tuple:
+        """The given parameters as (name, value) pairs, in replay order: p, then
+        whichever of r, m, n are set, then each extra as given."""
+        _, p, r, m, n, extra = self
+        return (("p", p), *(() if r is None else (("r", r),)), *(() if m is None else (("m", m),)),
+                *(() if n is None else (("n", n),)), *extra)
 
     def sort_key(self) -> tuple:
         """claim_id, then p, r, m, n and each extra's name and value, unset
@@ -160,7 +158,14 @@ Evaluation = Generator[Sequence[Term], tuple[int, ...], Sides]
 Outcome = tuple[str, int | None, int | None, int | None, str]  # a verdict: status, lhs, rhs, modulus, note
 
 
-_PARAMS = {"bernoulli": "k={}", "unordered": "b={};alphas={}", "mhs": "N={};s={}"}  # a tuple as a+b+c
+def param_texts(pairs: Iterable[tuple[str, object]]) -> list[str]:
+    """name=value for each (name, value), a tuple value joined by '+' (alphas=1+1+2):
+    the one text of a parameter in report rows, their replays and cache keys."""
+    return [f"{name}={'+'.join(map(str, value))}" if isinstance(value, tuple) else f"{name}={value}"
+            for name, value in pairs]
+
+
+_PARAM_NAMES = {"bernoulli": ("k",), "unordered": ("b", "alphas"), "mhs": ("N", "s")}  # each term's args
 
 
 class EvalContext:
@@ -191,8 +196,7 @@ class EvalContext:
         """A term's row key (quantity, p, r, params); r is a composition sum's spec.r, another term's e."""
         if len(term) == 4:
             quantity, p, e, args = term
-            return quantity, p, e, _PARAMS[quantity].format(
-                *("+".join(map(str, a)) if isinstance(a, tuple) else a for a in args))
+            return quantity, p, e, ";".join(param_texts(zip(_PARAM_NAMES[quantity], args)))
         spec, mod_exp = term
         kind = "S" if spec.upper_bound is not None else "R"
         params = f"kind={kind};n={spec.n};m={spec.m};e={mod_exp}"
@@ -843,10 +847,10 @@ def _prepare(instance: ClaimInstance, claims: dict, primes: dict[int, bool]
     try:
         given = [k for k, _ in instance.extra]
         if any(instance[i] is not None for i in untaken) or not names.issuperset(given):
-            unknown = [name for name in instance.params() if name not in names]
+            unknown = dict.fromkeys(name for name, _ in instance.params() if name not in names)
             raise ValueError(f"{claim_id} does not take {', '.join(unknown)}")
         if len(set(given)) < len(given) or not _FIELD_NAMES.isdisjoint(given):
-            # params() would let the second value overwrite the first in the report
+            # ClaimInstance.get reads only the first match, a field before any extra: the other value goes unread
             k = next(k for k in given if k in _FIELD_NAMES or given.count(k) > 1)
             raise ValueError(f"extra parameter {k!r} " + ("names a field" if k in _FIELD_NAMES else "is given twice"))
         try:

@@ -528,11 +528,16 @@ class TestSearchCommand:
         assert out.stdout.split() == ["False", "supercong.ratrecon", "supercong.ratrecon"]
 
     def test_importing_the_cli_does_not_import_dataclasses(self):
-        # the value types on the verify path are named tuples and slotted classes;
-        # dataclasses would also pull in inspect, ast, dis and tokenize
+        # the package's value types are named tuples and slotted classes, the hunt's
+        # too; dataclasses would also pull in inspect, ast, dis and tokenize
         code = "import sys, supercong.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+        code = ("import sys, supercong.cli; rc = supercong.cli.main(['search', '--family', 'qd', '--d', '5', "
+                "'--primes', '7..31', '--format', 'json', '--report']); "
+                "print(rc, sorted({'dataclasses', 'inspect'} & set(sys.modules)), file=sys.stderr)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stderr.strip() == "0 []" and json.loads(out.stdout)["observations"]
 
     def test_the_catalog_does_not_import_fractions(self):
         # every right-hand side is assembled from an integer numerator and

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from supercong.cache import COLUMNS, ResidueCache
+from supercong.cli import main as cli_main
 from supercong import reports as reports_mod
 from supercong.reports import (
     FIELDS,
@@ -63,6 +64,27 @@ class TestRows:
             lines = render(reports, "csv").splitlines()[1:]
             assert [line.split(",")[5] for line in lines] == [text for _, text in order]
             assert render(reports, "json") == json_oracle(reports)
+
+    @pytest.mark.parametrize("inst, extra, given", [
+        (ClaimInstance("LEM-2.1", 11, n=5, m=2, extra=(("a", 1), ("a", 2))), "a=1;a=2", "p=11,m=2,n=5,a=1,a=2"),
+        (ClaimInstance("EQ-1.1", 11, extra=(("p", 5),)), "p=5", "p=11,p=5"),
+    ])
+    def test_each_given_parameter_is_written_once(self, inst, extra, given, capsys):
+        # an extra given twice or named after a field is an error row; its extra field
+        # and its replay name every given parameter, none merged or dropped
+        report = verify(inst)
+        assert report.status == "error"
+        replay = f"supercong verify --claims {inst.claim_id} --instance {given} --format json"
+        values = row(report)
+        assert (values["extra"], values["replay"]) == (extra, replay)
+        doc = json.loads(render([report], "json"))["reports"][0]
+        assert (doc["extra"], doc["replay"]) == (extra, replay)
+        (fields,) = csv.DictReader(io.StringIO(render([report], "csv")))
+        assert (fields["extra"], fields["replay"]) == (extra, replay)
+        assert render([report], "md").splitlines()[-1].split(" | ")[4] == extra
+        # the replay refuses the repeated name rather than checking another point
+        assert cli_main(replay.split()[1:]) == 2
+        assert "given twice" in capsys.readouterr().err
 
     def test_skip_row_has_empty_values(self):
         report = verify(ClaimInstance("THM-1.1-i", 7, m=1))
@@ -128,7 +150,7 @@ def report_row(report: ClaimReport) -> dict:
     """One row as a dict of its fields, each written out by name: the oracle of row_values."""
     inst = report.instance
     params = [f"{key}={'+'.join(map(str, value))}" if isinstance(value, tuple) else f"{key}={value}"
-              for key, value in inst.params().items()]
+              for key, value in inst.params()]
     return {
         "claim_id": inst.claim_id,
         "p": inst.p,
@@ -247,7 +269,7 @@ class TestStreaming:
                 ClaimReport(ClaimInstance("EQ-1.1", 13), "pass", 4, 4, 13, note="two\nlines | one cell")]
         # the json writer's templates and their fallback: bools, a str extra that JSON
         # escapes, literal %s, one claim under two anchors and with r, m and n set or
-        # not, extras that params() merges, and a text json.dumps writes as a list
+        # not, extras given twice or named after a field, and a text json.dumps writes as a list
         mix += [ClaimReport(ClaimInstance("EQ-1.1", 11), "pass", True, True, 11),
                 ClaimReport(ClaimInstance("EQ-1.1", True), "pass", 3, 3, 11),
                 ClaimReport(ClaimInstance("EQ-1.1", 11, m=False), "skip"),

@@ -1,16 +1,19 @@
-"""The value types on the verify path: CompSumSpec, PrimePowerModulus,
-ClaimInstance, GridSpec, Claim and ClaimReport.
+"""The value types: CompSumSpec, PrimePowerModulus, ClaimInstance, GridSpec,
+Claim and ClaimReport on the verify path, and the constant hunt's
+ResidueObservation and ReconstructionResult.
 
 Each is immutable, equal and hashed by its fields, printed as its fields,
 and survives a pickle round trip (the process pool sends instances,
 specs and reports between processes)."""
 
 import pickle
+from fractions import Fraction
 
 import pytest
 
 from supercong.compsum import CompSumSpec, r_spec, s_spec
 from supercong.modring import PrimePowerModulus, prime_power
+from supercong.ratrecon import ReconstructionResult, ResidueObservation
 from supercong.verifier import CLAIMS, Claim, ClaimInstance, ClaimReport, GridSpec
 
 INSTANCE = ClaimInstance("LEM-3.1", 11, n=3, extra=(("alphas", (1, 1, 2)),))
@@ -28,6 +31,10 @@ def _pairs():
         (claim, Claim(*claim)),
         (ClaimReport(INSTANCE, "pass", 3, 3, 11, note="n", anchor="a"),
          ClaimReport(INSTANCE, "pass", lhs=3, rhs=3, modulus=11, note="n", anchor="a")),
+        (ResidueObservation(11, 3), ResidueObservation(p=11, value=3)),
+        (ReconstructionResult("found", Fraction(-1, 2), 143, 8, (ResidueObservation(11, 5),)),
+         ReconstructionResult(status="found", candidate=Fraction(-1, 2), combined_modulus=143, bound=8,
+                              observations=(ResidueObservation(11, 5),))),
     ]
 
 
@@ -91,6 +98,13 @@ def test_reprs():
     assert repr(CLAIMS["EQ-1.1"]).startswith("Claim(claim_id='EQ-1.1', anchor='sum_{i+j+k=p")
 
 
+def test_params_are_the_given_pairs():
+    # p, the set r, m and n, then each extra as given: a repeated name or a field's name stays
+    inst = ClaimInstance("LEM-2.1", 11, n=5, m=2, extra=(("a", 1), ("p", 5), ("a", (1, 2))))
+    assert inst.params() == (("p", 11), ("m", 2), ("n", 5), ("a", 1), ("p", 5), ("a", (1, 2)))
+    assert INSTANCE.params() == (("p", 11), ("n", 3), ("alphas", (1, 1, 2)))
+
+
 def test_missing_extra_names_the_instance():
     with pytest.raises(KeyError, match=r"instance ClaimInstance\(claim_id='LEM-3.1', p=11, .* 'b'"):
         INSTANCE.get("b")
@@ -107,6 +121,13 @@ def test_spec_validation_messages(fields, message):
     with pytest.raises(ValueError) as raised:
         CompSumSpec(**fields)
     assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("p, value", [(11, -1), (11, 11)])
+def test_observation_validation_message(p, value):
+    with pytest.raises(ValueError) as raised:
+        ResidueObservation(p, value)
+    assert str(raised.value) == f"observation {value} outside [0, {p})"
 
 
 @pytest.mark.parametrize("p, r, message", [

@@ -13,7 +13,7 @@ import pytest
 from supercong import compsum, modring, verifier
 from supercong.bernoulli import PoleError, bernoulli_mod_p
 from supercong.cache import ResidueCache
-from supercong.compsum import comp_sum, r_spec, s_spec
+from supercong.compsum import CompSumSpec, comp_sum, r_spec, s_spec
 from supercong.modring import NonUnitError, PrimePowerModulus, rational_to_residue
 from supercong.reports import render
 from supercong.verifier import (
@@ -776,6 +776,18 @@ class TestEvalContext:
         reports = sweep(["THM-1.1-i"], GridSpec(primes=(11,)), ctx=ctx)
         assert [(rep.status, rep.note) for rep in reports] == [("error", "PoleError: no B_4 mod 11 here")] * 3
         assert calls == [(4, 11)] * 3 and [key[0] for key in ctx.new_rows] == ["comp_sum"] * 3
+
+    @pytest.mark.parametrize("term, key", [
+        ((s_spec(7, 2, 11, 2), 3), ("comp_sum", 11, 2, "kind=S;n=7;m=2;e=3")),
+        ((r_spec(7, 1, 11), 1), ("comp_sum", 11, 1, "kind=R;n=7;m=1;e=1")),
+        ((CompSumSpec(3, 1, 5, target=7), 1), ("comp_sum", 5, 1, "kind=R;n=3;m=1;e=1;target=7")),
+        (("bernoulli", 7, 1, (4,)), ("bernoulli", 7, 1, "k=4")),
+        (("unordered", 11, 3, (1, (1, 1))), ("unordered", 11, 3, "b=1;alphas=1+1")),
+        (("mhs", 11, 2, (10, (1, 1))), ("mhs", 11, 2, "N=10;s=1+1")),
+    ], ids=["S", "R", "target", "bernoulli", "unordered", "mhs"])
+    def test_cache_keys(self, term, key):
+        # the cache file's params column is written from these keys: each kind's text is pinned
+        assert EvalContext.cache_key(*term) == key
 
     def test_new_rows_collected(self):
         spec = s_spec(3, 1, 5, 1)

@@ -1,7 +1,7 @@
 """Harmonic and restricted composition sums modulo prime powers, with a
 congruence verification harness and modular constant recovery."""
 
-from .bernoulli import EXACT_CAP, PoleError, PowerSumError, bernoulli_exact, bernoulli_mod_p
+from .bernoulli import EXACT_CAP, PoleError, bernoulli_exact, bernoulli_mod_p
 from .compsum import (
     CompSumSpec,
     PrecisionError,
@@ -52,7 +52,6 @@ def __getattr__(name: str):
 __all__ = [
     "EXACT_CAP",
     "PoleError",
-    "PowerSumError",
     "bernoulli_exact",
     "bernoulli_mod_p",
     "CompSumSpec",

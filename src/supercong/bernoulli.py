@@ -4,30 +4,32 @@ Convention: the generating series t / (exp(t) - 1), hence B_1 = -1/2.
 The other common convention flips that sign, and every congruence in this
 package depends on the choice, so it is fixed here once and loudly.
 
-The evaluator is one power sum per index: for even 2 <= k <= p - 3,
-sum_{j<p} j**k == p * B_k (mod p**2), because the other Faulhaber terms
-carry p**2 once k + 1 < p. Pairing j with p - j halves the sum, since
-(p - j)**k == j**k - k*p*j**(k-1) (mod p**2) for even k. The (p - 1)/2
-powers j**(k-1) are multiplicative in j, so a sieve of smallest prime
-factors fills them with a modular power at each prime below p/2 and one
-product at each composite. Nothing is kept between calls: the verifier
-asks for each B_k mod p once per prime, as a term of that prime's
-EvalContext, which reads it from the cache or computes it here. A sieve
-too large to finish is refused (ScaleGuardError). The exact-rational path
-(bernoulli_exact, which also feeds rational constants and `compute
-bernoulli`) checks it; the tests also hold the O(p**2) mod-p recurrence
-table as a second oracle. Indexes k <= p - 3 are p-integral by von
-Staudt-Clausen, which is exactly the range served.
+B_k mod p, for even 2 <= k <= p - 3, comes from Voronoi's congruence at
+c = g, the least primitive root (Harvey, "A multimodular algorithm for
+computing Bernoulli numbers", Math. Comp. 79, 2010, section 2):
+sum_{0<x<p/2} x**(k-1) * W(x) == (g - g**(1-k)) * B_k / k (mod p), where
+W(x) = 2*floor(g*x/p) - g + 1, and g**k != 1 as (p-1) does not divide k.
+The sum walks g's orbit x_i = g**i, i < (p-1)/2, which holds one of x and
+p - x for every unit x; as W(p - x) = -W(x) and (p - x)**(k-1) ==
+-x**(k-1), each step adds (g**(k-1))**i * W(x_i), whichever half x_i lies
+in. The walk reads its steps in blocks off one table of each power, in
+memory that does not grow with p, and keeps nothing: the verifier asks
+for each B_k mod p once per prime, as a term of its EvalContext, which
+reads it from the cache or computes it here. A walk too long to finish is
+refused (ScaleGuardError). bernoulli_exact checks it, and the tests hold
+the power sum and the O(p**2) recurrence table as oracles. Indexes
+k <= p - 3 are p-integral by von Staudt-Clausen.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import comb, isqrt
 from operator import mul
 
 from .modring import guard_table, prime_power
 
-__all__ = ["PoleError", "PowerSumError", "EXACT_CAP", "bernoulli_exact", "bernoulli_mod_p"]
+__all__ = ["PoleError", "EXACT_CAP", "bernoulli_exact", "bernoulli_mod_p"]
 
 EXACT_CAP = 120
 
@@ -36,10 +38,6 @@ _exact: list[Fraction] = []  # B_0, B_1, ... as far as asked; fractions is impor
 
 class PoleError(ArithmeticError):
     """B_k has p in its denominator ((p-1) | k), so no mod-p image exists."""
-
-
-class PowerSumError(ArithmeticError):
-    """p does not divide the power sum, so it yields no B_k residue."""
 
 
 def bernoulli_exact(k: int) -> Fraction:
@@ -57,41 +55,42 @@ def bernoulli_exact(k: int) -> Fraction:
     return _exact[k]
 
 
-def power_sum_residue(k: int, p: int) -> int:
-    """B_k mod p as (sum_{j<p} j**k mod p**2) / p, valid for even 2 <= k <= p - 3.
+def _primitive_root(p: int) -> int:
+    """The least g with g**((p-1)/q) != 1 (mod p) at each prime q | p - 1."""
+    n, exponents = p - 1, []
+    for q in range(2, isqrt(n) + 1):
+        if n % q == 0:
+            exponents.append((p - 1) // q)
+            while n % q == 0:
+                n //= q
+    exponents += [(p - 1) // n] if n > 1 else []
+    g = 2
+    while 1 in map(pow, repeat(g), exponents, repeat(p)):
+        g += 1
+    return g
 
-    The sum pairs j with p - j: for even k, (p - j)**k == j**k - k*p*j**(k-1)
-    (mod p**2), so the pair is j**(k-1) * (2*j - k*p) and the sum runs over
-    1 <= j < (p + 1)/2 (none at p = 2). The powers j**(k-1) are filled
-    multiplicatively from a smallest-prime-factor sieve built here: a modular
-    power at each prime, one product at each composite. The pairing needs k
-    even, so an odd k raises ValueError. Raises PowerSumError when p does not
-    divide the sum (for instance at k = p - 1, where the sum is -1 mod p):
-    that sum carries no B_k. One of more than a few seconds of terms
-    raises ScaleGuardError before the sieve is built.
-    """
-    if k % 2:
-        raise ValueError(f"the paired power sum needs an even index, got {k}")
-    q, half = p * p, (p - 1) // 2
-    guard_table("the power sum of B_{} at p = {}", half, k, p)
-    # factor[j]: the smallest prime factor of a composite j, 0 at 0, 1 and the primes;
-    # the smaller factors are written last
-    factor = [0] * (half + 1)
-    for i in range(isqrt(half), 1, -1):
-        factor[i * i :: i] = [i] * ((half - i * i) // i + 1)
-    kept = half // 2  # a composite j's factors lie below j/2: the powers above are summed as made
-    powers = [0, 1][: kept + 1]  # powers[j] = j**(k-1) mod p**2
-    for j in range(2, kept + 1):
-        a = factor[j]
-        powers.append(powers[a] * powers[j // a] % q if a else pow(j, k - 1, q))
-    total = sum(map(mul, powers, range(-k * p, 2 * kept + 1 - k * p, 2)))
-    for j in range(kept + 1, half + 1):
-        a = factor[j]
-        total += (powers[a] * powers[j // a] % q if a else pow(j, k - 1, q)) * (2 * j - k * p)
-    total %= q
-    if total % p:
-        raise PowerSumError(f"p = {p} does not divide sum_(j<p) j**{k} = {total} mod p**2")
-    return total // p
+
+_BLOCK = 1024  # the most steps a block takes; 4*sqrt(steps) balances a block's fixed cost and its tables
+
+
+def _orbit_residue(k: int, p: int) -> int:
+    """B_k mod p by the walk for even 2 <= k <= p - 3, an odd prime p; guard_table prices it first."""
+    n = (p - 1) // 2
+    guard_table("the power sum of B_{} at p = {}", n, k, p)
+    g = _primitive_root(p)
+    h, size, gp = pow(g, k - 1, p), min(n, 4 * isqrt(n), _BLOCK), g * p
+    xs, ys = [1], [1]  # g**j and h**j mod p for j < size
+    for _ in range(size - 1):
+        xs.append(xs[-1] * g % p)
+        ys.append(ys[-1] * h % p)
+    total, x, y = 0, 1, 1  # the sum of y_i * floor(g*x_i/p), y_i = h**i; a block's first x_i, y_i
+    for start in range(0, n, size):
+        gx = g * x  # g*x_(start+j) == g*x * g**j (mod g*p): its floor by p is the weight's
+        total += y * sum(map(mul, ys, [gx * a % gp // p for a in xs[: n - start]]))
+        x, y = x * xs[-1] * g % p, y * ys[-1] * h % p
+    # sum_i y_i = (h**n - 1)/(h - 1) = -2/(h - 1), as h**n = (g**n)**(k-1) = (-1)**(k-1)
+    weighted = 2 * total + 2 * (g - 1) * pow(h - 1, -1, p)
+    return k * weighted * pow(g - pow(g, 1 - k, p), -1, p) % p
 
 
 def bernoulli_mod_p(k: int, p: int) -> int:
@@ -113,5 +112,5 @@ def bernoulli_mod_p(k: int, p: int) -> int:
     if k % 2 == 1:
         return 0
     if k <= p - 3:
-        return power_sum_residue(k, p)
-    raise ValueError(f"even index {k} above p-3 = {p - 3}: the power sum serves only 2 <= k <= p-3")
+        return _orbit_residue(k, p)
+    raise ValueError(f"even index {k} above p-3 = {p - 3}: the walk serves only 2 <= k <= p-3")

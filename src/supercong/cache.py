@@ -21,7 +21,6 @@ import sys
 from pathlib import Path
 
 COLUMNS = ("quantity", "p", "r", "params", "residue")
-ENV_VAR = "SUPERCONG_CACHE"
 
 CacheKey = tuple[str, int, int, str]
 
@@ -100,7 +99,3 @@ class ResidueCache:
             os.fsync(fh.fileno())  # on disk before the lock is released
         self.rows.update(fresh)
         return len(fresh)
-
-
-def default_cache_path() -> str | None:
-    return os.environ.get(ENV_VAR)

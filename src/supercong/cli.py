@@ -9,9 +9,10 @@ errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from typing import Sequence
 
-from . import cache as cache_mod
 from . import reports as reports_mod
 from .bernoulli import bernoulli_exact, bernoulli_mod_p
 from .compsum import CompSumSpec, comp_sum, comp_sum_kronecker, count_solutions_exact, r_spec, s_spec
@@ -22,6 +23,8 @@ from .verifier import CLAIMS, EvalContext, GridSpec, instance_from_params, sweep
 
 # ratrecon.HUNT_FAMILIES, sorted; ratrecon itself is imported only by `search`.
 SEARCH_FAMILIES = ("c", "cprime", "qd")
+# verify's cache file when --cache is not given; the cache module is imported only for a file
+ENV_VAR = "SUPERCONG_CACHE"
 
 
 def _int(token: str, flag: str, text: str) -> int:
@@ -79,80 +82,89 @@ def _parse_comp(text: str, flag: str) -> tuple[int, ...]:
     return tuple(_int(tok, flag, text) for tok in text.replace("+", ",").split(",") if tok)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
+    """The parser of argv (default sys.argv[1:]). It lists every command but gives arguments only to
+    the one argv's first token names, or to all when it names none: argparse makes a help formatter,
+    and reads the terminal's size, for each argument it adds."""
     parser = argparse.ArgumentParser(
         prog="supercong",
         description="Verify congruences of harmonic and restricted composition sums modulo prime powers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    argv = sys.argv[1:] if argv is None else argv
+    commands = ("verify", "compute", "search", "oracle")
+    built = commands if not argv or argv[0] not in commands else (argv[0],)
 
     ver = sub.add_parser("verify", help="sweep claims over parameter grids")
-    ver.add_argument("--claims", default="ALL", help="comma-separated claim ids, or ALL")
-    ver.add_argument("--primes", help="prime range a..b (inclusive) or comma list; non-primes dropped")
-    ver.add_argument("--r", dest="rs", help="exponent range a..b or comma list")
-    ver.add_argument("--m", dest="ms", help="multiplier comma list or range a..b")
-    ver.add_argument("--instance", action="append", default=[],
-                     help="evaluate one explicit instance, e.g. p=11,r=2,m=1 (repeatable; bypasses grids)")
-    ver.add_argument("--format", choices=reports_mod.FORMATS, default="md")
-    ver.add_argument("--out", help="write the report here instead of stdout")
-    ver.add_argument("--cache", help=f"residue cache CSV (default ${cache_mod.ENV_VAR})")
-    ver.add_argument("--jobs", type=int, default=1,
-                     help="worker processes, one task per prime (at least 1; capped at the primes and CPUs)")
-    ver.add_argument("--stats", action="store_true", help="print evaluation counters to stderr")
+    if "verify" in built:
+        ver.add_argument("--claims", default="ALL", help="comma-separated claim ids, or ALL")
+        ver.add_argument("--primes", help="prime range a..b (inclusive) or comma list; non-primes dropped")
+        ver.add_argument("--r", dest="rs", help="exponent range a..b or comma list")
+        ver.add_argument("--m", dest="ms", help="multiplier comma list or range a..b")
+        ver.add_argument("--instance", action="append", default=[],
+                         help="evaluate one explicit instance, e.g. p=11,r=2,m=1 (repeatable; bypasses grids)")
+        ver.add_argument("--format", choices=reports_mod.FORMATS, default="md")
+        ver.add_argument("--out", help="write the report here instead of stdout")
+        ver.add_argument("--cache", help=f"residue cache CSV (default ${ENV_VAR})")
+        ver.add_argument("--jobs", type=int, default=1,
+                         help="worker processes, one task per prime (at least 1; capped at the primes and CPUs)")
+        ver.add_argument("--stats", action="store_true", help="print evaluation counters to stderr")
 
     comp = sub.add_parser("compute", help="compute a single quantity")
-    csub = comp.add_subparsers(dest="quantity", required=True)
+    if "compute" in built:
+        csub = comp.add_subparsers(dest="quantity", required=True)
+        c_bern = csub.add_parser("bernoulli")
+        c_bern.add_argument("--k", type=int, required=True)
+        c_bern.add_argument("--mod-p", type=int)
 
-    c_bern = csub.add_parser("bernoulli")
-    c_bern.add_argument("--k", type=int, required=True)
-    c_bern.add_argument("--mod-p", type=int)
+        c_mhs = csub.add_parser("mhs")
+        c_mhs.add_argument("--N", type=int, required=True)
+        c_mhs.add_argument("--s", required=True, help="composition, e.g. 1,1,2")
+        c_mhs.add_argument("--p", type=int, required=True)
+        c_mhs.add_argument("--r", type=int, default=1)
+        c_mhs.add_argument("--restricted", action="store_true")
 
-    c_mhs = csub.add_parser("mhs")
-    c_mhs.add_argument("--N", type=int, required=True)
-    c_mhs.add_argument("--s", required=True, help="composition, e.g. 1,1,2")
-    c_mhs.add_argument("--p", type=int, required=True)
-    c_mhs.add_argument("--r", type=int, default=1)
-    c_mhs.add_argument("--restricted", action="store_true")
+        for name in ("s", "r"):
+            c = csub.add_parser(name)
+            c.add_argument("--n", type=int, required=True)
+            c.add_argument("--m", type=int, required=True)
+            c.add_argument("--p", type=int, required=True)
+            c.add_argument("--r", type=int, default=1, dest="r_exp")
+            c.add_argument("--mod-exp", type=int, help="evaluate mod p**E (default: the target exponent)")
 
-    for name in ("s", "r"):
-        c = csub.add_parser(name)
-        c.add_argument("--n", type=int, required=True)
-        c.add_argument("--m", type=int, required=True)
-        c.add_argument("--p", type=int, required=True)
-        c.add_argument("--r", type=int, default=1, dest="r_exp")
-        c.add_argument("--mod-exp", type=int, help="evaluate mod p**E (default: the target exponent)")
+        c_count = csub.add_parser("count")
+        c_count.add_argument("--n", type=int, required=True)
+        c_count.add_argument("--a", type=int, required=True)
+        c_count.add_argument("--m", type=int, required=True)
+        c_count.add_argument("--p", type=int, required=True)
+        c_count.add_argument("--mod-exp", type=int, default=2)
 
-    c_count = csub.add_parser("count")
-    c_count.add_argument("--n", type=int, required=True)
-    c_count.add_argument("--a", type=int, required=True)
-    c_count.add_argument("--m", type=int, required=True)
-    c_count.add_argument("--p", type=int, required=True)
-    c_count.add_argument("--mod-exp", type=int, default=2)
-
-    c_u = csub.add_parser("u")
-    c_u.add_argument("--b", type=int, required=True)
-    c_u.add_argument("--alphas", required=True, help="exponents, e.g. 1,1,2")
-    c_u.add_argument("--p", type=int, required=True)
-    c_u.add_argument("--r", type=int, default=1)
+        c_u = csub.add_parser("u")
+        c_u.add_argument("--b", type=int, required=True)
+        c_u.add_argument("--alphas", required=True, help="exponents, e.g. 1,1,2")
+        c_u.add_argument("--p", type=int, required=True)
+        c_u.add_argument("--r", type=int, default=1)
 
     srch = sub.add_parser("search", help="reconstruct a rational constant from modular data")
-    srch.add_argument("--family", choices=SEARCH_FAMILIES, required=True)
-    srch.add_argument("--d", type=int, required=True)
-    srch.add_argument("--m", type=int, default=1, help="multiplier of the c and cprime families; qd takes only 1")
-    srch.add_argument("--primes", required=True)
-    srch.add_argument("--report", action="store_true", help="include per-prime observations")
-    srch.add_argument("--format", choices=("text", "json"), default="text")
-    srch.add_argument("--out")
+    if "search" in built:
+        srch.add_argument("--family", choices=SEARCH_FAMILIES, required=True)
+        srch.add_argument("--d", type=int, required=True)
+        srch.add_argument("--m", type=int, default=1, help="multiplier of the c and cprime families; qd takes only 1")
+        srch.add_argument("--primes", required=True)
+        srch.add_argument("--report", action="store_true", help="include per-prime observations")
+        srch.add_argument("--format", choices=("text", "json"), default="text")
+        srch.add_argument("--out")
 
     orc = sub.add_parser("oracle", help="cross-check comp_sum (unit factorials mod p, the derivative ladder "
                                         "mod p**e) against Kronecker powering")
-    orc.add_argument("--n", type=int, required=True)
-    orc.add_argument("--m", type=int, required=True)
-    orc.add_argument("--p", type=int, required=True)
-    orc.add_argument("--r", type=int, default=1, dest="r_exp")
-    orc.add_argument("--bounded", action="store_true", help="bound parts by p**r")
-    orc.add_argument("--mod-exp", type=int)
-    orc.add_argument("--target", type=int, help="override the target sum")
+    if "oracle" in built:
+        orc.add_argument("--n", type=int, required=True)
+        orc.add_argument("--m", type=int, required=True)
+        orc.add_argument("--p", type=int, required=True)
+        orc.add_argument("--r", type=int, default=1, dest="r_exp")
+        orc.add_argument("--bounded", action="store_true", help="bound parts by p**r")
+        orc.add_argument("--mod-exp", type=int)
+        orc.add_argument("--target", type=int, help="override the target sum")
 
     return parser
 
@@ -179,8 +191,10 @@ def _cmd_verify(args) -> int:
             print(f"{flag} {text!r} selects no value", file=sys.stderr)
             return 2
     points = [_parse_instance(text) for text in args.instance]
-    cache_path = args.cache or cache_mod.default_cache_path()
-    cache = cache_mod.ResidueCache(cache_path) if cache_path else None
+    cache_path = args.cache or os.environ.get(ENV_VAR)
+    if cache_path:
+        from .cache import ResidueCache
+    cache = ResidueCache(cache_path) if cache_path else None
     ctx = EvalContext(cache_rows=cache.rows if cache else None)
     if points:
         instances = [instance_from_params(cid, point) for point in points for cid in claim_ids]
@@ -204,31 +218,23 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_compute(args) -> int:
-    if args.quantity == "bernoulli":
-        if args.mod_p is not None:
-            print(bernoulli_mod_p(args.k, args.mod_p))
-        else:
-            print(bernoulli_exact(args.k))
-        return 0
-    if args.quantity == "mhs":
+    quantity = args.quantity
+    if quantity == "bernoulli":
+        value = bernoulli_exact(args.k) if args.mod_p is None else bernoulli_mod_p(args.k, args.mod_p)
+    elif quantity == "mhs":
         M = PrimePowerModulus(args.p, args.r)
-        fn = mhs_restricted if args.restricted else mhs
-        print(fn(args.N, _parse_comp(args.s, "--s"), M))
-        return 0
-    if args.quantity in ("s", "r"):
-        spec = (s_spec if args.quantity == "s" else r_spec)(args.n, args.m, args.p, args.r_exp)
-        e = args.mod_exp if args.mod_exp is not None else args.r_exp
-        print(comp_sum(spec, PrimePowerModulus(args.p, e)))
-        return 0
-    if args.quantity == "count":
+        value = (mhs_restricted if args.restricted else mhs)(args.N, _parse_comp(args.s, "--s"), M)
+    elif quantity in ("s", "r"):
+        spec = (s_spec if quantity == "s" else r_spec)(args.n, args.m, args.p, args.r_exp)
+        value = comp_sum(spec, PrimePowerModulus(args.p, args.r_exp if args.mod_exp is None else args.mod_exp))
+    elif quantity == "count":
         M = PrimePowerModulus(args.p, args.mod_exp)
-        print(count_solutions_exact(args.a, args.m, args.n, args.p) % M.modulus)
-        return 0
-    if args.quantity == "u":
+        value = count_solutions_exact(args.a, args.m, args.n, args.p) % M.modulus
+    else:  # "u", the last of the parser's choices
         M = PrimePowerModulus(args.p, args.r)
-        print(unordered_sum(args.b, _parse_comp(args.alphas, "--alphas"), M))
-        return 0
-    raise AssertionError(args.quantity)
+        value = unordered_sum(args.b, _parse_comp(args.alphas, "--alphas"), M)
+    print(value)
+    return 0
 
 
 def _cmd_search(args) -> int:
@@ -293,9 +299,8 @@ def _cmd_oracle(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -21,10 +21,10 @@ __all__ = ["NonUnitError", "ScaleGuardError", "PrimePowerModulus", "prime_power"
            "rational_to_residue", "unit_inverses", "guard_table", "figure"]
 
 # guard_table refuses a per-prime table priced above this many element operations. At
-# p near 10**6 a term of the Bernoulli power sum costs 0.7 us, an index of the chain
+# p near 10**6 a step of the Bernoulli walk costs 0.1-0.2 us, an index of the chain
 # sweep 0.4-0.8 us per level of depth plus one, and a unit of an unordered-sum table
 # 0.15-0.4 us per weight plus one: the limit is at most 8 s of work. B_(p-3) at
-# p = 10000019 (5e6 terms) takes 3.9 s and 280 MB
+# p = 10000019 (5e6 steps) takes 0.6-0.8 s in 0.1 MB
 _MAX_TABLE_PRICE = 10**7
 
 

@@ -14,7 +14,6 @@ holding one piece of its text; render joins the pieces.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import sys
@@ -136,6 +135,8 @@ def _json_pieces(reports: Iterable[ClaimReport]) -> Iterator[str]:
 
 
 def _csv_text(rows: Iterable) -> str:
+    import csv  # only a csv report reads it
+
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerows(rows)
     return out.getvalue()

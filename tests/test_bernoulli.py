@@ -4,17 +4,10 @@ from fractions import Fraction
 import pytest
 
 from supercong import bernoulli
-from supercong.bernoulli import (
-    EXACT_CAP,
-    PoleError,
-    PowerSumError,
-    bernoulli_exact,
-    bernoulli_mod_p,
-    power_sum_residue,
-)
+from supercong.bernoulli import EXACT_CAP, PoleError, bernoulli_exact, bernoulli_mod_p
 from supercong.modring import PrimePowerModulus, is_prime, rational_to_residue
 
-from oracles import mod_p_table
+from oracles import PowerSumError, mod_p_table, power_sum_residue
 
 # classical table under the t/(e^t - 1) convention
 KNOWN = {
@@ -185,3 +178,65 @@ class TestPowerSum:
         assert not hasattr(bernoulli, "mod_p_table")
         M = PrimePowerModulus(4001, 1)
         assert bernoulli_mod_p(4, 4001) == rational_to_residue(Fraction(-1, 30), M)
+
+
+def _next_prime(n: int) -> int:
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+# two primes from each of 10**3..10**4, 10**4..10**5 and 10**5..10**6
+_SAMPLED = [_next_prime(random.Random(20261021 + i).randrange(10 ** (3 + i // 2), 10 ** (4 + i // 2)))
+            for i in range(6)]
+
+
+class TestOrbitWalk:
+    def test_agrees_with_table_for_every_prime_below_500(self):
+        checked = 0
+        for p in range(5, 500):
+            if not is_prime(p):
+                continue
+            table = mod_p_table(p)
+            for k in range(2, p - 2, 2):
+                assert bernoulli_mod_p(k, p) == table[k], (p, k)
+                checked += 1
+        assert checked == 10626
+
+    @pytest.mark.parametrize("p", _SAMPLED)
+    def test_agrees_with_the_power_sum_at_sampled_primes(self, p):
+        # the catalog's indices p - 3 and p - 7, and one drawn from the whole range
+        k = random.Random(p).randrange(2, p - 2, 2)
+        for k in (p - 3, p - 7, k):
+            assert bernoulli_mod_p(k, p) == power_sum_residue(k, p), (p, k)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    def test_short_blocks_against_the_table(self, monkeypatch, block):
+        # the walk's (p - 1)/2 steps cut into blocks of every length, the last one short or whole
+        monkeypatch.setattr(bernoulli, "_BLOCK", block)
+        for p in (5, 7, 13, 29, 61, 101):
+            table = mod_p_table(p)
+            assert [bernoulli_mod_p(k, p) for k in range(2, p - 2, 2)] == list(table[2 : p - 2 : 2]), p
+
+    def test_the_least_primitive_root(self):
+        for p in range(3, 400):
+            if is_prime(p):
+                g = bernoulli._primitive_root(p)
+                assert len({pow(g, i, p) for i in range(p - 1)}) == p - 1, p
+                assert all(len({pow(c, i, p) for i in range(p - 1)}) < p - 1 for c in range(2, g)), p
+
+    def test_where_base_two_fails(self):
+        # at c = 2 the factor c - c**(1-k) vanishes where 2**k == 1 (mod p); among
+        # k = p - d, odd d <= 11, p < 2*10**5 that is (17, 8) and (31, 20) alone. The
+        # walk's base is the primitive root, whose k-th power is never 1 at k <= p - 3
+        sieve = bytearray([1]) * (2 * 10**5)
+        sieve[:2] = b"\0\0"
+        for i in range(2, 448):
+            if sieve[i]:
+                sieve[i * i :: i] = bytes(len(range(i * i, len(sieve), i)))
+        vanishing = [(p, p - d) for p in range(13, len(sieve)) if sieve[p]
+                     for d in range(3, 12, 2) if pow(2, p - d, p) == 1]
+        assert vanishing == [(17, 8), (31, 20)]
+        assert bernoulli_mod_p(8, 17) == 13  # the catalog's cache row bernoulli,17,1,k=8,13
+        for p, k in vanishing:
+            assert bernoulli_mod_p(k, p) == rational_to_residue(bernoulli_exact(k), PrimePowerModulus(p, 1))

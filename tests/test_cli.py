@@ -1,9 +1,11 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,24 @@ def run(capsys, argv):
     rc = main(argv)
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+# The exit code, stdout and stderr of each help and usage request, as the CLI
+# wrote them at commit c346a04 on Python 3.11, its terminal 80 columns wide
+HELP_TEXTS = json.loads((Path(__file__).parent / "data" / "help_texts.json").read_text())
+
+
+@pytest.mark.parametrize("case", HELP_TEXTS, ids=lambda case: " ".join(case["argv"]) or "no-arguments")
+def test_help_and_usage_texts(capsys, monkeypatch, case):
+    # the parser gives arguments only to the command argv names; its texts are those
+    # of a parser with every command's arguments, and on Python 3.11 those captured
+    monkeypatch.setenv("COLUMNS", "80")
+    texts = run(capsys, case["argv"])
+    with pytest.raises(SystemExit) as exit_:
+        cli.build_parser([]).parse_args(case["argv"])
+    assert texts == (exit_.value.code or 0, *capsys.readouterr())
+    if sys.version_info[:2] == (3, 11):
+        assert texts == (case["code"], case["stdout"], case["stderr"])
 
 
 class TestParsing:
@@ -538,6 +558,15 @@ class TestSearchCommand:
                 "print(rc, sorted({'dataclasses', 'inspect'} & set(sys.modules)), file=sys.stderr)")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert out.stderr.strip() == "0 []" and json.loads(out.stdout)["observations"]
+
+    def test_a_verify_run_without_a_cache_imports_neither_the_cache_nor_csv(self):
+        # the cache module is imported for a cache file, csv for a csv report
+        code = ("import sys, supercong.cli; rc = supercong.cli.main(['verify', '--claims', 'EQ-1.1', "
+                "'--primes', '11', '--format', 'json']); "
+                "print(rc, sorted({'supercong.cache', 'csv'} & set(sys.modules)), file=sys.stderr)")
+        env = {k: v for k, v in os.environ.items() if k != cli.ENV_VAR}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+        assert out.stderr.strip() == "0 []" and json.loads(out.stdout)["reports"]
 
     def test_the_catalog_does_not_import_fractions(self):
         # every right-hand side is assembled from an integer numerator and

@@ -6,7 +6,7 @@ recompiles that function from its own source, see _mutant), and the
 default catalog is swept with and without it. A
 claim notices a mutation when one of its pass rows no longer passes. A
 claim is blind to it when it reads the mutated layer (a composition sum
-that changed value, or a Bernoulli residue taken by the power sum) and
+that changed value, or a Bernoulli residue taken off the orbit walk) and
 does not notice: its pass rows show only that the layer agrees with
 itself.
 """
@@ -232,9 +232,9 @@ def _callers(owner, name: str) -> set[str]:
 
 
 @pytest.fixture(scope="module")
-def power_sum_readers():
-    """The claims whose default grid reads a B_k residue through the power sum."""
-    return _callers(bernoulli, "power_sum_residue")
+def orbit_readers():
+    """The claims whose default grid reads a B_k residue off the primitive root's orbit."""
+    return _callers(bernoulli, "_orbit_residue")
 
 
 # CONJ-5.1-w10 is blind to a wrong Bernoulli index for the reason it is blind
@@ -252,23 +252,20 @@ def test_a_bernoulli_index_off_by_two(baseline, monkeypatch):
     assert readers - noticed <= _BERNOULLI_INDEX_BLIND_AT_MOST
 
 
-def test_a_flipped_pair_correction_in_the_power_sum(baseline, power_sum_readers, monkeypatch):
-    # power_sum_residue sums j**(k-1) * (2*j - k*p) over j < p/2. With the sign
-    # of the correction k*p*j**(k-1) flipped, the sum grows by
-    # 2*k*p*sum_{j<p/2} j**(k-1), so B_k mod p by 2*k*sum_{j<p/2} j**(k-1)
-    residue = bernoulli.power_sum_residue
-
-    def flipped(k, p):
-        return (residue(k, p) + 2 * k * sum(pow(j, k - 1, p) for j in range(1, (p + 1) // 2))) % p
-
-    assert flipped(4, 13) == sum(pow(j, 3, 169) * (2 * j + 4 * 13) for j in range(1, 7)) % 169 // 13
-    monkeypatch.setattr(bernoulli, "power_sum_residue", flipped)
+def test_a_walk_weight_off_at_a_band_boundary(baseline, orbit_readers, monkeypatch):
+    # the walk adds y_i * W(x_i) over the orbit x_i = g**i, i < (p-1)/2, with weight
+    # W(x) = 2*floor(g*x/p) - g + 1. Here the floor reads g*x + 1: one too high where
+    # g*x == -1 (mod p), at the last step alone, x = g**((p-3)/2) == -1/g, so every
+    # B_k moves by 2*k*y/(g - g**(1-k)) with y = (g**(k-1))**((p-3)/2), never 0
+    off = _mutant(bernoulli, "_orbit_residue", "gx * a % gp // p", "(gx * a % gp + 1) // p")
+    assert all(off(k, 13) != bernoulli.bernoulli_mod_p(k, 13) for k in range(2, 11, 2))
+    monkeypatch.setattr(bernoulli, "_orbit_residue", off)
     noticed = _noticed(baseline, _sweep())
     assert {"EQ-1.1", "THM-1.1-i", "THM-1.1-ii", "PROP-4.1", "LEM-3.3",
-            "CONJ-5.1-w8", "CONJ-5.1-w9", "CONJ-5.1-w10"} <= power_sum_readers
+            "CONJ-5.1-w8", "CONJ-5.1-w9", "CONJ-5.1-w10"} <= orbit_readers
     # CONJ-5.1-w10 passes only where both sides vanish mod p, and a B_k
     # multiple that vanishes still vanishes under the mutation. This set may only shrink
-    assert power_sum_readers - noticed <= {"CONJ-5.1-w10"}
+    assert orbit_readers - noticed <= {"CONJ-5.1-w10"}
 
 
 # The harmonic sweeps: the unordered sums' collision recursion (LEM-3.1,

@@ -132,6 +132,23 @@ class TestRenderers:
         assert rows[2].endswith(" | a\\|b=3 |  |  |  | error | bad parameters: EQ-1.1 does not take a\\|b |")
         assert rows[3].endswith(" | pass | two<br>lines \\| one cell |")
 
+    def test_a_carriage_return_stays_in_its_cell(self):
+        # csv quotes a cell holding a CR on every Python (csv.writer does so only from 3.13,
+        # so these rows stay out of the csv oracle's mixes); md writes it <br>
+        reports = [ClaimReport(ClaimInstance("EQ-1.1", 11, extra=(("a\rb", 3),)), "error",
+                               note="does not take a\rb", anchor="EQ-1.1"),
+                   ClaimReport(ClaimInstance("EQ-1.1", 13), "pass", 4, 4, 13, note="one\rtwo", anchor="EQ-1.1")]
+        text = render(reports, "csv")
+        assert text.split("\n")[1:] == [
+            'EQ-1.1,11,,,,"a\rb=3",,,,error,"does not take a\rb",EQ-1.1,'
+            '"supercong verify --claims EQ-1.1 --instance p=11,a\rb=3 --format json"',
+            'EQ-1.1,13,,,,,4,4,13,pass,"one\rtwo",EQ-1.1,supercong verify --claims EQ-1.1 --instance p=13 --format json',
+            ""]
+        assert [len(fields) for fields in csv.reader(io.StringIO(text, newline=""))] == [13, 13, 13]
+        assert render(reports, "md").splitlines()[-2:] == [
+            "| 11 |  |  |  | a<br>b=3 |  |  |  | error | does not take a<br>b |",
+            "| 13 |  |  |  |  | 4 | 4 | 13 | pass | one<br>two |"]
+
     def test_renders_are_deterministic(self, passing_reports):
         for fmt in FORMATS:
             assert render(passing_reports, fmt) == render(passing_reports, fmt)
@@ -186,8 +203,8 @@ def csv_oracle(reports) -> str:
 
 
 def md_cell(value) -> str:
-    """A value as an md table cell: None empty, | escaped as \\|, a line break as <br>."""
-    return "" if value is None else str(value).replace("|", "\\|").replace("\n", "<br>")
+    """A value as an md table cell: None empty, | escaped as \\|, a CR or LF as <br>."""
+    return "" if value is None else str(value).replace("|", "\\|").replace("\r", "<br>").replace("\n", "<br>")
 
 
 def md_oracle(reports) -> str:
@@ -286,6 +303,14 @@ class TestStreaming:
                 ClaimReport(ClaimInstance("EQ-1.1", 11, extra=(("a", 1), ("a", 2))), "error"),
                 ClaimReport(ClaimInstance("EQ-1.1", 11, extra=(("r", 2),)), "error"),
                 ClaimReport(ClaimInstance("EQ-1.1", 11), "error", note=["a", 1])]
+        # csv's quoting: a note and a str extra holding , and " (the extra quotes both its
+        # cell and the replay's), and one claim, anchor, status and note with only p set and
+        # no extras next to the same row with extras, whose replay alone holds a comma
+        mix += [ClaimReport(ClaimInstance("EQ-1.1", 11), "pass", 3, 3, 11, note='a, "b"'),
+                ClaimReport(ClaimInstance("EQ-1.1", 11, extra=(("name", 'x,"y"'),)), "error"),
+                ClaimReport(ClaimInstance("EQ-1.1", 13), "error", note="same"),
+                ClaimReport(ClaimInstance("EQ-1.1", 13, extra=(("a", 1),)), "error", note="same"),
+                ClaimReport(ClaimInstance("EQ-1.1", 13), "error", note="same")]
         assert {r.status for r in mix} >= {"pass", "skip", "error", "finding", "fail"}
         rng = random.Random(21)
         # more than _PIECE_ROWS rows, each kind of row in several pieces

@@ -4,12 +4,15 @@ The catalog is one table, CLAIMS: each row is a Claim holding a stable
 id, the congruence checked (an ASCII formula printed in reports), the
 default grid as ordered dimensions, the hypotheses as (fails, message)
 pairs from a small shared vocabulary, one evaluate function and a
-conjecture flag. evaluate is the only per-claim code: a generator that
-yields, once, every term it reads whose cost grows with p (composition
-sums, Bernoulli residues, unordered sums and chain sweeps; see Term),
-receives their values and returns (lhs, rhs, modulus, note). The
-solution count, a closed form, is computed inline. One grid builder
-(Claim.grid) and one hypothesis walk (Claim.violated) serve every row.
+conjecture flag. evaluate is a generator that yields, once, every term
+it reads whose cost grows with p (composition sums, Bernoulli residues,
+unordered sums and chain sweeps; see Term), receives their values and
+returns (lhs, rhs, modulus, note). In 19 claims the right side is p**j
+times a rational polynomial in Bernoulli residues, and evaluate is one
+rule, _bernoulli_rule, applied to the claim's sides function, which
+states that polynomial as data; EQ-1.3, LEM-2.3-i, LEM-2.3-ii and
+EQ-4.1 keep a generator of their own. One grid builder (Claim.grid) and
+one hypothesis walk (Claim.violated) serve every row.
 
 verify_instances sorts its instances once, on entry, and verifies them
 prime by prime, in process or as one pool task per prime; every entry
@@ -23,13 +26,13 @@ plan; compsum.Plan builds each ladder once and refuses one too large to
 finish (ScaleGuardError) before any is climbed, and the context owns the
 prime's unordered-sum tables. Nothing is kept from one prime to the next.
 
-Mixed-precision rule used throughout: a right-hand side of the shape
-c * B * p**j (mod p**(j+1)) is evaluated by reducing the cofactor c * B
-mod p, lifting the canonical representative, and multiplying by p**j;
-the product is canonical mod p**(j+1) as it stands, so j alone fixes
-its modulus. A term carrying an explicit p**j factor needs its cofactor
-only to the complementary precision; that is the one reading under
-which every checked congruence is well-posed.
+Mixed-precision rule, applied by _bernoulli_rule alone: a right-hand
+side of the shape c * B * p**j (mod p**(j+1)) is evaluated by reducing
+the cofactor c * B mod p, lifting the canonical representative, and
+multiplying by p**j; the product is canonical mod p**(j+1) as it stands,
+so j alone fixes its modulus. A term carrying an explicit p**j factor
+needs its cofactor only to the complementary precision; that is the one
+reading under which every checked congruence is well-posed.
 
 Conjectural claims are flagged: a mismatch there is a *finding* (the
 interesting scientific output), reported distinctly and not counted as a
@@ -41,6 +44,7 @@ from __future__ import annotations
 import os
 from collections.abc import Generator
 from contextlib import nullcontext
+from functools import partial
 from math import comb, factorial, gcd
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -341,7 +345,10 @@ class Claim(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# shared right-hand-side helpers, and each claim's evaluator
+# the Bernoulli rule, and each claim's sides or evaluator
+
+Monomial = tuple[int, int, tuple[int, ...]]  # num, den, ds: num/den * prod B(p-d) over d in ds
+
 
 def _rat(num: int, den: int, p: int) -> int:
     """num/den mod p; NonUnitError when p divides the reduced denominator."""
@@ -352,37 +359,45 @@ def _rat(num: int, den: int, p: int) -> int:
     return num * pow(den, -1, p) % p
 
 
-def _bernoulli(p: int, *indices: int) -> list[Term]:
-    """The terms B_k mod p, k in indices."""
-    return [("bernoulli", p, 1, (k,)) for k in indices]
+def _bernoulli_rule(sides: Callable[[ClaimInstance], tuple], inst: ClaimInstance) -> Evaluation:
+    """The evaluation of a claim whose right side is p**j times a rational
+    polynomial in Bernoulli residues; partial(_bernoulli_rule, sides) is
+    its Claim.evaluate. sides(inst) returns (lhs, j, monomials, note): lhs
+    is a term or a closed-form int, and the right side is the sum of the
+    monomials times p**j. This yields the term lhs, if it is one, and each
+    distinct B(p-d) once, in the order the monomials name them; reduces the
+    cofactor mod p, lifts it and multiplies it by p**j; and returns lhs
+    mod p**(j+1), that modulus and the note."""
+    p = inst.p
+    lhs, j, monomials, note = sides(inst)
+    read = not isinstance(lhs, int)
+    terms, at = [lhs] if read else [], {}  # each B(p-d)'s place among the terms
+    for _, _, ds in monomials:
+        for d in ds:
+            if d not in at:
+                at[d] = len(terms)
+                terms.append(("bernoulli", p, 1, (p - d,)))
+    values = yield terms
+    if read:
+        lhs = values[0]
+    cof = 0
+    for num, den, ds in monomials:
+        c = _rat(num, den, p)
+        for d in ds:
+            c = c * values[at[d]] % p
+        cof += c
+    low = p**j
+    return lhs % (low * p), cof % p * low, low * p, note
 
 
-def _cof_rhs(num: int, den: int, residues: Iterable[int], p: int, j: int) -> int:
-    """(num/den * prod residues) reduced mod p, lifted, times p**j: canonical mod p**(j+1)."""
-    cof = _rat(num, den, p)
-    for b in residues:
-        cof = cof * b % p
-    return cof * p**j
-
-
-def _triple_terms(p: int, n: int) -> list[Term]:
-    """B(p-n), then the B(p-2i-1) that _triple_bernoulli reads, i = 1 .. (n-3)/2 - 2."""
-    return _bernoulli(p, p - n, *(p - 2 * i - 1 for i in range(1, (n - 3) // 2 - 1)))
-
-
-def _triple_bernoulli(p: int, n: int, odd: Sequence[int]) -> int:
-    """(n!/6) * sum_{a+b+c=(n-3)/2, a,b,c>=1} prod B(p-2i-1)/(2i+1), mod p,
-    where odd[i-1] = B(p-2i-1) mod p."""
-    half = (n - 3) // 2
-    acc = 0
-    for a in range(1, half + 1):
-        for b in range(1, half - a + 1):
-            c = half - a - b
-            if c < 1:
-                continue
-            term = odd[a - 1] * odd[b - 1] % p * odd[c - 1] % p
-            acc = (acc + term * _rat(1, (2 * a + 1) * (2 * b + 1) * (2 * c + 1), p)) % p
-    return acc * _rat(factorial(n), 6, p) % p
+def _triple(n: int) -> list[Monomial]:
+    """-(n!/6) T(n, p) as monomials, T = sum over a+b+c = (n-3)/2, a, b, c >= 1,
+    of prod B(p-2i-1)/(2i+1) over i in (a, b, c): one monomial per a <= b <= c,
+    times its number of orderings (6, 3 or 1, kept as one int each)."""
+    half, num = (n - 3) // 2, -(factorial(n) // 6)
+    nums = {3: 6 * num, 2: 3 * num, 1: num}  # by the number of distinct parts
+    return [(nums[len({a, b, c})], (2 * a + 1) * (2 * b + 1) * (2 * c + 1), (2 * a + 1, 2 * b + 1, 2 * c + 1))
+            for a in range(1, half // 3 + 1) for b in range(a, (half - a) // 2 + 1) for c in (half - a - b,)]
 
 
 def _odd(x: int) -> bool:
@@ -392,24 +407,18 @@ def _odd(x: int) -> bool:
 _P_SMALL = primes_between(11, 31)  # (11, 13, 17, 19, 23, 29, 31)
 
 
-def _eq11_eval(inst: ClaimInstance):
-    p = inst.p
-    lhs, b = yield [(r_spec(3, 1, p), 1), *_bernoulli(p, p - 3)]
-    return lhs, _cof_rhs(-2, 1, [b], p, 0), p, ""
+def _eq11_sides(inst: ClaimInstance):
+    return (r_spec(3, 1, inst.p), 1), 0, [(-2, 1, (3,))], ""
 
 
-def _thm1i_eval(inst: ClaimInstance):
-    p, m = inst.p, inst.m
-    lhs, b = yield [(r_spec(7, m, p), 1), *_bernoulli(p, p - 7)]
-    rhs = _cof_rhs(-(504 * m + 210 * m**3 + 6 * m**5), 1, [b], p, 0)
-    return lhs, rhs, p, ""
+def _thm1i_sides(inst: ClaimInstance):
+    m = inst.m
+    return (r_spec(7, m, inst.p), 1), 0, [(-(504 * m + 210 * m**3 + 6 * m**5), 1, (7,))], ""
 
 
-def _thm1ii_eval(inst: ClaimInstance):
+def _thm1ii_sides(inst: ClaimInstance):
     p, r, m = inst.p, inst.r, inst.m
-    lhs, b = yield [(r_spec(7, m, p, r), r), *_bernoulli(p, p - 7)]
-    rhs = _cof_rhs(-factorial(7) * m, 10, [b], p, r - 1)
-    return lhs, rhs, p**r, ""
+    return (r_spec(7, m, p, r), r), r - 1, [(-factorial(7) * m, 10, (7,))], ""
 
 
 # EQ-1.3, EQ-4.1, LEM-2.3-i at r = 1 (by g's mirror x**p * g(1/x) == -g mod p) and
@@ -425,13 +434,11 @@ def _eq13_eval(inst: ClaimInstance):
     return upper, p * lower % p ** (r + 1), p ** (r + 1), ""
 
 
-def _lem21_eval(inst: ClaimInstance):
+def _lem21_sides(inst: ClaimInstance):
     p, n, m, a = inst.p, inst.n, inst.m, inst.get("a")
-    yield []
-    lhs = count_solutions_exact(a, m, n, p) % p**2
+    lhs = count_solutions_exact(a, m, n, p)
     # (-1)**(m-1) C(n-2, m-1) times gamma_n(a) = (-1)**(a-1) / (a C(n-1, a))
-    rhs = _cof_rhs((-1) ** (m + a) * comb(n - 2, m - 1), a * comb(n - 1, a), [], p, 1)
-    return lhs, rhs, p**2, ""
+    return lhs, 1, [((-1) ** (m + a) * comb(n - 2, m - 1), a * comb(n - 1, a), ())], ""
 
 
 _N7_DIFFS = {  # (m, a): the multiple of p, as numerator and denominator
@@ -444,12 +451,10 @@ _N7_DIFFS = {  # (m, a): the multiple of p, as numerator and denominator
 }
 
 
-def _cor22_eval(inst: ClaimInstance):
+def _cor22_sides(inst: ClaimInstance):
     p, m, a = inst.p, inst.m, inst.get("a")
-    yield []
-    lhs = (count_solutions_exact(a, m, 7, p) - count_solutions_exact(7 - a, m, 7, p)) % p**2
-    rhs = _cof_rhs(*_N7_DIFFS[(m, a)], [], p, 1)
-    return lhs, rhs, p**2, ""
+    lhs = count_solutions_exact(a, m, 7, p) - count_solutions_exact(7 - a, m, 7, p)
+    return lhs, 1, [(*_N7_DIFFS[(m, a)], ())], ""
 
 
 def _lem23i_eval(inst: ClaimInstance):
@@ -461,6 +466,7 @@ def _lem23i_eval(inst: ClaimInstance):
 
 
 def _lem23ii_eval(inst: ClaimInstance):
+    # a generator, not a rule claim: its solution counts are computed after the prime's plan is priced
     p, r, n, m = inst.p, inst.r, inst.n, inst.m
     e = r + 1
     upper, *lower = yield [(s_spec(n, m, p, e), e), *((s_spec(n, a, p, r), e) for a in range(1, n))]
@@ -479,7 +485,7 @@ _U_COMPS = (
 )
 
 
-def _u_eval(inst: ClaimInstance):
+def _u_sides(inst: ClaimInstance):
     p = inst.p
     alphas = inst.get("alphas")
     b = inst.get("b", 1)
@@ -487,81 +493,60 @@ def _u_eval(inst: ClaimInstance):
     w = sum(alphas)
     # both branches read one table per (b, p), built once at p**3: U is an integer
     # combination of power sums, so its value mod p**3 reduces to the one mod p**2
-    odd = _odd(w)
-    lhs, bern = yield [("unordered", p, 3, (b, tuple(alphas))), *_bernoulli(p, p - w - 2 if odd else p - w - 1)]
-    if odd:
-        rhs = _cof_rhs((-1) ** n * factorial(n - 1) * b * b * w * (w + 1), 2 * (w + 2), [bern], p, 2)
-        return lhs, rhs, p**3, "odd-weight branch"
-    rhs = _cof_rhs((-1) ** (n - 1) * factorial(n - 1) * b * w, w + 1, [bern], p, 1)
-    return lhs % p**2, rhs, p**2, "even-weight branch"
+    lhs = ("unordered", p, 3, (b, tuple(alphas)))
+    if _odd(w):
+        cof = (-1) ** n * factorial(n - 1) * b * b * w * (w + 1), 2 * (w + 2), (w + 2,)
+        return lhs, 2, [cof], "odd-weight branch"
+    return lhs, 1, [((-1) ** (n - 1) * factorial(n - 1) * b * w, w + 1, (w + 1,))], "even-weight branch"
 
 
-def _cor32_eval(inst: ClaimInstance):
+def _cor32_sides(inst: ClaimInstance):
     p, n, alpha = inst.p, inst.n, inst.get("alpha")
     w = n * alpha
     if _odd(w):
-        lhs, b = yield [("mhs", p, 3, (p - 1, (alpha,) * n)), *_bernoulli(p, p - w - 2)]
-        rhs = _cof_rhs((-1) ** n * alpha * (w + 1), 2 * (w + 2), [b], p, 2)
-        return lhs, rhs, p**3, "odd-weight branch"
-    lhs, b = yield [("mhs", p, 2, (p - 1, (alpha,) * n)), *_bernoulli(p, p - w - 1)]
-    rhs = _cof_rhs((-1) ** (n - 1) * alpha, w + 1, [b], p, 1)
-    return lhs, rhs, p**2, "even-weight branch"
+        cof = (-1) ** n * alpha * (w + 1), 2 * (w + 2), (w + 2,)
+        return ("mhs", p, 3, (p - 1, (alpha,) * n)), 2, [cof], "odd-weight branch"
+    return ("mhs", p, 2, (p - 1, (alpha,) * n)), 1, [((-1) ** (n - 1) * alpha, w + 1, (w + 1,))], "even-weight branch"
 
 
-def _lem33_eval(inst: ClaimInstance):
+def _lem33_sides(inst: ClaimInstance):
     p, n = inst.p, inst.n
-    odd = _odd(n)
-    lhs, b = yield [(r_spec(n, 1, p), 1 if odd else 2), *_bernoulli(p, p - n if odd else p - n - 1)]
-    if odd:
-        return lhs, _cof_rhs(-factorial(n - 1), 1, [b], p, 0), p, ""
-    rhs = _cof_rhs(-n * factorial(n), 2 * (n + 1), [b], p, 1)
+    if _odd(n):
+        return (r_spec(n, 1, p), 1), 0, [(-factorial(n - 1), 1, (n,))], ""
     note = "even branch; cofactor -n*n!/(2(n+1)), the factor 2 confirmed against exact rationals"
-    return lhs, rhs, p**2, note
+    return (r_spec(n, 1, p), 2), 1, [(-n * factorial(n), 2 * (n + 1), (n + 1,))], note
 
 
-def _lem35_eval(inst: ClaimInstance):
+def _lem35_sides(inst: ClaimInstance):
+    n = inst.n
+    return (r_spec(n, 2, inst.p), 1), 0, [(-(n + 1) * factorial(n - 1), 2, (n,))], ""
+
+
+def _cor36_sides(inst: ClaimInstance):
+    n = inst.n
+    return (s_spec(n, 2, inst.p), 1), 0, [((n - 1) * factorial(n - 1), 2, (n,))], ""
+
+
+def _lem37_sides(inst: ClaimInstance):
     p, n = inst.p, inst.n
-    lhs, b = yield [(r_spec(n, 2, p), 1), *_bernoulli(p, p - n)]
-    rhs = _cof_rhs(-(n + 1) * factorial(n - 1), 2, [b], p, 0)
-    return lhs, rhs, p, ""
-
-
-def _cor36_eval(inst: ClaimInstance):
-    p, n = inst.p, inst.n
-    lhs, b = yield [(s_spec(n, 2, p), 1), *_bernoulli(p, p - n)]
-    rhs = _cof_rhs((n - 1) * factorial(n - 1), 2, [b], p, 0)
-    return lhs, rhs, p, ""
-
-
-def _lem37_eval(inst: ClaimInstance):
-    p, n = inst.p, inst.n
-    lhs, b, *odd = yield [(r_spec(n, 3, p), 1), *_triple_terms(p, n)]
     if n == 3:
         # three bounded parts cannot reach 3p, so the decomposition
         # R = S + C(n+1,2) S(1) + n S(2) collapses to -6 B(p-3)
-        rhs = _cof_rhs(-6, 1, [b], p, 0)
-        return lhs, rhs, p, "degenerate n=3 value; general cofactor does not apply"
-    main = _cof_rhs(-(n + 1) * (n + 2) * factorial(n - 1), 6, [b], p, 0)
-    rhs = (main - _triple_bernoulli(p, n, odd)) % p
-    return lhs, rhs, p, ""
+        return (r_spec(3, 3, p), 1), 0, [(-6, 1, (3,))], "degenerate n=3 value; general cofactor does not apply"
+    return (r_spec(n, 3, p), 1), 0, [(-(n + 1) * (n + 2) * factorial(n - 1), 6, (n,)), *_triple(n)], ""
 
 
-def _cor38_eval(inst: ClaimInstance):
+def _cor38_sides(inst: ClaimInstance):
     p, n = inst.p, inst.n
-    # at n = 3 the bounded family is empty: three parts below p cannot sum to 3p
-    lhs, *bern = yield [(s_spec(n, 3, p), 1), *(_triple_terms(p, n) if n > 3 else ())]
     if n == 3:
-        return lhs, 0, p, "degenerate n=3 value; the bounded sum is empty"
-    main = _cof_rhs(-(n - 1) * (n - 2) * factorial(n - 1), 6, bern[:1], p, 0)
-    rhs = (main - _triple_bernoulli(p, n, bern[1:])) % p
-    return lhs, rhs, p, ""
+        # three parts below p cannot sum to 3p: the bounded family is empty
+        return (s_spec(3, 3, p), 1), 0, [], "degenerate n=3 value; the bounded sum is empty"
+    return (s_spec(n, 3, p), 1), 0, [(-(n - 1) * (n - 2) * factorial(n - 1), 6, (n,)), *_triple(n)], ""
 
 
-def _prop41_eval(inst: ClaimInstance):
+def _prop41_sides(inst: ClaimInstance):
     p, r = inst.p, inst.r
-    lhs, b = yield [(s_spec(7, 1, p, r + 1), r + 1), *_bernoulli(p, p - 7)]
-    rhs = _cof_rhs(-factorial(7), 10, [b], p, r)
-    return lhs, rhs, p ** (r + 1), ""
+    return (s_spec(7, 1, p, r + 1), r + 1), r, [(-factorial(7), 10, (7,))], ""
 
 
 def _eq41_eval(inst: ClaimInstance):
@@ -571,45 +556,33 @@ def _eq41_eval(inst: ClaimInstance):
     return free, rhs % p**r, p**r, ""
 
 
-def _eq51_eval(inst: ClaimInstance):
-    p, d, m = inst.p, inst.n, inst.m
-    lhs, b = yield [(s_spec(d, m, p), 1), *_bernoulli(p, p - d)]
+def _eq51_sides(inst: ClaimInstance):
+    d, m = inst.n, inst.m
     num, den = (-1, 1) if m == 1 else (d - 1, 2)
-    rhs = _cof_rhs(num * factorial(d - 1), den, [b], p, 0)
-    return lhs, rhs, p, ""
+    return (s_spec(d, m, inst.p), 1), 0, [(num * factorial(d - 1), den, (d,))], ""
 
 
-def _eq52_eval(inst: ClaimInstance):
-    p, d, m = inst.p, inst.n, inst.m
-    lhs, b = yield [(r_spec(d, m, p), 1), *_bernoulli(p, p - d)]
+def _eq52_sides(inst: ClaimInstance):
+    d, m = inst.n, inst.m
     num, den = (-1, 1) if m == 1 else (-(d + 1), 2)
-    rhs = _cof_rhs(num * factorial(d - 1), den, [b], p, 0)
-    return lhs, rhs, p, ""
+    return (r_spec(d, m, inst.p), 1), 0, [(num * factorial(d - 1), den, (d,))], ""
 
 
-def _conj8_eval(inst: ClaimInstance):
-    p, m = inst.p, inst.m
-    lhs, b3, b5 = yield [(r_spec(8, m, p), 1), *_bernoulli(p, p - 3, p - 5)]
-    rhs = _cof_rhs(112 * m * (m * m + 16) * (m * m - 1), 5, [b3, b5], p, 0)
-    return lhs, rhs, p, ""
+def _conj8_sides(inst: ClaimInstance):
+    m = inst.m
+    return (r_spec(8, m, inst.p), 1), 0, [(112 * m * (m * m + 16) * (m * m - 1), 5, (3, 5))], ""
 
 
-def _conj9_eval(inst: ClaimInstance):
-    p, m = inst.p, inst.m
-    lhs, b3, b9 = yield [(r_spec(9, m, p), 1), *_bernoulli(p, p - 3, p - 9)]
-    rhs = (
-        _cof_rhs(-factorial(8) * comb(m + 2, 5), 18, [b3, b3, b3], p, 0)
-        + _cof_rhs(-8 * m * (m**6 + 126 * m**4 + 1869 * m**2 + 3044), 1, [b9], p, 0)
-    ) % p
-    return lhs, rhs, p, ""
+def _conj9_sides(inst: ClaimInstance):
+    m = inst.m
+    return (r_spec(9, m, inst.p), 1), 0, [(-factorial(8) * comb(m + 2, 5), 18, (3, 3, 3)),
+                                          (-8 * m * (m**6 + 126 * m**4 + 1869 * m**2 + 3044), 1, (9,))], ""
 
 
-def _conj10_eval(inst: ClaimInstance):
-    p, m = inst.p, inst.m
-    lhs, b3, b5, b7 = yield [(r_spec(10, m, p), 1), *_bernoulli(p, p - 3, p - 5, p - 7)]
+def _conj10_sides(inst: ClaimInstance):
+    m = inst.m
     num = -24 * m * (m**4 + 71 * m**2 + 540) * (m * m - 1)
-    rhs = (_cof_rhs(num * 50, 35, [b3, b7], p, 0) + _cof_rhs(num * 21, 35, [b5, b5], p, 0)) % p
-    return lhs, rhs, p, ""
+    return (r_spec(10, m, inst.p), 1), 0, [(num * 50, 35, (3, 7)), (num * 21, 35, (5, 5))], ""
 
 
 # ---------------------------------------------------------------------------
@@ -651,21 +624,21 @@ CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
         "sum_{i+j+k=p, i,j,k>0} 1/(ijk) == -2*B(p-3)  (mod p)",
         (("p", primes_between(5, 97)),),
         (_p_at_least(3),),
-        _eq11_eval,
+        partial(_bernoulli_rule, _eq11_sides),
     ),
     Claim(
         "THM-1.1-i",
         "sum over l1+..+l7 = m*p of unit reciprocals == -(504m+210m^3+6m^5)*B(p-7)  (mod p)",
         (("p", primes_between(11, 47)), ("m", (1, 2, 3))),
         (_p_above(7), *_MULTIPLIER),
-        _thm1i_eval,
+        partial(_bernoulli_rule, _thm1i_sides),
     ),
     Claim(
         "THM-1.1-ii",
         "sum over l1+..+l7 = m*p^r of unit reciprocals == -(7!/10)*m*p^(r-1)*B(p-7)  (mod p^r), r >= 2",
         (("p", (11, 13)), ("r", (2, 3)), ("m", (1, 2))),
         (_p_above(7), _at_least("r", 2), *_MULTIPLIER),
-        _thm1ii_eval,
+        partial(_bernoulli_rule, _thm1ii_sides),
     ),
     Claim(
         "EQ-1.3",
@@ -679,7 +652,7 @@ CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
         "C(a,m,n,p) == (-1)^(m-1) * binom(n-2,m-1) * gamma_n(a) * p  (mod p^2)",
         (("p", (11, 13, 17)), ("n", range(3, 10)), ("m", _below_n), ("a", _below_n)),
         (_given("a"), _at_least("n", 2), _p_above_n(), _at_least("m", 1), _within_1_and_n_minus_1("a", "a")),
-        _lem21_eval,
+        partial(_bernoulli_rule, _lem21_sides),
     ),
     Claim(
         "COR-2.2",
@@ -687,7 +660,7 @@ CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
         (("p", (11, 13, 17)), ("m", (2, 3)), ("n", (7,)), ("a", (1, 2, 3))),
         (_p_above(7),
          ((lambda i: (i.m, i.get("a")) not in _N7_DIFFS), "tabulated only for m in {2,3}, a in {1,2,3}")),
-        _cor22_eval,
+        partial(_bernoulli_rule, _cor22_sides),
     ),
     Claim(
         "LEM-2.3-i",
@@ -710,7 +683,7 @@ CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
         (("p", _P_SMALL), ("b", (1,)), *_UNORDERED_DIMS),
         _unordered_hypotheses(
             ((lambda i: i.get("b", 1) != 1), "fixed at b = 1 (the scaled family is LEM-3.4)")),
-        _u_eval,
+        partial(_bernoulli_rule, _u_sides),
     ),
     Claim(
         "COR-3.2",
@@ -719,14 +692,14 @@ CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
         (("p", _P_SMALL), ("alpha", range(1, 9)), ("n", lambda pt: range(1, 8 // pt["alpha"] + 1))),
         (((lambda i: i.get("alpha") < 1 or i.n is None or i.n < 1), "requires alpha >= 1 and n >= 1"),
          _weight_at_most_p_minus_3(lambda i: i.n * i.get("alpha"))),
-        _cor32_eval,
+        partial(_bernoulli_rule, _cor32_sides),
     ),
     Claim(
         "LEM-3.3",
         "R(n,1,p): odd n: -(n-1)! B(p-n) (mod p); even n: -n*n!/(2(n+1)) B(p-n-1) p (mod p^2)",
         (("p", _P_SMALL), ("n", range(2, 10))),
         (_at_least("n", 2, "requires n > 1"), _p_above_n(1)),
-        _lem33_eval,
+        partial(_bernoulli_rule, _lem33_sides),
     ),
     Claim(
         "LEM-3.4",
@@ -734,21 +707,21 @@ CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
         "even w: (-1)^(n-1) (n-1)! b w/(w+1) B(p-w-1) p (mod p^2)",
         (("p", _P_SMALL), ("b", (1, 2, 3)), *_UNORDERED_DIMS),
         _unordered_hypotheses(),
-        _u_eval,
+        partial(_bernoulli_rule, _u_sides),
     ),
     Claim(
         "LEM-3.5",
         "R(n,2,p) == -((n+1)/2) (n-1)! B(p-n)  (mod p), odd n",
         (("p", _P_SMALL), ("n", (3, 5, 7, 9))),
         (_odd_at_least(3), _p_above_n(1, "requires p > n+1 (added hypothesis)")),
-        _lem35_eval,
+        partial(_bernoulli_rule, _lem35_sides),
     ),
     Claim(
         "COR-3.6",
         "S(n,2,p) == ((n-1)/2) (n-1)! B(p-n)  (mod p), odd n >= 5",
         (("p", _P_SMALL), ("n", (5, 7, 9))),
         (_odd_at_least(5), _p_above_n()),
-        _cor36_eval,
+        partial(_bernoulli_rule, _cor36_sides),
     ),
     Claim(
         "LEM-3.7",
@@ -756,7 +729,7 @@ CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
         "T = sum_{a+b+c=(n-3)/2} prod B(p-2i-1)/(2i+1); R(3,3,p) == -6 B(p-3)",
         (("p", _P_SMALL), ("n", (3, 5, 7, 9))),
         _TRIPLE_HYPOTHESES,
-        _lem37_eval,
+        partial(_bernoulli_rule, _lem37_sides),
     ),
     Claim(
         "COR-3.8",
@@ -764,14 +737,14 @@ CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
         "S(3,3,p) == 0 (empty family)",
         (("p", _P_SMALL), ("n", (3, 5, 7, 9))),
         _TRIPLE_HYPOTHESES,
-        _cor38_eval,
+        partial(_bernoulli_rule, _cor38_sides),
     ),
     Claim(
         "PROP-4.1",
         "S(7,1,p^(r+1)) == -(7!/10) B(p-7) p^r  (mod p^(r+1))",
         (("p", (11, 13)), ("r", (1, 2))),
         (_p_above(7), _at_least("r", 1)),
-        _prop41_eval,
+        partial(_bernoulli_rule, _prop41_sides),
     ),
     Claim(
         "EQ-4.1",
@@ -785,21 +758,21 @@ CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
         "S(d,m,p) == c_{d,m} (d-1)! B(p-d)  (mod p), c_{d,1} = -1, c_{d,2} = (d-1)/2",
         (("p", _P_SMALL), ("n", (3, 5, 7, 9)), ("m", (1, 2))),
         _ODD_DEPTH_HYPOTHESES,
-        _eq51_eval,
+        partial(_bernoulli_rule, _eq51_sides),
     ),
     Claim(
         "EQ-5.2",
         "R(d,m,p) == c'_{d,m} (d-1)! B(p-d)  (mod p), c'_{d,1} = -1, c'_{d,2} = -(d+1)/2",
         (("p", _P_SMALL), ("n", (3, 5, 7, 9)), ("m", (1, 2))),
         _ODD_DEPTH_HYPOTHESES,
-        _eq52_eval,
+        partial(_bernoulli_rule, _eq52_sides),
     ),
     Claim(
         "CONJ-5.1-w8",
         "R(8,m,p) == (112/5) m (m^2+16)(m^2-1) B(p-3) B(p-5)  (mod p)",
         (("p", _P_SMALL), ("m", (1, 2, 3, 4))),
         _CONJ_HYPOTHESES,
-        _conj8_eval,
+        partial(_bernoulli_rule, _conj8_sides),
         conjecture=True,
     ),
     Claim(
@@ -807,7 +780,7 @@ CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
         "R(9,m,p) == -(8!/18) binom(m+2,5) B(p-3)^3 - 8m(m^6+126m^4+1869m^2+3044) B(p-9)  (mod p)",
         (("p", _P_SMALL), ("m", (1, 2, 3, 4))),
         _CONJ_HYPOTHESES,
-        _conj9_eval,
+        partial(_bernoulli_rule, _conj9_sides),
         conjecture=True,
     ),
     Claim(
@@ -815,7 +788,7 @@ CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
         "R(10,m,p) == -(24/35) m (m^4+71m^2+540)(m^2-1) (50 B(p-3) B(p-7) + 21 B(p-5)^2)  (mod p)",
         (("p", _P_SMALL), ("m", (1, 2, 3, 4))),
         _CONJ_HYPOTHESES,
-        _conj10_eval,
+        partial(_bernoulli_rule, _conj10_sides),
         conjecture=True,
     ),
 )}

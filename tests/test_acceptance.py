@@ -9,6 +9,7 @@ import json
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 import pytest
 
@@ -23,7 +24,7 @@ from supercong.verifier import (
     GridSpec,
     primes_between,
     sweep,
-    _triple_bernoulli,
+    _triple,
 )
 
 from oracles import comp_sum_bruteforce
@@ -96,8 +97,9 @@ def test_criterion_06_target_p_2p_3p_families(ctx):
         if r.instance.n in (3, 5, 7, 9)
     ]
     assert all(r.status == "pass" for r in odd33)
-    assert any(_triple_bernoulli(p, 9, [bernoulli_mod_p(p - 3, p)]) != 0 for p in P_11_31), \
-        "n=9 triple term never exercised"
+    # T(9, p) is -(9!/6) B(p-3)**3 / 27, and 9!/162 is a unit mod p >= 11
+    assert _triple(9) == [(-factorial(9) // 6, 27, (3, 3, 3))]
+    assert any(bernoulli_mod_p(p - 3, p) != 0 for p in P_11_31), "n=9 triple term never exercised"
     nine = [r for r in reports if r.instance.claim_id == "LEM-3.7" and r.instance.n == 9]
     assert nine and all(r.status == "pass" for r in nine)
     print(f"[criterion 06] PASS: depth-d families at p, 2p, 3p exact ({passed + len(odd33)} rows; "

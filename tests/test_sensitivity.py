@@ -14,6 +14,7 @@ itself.
 import __future__
 import inspect
 import sys
+from functools import partial
 
 import pytest
 
@@ -310,3 +311,36 @@ def test_a_chain_sweep_that_skips_the_wrong_class(baseline, monkeypatch):
     assert readers == {"COR-3.2"}
     monkeypatch.setattr(mhs_module, "_sweep", skips_one_mod_p)
     assert readers - _noticed(baseline, _sweep()) <= _CHAIN_BLIND_AT_MOST
+
+
+# The right-hand sides as data: every claim whose right side is p**j times a
+# polynomial in Bernoulli residues is _bernoulli_rule applied to a sides
+# function. ROADMAP item 10 maps every site of these sides; today each claim
+# notices 1 added to its first monomial's numerator. This set may only shrink.
+_RULE_CLAIMS = {claim_id: claim for claim_id, claim in CLAIMS.items()
+                if isinstance(claim.evaluate, partial) and claim.evaluate.func is verifier._bernoulli_rule}
+_NUMERATOR_BLIND_AT_MOST: set[str] = set()
+
+
+def _numerator_plus_one(sides):
+    def mutated(inst):
+        lhs, j, monomials, note = sides(inst)
+        if monomials:
+            (num, den, ds), *rest = monomials
+            monomials = [(num + 1, den, ds), *rest]
+        return lhs, j, monomials, note
+    return mutated
+
+
+def test_a_numerator_off_by_one_in_each_rule_claim(baseline, monkeypatch):
+    assert len(_RULE_CLAIMS) == 19
+    blind = set()
+    for claim_id, claim in _RULE_CLAIMS.items():
+        mutant = partial(verifier._bernoulli_rule, _numerator_plus_one(*claim.evaluate.args))
+        monkeypatch.setitem(CLAIMS, claim_id, claim._replace(evaluate=mutant))
+        statuses = {(rep.instance.claim_id, rep.instance.sort_key()): rep.status for rep in sweep([claim_id])}
+        monkeypatch.setitem(CLAIMS, claim_id, claim)
+        if not any(statuses[key] != "pass" for key, status in baseline[0].items()
+                   if key[0] == claim_id and status == "pass"):
+            blind.add(claim_id)
+    assert blind <= _NUMERATOR_BLIND_AT_MOST

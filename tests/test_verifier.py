@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 import weakref
 from fractions import Fraction
+from functools import partial
 from math import factorial
 
 import pytest
@@ -28,7 +29,7 @@ from supercong.verifier import (
     sweep,
     verify,
     verify_instances,
-    _triple_bernoulli,
+    _triple,
     _U_COMPS,
 )
 
@@ -917,8 +918,14 @@ class TestCrossChecks:
             assert v5 == expected * b5 % p * p % p**2
 
     def test_triple_term_empty_for_n7(self):
-        for p in (11, 13):
-            assert _triple_bernoulli(p, 7, []) == 0
+        # a + b + c = (n-3)/2 with a, b, c >= 1 has no solution below n = 9
+        assert _triple(5) == _triple(7) == []
+        # one monomial per a <= b <= c, times its orderings: (1, 1, 2) three times at n = 11,
+        # (1, 1, 3) three times and (1, 2, 2) three times at n = 13
+        assert _triple(11) == [(-3 * factorial(11) // 6, 3 * 3 * 5, (3, 3, 5))]
+        assert _triple(13) == [(-3 * factorial(13) // 6, 3 * 3 * 7, (3, 3, 7)),
+                               (-3 * factorial(13) // 6, 3 * 5 * 5, (3, 5, 5))]
+        assert [len(_triple(n)) for n in (15, 17, 19, 21)] == [3, 4, 5, 7]  # the partitions of 6..9 into 3
 
     def test_s7_m3_feeds_the_seven_factorial_tenth_constant(self):
         # S(7,3,p) == -5 * 6! * B(p-7), the degenerate triple-free case
@@ -929,7 +936,12 @@ class TestCrossChecks:
             assert lhs == rhs
 
     def test_triple_term_nonzero_for_n9(self):
-        assert any(_triple_bernoulli(p, 9, [bernoulli_mod_p(p - 3, p)]) != 0 for p in (11, 13, 17))
+        # -(9!/6) B(p-3)**3 / 27, the one triple a = b = c = 1
+        [(num, den, ds)] = _triple(9)
+        assert (num, den, ds) == (-factorial(9) // 6, 27, (3, 3, 3))
+        value = [rational_to_residue(Fraction(num, den), PrimePowerModulus(p, 1)) * bernoulli_mod_p(p - 3, p) ** 3 % p
+                 for p in (11, 13, 17)]
+        assert any(value)
 
 
 class TestRationalCofactors:
@@ -948,6 +960,52 @@ class TestRationalCofactors:
                 assert str(raised.value) == str(exc)
             else:
                 assert verifier._rat(num, den, p) == expected
+
+
+class TestBernoulliRule:
+    """The rule on its own: a synthetic claim patched into CLAIMS, whose sides
+    function returns (lhs, j, monomials, note)."""
+
+    @staticmethod
+    def rows(monkeypatch, sides):
+        claim = Claim("TEST-RULE", "synthetic", (("p", (11, 13)),), (), partial(verifier._bernoulli_rule, sides))
+        monkeypatch.setitem(CLAIMS, "TEST-RULE", claim)
+        return [tuple(report)[1:6] for report in sweep(["TEST-RULE"])]
+
+    def test_a_closed_form_left_side_is_reduced_and_no_term_is_read_for_it(self, monkeypatch):
+        def sides(inst):
+            p = inst.p
+            b3, b5 = bernoulli_mod_p(p - 3, p), bernoulli_mod_p(p - 5, p)
+            return (3 * b5 * b3 + b3 * b3) % p * p + 5 * p**2, 1, [(3, 1, (5, 3)), (1, 1, (3, 3))], "closed"
+
+        # each distinct B(p-d) once, in the order the monomials name them, and no term for lhs
+        assert next(partial(verifier._bernoulli_rule, sides)(ClaimInstance("TEST-RULE", 11))) == [
+            ("bernoulli", 11, 1, (6,)), ("bernoulli", 11, 1, (8,))]
+        for p, row in zip((11, 13), self.rows(monkeypatch, sides)):
+            b3, b5 = bernoulli_mod_p(p - 3, p), bernoulli_mod_p(p - 5, p)
+            rhs = (3 * b5 * b3 + b3 * b3) % p * p
+            assert row == ("pass", rhs, rhs, p**2, "closed")
+
+    def test_the_cofactor_is_reduced_mod_p_before_it_is_lifted(self, monkeypatch):
+        # at j = 2 a numerator of 3p + 2, and two monomials whose residues sum past p
+        def sides(inst):
+            p = inst.p
+            b3 = bernoulli_mod_p(p - 3, p)
+            return (2 * b3 + p - 1) % p * p**2 + p**3, 2, [(3 * p + 2, 1, (3,)), (p - 1, 1, ())], ""
+
+        for p, row in zip((11, 13), self.rows(monkeypatch, sides)):
+            rhs = (2 * bernoulli_mod_p(p - 3, p) + p - 1) % p * p**2
+            assert row == ("pass", rhs, rhs, p**3, "") and rhs < p**3
+
+    def test_no_monomial_is_a_right_side_of_zero(self, monkeypatch):
+        assert self.rows(monkeypatch, lambda inst: (4 * inst.p**2, 1, [], "")) == [
+            ("pass", 0, 0, 11**2, ""), ("pass", 0, 0, 13**2, "")]
+
+    def test_a_denominator_divisible_by_p_is_an_error_row(self, monkeypatch):
+        # 6/(-4p) is written reduced, its sign on the numerator
+        rows = self.rows(monkeypatch, lambda inst: (0, 0, [(1, 1, (3,)), (6, -4 * inst.p, ())], ""))
+        assert rows == [("error", None, None, None, f"NonUnitError: denominator of -3/{2 * p} is divisible by {p}")
+                        for p in (11, 13)]
 
 
 class TestInstanceFromParams:

@@ -10,7 +10,7 @@ unordered sums and chain sweeps; see Term), receives their values and
 returns (lhs, rhs, modulus, note). In 19 claims the right side is p**j
 times a rational polynomial in Bernoulli residues, and evaluate is one
 rule, _bernoulli_rule, applied to the claim's sides function, which
-states that polynomial as data; EQ-1.3, LEM-2.3-i, LEM-2.3-ii and
+yields that polynomial as data; EQ-1.3, LEM-2.3-i, LEM-2.3-ii and
 EQ-4.1 keep a generator of their own. One grid builder (Claim.grid) and
 one hypothesis walk (Claim.violated) serve every row.
 
@@ -47,7 +47,7 @@ from contextlib import nullcontext
 from functools import partial
 from math import comb, factorial, gcd
 from operator import attrgetter
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .bernoulli import PoleError, bernoulli_mod_p
 from .compsum import (
@@ -347,9 +347,6 @@ class Claim(NamedTuple):
 # ---------------------------------------------------------------------------
 # the Bernoulli rule, and each claim's sides or evaluator
 
-Monomial = tuple[int, int, tuple[int, ...]]  # num, den, ds: num/den * prod B(p-d) over d in ds
-
-
 def _rat(num: int, den: int, p: int) -> int:
     """num/den mod p; NonUnitError when p divides the reduced denominator."""
     g = gcd(num, den)
@@ -359,45 +356,47 @@ def _rat(num: int, den: int, p: int) -> int:
     return num * pow(den, -1, p) % p
 
 
-def _bernoulli_rule(sides: Callable[[ClaimInstance], tuple], inst: ClaimInstance) -> Evaluation:
+def _bernoulli_rule(sides: Callable[[ClaimInstance], Iterator], inst: ClaimInstance) -> Evaluation:
     """The evaluation of a claim whose right side is p**j times a rational
-    polynomial in Bernoulli residues; partial(_bernoulli_rule, sides) is
-    its Claim.evaluate. sides(inst) returns (lhs, j, monomials, note): lhs
-    is a term or a closed-form int, and the right side is the sum of the
-    monomials times p**j. This yields the term lhs, if it is one, and each
-    distinct B(p-d) once, in the order the monomials name them; reduces the
-    cofactor mod p, lifts it and multiplies it by p**j; and returns lhs
-    mod p**(j+1), that modulus and the note."""
+    polynomial in Bernoulli residues: partial(_bernoulli_rule, sides) is its
+    Claim.evaluate. sides(inst) is a generator that yields (lhs, j, ds, note),
+    then the monomials (num, den, ds), num/den times prod B(p-d) over d in ds;
+    lhs is a term or a closed-form int, and ds names each d of the monomials
+    once. This yields lhs, if a term, and each B(p-d) in the order of ds; only
+    then draws the monomials, so that their numerators are built after the
+    prime's plan is priced; reduces their sum mod p, lifts it, multiplies it
+    by p**j and returns lhs mod p**(j+1), that modulus and the note."""
     p = inst.p
-    lhs, j, monomials, note = sides(inst)
+    monomials = sides(inst)
+    lhs, j, ds, note = next(monomials)
     read = not isinstance(lhs, int)
-    terms, at = [lhs] if read else [], {}  # each B(p-d)'s place among the terms
-    for _, _, ds in monomials:
-        for d in ds:
-            if d not in at:
-                at[d] = len(terms)
-                terms.append(("bernoulli", p, 1, (p - d,)))
-    values = yield terms
+    values = yield ([lhs] if read else []) + [("bernoulli", p, 1, (p - d,)) for d in ds]
     if read:
         lhs = values[0]
+    at = dict(zip(ds, values[read:]))  # B(p-d) by d
     cof = 0
-    for num, den, ds in monomials:
+    for num, den, mds in monomials:
         c = _rat(num, den, p)
-        for d in ds:
-            c = c * values[at[d]] % p
+        for d in mds:
+            c = c * at[d] % p
         cof += c
     low = p**j
     return lhs % (low * p), cof % p * low, low * p, note
 
 
-def _triple(n: int) -> list[Monomial]:
+def _triple(n: int) -> list[tuple[int, int, tuple[int, ...]]]:
     """-(n!/6) T(n, p) as monomials, T = sum over a+b+c = (n-3)/2, a, b, c >= 1,
     of prod B(p-2i-1)/(2i+1) over i in (a, b, c): one monomial per a <= b <= c,
-    times its number of orderings (6, 3 or 1, kept as one int each)."""
+    times its number of orderings. They name B(p-d) for d = 3, 5, .., n-6."""
     half, num = (n - 3) // 2, -(factorial(n) // 6)
-    nums = {3: 6 * num, 2: 3 * num, 1: num}  # by the number of distinct parts
-    return [(nums[len({a, b, c})], (2 * a + 1) * (2 * b + 1) * (2 * c + 1), (2 * a + 1, 2 * b + 1, 2 * c + 1))
-            for a in range(1, half // 3 + 1) for b in range(a, (half - a) // 2 + 1) for c in (half - a - b,)]
+    monomials = []
+    for a in range(1, half // 3 + 1):
+        for b in range(a, (half - a) // 2 + 1):
+            c = half - a - b
+            orderings = 6 if a < b < c else 1 if a == c else 3
+            ds = (2 * a + 1, 2 * b + 1, 2 * c + 1)
+            monomials.append((orderings * num, ds[0] * ds[1] * ds[2], ds))
+    return monomials
 
 
 def _odd(x: int) -> bool:
@@ -408,17 +407,20 @@ _P_SMALL = primes_between(11, 31)  # (11, 13, 17, 19, 23, 29, 31)
 
 
 def _eq11_sides(inst: ClaimInstance):
-    return (r_spec(3, 1, inst.p), 1), 0, [(-2, 1, (3,))], ""
+    yield (r_spec(3, 1, inst.p), 1), 0, (3,), ""
+    yield -2, 1, (3,)
 
 
 def _thm1i_sides(inst: ClaimInstance):
     m = inst.m
-    return (r_spec(7, m, inst.p), 1), 0, [(-(504 * m + 210 * m**3 + 6 * m**5), 1, (7,))], ""
+    yield (r_spec(7, m, inst.p), 1), 0, (7,), ""
+    yield -(504 * m + 210 * m**3 + 6 * m**5), 1, (7,)
 
 
 def _thm1ii_sides(inst: ClaimInstance):
     p, r, m = inst.p, inst.r, inst.m
-    return (r_spec(7, m, p, r), r), r - 1, [(-factorial(7) * m, 10, (7,))], ""
+    yield (r_spec(7, m, p, r), r), r - 1, (7,), ""
+    yield -factorial(7) * m, 10, (7,)
 
 
 # EQ-1.3, EQ-4.1, LEM-2.3-i at r = 1 (by g's mirror x**p * g(1/x) == -g mod p) and
@@ -436,9 +438,9 @@ def _eq13_eval(inst: ClaimInstance):
 
 def _lem21_sides(inst: ClaimInstance):
     p, n, m, a = inst.p, inst.n, inst.m, inst.get("a")
-    lhs = count_solutions_exact(a, m, n, p)
+    yield count_solutions_exact(a, m, n, p), 1, (), ""
     # (-1)**(m-1) C(n-2, m-1) times gamma_n(a) = (-1)**(a-1) / (a C(n-1, a))
-    return lhs, 1, [((-1) ** (m + a) * comb(n - 2, m - 1), a * comb(n - 1, a), ())], ""
+    yield (-1) ** (m + a) * comb(n - 2, m - 1), a * comb(n - 1, a), ()
 
 
 _N7_DIFFS = {  # (m, a): the multiple of p, as numerator and denominator
@@ -453,8 +455,8 @@ _N7_DIFFS = {  # (m, a): the multiple of p, as numerator and denominator
 
 def _cor22_sides(inst: ClaimInstance):
     p, m, a = inst.p, inst.m, inst.get("a")
-    lhs = count_solutions_exact(a, m, 7, p) - count_solutions_exact(7 - a, m, 7, p)
-    return lhs, 1, [(*_N7_DIFFS[(m, a)], ())], ""
+    yield count_solutions_exact(a, m, 7, p) - count_solutions_exact(7 - a, m, 7, p), 1, (), ""
+    yield *_N7_DIFFS[(m, a)], ()
 
 
 def _lem23i_eval(inst: ClaimInstance):
@@ -495,36 +497,45 @@ def _u_sides(inst: ClaimInstance):
     # combination of power sums, so its value mod p**3 reduces to the one mod p**2
     lhs = ("unordered", p, 3, (b, tuple(alphas)))
     if _odd(w):
-        cof = (-1) ** n * factorial(n - 1) * b * b * w * (w + 1), 2 * (w + 2), (w + 2,)
-        return lhs, 2, [cof], "odd-weight branch"
-    return lhs, 1, [((-1) ** (n - 1) * factorial(n - 1) * b * w, w + 1, (w + 1,))], "even-weight branch"
+        yield lhs, 2, (w + 2,), "odd-weight branch"
+        yield (-1) ** n * factorial(n - 1) * b * b * w * (w + 1), 2 * (w + 2), (w + 2,)
+    else:
+        yield lhs, 1, (w + 1,), "even-weight branch"
+        yield (-1) ** (n - 1) * factorial(n - 1) * b * w, w + 1, (w + 1,)
 
 
 def _cor32_sides(inst: ClaimInstance):
     p, n, alpha = inst.p, inst.n, inst.get("alpha")
     w = n * alpha
     if _odd(w):
-        cof = (-1) ** n * alpha * (w + 1), 2 * (w + 2), (w + 2,)
-        return ("mhs", p, 3, (p - 1, (alpha,) * n)), 2, [cof], "odd-weight branch"
-    return ("mhs", p, 2, (p - 1, (alpha,) * n)), 1, [((-1) ** (n - 1) * alpha, w + 1, (w + 1,))], "even-weight branch"
+        yield ("mhs", p, 3, (p - 1, (alpha,) * n)), 2, (w + 2,), "odd-weight branch"
+        yield (-1) ** n * alpha * (w + 1), 2 * (w + 2), (w + 2,)
+    else:
+        yield ("mhs", p, 2, (p - 1, (alpha,) * n)), 1, (w + 1,), "even-weight branch"
+        yield (-1) ** (n - 1) * alpha, w + 1, (w + 1,)
 
 
 def _lem33_sides(inst: ClaimInstance):
     p, n = inst.p, inst.n
     if _odd(n):
-        return (r_spec(n, 1, p), 1), 0, [(-factorial(n - 1), 1, (n,))], ""
-    note = "even branch; cofactor -n*n!/(2(n+1)), the factor 2 confirmed against exact rationals"
-    return (r_spec(n, 1, p), 2), 1, [(-n * factorial(n), 2 * (n + 1), (n + 1,))], note
+        yield (r_spec(n, 1, p), 1), 0, (n,), ""
+        yield -factorial(n - 1), 1, (n,)
+    else:
+        note = "even branch; cofactor -n*n!/(2(n+1)), the factor 2 confirmed against exact rationals"
+        yield (r_spec(n, 1, p), 2), 1, (n + 1,), note
+        yield -n * factorial(n), 2 * (n + 1), (n + 1,)
 
 
 def _lem35_sides(inst: ClaimInstance):
     n = inst.n
-    return (r_spec(n, 2, inst.p), 1), 0, [(-(n + 1) * factorial(n - 1), 2, (n,))], ""
+    yield (r_spec(n, 2, inst.p), 1), 0, (n,), ""
+    yield -(n + 1) * factorial(n - 1), 2, (n,)
 
 
 def _cor36_sides(inst: ClaimInstance):
     n = inst.n
-    return (s_spec(n, 2, inst.p), 1), 0, [((n - 1) * factorial(n - 1), 2, (n,))], ""
+    yield (s_spec(n, 2, inst.p), 1), 0, (n,), ""
+    yield (n - 1) * factorial(n - 1), 2, (n,)
 
 
 def _lem37_sides(inst: ClaimInstance):
@@ -532,21 +543,29 @@ def _lem37_sides(inst: ClaimInstance):
     if n == 3:
         # three bounded parts cannot reach 3p, so the decomposition
         # R = S + C(n+1,2) S(1) + n S(2) collapses to -6 B(p-3)
-        return (r_spec(3, 3, p), 1), 0, [(-6, 1, (3,))], "degenerate n=3 value; general cofactor does not apply"
-    return (r_spec(n, 3, p), 1), 0, [(-(n + 1) * (n + 2) * factorial(n - 1), 6, (n,)), *_triple(n)], ""
+        yield (r_spec(3, 3, p), 1), 0, (3,), "degenerate n=3 value; general cofactor does not apply"
+        yield -6, 1, (3,)
+    else:
+        yield (r_spec(n, 3, p), 1), 0, (n, *range(3, n - 5, 2)), ""
+        yield -(n + 1) * (n + 2) * factorial(n - 1), 6, (n,)
+        yield from _triple(n)
 
 
 def _cor38_sides(inst: ClaimInstance):
     p, n = inst.p, inst.n
     if n == 3:
         # three parts below p cannot sum to 3p: the bounded family is empty
-        return (s_spec(3, 3, p), 1), 0, [], "degenerate n=3 value; the bounded sum is empty"
-    return (s_spec(n, 3, p), 1), 0, [(-(n - 1) * (n - 2) * factorial(n - 1), 6, (n,)), *_triple(n)], ""
+        yield (s_spec(3, 3, p), 1), 0, (), "degenerate n=3 value; the bounded sum is empty"
+    else:
+        yield (s_spec(n, 3, p), 1), 0, (n, *range(3, n - 5, 2)), ""
+        yield -(n - 1) * (n - 2) * factorial(n - 1), 6, (n,)
+        yield from _triple(n)
 
 
 def _prop41_sides(inst: ClaimInstance):
     p, r = inst.p, inst.r
-    return (s_spec(7, 1, p, r + 1), r + 1), r, [(-factorial(7), 10, (7,))], ""
+    yield (s_spec(7, 1, p, r + 1), r + 1), r, (7,), ""
+    yield -factorial(7), 10, (7,)
 
 
 def _eq41_eval(inst: ClaimInstance):
@@ -558,31 +577,37 @@ def _eq41_eval(inst: ClaimInstance):
 
 def _eq51_sides(inst: ClaimInstance):
     d, m = inst.n, inst.m
+    yield (s_spec(d, m, inst.p), 1), 0, (d,), ""
     num, den = (-1, 1) if m == 1 else (d - 1, 2)
-    return (s_spec(d, m, inst.p), 1), 0, [(num * factorial(d - 1), den, (d,))], ""
+    yield num * factorial(d - 1), den, (d,)
 
 
 def _eq52_sides(inst: ClaimInstance):
     d, m = inst.n, inst.m
+    yield (r_spec(d, m, inst.p), 1), 0, (d,), ""
     num, den = (-1, 1) if m == 1 else (-(d + 1), 2)
-    return (r_spec(d, m, inst.p), 1), 0, [(num * factorial(d - 1), den, (d,))], ""
+    yield num * factorial(d - 1), den, (d,)
 
 
 def _conj8_sides(inst: ClaimInstance):
     m = inst.m
-    return (r_spec(8, m, inst.p), 1), 0, [(112 * m * (m * m + 16) * (m * m - 1), 5, (3, 5))], ""
+    yield (r_spec(8, m, inst.p), 1), 0, (3, 5), ""
+    yield 112 * m * (m * m + 16) * (m * m - 1), 5, (3, 5)
 
 
 def _conj9_sides(inst: ClaimInstance):
     m = inst.m
-    return (r_spec(9, m, inst.p), 1), 0, [(-factorial(8) * comb(m + 2, 5), 18, (3, 3, 3)),
-                                          (-8 * m * (m**6 + 126 * m**4 + 1869 * m**2 + 3044), 1, (9,))], ""
+    yield (r_spec(9, m, inst.p), 1), 0, (3, 9), ""
+    yield -factorial(8) * comb(m + 2, 5), 18, (3, 3, 3)
+    yield -8 * m * (m**6 + 126 * m**4 + 1869 * m**2 + 3044), 1, (9,)
 
 
 def _conj10_sides(inst: ClaimInstance):
     m = inst.m
+    yield (r_spec(10, m, inst.p), 1), 0, (3, 5, 7), ""
     num = -24 * m * (m**4 + 71 * m**2 + 540) * (m * m - 1)
-    return (r_spec(10, m, inst.p), 1), 0, [(num * 50, 35, (3, 7)), (num * 21, 35, (5, 5))], ""
+    yield num * 50, 35, (3, 7)
+    yield num * 21, 35, (5, 5)
 
 
 # ---------------------------------------------------------------------------

@@ -632,6 +632,9 @@ class TestOracleCommand:
         ["verify", "--claims", "THM-1.1-ii", "--instance", "p=11,r=2000,m=1"],
         ["verify", "--claims", "THM-1.1-ii", "--instance", "p=11,r=5000,m=1"],
         ["verify", "--claims", "LEM-2.3-ii", "--instance", "p=100003,r=1,n=5000,m=1"],
+        # a rule claim's numerators, here (n-1)! and LEM-3.7's triple sum, are built after the plan
+        ["verify", "--claims", "EQ-5.1", "--instance", "p=1000003,n=999999,m=1"],
+        ["verify", "--claims", "LEM-3.7", "--instance", "p=100003,n=4001"],
         ["compute", "count", "--n", "10000", "--a", "1", "--m", "10000", "--p", "11"],
         ["compute", "s", "--n", "3000", "--m", "2999", "--p", "11"],
     ])

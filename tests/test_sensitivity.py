@@ -324,11 +324,12 @@ _NUMERATOR_BLIND_AT_MOST: set[str] = set()
 
 def _numerator_plus_one(sides):
     def mutated(inst):
-        lhs, j, monomials, note = sides(inst)
-        if monomials:
-            (num, den, ds), *rest = monomials
-            monomials = [(num + 1, den, ds), *rest]
-        return lhs, j, monomials, note
+        monomials = sides(inst)
+        yield next(monomials)
+        for num, den, ds in monomials:
+            yield num + 1, den, ds
+            break
+        yield from monomials
     return mutated
 
 

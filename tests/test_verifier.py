@@ -964,7 +964,7 @@ class TestRationalCofactors:
 
 class TestBernoulliRule:
     """The rule on its own: a synthetic claim patched into CLAIMS, whose sides
-    function returns (lhs, j, monomials, note)."""
+    function yields (lhs, j, ds, note), then its monomials."""
 
     @staticmethod
     def rows(monkeypatch, sides):
@@ -976,9 +976,11 @@ class TestBernoulliRule:
         def sides(inst):
             p = inst.p
             b3, b5 = bernoulli_mod_p(p - 3, p), bernoulli_mod_p(p - 5, p)
-            return (3 * b5 * b3 + b3 * b3) % p * p + 5 * p**2, 1, [(3, 1, (5, 3)), (1, 1, (3, 3))], "closed"
+            yield (3 * b5 * b3 + b3 * b3) % p * p + 5 * p**2, 1, (5, 3), "closed"
+            yield 3, 1, (5, 3)
+            yield 1, 1, (3, 3)
 
-        # each distinct B(p-d) once, in the order the monomials name them, and no term for lhs
+        # each B(p-d) in the order of ds, and no term for lhs
         assert next(partial(verifier._bernoulli_rule, sides)(ClaimInstance("TEST-RULE", 11))) == [
             ("bernoulli", 11, 1, (6,)), ("bernoulli", 11, 1, (8,))]
         for p, row in zip((11, 13), self.rows(monkeypatch, sides)):
@@ -991,21 +993,50 @@ class TestBernoulliRule:
         def sides(inst):
             p = inst.p
             b3 = bernoulli_mod_p(p - 3, p)
-            return (2 * b3 + p - 1) % p * p**2 + p**3, 2, [(3 * p + 2, 1, (3,)), (p - 1, 1, ())], ""
+            yield (2 * b3 + p - 1) % p * p**2 + p**3, 2, (3,), ""
+            yield 3 * p + 2, 1, (3,)
+            yield p - 1, 1, ()
 
         for p, row in zip((11, 13), self.rows(monkeypatch, sides)):
             rhs = (2 * bernoulli_mod_p(p - 3, p) + p - 1) % p * p**2
             assert row == ("pass", rhs, rhs, p**3, "") and rhs < p**3
 
     def test_no_monomial_is_a_right_side_of_zero(self, monkeypatch):
-        assert self.rows(monkeypatch, lambda inst: (4 * inst.p**2, 1, [], "")) == [
+        assert self.rows(monkeypatch, lambda inst: iter([(4 * inst.p**2, 1, (), "")])) == [
             ("pass", 0, 0, 11**2, ""), ("pass", 0, 0, 13**2, "")]
 
     def test_a_denominator_divisible_by_p_is_an_error_row(self, monkeypatch):
         # 6/(-4p) is written reduced, its sign on the numerator
-        rows = self.rows(monkeypatch, lambda inst: (0, 0, [(1, 1, (3,)), (6, -4 * inst.p, ())], ""))
+        rows = self.rows(monkeypatch, lambda inst: iter([(0, 0, (3,), ""), (1, 1, (3,)), (6, -4 * inst.p, ())]))
         assert rows == [("error", None, None, None, f"NonUnitError: denominator of -3/{2 * p} is divisible by {p}")
                         for p in (11, 13)]
+
+
+    def test_the_monomials_are_drawn_after_the_values_arrive(self):
+        drawn = []
+
+        def sides(inst):
+            yield 0, 0, (3,), ""
+            drawn.append(inst.p)
+            yield 1, 1, (3,)
+
+        run = partial(verifier._bernoulli_rule, sides)(ClaimInstance("TEST-RULE", 11))
+        assert next(run) == [("bernoulli", 11, 1, (8,))] and drawn == []
+        with pytest.raises(StopIteration) as stop:
+            run.send((5,))
+        assert drawn == [11] and stop.value.value == (0, 5, 11, "")
+
+
+    def test_no_rule_claim_builds_a_numerator_before_its_values_arrive(self, monkeypatch):
+        # every factorial, and so every triple sum, is drawn with the monomials
+        called = []
+        monkeypatch.setattr(verifier, "factorial", lambda n: called.append(n) or 1)
+        for claim in CLAIMS.values():
+            if isinstance(claim.evaluate, partial) and claim.evaluate.func is verifier._bernoulli_rule:
+                for inst in claim.grid():
+                    if claim.violated(inst) is None:
+                        next(claim.evaluate(inst))
+        assert called == []
 
 
 class TestInstanceFromParams:
